@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench verify kernels tlrbench distbench trace chaos chaosbench orderbench modesbench serve servebench oocbench oocsmoke elasticbench clean
+.PHONY: build test bench verify kernels tlrbench distbench trace chaos chaosbench orderbench modesbench serve oocbench oocsmoke elasticbench clean
 
 build:
 	$(GO) build ./...
@@ -14,11 +14,15 @@ test:
 # caches, lock-free instruments, the ordering determinism contract, the
 # hierarchical factorization's task graph, and the store's pin/evict
 # concurrency are the point), then the full suite under the race detector
-# (parallel assembly and scheduler paths).
+# (parallel assembly and scheduler paths), then the benchmark module, which
+# root `go test ./...` does not reach: its vet and unit tests, and its smoke
+# run, which must end with correct:true.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -timeout 45m ./internal/mpi/... ./internal/core/... ./internal/obs/... ./internal/geom/... ./internal/hodlr/... ./internal/tlr/store/...
 	$(GO) test -race -timeout 45m ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh --smoke
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
@@ -92,13 +96,6 @@ elasticbench:
 # serve runs the kriging service (cmd/exaserve) on :8080.
 serve:
 	$(GO) run ./cmd/exaserve -addr :8080
-
-# servebench regenerates the kriging-service load-test snapshot: boots
-# exaserve in-process, fires 10k concurrent predicts through the Go client,
-# reports exact p50/p99 latency, predictions/sec, bitwise agreement with the
-# direct Session computation, and the one-factorization evidence counters.
-servebench:
-	$(GO) run ./cmd/paperbench -serve BENCH_serve.json
 
 clean:
 	$(GO) clean ./...

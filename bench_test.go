@@ -436,7 +436,7 @@ func BenchmarkAblationProfiledFit(b *testing.B) {
 	})
 	b.Run("profiled-2d", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := exago.ProfiledFit(p, cfg, exago.FitOptions{Start: benchTheta(), MaxEvals: 60}); err != nil {
+			if _, err := exago.Fit(p, cfg, exago.FitOptions{Start: benchTheta(), MaxEvals: 60, Profiled: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -139,7 +139,7 @@ func (c *Client) GetModel(ctx context.Context, name string) (ModelInfo, error) {
 	return info, err
 }
 
-// DeleteModel removes a model and stops its worker.
+// DeleteModel removes a model once its in-flight predicts are answered.
 func (c *Client) DeleteModel(ctx context.Context, name string) error {
 	return c.roundTrip(ctx, http.MethodDelete, "/v1/models/"+name, nil, nil)
 }

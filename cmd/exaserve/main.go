@@ -1,17 +1,17 @@
 // Command exaserve runs the kriging-as-a-service HTTP server: a registry of
-// fitted geostatistics models, each fronted by a serializing worker, exposing
-// JSON endpoints for ingest, prediction with optional uncertainty, and
-// observability.
+// fitted geostatistics models, each answering concurrent predicts from one
+// read-only factor behind an admission gate, exposing JSON endpoints under
+// /v1/ for ingest, prediction with optional uncertainty, and observability.
 //
 //	exaserve -addr :8080
 //
-//	curl -X POST localhost:8080/models -d '{
+//	curl -X POST localhost:8080/v1/models -d '{
 //	  "name": "field",
 //	  "points": [{"x":0.1,"y":0.2}, ...], "z": [0.4, ...],
 //	  "theta": {"variance":1, "range":0.1, "smoothness":0.5}}'
-//	curl -X POST localhost:8080/models/field/predict -d '{
+//	curl -X POST localhost:8080/v1/models/field/predict -d '{
 //	  "points": [{"x":0.5,"y":0.5}], "with_variance": true}'
-//	curl localhost:8080/metrics
+//	curl localhost:8080/v1/metrics
 //
 // Omit "theta" to run a maximum-likelihood fit at ingest (see the "fit"
 // object for options). SIGINT/SIGTERM drain in-flight requests before exit.
@@ -35,7 +35,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		maxBatch  = flag.Int("max-batch", 0, "max points per predict request (0 = default 16384)")
-		maxQueue  = flag.Int("max-queue", 0, "max queued predicts per model (0 = default 256)")
+		maxQueue  = flag.Int("max-queue", 0, "max predicts per model waiting for a running slot (0 = default 256)")
 		maxModels = flag.Int("max-models", 0, "max registered models (0 = default 64)")
 		maxPoints = flag.Int("max-points", 0, "max observations per model (0 = default 1000000)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")

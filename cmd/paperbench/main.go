@@ -34,7 +34,6 @@ func main() {
 		trace   = flag.String("trace", "", "run the traced dense+TLR Cholesky executions, write the schedule report to this path (e.g. BENCH_trace.json) plus a Chrome trace artifact (.trace.json) next to it, and exit")
 		chaosp  = flag.String("chaos", "", "run the fault-tolerance benchmark (retry overhead + chaos-injected recovery on the n=1600 TLR Cholesky), write the JSON report to this path (e.g. BENCH_chaos.json), and exit")
 		order   = flag.String("order", "", "run the spatial-ordering sweep (none/morton/hilbert/kdblock x uniform/clustered: tile ranks, TLR bytes, factor makespan, per-rank comm), write the JSON report to this path (e.g. BENCH_order.json), and exit")
-		servep  = flag.String("serve", "", "run the kriging-service load test (boot exaserve in-process, 10k concurrent predicts: p50/p99 latency, predictions/sec, exact-match + one-factorization evidence), write the JSON report to this path (e.g. BENCH_serve.json), and exit")
 		modes   = flag.String("modes", "", "race every registered evaluator backend (full-block/full-tile/tlr/hodlr) on one clustered dataset: first/steady eval time, storage, rank structure, predict throughput, agreement with dense; write the JSON report to this path (e.g. BENCH_modes.json), and exit")
 		ooc     = flag.String("ooc", "", "run the out-of-core proof (n=100k TLR likelihood under a memory budget several times below the matrix, bitwise vs unbounded; interrupted-fit checkpoint resume; 2.4M-point cluster replay), write the JSON report to this path (e.g. BENCH_ooc.json), and exit")
 		elastic = flag.String("elastic", "", "run the elastic-recovery benchmark (no-fault overhead of arming recovery + a 6-rank likelihood that loses a rank mid-Cholesky and must finish bitwise on 5 survivors), write the JSON report to this path (e.g. BENCH_elastic.json), and exit")
@@ -71,15 +70,6 @@ func main() {
 	if *chaosp != "" {
 		opts := exprt.Options{Out: os.Stdout, Workers: *workers, Seed: *seed}
 		if err := exprt.WriteChaosBench(*chaosp, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *servep != "" {
-		opts := exprt.Options{Out: os.Stdout, Workers: *workers, Seed: *seed}
-		if err := exprt.WriteServeBench(*servep, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 			os.Exit(1)
 		}

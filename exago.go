@@ -97,17 +97,18 @@ type Problem = core.Problem
 // (LogLikelihood, Fit, Predict, ...) are convenience wrappers that build a
 // throwaway Session per call; hold a Session when making many calls so the
 // reuse is part of the API contract.
+//
+// A Session is safe for concurrent use. Predict and PredictWithVariance at
+// the (θ, nugget) whose solve state the session has cached — the last one it
+// predicted at — run concurrently on the read-only factor; LogLikelihood,
+// ProfiledLogLikelihood, Fit, a predict at any other θ and every distributed
+// solve run one at a time, with nothing else in the session, and each of
+// them retires the cached factor (the next variance predict factors again;
+// the cached mean weights stay).
 type Session = core.Session
 
 // NewSession validates cfg and builds a reusable Session for p.
 func NewSession(p *Problem, cfg Config) (*Session, error) { return core.NewSession(p, cfg) }
-
-// ErrSessionBusy reports concurrent entry into a Session, which is not safe
-// for concurrent use: overlapping calls are detected by an atomic guard and
-// fail with this error (wrapped; test with errors.Is) instead of corrupting
-// the shared evaluator state. Serialize calls — or run the serving layer
-// (cmd/exaserve), whose per-model workers do it for you.
-var ErrSessionBusy = core.ErrSessionBusy
 
 // FitOptions, FitResult and LikResult re-export the estimation types.
 type (
@@ -207,15 +208,6 @@ func PredictWithVariance(p *Problem, newPts []Point, theta Theta, cfg Config) (P
 // intervals against held-out truths.
 func CoverageCheck(pr Prediction, truth []float64) (float64, error) {
 	return core.CoverageCheck(pr, truth)
-}
-
-// ProfiledFit estimates θ̂ via the concentrated likelihood: the variance is
-// profiled out analytically, shrinking the search to (range, smoothness).
-//
-// Deprecated: set FitOptions.Profiled and call Fit instead — the profiled
-// search is an option of the one Fit entry point, not a separate estimator.
-func ProfiledFit(p *Problem, cfg Config, opts FitOptions) (FitResult, error) {
-	return core.ProfiledFit(p, cfg, opts)
 }
 
 // RefineOptions and RefineResult re-export the iterative-refinement types.

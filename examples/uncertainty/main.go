@@ -4,8 +4,8 @@
 //  1. PredictWithVariance computes the full conditional distribution (paper
 //     eq. 3), giving 95% prediction intervals whose empirical coverage is
 //     checked against held-out truth.
-//  2. ProfiledFit concentrates the variance out of the likelihood, fitting
-//     with a 2-D instead of 3-D search.
+//  2. FitOptions.Profiled concentrates the variance out of the likelihood,
+//     fitting with a 2-D instead of 3-D search.
 //  3. SolveRefined recovers machine-precision solves from a deliberately
 //     loose (1e-2) TLR factorization via preconditioned conjugate gradients
 //     with matrix-free exact operator applications.
@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := exago.ProfiledFit(syn.Train, cfg, exago.FitOptions{MaxEvals: 150})
+	prof, err := exago.Fit(syn.Train, cfg, exago.FitOptions{MaxEvals: 150, Profiled: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,9 +22,9 @@ import (
 // RegisterBackend; nothing in session.go, predict, metrics or the serving
 // layer dispatches on Mode.
 //
-// Backends are NOT safe for concurrent use (Session's busy guard enforces
-// serialization) and results of one call may alias state invalidated by the
-// next.
+// Backends are NOT safe for concurrent use: Session calls every method below
+// under its write lock, and results of one call may alias state the next one
+// overwrites.
 type Backend interface {
 	// Mode identifies the registration the backend was built from.
 	Mode() Mode
@@ -55,19 +55,18 @@ type Backend interface {
 
 // FactorBackend is the optional capability shared-memory backends implement:
 // a factorization that lives in this address space and can be handed out as a
-// Factor. Session's (θ, nugget)-keyed predict cache requires it — factors
-// alias the backend's cached buffers, so Generation stamps each one and the
-// cache compares stamps before reuse. Distributed backends keep their factor
-// sharded across ranks and do not implement this; Session falls back to the
-// Backend-level solve primitives for them.
+// Factor. Session's (θ, nugget)-keyed predict cache requires it. A Factor
+// aliases the backend's cached buffers: it is read-only, and safe for
+// concurrent HalfSolveMat calls, from the Factorize that returned it until
+// the backend's next factorization of any kind, which overwrites it —
+// Session drops its cached Factor before every such call. Distributed
+// backends keep their factor sharded across ranks and do not implement this;
+// Session falls back to the Backend-level solve primitives for them.
 type FactorBackend interface {
 	Backend
 	// Factorize assembles Σ for (k, nugget) and factors it, running the
 	// nugget-escalation ladder on breakdown.
 	Factorize(k *cov.Kernel, nugget float64) (Factor, error)
-	// Generation counts factorization executions; a Factor is valid only
-	// while the generation it was produced at is current.
-	Generation() uint64
 }
 
 // CommBackend is the optional capability distributed backends implement:

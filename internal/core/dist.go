@@ -385,6 +385,8 @@ func (e *distBackend) HalfSolveChunked(k *cov.Kernel, nugget float64, newPts []g
 // CommStats returns the per-rank cumulative traffic of the distributed
 // backend (nil for shared-memory sessions).
 func (s *Session) CommStats() []mpi.CommStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	cb, ok := s.be.(CommBackend)
 	if !ok {
 		return nil

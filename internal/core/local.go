@@ -56,8 +56,10 @@ type modeFactorizer interface {
 // backend_dense.go / backend_tile.go / backend_tlr.go / backend_hodlr.go for
 // the four registrations.
 //
-// A localBackend is NOT safe for concurrent use; the factor returned by one
-// evaluation aliases cached buffers and is invalidated by the next one.
+// A localBackend is NOT safe for concurrent use — Session's write lock
+// serializes its methods. The factor returned by one evaluation aliases
+// cached buffers and is overwritten by the next one; until then it is
+// read-only, and its HalfSolveMat may run from any number of goroutines.
 type localBackend struct {
 	p   *Problem
 	cfg Config
@@ -70,12 +72,6 @@ type localBackend struct {
 	diag Diagnostics
 
 	y []float64 // rhs scratch
-
-	// gen counts factorization executions. Factors returned by Factorize
-	// alias the cached buffers, so a factor is valid only while gen is
-	// unchanged — Session's predict cache compares generations before
-	// reusing one across calls.
-	gen uint64
 
 	// trace switches graph executions to ExecuteTraced; lastTrace keeps the
 	// most recent execution's trace for Session.Metrics. FullBlock has no
@@ -91,7 +87,6 @@ func newLocalBackend(p *Problem, cfg Config, inj *chaos.Injector, fac modeFactor
 
 func (e *localBackend) Mode() Mode               { return e.cfg.Mode }
 func (e *localBackend) Diagnostics() Diagnostics { return e.diag }
-func (e *localBackend) Generation() uint64       { return e.gen }
 func (e *localBackend) EnableTracing()           { e.trace = true }
 func (e *localBackend) Trace() *runtime.Trace    { return e.lastTrace }
 
@@ -147,7 +142,6 @@ func (e *localBackend) run(g *runtime.Graph) error {
 func (e *localBackend) Factorize(k *cov.Kernel, nugget float64) (Factor, error) {
 	cur := nugget
 	for attempt := 0; ; attempt++ {
-		e.gen++
 		cntFactorRuns.Inc()
 		f, err := e.fac.factorizeOnce(e, k, cur)
 		if err == nil {

@@ -46,6 +46,8 @@ type Metrics struct {
 // timeline. Call it before the evaluations of interest; tracing adds two
 // time.Now() calls per task and is safe to leave on.
 func (s *Session) EnableTracing() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.be.EnableTracing()
 }
 
@@ -54,12 +56,16 @@ func (s *Session) EnableTracing() {
 // and Comm are per-session, supplied uniformly by the backend.
 func (s *Session) Metrics() Metrics {
 	m := Metrics{Obs: obs.Default().Snapshot()}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	d := s.be.Diagnostics()
 	m.FactorFailures = d.FactorFailures
 	m.NuggetEscalations = d.NuggetEscalations
 	m.LastFactorFailure = d.LastFailure
 	m.RanksLost = d.RanksLost
 	m.Trace = s.be.Trace()
-	m.Comm = s.CommStats()
+	if cb, ok := s.be.(CommBackend); ok {
+		m.Comm = cb.CommStats()
+	}
 	return m
 }

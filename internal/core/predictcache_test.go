@@ -1,16 +1,16 @@
 package core
 
 import (
-	"errors"
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cov"
 	"repro/internal/geom"
 	"repro/internal/la"
 	"repro/internal/rng"
+	"repro/internal/tlr"
 )
 
 // TestPredictCacheSingleFactorization is the serving-hot-path regression:
@@ -284,96 +284,132 @@ func TestPredictWithVarianceChunkedDistributed(t *testing.T) {
 	}
 }
 
-// TestSessionConcurrentEntryFails pins the in-use guard contract: a second
-// goroutine entering a busy session gets ErrSessionBusy, never corruption.
-func TestSessionConcurrentEntryFails(t *testing.T) {
-	syn, err := GenerateSynthetic(200, 10, theta(), 15)
+// TestSessionConcurrentPredicts is the proof behind the Session's one lock:
+// in every mode, 16 goroutines mixing Predict and PredictWithVariance at the
+// warm θ, beside one goroutine evaluating the likelihood at another θ, return
+// bit for bit what the same calls return one after the other, and factor no
+// more often. Each round ends with one serial predict of the kind the mode
+// caches a factor for, so the count does not depend on whether the round's
+// evaluation ran before or after its last variance predict: a round costs
+// the evaluation's factorization plus, where a factor is cached, exactly one
+// to replace the one the evaluation overwrote. Run under -race this is also
+// the check that the cached factor is read-only.
+func TestSessionConcurrentPredicts(t *testing.T) {
+	syn, err := GenerateSynthetic(256, 12, theta(), 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(syn.Train, Config{Mode: FullBlock})
-	if err != nil {
-		t.Fatal(err)
+	th := theta()
+	other := cov.Params{Variance: 2, Range: 0.05, Smoothness: 0.5}
+	tlrCfg := Config{Mode: TLR, TileSize: 64, Accuracy: 1e-6, CompressorName: "aca"}
+	ooc, dist := tlrCfg, tlrCfg
+	ooc.MemBudget, ooc.SpillDir = tlr.MinMemBudget(64, 1), t.TempDir()
+	dist.Ranks = 4
+	cases := []struct {
+		name     string
+		cfg      Config
+		variance bool // distributed variance predicts factor per call: means only
+	}{
+		{"full-block", Config{Mode: FullBlock}, true},
+		{"full-tile", Config{Mode: FullTile, TileSize: 64, Workers: 2}, true},
+		{"tlr", tlrCfg, true},
+		{"tlr-membudget", ooc, true},
+		{"hodlr", Config{Mode: HODLR, TileSize: 64, Accuracy: 1e-6, CompressorName: "aca"}, true},
+		{"tlr-ranks4", dist, false},
 	}
-
-	// Deterministic: hold the guard and watch every entry point refuse.
-	if !s.inUse.CompareAndSwap(0, 1) {
-		t.Fatal("fresh session not idle")
+	const goroutines, rounds = 16, 2
+	type answer struct {
+		pr  Prediction // Variance nil for a mean predict
+		err error
 	}
-	if _, err := s.Predict(syn.TestPoints, theta()); !errors.Is(err, ErrSessionBusy) {
-		t.Fatalf("Predict on busy session: %v, want ErrSessionBusy", err)
-	}
-	if _, err := s.PredictWithVariance(syn.TestPoints, theta()); !errors.Is(err, ErrSessionBusy) {
-		t.Fatalf("PredictWithVariance on busy session: %v, want ErrSessionBusy", err)
-	}
-	if _, err := s.LogLikelihood(theta()); !errors.Is(err, ErrSessionBusy) {
-		t.Fatalf("LogLikelihood on busy session: %v, want ErrSessionBusy", err)
-	}
-	if _, _, err := s.ProfiledLogLikelihood(0.1, 0.5); !errors.Is(err, ErrSessionBusy) {
-		t.Fatalf("ProfiledLogLikelihood on busy session: %v, want ErrSessionBusy", err)
-	}
-	if _, err := s.Fit(FitOptions{}); !errors.Is(err, ErrSessionBusy) {
-		t.Fatalf("Fit on busy session: %v, want ErrSessionBusy", err)
-	}
-	if _, err := s.ProfiledFit(FitOptions{}); !errors.Is(err, ErrSessionBusy) {
-		t.Fatalf("ProfiledFit on busy session: %v, want ErrSessionBusy", err)
-	}
-	s.release()
-
-	// The session works again once the guard is released.
-	if _, err := s.Predict(syn.TestPoints, theta()); err != nil {
-		t.Fatalf("Predict after release: %v", err)
-	}
-}
-
-// TestSessionConcurrentPredictRace hammers one session from many goroutines
-// under the race detector: every call must either succeed with correct
-// results or fail with ErrSessionBusy — no third outcome, no data race.
-func TestSessionConcurrentPredictRace(t *testing.T) {
-	syn, err := GenerateSynthetic(200, 10, theta(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Mode: FullBlock}
-	s, err := NewSession(syn.Train, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Predict(syn.Train, syn.TestPoints, theta(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const goroutines = 16
-	var wg sync.WaitGroup
-	var successes, busies atomic.Int64
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 8; iter++ {
-				got, err := s.Predict(syn.TestPoints, theta())
-				switch {
-				case err == nil:
-					successes.Add(1)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("concurrent prediction %d corrupted: %g want %g", i, got[i], want[i])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// predict is goroutine g's call: odd g asks for variances where
+			// the mode caches a factor, and each g asks for its own points.
+			predict := func(s *Session, g int) answer {
+				pts := syn.TestPoints[g%4:]
+				if tc.variance && g%2 == 1 {
+					pr, err := s.PredictWithVariance(pts, th)
+					return answer{pr, err}
+				}
+				mean, err := s.Predict(pts, th)
+				return answer{Prediction{Mean: mean}, err}
+			}
+			// run warms a fresh session, then plays the rounds, the round's
+			// calls at once or one after the other, and returns every answer,
+			// every likelihood and the factorizations it took after warm-up.
+			run := func(concurrent bool) (got [rounds][goroutines]answer, liks [rounds]LikResult, runs int64) {
+				s, err := NewSession(syn.Train, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				for g := 0; g < 2; g++ {
+					if a := predict(s, g); a.err != nil {
+						t.Fatal(a.err)
+					}
+				}
+				runs0 := cntFactorRuns.Value()
+				for r := 0; r < rounds; r++ {
+					var wg sync.WaitGroup
+					call := func(f func()) {
+						if !concurrent {
+							f()
 							return
 						}
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							f()
+						}()
 					}
-				case errors.Is(err, ErrSessionBusy):
-					busies.Add(1)
-				default:
-					t.Errorf("unexpected error under concurrency: %v", err)
-					return
+					call(func() {
+						lik, err := s.LogLikelihood(other)
+						if err != nil {
+							t.Error(err)
+						}
+						liks[r] = lik
+					})
+					for g := 0; g < goroutines; g++ {
+						call(func() { got[r][g] = predict(s, g) })
+					}
+					wg.Wait()
+					if a := predict(s, 1); a.err != nil {
+						t.Fatal(a.err)
+					}
+				}
+				if _, spilled, _ := s.StoreStats(); tc.cfg.MemBudget > 0 && spilled == 0 {
+					t.Error("the memory budget never spilled a tile: the row does not test eviction beside readers")
+				}
+				return got, liks, cntFactorRuns.Value() - runs0
+			}
+
+			want, wantLiks, wantRuns := run(false)
+			got, gotLiks, gotRuns := run(true)
+			for r := range want {
+				if gotLiks[r] != wantLiks[r] {
+					t.Errorf("round %d: likelihood %+v beside predicts, %+v alone", r, gotLiks[r], wantLiks[r])
+				}
+				for g := range want[r] {
+					w, a := want[r][g], got[r][g]
+					if w.err != nil || a.err != nil {
+						t.Fatalf("round %d goroutine %d: serial error %v, concurrent error %v", r, g, w.err, a.err)
+					}
+					if !slices.Equal(a.pr.Mean, w.pr.Mean) || !slices.Equal(a.pr.Variance, w.pr.Variance) {
+						t.Errorf("round %d goroutine %d: concurrent answer differs from the serial one", r, g)
+					}
 				}
 			}
-		}()
+			if gotRuns != wantRuns {
+				t.Errorf("%d factorizations with concurrent predicts, %d one at a time", gotRuns, wantRuns)
+			}
+			perRound := int64(1)
+			if tc.variance {
+				perRound = 2
+			}
+			if wantRuns != rounds*perRound {
+				t.Errorf("%d factorizations over %d serial rounds, want %d a round", wantRuns, rounds, perRound)
+			}
+		})
 	}
-	wg.Wait()
-	if successes.Load() == 0 {
-		t.Fatal("no concurrent predict ever succeeded")
-	}
-	t.Logf("concurrent predicts: %d succeeded, %d refused busy", successes.Load(), busies.Load())
 }

@@ -204,7 +204,7 @@ func TestProfiledFitAgreesWithFullFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := ProfiledFit(syn.Train, Config{Mode: FullBlock}, FitOptions{MaxEvals: 150})
+	prof, err := Fit(syn.Train, Config{Mode: FullBlock}, FitOptions{MaxEvals: 150, Profiled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +224,8 @@ func TestProfiledFitFixedSmoothness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := ProfiledFit(syn.Train, Config{Mode: TLR, TileSize: 64, Accuracy: 1e-8},
-		FitOptions{MaxEvals: 60, FixSmoothness: true, Start: theta()})
+	prof, err := Fit(syn.Train, Config{Mode: TLR, TileSize: 64, Accuracy: 1e-8},
+		FitOptions{MaxEvals: 60, FixSmoothness: true, Start: theta(), Profiled: true})
 	if err != nil {
 		t.Fatal(err)
 	}

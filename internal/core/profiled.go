@@ -1,6 +1,5 @@
 package core
 
-
 // ProfiledLogLikelihood evaluates the profile log-likelihood: the variance
 // θ₁ is concentrated out analytically. Writing Σ(θ) = θ₁·R(θ₂, θ₃) with R
 // the correlation matrix, the maximizing variance for fixed (θ₂, θ₃) is
@@ -20,16 +19,4 @@ func ProfiledLogLikelihood(p *Problem, rangeP, smoothness float64, cfg Config) (
 		return 0, 0, err
 	}
 	return s.ProfiledLogLikelihood(rangeP, smoothness)
-}
-
-// ProfiledFit estimates θ̂ by maximizing the profile likelihood over
-// (θ₂, θ₃) and recovering θ̂₁ in closed form. It typically needs far fewer
-// likelihood evaluations than the full 3-parameter Fit for the same
-// accuracy (see the profiled-fit ablation benchmark).
-//
-// Deprecated: set FitOptions.Profiled and call Fit instead — ProfiledFit is
-// a thin wrapper kept for compatibility.
-func ProfiledFit(p *Problem, cfg Config, opts FitOptions) (FitResult, error) {
-	opts.Profiled = true
-	return Fit(p, cfg, opts)
 }

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/cov"
@@ -14,14 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/optimize"
 )
-
-// ErrSessionBusy is returned when two goroutines enter a Session at once.
-// A Session is not safe for concurrent use — its evaluations share cached
-// buffers — and instead of silently corrupting them the entry points detect
-// the overlap and fail. Callers that need concurrency put a serializing
-// worker in front of the session (internal/serve does exactly that and
-// relies on this guard to prove its serialization holds).
-var ErrSessionBusy = errors.New("core: Session is not safe for concurrent use; serialize calls")
 
 // Predict solve-cache counters: each Predict/PredictWithVariance either
 // reuses the session's cached kriging solve state for its (θ, nugget) key
@@ -42,10 +33,17 @@ var (
 // calls on one problem so the reuse is part of the API contract rather than
 // hidden package state.
 //
-// A Session is NOT safe for concurrent use: evaluations share cached
-// buffers, and results of one call may be invalidated by the next.
-// Concurrent entry is detected by an atomic in-use guard and fails with
-// ErrSessionBusy instead of corrupting state.
+// A Session is safe for concurrent use under one rule, enforced by one
+// sync.RWMutex. A Predict or PredictWithVariance answered entirely from the
+// solve state cached for its (θ, nugget) — the factor, Σ₂₂⁻¹Z₂ and L⁻¹Z₂,
+// none of which change at a fixed θ̂ — holds the read lock and touches only
+// per-call scratch, so any number of them run at once on a warm key.
+// Everything that runs the backend — a predict at a key that is not cached,
+// LogLikelihood, ProfiledLogLikelihood, Fit, every distributed solve — holds
+// the write lock, and drops the cached factor first, because the backend
+// factors into the buffers that factor aliases. The cached solve vectors are
+// private copies and survive; the next variance predict at that key factors
+// again.
 type Session struct {
 	p   *Problem
 	cfg Config // validated and normalized
@@ -54,12 +52,12 @@ type Session struct {
 
 	// be is the evaluator backend the registry built for cfg.Mode/Ranks.
 	// All likelihood and kriging work routes through it; Session adds the
-	// busy guard and the (θ, nugget)-keyed predict cache on top.
+	// lock and the (θ, nugget)-keyed predict cache on top.
 	be Backend
 
-	// inUse is the concurrent-entry guard: 0 idle, 1 inside a public
-	// evaluation method.
-	inUse atomic.Int32
+	// mu guards be and pred: read-held by predicts served from pred,
+	// write-held by everything that runs be or changes pred.
+	mu sync.RWMutex
 
 	// pred caches the kriging solve state across Predict /
 	// PredictWithVariance calls at an unchanged (θ, nugget) — the
@@ -69,13 +67,11 @@ type Session struct {
 }
 
 // predictCache is the solve state Predict and PredictWithVariance share,
-// keyed by the (θ, nugget) pair it was computed for. yFull and yHalf are
-// private copies and stay valid indefinitely; factor aliases the backend's
-// cached buffers and is only reusable while the backend's factorization
-// generation is unchanged (any interleaved evaluation at another θ
-// invalidates it — the generation comparison catches that).
+// keyed by the (θ, nugget) pair it was computed for (the zero key matches no
+// valid θ). yFull and yHalf are private copies, never written after they are
+// stored, and stay valid for the key indefinitely; factor aliases the
+// backend's cached buffers and is set to nil before the backend runs again.
 type predictCache struct {
-	valid  bool
 	theta  cov.Params
 	nugget float64
 
@@ -83,7 +79,10 @@ type predictCache struct {
 	yHalf []float64 // L⁻¹·Z₂ (PredictWithVariance's half-solved rhs)
 
 	factor Factor // FactorBackend modes only; nil on the distributed backend
-	gen    uint64 // backend generation factor was produced at
+}
+
+func (c *predictCache) at(theta cov.Params, nugget float64) bool {
+	return c.theta == theta && c.nugget == nugget
 }
 
 // NewSession validates cfg, normalizes its zero fields to the documented
@@ -122,8 +121,10 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 // Close releases resources the session's backend holds outside the Go heap
 // — today that is the TLR out-of-core spill file (Config.MemBudget > 0).
 // Safe to call on every mode (a no-op without external resources) and
-// idempotent; the session must not be used afterwards.
+// idempotent. It waits for the calls in flight; the session must not be used
+// afterwards.
 func (s *Session) Close() error {
+	defer s.exclusive()()
 	if c, ok := s.be.(io.Closer); ok {
 		return c.Close()
 	}
@@ -134,6 +135,8 @@ func (s *Session) Close() error {
 // current spill-file size. ok is false when the session runs in memory
 // (MemBudget == 0) or no factorization has happened yet.
 func (s *Session) StoreStats() (highWater, spilled int64, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if ss, hasStore := s.be.(interface {
 		storeStats() (int64, int64, bool)
 	}); hasStore {
@@ -145,7 +148,8 @@ func (s *Session) StoreStats() (highWater, spilled int64, ok bool) {
 // Backend returns the evaluator backend the session routes through — the
 // registry-built object for the configured Mode. Useful for capability
 // checks (FactorBackend, CommBackend); the returned backend shares the
-// session's cached state and must not be used concurrently with it.
+// session's cached state but not its lock, so calling its methods while the
+// session is in use is a data race.
 func (s *Session) Backend() Backend { return s.be }
 
 // ChaosStats reports the faults the session's injector has raised so far
@@ -166,56 +170,37 @@ func (s *Session) Config() Config { return s.cfg }
 // the Problem passed to NewSession.
 func (s *Session) Problem() *Problem { return s.p }
 
-// acquire takes the session's in-use guard or reports concurrent entry.
-func (s *Session) acquire(op string) error {
-	if !s.inUse.CompareAndSwap(0, 1) {
-		return fmt.Errorf("core: %s: %w", op, ErrSessionBusy)
-	}
-	return nil
+// exclusive takes the write lock for a call that runs the backend and drops
+// the cached factor, whose buffers that run overwrites. It returns the
+// unlock: defer s.exclusive()().
+func (s *Session) exclusive() (unlock func()) {
+	s.mu.Lock()
+	s.pred.factor = nil
+	return s.mu.Unlock
 }
-
-// release returns the session to idle.
-func (s *Session) release() { s.inUse.Store(0) }
 
 // LogLikelihood evaluates ℓ(θ) (paper eq. 1), reusing the session's cached
 // state across calls.
 func (s *Session) LogLikelihood(theta cov.Params) (LikResult, error) {
-	if err := s.acquire("LogLikelihood"); err != nil {
-		return LikResult{}, err
-	}
-	defer s.release()
-	return s.logLikelihood(theta)
-}
-
-func (s *Session) logLikelihood(theta cov.Params) (LikResult, error) {
+	defer s.exclusive()()
 	return s.be.LogLikelihood(theta)
 }
 
 // ProfiledLogLikelihood evaluates the concentrated likelihood ℓ_p(θ₂, θ₃)
 // (see the package-level ProfiledLogLikelihood for the formulation).
 func (s *Session) ProfiledLogLikelihood(rangeP, smoothness float64) (logL, varianceHat float64, err error) {
-	if err := s.acquire("ProfiledLogLikelihood"); err != nil {
-		return 0, 0, err
-	}
-	defer s.release()
-	return s.profiledLogLikelihood(rangeP, smoothness)
-}
-
-func (s *Session) profiledLogLikelihood(rangeP, smoothness float64) (logL, varianceHat float64, err error) {
+	defer s.exclusive()()
 	return s.be.ProfiledLogLikelihood(rangeP, smoothness)
 }
 
 // Fit estimates θ̂ by maximizing the log-likelihood with the derivative-free
 // optimizer. The search runs over log-transformed variance and range (their
 // scales span decades) and linear smoothness. Every objective call reuses
-// the session's cached factorization state. With FitOptions.Profiled set the
-// variance is concentrated out analytically and the optimizer searches only
-// (θ₂, θ₃).
+// the session's cached factorization state, and the whole search holds the
+// write lock. With FitOptions.Profiled set the variance is concentrated out
+// analytically and the optimizer searches only (θ₂, θ₃).
 func (s *Session) Fit(opts FitOptions) (FitResult, error) {
-	if err := s.acquire("Fit"); err != nil {
-		return FitResult{}, err
-	}
-	defer s.release()
+	defer s.exclusive()()
 	o := opts.withDefaults(s.p)
 	if o.Profiled {
 		return s.profiledFit(o)
@@ -243,7 +228,7 @@ func (s *Session) Fit(opts FitOptions) (FitResult, error) {
 
 	var lastErr error
 	obj := func(x []float64) float64 {
-		lik, err := s.logLikelihood(toTheta(x))
+		lik, err := s.be.LogLikelihood(toTheta(x))
 		if err != nil {
 			lastErr = err
 			return math.Inf(1)
@@ -279,18 +264,8 @@ func (s *Session) Fit(opts FitOptions) (FitResult, error) {
 	}, nil
 }
 
-// ProfiledFit estimates θ̂ via the concentrated likelihood over (θ₂, θ₃),
-// recovering θ̂₁ in closed form.
-//
-// Deprecated: set FitOptions.Profiled and call Fit instead — ProfiledFit is
-// a thin wrapper kept for compatibility.
-func (s *Session) ProfiledFit(opts FitOptions) (FitResult, error) {
-	opts.Profiled = true
-	return s.Fit(opts)
-}
-
 // profiledFit is Fit's concentrated-likelihood branch. The caller holds the
-// busy guard and has already applied the option defaults.
+// write lock and has already applied the option defaults.
 func (s *Session) profiledFit(o FitOptions) (FitResult, error) {
 	dim := 2
 	if o.FixSmoothness {
@@ -308,7 +283,7 @@ func (s *Session) profiledFit(o FitOptions) (FitResult, error) {
 	}
 	var lastErr error
 	obj := func(x []float64) float64 {
-		ll, _, err := s.profiledLogLikelihood(math.Exp(x[0]), smoothOf(x))
+		ll, _, err := s.be.ProfiledLogLikelihood(math.Exp(x[0]), smoothOf(x))
 		if err != nil {
 			lastErr = err
 			return math.Inf(1)
@@ -338,7 +313,7 @@ func (s *Session) profiledFit(o FitOptions) (FitResult, error) {
 	}
 	rangeHat := math.Exp(res.X[0])
 	smoothHat := smoothOf(res.X)
-	ll, varHat, err := s.profiledLogLikelihood(rangeHat, smoothHat)
+	ll, varHat, err := s.be.ProfiledLogLikelihood(rangeHat, smoothHat)
 	if err != nil {
 		return FitResult{}, err
 	}
@@ -354,12 +329,9 @@ func (s *Session) profiledFit(o FitOptions) (FitResult, error) {
 // eq. 4): Ẑ₁ = Σ₁₂ Σ₂₂⁻¹ Z₂. The solve vector y = Σ₂₂⁻¹ Z₂ depends only on
 // (θ, nugget), not on newPts, so it is cached on the session: after the
 // first prediction at a θ, every further Predict at that θ is O(m·n) —
-// cross-covariance assembly and dot products, no factorization.
+// cross-covariance assembly and dot products, no factorization — and runs
+// concurrently with the other predicts at that θ, on every backend.
 func (s *Session) Predict(newPts []geom.Point, theta cov.Params) ([]float64, error) {
-	if err := s.acquire("Predict"); err != nil {
-		return nil, err
-	}
-	defer s.release()
 	if err := theta.Validate(); err != nil {
 		return nil, err
 	}
@@ -368,10 +340,11 @@ func (s *Session) Predict(newPts []geom.Point, theta cov.Params) ([]float64, err
 	}
 	p := s.p
 	k := cov.NewKernel(theta)
-	y, err := s.solveVector(k, theta, s.cfg.nugget(theta.Variance))
+	y, unlock, err := s.lockSolveVector(k, theta, s.cfg.nugget(theta.Variance))
 	if err != nil {
 		return nil, err
 	}
+	defer unlock()
 
 	// Ẑ1 = Σ12 · y, assembled one row at a time to bound memory.
 	n := p.N()
@@ -384,60 +357,76 @@ func (s *Session) Predict(newPts []geom.Point, theta cov.Params) ([]float64, err
 	return out, nil
 }
 
-// solveVector returns the kriging weights y = Σ₂₂⁻¹·Z₂ for (θ, nugget),
-// reusing the session cache when the key matches. The returned slice is
-// owned by the cache; callers must not modify it.
+// lockSolveVector returns the kriging weights y = Σ₂₂⁻¹·Z₂ for (θ, nugget)
+// with the lock that protects them held — the read lock when the cache has
+// them, the write lock when they had to be computed — and its unlock. The
+// slice is owned by the cache; callers must not modify it.
+func (s *Session) lockSolveVector(k *cov.Kernel, theta cov.Params, nugget float64) (y []float64, unlock func(), err error) {
+	s.mu.RLock()
+	if s.pred.at(theta, nugget) && s.pred.yFull != nil {
+		cntPredictCacheHit.Inc()
+		return s.pred.yFull, s.mu.RUnlock, nil
+	}
+	s.mu.RUnlock()
+
+	s.mu.Lock()
+	if y, err = s.solveVector(k, theta, nugget); err != nil {
+		s.mu.Unlock()
+		return nil, nil, err
+	}
+	return y, s.mu.Unlock, nil
+}
+
+// solveVector computes and caches y = Σ₂₂⁻¹·Z₂ for (θ, nugget). The caller
+// holds the write lock.
 func (s *Session) solveVector(k *cov.Kernel, theta cov.Params, nugget float64) ([]float64, error) {
-	if s.pred.valid && s.pred.theta == theta && s.pred.nugget == nugget && s.pred.yFull != nil {
+	if s.pred.at(theta, nugget) && s.pred.yFull != nil {
+		// Another goroutine filled the cache between the two locks.
 		cntPredictCacheHit.Inc()
 		return s.pred.yFull, nil
 	}
-	// An unexpired factor from PredictWithVariance at the same key still
-	// saves the factorization: run just the solve against it.
-	if f, _, ok := s.cachedFactor(theta, nugget); ok {
-		cntPredictCacheHit.Inc()
-		y := append([]float64(nil), s.p.Z...)
-		f.Solve(y)
-		s.pred.yFull = y
-		return y, nil
-	}
-	cntPredictCacheMiss.Inc()
 	y := append([]float64(nil), s.p.Z...)
 	fb, ok := s.be.(FactorBackend)
 	if !ok {
 		// No shareable factor (distributed backend): solve through the
 		// backend and cache only the weights.
+		cntPredictCacheMiss.Inc()
 		if err := s.be.SolveVec(k, nugget, y); err != nil {
 			return nil, err
 		}
-		s.pred = predictCache{valid: true, theta: theta, nugget: nugget, yFull: y}
+		s.pred = predictCache{theta: theta, nugget: nugget, yFull: y}
 		return y, nil
 	}
-	f, err := fb.Factorize(k, nugget)
+	// A live factor from PredictWithVariance at the same key still saves the
+	// factorization: only the solve runs.
+	f, err := s.factor(fb, k, theta, nugget)
 	if err != nil {
 		return nil, err
 	}
 	f.Solve(y)
-	s.pred = predictCache{valid: true, theta: theta, nugget: nugget, yFull: y, factor: f, gen: fb.Generation()}
+	s.pred.yFull = y
 	return y, nil
 }
 
-// cachedFactor returns the cached factorization for (θ, nugget) when it is
-// still alive: the key matches and no factorization has run since it was
-// produced (FactorBackend modes only — distributed factors live sharded on
-// the ranks and are not cached).
-func (s *Session) cachedFactor(theta cov.Params, nugget float64) (Factor, []float64, bool) {
-	if !s.pred.valid || s.pred.factor == nil {
-		return nil, nil, false
+// factor returns the factorization for (θ, nugget), the cached one when it
+// is live, and leaves the cache keyed to (θ, nugget). The caller holds the
+// write lock.
+func (s *Session) factor(fb FactorBackend, k *cov.Kernel, theta cov.Params, nugget float64) (Factor, error) {
+	if s.pred.at(theta, nugget) && s.pred.factor != nil {
+		cntPredictCacheHit.Inc()
+		return s.pred.factor, nil
 	}
-	fb, ok := s.be.(FactorBackend)
-	if !ok {
-		return nil, nil, false
+	cntPredictCacheMiss.Inc()
+	s.pred.factor = nil // Factorize overwrites the buffers it aliases
+	f, err := fb.Factorize(k, nugget)
+	if err != nil {
+		return nil, err
 	}
-	if s.pred.theta != theta || s.pred.nugget != nugget || s.pred.gen != fb.Generation() {
-		return nil, nil, false
+	if !s.pred.at(theta, nugget) {
+		s.pred = predictCache{theta: theta, nugget: nugget}
 	}
-	return s.pred.factor, s.pred.yHalf, true
+	s.pred.factor = f
+	return f, nil
 }
 
 // PredictWithVariance computes the conditional mean AND variance at newPts
@@ -452,12 +441,10 @@ func (s *Session) cachedFactor(theta cov.Params, nugget float64) (Factor, []floa
 // Predict uses. The per-column arithmetic is identical to the one-shot n×m
 // solve (forward substitution treats columns independently), so the results
 // are bitwise-equal to the unchunked computation. Like Predict, the
-// factorization is cached by (θ, nugget) on the shared-memory backend.
+// factorization is cached by (θ, nugget) on the shared-memory backends, where
+// calls at a cached key run concurrently against the read-only factor; on
+// the distributed backend every call factors, alone.
 func (s *Session) PredictWithVariance(newPts []geom.Point, theta cov.Params) (Prediction, error) {
-	if err := s.acquire("PredictWithVariance"); err != nil {
-		return Prediction{}, err
-	}
-	defer s.release()
 	if err := theta.Validate(); err != nil {
 		return Prediction{}, err
 	}
@@ -491,19 +478,22 @@ func (s *Session) PredictWithVariance(newPts []geom.Point, theta cov.Params) (Pr
 		}
 	}
 
-	if _, ok := s.be.(FactorBackend); !ok {
+	fb, ok := s.be.(FactorBackend)
+	if !ok {
 		// No shareable factor (distributed backend): stream the column
 		// blocks through the backend's own chunked half-solve.
+		defer s.exclusive()()
 		if err := s.be.HalfSolveChunked(k, nugget, newPts, chunk, s.p.Z, accumulate); err != nil {
 			return Prediction{}, err
 		}
 		return pr, nil
 	}
 
-	f, yHalf, err := s.halfState(k, theta, nugget)
+	f, yHalf, unlock, err := s.lockHalfState(fb, k, theta, nugget)
 	if err != nil {
 		return Prediction{}, err
 	}
+	defer unlock()
 	n := s.p.N()
 	for lo := 0; lo < m; lo += chunk {
 		hi := min(lo+chunk, m)
@@ -515,26 +505,26 @@ func (s *Session) PredictWithVariance(newPts []geom.Point, theta cov.Params) (Pr
 	return pr, nil
 }
 
-// halfState returns the factorization and half-solved rhs y = L⁻¹·Z₂ for
-// (θ, nugget) on a FactorBackend mode, reusing the cache when alive.
-func (s *Session) halfState(k *cov.Kernel, theta cov.Params, nugget float64) (Factor, []float64, error) {
-	if f, yHalf, ok := s.cachedFactor(theta, nugget); ok {
+// lockHalfState returns the factorization and half-solved rhs y = L⁻¹·Z₂
+// for (θ, nugget) with the lock that protects them held — the read lock when
+// the cache has both, the write lock otherwise — and its unlock.
+func (s *Session) lockHalfState(fb FactorBackend, k *cov.Kernel, theta cov.Params, nugget float64) (f Factor, yHalf []float64, unlock func(), err error) {
+	s.mu.RLock()
+	if s.pred.at(theta, nugget) && s.pred.factor != nil && s.pred.yHalf != nil {
 		cntPredictCacheHit.Inc()
-		if yHalf == nil {
-			yHalf = append([]float64(nil), s.p.Z...)
-			f.HalfSolve(yHalf)
-			s.pred.yHalf = yHalf
-		}
-		return f, yHalf, nil
+		return s.pred.factor, s.pred.yHalf, s.mu.RUnlock, nil
 	}
-	cntPredictCacheMiss.Inc()
-	fb := s.be.(FactorBackend) // caller checked the capability
-	f, err := fb.Factorize(k, nugget)
-	if err != nil {
-		return nil, nil, err
+	s.mu.RUnlock()
+
+	s.mu.Lock()
+	if f, err = s.factor(fb, k, theta, nugget); err != nil {
+		s.mu.Unlock()
+		return nil, nil, nil, err
 	}
-	yHalf := append([]float64(nil), s.p.Z...)
-	f.HalfSolve(yHalf)
-	s.pred = predictCache{valid: true, theta: theta, nugget: nugget, yHalf: yHalf, factor: f, gen: fb.Generation()}
-	return f, yHalf, nil
+	if s.pred.yHalf == nil {
+		yHalf = append([]float64(nil), s.p.Z...)
+		f.HalfSolve(yHalf)
+		s.pred.yHalf = yHalf
+	}
+	return f, s.pred.yHalf, s.mu.Unlock, nil
 }

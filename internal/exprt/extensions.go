@@ -58,7 +58,7 @@ func Extensions(o Options) error {
 	if err != nil {
 		return err
 	}
-	prof, err := core.ProfiledFit(syn.Train, cfg, core.FitOptions{MaxEvals: 150})
+	prof, err := core.Fit(syn.Train, cfg, core.FitOptions{MaxEvals: 150, Profiled: true})
 	if err != nil {
 		return err
 	}

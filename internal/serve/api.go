@@ -1,14 +1,17 @@
 // Package serve is the kriging-as-a-service layer: a model registry plus
-// HTTP/JSON handlers that front non-thread-safe core.Sessions with one
-// serializing worker goroutine per model. Ingest (POST /models) builds a
-// Session and either fits θ̂ by maximum likelihood or accepts a fixed θ;
-// prediction (POST /models/{name}/predict) batches points into tile-sized
-// kriging solves on the owning worker, so however many requests arrive
-// concurrently, each Session sees strictly sequential calls — a property the
-// session's ErrSessionBusy guard verifies rather than assumes. In-flight work
-// per model is capped by a bounded queue (503 when full), batch and dataset
-// sizes by explicit limits (413 beyond). GET /metrics exposes the process-wide
-// internal/obs snapshot plus per-endpoint latency histograms.
+// HTTP/JSON handlers, every route under /v1/. Ingest (POST /v1/models) builds
+// a core.Session and either fits θ̂ by maximum likelihood or accepts a fixed
+// θ, then warms the session's solve cache; prediction (POST
+// /v1/models/{name}/predict) calls the session from the request's own
+// goroutine. A Session is safe for concurrent use and predicts at the
+// model's θ only read its cached factor, so requests on one model run side
+// by side, a slow variance batch beside the small mean requests. What bounds
+// them is a per-model admission gate: one running slot per processor, at
+// most MaxQueue requests waiting for one (503 beyond, and 503 for a waiter
+// whose client leaves or whom shutdown finds waiting); batch, dataset and
+// request-body sizes have explicit limits (413 beyond). GET /v1/metrics
+// exposes the process-wide internal/obs snapshot plus per-endpoint latency
+// histograms.
 package serve
 
 import "repro/internal/obs"
@@ -93,7 +96,7 @@ type ModelInfo struct {
 	Predicts int64 `json:"predicts"`
 }
 
-// ListModelsResponse is the GET /models payload.
+// ListModelsResponse is the GET /v1/models payload.
 type ListModelsResponse struct {
 	Models []ModelInfo `json:"models"`
 }
@@ -114,7 +117,7 @@ type PredictResponse struct {
 	// Variance and CI95 are present only when the request set WithVariance.
 	Variance []float64 `json:"variance,omitempty"`
 	CI95     []float64 `json:"ci95,omitempty"`
-	// ElapsedMS is the server-side solve time (queue wait excluded).
+	// ElapsedMS is the server-side solve time (the wait for a slot excluded).
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
@@ -133,7 +136,7 @@ type EndpointStats struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-// MetricsResponse is the GET /metrics payload: the full process-wide obs
+// MetricsResponse is the GET /v1/metrics payload: the full process-wide obs
 // snapshot (every counter/gauge/histogram the compute layers maintain,
 // including the core.predict.cache.* and core.factor.runs evidence counters),
 // per-endpoint latency summaries, and the registered models.

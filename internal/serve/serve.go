@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"regexp"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,8 +26,9 @@ type Config struct {
 	// MaxBatch is the largest point count one predict request may carry
 	// (default 16384; larger batches are rejected with 413).
 	MaxBatch int
-	// MaxQueue caps queued predict requests per model (default 256; beyond
-	// it the server sheds load with 503 instead of buffering unboundedly).
+	// MaxQueue caps the predict requests per model waiting for a running
+	// slot (default 256; beyond it the server sheds load with 503 instead of
+	// buffering unboundedly).
 	MaxQueue int
 	// MaxModels caps registered models (default 64; 429 beyond).
 	MaxModels int
@@ -53,130 +55,102 @@ func (c Config) withDefaults() Config {
 
 var (
 	errQueueFull    = errors.New("serve: prediction queue full")
-	errModelClosed  = errors.New("serve: model deleted")
 	errShuttingDown = errors.New("serve: server shutting down")
 )
 
 // nameRE bounds model names to filesystem- and URL-safe tokens.
 var nameRE = regexp.MustCompile(`^[a-zA-Z0-9._-]{1,64}$`)
 
-// cntPredictShed counts queued predictions dropped unrun — because the
-// requesting client disconnected before the worker reached them, or because
-// the server began shutting down while they sat in the queue.
+// cntPredictShed counts predictions dropped before they reached the session
+// — because the requesting client disconnected while they waited for a slot,
+// or because the server began shutting down.
 var cntPredictShed = obs.GetCounter("serve.predict.shed")
 
-// predictJob is one prediction request handed to a model's worker.
-type predictJob struct {
-	ctx          context.Context // request context; a cancelled job is shed unrun
-	points       []geom.Point
-	withVariance bool
-	reply        chan predictResult // buffered(1): the worker never blocks
-}
-
-type predictResult struct {
-	mean     []float64
-	variance []float64
-	elapsed  time.Duration
-	err      error
-}
-
-// model is one registered session plus the serializing worker in front of it.
-// All Session calls happen on the worker goroutine; HTTP handlers only
-// enqueue. The queue is closed under qmu so enqueue-after-delete fails with
-// errModelClosed instead of panicking.
+// model is one registered session and the admission gate in front of it.
+// Handlers call the session directly — it is safe for concurrent use, and
+// predicts at the model's θ run side by side on its read-only factor — so the
+// gate only bounds how many do: slots is a semaphore of running predicts, one
+// per processor, and waiting counts the requests queued for a slot, capped at
+// Config.MaxQueue.
 type model struct {
 	info  ModelInfo
 	sess  *core.Session
 	theta cov.Params
 
-	queue   chan *predictJob
-	qmu     sync.Mutex
-	qclosed bool
-	done    chan struct{} // closed when the worker has drained and exited
+	slots   chan struct{}
+	waiting atomic.Int64
 
-	// shedding flips on at server shutdown: the worker answers every
-	// remaining queued job with errShuttingDown instead of executing it, so
-	// Close returns in O(queue) replies rather than O(queue) solves.
-	shedding atomic.Bool
+	// inflight counts predict requests from registry lookup to reply. The
+	// lookup adds under the registry's read lock while the model is still in
+	// the map, delete and Close remove it under the write lock and only then
+	// wait, so no Add can race the Wait.
+	inflight sync.WaitGroup
 
 	predicts atomic.Int64
 }
 
-func (m *model) run() {
-	defer close(m.done)
-	for job := range m.queue {
-		if m.shedding.Load() {
-			cntPredictShed.Inc()
-			job.reply <- predictResult{err: errShuttingDown}
-			continue
-		}
-		job.reply <- m.do(job)
-	}
+func newModel(info ModelInfo, sess *core.Session, theta cov.Params) *model {
+	return &model{info: info, sess: sess, theta: theta, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
 }
 
-func (m *model) do(job *predictJob) predictResult {
-	// A request whose client already went away only wastes the session's
-	// serialized solve time — shed it before touching the Session.
-	if job.ctx != nil {
-		if err := job.ctx.Err(); err != nil {
-			cntPredictShed.Inc()
-			return predictResult{err: err}
-		}
-	}
-	start := time.Now()
-	if job.withVariance {
-		pr, err := m.sess.PredictWithVariance(job.points, m.theta)
-		if err != nil {
-			return predictResult{err: err}
-		}
-		m.predicts.Add(1)
-		return predictResult{mean: pr.Mean, variance: pr.Variance, elapsed: time.Since(start)}
-	}
-	mean, err := m.sess.Predict(job.points, m.theta)
-	if err != nil {
-		return predictResult{err: err}
-	}
-	m.predicts.Add(1)
-	return predictResult{mean: mean, elapsed: time.Since(start)}
-}
-
-// enqueue hands a job to the worker without blocking: a full queue is load
-// shed (errQueueFull → 503), a model closed by deletion reports
-// errModelClosed (404), one closed by server shutdown errShuttingDown (503).
-func (m *model) enqueue(job *predictJob) error {
-	m.qmu.Lock()
-	defer m.qmu.Unlock()
-	if m.qclosed {
-		if m.shedding.Load() {
-			return errShuttingDown
-		}
-		return errModelClosed
-	}
+// admit takes a running slot, waiting for one behind at most maxQueue other
+// requests. A request whose client goes away, or that the server's shutdown
+// finds still waiting, is shed without reaching the session.
+func (m *model) admit(ctx context.Context, stop <-chan struct{}, maxQueue int) error {
+	var err error
 	select {
-	case m.queue <- job:
-		return nil
+	case m.slots <- struct{}{}:
 	default:
-		return errQueueFull
+		if m.waiting.Add(1) > int64(maxQueue) {
+			m.waiting.Add(-1)
+			return errQueueFull
+		}
+		select {
+		case m.slots <- struct{}{}:
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-stop:
+			err = errShuttingDown
+		}
+		m.waiting.Add(-1)
 	}
+	if err == nil {
+		// A slot can come free together with a cancellation or the shutdown;
+		// neither may cost the session a solve.
+		select {
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-stop:
+			err = errShuttingDown
+		default:
+			return nil
+		}
+		<-m.slots
+	}
+	cntPredictShed.Inc()
+	return err
 }
 
-// close shuts the queue and waits for the worker to exit. With shed=false
-// (model deletion) pending jobs drain with real replies; with shed=true
-// (server shutdown) every still-queued job is answered errShuttingDown
-// unrun — only the job already executing finishes. The shedding flag flips
-// under qmu, before the queue closes, so a job either lands in the queue and
-// gets a shed reply or is rejected at enqueue; none are dropped replyless.
-func (m *model) close(shed bool) {
-	m.qmu.Lock()
-	if !m.qclosed {
-		m.qclosed = true
-		if shed {
-			m.shedding.Store(true)
-		}
-		close(m.queue)
+// predict answers one admitted request from the session and frees its slot.
+func (m *model) predict(points []geom.Point, withVariance bool) (pr core.Prediction, elapsed time.Duration, err error) {
+	defer func() { <-m.slots }()
+	start := time.Now()
+	if withVariance {
+		pr, err = m.sess.PredictWithVariance(points, m.theta)
+	} else {
+		pr.Mean, err = m.sess.Predict(points, m.theta)
 	}
-	m.qmu.Unlock()
-	<-m.done
+	if err == nil {
+		m.predicts.Add(1)
+	}
+	return pr, time.Since(start), err
+}
+
+// retire waits for the model's in-flight predicts and closes its session.
+// The model must already be out of the registry.
+func (m *model) retire() {
+	m.inflight.Wait()
+	_ = m.sess.Close() // releases only an out-of-core spill file; no caller to report to
 }
 
 func (m *model) snapshot() ModelInfo {
@@ -195,6 +169,9 @@ type Server struct {
 	models map[string]*model
 	closed bool
 
+	// stop is closed by Close: predicts waiting at a model's gate are shed.
+	stop chan struct{}
+
 	// draining flips when graceful shutdown begins (BeginShutdown), before
 	// the listener stops accepting: readyz turns 503 so load balancers pull
 	// the instance out of rotation while in-flight requests finish.
@@ -203,21 +180,17 @@ type Server struct {
 	endpoints []string // instrumented endpoint names, for /metrics
 }
 
-// New builds a server with its routes mounted. Every route lives under the
-// versioned /v1/ prefix; the original unversioned paths stay mounted as
-// aliases of the same handlers, so existing clients keep working while new
-// ones pin /v1. Each endpoint is instrumented once — both mounts share one
-// histogram and counter set.
+// New builds a server with its routes mounted, every one under the versioned
+// /v1/ prefix.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg.withDefaults(),
 		mux:    http.NewServeMux(),
 		models: map[string]*model{},
+		stop:   make(chan struct{}),
 	}
 	mount := func(method, path, name string, h func(http.ResponseWriter, *http.Request) int) {
-		wrapped := s.instrument(name, h)
-		s.mux.HandleFunc(method+" /v1"+path, wrapped)
-		s.mux.HandleFunc(method+" "+path, wrapped)
+		s.mux.HandleFunc(method+" /v1"+path, s.instrument(name, h))
 	}
 	mount("POST", "/models", "create", s.handleCreate)
 	mount("GET", "/models", "list", s.handleList)
@@ -225,13 +198,11 @@ func New(cfg Config) *Server {
 	mount("DELETE", "/models/{name}", "delete", s.handleDelete)
 	mount("POST", "/models/{name}/predict", "predict", s.handlePredict)
 	mount("GET", "/metrics", "metrics", s.handleMetrics)
-	healthz := func(w http.ResponseWriter, r *http.Request) {
+	s.mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("ok\n"))
-	}
-	s.mux.HandleFunc("GET /v1/healthz", healthz)
-	s.mux.HandleFunc("GET /healthz", healthz)
-	readyz := func(w http.ResponseWriter, r *http.Request) {
+	})
+	s.mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !s.Ready() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte("draining\n"))
@@ -239,9 +210,7 @@ func New(cfg Config) *Server {
 		}
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("ready\n"))
-	}
-	s.mux.HandleFunc("GET /v1/readyz", readyz)
-	s.mux.HandleFunc("GET /readyz", readyz)
+	})
 	return s
 }
 
@@ -268,22 +237,22 @@ func (s *Server) BeginShutdown() { s.draining.Store(true) }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close deletes every model and stops their workers. Subsequent creates and
-// predicts are rejected with 503; queued predicts are shed with 503 instead
-// of executed — shutdown waits only for the solves already running, never
-// for the backlog.
+// Close deletes every model and closes its session. Subsequent creates and
+// predicts are rejected with 503; predicts waiting for a slot are shed with
+// 503 instead of executed — shutdown waits only for the solves already
+// running, never for the backlog. Idempotent.
 func (s *Server) Close() {
 	s.BeginShutdown()
 	s.mu.Lock()
-	s.closed = true
-	models := make([]*model, 0, len(s.models))
-	for _, m := range s.models {
-		models = append(models, m)
+	if !s.closed {
+		s.closed = true
+		close(s.stop)
 	}
+	models := s.models
 	s.models = map[string]*model{}
 	s.mu.Unlock()
 	for _, m := range models {
-		m.close(true)
+		m.retire()
 	}
 }
 
@@ -364,10 +333,36 @@ func fromCovParams(p cov.Params) Theta {
 	return Theta{Variance: p.Variance, Range: p.Range, Smoothness: p.Smoothness}
 }
 
+// Body-size bounds, from the limits the server already has: a JSON float64
+// is at most 25 bytes, so 128 bytes hold a {"x":…,"y":…} point and 192 a
+// point with its observation, separators and indentation included; bodyBase
+// covers the rest of the request object.
+const (
+	bodyBase       = 4096
+	bodyPerPoint   = 128
+	bodyPerObserve = 192
+)
+
+// decodeBody reads a JSON request body of at most limit bytes into v. When
+// it cannot it writes the error reply — 413 for a body over the limit, 400
+// for malformed JSON — and returns its status; 0 means v is filled.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) int {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &tooBig):
+		return writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", limit)
+	default:
+		return writeError(w, http.StatusBadRequest, "malformed JSON: %v", err)
+	}
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
 	var req CreateModelRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "malformed JSON: %v", err)
+	if status := decodeBody(w, r, bodyBase+bodyPerObserve*int64(s.cfg.MaxPoints), &req); status != 0 {
+		return status
 	}
 	if !nameRE.MatchString(req.Name) {
 		return writeError(w, http.StatusBadRequest, "invalid model name %q (want %s)", req.Name, nameRE)
@@ -425,6 +420,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)
 	}
+	registered := false
+	defer func() {
+		if !registered {
+			_ = sess.Close() // the request already failed with its own error
+		}
+	}()
 
 	info := ModelInfo{
 		Name:   req.Name,
@@ -458,18 +459,18 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
 	info.Theta = fromCovParams(theta)
 
 	// Warm the session's solve cache so the factorization is paid at ingest,
-	// not by the first (unlucky) prediction request.
-	if _, err := sess.Predict(problem.Points[:1], theta); err != nil {
+	// not by the first (unlucky) prediction request — and both halves of it,
+	// the mean weights and, where the backend shares a factor, the variance
+	// path's half-solved observations, because a request that has to fill
+	// either holds the session alone while every later one only reads.
+	_, err = sess.Predict(problem.Points[:1], theta)
+	if _, shared := sess.Backend().(core.FactorBackend); shared && err == nil {
+		_, err = sess.PredictWithVariance(problem.Points[:1], theta)
+	}
+	if err != nil {
 		return writeError(w, http.StatusUnprocessableEntity, "model unusable: %v", err)
 	}
 
-	m := &model{
-		info:  info,
-		sess:  sess,
-		theta: theta,
-		queue: make(chan *predictJob, s.cfg.MaxQueue),
-		done:  make(chan struct{}),
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -483,9 +484,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
 		s.mu.Unlock()
 		return writeError(w, http.StatusTooManyRequests, "model capacity %d reached", s.cfg.MaxModels)
 	}
-	s.models[req.Name] = m
+	s.models[req.Name] = newModel(info, sess, theta)
 	s.mu.Unlock()
-	go m.run()
+	registered = true
 
 	return writeJSON(w, http.StatusCreated, info)
 }
@@ -527,22 +528,33 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) int {
 	if !ok {
 		return writeError(w, http.StatusNotFound, "no model %q", name)
 	}
-	// Stop the worker outside the registry lock; pending jobs drain with
-	// replies before close returns.
-	m.close(false)
+	// Outside the registry lock: the predicts already looked up, waiting or
+	// running, finish with real replies before the session closes.
+	m.retire()
 	w.WriteHeader(http.StatusNoContent)
 	return http.StatusNoContent
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	name := r.PathValue("name")
-	m, ok := s.lookup(name)
+	s.mu.RLock()
+	m, ok := s.models[name]
+	if ok {
+		m.inflight.Add(1)
+	}
+	closed := s.closed
+	s.mu.RUnlock()
 	if !ok {
+		if closed {
+			return writeError(w, http.StatusServiceUnavailable, "%v", errShuttingDown)
+		}
 		return writeError(w, http.StatusNotFound, "no model %q", name)
 	}
+	defer m.inflight.Done()
+
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "malformed JSON: %v", err)
+	if status := decodeBody(w, r, bodyBase+bodyPerPoint*int64(s.cfg.MaxBatch), &req); status != 0 {
+		return status
 	}
 	if len(req.Points) == 0 {
 		return writeError(w, http.StatusBadRequest, "empty point list")
@@ -551,54 +563,27 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds the %d limit", len(req.Points), s.cfg.MaxBatch)
 	}
 
-	job := &predictJob{
-		ctx:          r.Context(),
-		points:       toGeomPoints(req.Points),
-		withVariance: req.WithVariance,
-		reply:        make(chan predictResult, 1),
+	if err := m.admit(r.Context(), s.stop, s.cfg.MaxQueue); err != nil {
+		// 503 in every case: overload, shutdown, or a client that went away
+		// (that write is usually lost on the dead connection but keeps the
+		// endpoint's error accounting exact).
+		return writeError(w, http.StatusServiceUnavailable, "model %q: %v", name, err)
 	}
-	if err := m.enqueue(job); err != nil {
-		if errors.Is(err, errModelClosed) {
-			return writeError(w, http.StatusNotFound, "model %q deleted", name)
-		}
-		if errors.Is(err, errShuttingDown) {
-			return writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		}
-		return writeError(w, http.StatusServiceUnavailable, "model %q overloaded: %v", name, err)
+	pr, elapsed, err := m.predict(toGeomPoints(req.Points), req.WithVariance)
+	if err != nil {
+		return writeError(w, http.StatusInternalServerError, "predict failed: %v", err)
 	}
-	var res predictResult
-	select {
-	case res = <-job.reply:
-	case <-r.Context().Done():
-		// Client gone. The job carries the request context, so the worker
-		// sheds it unrun if it is still queued when its turn comes; the reply
-		// is buffered, so the worker never blocks on the absent reader. The
-		// 503 write is usually lost on the dead connection but keeps the
-		// endpoint's error accounting exact.
-		return writeError(w, http.StatusServiceUnavailable, "client disconnected")
-	}
-	if res.err != nil && errors.Is(res.err, context.Canceled) {
-		return writeError(w, http.StatusServiceUnavailable, "request cancelled before execution")
-	}
-	if res.err != nil && errors.Is(res.err, errShuttingDown) {
-		return writeError(w, http.StatusServiceUnavailable, "server shutting down")
-	}
-	if res.err != nil {
-		// Server-side solve failure. ErrSessionBusy here would mean the
-		// serialization contract broke — surface it loudly either way.
-		return writeError(w, http.StatusInternalServerError, "predict failed: %v", res.err)
-	}
+
 	resp := PredictResponse{
 		Model:     name,
-		N:         len(res.mean),
-		Mean:      res.mean,
-		ElapsedMS: float64(res.elapsed.Microseconds()) / 1e3,
+		N:         len(pr.Mean),
+		Mean:      pr.Mean,
+		Variance:  pr.Variance,
+		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
 	}
 	if req.WithVariance {
-		resp.Variance = res.variance
-		resp.CI95 = make([]float64, len(res.variance))
-		pr := core.Prediction{Mean: res.mean, Variance: res.variance}
-		for i := range res.variance {
+		resp.CI95 = make([]float64, len(pr.Variance))
+		for i := range pr.Variance {
 			resp.CI95[i] = pr.CI95(i)
 		}
 	}
@@ -606,8 +591,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
-	// Read only the process-wide obs registry — never Session internals,
-	// which belong to the worker goroutines.
 	snap := obs.Default().Snapshot()
 	eps := make(map[string]EndpointStats, len(s.endpoints))
 	for _, name := range s.endpoints {

@@ -67,7 +67,7 @@ func createTestModel(t *testing.T, s *Server, name string, n int, seed uint64) (
 	pts, z := testDataset(t, n, seed)
 	req := CreateModelRequest{Name: name, Points: pts, Z: z, Theta: &testTheta}
 	var info ModelInfo
-	if code := do(t, s, "POST", "/models", req, &info); code != http.StatusCreated {
+	if code := do(t, s, "POST", "/v1/models", req, &info); code != http.StatusCreated {
 		t.Fatalf("create %q: status %d", name, code)
 	}
 	if info.N != n || info.Fitted {
@@ -94,10 +94,11 @@ func TestCreateValidation(t *testing.T) {
 		{"unknown mode", CreateModelRequest{Name: "m", Points: pts, Z: z, Config: ModelConfig{Mode: "sparse"}, Theta: &testTheta}, http.StatusBadRequest},
 		{"bad config", CreateModelRequest{Name: "m", Points: pts, Z: z, Config: ModelConfig{Workers: -1}, Theta: &testTheta}, http.StatusBadRequest},
 		{"bad theta", CreateModelRequest{Name: "m", Points: pts, Z: z, Theta: &Theta{Variance: -1}}, http.StatusBadRequest},
+		{"body over the byte bound", `{"name": "m", ` + strings.Repeat(" ", bodyBase+bodyPerObserve*100) + `"points": []}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		var e ErrorResponse
-		if code := do(t, s, "POST", "/models", tc.body, &e); code != tc.want {
+		if code := do(t, s, "POST", "/v1/models", tc.body, &e); code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
 		} else if e.Error == "" {
 			t.Errorf("%s: error reply missing message", tc.name)
@@ -106,17 +107,17 @@ func TestCreateValidation(t *testing.T) {
 
 	// Oversized dataset → 413.
 	bigPts, bigZ := testDataset(t, 121, 2)
-	if code := do(t, s, "POST", "/models", CreateModelRequest{Name: "big", Points: bigPts, Z: bigZ, Theta: &testTheta}, nil); code != http.StatusRequestEntityTooLarge {
+	if code := do(t, s, "POST", "/v1/models", CreateModelRequest{Name: "big", Points: bigPts, Z: bigZ, Theta: &testTheta}, nil); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized dataset: status %d, want 413", code)
 	}
 
 	// Duplicate name → 409; capacity → 429.
 	createTestModel(t, s, "a", 36, 3)
-	if code := do(t, s, "POST", "/models", CreateModelRequest{Name: "a", Points: pts, Z: z, Theta: &testTheta}, nil); code != http.StatusConflict {
+	if code := do(t, s, "POST", "/v1/models", CreateModelRequest{Name: "a", Points: pts, Z: z, Theta: &testTheta}, nil); code != http.StatusConflict {
 		t.Errorf("duplicate: status %d, want 409", code)
 	}
 	createTestModel(t, s, "b", 36, 4)
-	if code := do(t, s, "POST", "/models", CreateModelRequest{Name: "c", Points: pts, Z: z, Theta: &testTheta}, nil); code != http.StatusTooManyRequests {
+	if code := do(t, s, "POST", "/v1/models", CreateModelRequest{Name: "c", Points: pts, Z: z, Theta: &testTheta}, nil); code != http.StatusTooManyRequests {
 		t.Errorf("over capacity: status %d, want 429", code)
 	}
 }
@@ -126,23 +127,27 @@ func TestPredictValidation(t *testing.T) {
 	defer s.Close()
 	createTestModel(t, s, "m", 64, 5)
 
-	if code := do(t, s, "POST", "/models/ghost/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusNotFound {
-		t.Errorf("unknown model: status %d, want 404", code)
+	one := PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}
+	cases := []struct {
+		name, model string
+		body        any
+		want        int
+	}{
+		{"unknown model", "ghost", one, http.StatusNotFound},
+		{"malformed JSON", "m", `{"points": [{`, http.StatusBadRequest},
+		{"empty point list", "m", PredictRequest{}, http.StatusBadRequest},
+		{"oversized batch", "m", PredictRequest{Points: make([]Point, 9)}, http.StatusRequestEntityTooLarge},
+		{"body over the byte bound", "m", `{` + strings.Repeat(" ", bodyBase+bodyPerPoint*8) + `"points": []}`, http.StatusRequestEntityTooLarge},
 	}
-	if code := do(t, s, "POST", "/models/m/predict", `{"points": [{`, nil); code != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status %d, want 400", code)
-	}
-	if code := do(t, s, "POST", "/models/m/predict", PredictRequest{}, nil); code != http.StatusBadRequest {
-		t.Errorf("empty point list: status %d, want 400", code)
-	}
-	big := make([]Point, 9)
-	if code := do(t, s, "POST", "/models/m/predict", PredictRequest{Points: big}, nil); code != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized batch: status %d, want 413", code)
+	for _, tc := range cases {
+		if code := do(t, s, "POST", "/v1/models/"+tc.model+"/predict", tc.body, nil); code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
+		}
 	}
 }
 
 // TestPredictMatchesDirect is the serving-correctness anchor: the HTTP path
-// (ingest → worker → JSON round-trip) must reproduce direct Session.Predict
+// (ingest → gate → session → JSON round-trip) must reproduce direct Session.Predict
 // bit for bit. encoding/json emits shortest-round-trip float64, so exact
 // comparison is legitimate.
 func TestPredictMatchesDirect(t *testing.T) {
@@ -152,7 +157,7 @@ func TestPredictMatchesDirect(t *testing.T) {
 
 	query := []Point{{X: 0.21, Y: 0.43}, {X: 0.87, Y: 0.12}, {X: 0.5, Y: 0.5}}
 	var resp PredictResponse
-	if code := do(t, s, "POST", "/models/m/predict", PredictRequest{Points: query}, &resp); code != http.StatusOK {
+	if code := do(t, s, "POST", "/v1/models/m/predict", PredictRequest{Points: query}, &resp); code != http.StatusOK {
 		t.Fatalf("predict: status %d", code)
 	}
 
@@ -185,7 +190,7 @@ func TestPredictWithVariance(t *testing.T) {
 
 	query := []Point{pts[0], {X: 50, Y: 50}} // on an observation, and far away
 	var resp PredictResponse
-	code := do(t, s, "POST", "/models/m/predict", PredictRequest{Points: query, WithVariance: true}, &resp)
+	code := do(t, s, "POST", "/v1/models/m/predict", PredictRequest{Points: query, WithVariance: true}, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("predict: status %d", code)
 	}
@@ -247,7 +252,7 @@ func TestOneFactorizationAcrossPredicts(t *testing.T) {
 	hits0 := cacheHits.Value()
 	for i := 0; i < 5; i++ {
 		q := PredictRequest{Points: []Point{{X: 0.1 * float64(i+1), Y: 0.3}}, WithVariance: i%2 == 1}
-		if code := do(t, s, "POST", "/models/m/predict", q, nil); code != http.StatusOK {
+		if code := do(t, s, "POST", "/v1/models/m/predict", q, nil); code != http.StatusOK {
 			t.Fatalf("predict %d: status %d", i, code)
 		}
 	}
@@ -259,10 +264,10 @@ func TestOneFactorizationAcrossPredicts(t *testing.T) {
 	}
 }
 
-// TestConcurrentPredicts hammers one model from many goroutines; with the
-// serialized worker every request must succeed (the default queue is deep
-// enough) and return the same answer. Run under -race this also proves the
-// handlers never touch the Session concurrently.
+// TestConcurrentPredicts hammers one model from many goroutines; every
+// request must succeed (the default queue is deep enough) and return the same
+// answer. Run under -race this also proves the handlers share nothing but
+// the session, whose own lock covers it.
 func TestConcurrentPredicts(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -270,7 +275,7 @@ func TestConcurrentPredicts(t *testing.T) {
 
 	query := PredictRequest{Points: []Point{{X: 0.37, Y: 0.61}}}
 	var ref PredictResponse
-	if code := do(t, s, "POST", "/models/m/predict", query, &ref); code != http.StatusOK {
+	if code := do(t, s, "POST", "/v1/models/m/predict", query, &ref); code != http.StatusOK {
 		t.Fatalf("reference predict: status %d", code)
 	}
 
@@ -284,7 +289,7 @@ func TestConcurrentPredicts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				body, _ := json.Marshal(query)
-				req := httptest.NewRequest("POST", "/models/m/predict", bytes.NewReader(body))
+				req := httptest.NewRequest("POST", "/v1/models/m/predict", bytes.NewReader(body))
 				rec := httptest.NewRecorder()
 				s.ServeHTTP(rec, req)
 				switch rec.Code {
@@ -317,38 +322,18 @@ func TestConcurrentPredicts(t *testing.T) {
 	t.Logf("%d ok, %d shed", ok.Load(), shed.Load())
 }
 
-func TestQueueShedsWhenFull(t *testing.T) {
-	// White-box: a model whose worker never runs fills its queue immediately.
-	m := &model{queue: make(chan *predictJob, 1), done: make(chan struct{})}
-	if err := m.enqueue(&predictJob{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.enqueue(&predictJob{}); err != errQueueFull {
-		t.Fatalf("second enqueue: %v, want errQueueFull", err)
-	}
-	go func() { // drain the pending job (no real session) so close() terminates
-		defer close(m.done)
-		for range m.queue {
-		}
-	}()
-	m.close(false)
-	if err := m.enqueue(&predictJob{}); err != errModelClosed {
-		t.Fatalf("enqueue after close: %v, want errModelClosed", err)
-	}
-}
-
 func TestDeleteModel(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
 	createTestModel(t, s, "m", 36, 10)
 
-	if code := do(t, s, "DELETE", "/models/m", nil, nil); code != http.StatusNoContent {
+	if code := do(t, s, "DELETE", "/v1/models/m", nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
-	if code := do(t, s, "DELETE", "/models/m", nil, nil); code != http.StatusNotFound {
+	if code := do(t, s, "DELETE", "/v1/models/m", nil, nil); code != http.StatusNotFound {
 		t.Errorf("double delete: status %d, want 404", code)
 	}
-	if code := do(t, s, "POST", "/models/m/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusNotFound {
+	if code := do(t, s, "POST", "/v1/models/m/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusNotFound {
 		t.Errorf("predict after delete: status %d, want 404", code)
 	}
 	// The name is reusable after deletion.
@@ -360,12 +345,12 @@ func TestListGetAndMetrics(t *testing.T) {
 	defer s.Close()
 	createTestModel(t, s, "alpha", 36, 12)
 	createTestModel(t, s, "beta", 36, 13)
-	if code := do(t, s, "POST", "/models/alpha/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusOK {
+	if code := do(t, s, "POST", "/v1/models/alpha/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusOK {
 		t.Fatalf("predict: status %d", code)
 	}
 
 	var list ListModelsResponse
-	if code := do(t, s, "GET", "/models", nil, &list); code != http.StatusOK {
+	if code := do(t, s, "GET", "/v1/models", nil, &list); code != http.StatusOK {
 		t.Fatalf("list: status %d", code)
 	}
 	if len(list.Models) != 2 || list.Models[0].Name != "alpha" || list.Models[1].Name != "beta" {
@@ -376,15 +361,15 @@ func TestListGetAndMetrics(t *testing.T) {
 	}
 
 	var info ModelInfo
-	if code := do(t, s, "GET", "/models/alpha", nil, &info); code != http.StatusOK || info.Name != "alpha" {
+	if code := do(t, s, "GET", "/v1/models/alpha", nil, &info); code != http.StatusOK || info.Name != "alpha" {
 		t.Fatalf("get: status %d info %+v", code, info)
 	}
-	if code := do(t, s, "GET", "/models/ghost", nil, nil); code != http.StatusNotFound {
+	if code := do(t, s, "GET", "/v1/models/ghost", nil, nil); code != http.StatusNotFound {
 		t.Errorf("get unknown: status %d, want 404", code)
 	}
 
 	var metrics MetricsResponse
-	if code := do(t, s, "GET", "/metrics", nil, &metrics); code != http.StatusOK {
+	if code := do(t, s, "GET", "/v1/metrics", nil, &metrics); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
 	if metrics.Endpoints["predict"].Count == 0 {
@@ -410,7 +395,7 @@ func TestFitAtIngest(t *testing.T) {
 		Fit: &FitSpec{MaxEvals: 40, FixSmoothness: true, Start: &testTheta, Profiled: true},
 	}
 	var info ModelInfo
-	if code := do(t, s, "POST", "/models", req, &info); code != http.StatusCreated {
+	if code := do(t, s, "POST", "/v1/models", req, &info); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	if !info.Fitted || info.FitEvals == 0 {
@@ -422,7 +407,7 @@ func TestFitAtIngest(t *testing.T) {
 	if info.Theta.Range < 0.005 || info.Theta.Range > 2 {
 		t.Errorf("fitted range %g implausible", info.Theta.Range)
 	}
-	if code := do(t, s, "POST", "/models/fitted/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusOK {
+	if code := do(t, s, "POST", "/v1/models/fitted/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusOK {
 		t.Errorf("predict on fitted model: status %d", code)
 	}
 }
@@ -430,7 +415,7 @@ func TestFitAtIngest(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	req := httptest.NewRequest("GET", "/healthz", nil)
+	req := httptest.NewRequest("GET", "/v1/healthz", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ok") {
@@ -439,7 +424,7 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestReadyzDrainsBeforeClose: readiness is distinct from liveness. A fresh
-// server is ready on both path forms; BeginShutdown flips readyz to 503
+// server is ready; BeginShutdown flips readyz to 503
 // while healthz keeps reporting the process alive (so orchestrators stop
 // routing without restarting the instance); Close keeps it not-ready.
 func TestReadyzDrainsBeforeClose(t *testing.T) {
@@ -450,24 +435,22 @@ func TestReadyzDrainsBeforeClose(t *testing.T) {
 		s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		return rec.Code, rec.Body.String()
 	}
-	for _, path := range []string{"/readyz", "/v1/readyz"} {
-		if code, body := get(path); code != http.StatusOK || !strings.Contains(body, "ready") {
-			t.Fatalf("fresh server %s: %d %q", path, code, body)
-		}
+	if code, body := get("/v1/readyz"); code != http.StatusOK || !strings.Contains(body, "ready") {
+		t.Fatalf("fresh server: %d %q", code, body)
 	}
 	s.BeginShutdown()
 	if s.Ready() {
 		t.Fatal("Ready() must be false after BeginShutdown")
 	}
-	if code, body := get("/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
+	if code, body := get("/v1/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
 		t.Fatalf("draining readyz: %d %q", code, body)
 	}
-	if code, _ := get("/healthz"); code != http.StatusOK {
+	if code, _ := get("/v1/healthz"); code != http.StatusOK {
 		t.Fatalf("draining healthz must stay 200, got %d", code)
 	}
 	s.BeginShutdown() // idempotent
 	s.Close()
-	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
+	if code, _ := get("/v1/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("closed readyz: %d", code)
 	}
 }
