@@ -9,18 +9,21 @@ test:
 	$(GO) test ./...
 
 # verify is the pre-merge gate: vet, a focused uncached race pass over the
-# message-passing, session, metrics, spatial-ordering, HODLR and out-of-core
-# tile-store layers (the rank goroutines, mailboxes, backend registry and
-# caches, lock-free instruments, the ordering determinism contract, the
-# hierarchical factorization's task graph, and the store's pin/evict
-# concurrency are the point), then the full suite under the race detector
-# (parallel assembly and scheduler paths), then the benchmark module, which
-# root `go test ./...` does not reach: its vet and unit tests, and its smoke
-# run, which must end with correct:true.
+# message-passing, session, metrics, spatial-ordering, HODLR and TLR layers
+# including the out-of-core tile store (the rank goroutines, mailboxes,
+# backend registry and caches, lock-free instruments, the ordering
+# determinism contract, the hierarchical factorization's task graph, the
+# pooled recompression workspaces and the store's pin/evict concurrency are
+# the point), then the full suite under the race detector (parallel assembly
+# and scheduler paths), one iteration of the recompression kernel benchmarks
+# so they cannot rot, then the benchmark module, which root `go test ./...`
+# does not reach: its vet and unit tests, and its smoke run, which must end
+# with correct:true.
 verify:
 	$(GO) vet ./...
-	$(GO) test -race -count=1 -timeout 45m ./internal/mpi/... ./internal/core/... ./internal/obs/... ./internal/geom/... ./internal/hodlr/... ./internal/tlr/store/...
+	$(GO) test -race -count=1 -timeout 45m ./internal/mpi/... ./internal/core/... ./internal/obs/... ./internal/geom/... ./internal/hodlr/... ./internal/tlr/...
 	$(GO) test -race -timeout 45m ./...
+	$(GO) test -run '^$$' -bench 'QRThin|SVDThin|Recompress|GemmLL' -benchtime 1x ./internal/la/ ./internal/tlr/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke
 

@@ -1,7 +1,7 @@
 // Package la provides the dense linear algebra substrate used throughout the
 // repository: a row-major matrix type, BLAS-like level-1/2/3 kernels, and
-// LAPACK-like factorizations (blocked Cholesky, Householder QR, one-sided
-// Jacobi SVD).
+// LAPACK-like factorizations (blocked Cholesky, blocked Householder QR,
+// QR-preconditioned one-sided Jacobi SVD).
 //
 // The package plays the role of Intel MKL / reference LAPACK in the original
 // ExaGeoStat stack. All routines operate on float64 and are deterministic.
@@ -97,13 +97,17 @@ func Eye(n int) *Mat {
 // T returns a newly allocated transpose of m.
 func (m *Mat) T() *Mat {
 	out := NewMat(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*out.Stride+i] = v
+	out.transposeFrom(m)
+	return out
+}
+
+// transposeFrom sets m = srcᵀ; m must be src.Cols×src.Rows.
+func (m *Mat) transposeFrom(src *Mat) {
+	for i := 0; i < src.Rows; i++ {
+		for j, v := range src.Row(i) {
+			m.Data[j*m.Stride+i] = v
 		}
 	}
-	return out
 }
 
 // Scale multiplies every element of m by s.

@@ -379,100 +379,249 @@ func TestLogDetFromChol(t *testing.T) {
 	}
 }
 
-func TestQRThinReconstruction(t *testing.T) {
+// kernelCase is one input of the QR/SVD property tests: the shapes TLR
+// compression and recompression actually feed the two kernels, and the edge
+// shapes around them.
+type kernelCase struct {
+	name string
+	a    *Mat
+	// sigma, when non-nil, holds the exact singular values of a.
+	sigma []float64
+}
+
+// orthoCols returns an m×k matrix with orthonormal columns.
+func orthoCols(rng *rand.Rand, m, k int) *Mat {
+	q, _ := QRThin(nil, randMat(rng, m, k))
+	return q
+}
+
+func kernelCases() []kernelCase {
 	rng := rand.New(rand.NewSource(14))
-	for _, dims := range [][2]int{{8, 3}, {5, 5}, {20, 7}, {3, 8}, {64, 16}} {
-		m, n := dims[0], dims[1]
-		a := randMat(rng, m, n)
-		q, r := QRThin(a)
+	// A stacked recompression factor [U, αX]: 128×56 whose second half
+	// repeats columns of the first, with two columns exactly zero.
+	stacked := randMat(rng, 128, 56)
+	for i := 0; i < 128; i++ {
+		row := stacked.Row(i)
+		for j := 28; j < 50; j++ {
+			row[j] = -row[j-28]
+		}
+		row[7], row[55] = 0, 0
+	}
+	// A recompression core: 56×56, σ graded from 1 down to 1e-16.
+	sigma := make([]float64, 56)
+	u, v := orthoCols(rng, 56, 56), orthoCols(rng, 56, 56)
+	for j := range sigma {
+		sigma[j] = math.Pow(10, -16*float64(j)/55)
+		for i := 0; i < 56; i++ {
+			u.Set(i, j, u.At(i, j)*sigma[j])
+		}
+	}
+	graded := NewMat(56, 56)
+	Gemm(1, u, NoTrans, v, Transpose, 0, graded)
+	cases := []kernelCase{
+		{name: "stacked 128x56", a: stacked},
+		{name: "graded core 56x56", a: graded, sigma: sigma},
+		{name: "sketch 38x128", a: randMat(rng, 38, 128)},
+		{name: "rank exceeds rows 128x140", a: randMat(rng, 128, 140)},
+		{name: "zero 16x12", a: NewMat(16, 12)},
+		{name: "1x1", a: NewMatFrom(1, 1, []float64{-3}), sigma: []float64{3}},
+		{name: "no columns 5x0", a: NewMat(5, 0)},
+		{name: "no rows 0x5", a: NewMat(0, 5)},
+	}
+	for _, d := range [][2]int{{8, 3}, {5, 5}, {20, 7}, {3, 8}, {64, 16}, {1, 5}, {5, 1}, {33, 17}} {
+		cases = append(cases, kernelCase{name: "random", a: randMat(rng, d[0], d[1])})
+	}
+	return cases
+}
+
+// offIdentity returns ‖qᵀq − I‖_F.
+func offIdentity(q *Mat) float64 {
+	g := NewMat(q.Cols, q.Cols)
+	Gemm(1, q, Transpose, q, NoTrans, 0, g)
+	g.Sub(Eye(q.Cols))
+	return g.FrobNorm()
+}
+
+func TestQRThinProperties(t *testing.T) {
+	for _, tc := range kernelCases() {
+		a := tc.a
+		m, n := a.Rows, a.Cols
 		k := min(m, n)
+		before := a.Clone()
+		q, r := QRThin(nil, a)
+		if !a.Equalish(before, 0) {
+			t.Fatalf("%s: input modified", tc.name)
+		}
 		if q.Rows != m || q.Cols != k || r.Rows != k || r.Cols != n {
-			t.Fatalf("QR dims wrong for %dx%d", m, n)
+			t.Fatalf("%s %dx%d: Q %dx%d R %dx%d", tc.name, m, n, q.Rows, q.Cols, r.Rows, r.Cols)
+		}
+		for i := 0; i < k; i++ {
+			for j := 0; j < min(i, n); j++ {
+				if r.At(i, j) != 0 {
+					t.Fatalf("%s: R[%d][%d] = %g below the diagonal", tc.name, i, j, r.At(i, j))
+				}
+			}
+		}
+		if e := offIdentity(q); e > 1e-13 {
+			t.Fatalf("%s %dx%d: ‖QᵀQ − I‖_F = %g", tc.name, m, n, e)
 		}
 		rec := NewMat(m, n)
 		Gemm(1, q, NoTrans, r, NoTrans, 0, rec)
-		diff := rec.Clone()
-		diff.Sub(a)
-		if diff.MaxAbs() > 1e-10 {
-			t.Fatalf("%dx%d: ||QR - A|| = %g", m, n, diff.MaxAbs())
-		}
-		// orthonormality of Q
-		qtq := NewMat(k, k)
-		Gemm(1, q, Transpose, q, NoTrans, 0, qtq)
-		idn := Eye(k)
-		qtq.Sub(idn)
-		if qtq.MaxAbs() > 1e-10 {
-			t.Fatalf("%dx%d: Q columns not orthonormal (%g)", m, n, qtq.MaxAbs())
+		rec.Sub(a)
+		if e := rec.FrobNorm(); e > 1e-13*a.FrobNorm() {
+			t.Fatalf("%s %dx%d: ‖A − QR‖_F = %g (‖A‖_F = %g)", tc.name, m, n, e, a.FrobNorm())
 		}
 	}
 }
 
-func TestSVDThinReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, dims := range [][2]int{{6, 4}, {4, 6}, {10, 10}, {32, 8}, {1, 5}, {5, 1}} {
-		m, n := dims[0], dims[1]
-		a := randMat(rng, m, n)
-		u, s, v := SVDThin(a)
-		k := min(m, n)
-		if u.Rows != m || u.Cols != k || v.Rows != n || v.Cols != k || len(s) != k {
-			t.Fatalf("SVD dims wrong for %dx%d: U %dx%d V %dx%d s %d", m, n, u.Rows, u.Cols, v.Rows, v.Cols, len(s))
+// svdResidual returns ‖a − u·diag(s)·vᵀ‖_F.
+func svdResidual(a, u *Mat, s []float64, v *Mat) float64 {
+	us := u.Clone()
+	for i := 0; i < us.Rows; i++ {
+		for j, sj := range s {
+			us.Set(i, j, us.At(i, j)*sj)
 		}
-		// descending singular values
-		for i := 1; i < k; i++ {
-			if s[i] > s[i-1]+1e-12 {
-				t.Fatalf("singular values not descending: %v", s)
+	}
+	rec := a.Clone()
+	Gemm(-1, us, NoTrans, v, Transpose, 1, rec)
+	return rec.FrobNorm()
+}
+
+func TestSVDThinProperties(t *testing.T) {
+	noconv := cntSvdNoConv.Value()
+	for _, tc := range kernelCases() {
+		a := tc.a
+		m, n := a.Rows, a.Cols
+		aF := a.FrobNorm()
+		before := a.Clone()
+		_, sFull, _ := SVDThin(nil, a, 0)
+		for _, tol := range []float64{0, 1e-7} {
+			u, s, v := SVDThin(nil, a, tol)
+			if !a.Equalish(before, 0) {
+				t.Fatalf("%s: input modified", tc.name)
+			}
+			r := len(s)
+			if r > min(m, n) || u.Rows != m || u.Cols != r || v.Rows != n || v.Cols != r {
+				t.Fatalf("%s %dx%d tol %g: U %dx%d V %dx%d s %d", tc.name, m, n, tol, u.Rows, u.Cols, v.Rows, v.Cols, r)
+			}
+			for i, x := range s {
+				if x <= 0 || (i > 0 && x > s[i-1]) {
+					t.Fatalf("%s tol %g: singular values not positive and descending: %v", tc.name, tol, s)
+				}
+			}
+			// Rounding in the accumulated rotations grows with their number.
+			orth := 5e-15 * float64(max(r, 20))
+			if e := offIdentity(u); e > orth {
+				t.Fatalf("%s tol %g: ‖UᵀU − I‖_F = %g", tc.name, tol, e)
+			}
+			if e := offIdentity(v); e > orth {
+				t.Fatalf("%s tol %g: ‖VᵀV − I‖_F = %g", tc.name, tol, e)
+			}
+			// What is left out is below ε·‖A‖₂ without a tolerance and below
+			// svdDrop·tol·‖A‖_F with one.
+			if e := svdResidual(a, u, s, v); e > (1e-13+svdDrop*tol)*aF {
+				t.Fatalf("%s %dx%d tol %g: ‖A − UΣVᵀ‖_F = %g (‖A‖_F = %g)", tc.name, m, n, tol, e, aF)
+			}
+			if r > len(sFull) {
+				t.Fatalf("%s: tol %g kept %d directions, tol 0 kept %d", tc.name, tol, r, len(sFull))
+			}
+			for i, x := range s {
+				if math.Abs(x-sFull[i]) > (1e-13+svdDrop*tol)*aF {
+					t.Fatalf("%s tol %g: σ[%d] = %g, untruncated %g", tc.name, tol, i, x, sFull[i])
+				}
 			}
 		}
-		// reconstruction
-		us := NewMat(m, k)
-		for i := 0; i < m; i++ {
-			for j := 0; j < k; j++ {
-				us.Set(i, j, u.At(i, j)*s[j])
+		if aF == 0 && len(sFull) != 0 {
+			t.Fatalf("%s: zero matrix has %d singular values", tc.name, len(sFull))
+		}
+		// Exact spectrum, where known: relative to ‖A‖₂.
+		for i, want := range tc.sigma {
+			got := 0.0
+			if i < len(sFull) {
+				got = sFull[i]
+			}
+			if math.Abs(got-want) > 1e-14*tc.sigma[0] {
+				t.Fatalf("%s: σ[%d] = %g want %g", tc.name, i, got, want)
 			}
 		}
-		rec := NewMat(m, n)
-		Gemm(1, us, NoTrans, v, Transpose, 0, rec)
-		rec.Sub(a)
-		if rec.MaxAbs() > 1e-9 {
-			t.Fatalf("%dx%d: ||USV^T - A|| = %g", m, n, rec.MaxAbs())
-		}
+	}
+	if d := cntSvdNoConv.Value() - noconv; d != 0 {
+		t.Fatalf("Jacobi ran out of sweeps on %d inputs", d)
 	}
 }
 
 func TestSVDLowRankExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	// Build an exactly rank-3 12x10 matrix; SVD must see s[3..] ≈ 0.
+	// An exactly rank-3 12×10 matrix: the numerical rank SVDThin reports
+	// without a tolerance is 3, give or take directions at rounding level.
 	x := randMat(rng, 12, 3)
 	y := randMat(rng, 10, 3)
 	a := NewMat(12, 10)
 	Gemm(1, x, NoTrans, y, Transpose, 0, a)
-	_, s, _ := SVDThin(a)
-	if s[2] < 1e-10 {
-		t.Fatalf("rank-3 matrix lost rank: %v", s[:4])
+	_, s, _ := SVDThin(nil, a, 0)
+	if len(s) < 3 || s[2] < 1e-10 {
+		t.Fatalf("rank-3 matrix lost rank: %v", s)
 	}
 	for i := 3; i < len(s); i++ {
-		if s[i] > 1e-9*s[0] {
+		if s[i] > 1e-14*s[0] {
 			t.Fatalf("tail singular value %d = %g not negligible", i, s[i])
 		}
 	}
-	if k := TruncatedRank(s, 1e-8, true); k != 3 {
-		t.Fatalf("TruncatedRank = %d, want 3", k)
+	if _, s, _ = SVDThin(nil, a, 1e-8); len(s) != 3 {
+		t.Fatalf("with a tolerance the rank-3 matrix keeps %d directions", len(s))
 	}
 }
 
-func TestTruncatedRankEdges(t *testing.T) {
-	if k := TruncatedRank(nil, 1e-9, true); k != 0 {
-		t.Fatalf("empty: got %d", k)
+// Work hands out zeroed memory that stays valid until Reset, survives
+// running out of arena, and stops allocating once it has seen the demand.
+func TestWorkArena(t *testing.T) {
+	w := new(Work)
+	for round := 0; round < 3; round++ {
+		a := w.Mat(7, 5)
+		b := w.Floats(100)
+		for i := range a.Data {
+			if a.Data[i] != 0 {
+				t.Fatalf("round %d: arena matrix not zeroed", round)
+			}
+			a.Data[i] = 1
+		}
+		for i := range b {
+			if b[i] != 0 {
+				t.Fatalf("round %d: arena slice not zeroed or aliases the matrix", round)
+			}
+			b[i] = 2
+		}
+		if a.Data[34] != 1 {
+			t.Fatalf("round %d: slices overlap", round)
+		}
+		w.Reset()
 	}
-	if k := TruncatedRank([]float64{5, 4, 3}, 1e-9, true); k != 3 {
-		t.Fatalf("full rank: got %d", k)
+	if n := testing.AllocsPerRun(10, func() { w.Floats(135); w.Reset() }); n != 0 {
+		t.Fatalf("warm arena allocates %v times per use", n)
 	}
-	// all below absolute threshold but leading nonzero → rank 1 floor
-	if k := TruncatedRank([]float64{1e-12}, 1e-9, false); k != 1 {
-		t.Fatalf("floor: got %d", k)
+}
+
+// The recompression shapes: a stacked 128×56 factor for QRThin, its 56×56
+// core for SVDThin, each with a warm arena as tlr runs them.
+func BenchmarkQRThin(b *testing.B) {
+	a := kernelCases()[0].a
+	w := new(Work)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		QRThin(w, a)
+		w.Reset()
 	}
-	if k := TruncatedRank([]float64{10, 1e-12}, 1e-9, true); k != 1 {
-		t.Fatalf("relative cut: got %d", k)
+}
+
+func BenchmarkSVDThin(b *testing.B) {
+	a := kernelCases()[1].a
+	w := new(Work)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SVDThin(w, a, 1e-7)
+		w.Reset()
 	}
 }
 

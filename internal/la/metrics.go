@@ -17,4 +17,8 @@ var (
 	cntPotrf = obs.GetCounter("la.potrf.calls")
 	cntSvd   = obs.GetCounter("la.svd.calls")
 	cntQr    = obs.GetCounter("la.qr.calls")
+	// cntSvdNoConv counts SVDThin calls whose Jacobi iteration used all its
+	// sweeps without converging; the result is then only approximately
+	// orthogonal. Expected to stay 0.
+	cntSvdNoConv = obs.GetCounter("la.svd.noconverge")
 )

@@ -1,145 +1,236 @@
 package la
 
-import (
-	"math"
-	"sort"
+import "math"
+
+// Thin SVD for TLR compression: the K×K cores of recompression (56×56 at
+// nb = 128, numerical rank about K/2) and the sketch-sized projections of the
+// randomized compressor, a few hundred per factorization.
+//
+// One-sided Jacobi applied straight to such a core needs about eight sweeps
+// over all K²/2 row pairs. SVDThin preconditions it in the manner of Drmač &
+// Veselić: a column-pivoted QR X·P = Q·R first, then Jacobi on the rows of R.
+// R·Rᵀ is far closer to diagonal than XᵀX, so the rotations converge in four
+// or five sweeps, and the pivoting sorts the mass of X into the leading rows
+// of R, so the trailing rows that carry less than the caller will keep are
+// dropped before Jacobi sees them: r²/2 pairs, r the retained rank. U and V
+// are recovered from Q, the permutation and the accumulated rotations, so U
+// is orthonormal however small a singular value is.
+
+// svdDrop ties the mass SVDThin may discard to the caller's tolerance: rows
+// of R are dropped while their Frobenius norm stays below svdDrop·tol·‖A‖_F.
+// A rank chosen afterwards from the Frobenius tail of the returned singular
+// values at tol is then the rank the full spectrum gives unless that tail
+// lies within a factor 1+svdDrop² of the budget.
+const svdDrop = 1e-3
+
+const (
+	svdMaxSweeps = 60
+	// svdEps is the convergence threshold on the normalized off-diagonal
+	// Gram entries.
+	svdEps = 1e-15
 )
 
-// SVDThin computes a thin singular value decomposition a = U·diag(s)·Vᵀ where
-// U is m×k, V is n×k, k = min(m, n), and s is returned in descending order.
-//
-// The algorithm is one-sided Jacobi applied to the rows of the (possibly
-// transposed) input so the rotation sweeps always run over contiguous
-// memory and over the smaller dimension. Jacobi is slower than
-// bidiagonalization-based SVD but is simple, numerically robust, and fast
-// enough for the tile-sized (≤ a few hundred) matrices TLR compression
-// feeds it.
-func SVDThin(a *Mat) (u *Mat, s []float64, v *Mat) {
+// SVDThin computes a thin singular value decomposition a ≈ U·diag(s)·Vᵀ with
+// U m×r, V n×r having orthonormal columns and s descending. a is not
+// modified. tol > 0 declares that the caller discards whatever lies below
+// tol·‖a‖_F: the part of a that is svdDrop times smaller still is left out,
+// and r is the number of directions that remain. With tol = 0 only what lies
+// below ε·‖a‖₂ is left out, so r is the numerical rank and r < min(m, n) for
+// a rank-deficient a (r = 0 for a zero matrix). Results and temporaries come
+// from w and live until w.Reset (nil w: heap).
+func SVDThin(w *Work, a *Mat, tol float64) (u *Mat, s []float64, v *Mat) {
 	cntSvd.Inc()
-	if a.Rows >= a.Cols {
-		return svdTall(a)
+	// X is a when a is tall and aᵀ when it is wide; wt = Xᵀ holds the
+	// columns of X as contiguous rows (see QRThin).
+	m, n := a.Rows, a.Cols
+	wt := w.Mat(min(m, n), max(m, n))
+	if m >= n {
+		wt.transposeFrom(a)
+	} else {
+		wt.CopyFrom(a)
+		m, n = n, m
 	}
-	// a = U S Vᵀ  ⇔  aᵀ = V S Uᵀ
-	v2, s2, u2 := svdTall(a.T())
-	return u2, s2, v2
+	tau := w.Floats(n)
+	perm := make([]int, n)
+	r := qrcp(wt, tau, perm, tol)
+
+	// W = first r rows of R. Jacobi rotates its rows until they are
+	// orthogonal, G·W = diag(s)·V_Rᵀ, and g accumulates G.
+	rw := leadingRowsOfR(w, wt, r)
+	g := w.Mat(r, r)
+	for i := 0; i < r; i++ {
+		g.Data[i*r+i] = 1
+	}
+	s = w.Floats(r)
+	jacobiRows(rw, g, s)
+
+	order := make([]int, r)
+	for i := range order {
+		s[i] = Nrm2(rw.Row(i))
+		order[i] = i
+	}
+	for i := 1; i < r; i++ { // insertion sort, descending; r is small
+		for j := i; j > 0 && s[order[j]] > s[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+
+	// X = Q·R·Pᵀ = (Q·Gᵀ)·diag(s)·(P·V_R)ᵀ. Column jj of U_X is Q applied to
+	// row order[jj] of G padded with zeros; reflectors r.. leave such a
+	// vector alone, so only the first r are applied.
+	ut := w.Mat(r, m)
+	for jj, j := range order {
+		copy(ut.Row(jj), g.Row(j))
+	}
+	for i := r - 1; i >= 0; i-- {
+		if tau[i] == 0 {
+			continue
+		}
+		h := wt.Row(i)[i:]
+		h[0] = 1 // R has been copied out; make the reflector's unit explicit
+		for jj := 0; jj < r; jj++ {
+			reflect(h, tau[i], ut.Row(jj)[i:])
+		}
+	}
+	ux := w.Mat(m, r)
+	for jj := 0; jj < r; jj++ {
+		for i, x := range ut.Row(jj) {
+			ux.Data[i*r+jj] = x
+		}
+	}
+	vx := w.Mat(n, r)
+	sorted := w.Floats(r)
+	for jj, j := range order {
+		sorted[jj] = s[j]
+		if s[j] == 0 {
+			continue
+		}
+		inv := 1 / s[j]
+		for c, x := range rw.Row(j) {
+			vx.Data[perm[c]*r+jj] = x * inv
+		}
+	}
+	if a.Rows >= a.Cols {
+		return ux, sorted, vx
+	}
+	return vx, sorted, ux
 }
 
-// svdTall computes the thin SVD of a (m ≥ n) without modifying it.
-//
-// Internally it runs one-sided Jacobi on W = aᵀ (n rows of length m): a
-// rotation of rows (p, q) of W is a rotation of columns (p, q) of a, and row
-// operations are contiguous in the row-major layout.
-func svdTall(a *Mat) (u *Mat, s []float64, v *Mat) {
-	m, n := a.Rows, a.Cols
-	w := a.T() // n×m; row i of w is column i of a
-	vm := Eye(n)
-	const maxSweeps = 60
-	// Convergence threshold on the normalized off-diagonal Gram entries.
-	const eps = 1e-15
+// qrcp factors X·P = Q·R by Householder QR with column pivoting, in place on
+// wt = Xᵀ (n rows of length m ≥ n), and stops at the first step r where the
+// rows of R still to come hold less than the drop threshold (see SVDThin).
+// On return rows < r of R sit in wt[c][:r], reflector i's tail in wt[i][i+1:],
+// and column c of X·P is column perm[c] of X.
+func qrcp(wt *Mat, tau []float64, perm []int, tol float64) (r int) {
+	n := wt.Rows
+	for c := range perm {
+		perm[c] = c
+	}
+	var cut2 float64
+	for j := 0; j < n; j++ {
+		// Squared norms of the remaining columns below row j: the largest
+		// is the pivot, and their sum is exactly the squared Frobenius norm
+		// of rows j.. of R.
+		var mass, best float64
+		pivot := j
+		for c := j; c < n; c++ {
+			x := wt.Row(c)[j:]
+			ss := dot(x, x)
+			mass += ss
+			if ss > best {
+				best, pivot = ss, c
+			}
+		}
+		if j == 0 {
+			const eps = 0x1p-52
+			cut2 = max(eps*eps*best, svdDrop*svdDrop*tol*tol*mass)
+		}
+		if mass <= cut2 {
+			return j
+		}
+		if pivot != j {
+			rj, rp := wt.Row(j), wt.Row(pivot)
+			for i, x := range rj {
+				rj[i], rp[i] = rp[i], x
+			}
+			perm[j], perm[pivot] = perm[pivot], perm[j]
+		}
+		col := wt.Row(j)[j:]
+		tau[j] = house(col)
+		if tau[j] == 0 {
+			continue
+		}
+		beta := col[0]
+		col[0] = 1
+		for c := j + 1; c < n; c++ {
+			reflect(col, tau[j], wt.Row(c)[j:])
+		}
+		col[0] = beta
+	}
+	return n
+}
 
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		rotated := 0
-		for p := 0; p < n-1; p++ {
+// jacobiRows orthogonalizes the rows of w by one-sided Jacobi rotations and
+// applies the same rotations to the rows of g. sq is scratch of length
+// w.Rows.
+//
+// A pair costs one dot product: the squared row norms a rotation needs are
+// taken fresh at the start of each sweep and carried through it by the
+// rotation's own update (de Rijk), recomputed only where that update
+// cancels. An angle from a slightly stale norm leaves a slightly non-zero
+// Gram entry for the next sweep; it does not affect what the iteration
+// converges to.
+func jacobiRows(w, g *Mat, sq []float64) {
+	r := w.Rows
+	for sweep := 0; sweep < svdMaxSweeps; sweep++ {
+		for i := range sq {
+			sq[i] = dot(w.Row(i), w.Row(i))
+		}
+		rotated := false
+		for p := 0; p < r-1; p++ {
 			wp := w.Row(p)
-			for q := p + 1; q < n; q++ {
+			for q := p + 1; q < r; q++ {
 				wq := w.Row(q)
-				var app, aqq, apq float64
-				for i, vp := range wp {
-					vq := wq[i]
-					app += vp * vp
-					aqq += vq * vq
-					apq += vp * vq
-				}
-				if apq == 0 || math.Abs(apq) <= eps*math.Sqrt(app*aqq) {
+				apq := dot(wp, wq)
+				if apq == 0 || math.Abs(apq) <= svdEps*math.Sqrt(sq[p]*sq[q]) {
 					continue
 				}
-				rotated++
+				rotated = true
 				// Jacobi rotation zeroing the (p, q) Gram entry.
-				zeta := (aqq - app) / (2 * apq)
-				var t float64
-				if zeta >= 0 {
-					t = 1 / (zeta + math.Sqrt(1+zeta*zeta))
-				} else {
-					t = -1 / (-zeta + math.Sqrt(1+zeta*zeta))
+				zeta := (sq[q] - sq[p]) / (2 * apq)
+				t := 1 / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+				if zeta < 0 {
+					t = -t
 				}
 				c := 1 / math.Sqrt(1+t*t)
-				sn := c * t
-				for i, vp := range wp {
-					vq := wq[i]
-					wp[i] = c*vp - sn*vq
-					wq[i] = sn*vp + c*vq
+				rotate(c, c*t, wp, wq)
+				rotate(c, c*t, g.Row(p), g.Row(q))
+				// The smaller row shrinks by |t·apq| and the larger grows.
+				d := t * apq
+				sq[p] -= d
+				sq[q] += d
+				lo := p
+				if d < 0 {
+					lo = q
 				}
-				vp := vm.Row(p)
-				vq := vm.Row(q)
-				for i, x := range vp {
-					y := vq[i]
-					vp[i] = c*x - sn*y
-					vq[i] = sn*x + c*y
+				if sq[lo] < 0.1*(sq[lo]+math.Abs(d)) {
+					sq[lo] = dot(w.Row(lo), w.Row(lo))
 				}
 			}
 		}
-		if rotated == 0 {
-			break
+		if !rotated {
+			return
 		}
 	}
-
-	// Row norms of w are the singular values; normalized rows are the
-	// columns of U. vm's rows are the columns of V (it accumulated the same
-	// row rotations starting from I).
-	s = make([]float64, n)
-	for j := 0; j < n; j++ {
-		s[j] = Nrm2(w.Row(j))
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return s[idx[i]] > s[idx[j]] })
-
-	u = NewMat(m, n)
-	v = NewMat(n, n)
-	sorted := make([]float64, n)
-	for jj, j := range idx {
-		sorted[jj] = s[j]
-		inv := 0.0
-		if s[j] > 0 {
-			inv = 1 / s[j]
-		}
-		wj := w.Row(j)
-		for i := 0; i < m; i++ {
-			u.Set(i, jj, wj[i]*inv)
-		}
-		vj := vm.Row(j)
-		for i := 0; i < n; i++ {
-			v.Set(i, jj, vj[i])
-		}
-	}
-	return u, sorted, v
+	cntSvdNoConv.Inc()
 }
 
-// TruncatedRank returns the smallest k such that the spectral tail below
-// index k is within tol in the operator-norm sense used by HiCMA: it keeps
-// singular values s[i] > tol·s[0] when relative is true, or s[i] > tol when
-// relative is false. The result is at least 1 when s is non-empty and the
-// leading value is nonzero.
-func TruncatedRank(s []float64, tol float64, relative bool) int {
-	if len(s) == 0 {
-		return 0
+// rotate applies the plane rotation (x, y) ← (c·x − s·y, s·x + c·y).
+func rotate(c, s float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		x[i] = c*xi - s*yi
+		y[i] = s*xi + c*yi
 	}
-	cut := tol
-	if relative {
-		cut = tol * s[0]
-	}
-	k := 0
-	for _, v := range s {
-		if v > cut {
-			k++
-		} else {
-			break
-		}
-	}
-	if k == 0 && s[0] > 0 {
-		k = 1
-	}
-	return k
 }

@@ -19,6 +19,14 @@ var cntDenseTile = obs.GetCounter("tlr.detile.fallback")
 // tile built exactly from the stacked factors — graceful degradation instead
 // of unbounded rank growth.
 func AddLowRank(c *CompTile, alpha float64, x, y *la.Mat, tol float64, maxRank int) *CompTile {
+	w := getWork()
+	defer putWork(w)
+	return addLowRank(w, c, alpha, x, y, tol, maxRank)
+}
+
+// addLowRank is AddLowRank with the stacked factors and the recompression
+// drawn from w (x and y may themselves be scratch of w).
+func addLowRank(w *la.Work, c *CompTile, alpha float64, x, y *la.Mat, tol float64, maxRank int) *CompTile {
 	if x.Cols != y.Cols {
 		panic("tlr: AddLowRank rank mismatch between X and Y")
 	}
@@ -35,20 +43,21 @@ func AddLowRank(c *CompTile, alpha float64, x, y *la.Mat, tol float64, maxRank i
 		return c
 	}
 	kc := c.Rank()
-	u := la.NewMat(m, kc+kx)
-	v := la.NewMat(n, kc+kx)
+	u := w.Mat(m, kc+kx)
+	v := w.Mat(n, kc+kx)
 	for i := 0; i < m; i++ {
-		copy(u.Row(i)[:kc], c.U.Row(i))
-		xr := x.Row(i)
-		for j := 0; j < kx; j++ {
-			u.Row(i)[kc+j] = alpha * xr[j]
+		ui := u.Row(i)
+		copy(ui, c.U.Row(i))
+		for j, xv := range x.Row(i) {
+			ui[kc+j] = alpha * xv
 		}
 	}
 	for i := 0; i < n; i++ {
-		copy(v.Row(i)[:kc], c.V.Row(i))
-		copy(v.Row(i)[kc:], y.Row(i))
+		vi := v.Row(i)
+		copy(vi, c.V.Row(i))
+		copy(vi[kc:], y.Row(i))
 	}
-	out := Recompress(&CompTile{U: u, V: v}, tol)
+	out := recompress(w, u, v, tol)
 	if maxRank > 0 && out.Rank() > maxRank {
 		// Exact reconstruction from the untruncated stacked factors, not
 		// from the recompressed tile — the fallback loses nothing.
@@ -115,36 +124,38 @@ func GemmLL(c, a, b *CompTile, tol float64, maxRank int) *CompTile {
 		cntDenseTile.Inc()
 		return NewDenseTile(cd)
 	}
+	ws := getWork()
+	defer putWork(ws)
 	var x, y *la.Mat
 	switch {
 	case a.IsDense():
 		// A·(Ub·Vbᵀ)ᵀ = (A·Vb)·Ubᵀ — rank kb update.
-		x = la.NewMat(a.D.Rows, b.Rank())
+		x = ws.Mat(a.D.Rows, b.Rank())
 		la.Gemm(1, a.D, la.NoTrans, b.V, la.NoTrans, 0, x)
 		y = b.U
 	case b.IsDense():
 		// (Ua·Vaᵀ)·Bᵀ = Ua·(B·Va)ᵀ — rank ka update.
 		x = a.U
-		y = la.NewMat(b.D.Rows, a.Rank())
+		y = ws.Mat(b.D.Rows, a.Rank())
 		la.Gemm(1, b.D, la.NoTrans, a.V, la.NoTrans, 0, y)
 	default:
 		ka, kb := a.Rank(), b.Rank()
 		// W = Vaᵀ·Vb  (ka×kb) — both share the contraction dimension.
-		w := la.NewMat(ka, kb)
+		w := ws.Mat(ka, kb)
 		la.Gemm(1, a.V, la.Transpose, b.V, la.NoTrans, 0, w)
 		if ka <= kb {
 			// X = Ua, Y = Ub·Wᵀ (rank ka)
 			x = a.U
-			y = la.NewMat(b.U.Rows, ka)
+			y = ws.Mat(b.U.Rows, ka)
 			la.Gemm(1, b.U, la.NoTrans, w, la.Transpose, 0, y)
 		} else {
 			// X = Ua·W (rank kb), Y = Ub
-			x = la.NewMat(a.U.Rows, kb)
+			x = ws.Mat(a.U.Rows, kb)
 			la.Gemm(1, a.U, la.NoTrans, w, la.NoTrans, 0, x)
 			y = b.U
 		}
 	}
-	return AddLowRank(c, -1, x, y, tol, maxRank)
+	return addLowRank(ws, c, -1, x, y, tol, maxRank)
 }
 
 // SyrkLD updates a dense diagonal tile from a panel tile:

@@ -12,6 +12,7 @@ package tlr
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/la"
 	"repro/internal/obs"
@@ -22,6 +23,21 @@ import (
 // dominant overhead, proportional to the SYRK/GEMM traffic of the
 // factorization rather than the tile count.
 var cntRecompress = obs.GetCounter("tlr.recompress.calls")
+
+// workPool holds the scratch arenas of the compression and recompression
+// kernels. A kernel takes one for the length of its call, draws every
+// temporary (stacked factors, QR and SVD work, cores) from it and returns it
+// reset, so the several hundred recompressions of a factorization reuse a few
+// arenas — one per worker in flight — and only the factors of the resulting
+// tile are allocated.
+var workPool = sync.Pool{New: func() any { return new(la.Work) }}
+
+func getWork() *la.Work { return workPool.Get().(*la.Work) }
+
+func putWork(w *la.Work) {
+	w.Reset()
+	workPool.Put(w)
+}
 
 // CompTile is a rank-k tile A ≈ U·Vᵀ with U (rows×k) and V (cols×k) — or,
 // when the compressed representation cannot meet its accuracy/rank budget,
@@ -148,14 +164,15 @@ func forTile(comp Compressor, i, j int) Compressor {
 }
 
 // frobRank returns the smallest k whose Frobenius tail is below tol·‖A‖_F,
-// given the (descending) singular values.
+// given the (descending) singular values: at least 1 for any non-zero
+// spectrum, 0 for an exact zero tile (which is then stored without factors).
 func frobRank(s []float64, tol float64) int {
 	var total float64
 	for _, v := range s {
 		total += v * v
 	}
 	if total == 0 {
-		return 1
+		return 0
 	}
 	budget := tol * tol * total
 	var tail float64
@@ -171,24 +188,24 @@ func frobRank(s []float64, tol float64) int {
 	return k
 }
 
-// fromSVD assembles U·Vᵀ = (U_k·Σ_k)·V_kᵀ from a thin SVD truncated at k.
+// fromSVD assembles U·Vᵀ = (U_k·Σ_k)·V_kᵀ from a thin SVD truncated at k, in
+// freshly allocated factors (u and v may be arena scratch).
 func fromSVD(u *la.Mat, s []float64, v *la.Mat, k int) *CompTile {
 	cu := la.NewMat(u.Rows, k)
 	cv := la.NewMat(v.Rows, k)
 	for i := 0; i < u.Rows; i++ {
-		for j := 0; j < k; j++ {
-			cu.Set(i, j, u.At(i, j)*s[j])
+		ui, ci := u.Row(i), cu.Row(i)
+		for j := range ci {
+			ci[j] = ui[j] * s[j]
 		}
 	}
 	for i := 0; i < v.Rows; i++ {
-		for j := 0; j < k; j++ {
-			cv.Set(i, j, v.At(i, j))
-		}
+		copy(cv.Row(i), v.Row(i))
 	}
 	return &CompTile{U: cu, V: cv}
 }
 
-// SVDCompressor compresses via a full thin (Jacobi) SVD — the accuracy
+// SVDCompressor compresses via a thin SVD of the whole tile — the accuracy
 // reference among the backends.
 type SVDCompressor struct{}
 
@@ -197,7 +214,9 @@ func (SVDCompressor) Name() string { return "svd" }
 
 // Compress implements Compressor.
 func (SVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
-	u, s, v := la.SVDThin(a)
+	w := getWork()
+	defer putWork(w)
+	u, s, v := la.SVDThin(w, a, tol)
 	return fromSVD(u, s, v, frobRank(s, tol))
 }
 
@@ -243,6 +262,14 @@ func (r RSVDCompressor) ForTile(i, j int) Compressor {
 }
 
 // Compress implements Compressor.
+//
+// The sketch grows in place. When the residual estimate says the current
+// range Q misses too much, only the new columns are drawn, multiplied,
+// power-iterated against the part of A that Q does not span, orthogonalized
+// and appended to Q; nothing of the earlier rounds is recomputed, nor are
+// ‖A‖_F² and the probe vectors, whose residuals are updated by the new block
+// alone. The projected matrix QᵀA is factored once, after the range is
+// accepted.
 func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 	over := r.Oversample
 	if over <= 0 {
@@ -267,78 +294,90 @@ func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 	// Work to a tighter internal target so sketch slack plus truncation
 	// stays within the caller's tol.
 	tol *= 0.25
+	ws := getWork()
+	defer putWork(ws)
+
+	var aF2 float64
+	for i := 0; i < m; i++ {
+		for _, x := range a.Row(i) {
+			aF2 += x * x
+		}
+	}
+	// Randomized residual estimate: for ω ~ N(0, I),
+	// E‖(A − QQᵀA)ω‖² = ‖A − QQᵀA‖_F². A direct difference in vector space
+	// resolves residuals far below the ε_machine floor that a
+	// Frobenius-mass comparison would hit. The columns of res start as A·ω_p
+	// and lose their component along every block appended to Q.
+	const probes = 6
+	om := ws.Mat(n, probes)
+	gen.NormSlice(om.Data)
+	res := ws.Mat(m, probes)
+	la.Gemm(1, a, la.NoTrans, om, la.NoTrans, 0, res)
 
 	// Adaptive doubling of the sketch until the projected approximation
-	// captures the Frobenius mass to tol, or we hit full rank.
-	guess := 8
-	for {
-		w := guess + over
-		if w > maxK {
-			w = maxK
-		}
-		omega := la.NewMat(n, w)
-		for i := range omega.Data {
-			omega.Data[i] = gen.Norm()
-		}
-		y := la.NewMat(m, w)
-		la.Gemm(1, a, la.NoTrans, omega, la.NoTrans, 0, y)
+	// captures the Frobenius mass to tol, or we hit full rank. q is the
+	// accepted part of the basis, a view of qbuf that widens by nw columns
+	// per round.
+	qbuf := ws.Mat(m, maxK)
+	q := qbuf.View(0, 0, m, 0)
+	for guess := 8; ; guess *= 2 {
+		nw := min(guess+over, maxK) - q.Cols
+		om = ws.Mat(n, nw)
+		gen.NormSlice(om.Data)
+		y := ws.Mat(m, nw)
+		la.Gemm(1, a, la.NoTrans, om, la.NoTrans, 0, y)
 		for it := 0; it < iters; it++ {
-			q, _ := la.QRThin(y)
-			z := la.NewMat(n, w)
-			la.Gemm(1, a, la.Transpose, q, la.NoTrans, 0, z)
-			qz, _ := la.QRThin(z)
-			y = la.NewMat(m, w)
+			projectOut(ws, y, q)
+			qy, _ := la.QRThin(ws, y)
+			z := ws.Mat(n, nw)
+			la.Gemm(1, a, la.Transpose, qy, la.NoTrans, 0, z)
+			qz, _ := la.QRThin(ws, z)
 			la.Gemm(1, a, la.NoTrans, qz, la.NoTrans, 0, y)
 		}
-		q, _ := la.QRThin(y)
-		// B = Qᵀ A  (w×n)
-		b := la.NewMat(q.Cols, n)
-		la.Gemm(1, q, la.Transpose, a, la.NoTrans, 0, b)
-		ub, s, v := la.SVDThin(b)
-		var aF2 float64
-		for i := 0; i < m; i++ {
-			row := a.Row(i)
-			for _, x := range row {
-				aF2 += x * x
-			}
+		projectOut(ws, y, q)
+		qn, _ := la.QRThin(ws, y)
+		if q.Cols > 0 {
+			// Once q holds most of A, what is left of some columns of y is
+			// rounding noise, and the basis vectors QR returns for those are
+			// arbitrary — not orthogonal to q. Project the basis itself and
+			// orthogonalize again.
+			projectOut(ws, qn, q)
+			qn, _ = la.QRThin(ws, qn)
 		}
-		// Randomized residual estimate: for ω ~ N(0, I),
-		// E‖(A − QQᵀA)ω‖² = ‖A − QQᵀA‖_F². A direct difference in vector
-		// space resolves residuals far below the ε_machine floor that a
-		// Frobenius-mass comparison would hit.
-		const probes = 6
+		qbuf.View(0, q.Cols, m, nw).CopyFrom(qn)
+		q = qbuf.View(0, 0, m, q.Cols+nw)
+		projectOut(ws, res, qn)
+
 		var resEst float64
-		for p := 0; p < probes; p++ {
-			omega := make([]float64, n)
-			gen.NormSlice(omega)
-			yv := make([]float64, m)
-			la.Gemv(1, a, la.NoTrans, omega, 0, yv)
-			zv := make([]float64, q.Cols)
-			la.Gemv(1, q, la.Transpose, yv, 0, zv)
-			qz := make([]float64, m)
-			la.Gemv(1, q, la.NoTrans, zv, 0, qz)
-			for i := range yv {
-				d := yv[i] - qz[i]
-				resEst += d * d
-			}
+		for _, x := range res.Data {
+			resEst += x * x
 		}
 		resEst /= probes
-		captured := resEst <= 0.25*tol*tol*aF2 || w >= maxK
-		if captured {
-			k := frobRankAbsolute(s, tol, aF2)
-			u := la.NewMat(m, k)
-			// U = Q · Ub_k
-			ubk := la.NewMat(ub.Rows, k)
-			for i := 0; i < ub.Rows; i++ {
-				for j := 0; j < k; j++ {
-					ubk.Set(i, j, ub.At(i, j))
-				}
-			}
-			la.Gemm(1, q, la.NoTrans, ubk, la.NoTrans, 0, u)
-			return fromSVD(u, s, v, k)
+		if resEst <= 0.25*tol*tol*aF2 || q.Cols >= maxK {
+			break
 		}
-		guess *= 2
 	}
+
+	// B = Qᵀ A  (w×n)
+	b := ws.Mat(q.Cols, n)
+	la.Gemm(1, q, la.Transpose, a, la.NoTrans, 0, b)
+	ub, s, v := la.SVDThin(ws, b, tol)
+	k := frobRankAbsolute(s, tol, aF2)
+	// U = Q · Ub_k
+	u := ws.Mat(m, k)
+	la.Gemm(1, q, la.NoTrans, ub.View(0, 0, ub.Rows, k), la.NoTrans, 0, u)
+	return fromSVD(u, s, v, k)
+}
+
+// projectOut removes from the columns of y their component in the span of
+// q's orthonormal columns: y ← y − q·(qᵀ·y).
+func projectOut(ws *la.Work, y, q *la.Mat) {
+	if q.Cols == 0 {
+		return
+	}
+	c := ws.Mat(q.Cols, y.Cols)
+	la.Gemm(1, q, la.Transpose, y, la.NoTrans, 0, c)
+	la.Gemm(-1, q, la.NoTrans, c, la.NoTrans, 1, y)
 }
 
 // frobRankAbsolute picks the truncation rank measuring the tail against the
@@ -348,7 +387,7 @@ func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 // ε·aF2 in the rounding noise of the two large sums and truncate on noise.
 func frobRankAbsolute(s []float64, tol, aF2 float64) int {
 	if aF2 == 0 {
-		return 1
+		return 0
 	}
 	budget := tol * tol * aF2
 	var total float64
@@ -459,30 +498,39 @@ func Recompress(c *CompTile, tol float64) *CompTile {
 	if c.IsDense() || c.Rank() == 0 {
 		return c
 	}
+	w := getWork()
+	defer putWork(w)
+	return recompress(w, c.U, c.V, tol)
+}
+
+// recompress returns the tile U·Vᵀ truncated to tol (u and v have K ≥ 1
+// columns); every temporary comes from w.
+func recompress(w *la.Work, u, v *la.Mat, tol float64) *CompTile {
 	cntRecompress.Inc()
-	qu, ru := la.QRThin(c.U)
-	qv, rv := la.QRThin(c.V)
-	core := la.NewMat(ru.Rows, rv.Rows)
+	qu, ru := la.QRThin(w, u)
+	qv, rv := la.QRThin(w, v)
+	core := w.Mat(ru.Rows, rv.Rows)
 	la.Gemm(1, ru, la.NoTrans, rv, la.Transpose, 0, core)
-	u, s, v := la.SVDThin(core)
+	// A product that cancels (C − C) leaves a core of rounding noise, which
+	// has no scale of its own for a relative tolerance to act on: whatever
+	// sits below the rounding error of forming Ru·Rvᵀ is an exact zero tile.
+	const eps = 0x1p-52
+	if core.FrobNorm() <= float64(u.Cols)*eps*ru.FrobNorm()*rv.FrobNorm() {
+		return &CompTile{U: la.NewMat(u.Rows, 0), V: la.NewMat(v.Rows, 0)}
+	}
+	cu, s, cv := la.SVDThin(w, core, tol)
 	k := frobRank(s, tol)
 	// U' = Qu · (U_k Σ_k), V' = Qv · V_k
-	usk := la.NewMat(u.Rows, k)
-	for i := 0; i < u.Rows; i++ {
-		for j := 0; j < k; j++ {
-			usk.Set(i, j, u.At(i, j)*s[j])
+	for i := 0; i < cu.Rows; i++ {
+		ci := cu.Row(i)[:k]
+		for j := range ci {
+			ci[j] *= s[j]
 		}
 	}
-	vk := la.NewMat(v.Rows, k)
-	for i := 0; i < v.Rows; i++ {
-		for j := 0; j < k; j++ {
-			vk.Set(i, j, v.At(i, j))
-		}
-	}
-	nu := la.NewMat(qu.Rows, k)
-	nv := la.NewMat(qv.Rows, k)
-	la.Gemm(1, qu, la.NoTrans, usk, la.NoTrans, 0, nu)
-	la.Gemm(1, qv, la.NoTrans, vk, la.NoTrans, 0, nv)
+	nu := la.NewMat(u.Rows, k)
+	nv := la.NewMat(v.Rows, k)
+	la.Gemm(1, qu, la.NoTrans, cu.View(0, 0, cu.Rows, k), la.NoTrans, 0, nu)
+	la.Gemm(1, qv, la.NoTrans, cv.View(0, 0, cv.Rows, k), la.NoTrans, 0, nv)
 	return &CompTile{U: nu, V: nv}
 }
 

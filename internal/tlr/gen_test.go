@@ -146,26 +146,46 @@ func TestRSVDPowerItersDefault(t *testing.T) {
 	}
 }
 
-// A zero tile compresses to rank 0 with zero storage, and every TLR kernel
-// treats the rank-0 tile as a structural no-op.
-func TestACAZeroTileRankZero(t *testing.T) {
-	z := la.NewMat(16, 12)
-	c := ACACompressor{}.Compress(z, 1e-8)
+// A zero tile has rank 0 and zero storage however it arises — from any of
+// the three compressors, or from an update that cancels the tile exactly —
+// and every TLR kernel treats the rank-0 tile as a structural no-op.
+func TestZeroTileRankZero(t *testing.T) {
+	producers := []struct {
+		name string
+		zero func(rows, cols int) *CompTile
+	}{
+		{"svd", func(r, c int) *CompTile { return SVDCompressor{}.Compress(la.NewMat(r, c), 1e-8) }},
+		{"rsvd", func(r, c int) *CompTile { return RSVDCompressor{}.Compress(la.NewMat(r, c), 1e-8) }},
+		{"aca", func(r, c int) *CompTile { return ACACompressor{}.Compress(la.NewMat(r, c), 1e-8) }},
+		{"C − C", func(r, c int) *CompTile {
+			full := SVDCompressor{}.Compress(covTile(t, r, c, 0.6), 1e-8)
+			return AddLowRank(full, -1, full.U, full.V, 1e-8, 0)
+		}},
+	}
+	for _, p := range producers {
+		t.Run(p.name, func(t *testing.T) { checkZeroTile(t, p.zero(16, 12), p.zero(12, 12)) })
+	}
+}
+
+// checkZeroTile asserts that c (16×12) and sq (12×12) are rank-0 tiles and
+// that the factorization and solve kernels accept them.
+func checkZeroTile(t *testing.T, c, sq *CompTile) {
 	if c.Rank() != 0 {
 		t.Fatalf("zero tile rank %d, want 0", c.Rank())
 	}
 	if c.Bytes() != 0 {
 		t.Fatalf("zero tile claims %d bytes", c.Bytes())
 	}
-	if c.Dense().FrobNorm() != 0 {
-		t.Fatal("rank-0 tile does not reconstruct to zero")
+	if c.Rows() != 16 || c.Cols() != 12 || c.Dense().FrobNorm() != 0 {
+		t.Fatal("rank-0 tile does not reconstruct to the 16×12 zero")
 	}
 	if rc := Recompress(c, 1e-8); rc.Rank() != 0 {
 		t.Fatal("Recompress inflated a rank-0 tile")
 	}
 
-	// square rank-0 tile for the factorization kernels
-	sq := ACACompressor{}.Compress(la.NewMat(12, 12), 1e-8)
+	if sq.Rank() != 0 {
+		t.Fatalf("square zero tile rank %d, want 0", sq.Rank())
+	}
 	diag := covTile(t, 12, 12, 0.1)
 	want := diag.Clone()
 	SyrkLD(diag, sq) // C -= 0·0ᵀ

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/geom"
 	"repro/internal/la"
 	"repro/internal/rng"
 )
@@ -93,5 +94,127 @@ func TestQuickCompTileInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gradedFactor returns an m×k factor whose columns are orthonormal directions
+// scaled from 1 down to 10^-decades — the column scaling U·Σ of a compressed
+// covariance tile.
+func gradedFactor(r *rng.Rand, m, k int, decades float64) *la.Mat {
+	g := la.NewMat(m, k)
+	r.NormSlice(g.Data)
+	q, _ := la.QRThin(nil, g)
+	for j := 0; j < q.Cols; j++ {
+		s := math.Pow(10, -decades*float64(j)/float64(max(k-1, 1)))
+		for i := 0; i < m; i++ {
+			q.Set(i, j, q.At(i, j)*s)
+		}
+	}
+	return q
+}
+
+// stack returns [a, b] column-wise.
+func stack(a, b *la.Mat) *la.Mat {
+	out := la.NewMat(a.Rows, a.Cols+b.Cols)
+	out.View(0, 0, a.Rows, a.Cols).CopyFrom(a)
+	out.View(0, a.Cols, b.Rows, b.Cols).CopyFrom(b)
+	return out
+}
+
+// Recompress at the shapes TLR GEMM feeds it: the error stays within tol and
+// the rank is exactly the rank an untruncated SVD of the dense product picks
+// at that tol — the preconditioned, truncated kernels move no rank.
+func TestRecompressMatchesDenseSVD(t *testing.T) {
+	r := rng.New(11)
+	// C's factors stacked with an update that partly repeats them, with one
+	// zero column: the 128×56 panels of a TLR GEMM at nb=128.
+	u0, v0 := gradedFactor(r, 128, 28, 8), gradedFactor(r, 128, 28, 0)
+	x, y := gradedFactor(r, 128, 28, 6), gradedFactor(r, 128, 28, 0)
+	for i := 0; i < 128; i++ {
+		copy(x.Row(i)[:10], u0.Row(i)[:10])
+		x.Row(i)[20] = 0
+	}
+	cases := []struct {
+		name string
+		u, v *la.Mat
+	}{
+		{"stacked 128x56", stack(u0, x), stack(v0, y)},
+		{"stacked rank exceeds rows 32x40", stack(gradedFactor(r, 32, 20, 5), gradedFactor(r, 32, 20, 7)), stack(gradedFactor(r, 32, 20, 0), gradedFactor(r, 32, 20, 0))},
+		{"rectangular 96x128 by 30", gradedFactor(r, 96, 30, 12), gradedFactor(r, 128, 30, 0)},
+		{"one column", gradedFactor(r, 24, 1, 0), gradedFactor(r, 24, 1, 0)},
+	}
+	for _, tc := range cases {
+		c := &CompTile{U: tc.u, V: tc.v}
+		dense := c.Dense()
+		_, s, _ := la.SVDThin(nil, dense, 0)
+		for _, tol := range []float64{1e-5, 1e-7, 1e-9} {
+			got := Recompress(c, tol)
+			if want := frobRank(s, tol); got.Rank() != want {
+				t.Errorf("%s tol %g: rank %d, dense SVD gives %d", tc.name, tol, got.Rank(), want)
+			}
+			d := got.Dense()
+			d.Sub(dense)
+			if e := d.FrobNorm(); e > tol*dense.FrobNorm() {
+				t.Errorf("%s tol %g: error %g·‖A‖_F", tc.name, tol, e/dense.FrobNorm())
+			}
+		}
+	}
+}
+
+// The fused generate+compress+factor graph is bitwise-identical at any
+// worker count with the pooled kernel workspaces in play: an arena reused
+// across tiles of different shapes and ranks leaks nothing into a result.
+func TestGenCholeskyWorkerBitwise(t *testing.T) {
+	const n, nb = 450, 64
+	k, pts := genTestSetup(t, n)
+	comp, _ := CompressorByName("rsvd")
+	factor := func(workers int) *Matrix {
+		m := NewMatrix(n, nb, 1e-7)
+		spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-6, Comp: comp}
+		if err := GenCholesky(m, spec, workers); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m1, mp := factor(1), factor(4)
+	for i := 0; i < m1.MT; i++ {
+		if !exactEqual(m1.Diag(i), mp.Diag(i)) {
+			t.Fatalf("diagonal tile %d differs across worker counts", i)
+		}
+		for j := 0; j < i; j++ {
+			a, b := m1.Off(i, j), mp.Off(i, j)
+			if a.Rank() != b.Rank() || !exactEqual(a.U, b.U) || !exactEqual(a.V, b.V) {
+				t.Fatalf("tile (%d,%d) differs across worker counts", i, j)
+			}
+		}
+	}
+}
+
+// benchTiles returns the three tiles of a rank-28 TLR GEMM at nb = 128:
+// C ← C − A·Bᵀ stacks two 128×56 factors for Recompress.
+func benchTiles() (c, a, b *CompTile) {
+	r := rng.New(5)
+	tile := func() *CompTile {
+		return &CompTile{U: gradedFactor(r, 128, 28, 8), V: gradedFactor(r, 128, 28, 0)}
+	}
+	return tile(), tile(), tile()
+}
+
+func BenchmarkRecompress(b *testing.B) {
+	c, a, _ := benchTiles()
+	st := &CompTile{U: stack(c.U, a.U), V: stack(c.V, a.V)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Recompress(st, 1e-7)
+	}
+}
+
+func BenchmarkGemmLL(b *testing.B) {
+	c, a, bt := benchTiles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmLL(c, a, bt, 1e-7, 0)
 	}
 }
