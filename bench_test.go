@@ -315,7 +315,7 @@ func BenchmarkAblationScheduling(b *testing.B) {
 // --- Compute kernels (packed BLAS3, parallel assembly) --------------------
 
 // BenchmarkGemm compares the packed register-tiled GEMM against the retained
-// naive reference (`paperbench -kernels` writes the same comparison as JSON).
+// naive reference.
 func BenchmarkGemm(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
 		a, bm, c := la.NewMat(n, n), la.NewMat(n, n), la.NewMat(n, n)

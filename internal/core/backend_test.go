@@ -10,10 +10,11 @@ import (
 	"repro/internal/rng"
 )
 
-// TestHODLRMatchesDenseGolden is the acceptance pin for the fourth backend:
-// at n=1600 under every spatial ordering the repo ships, the HODLR session
-// must reproduce the exact dense likelihood to ≤1e-6 relative and agree on
-// kriging means and variances end-to-end through Session.
+// TestHODLRMatchesDenseGolden is the acceptance pin for the compressed
+// backends: at n=1600 under every spatial ordering the repo ships, the HODLR
+// and TLR sessions must reproduce the exact dense likelihood to ≤1e-6
+// relative, store less than the dense factor, and agree on kriging means and
+// variances end-to-end through Session.
 func TestHODLRMatchesDenseGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=1600 golden comparison skipped in -short mode")
@@ -38,42 +39,44 @@ func TestHODLRMatchesDenseGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// rsvd keeps the top-level 800×800 block compressions tractable; the
-		// tolerance still pins the result to the dense answer at ≤1e-6.
-		hs, err := NewSession(p, Config{Mode: HODLR, TileSize: 128, Accuracy: 1e-10, Workers: 4, CompressorName: "rsvd"})
-		if err != nil {
-			t.Fatal(err)
-		}
-
 		want, err := ds.LogLikelihood(th)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := hs.LogLikelihood(th)
-		if err != nil {
-			t.Fatalf("%s: HODLR likelihood: %v", ord.Name(), err)
-		}
-		if rel := math.Abs(got.Value-want.Value) / math.Abs(want.Value); rel > 1e-6 {
-			t.Fatalf("%s: HODLR loglik %.10g vs dense %.10g (rel %g)", ord.Name(), got.Value, want.Value, rel)
-		}
-		if got.Bytes >= want.Bytes {
-			t.Fatalf("%s: HODLR stores %d bytes, dense %d — no compression", ord.Name(), got.Bytes, want.Bytes)
-		}
-
 		wantPred, err := ds.PredictWithVariance(newPts, th)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotPred, err := hs.PredictWithVariance(newPts, th)
-		if err != nil {
-			t.Fatalf("%s: HODLR predict: %v", ord.Name(), err)
-		}
-		for i := range wantPred.Mean {
-			if math.Abs(gotPred.Mean[i]-wantPred.Mean[i]) > 1e-6 {
-				t.Fatalf("%s: kriging mean %d: %g vs %g", ord.Name(), i, gotPred.Mean[i], wantPred.Mean[i])
+
+		// rsvd keeps the top-level 800×800 block compressions tractable; the
+		// tolerance still pins the result to the dense answer at ≤1e-6.
+		for _, mode := range []Mode{HODLR, TLR} {
+			name := ord.Name() + "/" + mode.String()
+			cs, err := NewSession(p, Config{Mode: mode, TileSize: 128, Accuracy: 1e-10, Workers: 4, CompressorName: "rsvd"})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if math.Abs(gotPred.Variance[i]-wantPred.Variance[i]) > 1e-6 {
-				t.Fatalf("%s: kriging variance %d: %g vs %g", ord.Name(), i, gotPred.Variance[i], wantPred.Variance[i])
+			got, err := cs.LogLikelihood(th)
+			if err != nil {
+				t.Fatalf("%s: likelihood: %v", name, err)
+			}
+			if rel := math.Abs(got.Value-want.Value) / math.Abs(want.Value); rel > 1e-6 {
+				t.Fatalf("%s: loglik %.10g vs dense %.10g (rel %g)", name, got.Value, want.Value, rel)
+			}
+			if got.Bytes >= want.Bytes {
+				t.Fatalf("%s: stores %d bytes, dense %d — no compression", name, got.Bytes, want.Bytes)
+			}
+			gotPred, err := cs.PredictWithVariance(newPts, th)
+			if err != nil {
+				t.Fatalf("%s: predict: %v", name, err)
+			}
+			for i := range wantPred.Mean {
+				if math.Abs(gotPred.Mean[i]-wantPred.Mean[i]) > 1e-6 {
+					t.Fatalf("%s: kriging mean %d: %g vs %g", name, i, gotPred.Mean[i], wantPred.Mean[i])
+				}
+				if math.Abs(gotPred.Variance[i]-wantPred.Variance[i]) > 1e-6 {
+					t.Fatalf("%s: kriging variance %d: %g vs %g", name, i, gotPred.Variance[i], wantPred.Variance[i])
+				}
 			}
 		}
 	}

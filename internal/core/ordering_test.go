@@ -181,14 +181,23 @@ func TestSessionAppliesConfiguredOrdering(t *testing.T) {
 // TestOrderingInvariantLikelihood: the log-likelihood is a property of the
 // dataset, not of the row order — every ordering must produce the same value
 // up to factorization roundoff (dense mode) and compression tolerance (TLR).
+// What an ordering does change is the cost: on clustered points, whose raw
+// order interleaves the clusters, a locality-aware ordering must leave the
+// TLR tiles at lower rank than the raw order does.
 func TestOrderingInvariantLikelihood(t *testing.T) {
 	pts, z := rawDataset(t, 144, 25)
+	clustered := geom.GenerateClustered(144, 8, 0.02, rng.New(28))
+	zc, err := cov.SampleField(cov.NewKernel(theta()), clustered, geom.Euclidean, rng.New(29))
+	if err != nil {
+		t.Fatal(err)
+	}
 	newPts := []geom.Point{{X: 0.31, Y: 0.47}, {X: 0.83, Y: 0.12}, {X: 0.05, Y: 0.95}}
 	type result struct {
-		lik  float64
-		pred []float64
+		lik      float64
+		meanRank float64
+		pred     []float64
 	}
-	run := func(cfg Config) map[string]result {
+	run := func(pts []geom.Point, z []float64, cfg Config) map[string]result {
 		out := map[string]result{}
 		for _, name := range geom.OrderingNames() {
 			cfg := cfg
@@ -210,7 +219,7 @@ func TestOrderingInvariantLikelihood(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[name] = result{lik: lik.Value, pred: pred}
+			out[name] = result{lik: lik.Value, meanRank: lik.MeanRank, pred: pred}
 		}
 		return out
 	}
@@ -228,8 +237,16 @@ func TestOrderingInvariantLikelihood(t *testing.T) {
 			}
 		}
 	}
-	check(run(Config{Mode: FullBlock}), 1e-10, "dense")
-	check(run(Config{Mode: TLR, Accuracy: 1e-9, CompressorName: "svd"}), 1e-6, "tlr")
+	tlrCfg := Config{Mode: TLR, Accuracy: 1e-9, CompressorName: "svd"}
+	check(run(pts, z, Config{Mode: FullBlock}), 1e-10, "dense")
+	check(run(pts, z, tlrCfg), 1e-6, "tlr")
+	res := run(clustered, zc, tlrCfg)
+	check(res, 1e-6, "tlr clustered")
+	for _, name := range []string{geom.OrderHilbert, geom.OrderKDBlock} {
+		if got, raw := res[name].meanRank, res[geom.OrderNone].meanRank; got >= raw {
+			t.Fatalf("clustered points: %s mean tile rank %.1f is not below the raw order's %.1f", name, got, raw)
+		}
+	}
 }
 
 // TestOrderingComposesWithChaos: a chaos-injected TLR fit under a non-default

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/cov"
 	"repro/internal/geom"
 	"repro/internal/hodlr"
@@ -20,7 +21,8 @@ import (
 
 // Ablations quantifies the design choices DESIGN.md calls out:
 //
-//  1. Morton ordering vs raw ordering of locations (rank impact);
+//  1. location ordering (none / Morton / Hilbert / KD-block) on uniform and
+//     clustered points: ranks, storage, factor time, messages;
 //  2. compression backend (SVD / RSVD / ACA);
 //  3. tile size on the distributed machine (the paper's nb=560 vs nb=1900
 //     discussion, §VIII-C);
@@ -43,6 +45,12 @@ func Ablations(o Options) error {
 	return ablationDistributed(o)
 }
 
+// ablationOrdering sweeps the four orderings over two geometries: a uniform
+// perturbed grid, and Gaussian clusters drawn in interleaved order, where the
+// raw order leaves near-field pairs in every tile. Per cell: the tile ranks,
+// storage and factorization time of the shared-memory TLR matrix, then the
+// same likelihood over four ranks — what the ordering costs in bytes sent,
+// and that it does not move the answer.
 func ablationOrdering(o Options) error {
 	n, nb := 1024, 128
 	if o.Scale == ScalePaper {
@@ -50,21 +58,60 @@ func ablationOrdering(o Options) error {
 	}
 	th := maternRef()
 	k := cov.NewKernel(th)
-	r := rng.New(o.Seed)
-	pts := geom.GeneratePerturbedGrid(n, r)
+	geoms := []struct {
+		name string
+		pts  []geom.Point
+	}{
+		{"uniform", geom.GeneratePerturbedGrid(n, rng.New(o.Seed))},
+		{"clustered", geom.GenerateClustered(n, 8, 0.02, rng.New(o.Seed+1))},
+	}
 
-	fmt.Fprintf(o.Out, "\n[1] location ordering (n=%d, nb=%d, acc=1e-7; full sweep incl. clustered geometry: paperbench -order)\n", n, nb)
-	tb := stats.NewTable("ordering", "max rank", "mean rank", "tlr bytes", "dense bytes", "chol time")
-	for _, ord := range []geom.Ordering{geom.None, geom.Morton, geom.Hilbert, geom.KDBlocks(nb)} {
-		m := tlr.FromKernel(k, geom.Sorted(ord, pts), geom.Euclidean, n, nb, 1e-7, tlr.SVDCompressor{}, 1e-9, o.Workers)
-		maxK, meanK := m.RankStats()
-		t0 := time.Now()
-		if err := tlr.Cholesky(m, o.Workers); err != nil {
+	fmt.Fprintf(o.Out, "\n[1] location ordering (n=%d, nb=%d, acc=1e-7; clustered = 8 Gaussian blobs, σ=0.02; comm = bytes sent on a 2x2 grid)\n", n, nb)
+	tb := stats.NewTable("geometry", "ordering", "max rank", "mean rank", "tlr bytes", "dense bytes", "chol time", "comm bytes", "loglik rel Δ vs none")
+	for _, g := range geoms {
+		z, err := cov.SampleField(k, g.pts, geom.Euclidean, rng.New(o.Seed+7).Split(2))
+		if err != nil {
 			return err
 		}
-		tb.AddRow(ord.Name(), fmt.Sprintf("%d", maxK), fmt.Sprintf("%.1f", meanK),
-			fmt.Sprintf("%d", m.Bytes()), fmt.Sprintf("%d", m.DenseBytes()),
-			fmtSecs(time.Since(t0).Seconds(), false))
+		p, err := core.NewProblemOrdered(g.pts, z, geom.Euclidean, geom.None)
+		if err != nil {
+			return err
+		}
+		var rawLik float64
+		for _, name := range geom.OrderingNames() {
+			ord, err := geom.NewOrdering(name, nb)
+			if err != nil {
+				return err
+			}
+			m := tlr.FromKernel(k, geom.Sorted(ord, g.pts), geom.Euclidean, n, nb, 1e-7, tlr.SVDCompressor{}, 1e-9, o.Workers)
+			maxK, meanK := m.RankStats()
+			t0 := time.Now()
+			if err := tlr.Cholesky(m, o.Workers); err != nil {
+				return err
+			}
+			chol := time.Since(t0).Seconds()
+
+			s, err := core.NewSession(p, core.Config{Mode: core.TLR, TileSize: nb, Accuracy: 1e-7,
+				CompressorName: "svd", Workers: o.Workers, Ordering: name, Ranks: 4})
+			if err != nil {
+				return err
+			}
+			lik, err := s.LogLikelihood(th)
+			if err != nil {
+				return err
+			}
+			var sent int64
+			for _, st := range s.CommStats() {
+				sent += st.BytesSent
+			}
+			if name == geom.OrderNone {
+				rawLik = lik.Value
+			}
+			tb.AddRow(g.name, name, fmt.Sprintf("%d", maxK), fmt.Sprintf("%.1f", meanK),
+				fmt.Sprintf("%d", m.Bytes()), fmt.Sprintf("%d", m.DenseBytes()),
+				fmtSecs(chol, false), fmt.Sprintf("%d", sent),
+				fmt.Sprintf("%.1e", math.Abs(lik.Value-rawLik)/math.Abs(rawLik)))
+		}
 	}
 	fmt.Fprint(o.Out, tb.String())
 	return nil

@@ -12,7 +12,6 @@ package exprt
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Scale selects experiment sizing.
@@ -76,12 +75,16 @@ func ByName(name string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	var names []string
-	for _, e := range Experiments {
-		names = append(names, e.Name)
+	return Experiment{}, fmt.Errorf("exprt: unknown experiment %q (have %v)", name, Names())
+}
+
+// Names lists the experiment names in paper order.
+func Names() []string {
+	names := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		names[i] = e.Name
 	}
-	sort.Strings(names)
-	return Experiment{}, fmt.Errorf("exprt: unknown experiment %q (have %v)", name, names)
+	return names
 }
 
 // RunAll executes every experiment in order.

@@ -33,33 +33,29 @@ func TestExperimentsCoverEveryTableAndFigure(t *testing.T) {
 	}
 }
 
-func TestFig2Output(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig2(Options{Out: &buf, Workers: 1}); err != nil {
-		t.Fatal(err)
+// TestFastExperimentsPrintTheirSeries runs the experiments that are
+// simulation-only or sub-second and checks each prints the rows and series
+// headers its figure reports.
+func TestFastExperimentsPrintTheirSeries(t *testing.T) {
+	cases := map[string][]string{
+		"fig1": {"n=1024, nb=128, accuracy 1e-07", "D = dense diagonal tile", "max rank", "mean rank", "TLR storage"},
+		"fig2": {"362 for MLE", "38 held out", "min pairwise distance", "x", "o"},
+		"fig4": {"256 nodes", "1024 nodes", "full-tile", "tlr(1e-9)", "tlr(1e-7)", "tlr(1e-5)", "max TLR speedup"},
+		"fig5": {"prediction of 100 unknowns", "256 nodes", "full-tile", "tlr(1e-9)", "tlr(1e-7)", "tlr(1e-5)", "1000000"},
 	}
-	out := buf.String()
-	for _, want := range []string{"362 for MLE", "38 held out", "min pairwise distance"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig2 output missing %q:\n%s", want, out)
+	for name, wants := range cases {
+		e, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !strings.Contains(out, "x") || !strings.Contains(out, "o") {
-		t.Fatal("fig2 scatter missing markers")
-	}
-}
-
-func TestFig4OutputShape(t *testing.T) {
-	// fig4 is pure simulation and fast; verify the two machine sections and
-	// the series headers appear.
-	var buf bytes.Buffer
-	if err := Fig4(Options{Out: &buf, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"256 nodes", "1024 nodes", "full-tile", "tlr(1e-9)", "max TLR speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig4 output missing %q", want)
+		var buf bytes.Buffer
+		if err := e.Run(Options{Out: &buf, Workers: 1}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("%s output missing %q:\n%s", name, want, buf.String())
+			}
 		}
 	}
 }

@@ -10,7 +10,7 @@
 // panel broadcasts, executed rather than modeled. Per-rank traffic counters
 // (CommStats) record the bytes each rank actually sends and receives so the
 // analytic communication model can be validated against real message
-// volumes (paperbench -dist).
+// volumes (internal/cluster's distcomm tests).
 package mpi
 
 import (
