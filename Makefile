@@ -11,16 +11,18 @@ test:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# verify is the pre-merge gate, and what CI runs: vet, every package once,
-# uncached, under the race detector (the rank goroutines and mailboxes, the
-# session lock, lock-free instruments, the task graphs, the pooled
+# verify is the pre-merge gate, and what CI runs: gofmt and vet, every package
+# once, uncached, under the race detector (the rank goroutines and mailboxes,
+# the session lock, lock-free instruments, the task graphs, the pooled
 # recompression workspaces, the tile store's pin/evict concurrency, the
-# fault-injection, elastic-recovery, out-of-core and serving suites are all
-# in that one pass; internal/core alone is about 22 minutes), one iteration of
-# the recompression kernel benchmarks so they cannot rot, then the benchmark
+# recovery oracle with its injected task panics and rank deaths, the
+# out-of-core and serving suites and the fuzz targets' seed corpora are all in
+# that one pass; internal/core alone is the long pole), one iteration of the
+# recompression kernel benchmarks so they cannot rot, then the benchmark
 # module, which root `go test ./...` does not reach: its vet and unit tests,
 # and its smoke run, which must end with correct:true.
 verify:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -timeout 45m ./...
 	$(GO) test -run '^$$' -bench 'QRThin|SVDThin|Recompress|GemmLL' -benchtime 1x ./internal/la/ ./internal/tlr/

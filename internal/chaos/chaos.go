@@ -36,8 +36,8 @@ type FaultPlan struct {
 	Seed uint64
 
 	// TaskPanics is the number of task executions to kill with an injected
-	// panic (first execution only — replays of a victim succeed, which is
-	// what lets runtime retry prove recovery).
+	// panic (each victim fires once per Injector — a re-run of its graph
+	// succeeds, which is what lets a replayed evaluation prove recovery).
 	TaskPanics int
 	// TaskDelays is the number of task executions to slow down by TaskDelay
 	// (straggler injection).
@@ -241,13 +241,10 @@ func (in *Injector) victimsFor(graphLen int) *victimSet {
 }
 
 // TaskHook is the runtime.ExecOptions.Inject adapter: called before every
-// task execution attempt, it panics on a panic victim's first attempt and
-// sleeps on a delay victim. Victims are a pure function of (seed, graph
-// length, task ID); each fires once per Injector.
-func (in *Injector) TaskHook(graphLen, taskID, attempt int) {
-	if attempt != 0 {
-		return // replays of a victim always succeed
-	}
+// task execution, it panics on a panic victim and sleeps on a delay victim.
+// Victims are a pure function of (seed, graph length, task ID); each fires
+// once per Injector, so re-executing the graph gets past it.
+func (in *Injector) TaskHook(graphLen, taskID int) {
 	var doPanic, doDelay bool
 	in.mu.Lock()
 	v := in.victimsFor(graphLen)

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// panicVictims replays a graph of graphLen task executions against a fresh
-// injector and returns the task IDs whose first attempt panicked.
+// panicVictims runs a graph of graphLen task executions against a fresh
+// injector and returns the task IDs whose execution panicked.
 func panicVictims(t *testing.T, plan FaultPlan, graphLen int) []int {
 	t.Helper()
 	in := NewInjector(&plan)
@@ -24,7 +24,7 @@ func panicVictims(t *testing.T, plan FaultPlan, graphLen int) []int {
 					victims = append(victims, id)
 				}
 			}()
-			in.TaskHook(graphLen, id, 0)
+			in.TaskHook(graphLen, id)
 		}()
 	}
 	return victims
@@ -58,16 +58,27 @@ func TestTaskPanicsDeterministicAndBudgeted(t *testing.T) {
 	}
 }
 
+// A victim fires once per Injector, so executing the same graph again — how
+// a faulted evaluation is replayed — gets past every one of them.
 func TestReplaysAlwaysSucceed(t *testing.T) {
 	in := NewInjector(&FaultPlan{Seed: 1, TaskPanics: 100})
 	for id := 0; id < 50; id++ {
 		func() {
+			defer func() { _ = recover() }()
+			in.TaskHook(50, id)
+		}()
+	}
+	if got := in.Stats().TaskPanics; got != 50 {
+		t.Fatalf("first pass fired %d of 50 victims", got)
+	}
+	for id := 0; id < 50; id++ {
+		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("attempt 1 must never panic (task %d): %v", id, r)
+					t.Fatalf("a spent victim must never panic again (task %d): %v", id, r)
 				}
 			}()
-			in.TaskHook(50, id, 1)
+			in.TaskHook(50, id)
 		}()
 	}
 }
@@ -187,7 +198,7 @@ func TestStatsCountInjections(t *testing.T) {
 	for id := 0; id < 20; id++ {
 		func() {
 			defer func() { _ = recover() }()
-			in.TaskHook(20, id, 0)
+			in.TaskHook(20, id)
 		}()
 	}
 	for i := 0; i < 100; i++ {

@@ -64,8 +64,8 @@ type Backend interface {
 // Session falls back to the Backend-level solve primitives for them.
 type FactorBackend interface {
 	Backend
-	// Factorize assembles Σ for (k, nugget) and factors it, running the
-	// nugget-escalation ladder on breakdown.
+	// Factorize assembles Σ for (k, nugget) and factors it under the
+	// recovery rule (nugget ladder on breakdown, replay on a task panic).
 	Factorize(k *cov.Kernel, nugget float64) (Factor, error)
 }
 
@@ -85,15 +85,18 @@ type Diagnostics struct {
 	// factorization ran with; LastRetries counts the escalations it took.
 	LastNugget  float64
 	LastRetries int
-	// FactorFailures counts failed factorization attempts;
-	// NuggetEscalations how many were answered by growing the nugget.
+	// FactorFailures counts failed factorization attempts (a replayed fault
+	// is not one); NuggetEscalations how many were answered by growing the
+	// nugget.
 	// LastFailure is the most recent failure's message, empty if none.
 	FactorFailures    int64
 	NuggetEscalations int64
 	LastFailure       string
-	// RanksLost counts the rank deaths this session absorbed via elastic
-	// recovery (always 0 on shared-memory backends and with
-	// ElasticRecovery off).
+	// Replays counts the evaluations this session re-ran from generation
+	// after a task panic or a rank death (see Config.MaxRetries); RanksLost
+	// how many of those shrank the distributed world by one rank (always 0
+	// on shared-memory backends).
+	Replays   int64
 	RanksLost int
 }
 

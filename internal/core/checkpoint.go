@@ -64,7 +64,9 @@ func (s *Session) fitDigest(o FitOptions) uint64 {
 	wf(c.Accuracy)
 	ws(c.CompressorName)
 	wf(c.Nugget)
-	wf(c.NuggetEscalation)
+	// Was Config.NuggetEscalation: hashing the constant in its slot keeps
+	// checkpoints written before the field was removed resumable.
+	wf(nuggetEscalation)
 	w(uint64(c.Ranks))
 
 	for _, t := range []float64{

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cov"
+	"repro/internal/geom"
 )
 
 // fitTriple runs Fit on a fresh session so no cached state leaks between the
@@ -85,4 +91,115 @@ func TestFitCheckpointDigestMismatch(t *testing.T) {
 	if _, err := s2.Fit(bad); err == nil || !strings.Contains(err.Error(), "different problem") {
 		t.Fatalf("option mismatch not detected: %v", err)
 	}
+}
+
+// goldenProblem is a dataset built from integer arithmetic alone, so its
+// bytes — and with them fitDigest — are the same on every platform.
+func goldenProblem(t *testing.T) *Problem {
+	t.Helper()
+	pts := make([]geom.Point, 48)
+	z := make([]float64, 48)
+	for i := range pts {
+		pts[i] = geom.Point{X: float64(i%7) / 7, Y: float64(i%5) / 5}
+		z[i] = float64(i%11) - 5
+	}
+	p, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// The digest is the checkpoint format's compatibility contract: a log written
+// by an earlier binary resumes only if this binary hashes the same problem
+// and options to the same value. The two constants were recorded at commit
+// f017d1f, when Config still had a NuggetEscalation field (default 10) in the
+// hashed slot the constant now fills.
+func TestFitDigestGolden(t *testing.T) {
+	s, err := NewSession(goldenProblem(t), Config{Mode: TLR, TileSize: 16, Accuracy: 1e-8, CompressorName: "rsvd", Nugget: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := FitOptions{
+		Start: cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.5},
+		Lower: cov.Params{Variance: 0.01, Range: 0.01, Smoothness: 0.1},
+		Upper: cov.Params{Variance: 10, Range: 2, Smoothness: 2},
+		TolX:  1e-3, FixSmoothness: true,
+	}
+	if got, want := s.fitDigest(o), uint64(0x2ff6660e6d5d997e); got != want {
+		t.Errorf("fitDigest = %016x, want %016x: checkpoints written before this change no longer resume", got, want)
+	}
+	o.Profiled = true
+	if got, want := s.fitDigest(o), uint64(0xf200d7fc577f053c); got != want {
+		t.Errorf("profiled fitDigest = %016x, want %016x", got, want)
+	}
+}
+
+// fuzzDigest and fuzzX are what FuzzOpenCheckpoint opens and probes every
+// input with; the seed corpus is written against them.
+const fuzzDigest = 0x0123456789abcdef
+
+var fuzzX = []float64{0.5, -1.25}
+
+// FuzzOpenCheckpoint feeds arbitrary bytes to the checkpoint loader. It must
+// return an error or a log, never panic; and a log, whatever it holds, must
+// replay a value only for an x that matches the record bitwise — anything
+// else ends the replay and truncates the stale tail.
+func FuzzOpenCheckpoint(f *testing.F) {
+	x0, x1, val := hexFloat(fuzzX[0]), hexFloat(fuzzX[1]), hexFloat(-321.5)
+	digest := fmt.Sprintf("%016x", uint64(fuzzDigest))
+	for _, seed := range []string{
+		`{"digest":"` + digest + `","evals":[["` + x0 + `","` + x1 + `","` + val + `"],["` + x1 + `","` + x0 + `","` + val + `"]]}`,
+		`{"digest":"` + digest + `","evals":[["` + x0 + `","` + val + `"]]}`,
+		`{"digest":"` + digest + `","evals":[["zz","` + x1 + `","` + val + `"]]}`,
+		`{"digest":"` + digest + `","evals":[["` + x0 + `","` + x1 + `","-1"]]}`,
+		`{"digest":"` + digest + `","evals":[null]}`,
+		`{"digest":"` + digest + `","evals":[["` + x0 + `","` + x1 + `"`,
+		`{"digest":"0000000000000000","evals":[]}`,
+		`{"digest":7}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "fit.ckpt")
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		c, err := openCheckpoint(FitOptions{Checkpoint: path, CheckpointEvery: 10}, fuzzDigest)
+		if err != nil {
+			return
+		}
+		if c == nil {
+			t.Fatal("checkpointing is on: want a log or an error")
+		}
+		recorded := c.recorded
+		for i := 0; i <= recorded; i++ {
+			var rec []string
+			if i < len(c.evals) {
+				rec = c.evals[i]
+			}
+			v, ok := c.lookup(fuzzX)
+			if !ok {
+				if c.replay != c.recorded || len(c.evals) != c.recorded {
+					t.Fatalf("divergence at %d left replay=%d recorded=%d len=%d", i, c.replay, c.recorded, len(c.evals))
+				}
+				if _, again := c.lookup(fuzzX); again {
+					t.Fatal("replay resumed after it diverged")
+				}
+				return
+			}
+			if len(rec) != 3 || !sameFloat(rec[0], fuzzX[0]) || !sameFloat(rec[1], fuzzX[1]) || !sameFloat(rec[2], v) {
+				t.Fatalf("record %d %q replayed %v for x=%v", i, rec, v, fuzzX)
+			}
+		}
+		t.Fatalf("replayed %d values from %d records", recorded+1, recorded)
+	})
+}
+
+// sameFloat reports whether s is the hex of f's IEEE bits.
+func sameFloat(s string, f float64) bool {
+	v, err := unhexFloat(s)
+	return err == nil && math.Float64bits(v) == math.Float64bits(f)
 }

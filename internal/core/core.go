@@ -81,15 +81,16 @@ type Config struct {
 	// Grid optionally fixes the process-grid shape {P, Q} of the distributed
 	// backend; P·Q must equal Ranks. Leave zero for the most square grid.
 	Grid [2]int
-	// MaxRetries is the number of times a failed task execution is replayed
-	// after its inputs are restored from snapshots (0 = no retry). Failures
-	// that are deterministic — a non-positive-definite pivot — are never
-	// retried; those go through the nugget-escalation path instead.
+	// MaxRetries is the number of times one evaluation is re-run from
+	// generation after a fault of the execution itself: a task panic, or on
+	// ranks a rank death (a panic, an injected kill, or a receive timeout
+	// diagnosing a silent peer), which also shrinks the world to the
+	// survivors while more than one remains. 0 (the default) surfaces the
+	// fault. A re-run reads nothing but the locations, θ, the nugget and the
+	// per-tile seeds, so its result is bitwise that of an unfaulted run. A
+	// non-positive-definite pivot is a property of θ, not of the execution,
+	// and is never replayed: the nugget grows tenfold, up to three times.
 	MaxRetries int
-	// NuggetEscalation is the factor the nugget is multiplied by after a
-	// Cholesky breakdown before the factorization is retried (0 = default 10;
-	// values in (0, 1] are rejected — escalation must grow the nugget).
-	NuggetEscalation float64
 	// RecvTimeout bounds how long a distributed rank blocks waiting for one
 	// message (0 = wait forever). With fault injection enabled a timeout
 	// turns a lost message into a diagnosed error instead of a hang.
@@ -124,19 +125,6 @@ type Config struct {
 	// never outlive the process, crash or no crash. Ignored unless
 	// MemBudget > 0.
 	SpillDir string
-	// ElasticRecovery, when true, lets the distributed backend survive rank
-	// failures: when a rank dies (panic, injected kill, or a receive timeout
-	// diagnosing a silent peer) the survivors agree on the failure, shrink
-	// the world, deterministically re-materialize the dead rank's tiles, and
-	// resume the factorization and the enclosing fit without restarting the
-	// process. Results are bitwise-identical to an unfaulted run. Requires
-	// the distributed backend (Ranks > 1).
-	ElasticRecovery bool
-	// MaxRankFailures caps how many rank deaths one Session absorbs before
-	// giving up and returning the failure (0 = default 1 when
-	// ElasticRecovery is set). At least one rank must survive. Ignored
-	// unless ElasticRecovery is set.
-	MaxRankFailures int
 }
 
 // DefaultConfig returns the library defaults spelled out: dense full-block
@@ -156,9 +144,7 @@ func DefaultConfig() Config {
 		Nugget:         0,
 		Ranks:          1,
 		Ordering:       geom.OrderMorton,
-
-		MaxRetries:       0,
-		NuggetEscalation: 10,
+		MaxRetries:     0,
 	}
 }
 
@@ -235,26 +221,8 @@ func (c Config) Validate() error {
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("core: negative MaxRetries %d", c.MaxRetries)
 	}
-	if c.NuggetEscalation < 0 {
-		return fmt.Errorf("core: negative NuggetEscalation %g", c.NuggetEscalation)
-	}
-	if c.NuggetEscalation > 0 && c.NuggetEscalation <= 1 {
-		return fmt.Errorf("core: NuggetEscalation %g must exceed 1", c.NuggetEscalation)
-	}
 	if c.RecvTimeout < 0 {
 		return fmt.Errorf("core: negative RecvTimeout %v", c.RecvTimeout)
-	}
-	if c.MaxRankFailures < 0 {
-		return fmt.Errorf("core: negative MaxRankFailures %d", c.MaxRankFailures)
-	}
-	if c.ElasticRecovery && ranks <= 1 {
-		return fmt.Errorf("core: ElasticRecovery requires the distributed backend (Ranks > 1), got Ranks=%d", ranks)
-	}
-	if c.MaxRankFailures > 0 && !c.ElasticRecovery {
-		return fmt.Errorf("core: MaxRankFailures=%d without ElasticRecovery", c.MaxRankFailures)
-	}
-	if c.ElasticRecovery && ranks > 1 && c.MaxRankFailures >= ranks {
-		return fmt.Errorf("core: MaxRankFailures=%d leaves no survivor of %d ranks", c.MaxRankFailures, ranks)
 	}
 	if c.Chaos != nil {
 		if err := c.Chaos.Validate(); err != nil {
@@ -296,18 +264,8 @@ func (c Config) normalized() Config {
 		}
 		c.Grid = [2]int{p, c.Ranks / p}
 	}
-	if c.NuggetEscalation == 0 {
-		c.NuggetEscalation = 10
-	}
-	if c.ElasticRecovery && c.MaxRankFailures == 0 {
-		c.MaxRankFailures = 1
-	}
 	return c
 }
-
-// withDefaults is the legacy normalization used by internal call sites that
-// have already validated (or constructed) their Config.
-func (c Config) withDefaults() Config { return c.normalized() }
 
 func (c Config) nugget(variance float64) float64 {
 	if c.Nugget > 0 {

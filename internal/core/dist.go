@@ -11,7 +11,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/la"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/tlr"
 )
@@ -42,6 +41,11 @@ type distBackend struct {
 
 	world  *mpi.World
 	shards []*mpi.DistTLR
+
+	// ownersEpoch is the membership epoch every shard's ownership map
+	// reflects; it trails world.Epoch() between a rank death and the next
+	// completed run.
+	ownersEpoch int64
 
 	// Graceful-degradation bookkeeping, mirroring localBackend's.
 	diag Diagnostics
@@ -114,112 +118,73 @@ func (e *distBackend) CommStats() []mpi.CommStats {
 	return out
 }
 
-// hstRecovery records end-to-end elastic-recovery latency: from the moment a
-// rank death is diagnosed to the resumed run completing on the survivors.
-var hstRecovery = obs.GetHistogram("core.recovery.ns")
-
-// rankDeath scans a Run's per-rank errors for a rank-death diagnosis of the
-// current membership epoch naming a still-live rank. Stale diagnoses (from
-// before an already-completed shrink) and already-dead ranks are skipped.
-func (e *distBackend) rankDeath(errs []error) (int, bool) {
-	epoch := e.world.Epoch()
-	for _, err := range errs {
-		var rd *mpi.RankDeath
-		if errors.As(err, &rd) && rd.Epoch == epoch && e.world.Alive(rd.Rank) {
-			return rd.Rank, true
-		}
+// absorbDeath is the distributed replayable verdict for recoverLoop: err
+// wraps a rank-death diagnosis of the current membership epoch naming a
+// still-live rank, and that rank is not the last one. The rank is marked
+// dead, so the re-run happens on the survivors. Stale diagnoses (from before
+// an already-completed shrink) are not replayable.
+func (e *distBackend) absorbDeath(err error) bool {
+	var rd *mpi.RankDeath
+	if !errors.As(err, &rd) || rd.Epoch != e.world.Epoch() || !e.world.Alive(rd.Rank) || e.world.AliveCount() <= 1 {
+		return false
 	}
-	return -1, false
+	e.world.MarkDead(rd.Rank)
+	e.diag.RanksLost++
+	return true
 }
 
-// withFactored regenerates the shards for kernel k, factors them with the
-// distributed TLR Cholesky, and runs fn on every rank against its factored
-// shard. Two failure ladders wrap the run:
-//
-//   - A Cholesky breakdown — which the SPD-agreement allreduce makes every
-//     rank observe identically — escalates the nugget and re-runs the whole
-//     world, matching the shared-memory ladder; regeneration rebuilds every
-//     tile from scratch, so the retry starts clean.
-//   - With ElasticRecovery, a rank death (panic or diagnosed silence) marks
-//     the rank dead and re-runs on the survivors in recovery mode: the run
-//     opens with the epoch-tagged membership agreement (doubling as the
-//     post-shrink barrier), remaps ownership, re-materializes the dead
-//     rank's tiles from the deterministic generators, and resumes the
-//     progress-gated Cholesky — survivors skip work already absorbed, so
-//     only the rebuilt tiles compute, and the result is bitwise-identical
-//     to an unfaulted run.
-//
-// The first rank error of a non-recoverable run is returned.
+// withFactored runs fn on every rank against its freshly generated and
+// factored shard, under the recovery rule (recoverLoop). A Cholesky
+// breakdown — which the SPD-agreement allreduce makes every rank observe
+// identically — and a rank death are both repaired by running the world
+// again from generation, at a larger nugget or on the survivors.
 func (e *distBackend) withFactored(k *cov.Kernel, nugget float64, fn func(c *mpi.Comm, d *mpi.DistTLR) error) error {
-	cur := nugget
-	recovering := false
-	var recoverStart time.Time
-	for attempt := 0; ; attempt++ {
-		cntFactorRuns.Inc()
-		recovery := recovering
-		recovering = false
-		errs := e.world.Run(func(c *mpi.Comm) error {
-			if e.inj != nil && !recovery {
-				e.inj.RankFault(c.Rank())
+	return recoverLoop(e.cfg.MaxRetries, &e.diag, nugget, func(cur float64) error {
+		return e.runOnce(k, cur, fn)
+	}, e.absorbDeath)
+}
+
+// runOnce is one generate → factor → fn pass over the live ranks. When the
+// membership changed since the shards last agreed on it, the run opens with
+// the epoch-tagged membership agreement (doubling as the post-shrink
+// barrier) and remaps ownership, so Generate also materializes the tiles the
+// survivors inherited. It returns the first rank error.
+func (e *distBackend) runOnce(k *cov.Kernel, nugget float64, fn func(c *mpi.Comm, d *mpi.DistTLR) error) error {
+	epoch := e.world.Epoch()
+	shrunk := epoch != e.ownersEpoch
+	errs := e.world.Run(func(c *mpi.Comm) error {
+		if e.inj != nil {
+			e.inj.RankFault(c.Rank())
+		}
+		d := e.shards[c.Rank()]
+		if d == nil {
+			d = mpi.NewDistTLR(c.Rank(), e.grid, e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, e.comp)
+			if e.inj != nil {
+				d.ForceMiss = e.inj.CompressMiss
+				d.PanelHook = e.inj.PanelKill
 			}
-			d := e.shards[c.Rank()]
-			if d == nil {
-				d = mpi.NewDistTLR(c.Rank(), e.grid, e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, e.comp)
-				if e.inj != nil {
-					d.ForceMiss = e.inj.CompressMiss
-					d.PanelHook = e.inj.PanelKill
-				}
-				e.shards[c.Rank()] = d
-			}
-			if recovery {
-				alive, _, err := c.AgreeAlive()
-				if err != nil {
-					return err
-				}
-				d.ApplyMembership(alive)
-				d.Rebuild(k, cur)
-			} else {
-				d.Generate(k, cur)
-			}
-			if err := d.Cholesky(c); err != nil {
+			e.shards[c.Rank()] = d
+		}
+		if shrunk {
+			alive, _, err := c.AgreeAlive()
+			if err != nil {
 				return err
 			}
-			return fn(c, d)
-		})
-		var firstErr error
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
+			d.ApplyMembership(alive)
 		}
-		if firstErr == nil {
-			if recovery {
-				hstRecovery.Observe(time.Since(recoverStart).Nanoseconds())
-			}
-			e.diag.LastNugget, e.diag.LastRetries = cur, attempt
-			return nil
+		d.Generate(k, nugget)
+		if err := d.Cholesky(c); err != nil {
+			return err
 		}
-		if e.cfg.ElasticRecovery && e.diag.RanksLost < e.cfg.MaxRankFailures && e.world.AliveCount() > 1 {
-			if dead, ok := e.rankDeath(errs); ok {
-				recoverStart = time.Now()
-				e.world.MarkDead(dead)
-				e.diag.RanksLost++
-				e.diag.LastFailure = firstErr.Error()
-				recovering = true
-				continue
-			}
+		return fn(c, d)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		cntFactorFail.Inc()
-		e.diag.FactorFailures++
-		e.diag.LastFailure = firstErr.Error()
-		if !errors.Is(firstErr, la.ErrNotPositiveDefinite) || attempt >= maxNuggetEscalations {
-			return firstErr
-		}
-		cur *= e.cfg.NuggetEscalation
-		cntNuggetEscalated.Inc()
-		e.diag.NuggetEscalations++
 	}
+	e.ownersEpoch = epoch
+	return nil
 }
 
 // evalParts runs one distributed likelihood evaluation: factor, log|Σ| via

@@ -9,45 +9,14 @@ import (
 	"repro/internal/chaos"
 )
 
-// TestElasticConfigValidation: the ElasticRecovery/MaxRankFailures knobs are
-// validated against the resolved rank count and each other.
-func TestElasticConfigValidation(t *testing.T) {
-	base := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7}
-	for _, tc := range []struct {
-		name string
-		mut  func(c *Config)
-		want string
-	}{
-		{"shared-memory", func(c *Config) { c.ElasticRecovery = true }, "Ranks > 1"},
-		{"negative", func(c *Config) { c.Ranks = 4; c.ElasticRecovery = true; c.MaxRankFailures = -1 }, "MaxRankFailures"},
-		{"without-elastic", func(c *Config) { c.Ranks = 4; c.MaxRankFailures = 1 }, "without ElasticRecovery"},
-		{"no-survivor", func(c *Config) { c.Ranks = 4; c.ElasticRecovery = true; c.MaxRankFailures = 4 }, "no survivor"},
-	} {
-		cfg := base
-		tc.mut(&cfg)
-		err := cfg.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Validate = %v, want mention of %q", tc.name, err, tc.want)
-		}
-	}
-	ok := base
-	ok.Ranks = 6
-	ok.ElasticRecovery = true
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid elastic config rejected: %v", err)
-	}
-	if got := ok.normalized().MaxRankFailures; got != 1 {
-		t.Fatalf("normalized MaxRankFailures = %d, want default 1", got)
-	}
-}
-
 // elasticCfg is the 6-rank distributed configuration the recovery tests
-// drill: one injected kill at the start of Cholesky panel 3 of the victim.
+// drill: one injected kill at the start of Cholesky panel `panel` of the
+// victim, and a replay budget of one per evaluation.
 func elasticCfg(victim, panel int) Config {
 	return Config{
 		Mode: TLR, TileSize: 32, Accuracy: 1e-7, Grid: [2]int{2, 3},
-		ElasticRecovery: true,
-		Chaos:           &chaos.FaultPlan{KillRank: victim + 1, KillAtPanel: panel + 1},
+		MaxRetries: 1,
+		Chaos:      &chaos.FaultPlan{KillRank: victim + 1, KillAtPanel: panel + 1},
 	}
 }
 
@@ -85,8 +54,13 @@ func TestElasticRecoveryLogLikBitwise(t *testing.T) {
 				t.Errorf("recovered loglik (%.17g, %.17g, %.17g) != unfaulted (%.17g, %.17g, %.17g)",
 					got.Value, got.LogDet, got.QuadForm, want.Value, want.LogDet, want.QuadForm)
 			}
-			if m := s.Metrics(); m.RanksLost != 1 {
-				t.Errorf("Metrics.RanksLost = %d, want 1", m.RanksLost)
+			if m := s.Metrics(); m.RanksLost != 1 || m.Replays != 1 {
+				t.Errorf("Metrics RanksLost = %d, Replays = %d, want 1 and 1", m.RanksLost, m.Replays)
+			}
+			// an absorbed death spends a replay, not a step of the nugget ladder
+			if got.NuggetRetries != 0 || got.NuggetUsed != want.NuggetUsed {
+				t.Errorf("recovered run reports NuggetUsed=%g NuggetRetries=%d, unfaulted %g and 0",
+					got.NuggetUsed, got.NuggetRetries, want.NuggetUsed)
 			}
 			// the shrunken world must keep serving: a second evaluation on
 			// the survivors still matches bitwise
@@ -101,50 +75,98 @@ func TestElasticRecoveryLogLikBitwise(t *testing.T) {
 	}
 }
 
-// TestElasticRecoveryDisabledStillFails: without ElasticRecovery the same
+// TestElasticRecoveryDisabledStillFails: with MaxRetries == 0 the same
 // injected kill is fatal — the session reports the injected fault instead of
 // silently shrinking.
 func TestElasticRecoveryDisabledStillFails(t *testing.T) {
 	p := smallProblem(t, 240, 13)
 	cfg := elasticCfg(4, 3)
-	cfg.ElasticRecovery = false
-	cfg.MaxRankFailures = 0
+	cfg.MaxRetries = 0
 	s, err := NewSession(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.LogLikelihood(theta()); err == nil {
-		t.Fatal("kill without ElasticRecovery must fail the evaluation")
+		t.Fatal("kill with MaxRetries == 0 must fail the evaluation")
 	} else if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("error %v does not wrap the injected fault", err)
 	}
+	if m := s.Metrics(); m.RanksLost != 0 || m.Replays != 0 {
+		t.Fatalf("a surfaced death must not shrink the world: %+v", m)
+	}
 }
 
-// TestElasticRecoveryFailureBudget: a second death past MaxRankFailures
-// (default 1) is fatal even with recovery on, and the absorbed-death count
-// stays at the budget.
+// TestElasticRecoveryFailureBudget: MaxRetries is a per-evaluation budget.
+// Two deaths inside one evaluation exhaust a budget of 1 — the second is
+// surfaced and its rank stays a member — while a budget of 2 absorbs both
+// and still matches the unfaulted run bitwise; a death in a later evaluation
+// draws on a fresh budget.
 func TestElasticRecoveryFailureBudget(t *testing.T) {
 	p := smallProblem(t, 240, 13)
-	cfg := elasticCfg(4, 3)
-	s, err := NewSession(p, cfg)
+	th := theta()
+	clean := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7, Grid: [2]int{2, 3}}
+	want, err := LogLikelihood(p, th, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LogLikelihood(theta()); err != nil {
-		t.Fatalf("first death must be absorbed: %v", err)
-	}
-	db := s.Backend().(*distBackend)
-	var fired atomic.Bool
-	db.shards[1].PanelHook = func(rank, panel int) {
-		if rank == 1 && panel == 2 && !fired.Swap(true) {
-			panic(errors.New("second injected death"))
+	// armed builds the shards with a clean evaluation, then arms two kills:
+	// rank 4 at panel 3, and rank 1 at panel 2 of whichever run comes after.
+	armed := func(budget int) *Session {
+		cfg := clean
+		cfg.MaxRetries = budget
+		s, err := NewSession(p, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := s.LogLikelihood(th); err != nil {
+			t.Fatal(err)
+		}
+		db := s.Backend().(*distBackend)
+		var first, second atomic.Bool
+		db.shards[4].PanelHook = func(rank, panel int) {
+			if panel == 3 && !first.Swap(true) {
+				panic(errors.New("first injected death"))
+			}
+		}
+		db.shards[1].PanelHook = func(rank, panel int) {
+			if panel == 2 && first.Load() && !second.Swap(true) {
+				panic(errors.New("second injected death"))
+			}
+		}
+		return s
 	}
-	if _, err := s.LogLikelihood(theta()); err == nil {
-		t.Fatal("second death past MaxRankFailures must fail the evaluation")
+
+	s := armed(1)
+	_, err = s.LogLikelihood(th)
+	if err == nil {
+		t.Fatal("a second death past the evaluation's budget must fail it")
 	}
-	if got := s.Backend().Diagnostics().RanksLost; got != 1 {
-		t.Fatalf("RanksLost = %d, want the budget 1", got)
+	if !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("the surfaced failure should name rank 1: %v", err)
+	}
+	if d := s.Backend().Diagnostics(); d.RanksLost != 1 || d.Replays != 1 {
+		t.Fatalf("RanksLost = %d, Replays = %d, want the budget 1", d.RanksLost, d.Replays)
+	}
+	// both kills have fired; the next evaluation runs clean on the 5 survivors
+	again, err := s.LogLikelihood(th)
+	if err != nil {
+		t.Fatalf("evaluation after the exhausted budget failed: %v", err)
+	}
+	if again.Value != want.Value {
+		t.Errorf("post-failure loglik %.17g != unfaulted %.17g", again.Value, want.Value)
+	}
+
+	s = armed(2)
+	got, err := s.LogLikelihood(th)
+	if err != nil {
+		t.Fatalf("a budget of 2 must absorb both deaths: %v", err)
+	}
+	if got.Value != want.Value || got.LogDet != want.LogDet || got.QuadForm != want.QuadForm {
+		t.Errorf("loglik on 4 survivors (%.17g, %.17g, %.17g) != unfaulted (%.17g, %.17g, %.17g)",
+			got.Value, got.LogDet, got.QuadForm, want.Value, want.LogDet, want.QuadForm)
+	}
+	if d := s.Backend().Diagnostics(); d.RanksLost != 2 || d.Replays != 2 {
+		t.Fatalf("RanksLost = %d, Replays = %d, want 2 and 2", d.RanksLost, d.Replays)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // Session — the reuse contracts below are properties of the backend itself.
 func newTestBackend(t *testing.T, p *Problem, cfg Config) Backend {
 	t.Helper()
-	be, err := newBackend(p, cfg.withDefaults(), nil)
+	be, err := newBackend(p, cfg.normalized(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

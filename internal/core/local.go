@@ -10,38 +10,13 @@ import (
 	"repro/internal/cov"
 	"repro/internal/geom"
 	"repro/internal/la"
-	"repro/internal/obs"
 	"repro/internal/runtime"
 )
-
-// Degradation counters: factorization attempts that failed, and how many of
-// those were answered by escalating the nugget rather than giving up.
-var (
-	cntFactorFail      = obs.GetCounter("core.factor.fail")
-	cntNuggetEscalated = obs.GetCounter("core.nugget.escalated")
-)
-
-// cntFactorRuns counts actual factorization executions (assembly + Cholesky)
-// across all backends. The serving regression "predict-many after fit-once
-// factors exactly once" is asserted against this counter.
-var cntFactorRuns = obs.GetCounter("core.factor.runs")
-
-// maxNuggetEscalations bounds the diagonal-regularization ladder: after this
-// many ×NuggetEscalation steps a breakdown is reported, not papered over.
-const maxNuggetEscalations = 3
-
-// retryableError is the RetryPolicy filter shared by all backends: a
-// non-positive-definite pivot is a property of θ, not of the execution, so
-// replaying the task cannot help — everything else (injected panics, real
-// transients) is worth a restore-and-retry.
-func retryableError(err error) bool {
-	return !errors.Is(err, la.ErrNotPositiveDefinite)
-}
 
 // modeFactorizer is what a shared-memory mode contributes to localBackend:
 // one assemble-and-factor execution at a fixed nugget, reusing whatever
 // per-problem state the mode caches on itself (Σ buffers, tile shells, task
-// graphs). Everything else — the escalation ladder, likelihood formulas,
+// graphs). Everything else — recovery (recoverLoop), likelihood formulas,
 // solve/halve-solve plumbing, tracing, diagnostics — is mode-independent and
 // lives on localBackend.
 type modeFactorizer interface {
@@ -82,7 +57,7 @@ type localBackend struct {
 
 // newLocalBackend wraps a mode's factorizer in the shared scaffolding.
 func newLocalBackend(p *Problem, cfg Config, inj *chaos.Injector, fac modeFactorizer) *localBackend {
-	return &localBackend{p: p, cfg: cfg.withDefaults(), inj: inj, fac: fac}
+	return &localBackend{p: p, cfg: cfg.normalized(), inj: inj, fac: fac}
 }
 
 func (e *localBackend) Mode() Mode               { return e.cfg.Mode }
@@ -112,17 +87,10 @@ func (e *localBackend) storeStats() (int64, int64, bool) {
 	return 0, 0, false
 }
 
-// run executes a cached task graph, recording a trace when enabled. The
-// options carry the session's retry policy and (when chaos is armed) the
-// fault-injection hook.
+// run executes a cached task graph, recording a trace when enabled and
+// (when chaos is armed) installing the fault-injection hook.
 func (e *localBackend) run(g *runtime.Graph) error {
-	opt := runtime.ExecOptions{
-		Workers: e.cfg.Workers,
-		Retry: runtime.RetryPolicy{
-			Attempts:  e.cfg.MaxRetries,
-			Retryable: retryableError,
-		},
-	}
+	opt := runtime.ExecOptions{Workers: e.cfg.Workers}
 	if e.inj != nil {
 		opt.Inject = e.inj.TaskHook
 	}
@@ -134,30 +102,24 @@ func (e *localBackend) run(g *runtime.Graph) error {
 	return err
 }
 
-// Factorize assembles and factors Σ, escalating the nugget geometrically on
-// Cholesky breakdowns: a non-positive-definite pivot retries with the
-// diagonal regularization multiplied by Config.NuggetEscalation, up to
-// maxNuggetEscalations times, before the failure is surfaced. The nugget
-// actually used and the retry count land in the backend's diagnostics.
+// taskPanicked is the shared-memory replayable verdict for recoverLoop: a
+// task of the graph panicked, so executing the graph again — which
+// regenerates every tile — repairs it.
+func taskPanicked(err error) bool {
+	var tp *runtime.TaskPanic
+	return errors.As(err, &tp)
+}
+
+// Factorize assembles and factors Σ under the recovery rule (recoverLoop).
+// The nugget actually used and the escalations it took land in the backend's
+// diagnostics.
 func (e *localBackend) Factorize(k *cov.Kernel, nugget float64) (Factor, error) {
-	cur := nugget
-	for attempt := 0; ; attempt++ {
-		cntFactorRuns.Inc()
-		f, err := e.fac.factorizeOnce(e, k, cur)
-		if err == nil {
-			e.diag.LastNugget, e.diag.LastRetries = cur, attempt
-			return f, nil
-		}
-		cntFactorFail.Inc()
-		e.diag.FactorFailures++
-		e.diag.LastFailure = err.Error()
-		if !errors.Is(err, la.ErrNotPositiveDefinite) || attempt >= maxNuggetEscalations {
-			return nil, err
-		}
-		cur *= e.cfg.NuggetEscalation
-		cntNuggetEscalated.Inc()
-		e.diag.NuggetEscalations++
-	}
+	var f Factor
+	err := recoverLoop(e.cfg.MaxRetries, &e.diag, nugget, func(cur float64) (err error) {
+		f, err = e.fac.factorizeOnce(e, k, cur)
+		return err
+	}, taskPanicked)
+	return f, err
 }
 
 // halfSolved factors Σ and returns the factor plus L⁻¹Z in the cached

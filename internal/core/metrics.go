@@ -28,14 +28,15 @@ type Metrics struct {
 	Comm []mpi.CommStats
 	// FactorFailures counts this session's failed factorization attempts;
 	// NuggetEscalations counts how many were answered by growing the nugget
-	// (see Config.NuggetEscalation). LastFactorFailure is the most recent
-	// failure's message, empty if none — together they say whether a fit
-	// degraded gracefully and why.
+	// tenfold. LastFactorFailure is the most recent failure's message, empty
+	// if none — together they say whether a fit degraded gracefully and why.
 	FactorFailures    int64
 	NuggetEscalations int64
 	LastFactorFailure string
-	// RanksLost counts the rank deaths this session absorbed via elastic
-	// recovery (Config.ElasticRecovery); 0 for shared-memory sessions.
+	// Replays counts the evaluations re-run from generation after a task
+	// panic or a rank death (Config.MaxRetries); RanksLost how many of those
+	// lost a rank of the distributed world (0 for shared-memory sessions).
+	Replays   int64
 	RanksLost int
 }
 
@@ -62,6 +63,7 @@ func (s *Session) Metrics() Metrics {
 	m.FactorFailures = d.FactorFailures
 	m.NuggetEscalations = d.NuggetEscalations
 	m.LastFactorFailure = d.LastFailure
+	m.Replays = d.Replays
 	m.RanksLost = d.RanksLost
 	m.Trace = s.be.Trace()
 	if cb, ok := s.be.(CommBackend); ok {

@@ -250,8 +250,8 @@ func TestOrderingInvariantLikelihood(t *testing.T) {
 }
 
 // TestOrderingComposesWithChaos: a chaos-injected TLR fit under a non-default
-// ordering recovers bitwise the fault-free result — a retried tile sees the
-// same ordering.
+// ordering recovers bitwise the fault-free result — a replayed evaluation
+// sees the same ordering.
 func TestOrderingComposesWithChaos(t *testing.T) {
 	p := smallProblem(t, 120, 26)
 	newPts := []geom.Point{{X: 0.41, Y: 0.43}, {X: 0.13, Y: 0.77}}
@@ -261,7 +261,7 @@ func TestOrderingComposesWithChaos(t *testing.T) {
 	_, wantFit, wantPred := fitAndPredict(t, p, base, newPts)
 
 	cfg := base
-	cfg.MaxRetries = 2
+	cfg.MaxRetries = 3 // per evaluation: all three victims may land in one
 	cfg.Chaos = &chaos.FaultPlan{
 		Seed:       4321,
 		TaskPanics: 3,

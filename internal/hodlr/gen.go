@@ -10,7 +10,6 @@ package hodlr
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cov"
 	"repro/internal/geom"
@@ -26,20 +25,6 @@ var (
 	cntCompressH = obs.GetCounter("hodlr.compress.calls")
 	histRankH    = obs.GetHistogram("hodlr.compress.rank")
 )
-
-// snapPool recycles leaf-block snapshot buffers for the retry path.
-var snapPool sync.Pool
-
-func snapBuf(n int) []float64 {
-	if v := snapPool.Get(); v != nil {
-		if b := v.([]float64); cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func putSnapBuf(b []float64) { snapPool.Put(b) } //nolint:staticcheck // slice header churn is negligible here
 
 // NewTree allocates the HODLR shell for n points: the recursion tree with
 // leaf blocks preallocated (zero) and off-diagonal blocks empty. Executing a
@@ -115,42 +100,16 @@ func BuildGenCholeskyGraph(m *Matrix, spec *GenSpec, bind bool) *runtime.Graph {
 	h := make(map[*node]*runtime.Handle, total)
 
 	for idx, n := range all {
-		idx, n := idx, n
 		if n.dense != nil {
 			sz := int64(n.hi - n.lo)
-			hd := g.NewHandle(fmt.Sprintf("L[%d,%d)", n.lo, n.hi), sz*sz*8, int64(idx))
-			hd.SnapshotFn = func() (restore, release func()) {
-				d := n.dense
-				cnt := d.Rows * d.Stride
-				buf := snapBuf(cnt)
-				copy(buf, d.Data[:cnt])
-				return func() {
-						copy(d.Data[:cnt], buf)
-						putSnapBuf(buf)
-					}, func() {
-						putSnapBuf(buf)
-					}
-			}
-			h[n] = hd
+			h[n] = g.NewHandle(fmt.Sprintf("L[%d,%d)", n.lo, n.hi), sz*sz*8, int64(idx))
 			continue
 		}
 		var bytes int64
 		if n.off != nil {
 			bytes = n.off.Bytes()
 		}
-		ho := g.NewHandle(fmt.Sprintf("B[%d,%d)", n.lo, n.hi), bytes, int64(idx))
-		ho.SnapshotFn = func() (restore, release func()) {
-			var off *tlr.CompTile
-			if n.off != nil {
-				off = n.off.Clone()
-			}
-			var s *la.Mat
-			if n.schurS != nil {
-				s = n.schurS.Clone()
-			}
-			return func() { n.off, n.schurS = off, s }, func() {}
-		}
-		h[n] = ho
+		h[n] = g.NewHandle(fmt.Sprintf("B[%d,%d)", n.lo, n.hi), bytes, int64(idx))
 	}
 
 	// Assembly: one Write task per handle. Leaves regenerate in place; off

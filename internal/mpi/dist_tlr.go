@@ -50,18 +50,6 @@ type DistTLR struct {
 	diag    map[int]*la.Mat
 	off     map[tileKey]*tlr.CompTile
 	scratch *la.Mat
-
-	// Per-tile factorization progress, the state that makes the Cholesky
-	// resumable: every in-place mutation of right-looking Cholesky moves a
-	// tile monotonically toward its final value, so recording how far each
-	// tile has advanced (trailing updates applied in ascending panel order,
-	// then the one-shot TRSM or POTRF) lets a recovery run replay the full
-	// communication schedule while skipping exactly the arithmetic that
-	// already happened. Generate resets all of it.
-	diagUpd  map[int]int      // diag tile i: SYRK panel updates applied (next panel to apply)
-	diagFact map[int]bool     // diag tile i: POTRF applied (tile holds L_ii)
-	offUpd   map[tileKey]int  // off tile (i,j): GEMM panel updates applied
-	offSolve map[tileKey]bool // off tile (i,k): TRSM applied (tile holds L_ik)
 }
 
 // NewDistTLR allocates rank's empty shard of an n×n TLR matrix distributed
@@ -71,29 +59,18 @@ func NewDistTLR(rank int, grid Grid, pts []geom.Point, metric geom.Metric, nb in
 	if n == 0 || nb <= 0 {
 		panic(fmt.Sprintf("mpi: invalid DistTLR dims n=%d nb=%d", n, nb))
 	}
-	d := &DistTLR{
+	return &DistTLR{
 		N: n, NB: nb, MT: (n + nb - 1) / nb, Tol: tol,
 		Grid: grid, Rank: rank,
 		Pts: pts, Metric: metric, Comp: comp,
 		Owners: NewOwnerMap(grid),
 		diag:   map[int]*la.Mat{}, off: map[tileKey]*tlr.CompTile{},
 	}
-	d.resetProgress()
-	return d
 }
 
 // Owner returns the physical rank owning tile (i, j) under the current
 // membership (identical to Grid.Owner until a rank dies).
 func (d *DistTLR) Owner(i, j int) int { return d.Owners.Owner(i, j) }
-
-// resetProgress forgets all per-tile factorization progress: the shard again
-// holds (or will hold, after Generate) raw Σ tiles.
-func (d *DistTLR) resetProgress() {
-	d.diagUpd = map[int]int{}
-	d.diagFact = map[int]bool{}
-	d.offUpd = map[tileKey]int{}
-	d.offSolve = map[tileKey]bool{}
-}
 
 // TileDim returns the edge of tile row i.
 func (d *DistTLR) TileDim(i int) int {
@@ -121,7 +98,6 @@ func (d *DistTLR) Generate(k *cov.Kernel, nugget float64) {
 	if d.scratch == nil {
 		d.scratch = la.NewMat(d.NB, d.NB)
 	}
-	d.resetProgress()
 	for i := 0; i < d.MT; i++ {
 		for j := 0; j <= i; j++ {
 			if d.Owner(i, j) != d.Rank {
@@ -132,12 +108,12 @@ func (d *DistTLR) Generate(k *cov.Kernel, nugget float64) {
 	}
 }
 
-// genTile (re)generates owned tile (i, j) of Σ(θ) into the local store and
-// returns its storage footprint in bytes. Deterministic per tile: stochastic
-// compressors implementing tlr.TileCompressor are re-seeded from (i, j), so
-// any rank generating the tile — original owner or a survivor inheriting it
-// after a failure — produces bitwise-identical contents.
-func (d *DistTLR) genTile(k *cov.Kernel, nugget float64, i, j int) int64 {
+// genTile (re)generates owned tile (i, j) of Σ(θ) into the local store.
+// Deterministic per tile: stochastic compressors implementing
+// tlr.TileCompressor are re-seeded from (i, j), so any rank generating the
+// tile — original owner or a survivor inheriting it after a failure —
+// produces bitwise-identical contents.
+func (d *DistTLR) genTile(k *cov.Kernel, nugget float64, i, j int) {
 	di := d.TileDim(i)
 	ri := d.Pts[i*d.NB : i*d.NB+di]
 	if i == j {
@@ -152,7 +128,7 @@ func (d *DistTLR) genTile(k *cov.Kernel, nugget float64, i, j int) int64 {
 				t.Set(a, a, t.At(a, a)+nugget)
 			}
 		}
-		return int64(di) * int64(di) * 8
+		return
 	}
 	dj := d.TileDim(j)
 	dense := d.scratch.View(0, 0, di, dj)
@@ -167,47 +143,15 @@ func (d *DistTLR) genTile(k *cov.Kernel, nugget float64, i, j int) int64 {
 		t = tlr.NewDenseTile(dense.Clone())
 	}
 	d.off[tileKey{i, j}] = t
-	return t.Bytes()
 }
 
 // ApplyMembership remaps tile ownership to an agreed membership view (the
 // []bool from Comm.AgreeAlive). Survivors keep every tile they hold; dead
 // ranks' slots are dealt deterministically to the survivors. Returns the
-// slots that changed hands. Follow with Rebuild to materialize the tiles
-// this rank inherited.
+// slots that changed hands. Follow with Generate, which materializes the
+// inherited tiles along with the rest of the shard.
 func (d *DistTLR) ApplyMembership(alive []bool) []int {
 	return d.Owners.Reassign(alive)
-}
-
-// Rebuild regenerates the owned tiles the local store does not yet hold —
-// the dead ranks' tiles the membership remap dealt to this rank. Generation
-// is deterministic per tile, so the rebuilt tiles are bitwise-identical to
-// the Σ tiles the dead rank generated; their progress entries stay zero, so
-// the resumed Cholesky replays every panel update they missed. Returns the
-// regenerated bytes (also accumulated on the tlr.shard.rebuilt.bytes
-// counter).
-func (d *DistTLR) Rebuild(k *cov.Kernel, nugget float64) int64 {
-	if d.scratch == nil {
-		d.scratch = la.NewMat(d.NB, d.NB)
-	}
-	var bytes int64
-	for i := 0; i < d.MT; i++ {
-		for j := 0; j <= i; j++ {
-			if d.Owner(i, j) != d.Rank {
-				continue
-			}
-			if i == j {
-				if d.diag[i] != nil {
-					continue
-				}
-			} else if d.off[tileKey{i, j}] != nil {
-				continue
-			}
-			bytes += d.genTile(k, nugget, i, j)
-		}
-	}
-	cntShardRebuilt.Add(bytes)
-	return bytes
 }
 
 // encodeCompTile packs a compressed tile as [rows, cols, rank, U row-major,
@@ -269,14 +213,10 @@ func decodeCompTile(data []float64) *tlr.CompTile {
 // A non-SPD pivot is agreed via one small allreduce per panel and returned
 // as an error on every rank, with all broadcasts still consumed.
 //
-// The factorization is resumable: every arithmetic step is gated on the
-// per-tile progress maps, while the communication schedule is replayed
-// unconditionally. A recovery run after a rank failure therefore exchanges
-// exactly the messages a fresh run would (so recipient sets stay consistent
-// and mailboxes drain), but survivors skip work their tiles already absorbed
-// and only the rebuilt tiles — regenerated raw and holding zero progress —
-// actually compute. Because each tile's mutations are monotonic toward its
-// final value and applied in fixed k-ascending order, the resumed result is
+// A run that a rank failure aborts leaves the shard half factored; nothing
+// here resumes it. The caller regenerates the shard (Generate, after
+// ApplyMembership on the survivors) and factors again: each tile's updates
+// are applied in fixed k-ascending order whoever owns it, so the result is
 // bitwise-identical to an unfaulted factorization.
 func (d *DistTLR) Cholesky(c *Comm) error {
 	own := d.Owner
@@ -291,12 +231,8 @@ func (d *DistTLR) Cholesky(c *Comm) error {
 		failed := 0.0
 		if c.Rank() == diagOwner {
 			t := d.diag[k]
-			if !d.diagFact[k] {
-				if err := la.Potrf(t); err != nil {
-					failed = 1
-				} else {
-					d.diagFact[k] = true
-				}
+			if err := la.Potrf(t); err != nil {
+				failed = 1
 			}
 			lkk = t
 			for _, r := range diagTo {
@@ -320,12 +256,8 @@ func (d *DistTLR) Cholesky(c *Comm) error {
 
 		for i := k + 1; i < mt; i++ {
 			if c.Rank() == own(i, k) {
-				key := tileKey{i, k}
-				t := d.off[key]
-				if !d.offSolve[key] {
-					tlr.TrsmLD(lkk, t)
-					d.offSolve[key] = true
-				}
+				t := d.off[tileKey{i, k}]
+				tlr.TrsmLD(lkk, t)
 				payload := encodeCompTile(t)
 				for _, r := range panelRecipients(own, i, k, mt) {
 					c.Send(r, tagOf(kindPanel, i, k), payload)
@@ -361,20 +293,14 @@ func (d *DistTLR) Cholesky(c *Comm) error {
 					return err
 				}
 				if i == j {
-					if d.diagUpd[i] == k {
-						tlr.SyrkLD(d.diag[i], pi)
-						d.diagUpd[i] = k + 1
-					}
+					tlr.SyrkLD(d.diag[i], pi)
 				} else {
 					pj, err := needPanel(j)
 					if err != nil {
 						return err
 					}
 					key := tileKey{i, j}
-					if d.offUpd[key] == k {
-						d.off[key] = tlr.GemmLL(d.off[key], pi, pj, d.Tol, d.MaxRank)
-						d.offUpd[key] = k + 1
-					}
+					d.off[key] = tlr.GemmLL(d.off[key], pi, pj, d.Tol, d.MaxRank)
 				}
 			}
 		}

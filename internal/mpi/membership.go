@@ -7,12 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Rank-failure observability: ranks declared dead by MarkDead, and the bytes
-// of shard state survivors regenerated to take over a dead rank's tiles.
-var (
-	cntRankLost     = obs.GetCounter("mpi.rank.lost")
-	cntShardRebuilt = obs.GetCounter("tlr.shard.rebuilt.bytes")
-)
+// cntRankLost counts the ranks MarkDead declared dead.
+var cntRankLost = obs.GetCounter("mpi.rank.lost")
 
 // RankDeath identifies which rank a distributed run lost and at which
 // membership epoch. Every poison error caused by a rank failure — a panic

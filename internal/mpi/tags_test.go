@@ -35,10 +35,10 @@ func TestTagNamespaceUnique(t *testing.T) {
 
 func TestTagOverflowPanics(t *testing.T) {
 	for _, bad := range [][3]int{
-		{kindLkk, 1 << tagIndexBits, 0},     // i overflow
-		{kindLkk, 0, 1<<tagIndexBits - 1},   // k overflow (reply headroom)
-		{kindLkk, -1, 0},                    // negative index
-		{0, 0, 0},                           // invalid kind
+		{kindLkk, 1 << tagIndexBits, 0},   // i overflow
+		{kindLkk, 0, 1<<tagIndexBits - 1}, // k overflow (reply headroom)
+		{kindLkk, -1, 0},                  // negative index
+		{0, 0, 0},                         // invalid kind
 	} {
 		func() {
 			defer func() {

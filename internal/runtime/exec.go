@@ -18,39 +18,36 @@ var (
 	cntTasksCompleted = obs.GetCounter("runtime.tasks.completed")
 	cntTasksFailed    = obs.GetCounter("runtime.tasks.failed")
 	cntTasksCancelled = obs.GetCounter("runtime.tasks.cancelled")
-	cntTaskRetried    = obs.GetCounter("runtime.task.retried")
-	cntTaskRestored   = obs.GetCounter("runtime.task.restored")
 )
 
-// RetryPolicy bounds task retry/replay: a task whose body panics is restored
-// from the pre-execution snapshots of its ReadWrite handles and re-executed
-// up to Attempts times. Retry requires every ReadWrite handle of the task to
-// carry a SnapshotFn; tasks touching snapshot-less ReadWrite handles fail
-// immediately as without a policy.
-type RetryPolicy struct {
-	// Attempts is the number of re-executions after the first failure
-	// (0 disables retry and with it all snapshot overhead).
-	Attempts int
-	// Backoff is slept between a failure and its replay.
-	Backoff time.Duration
-	// Retryable, when non-nil, filters which errors are worth replaying —
-	// deterministic numerical failures (a non-SPD pivot) recur identically
-	// and should fail fast rather than burn the attempt budget.
-	Retryable func(error) bool
+// TaskPanic is the failure Execute reports for a task whose body (or
+// injection hook) panicked. It unwraps to the panic value when that is an
+// error, so callers can tell a numerical breakdown (la.ErrNotPositiveDefinite)
+// from a fault of the execution itself, which re-running the graph repairs.
+type TaskPanic struct {
+	Name  string
+	ID    int
+	Value any
+}
+
+func (p *TaskPanic) Error() string {
+	return fmt.Sprintf("runtime: task %q (id %d) panicked: %v", p.Name, p.ID, p.Value)
+}
+
+func (p *TaskPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
 }
 
 // ExecOptions configures real (wall-clock) execution.
 type ExecOptions struct {
 	// Workers is the number of parallel workers; values < 1 mean 1.
 	Workers int
-	// Retry bounds task retry/replay after panics (zero value = no retry).
-	Retry RetryPolicy
-	// Inject, when non-nil, runs before every task execution attempt inside
-	// the executor's panic-recovery scope — the chaos-injection hook. It
-	// receives the graph length, the task ID and the attempt number; a hook
-	// panic is handled exactly like a task panic (and retried under the
-	// policy), a hook sleep models a straggler.
-	Inject func(graphLen, taskID, attempt int)
+	// Inject, when non-nil, runs before every task execution inside the
+	// executor's panic-recovery scope — the chaos-injection hook. It receives
+	// the graph length and the task ID; a hook panic is handled exactly like
+	// a task panic, a hook sleep models a straggler.
+	Inject func(graphLen, taskID int)
 }
 
 // Execute runs every task of the graph on a pool of workers, honoring the
@@ -91,70 +88,31 @@ func (g *Graph) execute(opt ExecOptions, rec *recorder) error {
 		failed  error
 	)
 
-	runOne := func(t *Task, attempt int) (err error) {
+	// runTask executes one task between its residency pins, turning a panic
+	// of the body (or of the injection hook) into a *TaskPanic. A failed task
+	// is never re-run here: the graph aborts and the caller, which knows how
+	// to regenerate the data, decides whether to execute it again.
+	runTask := func(w int, t *Task) (err error) {
+		if unpin := pinTask(t); unpin != nil {
+			defer unpin()
+		}
+		var t0 time.Time
+		if rec != nil {
+			t0 = time.Now()
+			defer func() { rec.record(w, t, t0, time.Now()) }()
+		}
 		defer func() {
 			if r := recover(); r != nil {
-				if e, ok := r.(error); ok {
-					err = fmt.Errorf("runtime: task %q (id %d) panicked: %w", t.Name, t.ID, e)
-				} else {
-					err = fmt.Errorf("runtime: task %q (id %d) panicked: %v", t.Name, t.ID, r)
-				}
+				err = &TaskPanic{Name: t.Name, ID: t.ID, Value: r}
 			}
 		}()
 		if opt.Inject != nil {
-			opt.Inject(n, t.ID, attempt)
+			opt.Inject(n, t.ID)
 		}
 		if t.Run != nil {
 			t.Run()
 		}
 		return nil
-	}
-
-	// runTask executes one task under the retry policy: snapshot the data a
-	// replay must restore, run, and on failure restore and re-execute up to
-	// Retry.Attempts extra times. With Attempts == 0 no snapshot is ever
-	// taken, so the chaos-off hot path pays nothing beyond the branch.
-	runTask := func(w int, t *Task) error {
-		// Residency pins wrap the whole retry loop: snapshot, body and
-		// replay all see materialized payloads, and the out-of-core store
-		// cannot evict a tile mid-execution.
-		if unpin := pinTask(t); unpin != nil {
-			defer unpin()
-		}
-		for attempt := 0; ; attempt++ {
-			canRetry := attempt < opt.Retry.Attempts
-			var restore, release func()
-			var restored int
-			if canRetry {
-				restore, release, restored, canRetry = snapshotTask(t)
-			}
-			var t0 time.Time
-			if rec != nil {
-				t0 = time.Now()
-			}
-			err := runOne(t, attempt)
-			if rec != nil {
-				rec.record(w, t, t0, time.Now(), attempt)
-			}
-			if err == nil {
-				if release != nil {
-					release()
-				}
-				return nil
-			}
-			if !canRetry || (opt.Retry.Retryable != nil && !opt.Retry.Retryable(err)) {
-				if release != nil {
-					release()
-				}
-				return err
-			}
-			restore()
-			cntTaskRetried.Inc()
-			cntTaskRestored.Add(int64(restored))
-			if opt.Retry.Backoff > 0 {
-				time.Sleep(opt.Retry.Backoff)
-			}
-		}
 	}
 
 	var wg sync.WaitGroup
@@ -276,47 +234,6 @@ func handleSeen(list []*Handle, h *Handle) bool {
 		}
 	}
 	return false
-}
-
-// snapshotTask captures the pre-execution state a replay must put back:
-// each ReadWrite handle's payload (via its SnapshotFn) and the Bytes field
-// of every written handle (tasks update it through SetBytes). It returns a
-// restore closure, a release closure (exactly one of the two runs, once),
-// the number of payload snapshots taken (for the restored counter), and
-// whether the task is retryable at all — a ReadWrite handle without a
-// SnapshotFn makes it not, since its pre-state cannot be recovered.
-func snapshotTask(t *Task) (restore, release func(), restored int, ok bool) {
-	var restores, releases []func()
-	for _, a := range t.Accesses {
-		switch a.Mode {
-		case ReadWrite:
-			if a.Handle.SnapshotFn == nil {
-				for _, rel := range releases {
-					rel()
-				}
-				return nil, nil, 0, false
-			}
-			r, rel := a.Handle.SnapshotFn()
-			h, b := a.Handle, a.Handle.Bytes
-			restores = append(restores, func() { r(); h.Bytes = b })
-			releases = append(releases, rel)
-			restored++
-		case Write:
-			h, b := a.Handle, a.Handle.Bytes
-			restores = append(restores, func() { h.Bytes = b })
-		}
-	}
-	restore = func() {
-		for _, r := range restores {
-			r()
-		}
-	}
-	release = func() {
-		for _, rel := range releases {
-			rel()
-		}
-	}
-	return restore, release, restored, true
 }
 
 // taskHeap is a max-heap on task priority (ties broken by insertion order,

@@ -39,27 +39,16 @@ type Handle struct {
 	Bytes int64
 	Tag   int64
 
-	// SnapshotFn, when non-nil, captures the payload behind the handle and
-	// returns a restore closure (put the captured state back) and a release
-	// closure (discard the capture, returning any pooled buffers). The
-	// executor's retry path calls exactly one of the two, exactly once per
-	// snapshot. A ReadWrite handle without a SnapshotFn makes its tasks
-	// non-retryable; Write handles need no snapshot because their tasks
-	// fully overwrite the payload on every execution (the replay contract
-	// of the generation tasks). The executor saves and restores
-	// Handle.Bytes itself, so SetBytes-updating tasks replay cleanly.
-	SnapshotFn func() (restore, release func())
-
 	// PinFn/UnpinFn, when non-nil (set them together), bracket every task
-	// execution touching the handle: the executor calls PinFn once before a
-	// task's first attempt — before snapshots are taken, so an out-of-core
-	// store can bring an evicted payload back into residency in time for
-	// SnapshotFn and the task body — and UnpinFn once after the final
-	// attempt. overwrite is true when the task's only accesses to the
-	// handle are Write: the payload is about to be fully rewritten, so the
-	// store may materialize an empty buffer instead of reading spilled
-	// bytes back from disk. Pins nest (a handle may be pinned by several
-	// concurrent readers); the store unpins by reference count.
+	// execution touching the handle: the executor calls PinFn once before
+	// the task body — so an out-of-core store can bring an evicted payload
+	// back into residency in time — and UnpinFn once after it, whether the
+	// body returned or panicked. overwrite is true when the task's only
+	// accesses to the handle are Write: the payload is about to be fully
+	// rewritten, so the store may materialize an empty buffer instead of
+	// reading spilled bytes back from disk. Pins nest (a handle may be
+	// pinned by several concurrent readers); the store unpins by reference
+	// count.
 	PinFn   func(overwrite bool)
 	UnpinFn func()
 }

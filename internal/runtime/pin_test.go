@@ -37,7 +37,6 @@ func TestExecutePinsHandlesAroundTasks(t *testing.T) {
 	var rwRec, woRec pinRecorder
 	rwRec.install(rw)
 	woRec.install(wo)
-	rw.SnapshotFn = func() (func(), func()) { return func() {}, func() {} }
 
 	ran := false
 	g.AddTask(Task{
@@ -75,33 +74,36 @@ func TestExecutePinsHandlesAroundTasks(t *testing.T) {
 	}
 }
 
-func TestPinSpansRetries(t *testing.T) {
+// A task that panics must still release its pins — otherwise an out-of-core
+// store could never evict the tiles of an aborted run — and re-executing the
+// graph pins them afresh.
+func TestPinReleasedWhenTaskPanics(t *testing.T) {
 	g := NewGraph()
 	h := g.NewHandle("h", 8, 0)
 	var rec pinRecorder
 	rec.install(h)
-	h.SnapshotFn = func() (func(), func()) { return func() {}, func() {} }
 
-	var attempts atomic.Int32
+	var runs atomic.Int32
 	g.AddTask(Task{
 		Name: "flaky",
 		Run: func() {
-			if attempts.Add(1) == 1 {
-				panic("first attempt fails")
+			if runs.Add(1) == 1 {
+				panic("first execution fails")
 			}
 		},
 		Accesses: []Access{{h, ReadWrite}},
 	})
-	if err := g.Execute(ExecOptions{Workers: 1, Retry: RetryPolicy{Attempts: 2}}); err != nil {
+	if err := g.Execute(ExecOptions{Workers: 1}); err == nil {
+		t.Fatal("the panic must abort the graph")
+	}
+	if rec.pins != 1 || rec.unpins != 1 {
+		t.Fatalf("aborted run leaked a pin: pins=%d unpins=%d", rec.pins, rec.unpins)
+	}
+	if err := g.Execute(ExecOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if attempts.Load() != 2 {
-		t.Fatalf("want 2 attempts, got %d", attempts.Load())
-	}
-	// The pin brackets the whole retry loop: one pin, one unpin, regardless
-	// of how many attempts ran.
-	if rec.pins != 1 || rec.unpins != 1 {
-		t.Fatalf("pin must span retries: pins=%d unpins=%d", rec.pins, rec.unpins)
+	if runs.Load() != 2 || rec.pins != 2 || rec.unpins != 2 {
+		t.Fatalf("re-execution: runs=%d pins=%d unpins=%d, want 2 of each", runs.Load(), rec.pins, rec.unpins)
 	}
 }
 

@@ -24,9 +24,6 @@ type TraceEvent struct {
 	// handles, read after execution so rank-dependent SetBytes updates are
 	// reflected).
 	Bytes int64
-	// Attempt is the execution attempt this event records (0 for the first
-	// try; > 0 marks a retry/replay under the executor's RetryPolicy).
-	Attempt int
 }
 
 // Duration returns the event's elapsed time.
@@ -103,20 +100,19 @@ type recorder struct {
 	events [][]TraceEvent
 }
 
-func (r *recorder) record(worker int, t *Task, start, end time.Time, attempt int) {
+func (r *recorder) record(worker int, t *Task, start, end time.Time) {
 	var bytes int64
 	for _, a := range t.Accesses {
 		bytes += a.Handle.Bytes
 	}
 	r.events[worker] = append(r.events[worker], TraceEvent{
-		Task:    t.Name,
-		ID:      t.ID,
-		Worker:  worker,
-		Start:   start.Sub(r.base),
-		End:     end.Sub(r.base),
-		Flops:   t.Flops,
-		Bytes:   bytes,
-		Attempt: attempt,
+		Task:   t.Name,
+		ID:     t.ID,
+		Worker: worker,
+		Start:  start.Sub(r.base),
+		End:    end.Sub(r.base),
+		Flops:  t.Flops,
+		Bytes:  bytes,
 	})
 }
 
@@ -403,12 +399,6 @@ func WriteChromeTraces(w io.Writer, traces ...NamedTrace) error {
 					"flops": e.Flops,
 					"bytes": e.Bytes,
 				},
-			}
-			if e.Attempt > 0 {
-				// Replays get their own category so Perfetto can filter the
-				// retry storm out of (or into) view.
-				ce.Cat = "retry"
-				ce.Args["attempt"] = e.Attempt
 			}
 			if d := e.Duration(); d > 0 {
 				ce.Phase = "X"

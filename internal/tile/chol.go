@@ -2,39 +2,10 @@ package tile
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/la"
 	"repro/internal/runtime"
 )
-
-// snapPool recycles the tile snapshot buffers the executor's retry path
-// allocates via the SnapshotFn hooks below.
-var snapPool sync.Pool
-
-func snapBuf(n int) []float64 {
-	if v := snapPool.Get(); v != nil {
-		b := v.([]float64)
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func putSnapBuf(b []float64) { snapPool.Put(b) } //nolint:staticcheck // slice header churn is negligible here
-
-// snapshotMat returns a SnapshotFn capturing the contents of t into a pooled
-// buffer, so tasks mutating t in place can be replayed after a failure.
-func snapshotMat(t *la.Mat) func() (restore, release func()) {
-	return func() (restore, release func()) {
-		src := t.Data[:t.Rows*t.Stride]
-		buf := snapBuf(len(src))
-		copy(buf, src)
-		return func() { copy(src, buf); putSnapBuf(buf) },
-			func() { putSnapBuf(buf) }
-	}
-}
 
 // FlopsPOTRF etc. are the classical per-tile flop counts used both for task
 // priorities and for the simulated executors.
@@ -70,7 +41,6 @@ func newTileHandles(g *runtime.Graph, m *SymMatrix) [][]*runtime.Handle {
 		for j := 0; j <= i; j++ {
 			bytes := int64(m.TileDim(i)) * int64(m.TileDim(j)) * 8
 			hs[i][j] = g.NewHandle(fmt.Sprintf("A[%d,%d]", i, j), bytes, int64(i)*int64(m.MT)+int64(j))
-			hs[i][j].SnapshotFn = snapshotMat(m.Tile(i, j))
 		}
 	}
 	return hs
@@ -190,7 +160,6 @@ func BuildForwardSolveGraph(m *SymMatrix, b *Vector, bind bool) *runtime.Graph {
 			lh[i][j] = g.NewHandle(fmt.Sprintf("L[%d,%d]", i, j), int64(m.TileDim(i))*int64(m.TileDim(j))*8, int64(i)*int64(m.MT)+int64(j))
 		}
 		bh[i] = g.NewHandle(fmt.Sprintf("b[%d]", i), int64(m.TileDim(i))*8, int64(i)*int64(m.MT)+int64(i))
-		bh[i].SnapshotFn = snapshotMat(b.Seg(i))
 	}
 	for i := 0; i < m.MT; i++ {
 		for j := 0; j < i; j++ {

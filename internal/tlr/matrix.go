@@ -2,7 +2,6 @@ package tlr
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cov"
 	"repro/internal/geom"
@@ -10,21 +9,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/tile"
 )
-
-// snapPool recycles the diagonal-tile snapshot buffers the retry path
-// captures before each POTRF/TRSM/SYRK attempt.
-var snapPool sync.Pool
-
-func snapBuf(n int) []float64 {
-	if v := snapPool.Get(); v != nil {
-		if b := v.([]float64); cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func putSnapBuf(b []float64) { snapPool.Put(b) } //nolint:staticcheck // slice header churn is negligible here
 
 // Matrix is an n×n symmetric matrix in TLR format: dense diagonal tiles and
 // compressed (U·Vᵀ) strictly-lower tiles, mirrored implicitly to the upper
@@ -239,50 +223,20 @@ func BuildCholeskyGraph(m *Matrix, bind bool) *runtime.Graph {
 // newTileHandles registers one data handle per stored tile: dense diagonal
 // tiles and compressed off-diagonal tiles. Compressed handles start with the
 // current tile's footprint (zero for an empty shell) and are refreshed by the
-// generate+compress tasks via SetBytes as ranks change. Every handle carries
-// a SnapshotFn so the executor's retry path can restore tile state after a
-// task panic: diagonal payloads are copied into pooled buffers, compressed
-// tiles are deep-cloned (TrsmLD mutates V in place and GemmLL replaces the
-// tile object, so a reference is not enough).
+// generate+compress tasks via SetBytes as ranks change.
 func newTileHandles(g *runtime.Graph, m *Matrix) ([]*runtime.Handle, [][]*runtime.Handle) {
 	dh := make([]*runtime.Handle, m.MT)
 	oh := make([][]*runtime.Handle, m.MT)
 	for i := 0; i < m.MT; i++ {
-		i := i
 		di := int64(m.TileDim(i))
 		dh[i] = g.NewHandle(fmt.Sprintf("D[%d]", i), di*di*8, int64(i)*int64(m.MT)+int64(i))
-		dh[i].SnapshotFn = func() (restore, release func()) {
-			d := m.diag[i]
-			if d == nil {
-				// lazily allocated shell tile: restoring means un-allocating
-				return func() { m.diag[i] = nil }, func() {}
-			}
-			n := d.Rows * d.Stride
-			buf := snapBuf(n)
-			copy(buf, d.Data[:n])
-			restore = func() {
-				copy(d.Data[:n], buf)
-				m.diag[i] = d
-				putSnapBuf(buf)
-			}
-			release = func() { putSnapBuf(buf) }
-			return restore, release
-		}
 		oh[i] = make([]*runtime.Handle, i)
 		for j := 0; j < i; j++ {
-			j := j
 			var bytes int64
 			if m.off[i][j] != nil {
 				bytes = m.off[i][j].Bytes()
 			}
 			oh[i][j] = g.NewHandle(fmt.Sprintf("C[%d,%d]", i, j), bytes, int64(i)*int64(m.MT)+int64(j))
-			oh[i][j].SnapshotFn = func() (restore, release func()) {
-				var saved *CompTile
-				if t := m.off[i][j]; t != nil {
-					saved = t.Clone()
-				}
-				return func() { m.off[i][j] = saved }, func() {}
-			}
 		}
 	}
 	return dh, oh

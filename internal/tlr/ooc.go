@@ -1,9 +1,10 @@
 // Out-of-core binding: wires a Matrix and its fused generation+Cholesky
 // task graph to the memory-bounded tile store, so the factorization and
 // the solves run under a fixed RAM budget with evicted tiles spilled to
-// disk. Eviction restore (load from spill) and retry restore (SnapshotFn
-// replay) compose: the executor pins every handle a task touches before
-// snapshots are taken, so a replayed task always sees resident payloads.
+// disk. The executor pins every handle a task touches around its body and
+// unpins on every exit, so an aborted execution leaves no pin behind and the
+// graph can simply be executed again: the generation tasks pin in overwrite
+// mode and rebuild every tile, spilled or not.
 package tlr
 
 import (

@@ -1,7 +1,8 @@
 package tlr
 
 import (
-	"strings"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chaos"
@@ -13,7 +14,21 @@ import (
 // oocFactor builds and factors Σ(θ) under the given memory budget,
 // returning the matrix and its store. Budget 0 means unbounded (but still
 // routed through the store, exercising the hooks).
-func oocFactor(t *testing.T, n, nb int, budget int64, workers int, inject func(int, int, int), retry runtime.RetryPolicy) (*Matrix, *store.Store) {
+func oocFactor(t *testing.T, n, nb int, budget int64, workers int) (*Matrix, *store.Store) {
+	t.Helper()
+	gg, m, st := oocGraph(t, n, nb, budget)
+	if err := gg.G.Execute(runtime.ExecOptions{Workers: workers}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return m, st
+}
+
+// oocGraph builds the fused graph of the test problem bound to a fresh store
+// with the given budget, not yet executed.
+func oocGraph(t *testing.T, n, nb int, budget int64) (*GenGraph, *Matrix, *store.Store) {
 	t.Helper()
 	k, pts := genTestSetup(t, n)
 	m := NewMatrix(n, nb, 1e-7)
@@ -25,13 +40,25 @@ func oocFactor(t *testing.T, n, nb int, budget int64, workers int, inject func(i
 	}
 	t.Cleanup(func() { st.Close() })
 	AttachOOC(gg, m, st)
-	if err := gg.G.Execute(runtime.ExecOptions{Workers: workers, Inject: inject, Retry: retry}); err != nil {
-		t.Fatal(err)
+	return gg, m, st
+}
+
+// countPins wraps the residency hooks of every handle of gg and returns the
+// running balance of pins taken minus pins released.
+func countPins(gg *GenGraph) *atomic.Int64 {
+	var balance atomic.Int64
+	wrap := func(h *runtime.Handle) {
+		pin, unpin := h.PinFn, h.UnpinFn
+		h.PinFn = func(overwrite bool) { balance.Add(1); pin(overwrite) }
+		h.UnpinFn = func() { unpin(); balance.Add(-1) }
 	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
+	for i, h := range gg.DH {
+		wrap(h)
+		for _, o := range gg.OH[i] {
+			wrap(o)
+		}
 	}
-	return m, st
+	return &balance
 }
 
 // refFactor is the plain in-memory reference factorization.
@@ -78,7 +105,7 @@ func TestOOCCholeskyBitwiseUnderBudget(t *testing.T) {
 	ref := refFactor(t, n, nb)
 	full := ref.Bytes()
 	budget := full / 4
-	m, st := oocFactor(t, n, nb, budget, 1, nil, runtime.RetryPolicy{})
+	m, st := oocFactor(t, n, nb, budget, 1)
 	if st.HighWater() > budget+MinMemBudget(nb, 1) {
 		t.Fatalf("high water %d exceeds budget %d plus working set %d",
 			st.HighWater(), budget, MinMemBudget(nb, 1))
@@ -102,29 +129,47 @@ func TestOOCWorkerInvariance(t *testing.T) {
 	const n, nb = 300, 50
 	ref := refFactor(t, n, nb)
 	for _, workers := range []int{1, 2, 4} {
-		m, _ := oocFactor(t, n, nb, ref.Bytes()/3, workers, nil, runtime.RetryPolicy{})
+		m, _ := oocFactor(t, n, nb, ref.Bytes()/3, workers)
 		assertFactorsMatch(t, "workers", m, ref)
 	}
 }
 
-// Eviction under retry: chaos-injected task panics force replays while the
-// budget forces evictions, so a replayed task's ReadWrite tiles may have
-// been spilled and reloaded between attempts. The executor pins before
-// snapshotting, so eviction restore and retry restore compose; the result
-// must stay bitwise-identical to the clean in-memory run at every worker
-// count.
+// Eviction under retry: chaos-injected task panics abort the graph while the
+// budget forces evictions, so a re-execution starts from whatever mix of
+// resident, spilled and half-updated tiles the abort left. Every abort must
+// release its pins and leave the store error-free, and re-executing until the
+// victims are spent must end bitwise-identical to the clean in-memory run at
+// every worker count.
 func TestOOCEvictionUnderRetry(t *testing.T) {
 	const n, nb = 300, 50
 	ref := refFactor(t, n, nb)
-	retry := runtime.RetryPolicy{Attempts: 4, Retryable: func(err error) bool {
-		return strings.Contains(err.Error(), "chaos")
-	}}
 	for _, workers := range []int{1, 2, 4} {
 		for _, seed := range []uint64{1, 99} {
 			inj := chaos.NewInjector(&chaos.FaultPlan{Seed: seed, TaskPanics: 5})
-			m, st := oocFactor(t, n, nb, ref.Bytes()/4, workers, inj.TaskHook, retry)
-			if inj.Stats().TaskPanics == 0 {
-				t.Fatalf("seed %d: no faults injected", seed)
+			gg, m, st := oocGraph(t, n, nb, ref.Bytes()/4)
+			pinned := countPins(gg)
+			opt := runtime.ExecOptions{Workers: workers, Inject: inj.TaskHook}
+			aborts := 0
+			for {
+				err := gg.G.Execute(opt)
+				if serr := st.Err(); serr != nil {
+					t.Fatalf("seed %d: store error after %d aborts: %v", seed, aborts, serr)
+				}
+				if got := pinned.Load(); got != 0 {
+					t.Fatalf("seed %d: %d pins outlived the execution that took them", seed, got)
+				}
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, chaos.ErrInjected) {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if aborts++; aborts > 5 {
+					t.Fatalf("seed %d: still failing after %d aborts", seed, aborts)
+				}
+			}
+			if aborts == 0 || inj.Stats().TaskPanics != 5 {
+				t.Fatalf("seed %d: %d aborts, %d panics injected, want all 5 victims spent", seed, aborts, inj.Stats().TaskPanics)
 			}
 			if st.SpillSize() == 0 {
 				t.Fatalf("seed %d: nothing spilled", seed)
