@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench verify serve clean
+.PHONY: build test bench verify fuzz serve clean
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,8 @@ bench:
 # that one pass; internal/core alone is the long pole), one iteration of the
 # recompression kernel benchmarks so they cannot rot, then the benchmark
 # module, which root `go test ./...` does not reach: its vet and unit tests,
-# and its smoke run, which must end with correct:true.
+# and its smoke run, which must end with correct:true. Searching for new
+# fuzz inputs is `make fuzz`, not part of verify.
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -28,6 +29,14 @@ verify:
 	$(GO) test -run '^$$' -bench 'QRThin|SVDThin|Recompress|GemmLL' -benchtime 1x ./internal/la/ ./internal/tlr/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke
+
+# fuzz searches each fuzz target for ten seconds on one worker (go test takes
+# one target and one package per invocation). An input that fails is written
+# under the package's testdata/fuzz/ and fails plain `go test` from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenCheckpoint$$' -fuzztime 10s -parallel 1 ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -parallel 1 ./internal/dataio/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime 10s -parallel 1 ./internal/serve/
 
 # serve runs the kriging service (cmd/exaserve) on :8080.
 serve:

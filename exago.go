@@ -71,16 +71,16 @@ const (
 	HODLR = core.HODLR
 )
 
-// ModeByName resolves a mode from its registered name or alias ("full-block",
-// "dense", "tlr", "hodlr", ...), case-insensitively. ModeNames lists the
-// canonical names of every registered backend.
+// ModeByName resolves a mode from its name or alias ("full-block", "dense",
+// "tlr", "hodlr", ...), case-insensitively. ModeNames lists the canonical
+// names of the modes.
 func ModeByName(name string) (Mode, error) { return core.ModeByName(name) }
 func ModeNames() []string                  { return core.ModeNames() }
 
 // Config tunes a computation mode; see core.Config for field semantics.
-// Setting Config.Ranks > 1 (Mode must be TLR) selects the distributed-memory
-// backend: the covariance matrix is sharded 2D block-cyclically over a
-// process grid and factored with the distributed TLR Cholesky. All entry
+// Setting Config.Ranks > 1 (Mode must be TLR) selects distributed-memory
+// execution: the covariance matrix is sharded 2D block-cyclically over the
+// most square process grid and factored with the distributed TLR Cholesky. All entry
 // points validate the Config and return an error for invalid settings.
 type Config = core.Config
 

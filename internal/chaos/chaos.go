@@ -72,7 +72,9 @@ type FaultPlan struct {
 	// exercising elastic recovery with partially factored shards. Panel
 	// indices are 1-based here like KillRank, so KillAtPanel=k kills at the
 	// start of the k-th panel; the zero value keeps the legacy run-entry
-	// kill site. Ignored unless KillRank is set.
+	// kill site, and one past the last panel (the tile count plus one) kills
+	// at the rank's first solve against the finished factor. Ignored unless
+	// KillRank is set.
 	KillAtPanel int
 }
 

@@ -4,8 +4,8 @@ import "repro/internal/mpi"
 
 // DistCholeskyComm predicts the bytes each rank sends during one distributed
 // Cholesky factorization on the given process grid, mirroring the message
-// pattern of mpi.DistTLR.Cholesky (TLR) or mpi.DistMatrix.Cholesky (dense)
-// step by step:
+// pattern of mpi.DistTLR.Cholesky step by step — compressed tiles, or with
+// dense set every off-diagonal tile stored densely:
 //
 //   - the owner of the diagonal tile (k,k) broadcasts the dk×dk factor to
 //     every rank in Grid.DiagRecipients(k, mt);
@@ -13,10 +13,9 @@ import "repro/internal/mpi"
 //     AllreduceSum in which each non-root rank sends one float64 to rank 0
 //     and rank 0 replies with one float64 to each non-root rank;
 //   - the owner of each panel tile (i,k) sends it to every rank in
-//     Grid.PanelRecipients(i, k, mt) — di·dk doubles when dense, a
-//     [rows, cols, rank, U, V] payload of 3+(di+dk)·r doubles when
-//     compressed, with r predicted by the calibrated RankModel at index
-//     distance i−k.
+//     Grid.PanelRecipients(i, k, mt) — a [rows, cols, rank] header plus
+//     di·dk doubles when dense, (di+dk)·r doubles when compressed, with r
+//     predicted by the calibrated RankModel at index distance i−k.
 //
 // The TLR prediction is approximate only through the rank model: by the time
 // tile (i,k) is sent its rank has drifted from the fresh-compression value
@@ -48,10 +47,9 @@ func DistCholeskyComm(grid mpi.Grid, n, nb int, ranks *RankModel, dense bool) []
 		}
 		for i := k + 1; i < mt; i++ {
 			di := tileDim(i)
-			doubles := di * dk
+			doubles := 3 + di*dk
 			if !dense {
-				r := ranks.Rank(nb, i-k)
-				doubles = 3 + (di+dk)*r
+				doubles = 3 + (di+dk)*ranks.Rank(nb, i-k)
 			}
 			sent[grid.Owner(i, k)] += float64(len(grid.PanelRecipients(i, k, mt)) * doubles * 8)
 		}

@@ -89,7 +89,6 @@ func TestChaosDistBitwiseIdentical(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.RecvTimeout = 30 * time.Second // diagnose rather than hang if retransmit breaks
 	cfg.Chaos = &chaos.FaultPlan{
 		Seed:          99,
 		DropMessages:  4,
@@ -128,8 +127,7 @@ func TestChaosRankKillSurfacesAndHeals(t *testing.T) {
 	p := smallProblem(t, 64, 7)
 	cfg := Config{
 		Mode: TLR, TileSize: 16, Accuracy: 1e-7, Ranks: 4,
-		RecvTimeout: 30 * time.Second,
-		Chaos:       &chaos.FaultPlan{KillRank: 2},
+		Chaos: &chaos.FaultPlan{KillRank: 2},
 	}
 	s, err := NewSession(p, cfg)
 	if err != nil {
@@ -262,10 +260,8 @@ func TestChaosConfigValidation(t *testing.T) {
 		want string // substring; "" = valid
 	}{
 		{"retries ok", Config{MaxRetries: 3}, ""},
-		{"recv timeout ok", Config{RecvTimeout: time.Second}, ""},
 		{"chaos ok", Config{Chaos: &chaos.FaultPlan{Seed: 1, TaskPanics: 2}}, ""},
 		{"negative retries", Config{MaxRetries: -1}, "MaxRetries"},
-		{"negative recv timeout", Config{RecvTimeout: -time.Second}, "RecvTimeout"},
 		{"invalid chaos plan", Config{Chaos: &chaos.FaultPlan{TaskPanics: -1}}, "TaskPanics"},
 	} {
 		err := tc.cfg.Validate()

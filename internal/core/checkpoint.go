@@ -34,7 +34,7 @@ var (
 )
 
 // fitDigest fingerprints everything that determines the optimizer's
-// trajectory: the session's dataset (post-ordering, so the bytes the backend
+// trajectory: the session's dataset (post-ordering, so the bytes the evaluator
 // actually sees), the result-affecting config knobs, and the fit options.
 // MaxEvals is excluded (truncation point, not trajectory); MemBudget,
 // SpillDir and Workers are excluded because out-of-core execution and worker

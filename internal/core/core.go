@@ -1,6 +1,7 @@
 // Package core implements the paper's contribution: Gaussian maximum
-// likelihood estimation and prediction for large spatial datasets in four
-// computation modes, each a pluggable Backend registration —
+// likelihood estimation and prediction for large spatial datasets, written
+// once over four interchangeable computation modes (rows of the modes
+// table) —
 //
 //   - FullBlock: one dense matrix, LAPACK-style blocked Cholesky (the MKL
 //     baseline of Fig. 3);
@@ -22,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/cov"
@@ -31,9 +30,7 @@ import (
 	"repro/internal/tlr"
 )
 
-// Mode selects the computation technique. Each mode is a Backend
-// registration (see RegisterBackend); the constants below are the built-in
-// registrations.
+// Mode selects the computation technique: how Σ(θ) is stored and factored.
 type Mode int
 
 // Computation modes (paper §VIII terminology, plus the hierarchical HODLR
@@ -45,17 +42,10 @@ const (
 	HODLR
 )
 
-func (m Mode) String() string {
-	if spec, ok := lookupBackend(m); ok {
-		return spec.Name
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
-
 // Config selects and tunes a computation mode. The zero value is valid and
 // means "dense full-block, library defaults"; DefaultConfig documents every
 // default in one place. Invalid settings (negative sizes, unknown
-// compressor, inconsistent Ranks/Grid) are rejected by Validate, which every
+// compressor, Ranks > 1 outside TLR) are rejected by Validate, which every
 // public entry point calls — they are never silently coerced.
 type Config struct {
 	Mode Mode
@@ -73,14 +63,12 @@ type Config struct {
 	// Nugget is added to the covariance diagonal for numerical stability
 	// (0 = default 1e-9·θ₁).
 	Nugget float64
-	// Ranks selects the distributed-memory backend when > 1: the TLR matrix
-	// is sharded 2D block-cyclically over that many ranks and factored with
-	// the distributed TLR Cholesky (internal/mpi). 0 or 1 means the
-	// shared-memory path. Requires Mode == TLR.
+	// Ranks selects distributed-memory execution when > 1: the TLR matrix is
+	// sharded 2D block-cyclically over that many ranks, on the most square
+	// process grid, and factored with the distributed TLR Cholesky
+	// (internal/mpi). 0 or 1 means the shared-memory path. Requires
+	// Mode == TLR.
 	Ranks int
-	// Grid optionally fixes the process-grid shape {P, Q} of the distributed
-	// backend; P·Q must equal Ranks. Leave zero for the most square grid.
-	Grid [2]int
 	// MaxRetries is the number of times one evaluation is re-run from
 	// generation after a fault of the execution itself: a task panic, or on
 	// ranks a rank death (a panic, an injected kill, or a receive timeout
@@ -91,14 +79,10 @@ type Config struct {
 	// non-positive-definite pivot is a property of θ, not of the execution,
 	// and is never replayed: the nugget grows tenfold, up to three times.
 	MaxRetries int
-	// RecvTimeout bounds how long a distributed rank blocks waiting for one
-	// message (0 = wait forever). With fault injection enabled a timeout
-	// turns a lost message into a diagnosed error instead of a hang.
-	RecvTimeout time.Duration
 	// Ordering selects the spatial ordering of the problem's locations —
 	// the permutation applied before tiling, which controls off-diagonal
 	// tile ranks and with them TLR compression flops, memory, and the
-	// distributed backend's wire bytes. "" (the zero value) keeps whatever
+	// distributed run's wire bytes. "" (the zero value) keeps whatever
 	// ordering the Problem was built with (NewProblem defaults to Morton);
 	// "none" forces caller order, "morton" the Z-order curve, "hilbert" the
 	// Hilbert curve, and "kdblock" KD-tree recursive bisection into
@@ -112,7 +96,7 @@ type Config struct {
 	// nothing and pays a single nil check per hook site.
 	Chaos *chaos.FaultPlan
 	// MemBudget, when > 0, bounds the resident tile bytes of the TLR
-	// backend: tiles beyond the budget are evicted to a disk spill file and
+	// mode: tiles beyond the budget are evicted to a disk spill file and
 	// reloaded on demand (out-of-core execution). Results are bitwise
 	// identical to the in-memory run. The budget is soft — the in-flight
 	// working set (tiles pinned by executing tasks and solves) is never
@@ -152,9 +136,8 @@ func DefaultConfig() Config {
 // of coercing bad values. Zero fields mean "use the default" and are always
 // valid; negative or inconsistent fields are not.
 func (c Config) Validate() error {
-	spec, known := lookupBackend(c.Mode)
-	if !known {
-		return fmt.Errorf("core: unknown mode %v (have %s)", c.Mode, strings.Join(ModeNames(), ", "))
+	if _, err := lookupMode(c.Mode, c.Ranks); err != nil {
+		return err
 	}
 	if c.TileSize < 0 {
 		return fmt.Errorf("core: negative TileSize %d", c.TileSize)
@@ -179,23 +162,6 @@ func (c Config) Validate() error {
 	if c.Ranks < 0 {
 		return fmt.Errorf("core: negative Ranks %d", c.Ranks)
 	}
-	if c.Grid[0] < 0 || c.Grid[1] < 0 {
-		return fmt.Errorf("core: negative Grid dimension %v", c.Grid)
-	}
-	if (c.Grid[0] == 0) != (c.Grid[1] == 0) {
-		return fmt.Errorf("core: Grid %v must set both dimensions or neither", c.Grid)
-	}
-	if c.Grid[0] > 0 && c.Ranks > 0 && c.Grid[0]*c.Grid[1] != c.Ranks {
-		return fmt.Errorf("core: Grid %v does not tile Ranks=%d", c.Grid, c.Ranks)
-	}
-	ranks := c.Ranks
-	if ranks == 0 && c.Grid[0] > 0 {
-		ranks = c.Grid[0] * c.Grid[1]
-	}
-	if ranks > 1 && spec.NewDist == nil {
-		return fmt.Errorf("core: distributed execution (Ranks=%d) requires Mode=%s, got %v",
-			ranks, strings.Join(distModeNames(), "|"), c.Mode)
-	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("core: negative MemBudget %d", c.MemBudget)
 	}
@@ -203,8 +169,8 @@ func (c Config) Validate() error {
 		if c.Mode != TLR {
 			return fmt.Errorf("core: MemBudget requires Mode=TLR, got %v", c.Mode)
 		}
-		if ranks > 1 {
-			return fmt.Errorf("core: MemBudget bounds the shared-memory tile store; unsupported with Ranks=%d", ranks)
+		if c.Ranks > 1 {
+			return fmt.Errorf("core: MemBudget bounds the shared-memory tile store; unsupported with Ranks=%d", c.Ranks)
 		}
 		nb, w := c.TileSize, c.Workers
 		if nb == 0 {
@@ -221,9 +187,6 @@ func (c Config) Validate() error {
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("core: negative MaxRetries %d", c.MaxRetries)
 	}
-	if c.RecvTimeout < 0 {
-		return fmt.Errorf("core: negative RecvTimeout %v", c.RecvTimeout)
-	}
 	if c.Chaos != nil {
 		if err := c.Chaos.Validate(); err != nil {
 			return fmt.Errorf("core: Chaos: %w", err)
@@ -232,9 +195,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// normalized fills the zero fields with the DefaultConfig values and
-// resolves the Ranks/Grid pair (Grid implies Ranks; Ranks > 1 without a Grid
-// gets the most square factorization). Callers must Validate first.
+// normalized fills the zero fields with the DefaultConfig values. Callers
+// must Validate first.
 func (c Config) normalized() Config {
 	if c.TileSize == 0 {
 		c.TileSize = 128
@@ -249,20 +211,7 @@ func (c Config) normalized() Config {
 		c.CompressorName = "svd"
 	}
 	if c.Ranks == 0 {
-		if c.Grid[0] > 0 {
-			c.Ranks = c.Grid[0] * c.Grid[1]
-		} else {
-			c.Ranks = 1
-		}
-	}
-	if c.Grid[0] == 0 {
-		p := 1
-		for f := 1; f*f <= c.Ranks; f++ {
-			if c.Ranks%f == 0 {
-				p = f
-			}
-		}
-		c.Grid = [2]int{p, c.Ranks / p}
+		c.Ranks = 1
 	}
 	return c
 }
@@ -397,6 +346,7 @@ func LogLikelihood(p *Problem, theta cov.Params, cfg Config) (LikResult, error) 
 	if err != nil {
 		return LikResult{}, err
 	}
+	defer s.Close()
 	return s.LogLikelihood(theta)
 }
 
@@ -417,7 +367,7 @@ type FitOptions struct {
 	// Profiled switches Fit to the concentrated likelihood: the variance θ₁
 	// is profiled out analytically (θ̂₁ = ZᵀR⁻¹Z/n) and the optimizer
 	// searches only (θ₂, θ₃) — typically far fewer likelihood evaluations
-	// for the same accuracy. Works uniformly across all backends.
+	// for the same accuracy. Works uniformly across all modes.
 	Profiled bool
 	// Checkpoint, when non-empty, makes the fit restartable: the bit-exact
 	// (x, ℓ) evaluation log is written atomically to this path every
@@ -499,6 +449,7 @@ func Fit(p *Problem, cfg Config, opts FitOptions) (FitResult, error) {
 	if err != nil {
 		return FitResult{}, err
 	}
+	defer s.Close()
 	return s.Fit(opts)
 }
 
@@ -511,6 +462,7 @@ func Predict(p *Problem, newPts []geom.Point, theta cov.Params, cfg Config) ([]f
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 	return s.Predict(newPts, theta)
 }
 

@@ -8,7 +8,7 @@ import (
 // TestDistributedLogLikMatchesShared is the acceptance criterion for the
 // distributed backend: at n=1600, nb=128, acc=1e-7 the distributed TLR
 // log-likelihood matches the shared-memory TLR value to 1e-8 relative on
-// the 1×1, 2×2 and 2×3 grids. The tile contents are bitwise-identical
+// 1, 4 and 6 ranks (the 1×1, 2×2 and 2×3 grids). The tile contents are bitwise-identical
 // (per-tile compressor seeding) and the distributed update order matches
 // the shared DAG's serialization, so the agreement is in fact much tighter.
 func TestDistributedLogLikMatchesShared(t *testing.T) {
@@ -22,30 +22,30 @@ func TestDistributedLogLikMatchesShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, grid := range [][2]int{{1, 1}, {2, 2}, {2, 3}} {
+	for _, grid := range []int{1, 4, 6} {
 		cfg := base
-		cfg.Grid = grid
+		cfg.Ranks = grid
 		got, err := LogLikelihood(p, th, cfg)
 		if err != nil {
-			t.Fatalf("grid %v: %v", grid, err)
+			t.Fatalf("ranks %v: %v", grid, err)
 		}
 		if rel := math.Abs(got.Value-want.Value) / math.Abs(want.Value); rel > 1e-8 {
-			t.Errorf("grid %v: loglik %.10f vs shared %.10f (rel %.2e)", grid, got.Value, want.Value, rel)
+			t.Errorf("ranks %v: loglik %.10f vs shared %.10f (rel %.2e)", grid, got.Value, want.Value, rel)
 		}
 		if rel := math.Abs(got.LogDet-want.LogDet) / math.Abs(want.LogDet); rel > 1e-8 {
-			t.Errorf("grid %v: logdet %.10f vs shared %.10f (rel %.2e)", grid, got.LogDet, want.LogDet, rel)
+			t.Errorf("ranks %v: logdet %.10f vs shared %.10f (rel %.2e)", grid, got.LogDet, want.LogDet, rel)
 		}
 		if rel := math.Abs(got.QuadForm-want.QuadForm) / want.QuadForm; rel > 1e-8 {
-			t.Errorf("grid %v: quadform %.10f vs shared %.10f (rel %.2e)", grid, got.QuadForm, want.QuadForm, rel)
+			t.Errorf("ranks %v: quadform %.10f vs shared %.10f (rel %.2e)", grid, got.QuadForm, want.QuadForm, rel)
 		}
 		if got.MaxRank != want.MaxRank {
-			t.Errorf("grid %v: max rank %d vs shared %d", grid, got.MaxRank, want.MaxRank)
+			t.Errorf("ranks %v: max rank %d vs shared %d", grid, got.MaxRank, want.MaxRank)
 		}
 		if math.Abs(got.MeanRank-want.MeanRank) > 1e-9 {
-			t.Errorf("grid %v: mean rank %g vs shared %g", grid, got.MeanRank, want.MeanRank)
+			t.Errorf("ranks %v: mean rank %g vs shared %g", grid, got.MeanRank, want.MeanRank)
 		}
 		if got.Bytes != want.Bytes {
-			t.Errorf("grid %v: bytes %d vs shared %d", grid, got.Bytes, want.Bytes)
+			t.Errorf("ranks %v: bytes %d vs shared %d", grid, got.Bytes, want.Bytes)
 		}
 	}
 }
@@ -104,7 +104,7 @@ func TestDistributedPredictMatchesShared(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.Grid = [2]int{2, 2}
+	cfg.Ranks = 4
 	gotPred, err := Predict(p, syn.TestPoints, th, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestDistributedProfiledMatchesShared(t *testing.T) {
 // cross-evaluation corruption, and CommStats must accumulate.
 func TestDistributedSessionReuse(t *testing.T) {
 	p := smallProblem(t, 400, 11)
-	cfg := Config{Mode: TLR, TileSize: 64, Accuracy: 1e-7, Grid: [2]int{2, 3}}
+	cfg := Config{Mode: TLR, TileSize: 64, Accuracy: 1e-7, Ranks: 6}
 	s, err := NewSession(p, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // victim, and a replay budget of one per evaluation.
 func elasticCfg(victim, panel int) Config {
 	return Config{
-		Mode: TLR, TileSize: 32, Accuracy: 1e-7, Grid: [2]int{2, 3},
+		Mode: TLR, TileSize: 32, Accuracy: 1e-7, Ranks: 6,
 		MaxRetries: 1,
 		Chaos:      &chaos.FaultPlan{KillRank: victim + 1, KillAtPanel: panel + 1},
 	}
@@ -27,7 +27,7 @@ func elasticCfg(victim, panel int) Config {
 func TestElasticRecoveryLogLikBitwise(t *testing.T) {
 	p := smallProblem(t, 240, 13)
 	th := theta()
-	clean := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7, Grid: [2]int{2, 3}}
+	clean := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7, Ranks: 6}
 	want, err := LogLikelihood(p, th, clean)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestElasticRecoveryDisabledStillFails(t *testing.T) {
 func TestElasticRecoveryFailureBudget(t *testing.T) {
 	p := smallProblem(t, 240, 13)
 	th := theta()
-	clean := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7, Grid: [2]int{2, 3}}
+	clean := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7, Ranks: 6}
 	want, err := LogLikelihood(p, th, clean)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestElasticRecoveryFailureBudget(t *testing.T) {
 		if _, err := s.LogLikelihood(th); err != nil {
 			t.Fatal(err)
 		}
-		db := s.Backend().(*distBackend)
+		db := s.ranks()
 		var first, second atomic.Bool
 		db.shards[4].PanelHook = func(rank, panel int) {
 			if panel == 3 && !first.Swap(true) {
@@ -144,7 +144,7 @@ func TestElasticRecoveryFailureBudget(t *testing.T) {
 	if !strings.Contains(err.Error(), "rank 1") {
 		t.Fatalf("the surfaced failure should name rank 1: %v", err)
 	}
-	if d := s.Backend().Diagnostics(); d.RanksLost != 1 || d.Replays != 1 {
+	if d := s.Metrics(); d.RanksLost != 1 || d.Replays != 1 {
 		t.Fatalf("RanksLost = %d, Replays = %d, want the budget 1", d.RanksLost, d.Replays)
 	}
 	// both kills have fired; the next evaluation runs clean on the 5 survivors
@@ -165,7 +165,7 @@ func TestElasticRecoveryFailureBudget(t *testing.T) {
 		t.Errorf("loglik on 4 survivors (%.17g, %.17g, %.17g) != unfaulted (%.17g, %.17g, %.17g)",
 			got.Value, got.LogDet, got.QuadForm, want.Value, want.LogDet, want.QuadForm)
 	}
-	if d := s.Backend().Diagnostics(); d.RanksLost != 2 || d.Replays != 2 {
+	if d := s.Metrics(); d.RanksLost != 2 || d.Replays != 2 {
 		t.Fatalf("RanksLost = %d, Replays = %d, want 2 and 2", d.RanksLost, d.Replays)
 	}
 }
@@ -184,7 +184,7 @@ func TestElasticFitAndPredictMatchUnfaulted(t *testing.T) {
 	}
 	p := syn.Train
 	opts := FitOptions{FixSmoothness: true, Start: theta(), MaxEvals: 60}
-	clean := Config{Mode: TLR, TileSize: 64, Accuracy: 1e-7, Grid: [2]int{2, 3}}
+	clean := Config{Mode: TLR, TileSize: 64, Accuracy: 1e-7, Ranks: 6}
 	want, err := Fit(p, clean, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -7,15 +7,31 @@ import (
 	"repro/internal/cov"
 )
 
-// newTestBackend builds the registered backend for cfg directly, bypassing
-// Session — the reuse contracts below are properties of the backend itself.
-func newTestBackend(t *testing.T, p *Problem, cfg Config) Backend {
+// newTestEvaluator builds the evaluator for cfg and returns it without its
+// Session — the reuse contracts below are properties of the evaluator itself.
+func newTestEvaluator(t *testing.T, p *Problem, cfg Config) *evaluator {
 	t.Helper()
-	be, err := newBackend(p, cfg.normalized(), nil)
+	s, err := NewSession(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return be
+	return s.ev
+}
+
+// factorize factors Σ(θ) under a shared-memory cfg on a fresh evaluator and
+// returns the factor, which stays valid because nothing factors after it.
+func factorize(t *testing.T, p *Problem, th cov.Params, cfg Config) Factor {
+	t.Helper()
+	ev := newTestEvaluator(t, p, cfg)
+	var f Factor
+	err := ev.withFactor(cov.NewKernel(th), ev.cfg.nugget(th.Variance), func(g Factor) error {
+		f = g
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // Likelihoods from one reused evaluator must match fresh single-shot
@@ -34,7 +50,7 @@ func TestEvaluatorReuseMatchesFresh(t *testing.T) {
 		{Mode: FullTile, TileSize: 32, Workers: 3},
 		{Mode: HODLR, TileSize: 32, Workers: 3},
 	} {
-		ev := newTestBackend(t, p, cfg)
+		ev := newTestEvaluator(t, p, cfg)
 		for _, th := range thetas {
 			got, err := ev.LogLikelihood(th)
 			if err != nil {
@@ -58,7 +74,7 @@ func TestEvaluatorReuseMatchesFresh(t *testing.T) {
 func TestEvaluatorProfiledReuseMatchesFresh(t *testing.T) {
 	p := smallProblem(t, 120, 4)
 	cfg := Config{Mode: FullTile, TileSize: 32, Workers: 2}
-	ev := newTestBackend(t, p, cfg)
+	ev := newTestEvaluator(t, p, cfg)
 	for _, rangeP := range []float64{0.05, 0.2, 0.1} {
 		gotL, gotV, err := ev.ProfiledLogLikelihood(rangeP, 0.5)
 		if err != nil {
@@ -87,7 +103,7 @@ func TestEvaluatorTLRReuseBitwise(t *testing.T) {
 	}
 	for _, comp := range []string{"svd", "rsvd"} {
 		cfg := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-8, Workers: 3, CompressorName: comp}
-		ev := newTestBackend(t, p, cfg)
+		ev := newTestEvaluator(t, p, cfg)
 		for _, th := range thetas {
 			got, err := ev.LogLikelihood(th)
 			if err != nil {
@@ -122,7 +138,7 @@ func TestEvaluatorRecoversAfterFactorizationError(t *testing.T) {
 		{Mode: TLR, TileSize: 32, Accuracy: 1e-10, Workers: 2},
 		{Mode: HODLR, TileSize: 32, Accuracy: 1e-10, Workers: 2},
 	} {
-		ev := newTestBackend(t, p, cfg)
+		ev := newTestEvaluator(t, p, cfg)
 		good := cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.5}
 		before, err := ev.LogLikelihood(good)
 		if err != nil {

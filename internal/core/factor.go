@@ -1,26 +1,21 @@
 package core
 
-import (
-	"fmt"
+import "repro/internal/la"
 
-	"repro/internal/cov"
-	"repro/internal/la"
-)
-
-// Factor is a computed Cholesky factorization of a covariance matrix in one
-// of the shared-memory computation modes. It exposes exactly the operations
-// the MLE and prediction pipelines need.
+// Factor is a computed Cholesky factorization of Σ(θ), in whichever of the
+// five ways it was factored. It exposes exactly the operations the MLE and
+// prediction pipelines need. The operations that touch the factor return an
+// error because on ranks each is a message-passing run a rank death can
+// abort; on shared memory the error is always nil.
 type Factor interface {
 	// HalfSolve overwrites b with L⁻¹·b (forward substitution).
-	HalfSolve(b []float64)
+	HalfSolve(b []float64) error
 	// Solve overwrites b with A⁻¹·b.
-	Solve(b []float64)
+	Solve(b []float64) error
 	// HalfSolveMat overwrites the n×r block B with L⁻¹·B.
-	HalfSolveMat(b *la.Mat)
-	// SolveMat overwrites the n×r block B with A⁻¹·B (multi-RHS solve).
-	SolveMat(b *la.Mat)
+	HalfSolveMat(b *la.Mat) error
 	// LogDet returns log|A|.
-	LogDet() float64
+	LogDet() (float64, error)
 	// Bytes returns the factor's storage footprint.
 	Bytes() int64
 	// RankStats returns (max, mean) compressed-tile rank; zeros for the
@@ -28,31 +23,25 @@ type Factor interface {
 	RankStats() (int, float64)
 }
 
-// Factorize assembles Σ(θ) for the problem and factors it under cfg. The
-// returned Factor is a shared-memory object; distributed configurations
-// (Ranks > 1) are rejected — use a Session, whose methods keep the factor
-// sharded across ranks. The factorization routes through the registered
-// backend for cfg.Mode, so it runs the same nugget-escalation ladder the
-// Session paths do.
-func Factorize(p *Problem, theta cov.Params, cfg Config) (Factor, error) {
-	if err := theta.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.normalized()
-	if cfg.Ranks > 1 {
-		return nil, fmt.Errorf("core: Factorize is shared-memory only (Ranks=%d); use Session", cfg.Ranks)
-	}
-	be, err := newBackend(p, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	fb, ok := be.(FactorBackend)
-	if !ok {
-		return nil, fmt.Errorf("core: mode %v does not expose a shared-memory factorization", cfg.Mode)
-	}
-	k := cov.NewKernel(theta)
-	return fb.Factorize(k, cfg.nugget(theta.Variance))
+// inMemory is a factorization in this address space: the same operations,
+// none of which can fail. *tlr.Matrix and *hodlr.Matrix are one as they
+// stand; denseFactor and tileFactor wrap the two dense layouts.
+type inMemory interface {
+	ForwardSolve(b []float64)
+	Solve(b []float64)
+	ForwardSolveMat(b *la.Mat)
+	LogDet() float64
+	Bytes() int64
+	RankStats() (int, float64)
 }
+
+// memFactor adapts an inMemory factorization to Factor. It aliases the
+// factorizer's cached buffers: read-only, and safe for concurrent
+// HalfSolveMat calls, until that factorizer's next factorization overwrites
+// it.
+type memFactor struct{ inMemory }
+
+func (f memFactor) HalfSolve(b []float64) error  { f.ForwardSolve(b); return nil }
+func (f memFactor) Solve(b []float64) error      { f.inMemory.Solve(b); return nil }
+func (f memFactor) HalfSolveMat(b *la.Mat) error { f.ForwardSolveMat(b); return nil }
+func (f memFactor) LogDet() (float64, error)     { return f.inMemory.LogDet(), nil }

@@ -1,0 +1,268 @@
+package core
+
+import (
+	"errors"
+	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/cov"
+	"repro/internal/la"
+	"repro/internal/mpi"
+	"repro/internal/runtime"
+	"repro/internal/tlr"
+)
+
+// chaosRecvTimeout bounds a rank's wait for one message while fault
+// injection is armed. In-process ranks lose a message only through the
+// injector, so only then can a Recv block forever; the deadline turns that
+// hang into a diagnosed rank death.
+const chaosRecvTimeout = 30 * time.Second
+
+// distState is the fifth way to factor — TLR over Config.Ranks > 1 ranks: a
+// persistent World and one DistTLR shard per rank, both reused across the
+// optimizer's evaluations. Shards regenerate their owned tiles per θ instead
+// of reallocating, and every run drains the World's mailboxes, so evaluation
+// k+1 starts from a clean slate. The factor stays sharded on the ranks;
+// distFactor runs the World once per operation on it.
+type distState struct {
+	world  *mpi.World
+	shards []*mpi.DistTLR
+	inj    *chaos.Injector // nil unless Config.Chaos is set
+
+	// ownersEpoch is the membership epoch every shard's ownership map
+	// reflects; it trails world.Epoch() between a rank death and the next
+	// completed factorization.
+	ownersEpoch int64
+
+	traceStart time.Time // set by enableTracing
+}
+
+func newDistState(e *evaluator) factorizer {
+	w := mpi.NewWorld(e.cfg.Ranks)
+	if e.inj != nil {
+		inj := e.inj
+		w.SetRecvTimeout(chaosRecvTimeout)
+		w.SetMsgHook(func(src, dst, tag int, bytes int64, attempt int) mpi.MsgFault {
+			drop, delay := inj.MessageFault(src, dst, tag, attempt)
+			switch {
+			case drop:
+				return mpi.MsgFault{Verdict: mpi.MsgDrop}
+			case delay > 0:
+				return mpi.MsgFault{Verdict: mpi.MsgDelay, Delay: delay}
+			}
+			return mpi.MsgFault{Verdict: mpi.MsgDeliver}
+		})
+	}
+	return &distState{world: w, shards: make([]*mpi.DistTLR, e.cfg.Ranks), inj: e.inj}
+}
+
+// run executes fn on every live rank and returns the first rank error.
+func (d *distState) run(fn func(c *mpi.Comm) error) error {
+	for _, err := range d.world.Run(fn) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replayable is the verdict on ranks: err wraps a rank-death diagnosis of the
+// current membership epoch naming a still-live rank, and that rank is not
+// the last one. The rank is marked dead, so the re-run happens on the
+// survivors. Stale diagnoses (from before an already-completed shrink) are
+// not replayable.
+func (d *distState) replayable(err error) bool {
+	var rd *mpi.RankDeath
+	if !errors.As(err, &rd) || rd.Epoch != d.world.Epoch() || !d.world.Alive(rd.Rank) || d.world.AliveCount() <= 1 {
+		return false
+	}
+	d.world.MarkDead(rd.Rank)
+	return true
+}
+
+// factorizeOnce is one generate → factor pass over the live ranks. When the
+// membership changed since the shards last agreed on it, the run opens with
+// the epoch-tagged membership agreement (doubling as the post-shrink
+// barrier) and remaps ownership, so Generate also materializes the tiles the
+// survivors inherited. A Cholesky breakdown — which the SPD-agreement
+// allreduce makes every rank observe identically — and a rank death both
+// fail the run on every rank.
+func (d *distState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (Factor, error) {
+	comp, err := tlr.CompressorByName(e.cfg.CompressorName)
+	if err != nil {
+		return nil, err
+	}
+	epoch := d.world.Epoch()
+	shrunk := epoch != d.ownersEpoch
+	err = d.run(func(c *mpi.Comm) error {
+		if d.inj != nil {
+			d.inj.RankFault(c.Rank())
+		}
+		sh := d.shards[c.Rank()]
+		if sh == nil {
+			sh = mpi.NewDistTLR(c.Rank(), squarestGrid(e.cfg.Ranks), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, comp)
+			if d.inj != nil {
+				sh.ForceMiss = d.inj.CompressMiss
+				sh.PanelHook = d.inj.PanelKill
+			}
+			d.shards[c.Rank()] = sh
+		}
+		if shrunk {
+			alive, _, err := c.AgreeAlive()
+			if err != nil {
+				return err
+			}
+			sh.ApplyMembership(alive)
+		}
+		sh.Generate(k, nugget)
+		return sh.Cholesky(c)
+	})
+	if err != nil {
+		return nil, err
+	}
+	d.ownersEpoch = epoch
+	return distFactor{d}, nil
+}
+
+// squarestGrid returns the most square P×Q process grid with P·Q = ranks,
+// P ≤ Q.
+func squarestGrid(ranks int) mpi.Grid {
+	p := 1
+	for f := 1; f*f <= ranks; f++ {
+		if ranks%f == 0 {
+			p = f
+		}
+	}
+	return mpi.Grid{P: p, Q: ranks / p}
+}
+
+// distFactor is the factorization distState leaves sharded over the ranks.
+// Each operation is one World.Run against the shards in which every live
+// rank computes an identical replica of the result; the lowest live rank's
+// is handed back. A rank death fails the operation, and with it the attempt
+// of the recovery rule it is part of.
+type distFactor struct{ d *distState }
+
+// use runs fn on every live rank against its shard.
+func (f distFactor) use(fn func(c *mpi.Comm, sh *mpi.DistTLR) error) error {
+	return f.d.run(func(c *mpi.Comm) error {
+		sh := f.d.shards[c.Rank()]
+		if f.d.inj != nil {
+			// "panel MT": the kill site past the factorization
+			f.d.inj.PanelKill(c.Rank(), sh.MT)
+		}
+		return fn(c, sh)
+	})
+}
+
+// onReplicas runs solve on a private copy of b per rank and copies the
+// lowest live rank's back into b.
+func (f distFactor) onReplicas(b *la.Mat, solve func(c *mpi.Comm, sh *mpi.DistTLR, b *la.Mat) error) error {
+	replicas := make([]*la.Mat, len(f.d.shards))
+	err := f.use(func(c *mpi.Comm, sh *mpi.DistTLR) error {
+		replicas[c.Rank()] = b.Clone()
+		return solve(c, sh, replicas[c.Rank()])
+	})
+	if err != nil {
+		return err
+	}
+	b.CopyFrom(replicas[f.d.world.LowestAlive()])
+	return nil
+}
+
+func (f distFactor) HalfSolve(b []float64) error {
+	return f.onReplicas(la.NewMatFrom(len(b), 1, b), func(c *mpi.Comm, sh *mpi.DistTLR, y *la.Mat) error {
+		return sh.ForwardSolve(c, y.Data)
+	})
+}
+
+func (f distFactor) Solve(b []float64) error {
+	return f.onReplicas(la.NewMatFrom(len(b), 1, b), func(c *mpi.Comm, sh *mpi.DistTLR, y *la.Mat) error {
+		return sh.Solve(c, y.Data)
+	})
+}
+
+func (f distFactor) HalfSolveMat(b *la.Mat) error {
+	return f.onReplicas(b, func(c *mpi.Comm, sh *mpi.DistTLR, w *la.Mat) error {
+		return sh.ForwardSolveMat(c, w)
+	})
+}
+
+func (f distFactor) LogDet() (float64, error) {
+	logDets := make([]float64, len(f.d.shards))
+	err := f.use(func(c *mpi.Comm, sh *mpi.DistTLR) (err error) {
+		logDets[c.Rank()], err = sh.LogDet(c)
+		return err
+	})
+	return logDets[f.d.world.LowestAlive()], err
+}
+
+// Bytes sums the live shards' footprints.
+func (f distFactor) Bytes() int64 {
+	var b int64
+	for _, r := range f.d.world.AliveRanks() {
+		b += f.d.shards[r].Bytes()
+	}
+	return b
+}
+
+// RankStats reduces the live shards' local rank statistics.
+func (f distFactor) RankStats() (maxRank int, meanRank float64) {
+	var sum, count int
+	for _, r := range f.d.world.AliveRanks() {
+		m, s, n := f.d.shards[r].LocalRankStats()
+		maxRank = max(maxRank, m)
+		sum += s
+		count += n
+	}
+	if count > 0 {
+		meanRank = float64(sum) / float64(count)
+	}
+	return maxRank, meanRank
+}
+
+// ranks returns the session's distributed factorizer, nil on shared memory.
+func (s *Session) ranks() *distState {
+	d, _ := s.ev.fac.(*distState)
+	return d
+}
+
+// commStats returns the per-rank cumulative traffic — the measured
+// counterpart of cluster.DistCholeskyComm.
+func (d *distState) commStats() []mpi.CommStats {
+	out := make([]mpi.CommStats, d.world.Size())
+	for r := range out {
+		out[r] = d.world.Stats(r)
+	}
+	return out
+}
+
+// CommStats returns the per-rank cumulative traffic of a session on ranks
+// (nil for shared-memory sessions).
+func (s *Session) CommStats() []mpi.CommStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if d := s.ranks(); d != nil {
+		return d.commStats()
+	}
+	return nil
+}
+
+// enableTracing starts a timestamped communication timeline on the World.
+func (d *distState) enableTracing() {
+	d.traceStart = time.Now()
+	d.world.EnableTrace(d.traceStart)
+}
+
+// commTrace renders the communication timeline as a runtime.Trace — one
+// worker lane per rank, every cross-rank message an instant event. Nil until
+// enableTracing is called.
+func (d *distState) commTrace() *runtime.Trace {
+	if !d.world.TraceEnabled() {
+		return nil
+	}
+	tr := &runtime.Trace{Workers: d.world.Size()}
+	tr.MergeEvents(d.world.TraceEvents(0))
+	tr.Wall = time.Since(d.traceStart)
+	return tr
+}

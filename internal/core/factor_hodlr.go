@@ -3,42 +3,32 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/cov"
 	"repro/internal/hodlr"
-	"repro/internal/la"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/tlr"
 )
 
 // Graph-reuse counters for the HODLR mode: the tree shell and the fused
-// assembly+Cholesky DAG are built once per backend and re-executed per θ.
+// assembly+Cholesky DAG are built once per session and re-executed per θ.
 var (
 	cntCacheHODLRHit  = obs.GetCounter("core.cache.hodlrgraph.hit")
 	cntCacheHODLRMiss = obs.GetCounter("core.cache.hodlrgraph.miss")
 )
-
-func init() {
-	RegisterBackend(HODLR, BackendSpec{
-		Name: "hodlr",
-		New: func(p *Problem, cfg Config, inj *chaos.Injector) (Backend, error) {
-			return newLocalBackend(p, cfg, inj, &hodlrState{}), nil
-		},
-	})
-}
 
 // hodlrState is the HODLR mode's cached state: the recursion-tree shell
 // (preallocated leaf blocks, empty off-diagonal slots) and the fused
 // assembly + hierarchical-Cholesky DAG. Config.TileSize doubles as the leaf
 // size, Config.Accuracy as the per-block compression tolerance.
 type hodlrState struct {
+	taskGraph
 	hm    *hodlr.Matrix
 	hspec *hodlr.GenSpec // mutable kernel/nugget slot read by the tasks
 	hg    *runtime.Graph
 }
 
-func (st *hodlrState) factorizeOnce(e *localBackend, k *cov.Kernel, nugget float64) (Factor, error) {
+func (st *hodlrState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (Factor, error) {
 	if st.hg == nil {
 		comp, err := tlr.CompressorByName(e.cfg.CompressorName)
 		if err != nil {
@@ -56,16 +46,5 @@ func (st *hodlrState) factorizeOnce(e *localBackend, k *cov.Kernel, nugget float
 	if err := e.run(st.hg); err != nil {
 		return nil, fmt.Errorf("core: %s factorization: %w", e.cfg.Mode, err)
 	}
-	return hodlrFactor{m: st.hm}, nil
+	return memFactor{st.hm}, nil
 }
-
-// hodlrFactor wraps a factored HODLR tree.
-type hodlrFactor struct{ m *hodlr.Matrix }
-
-func (f hodlrFactor) HalfSolve(b []float64)     { f.m.ForwardSolve(b) }
-func (f hodlrFactor) Solve(b []float64)         { f.m.Solve(b) }
-func (f hodlrFactor) HalfSolveMat(b *la.Mat)    { f.m.ForwardSolveMat(b) }
-func (f hodlrFactor) SolveMat(b *la.Mat)        { f.m.SolveMat(b) }
-func (f hodlrFactor) LogDet() float64           { return f.m.LogDet() }
-func (f hodlrFactor) Bytes() int64              { return f.m.Bytes() }
-func (f hodlrFactor) RankStats() (int, float64) { return f.m.RankStats() }

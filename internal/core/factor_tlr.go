@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/cov"
-	"repro/internal/la"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/tlr"
@@ -13,24 +11,12 @@ import (
 )
 
 // Graph-reuse counters for the TLR mode: the fused generate+compress+Cholesky
-// DAG is built once per backend and re-executed per θ (the graph-reuse
+// DAG is built once per session and re-executed per θ (the graph-reuse
 // contract documented in tlr.GenSpec).
 var (
 	cntCacheTLRHit  = obs.GetCounter("core.cache.tlrgraph.hit")
 	cntCacheTLRMiss = obs.GetCounter("core.cache.tlrgraph.miss")
 )
-
-func init() {
-	RegisterBackend(TLR, BackendSpec{
-		Name: "tlr",
-		New: func(p *Problem, cfg Config, inj *chaos.Injector) (Backend, error) {
-			return newLocalBackend(p, cfg, inj, &tlrState{}), nil
-		},
-		NewDist: func(p *Problem, cfg Config, inj *chaos.Injector) (Backend, error) {
-			return newDistBackend(p, cfg, inj)
-		},
-	})
-}
 
 // tlrState is the TLR mode's cached state: the tile shell (diagonal buffers
 // + compressed-tile slots), the handle layout, the generation scratch pool,
@@ -39,13 +25,14 @@ func init() {
 // to an out-of-core tile store whose spill file lives as long as the state
 // (released by Close).
 type tlrState struct {
+	taskGraph
 	tm    *tlr.Matrix    // tile shell
 	tspec *tlr.GenSpec   // mutable kernel/nugget slot read by the gen tasks
 	tg    *runtime.Graph // fused generate+compress + factorization DAG
 	st    *store.Store   // out-of-core tile store; nil when MemBudget == 0
 }
 
-func (st *tlrState) factorizeOnce(e *localBackend, k *cov.Kernel, nugget float64) (Factor, error) {
+func (st *tlrState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (Factor, error) {
 	if st.tg == nil {
 		comp, err := tlr.CompressorByName(e.cfg.CompressorName)
 		if err != nil {
@@ -81,7 +68,7 @@ func (st *tlrState) factorizeOnce(e *localBackend, k *cov.Kernel, nugget float64
 			return nil, fmt.Errorf("core: out-of-core spill: %w", err)
 		}
 	}
-	return tlrFactor{m: st.tm}, nil
+	return memFactor{st.tm}, nil
 }
 
 // Close releases the out-of-core spill file; a no-op for in-memory sessions.
@@ -100,14 +87,3 @@ func (st *tlrState) storeStats() (highWater, spilled int64, ok bool) {
 	}
 	return st.st.HighWater(), st.st.SpillSize(), true
 }
-
-// tlrFactor wraps a TLR factorization.
-type tlrFactor struct{ m *tlr.Matrix }
-
-func (f tlrFactor) HalfSolve(b []float64)     { f.m.ForwardSolve(b) }
-func (f tlrFactor) Solve(b []float64)         { f.m.Solve(b) }
-func (f tlrFactor) HalfSolveMat(b *la.Mat)    { f.m.ForwardSolveMat(b) }
-func (f tlrFactor) SolveMat(b *la.Mat)        { f.m.SolveMat(b) }
-func (f tlrFactor) LogDet() float64           { return f.m.LogDet() }
-func (f tlrFactor) Bytes() int64              { return f.m.Bytes() }
-func (f tlrFactor) RankStats() (int, float64) { return f.m.RankStats() }

@@ -49,25 +49,29 @@ type Metrics struct {
 func (s *Session) EnableTracing() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.be.EnableTracing()
+	s.ev.trace = true
+	if d := s.ranks(); d != nil {
+		d.enableTracing()
+	}
 }
 
 // Metrics returns the session's current observability state. The Obs
 // snapshot is process-wide (all sessions share the default registry); Trace
-// and Comm are per-session, supplied uniformly by the backend.
+// and Comm are per-session.
 func (s *Session) Metrics() Metrics {
 	m := Metrics{Obs: obs.Default().Snapshot()}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d := s.be.Diagnostics()
+	d := s.ev.diag
 	m.FactorFailures = d.FactorFailures
 	m.NuggetEscalations = d.NuggetEscalations
 	m.LastFactorFailure = d.LastFailure
 	m.Replays = d.Replays
-	m.RanksLost = d.RanksLost
-	m.Trace = s.be.Trace()
-	if cb, ok := s.be.(CommBackend); ok {
-		m.Comm = cb.CommStats()
+	m.Trace = s.ev.lastTrace
+	if r := s.ranks(); r != nil {
+		m.Trace = r.commTrace()
+		m.Comm = r.commStats()
+		m.RanksLost = r.world.Size() - r.world.AliveCount()
 	}
 	return m
 }

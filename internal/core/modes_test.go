@@ -82,8 +82,9 @@ func TestHODLRMatchesDenseGolden(t *testing.T) {
 	}
 }
 
-// TestRegistryRejectsUnknownMode: Config validation is registry-driven — an
-// unregistered Mode value errors and the message names the registered modes.
+// TestRegistryRejectsUnknownMode: Config validation is driven by the modes
+// table — a Mode value without a row errors and the message names the modes
+// there are.
 func TestRegistryRejectsUnknownMode(t *testing.T) {
 	p := smallProblem(t, 60, 9)
 	for _, mode := range []Mode{Mode(42), Mode(99), Mode(-1)} {
@@ -102,8 +103,8 @@ func TestRegistryRejectsUnknownMode(t *testing.T) {
 	}
 }
 
-// TestRegistryRejectsIncompatibleRanks: only modes registered with a
-// distributed constructor accept Ranks>1, and the error names them.
+// TestRegistryRejectsIncompatibleRanks: only modes with a row that factors
+// over ranks accept Ranks>1, and the error names them.
 func TestRegistryRejectsIncompatibleRanks(t *testing.T) {
 	p := smallProblem(t, 60, 9)
 	for _, cfg := range []Config{
@@ -119,7 +120,7 @@ func TestRegistryRejectsIncompatibleRanks(t *testing.T) {
 			t.Fatalf("%v error %q does not name the distributed-capable mode", cfg.Mode, err)
 		}
 	}
-	// The one registered distributed mode still works.
+	// The one mode with such a row still works.
 	if _, err := NewSession(p, Config{Mode: TLR, Ranks: 2, TileSize: 16}); err != nil {
 		t.Fatalf("TLR with Ranks=2 rejected: %v", err)
 	}
@@ -131,7 +132,7 @@ func TestRegistryRejectsIncompatibleRanks(t *testing.T) {
 func TestModeByNameRoundTrips(t *testing.T) {
 	names := ModeNames()
 	if len(names) != 4 {
-		t.Fatalf("expected 4 registered backends, have %v", names)
+		t.Fatalf("expected 4 modes, have %v", names)
 	}
 	for _, name := range names {
 		m, err := ModeByName(name)
@@ -163,7 +164,7 @@ func TestModeByNameRoundTrips(t *testing.T) {
 }
 
 // TestSessionDiagnosticsUniform: the nugget-escalation ladder reports
-// through Backend.Diagnostics identically for every shared-memory backend.
+// through LikResult and Session.Metrics identically in every mode.
 func TestSessionDiagnosticsUniform(t *testing.T) {
 	p := smallProblem(t, 80, 3)
 	for _, cfg := range []Config{
@@ -171,20 +172,21 @@ func TestSessionDiagnosticsUniform(t *testing.T) {
 		{Mode: FullTile, TileSize: 32},
 		{Mode: TLR, TileSize: 32, Accuracy: 1e-8},
 		{Mode: HODLR, TileSize: 32, Accuracy: 1e-8},
+		{Mode: TLR, TileSize: 32, Accuracy: 1e-8, Ranks: 4},
 	} {
 		s, err := NewSession(p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.LogLikelihood(theta()); err != nil {
+		lik, err := s.LogLikelihood(theta())
+		if err != nil {
 			t.Fatalf("%v: %v", cfg.Mode, err)
 		}
-		d := s.Backend().Diagnostics()
-		if d.LastNugget <= 0 {
-			t.Fatalf("%v: diagnostics not populated: %+v", cfg.Mode, d)
+		if lik.NuggetUsed <= 0 || lik.NuggetRetries != 0 {
+			t.Fatalf("%v: diagnostics not populated: %+v", cfg.Mode, lik)
 		}
-		if d.FactorFailures != s.Metrics().FactorFailures {
-			t.Fatalf("%v: Metrics and Diagnostics disagree", cfg.Mode)
+		if m := s.Metrics(); m.FactorFailures != 0 || m.NuggetEscalations != 0 || m.LastFactorFailure != "" {
+			t.Fatalf("%v: a clean evaluation left failures behind: %+v", cfg.Mode, m)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -192,17 +193,15 @@ func TestPredictThenVarianceSharesFactorization(t *testing.T) {
 // one dense n×m W solved in a single HalfSolveMat.
 func unchunkedPredictWithVariance(t *testing.T, p *Problem, newPts []geom.Point, th cov.Params, cfg Config) Prediction {
 	t.Helper()
-	f, err := Factorize(p, th, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := factorize(t, p, th, cfg)
 	k := cov.NewKernel(th)
 	n, m := p.N(), len(newPts)
 	w := la.NewMat(n, m)
 	k.Block(w, p.Points, newPts, p.Metric)
-	f.HalfSolveMat(w)
 	y := append([]float64(nil), p.Z...)
-	f.HalfSolve(y)
+	if err := errors.Join(f.HalfSolveMat(w), f.HalfSolve(y)); err != nil {
+		t.Fatal(err)
+	}
 	pr := Prediction{Mean: make([]float64, m), Variance: make([]float64, m)}
 	c0 := k.At(0)
 	for i := 0; i < m; i++ {

@@ -34,6 +34,7 @@ func PredictWithVariance(p *Problem, newPts []geom.Point, theta cov.Params, cfg 
 	if err != nil {
 		return Prediction{}, err
 	}
+	defer s.Close()
 	return s.PredictWithVariance(newPts, theta)
 }
 

@@ -18,5 +18,6 @@ func ProfiledLogLikelihood(p *Problem, rangeP, smoothness float64, cfg Config) (
 	if err != nil {
 		return 0, 0, err
 	}
+	defer s.Close()
 	return s.ProfiledLogLikelihood(rangeP, smoothness)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Evaluation counters. core.factor.runs counts every generate+factor
-// execution across all backends (the serving regression "predict-many after
+// execution, however it factors (the serving regression "predict-many after
 // fit-once factors exactly once" is asserted against it); the others say how
 // the runs beyond the first came about.
 var (
@@ -30,7 +30,7 @@ const (
 	maxNuggetEscalations = 3
 )
 
-// recoverLoop is the one recovery rule of every backend. Σ(θ) is never an
+// recoverLoop is the one recovery rule, whichever way Σ is factored. Σ(θ) is never an
 // input: attempt regenerates it from the locations, θ, the nugget and the
 // per-tile seeds, factors it and uses the factor, so a failed attempt is
 // repaired by running it again and what it left behind is never read.
@@ -38,16 +38,15 @@ const (
 //
 //   - non-SPD pivot: a property of (θ, nugget), identical on every re-run, so
 //     the nugget grows and the attempt re-runs — never at the same nugget;
-//   - replayable (the backend's verdict: a task panic, a rank death): the
+//   - replayable (the factorizer's verdict: a task panic, a rank death): the
 //     attempt re-runs at the same nugget while fewer than maxReplays replays
-//     were spent on this evaluation. replayable may prepare the re-run (the
-//     distributed backend marks the rank dead) and is only asked while budget
-//     remains;
+//     were spent on this evaluation. replayable may prepare the re-run (on
+//     ranks it marks the rank dead) and is only asked while budget remains;
 //   - anything else surfaces.
 //
 // Escalations and replays are counted separately; a replayed fault is not a
 // factorization failure.
-func recoverLoop(maxReplays int, diag *Diagnostics, nugget float64, attempt func(nugget float64) error, replayable func(error) bool) error {
+func recoverLoop(maxReplays int, diag *diagnostics, nugget float64, attempt func(nugget float64) error, replayable func(error) bool) error {
 	cur := nugget
 	escalations, replays := 0, 0
 	var firstFault time.Time

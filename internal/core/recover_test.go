@@ -162,7 +162,7 @@ func TestRecoveryOracle(t *testing.T) {
 	// Ranks: one death per kill site, on a geometry and compressor the elastic
 	// tests do not use.
 	p := oracleProblem(t, "clustered", n, 37)
-	clean := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7, CompressorName: "rsvd", Grid: [2]int{2, 3}}
+	clean := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7, CompressorName: "rsvd", Ranks: 6}
 	newPts := []geom.Point{{X: 0.41, Y: 0.43}, {X: 0.13, Y: 0.77}}
 	cs, err := NewSession(p, clean)
 	if err != nil {
@@ -232,6 +232,53 @@ func TestRecoveryOracle(t *testing.T) {
 			}
 		})
 	}
+
+	// A death inside the *use* of a finished factor — the solve of an uncached
+	// predict — fails the attempt like a death while factoring, and the replay
+	// factors again on the survivors before it solves.
+	t.Run("ranks/predict-solve", func(t *testing.T) {
+		const victim = 3
+		cfg := clean
+		cfg.MaxRetries = 1
+		tiles := (p.N() + cfg.TileSize - 1) / cfg.TileSize
+		cfg.Chaos = &chaos.FaultPlan{KillRank: victim + 1, KillAtPanel: tiles + 1}
+		s, err := NewSession(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := obs.Default().Snapshot()
+		pred, err := s.Predict(newPts, th)
+		if err != nil {
+			t.Fatalf("faulted predict did not recover: %v", err)
+		}
+		for i := range pred {
+			if pred[i] != wantPred[i] {
+				t.Errorf("prediction %d replayed on the survivors: %.17g != unfaulted %.17g", i, pred[i], wantPred[i])
+			}
+		}
+		if runs := factorRuns(before); runs != 2 {
+			t.Errorf("core.factor.runs = %d, want the run whose solve died and its replay", runs)
+		}
+		if m := s.Metrics(); m.Replays != 1 || m.RanksLost != 1 || m.FactorFailures != 0 || s.ChaosStats().RanksKilled != 1 {
+			t.Errorf("metrics %+v, want one replay, one rank lost, no failure", m)
+		}
+		if got, err := s.LogLikelihood(th); err != nil || !sameEvaluation(got, want) {
+			t.Errorf("evaluation on the survivors %+v (err %v) != clean %+v", got, err, want)
+		}
+
+		cfg.MaxRetries = 0
+		s0, err := NewSession(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s0.Predict(newPts, th)
+		if !errors.Is(err, chaos.ErrInjected) || !strings.Contains(err.Error(), fmt.Sprintf("rank %d", victim)) {
+			t.Fatalf("MaxRetries == 0: error %v does not wrap the injected fault and name rank %d", err, victim)
+		}
+		if m := s0.Metrics(); m.Replays != 0 || m.RanksLost != 0 {
+			t.Errorf("MaxRetries == 0: %+v, want nothing absorbed", m)
+		}
+	})
 
 	// A breakdown is a property of (θ, nugget): with replay budget to spare it
 	// must still go up the ladder, never re-run where it broke down.

@@ -13,12 +13,10 @@ import (
 // factorization.
 func denseSolveRef(t *testing.T, p *Problem, b []float64) []float64 {
 	t.Helper()
-	f, err := Factorize(p, theta(), Config{Mode: FullBlock})
-	if err != nil {
+	x := append([]float64(nil), b...)
+	if err := factorize(t, p, theta(), Config{Mode: FullBlock}).Solve(x); err != nil {
 		t.Fatal(err)
 	}
-	x := append([]float64(nil), b...)
-	f.Solve(x)
 	return x
 }
 
@@ -56,12 +54,10 @@ func TestSolveRefinedBeatsUnrefinedAccuracy(t *testing.T) {
 	want := denseSolveRef(t, p, b)
 
 	// plain loose TLR solve
-	f, err := Factorize(p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-2})
-	if err != nil {
+	plain := append([]float64(nil), b...)
+	if err := factorize(t, p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-2}).Solve(plain); err != nil {
 		t.Fatal(err)
 	}
-	plain := append([]float64(nil), b...)
-	f.Solve(plain)
 	var plainErr float64
 	for i := range plain {
 		plainErr = math.Max(plainErr, math.Abs(plain[i]-want[i]))

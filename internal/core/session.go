@@ -38,25 +38,26 @@ var (
 // solve state cached for its (θ, nugget) — the factor, Σ₂₂⁻¹Z₂ and L⁻¹Z₂,
 // none of which change at a fixed θ̂ — holds the read lock and touches only
 // per-call scratch, so any number of them run at once on a warm key.
-// Everything that runs the backend — a predict at a key that is not cached,
-// LogLikelihood, ProfiledLogLikelihood, Fit, every distributed solve — holds
-// the write lock, and drops the cached factor first, because the backend
-// factors into the buffers that factor aliases. The cached solve vectors are
-// private copies and survive; the next variance predict at that key factors
-// again.
+// Everything that runs the evaluator — a predict at a key that is not
+// cached, LogLikelihood, ProfiledLogLikelihood, Fit, every solve on ranks —
+// holds the write lock, and drops the cached factor first, because the
+// evaluator factors into the buffers that factor aliases. The cached solve
+// vectors are private copies and survive; the next variance predict at that
+// key factors again.
 type Session struct {
 	p   *Problem
 	cfg Config // validated and normalized
 
-	inj *chaos.Injector // nil unless cfg.Chaos is set
+	// ev computes every likelihood and factorization; Session adds the lock
+	// and the (θ, nugget)-keyed predict cache on top.
+	ev *evaluator
 
-	// be is the evaluator backend the registry built for cfg.Mode/Ranks.
-	// All likelihood and kriging work routes through it; Session adds the
-	// lock and the (θ, nugget)-keyed predict cache on top.
-	be Backend
+	// keepFactor is the modes table's verdict on the way ev factors: the
+	// factor may stay in pred across calls and be shared under the read lock.
+	keepFactor bool
 
-	// mu guards be and pred: read-held by predicts served from pred,
-	// write-held by everything that runs be or changes pred.
+	// mu guards ev and pred: read-held by predicts served from pred,
+	// write-held by everything that runs ev or changes pred.
 	mu sync.RWMutex
 
 	// pred caches the kriging solve state across Predict /
@@ -70,7 +71,8 @@ type Session struct {
 // keyed by the (θ, nugget) pair it was computed for (the zero key matches no
 // valid θ). yFull and yHalf are private copies, never written after they are
 // stored, and stay valid for the key indefinitely; factor aliases the
-// backend's cached buffers and is set to nil before the backend runs again.
+// evaluator's cached buffers and is set to nil before the evaluator runs
+// again.
 type predictCache struct {
 	theta  cov.Params
 	nugget float64
@@ -78,7 +80,7 @@ type predictCache struct {
 	yFull []float64 // Σ₂₂⁻¹·Z₂ (Predict's weights)
 	yHalf []float64 // L⁻¹·Z₂ (PredictWithVariance's half-solved rhs)
 
-	factor Factor // FactorBackend modes only; nil on the distributed backend
+	factor Factor // nil unless Session.keepFactor
 }
 
 func (c *predictCache) at(theta cov.Params, nugget float64) bool {
@@ -86,7 +88,7 @@ func (c *predictCache) at(theta cov.Params, nugget float64) bool {
 }
 
 // NewSession validates cfg, normalizes its zero fields to the documented
-// defaults, and builds the backend the configuration selects. The returned
+// defaults, and builds the evaluator the configuration selects. The returned
 // Session is ready for repeated Fit/LogLikelihood/Predict calls.
 func NewSession(p *Problem, cfg Config) (*Session, error) {
 	if p == nil || p.N() == 0 {
@@ -106,26 +108,25 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 		}
 		p = p.Reordered(ord)
 	}
-	s := &Session{p: p, cfg: cfg}
-	if cfg.Chaos != nil {
-		s.inj = chaos.NewInjector(cfg.Chaos)
-	}
-	be, err := newBackend(p, cfg, s.inj)
+	row, err := lookupMode(cfg.Mode, cfg.Ranks)
 	if err != nil {
-		return nil, err
+		return nil, err // unreachable after Validate; kept for safety
 	}
-	s.be = be
-	return s, nil
+	ev := &evaluator{p: p, cfg: cfg}
+	if cfg.Chaos != nil {
+		ev.inj = chaos.NewInjector(cfg.Chaos)
+	}
+	ev.fac = row.new(ev)
+	return &Session{p: p, cfg: cfg, ev: ev, keepFactor: row.keep}, nil
 }
 
-// Close releases resources the session's backend holds outside the Go heap
-// — today that is the TLR out-of-core spill file (Config.MemBudget > 0).
-// Safe to call on every mode (a no-op without external resources) and
-// idempotent. It waits for the calls in flight; the session must not be used
-// afterwards.
+// Close releases resources the session holds outside the Go heap — today
+// that is the TLR out-of-core spill file (Config.MemBudget > 0). Safe to
+// call on every mode (a no-op without external resources) and idempotent. It
+// waits for the calls in flight; the session must not be used afterwards.
 func (s *Session) Close() error {
 	defer s.exclusive()()
-	if c, ok := s.be.(io.Closer); ok {
+	if c, ok := s.ev.fac.(io.Closer); ok {
 		return c.Close()
 	}
 	return nil
@@ -137,28 +138,19 @@ func (s *Session) Close() error {
 func (s *Session) StoreStats() (highWater, spilled int64, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if ss, hasStore := s.be.(interface {
-		storeStats() (int64, int64, bool)
-	}); hasStore {
-		return ss.storeStats()
+	if st, isTLR := s.ev.fac.(*tlrState); isTLR {
+		return st.storeStats()
 	}
 	return 0, 0, false
 }
 
-// Backend returns the evaluator backend the session routes through — the
-// registry-built object for the configured Mode. Useful for capability
-// checks (FactorBackend, CommBackend); the returned backend shares the
-// session's cached state but not its lock, so calling its methods while the
-// session is in use is a data race.
-func (s *Session) Backend() Backend { return s.be }
-
 // ChaosStats reports the faults the session's injector has raised so far
 // (the zero Stats when Config.Chaos is nil).
 func (s *Session) ChaosStats() chaos.Stats {
-	if s.inj == nil {
+	if s.ev.inj == nil {
 		return chaos.Stats{}
 	}
-	return s.inj.Stats()
+	return s.ev.inj.Stats()
 }
 
 // Config returns the session's normalized configuration (defaults resolved).
@@ -170,8 +162,8 @@ func (s *Session) Config() Config { return s.cfg }
 // the Problem passed to NewSession.
 func (s *Session) Problem() *Problem { return s.p }
 
-// exclusive takes the write lock for a call that runs the backend and drops
-// the cached factor, whose buffers that run overwrites. It returns the
+// exclusive takes the write lock for a call that runs the evaluator and
+// drops the cached factor, whose buffers that run overwrites. It returns the
 // unlock: defer s.exclusive()().
 func (s *Session) exclusive() (unlock func()) {
 	s.mu.Lock()
@@ -183,14 +175,14 @@ func (s *Session) exclusive() (unlock func()) {
 // state across calls.
 func (s *Session) LogLikelihood(theta cov.Params) (LikResult, error) {
 	defer s.exclusive()()
-	return s.be.LogLikelihood(theta)
+	return s.ev.LogLikelihood(theta)
 }
 
 // ProfiledLogLikelihood evaluates the concentrated likelihood ℓ_p(θ₂, θ₃)
 // (see the package-level ProfiledLogLikelihood for the formulation).
 func (s *Session) ProfiledLogLikelihood(rangeP, smoothness float64) (logL, varianceHat float64, err error) {
 	defer s.exclusive()()
-	return s.be.ProfiledLogLikelihood(rangeP, smoothness)
+	return s.ev.ProfiledLogLikelihood(rangeP, smoothness)
 }
 
 // Fit estimates θ̂ by maximizing the log-likelihood with the derivative-free
@@ -202,88 +194,48 @@ func (s *Session) ProfiledLogLikelihood(rangeP, smoothness float64) (logL, varia
 func (s *Session) Fit(opts FitOptions) (FitResult, error) {
 	defer s.exclusive()()
 	o := opts.withDefaults(s.p)
-	if o.Profiled {
-		return s.profiledFit(o)
-	}
 
-	dim := 3
-	if o.FixSmoothness {
-		dim = 2
-	}
-	toTheta := func(x []float64) cov.Params {
-		t := cov.Params{
-			Variance: math.Exp(x[0]),
-			Range:    math.Exp(x[1]),
-		}
+	// The search vector is (log θ₁, log θ₂, θ₃), without θ₁ when it is
+	// profiled out and without θ₃ when it is pinned.
+	toX := func(t cov.Params) []float64 {
+		x := []float64{math.Log(t.Variance), math.Log(t.Range), t.Smoothness}
 		if o.FixSmoothness {
-			t.Smoothness = o.Start.Smoothness
-		} else {
-			t.Smoothness = x[2]
+			x = x[:2]
+		}
+		if o.Profiled {
+			x = x[1:]
+		}
+		return x
+	}
+	// toTheta is toX's inverse; a profiled search leaves θ₁ at 1, the scale
+	// its correlation matrix is built at.
+	toTheta := func(x []float64) cov.Params {
+		t := cov.Params{Variance: 1, Smoothness: o.Start.Smoothness}
+		if !o.Profiled {
+			t.Variance, x = math.Exp(x[0]), x[1:]
+		}
+		t.Range = math.Exp(x[0])
+		if !o.FixSmoothness {
+			t.Smoothness = x[1]
 		}
 		return t
 	}
-	lower := []float64{math.Log(o.Lower.Variance), math.Log(o.Lower.Range), o.Lower.Smoothness}[:dim]
-	upper := []float64{math.Log(o.Upper.Variance), math.Log(o.Upper.Range), o.Upper.Smoothness}[:dim]
-	start := []float64{math.Log(o.Start.Variance), math.Log(o.Start.Range), o.Start.Smoothness}[:dim]
+	// likelihood evaluates the likelihood being maximized at θ(x); the
+	// profiled one also supplies θ̂₁.
+	likelihood := func(x []float64) (cov.Params, float64, error) {
+		t := toTheta(x)
+		if !o.Profiled {
+			lik, err := s.ev.LogLikelihood(t)
+			return t, lik.Value, err
+		}
+		ll, varHat, err := s.ev.ProfiledLogLikelihood(t.Range, t.Smoothness)
+		t.Variance = varHat
+		return t, ll, err
+	}
 
 	var lastErr error
 	obj := func(x []float64) float64 {
-		lik, err := s.be.LogLikelihood(toTheta(x))
-		if err != nil {
-			lastErr = err
-			return math.Inf(1)
-		}
-		return -lik.Value
-	}
-	ck, err := openCheckpoint(o, s.fitDigest(o))
-	if err != nil {
-		return FitResult{}, err
-	}
-	if ck != nil {
-		obj = ck.wrap(obj)
-	}
-	res, err := optimize.NelderMead(
-		optimize.Problem{Objective: obj, Lower: lower, Upper: upper},
-		start,
-		optimize.Options{MaxEvals: o.MaxEvals, TolX: o.TolX},
-	)
-	if err != nil {
-		return FitResult{}, err
-	}
-	if err := ck.flush(); err != nil {
-		return FitResult{}, err
-	}
-	if math.IsInf(res.F, 1) {
-		return FitResult{}, fmt.Errorf("core: every likelihood evaluation failed: %w", lastErr)
-	}
-	return FitResult{
-		Theta:     toTheta(res.X),
-		LogL:      -res.F,
-		Evals:     res.Evals,
-		Converged: res.Converged,
-	}, nil
-}
-
-// profiledFit is Fit's concentrated-likelihood branch. The caller holds the
-// write lock and has already applied the option defaults.
-func (s *Session) profiledFit(o FitOptions) (FitResult, error) {
-	dim := 2
-	if o.FixSmoothness {
-		dim = 1
-	}
-	lower := []float64{math.Log(o.Lower.Range), o.Lower.Smoothness}[:dim]
-	upper := []float64{math.Log(o.Upper.Range), o.Upper.Smoothness}[:dim]
-	start := []float64{math.Log(o.Start.Range), o.Start.Smoothness}[:dim]
-
-	smoothOf := func(x []float64) float64 {
-		if o.FixSmoothness {
-			return o.Start.Smoothness
-		}
-		return x[1]
-	}
-	var lastErr error
-	obj := func(x []float64) float64 {
-		ll, _, err := s.be.ProfiledLogLikelihood(math.Exp(x[0]), smoothOf(x))
+		_, ll, err := likelihood(x)
 		if err != nil {
 			lastErr = err
 			return math.Inf(1)
@@ -298,8 +250,8 @@ func (s *Session) profiledFit(o FitOptions) (FitResult, error) {
 		obj = ck.wrap(obj)
 	}
 	res, err := optimize.NelderMead(
-		optimize.Problem{Objective: obj, Lower: lower, Upper: upper},
-		start,
+		optimize.Problem{Objective: obj, Lower: toX(o.Lower), Upper: toX(o.Upper)},
+		toX(o.Start),
 		optimize.Options{MaxEvals: o.MaxEvals, TolX: o.TolX},
 	)
 	if err != nil {
@@ -309,20 +261,18 @@ func (s *Session) profiledFit(o FitOptions) (FitResult, error) {
 		return FitResult{}, err
 	}
 	if math.IsInf(res.F, 1) {
-		return FitResult{}, fmt.Errorf("core: every profiled evaluation failed: %w", lastErr)
+		return FitResult{}, fmt.Errorf("core: every likelihood evaluation failed: %w", lastErr)
 	}
-	rangeHat := math.Exp(res.X[0])
-	smoothHat := smoothOf(res.X)
-	ll, varHat, err := s.be.ProfiledLogLikelihood(rangeHat, smoothHat)
-	if err != nil {
-		return FitResult{}, err
+	out := FitResult{Theta: toTheta(res.X), LogL: -res.F, Evals: res.Evals, Converged: res.Converged}
+	if o.Profiled {
+		// The search never saw θ₁: one more evaluation, at the optimum,
+		// recovers θ̂₁.
+		if out.Theta, out.LogL, err = likelihood(res.X); err != nil {
+			return FitResult{}, err
+		}
+		out.Evals++
 	}
-	return FitResult{
-		Theta:     cov.Params{Variance: varHat, Range: rangeHat, Smoothness: smoothHat},
-		LogL:      ll,
-		Evals:     res.Evals + 1,
-		Converged: res.Converged,
-	}, nil
+	return out, nil
 }
 
 // Predict imputes measurements at newPts from the fitted model (paper
@@ -330,7 +280,7 @@ func (s *Session) profiledFit(o FitOptions) (FitResult, error) {
 // (θ, nugget), not on newPts, so it is cached on the session: after the
 // first prediction at a θ, every further Predict at that θ is O(m·n) —
 // cross-covariance assembly and dot products, no factorization — and runs
-// concurrently with the other predicts at that θ, on every backend.
+// concurrently with the other predicts at that θ, however Σ is factored.
 func (s *Session) Predict(newPts []geom.Point, theta cov.Params) ([]float64, error) {
 	if err := theta.Validate(); err != nil {
 		return nil, err
@@ -357,6 +307,20 @@ func (s *Session) Predict(newPts []geom.Point, theta cov.Params) ([]float64, err
 	return out, nil
 }
 
+// Warm computes and caches what predictions at θ reuse — the kriging
+// weights and, where the session may keep a factor, the factor and the
+// half-solved observations — so the factorization is paid now rather than by
+// the first prediction, and every predict after it only reads. (A request
+// that has to fill either half holds the session alone for its whole batch.)
+func (s *Session) Warm(theta cov.Params) error {
+	one := s.p.Points[:1]
+	if _, err := s.Predict(one, theta); err != nil || !s.keepFactor {
+		return err
+	}
+	_, err := s.PredictWithVariance(one, theta)
+	return err
+}
+
 // lockSolveVector returns the kriging weights y = Σ₂₂⁻¹·Z₂ for (θ, nugget)
 // with the lock that protects them held — the read lock when the cache has
 // them, the write lock when they had to be computed — and its unlock. The
@@ -370,63 +334,52 @@ func (s *Session) lockSolveVector(k *cov.Kernel, theta cov.Params, nugget float6
 	s.mu.RUnlock()
 
 	s.mu.Lock()
-	if y, err = s.solveVector(k, theta, nugget); err != nil {
-		s.mu.Unlock()
-		return nil, nil, err
-	}
-	return y, s.mu.Unlock, nil
-}
-
-// solveVector computes and caches y = Σ₂₂⁻¹·Z₂ for (θ, nugget). The caller
-// holds the write lock.
-func (s *Session) solveVector(k *cov.Kernel, theta cov.Params, nugget float64) ([]float64, error) {
 	if s.pred.at(theta, nugget) && s.pred.yFull != nil {
 		// Another goroutine filled the cache between the two locks.
 		cntPredictCacheHit.Inc()
-		return s.pred.yFull, nil
-	}
-	y := append([]float64(nil), s.p.Z...)
-	fb, ok := s.be.(FactorBackend)
-	if !ok {
-		// No shareable factor (distributed backend): solve through the
-		// backend and cache only the weights.
-		cntPredictCacheMiss.Inc()
-		if err := s.be.SolveVec(k, nugget, y); err != nil {
-			return nil, err
-		}
-		s.pred = predictCache{theta: theta, nugget: nugget, yFull: y}
-		return y, nil
+		return s.pred.yFull, s.mu.Unlock, nil
 	}
 	// A live factor from PredictWithVariance at the same key still saves the
 	// factorization: only the solve runs.
-	f, err := s.factor(fb, k, theta, nugget)
+	err = s.withFactor(k, theta, nugget, func(f Factor) error {
+		y = append(y[:0], s.p.Z...)
+		return f.Solve(y)
+	})
 	if err != nil {
-		return nil, err
+		s.mu.Unlock()
+		return nil, nil, err
 	}
-	f.Solve(y)
 	s.pred.yFull = y
-	return y, nil
+	return y, s.mu.Unlock, nil
 }
 
-// factor returns the factorization for (θ, nugget), the cached one when it
-// is live, and leaves the cache keyed to (θ, nugget). The caller holds the
-// write lock.
-func (s *Session) factor(fb FactorBackend, k *cov.Kernel, theta cov.Params, nugget float64) (Factor, error) {
+// withFactor runs use against the factorization for (θ, nugget) — the cached
+// one when it is live, otherwise a new one under the evaluator's recovery
+// rule, which may run use more than once — and on success leaves the cache
+// keyed to (θ, nugget), holding the factor if the session may keep one. The
+// caller holds the write lock.
+func (s *Session) withFactor(k *cov.Kernel, theta cov.Params, nugget float64, use func(Factor) error) error {
 	if s.pred.at(theta, nugget) && s.pred.factor != nil {
 		cntPredictCacheHit.Inc()
-		return s.pred.factor, nil
+		return use(s.pred.factor)
 	}
 	cntPredictCacheMiss.Inc()
-	s.pred.factor = nil // Factorize overwrites the buffers it aliases
-	f, err := fb.Factorize(k, nugget)
+	s.pred.factor = nil // the evaluator overwrites the buffers it aliases
+	var last Factor
+	err := s.ev.withFactor(k, nugget, func(f Factor) error {
+		last = f
+		return use(f)
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !s.pred.at(theta, nugget) {
 		s.pred = predictCache{theta: theta, nugget: nugget}
 	}
-	s.pred.factor = f
-	return f, nil
+	if s.keepFactor {
+		s.pred.factor = last
+	}
+	return nil
 }
 
 // PredictWithVariance computes the conditional mean AND variance at newPts
@@ -441,9 +394,9 @@ func (s *Session) factor(fb FactorBackend, k *cov.Kernel, theta cov.Params, nugg
 // Predict uses. The per-column arithmetic is identical to the one-shot n×m
 // solve (forward substitution treats columns independently), so the results
 // are bitwise-equal to the unchunked computation. Like Predict, the
-// factorization is cached by (θ, nugget) on the shared-memory backends, where
+// factorization is cached by (θ, nugget) where the session may keep one, and
 // calls at a cached key run concurrently against the read-only factor; on
-// the distributed backend every call factors, alone.
+// ranks every call factors, alone.
 func (s *Session) PredictWithVariance(newPts []geom.Point, theta cov.Params) (Prediction, error) {
 	if err := theta.Validate(); err != nil {
 		return Prediction{}, err
@@ -451,80 +404,67 @@ func (s *Session) PredictWithVariance(newPts []geom.Point, theta cov.Params) (Pr
 	if len(newPts) == 0 {
 		return Prediction{}, nil
 	}
-	m := len(newPts)
+	n, m := s.p.N(), len(newPts)
 	k := cov.NewKernel(theta)
 	nugget := s.cfg.nugget(theta.Variance)
 	chunk := s.cfg.TileSize
 
 	pr := Prediction{Mean: make([]float64, m), Variance: make([]float64, m)}
 	c0 := k.At(0)
-	// accumulate consumes one solved column block starting at column col.
-	accumulate := func(col int, w *la.Mat, y []float64) {
-		n := w.Rows
-		for j := 0; j < w.Cols; j++ {
-			var mean, norm2 float64
-			for r := 0; r < n; r++ {
-				wi := w.At(r, j)
-				mean += wi * y[r]
-				norm2 += wi * wi
+	// blocks half-solves Σ₂₁ against f one column block at a time and
+	// reduces each block against y = L⁻¹·Z₂.
+	blocks := func(f Factor, y []float64) error {
+		for lo := 0; lo < m; lo += chunk {
+			hi := min(lo+chunk, m)
+			w := la.NewMat(n, hi-lo)
+			k.Block(w, s.p.Points, newPts[lo:hi], s.p.Metric)
+			if err := f.HalfSolveMat(w); err != nil {
+				return err
 			}
-			pr.Mean[col+j] = mean
-			v := c0 - norm2
-			if v < 0 {
+			for j := 0; j < w.Cols; j++ {
+				var mean, norm2 float64
+				for r := 0; r < n; r++ {
+					wi := w.At(r, j)
+					mean += wi * y[r]
+					norm2 += wi * wi
+				}
+				pr.Mean[lo+j] = mean
 				// clamp tiny negative values from approximation error
-				v = 0
+				pr.Variance[lo+j] = max(c0-norm2, 0)
 			}
-			pr.Variance[col+j] = v
 		}
+		return nil
 	}
 
-	fb, ok := s.be.(FactorBackend)
-	if !ok {
-		// No shareable factor (distributed backend): stream the column
-		// blocks through the backend's own chunked half-solve.
-		defer s.exclusive()()
-		if err := s.be.HalfSolveChunked(k, nugget, newPts, chunk, s.p.Z, accumulate); err != nil {
+	s.mu.RLock()
+	if s.pred.at(theta, nugget) && s.pred.factor != nil && s.pred.yHalf != nil {
+		cntPredictCacheHit.Inc()
+		defer s.mu.RUnlock()
+		if err := blocks(s.pred.factor, s.pred.yHalf); err != nil {
 			return Prediction{}, err
 		}
 		return pr, nil
 	}
-
-	f, yHalf, unlock, err := s.lockHalfState(fb, k, theta, nugget)
-	if err != nil {
-		return Prediction{}, err
-	}
-	defer unlock()
-	n := s.p.N()
-	for lo := 0; lo < m; lo += chunk {
-		hi := min(lo+chunk, m)
-		w := la.NewMat(n, hi-lo)
-		k.Block(w, s.p.Points, newPts[lo:hi], s.p.Metric)
-		f.HalfSolveMat(w)
-		accumulate(lo, w, yHalf)
-	}
-	return pr, nil
-}
-
-// lockHalfState returns the factorization and half-solved rhs y = L⁻¹·Z₂
-// for (θ, nugget) with the lock that protects them held — the read lock when
-// the cache has both, the write lock otherwise — and its unlock.
-func (s *Session) lockHalfState(fb FactorBackend, k *cov.Kernel, theta cov.Params, nugget float64) (f Factor, yHalf []float64, unlock func(), err error) {
-	s.mu.RLock()
-	if s.pred.at(theta, nugget) && s.pred.factor != nil && s.pred.yHalf != nil {
-		cntPredictCacheHit.Inc()
-		return s.pred.factor, s.pred.yHalf, s.mu.RUnlock, nil
-	}
 	s.mu.RUnlock()
 
 	s.mu.Lock()
-	if f, err = s.factor(fb, k, theta, nugget); err != nil {
-		s.mu.Unlock()
-		return nil, nil, nil, err
+	defer s.mu.Unlock()
+	var cached, yHalf []float64
+	if s.pred.at(theta, nugget) {
+		cached = s.pred.yHalf
 	}
-	if s.pred.yHalf == nil {
-		yHalf = append([]float64(nil), s.p.Z...)
-		f.HalfSolve(yHalf)
-		s.pred.yHalf = yHalf
+	err := s.withFactor(k, theta, nugget, func(f Factor) error {
+		if yHalf = cached; yHalf == nil {
+			yHalf = append([]float64(nil), s.p.Z...)
+			if err := f.HalfSolve(yHalf); err != nil {
+				return err
+			}
+		}
+		return blocks(f, yHalf)
+	})
+	if err != nil {
+		return Prediction{}, err
 	}
-	return f, s.pred.yHalf, s.mu.Unlock, nil
+	s.pred.yHalf = yHalf
+	return pr, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mpi"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -18,8 +19,6 @@ func TestConfigValidate(t *testing.T) {
 		{"defaults", DefaultConfig(), ""},
 		{"tlr", Config{Mode: TLR, Accuracy: 1e-7, CompressorName: "rsvd"}, ""},
 		{"dist", Config{Mode: TLR, Ranks: 6}, ""},
-		{"dist grid", Config{Mode: TLR, Ranks: 6, Grid: [2]int{2, 3}}, ""},
-		{"grid implies ranks", Config{Mode: TLR, Grid: [2]int{2, 2}}, ""},
 		{"unknown mode", Config{Mode: Mode(9)}, "unknown mode"},
 		{"negative tile", Config{TileSize: -1}, "TileSize"},
 		{"negative accuracy", Config{Accuracy: -1e-9}, "Accuracy"},
@@ -27,11 +26,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative nugget", Config{Nugget: -1}, "Nugget"},
 		{"bad compressor", Config{CompressorName: "zstd"}, "unknown compressor"},
 		{"negative ranks", Config{Ranks: -4}, "Ranks"},
-		{"negative grid", Config{Grid: [2]int{-2, 2}}, "Grid"},
-		{"half grid", Config{Grid: [2]int{2, 0}}, "both dimensions"},
-		{"grid ranks mismatch", Config{Mode: TLR, Ranks: 4, Grid: [2]int{2, 3}}, "does not tile"},
 		{"dist dense", Config{Mode: FullBlock, Ranks: 4}, "requires Mode=TLR"},
-		{"dist full tile", Config{Mode: FullTile, Grid: [2]int{2, 2}}, "requires Mode=TLR"},
+		{"dist full tile", Config{Mode: FullTile, Ranks: 4}, "requires Mode=TLR"},
 	} {
 		err := tc.cfg.Validate()
 		if tc.want == "" {
@@ -61,16 +57,14 @@ func TestConfigNormalized(t *testing.T) {
 		t.Fatalf("zero Config normalizes to %+v, DefaultConfig to %+v", got, want)
 	}
 	if got.TileSize != 128 || got.Accuracy != 1e-9 || got.Workers != 1 ||
-		got.CompressorName != "svd" || got.Ranks != 1 || got.Grid != [2]int{1, 1} {
+		got.CompressorName != "svd" || got.Ranks != 1 {
 		t.Fatalf("unexpected defaults: %+v", got)
 	}
-	// Ranks=6 without a grid factors most-square, P ≤ Q.
-	if c := (Config{Mode: TLR, Ranks: 6}).normalized(); c.Grid != [2]int{2, 3} {
-		t.Fatalf("Ranks=6 grid = %v, want {2 3}", c.Grid)
-	}
-	// Grid implies Ranks.
-	if c := (Config{Mode: TLR, Grid: [2]int{2, 2}}).normalized(); c.Ranks != 4 {
-		t.Fatalf("Grid {2,2} ranks = %d, want 4", c.Ranks)
+	// Ranks are laid out on the most square grid, P ≤ Q.
+	for ranks, want := range map[int]mpi.Grid{1: {P: 1, Q: 1}, 4: {P: 2, Q: 2}, 6: {P: 2, Q: 3}, 7: {P: 1, Q: 7}} {
+		if g := squarestGrid(ranks); g != want {
+			t.Fatalf("%d ranks on grid %v, want %v", ranks, g, want)
+		}
 	}
 }
 
@@ -92,9 +86,6 @@ func TestEntryPointsValidateConfig(t *testing.T) {
 	}
 	if _, _, err := ProfiledLogLikelihood(p, 0.1, 0.5, Config{Workers: -1}); err == nil {
 		t.Error("ProfiledLogLikelihood accepted negative Workers")
-	}
-	if _, err := Factorize(p, theta(), Config{Mode: TLR, Ranks: 4}); err == nil {
-		t.Error("Factorize must reject distributed configs")
 	}
 	if _, _, err := SolveRefined(p, theta(), Config{Ranks: 4}, make([]float64, p.N()), RefineOptions{}); err == nil {
 		t.Error("SolveRefined must reject distributed configs")

@@ -220,7 +220,7 @@ func ablationDistributed(o Options) error {
 	r := rng.New(o.Seed + 3)
 	pts := geom.GeneratePerturbedGrid(n, r)
 	pts = geom.Sorted(geom.Morton, pts)
-	fmt.Fprintf(o.Out, "\n[6] really-distributed (message passing, no shared matrix) Cholesky, n=%d nb=%d\n", n, nb)
+	fmt.Fprintf(o.Out, "\n[6] really-distributed (message passing, no shared matrix) TLR Cholesky at 1e-12, n=%d nb=%d\n", n, nb)
 
 	ref := la.NewMat(n, n)
 	k.Matrix(ref, pts, geom.Euclidean)
@@ -235,7 +235,8 @@ func ablationDistributed(o Options) error {
 		var got float64
 		t0 := time.Now()
 		errs := mpi.RunWorld(grid.P*grid.Q, func(c *mpi.Comm) error {
-			m := mpi.NewDistFromKernel(c.Rank(), grid, k, pts, geom.Euclidean, nb, 1e-10)
+			m := mpi.NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, 1e-12, tlr.SVDCompressor{})
+			m.Generate(k, 1e-10)
 			if err := m.Cholesky(c); err != nil {
 				return err
 			}

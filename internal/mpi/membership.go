@@ -161,6 +161,39 @@ func (c *Comm) AgreeAlive() ([]bool, int64, error) {
 	return alive, epoch, nil
 }
 
+// Grid is a 2D process grid mapping tiles to ranks block-cyclically, the
+// distribution the paper's distributed runs use.
+type Grid struct {
+	P, Q int
+}
+
+// Owner returns the rank owning tile (i, j).
+func (g Grid) Owner(i, j int) int { return (i%g.P)*g.Q + j%g.Q }
+
+// DiagRecipients returns the ranks (other than the owner of (k, k)) that
+// need the factored diagonal tile L_kk: the owners of the panel tiles
+// (i, k), i > k, which apply the triangular solve to their tiles.
+func (g Grid) DiagRecipients(k, mt int) []int {
+	return diagRecipients(g.Owner, k, mt)
+}
+
+// PanelRecipients returns the ranks (other than the owner) that consume the
+// solved panel tile (i, k) during the trailing update of panel k: the owners
+// of tiles (i, j), k < j ≤ i (where it is the left SYRK/GEMM operand) and of
+// tiles (a, i), i < a < mt (where it is the right GEMM operand). The
+// distributed Cholesky sends each panel tile to exactly this set, so every
+// message is consumed and mailboxes drain completely — the property that
+// lets one World be reused across many factorizations (core's distributed
+// likelihood) without stale-message corruption, and it ships strictly fewer
+// bytes than a blanket process row+column broadcast when the trailing
+// submatrix is narrow.
+func (g Grid) PanelRecipients(i, k, mt int) []int {
+	return panelRecipients(g.Owner, i, k, mt)
+}
+
+// tileKey identifies a tile in a rank's local store.
+type tileKey struct{ i, j int }
+
 // OwnerMap overlays membership onto a Grid: the grid's block-cyclic layout
 // is kept as a *logical* tile-to-slot mapping, and the map assigns each
 // slot a physical rank. While every rank is alive the assignment is the

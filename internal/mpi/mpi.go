@@ -4,13 +4,13 @@
 // rank boundary is copied through a mailbox, exactly as an MPI program would
 // send it over the wire.
 //
-// The distributed tiled Cholesky factorizations in this package (dense in
-// dist_chol.go, TLR in dist_tlr.go) are the real-execution counterparts of
-// the cluster package's simulator: the same 2D block-cyclic ownership and
-// panel broadcasts, executed rather than modeled. Per-rank traffic counters
-// (CommStats) record the bytes each rank actually sends and receives so the
-// analytic communication model can be validated against real message
-// volumes (internal/cluster's distcomm tests).
+// The distributed TLR Cholesky factorization in this package (dist_tlr.go;
+// with every tile forced dense it is the dense tiled algorithm) is the
+// real-execution counterpart of the cluster package's simulator: the same 2D
+// block-cyclic ownership and panel broadcasts, executed rather than modeled.
+// Per-rank traffic counters (CommStats) record the bytes each rank actually
+// sends and receives so the analytic communication model can be validated
+// against real message volumes (internal/cluster's distcomm tests).
 package mpi
 
 import (

@@ -9,6 +9,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/la"
 	"repro/internal/rng"
+	"repro/internal/tlr"
 )
 
 func TestSendRecvTagMatching(t *testing.T) {
@@ -129,6 +130,16 @@ func distProblem(n int) (*cov.Kernel, []geom.Point) {
 	return cov.NewKernel(cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.5}), pts
 }
 
+// denseShard is a DistTLR shard whose off-diagonal tiles are all stored
+// densely (ForceMiss ≡ true): the distributed Cholesky then runs the dense
+// tiled algorithm through the same schedule and wire format as the
+// compressed one.
+func denseShard(rank int, grid Grid, pts []geom.Point, nb int) *DistTLR {
+	d := NewDistTLR(rank, grid, pts, geom.Euclidean, nb, 1e-12, tlr.SVDCompressor{})
+	d.ForceMiss = func(mt, i, j int) bool { return true }
+	return d
+}
+
 func TestDistributedCholeskyMatchesDense(t *testing.T) {
 	for _, cfg := range []struct {
 		n, nb, p, q int
@@ -151,26 +162,18 @@ func TestDistributedCholeskyMatchesDense(t *testing.T) {
 		}
 		wantLogDet := la.LogDetFromChol(ref)
 
-		var gathered *la.Mat
+		shards := make([]*DistTLR, cfg.p*cfg.q)
 		var logDets [16]float64
 		errs := RunWorld(cfg.p*cfg.q, func(c *Comm) error {
-			m := NewDistFromKernel(c.Rank(), grid, k, pts, geom.Euclidean, cfg.nb, 1e-10)
-			if err := m.Cholesky(c); err != nil {
+			d := denseShard(c.Rank(), grid, pts, cfg.nb)
+			shards[c.Rank()] = d
+			d.Generate(k, 1e-10)
+			if err := d.Cholesky(c); err != nil {
 				return err
 			}
-			ld, err := m.LogDet(c)
-			if err != nil {
-				return err
-			}
+			ld, err := d.LogDet(c)
 			logDets[c.Rank()] = ld
-			g, err := m.Gather(c)
-			if err != nil {
-				return err
-			}
-			if g != nil {
-				gathered = g
-			}
-			return nil
+			return err
 		})
 		for r, err := range errs {
 			if err != nil {
@@ -182,11 +185,21 @@ func TestDistributedCholeskyMatchesDense(t *testing.T) {
 				t.Fatalf("grid %dx%d: rank %d logdet %g want %g", cfg.p, cfg.q, r, logDets[r], wantLogDet)
 			}
 		}
+		// every tile of the factor, read from the shard that owns it
 		var worst float64
 		for i := 0; i < cfg.n; i++ {
 			for j := 0; j <= i; j++ {
-				if d := math.Abs(gathered.At(i, j) - ref.At(i, j)); d > worst {
-					worst = d
+				ti, tj := i/cfg.nb, j/cfg.nb
+				d := shards[grid.Owner(ti, tj)]
+				tile := d.Diag(ti)
+				if ti != tj {
+					if !d.Off(ti, tj).IsDense() {
+						t.Fatalf("grid %dx%d: tile (%d,%d) was compressed", cfg.p, cfg.q, ti, tj)
+					}
+					tile = d.Off(ti, tj).D
+				}
+				if diff := math.Abs(tile.At(i-ti*cfg.nb, j-tj*cfg.nb) - ref.At(i, j)); diff > worst {
+					worst = diff
 				}
 			}
 		}
@@ -201,10 +214,16 @@ func TestDistributedCholeskyShardsAreDisjoint(t *testing.T) {
 	grid := Grid{P: 2, Q: 2}
 	counts := make([]int, 4)
 	RunWorld(4, func(c *Comm) error {
-		m := NewDistFromKernel(c.Rank(), grid, k, pts, geom.Euclidean, 16, 0)
-		counts[c.Rank()] = len(m.local)
+		d := denseShard(c.Rank(), grid, pts, 16)
+		d.Generate(k, 0)
+		counts[c.Rank()] = len(d.diag) + len(d.off)
 		// a rank never materializes tiles it does not own
-		for key := range m.local {
+		for i := range d.diag {
+			if grid.Owner(i, i) != c.Rank() {
+				t.Errorf("rank %d holds foreign diagonal tile %d", c.Rank(), i)
+			}
+		}
+		for key := range d.off {
 			if grid.Owner(key.i, key.j) != c.Rank() {
 				t.Errorf("rank %d holds foreign tile %v", c.Rank(), key)
 			}
@@ -221,18 +240,14 @@ func TestDistributedCholeskyShardsAreDisjoint(t *testing.T) {
 }
 
 func TestDistributedCholeskyNotSPDFailsEverywhere(t *testing.T) {
-	// A zero matrix fails at the first pivot on every rank, in agreement.
+	// A nugget of −2 under a unit variance makes every diagonal entry −1: the
+	// first pivot fails and every rank must report it, in agreement.
+	k, pts := distProblem(32)
 	grid := Grid{P: 2, Q: 2}
 	errs := RunWorld(4, func(c *Comm) error {
-		m := &DistMatrix{N: 32, NB: 8, MT: 4, Grid: grid, Rank: c.Rank(), local: map[tileKey]*la.Mat{}}
-		for i := 0; i < 4; i++ {
-			for j := 0; j <= i; j++ {
-				if grid.Owner(i, j) == c.Rank() {
-					m.local[tileKey{i, j}] = la.NewMat(8, 8)
-				}
-			}
-		}
-		return m.Cholesky(c)
+		d := denseShard(c.Rank(), grid, pts, 8)
+		d.Generate(k, -2)
+		return d.Cholesky(c)
 	})
 	for r, err := range errs {
 		if err == nil {

@@ -31,7 +31,6 @@ const (
 	kindPanel             // solved panel tile (dense payload or compressed U/V payload)
 	kindFail              // per-panel SPD agreement (reduction: uses k = 0 and k = 1)
 	kindSum               // scalar reductions (LogDet and friends)
-	kindGather            // factor gather onto rank 0
 	kindFwd               // forward-solve partial contributions
 	kindFwdB              // forward-solve solved-block broadcast
 	kindBwd               // backward-solve partial contributions

@@ -275,10 +275,18 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 	}
 }
 
+// writeJSON encodes v before it commits to a status: JSON has no NaN or Inf,
+// so a result that overflowed (a coordinate so far out that the covariance
+// evaluates to ∞·0) is refused as the request's fault instead of going out
+// as a 2xx with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) int {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return writeError(w, http.StatusUnprocessableEntity, "result is not representable in JSON: %v", err)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write is a client that left
 	return status
 }
 
@@ -286,9 +294,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) i
 	return writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// parseMode resolves a wire-format mode name through core's backend
-// registry, so new backend registrations become servable without touching
-// this package. An empty name keeps the historical full-block default.
+// parseMode resolves a wire-format mode name through core's modes table, so
+// a new mode becomes servable without touching this package. An empty name
+// keeps the historical full-block default.
 func parseMode(s string) (core.Mode, error) {
 	if s == "" {
 		return core.FullBlock, nil
@@ -296,10 +304,21 @@ func parseMode(s string) (core.Mode, error) {
 	return core.ModeByName(s)
 }
 
+// Bounds on the config knobs through which one request would size the
+// process rather than tune its model: a tile edge allocates nb×nb scratch
+// whatever the dataset's size, and every worker and rank is a goroutine.
+const (
+	maxTileSize = 4096
+	maxParallel = 256
+)
+
 func toCoreConfig(mc ModelConfig) (core.Config, error) {
 	mode, err := parseMode(mc.Mode)
 	if err != nil {
 		return core.Config{}, err
+	}
+	if mc.TileSize > maxTileSize || mc.Workers > maxParallel || mc.Ranks > maxParallel {
+		return core.Config{}, fmt.Errorf("tile_size above %d, or workers or ranks above %d", maxTileSize, maxParallel)
 	}
 	cfg := core.Config{
 		Mode:           mode,
@@ -459,15 +478,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
 	info.Theta = fromCovParams(theta)
 
 	// Warm the session's solve cache so the factorization is paid at ingest,
-	// not by the first (unlucky) prediction request — and both halves of it,
-	// the mean weights and, where the backend shares a factor, the variance
-	// path's half-solved observations, because a request that has to fill
-	// either holds the session alone while every later one only reads.
-	_, err = sess.Predict(problem.Points[:1], theta)
-	if _, shared := sess.Backend().(core.FactorBackend); shared && err == nil {
-		_, err = sess.PredictWithVariance(problem.Points[:1], theta)
-	}
-	if err != nil {
+	// not by the first (unlucky) prediction request.
+	if err := sess.Warm(theta); err != nil {
 		return writeError(w, http.StatusUnprocessableEntity, "model unusable: %v", err)
 	}
 

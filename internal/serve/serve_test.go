@@ -93,6 +93,7 @@ func TestCreateValidation(t *testing.T) {
 		{"unknown metric", CreateModelRequest{Name: "m", Points: pts, Z: z, Metric: "manhattan", Theta: &testTheta}, http.StatusBadRequest},
 		{"unknown mode", CreateModelRequest{Name: "m", Points: pts, Z: z, Config: ModelConfig{Mode: "sparse"}, Theta: &testTheta}, http.StatusBadRequest},
 		{"bad config", CreateModelRequest{Name: "m", Points: pts, Z: z, Config: ModelConfig{Workers: -1}, Theta: &testTheta}, http.StatusBadRequest},
+		{"process-sized config", CreateModelRequest{Name: "m", Points: pts, Z: z, Config: ModelConfig{Mode: "tlr", Ranks: 1 << 30}, Theta: &testTheta}, http.StatusBadRequest},
 		{"bad theta", CreateModelRequest{Name: "m", Points: pts, Z: z, Theta: &Theta{Variance: -1}}, http.StatusBadRequest},
 		{"body over the byte bound", `{"name": "m", ` + strings.Repeat(" ", bodyBase+bodyPerObserve*100) + `"points": []}`, http.StatusRequestEntityTooLarge},
 	}
