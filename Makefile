@@ -18,15 +18,15 @@ bench:
 # recovery oracle with its injected task panics and rank deaths, the
 # out-of-core and serving suites and the fuzz targets' seed corpora are all in
 # that one pass; internal/core alone is the long pole), one iteration of the
-# recompression kernel benchmarks so they cannot rot, then the benchmark
-# module, which root `go test ./...` does not reach: its vet and unit tests,
-# and its smoke run, which must end with correct:true. Searching for new
-# fuzz inputs is `make fuzz`, not part of verify.
+# recompression and covariance kernel benchmarks so they cannot rot, then the
+# benchmark module, which root `go test ./...` does not reach: its vet and
+# unit tests, and its smoke run, which must end with correct:true. Searching
+# for new fuzz inputs is `make fuzz`, not part of verify.
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -timeout 45m ./...
-	$(GO) test -run '^$$' -bench 'QRThin|SVDThin|Recompress|GemmLL' -benchtime 1x ./internal/la/ ./internal/tlr/
+	$(GO) test -run '^$$' -bench 'QRThin|SVDThin|Recompress|GemmLL|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke
 
@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenCheckpoint$$' -fuzztime 10s -parallel 1 ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -parallel 1 ./internal/dataio/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime 10s -parallel 1 ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzCorrelationTable$$' -fuzztime 10s -parallel 1 ./internal/cov/
 
 # serve runs the kriging service (cmd/exaserve) on :8080.
 serve:

@@ -12,6 +12,11 @@
 //
 // Accuracy is ~1e-12 relative over the parameter ranges geostatistics uses
 // (ν ∈ (0, 5], x ∈ (0, 700)); the tests pin reference values.
+//
+// This is the reference routine, not a hot path: its one caller outside tests
+// is cov.exactH, which samples KScaled to build the per-ν correlation table
+// covariance assembly reads (and answers directly for r/θ₂ < 2⁻²⁰). Speed
+// matters here only through that table's build time (about 0.2 µs a sample).
 package bessel
 
 import (

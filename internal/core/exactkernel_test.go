@@ -1,0 +1,97 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/bessel"
+	"repro/internal/cov"
+	"repro/internal/geom"
+	"repro/internal/la"
+	"repro/internal/rng"
+)
+
+// exactLogLik is ℓ(θ) from a Σ assembled entry by entry with the Bessel
+// routine itself (no correlation table) and factored densely.
+func exactLogLik(t *testing.T, p *Problem, th cov.Params, nugget float64) float64 {
+	t.Helper()
+	n, nu := p.N(), th.Smoothness
+	norm := math.Exp((1-nu)*math.Ln2 - bessel.LogGamma(nu))
+	sigma := la.NewMat(n, n)
+	for i := 0; i < n; i++ {
+		sigma.Set(i, i, th.Variance+nugget)
+		for j := 0; j < i; j++ {
+			s := geom.Distance(p.Metric, p.Points[i], p.Points[j]) / th.Range
+			v := th.Variance * norm * math.Pow(s, nu) * math.Exp(-s) * bessel.KScaled(nu, s)
+			sigma.Set(i, j, v)
+			sigma.Set(j, i, v)
+		}
+	}
+	if err := la.Potrf(sigma); err != nil {
+		t.Fatalf("exact Σ(%v) is not SPD at nugget %g: %v", th, nugget, err)
+	}
+	y := append([]float64(nil), p.Z...)
+	la.ForwardSolveVec(sigma, y)
+	return -0.5*float64(n)*math.Log(2*math.Pi) - 0.5*la.LogDetFromChol(sigma) - 0.5*la.Dot(y, y)
+}
+
+// TestLogLikelihoodMatchesExactKernel: at general ν the likelihood every
+// backend computes from the tabulated kernel agrees to 1e-10 with the one
+// computed from a Σ built by the exact Bessel routine, and the tabulated Σ
+// factors at the configured nugget (no escalation) wherever the exact one
+// does — on the paper's perturbed grid and on clustered locations, where
+// close points make Σ least forgiving. The clustered cases stop at ν = 1.27:
+// at ν = 2.2 there Σ's small eigenvalues sit on the nugget and ℓ moves by
+// 1.5e-10 when the exact formula's own product is merely re-associated, so a
+// 1e-10 bound would test conditioning, not the table.
+func TestLogLikelihoodMatchesExactKernel(t *testing.T) {
+	const n = 320
+	geometries := []struct {
+		name   string
+		pts    []geom.Point
+		thetas []cov.Params
+	}{
+		{"perturbed-grid", geom.GeneratePerturbedGrid(n, rng.New(41)), []cov.Params{
+			{Variance: 1.5, Range: 0.1, Smoothness: 0.6},
+			{Variance: 0.8, Range: 0.07, Smoothness: 1.27},
+			{Variance: 1, Range: 0.03, Smoothness: 2.2},
+		}},
+		{"clustered", geom.GenerateClustered(n, 6, 0.03, rng.New(42)), []cov.Params{
+			{Variance: 1.5, Range: 0.1, Smoothness: 0.6},
+			{Variance: 0.8, Range: 0.07, Smoothness: 0.9},
+			{Variance: 0.8, Range: 0.03, Smoothness: 1.27},
+		}},
+	}
+	configs := []Config{
+		{Mode: FullBlock, Workers: 2},
+		{Mode: FullTile, TileSize: 64, Workers: 2},
+		{Mode: TLR, TileSize: 64, Workers: 2, Accuracy: 1e-13},
+	}
+	for _, g := range geometries {
+		// any fixed observation vector does; a rough field keeps every
+		// eigen-direction of Σ in play
+		z, err := cov.SampleField(cov.NewKernel(cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.5}), g.pts, geom.Euclidean, rng.New(43))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewProblem(g.pts, z, geom.Euclidean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, th := range g.thetas {
+			want := exactLogLik(t, p, th, 1e-9*th.Variance)
+			for _, cfg := range configs {
+				lik, err := LogLikelihood(p, th, cfg)
+				if err != nil {
+					t.Fatalf("%s %v %v: %v", g.name, th, cfg.Mode, err)
+				}
+				if lik.NuggetRetries != 0 {
+					t.Errorf("%s %v %v: %d nugget escalations, the exact Σ needed none", g.name, th, cfg.Mode, lik.NuggetRetries)
+				}
+				if rel := math.Abs(lik.Value-want) / math.Abs(want); rel > 1e-10 {
+					t.Errorf("%s %v %v: ℓ = %.15g, exact kernel %.15g (relative %.3g)", g.name, th, cfg.Mode, lik.Value, want, rel)
+				}
+			}
+		}
+	}
+}

@@ -421,16 +421,22 @@ func (s *Session) PredictWithVariance(newPts []geom.Point, theta cov.Params) (Pr
 			if err := f.HalfSolveMat(w); err != nil {
 				return err
 			}
-			for j := 0; j < w.Cols; j++ {
-				var mean, norm2 float64
-				for r := 0; r < n; r++ {
-					wi := w.At(r, j)
-					mean += wi * y[r]
-					norm2 += wi * wi
+			// One pass over the row-major block with an accumulator per
+			// column (cleared first: a replayed attempt runs this again);
+			// each column still sums its rows in ascending order.
+			mean, norm2 := pr.Mean[lo:hi], pr.Variance[lo:hi]
+			clear(mean)
+			clear(norm2)
+			for r := 0; r < n; r++ {
+				yr := y[r]
+				for j, wi := range w.Row(r) {
+					mean[j] += wi * yr
+					norm2[j] += wi * wi
 				}
-				pr.Mean[lo+j] = mean
+			}
+			for j, v := range norm2 {
 				// clamp tiny negative values from approximation error
-				pr.Variance[lo+j] = max(c0-norm2, 0)
+				norm2[j] = max(c0-v, 0)
 			}
 		}
 		return nil

@@ -2,7 +2,6 @@ package cov
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -70,34 +69,11 @@ func (m Model) ValidateFor(p Params) error {
 	return nil
 }
 
-// NewModelKernel builds a kernel for any supported family. Matérn uses the
-// optimized Kernel path; the others share the same At/Block/Matrix surface.
+// NewModelKernel builds a kernel for any supported family; all of them share
+// the At/Block/SymBlock/Matrix surface (the formulas are in Kernel.apply).
 func NewModelKernel(m Model, p Params) (*Kernel, error) {
 	if err := m.ValidateFor(p); err != nil {
 		return nil, err
 	}
-	k := NewKernel(p)
-	k.model = m
-	return k, nil
-}
-
-// modelAt dispatches the non-Matérn families.
-func (k *Kernel) modelAt(r float64) float64 {
-	if r <= 0 {
-		return k.P.Variance
-	}
-	s := r / k.P.Range
-	switch k.model {
-	case PoweredExponential:
-		return k.P.Variance * math.Exp(-math.Pow(s, k.P.Smoothness))
-	case GaussianModel:
-		return k.P.Variance * math.Exp(-s*s)
-	case Spherical:
-		if s >= 1 {
-			return 0
-		}
-		return k.P.Variance * (1 - 1.5*s + 0.5*s*s*s)
-	default:
-		panic(fmt.Sprintf("cov: unhandled model %v", k.model))
-	}
+	return newKernel(m, p), nil
 }

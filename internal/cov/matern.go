@@ -3,6 +3,12 @@
 // from spatial locations. It also samples zero-mean Gaussian random fields
 // with a given Matérn covariance, which is how synthetic truth data are
 // produced (paper §VIII-D1).
+//
+// No covariance entry evaluates a Bessel function. At a smoothness without a
+// closed form the kernel reads a per-ν piecewise-Chebyshev table of the
+// correlation (table.go); bessel.KScaled is called only by exactH — to build
+// that table (2 640 evaluations per distinct ν, memoized), for s = r/θ₂ below
+// the table's first cell at 2⁻²⁰, and as the oracle of this package's tests.
 package cov
 
 import (
@@ -43,13 +49,17 @@ func (p Params) String() string {
 	return fmt.Sprintf("(θ1=%.4g, θ2=%.4g, θ3=%.4g)", p.Variance, p.Range, p.Smoothness)
 }
 
-// Kernel evaluates the Matérn covariance C(r; θ) at distance r ≥ 0:
+// Kernel evaluates a covariance C(r; θ) at distance r ≥ 0. For the Matérn
+// family (the paper's model, and the default)
 //
 //	C(r) = θ₁ · 2^{1−θ₃}/Γ(θ₃) · (r/θ₂)^{θ₃} · K_{θ₃}(r/θ₂),  C(0) = θ₁.
 //
 // The half-integer smoothness values that dominate geostatistical practice
-// use their closed forms (exponential for ν = ½, ν = 3∕2, ν = 5∕2, Whittle
-// ν = 1 via Bessel); other orders go through the general Bessel-K path.
+// (ν = ½, 3∕2, 5∕2) use their closed forms; every other order reads the
+// per-ν correlation table (table.go) that NewKernel fetches or builds, so no
+// entry of a covariance matrix runs the Bessel routine. There is one
+// definition of C(r; θ): At, Block, SymBlock, Matrix and MatrixParallel all
+// go through apply and agree bitwise.
 type Kernel struct {
 	P Params
 	// precomputed 2^{1-nu}/Gamma(nu)
@@ -57,12 +67,55 @@ type Kernel struct {
 	// model selects the covariance family (Matern by default; see
 	// NewModelKernel for the alternatives).
 	model Model
+	// form is the model/ν dispatch, resolved once at construction.
+	form form
+	// tab is h_ν for form == tabulated, nil otherwise.
+	tab *corrTable
 }
 
-// NewKernel builds a Matérn kernel, precomputing the Γ normalization.
-func NewKernel(p Params) *Kernel {
+// form names the formula apply runs.
+type form uint8
+
+const (
+	tabulated form = iota // Matérn, general ν
+	matern12              // Matérn ν = ½: exp(−s)
+	matern32              // Matérn ν = 3∕2: (1+s)·exp(−s)
+	matern52              // Matérn ν = 5∕2: (1+s+s²∕3)·exp(−s)
+	powExp
+	gaussian
+	spherical
+)
+
+// NewKernel builds a Matérn kernel, precomputing the Γ normalization and,
+// for a smoothness without a closed form, fetching its correlation table.
+func NewKernel(p Params) *Kernel { return newKernel(Matern, p) }
+
+func newKernel(m Model, p Params) *Kernel {
 	nu := p.Smoothness
-	return &Kernel{P: p, norm: math.Exp((1-nu)*math.Ln2 - bessel.LogGamma(nu))}
+	k := &Kernel{P: p, model: m, norm: math.Exp((1-nu)*math.Ln2 - bessel.LogGamma(nu))}
+	switch m {
+	case PoweredExponential:
+		k.form = powExp
+	case GaussianModel:
+		k.form = gaussian
+	case Spherical:
+		k.form = spherical
+	case Matern:
+		switch nu {
+		case 0.5:
+			k.form = matern12
+		case 1.5:
+			k.form = matern32
+		case 2.5:
+			k.form = matern52
+		default:
+			k.form = tabulated
+			k.tab = tableFor(nu, k.norm)
+		}
+	default:
+		panic(fmt.Sprintf("cov: unhandled model %v", m))
+	}
+	return k
 }
 
 // Model reports the kernel's covariance family.
@@ -70,53 +123,111 @@ func (k *Kernel) Model() Model { return k.model }
 
 // At returns C(r; θ).
 func (k *Kernel) At(r float64) float64 {
-	if k.model != Matern {
-		return k.modelAt(r)
-	}
 	if r <= 0 {
 		return k.P.Variance
 	}
-	s := r / k.P.Range
-	nu := k.P.Smoothness
-	switch nu {
-	case 0.5:
-		// exponential model: θ1 exp(−r/θ2)
-		return k.P.Variance * math.Exp(-s)
-	case 1.5:
-		return k.P.Variance * (1 + s) * math.Exp(-s)
-	case 2.5:
-		return k.P.Variance * (1 + s + s*s/3) * math.Exp(-s)
+	v := [1]float64{r}
+	k.apply(v[:])
+	return v[0]
+}
+
+// apply maps distances to covariances in place, v[j] ← C(v[j]; θ): the
+// family and ν are dispatched once and each form is one loop over the row.
+func (k *Kernel) apply(v []float64) {
+	variance, rng := k.P.Variance, k.P.Range
+	switch k.form {
+	case tabulated:
+		tab := k.tab
+		for j, r := range v {
+			s := r / rng
+			cell, t := cellOf(s)
+			if cell >= tabCells || s > tabCutoff {
+				v[j] = k.offTable(s)
+				continue
+			}
+			v[j] = variance * math.Exp(-s) * tab.eval(cell, t)
+		}
+	case matern12:
+		for j, r := range v {
+			v[j] = variance * math.Exp(-(r / rng))
+		}
+	case matern32:
+		for j, r := range v {
+			s := r / rng
+			v[j] = variance * (1 + s) * math.Exp(-s)
+		}
+	case matern52:
+		for j, r := range v {
+			s := r / rng
+			v[j] = variance * (1 + s + s*s/3) * math.Exp(-s)
+		}
+	case powExp:
+		nu := k.P.Smoothness
+		for j, r := range v {
+			v[j] = variance * math.Exp(-math.Pow(r/rng, nu))
+		}
+	case gaussian:
+		for j, r := range v {
+			s := r / rng
+			v[j] = variance * math.Exp(-s*s)
+		}
+	case spherical:
+		for j, r := range v {
+			s := r / rng
+			if s >= 1 {
+				v[j] = 0
+				continue
+			}
+			v[j] = variance * (1 - 1.5*s + 0.5*s*s*s)
+		}
 	}
-	// General case. For large s the product underflows to 0, which is the
-	// correct limit. Use the scaled Bessel to avoid premature underflow.
-	if s > 600 {
+}
+
+// offTable is the tabulated form outside the grid: θ₁ at s ≤ 0, the exact
+// routine below 2⁻²⁰, and 0 beyond the cut-off, where e^{−s} underflows the
+// product (and for a NaN distance).
+func (k *Kernel) offTable(s float64) float64 {
+	switch {
+	case s <= 0:
+		return k.P.Variance
+	case s < tabMin:
+		return k.P.Variance * math.Exp(-s) * exactH(k.P.Smoothness, k.norm, s)
+	default:
 		return 0
 	}
-	v := k.P.Variance * k.norm * math.Pow(s, nu) * math.Exp(-s) * bessel.KScaled(nu, s)
-	if math.IsNaN(v) {
-		return 0
-	}
-	return v
 }
 
 // Correlation returns C(r)/θ₁ ∈ (0, 1].
 func (k *Kernel) Correlation(r float64) float64 { return k.At(r) / k.P.Variance }
 
 // Matrix fills dst (n×n) with Σ_ij = C(d(p_i, p_j); θ) for the locations pts
-// under metric m. dst must be n×n with n = len(pts). Only full symmetric
-// assembly is provided; the tile generators below cover submatrix assembly.
+// under metric m: SymBlock over all of pts.
 func (k *Kernel) Matrix(dst *la.Mat, pts []geom.Point, m geom.Metric) {
-	n := len(pts)
-	if dst.Rows != n || dst.Cols != n {
-		panic(fmt.Sprintf("cov: matrix dims %dx%d for %d points", dst.Rows, dst.Cols, n))
+	k.SymBlock(dst, pts, m)
+}
+
+// SymBlock fills dst (n×n, n = len(pts)) with the covariance of pts with
+// themselves — a diagonal tile of Σ. It evaluates the lower triangle and
+// mirrors it: geom.Distance is exactly symmetric in its points, so the result
+// is bitwise what Block(dst, pts, pts, m) produces at half the evaluations.
+func (k *Kernel) SymBlock(dst *la.Mat, pts []geom.Point, m geom.Metric) {
+	if dst.Rows != len(pts) || dst.Cols != len(pts) {
+		panic(fmt.Sprintf("cov: symmetric block dims %dx%d for %d points", dst.Rows, dst.Cols, len(pts)))
 	}
-	for i := 0; i < n; i++ {
-		dst.Set(i, i, k.P.Variance)
-		for j := 0; j < i; j++ {
-			v := k.At(geom.Distance(m, pts[i], pts[j]))
-			dst.Set(i, j, v)
-			dst.Set(j, i, v)
-		}
+	for i := range pts {
+		k.symRow(dst, i, pts, m)
+	}
+}
+
+// symRow fills row i of a symmetric block left of and on the diagonal, and
+// the column above the diagonal with its mirror.
+func (k *Kernel) symRow(dst *la.Mat, i int, pts []geom.Point, m geom.Metric) {
+	row := dst.Row(i)[:i]
+	geom.Distances(row, m, pts[i], pts[:i])
+	k.apply(row)
+	dst.Set(i, i, k.P.Variance)
+	for j, v := range row {
+		dst.Set(j, i, v)
 	}
 }
 
@@ -152,16 +263,8 @@ func (k *Kernel) MatrixParallel(dst *la.Mat, pts []geom.Point, m geom.Metric, wo
 				if lo >= n {
 					return
 				}
-				hi := min(lo+chunk, n)
-				for i := lo; i < hi; i++ {
-					dst.Set(i, i, k.P.Variance)
-					row := dst.Row(i)
-					pi := pts[i]
-					for j := 0; j < i; j++ {
-						v := k.At(geom.Distance(m, pi, pts[j]))
-						row[j] = v
-						dst.Set(j, i, v)
-					}
+				for i := lo; i < min(lo+chunk, n); i++ {
+					k.symRow(dst, i, pts, m)
 				}
 			}
 		}()
@@ -172,16 +275,16 @@ func (k *Kernel) MatrixParallel(dst *la.Mat, pts []geom.Point, m geom.Metric, wo
 // Block fills dst (len(rows)×len(cols)) with the cross-covariance between
 // two location subsets: dst[a][b] = C(d(rowPts[a], colPts[b])). This is the
 // tile/cross-block generation kernel (the "matrix generation" task of
-// ExaGeoStat) used by both the tiled dense and the TLR paths.
+// ExaGeoStat) used by both the tiled dense and the TLR paths; a diagonal
+// tile (rowPts and colPts the same) is SymBlock's job.
 func (k *Kernel) Block(dst *la.Mat, rowPts, colPts []geom.Point, m geom.Metric) {
 	if dst.Rows != len(rowPts) || dst.Cols != len(colPts) {
 		panic("cov: block dims mismatch")
 	}
 	for i, pi := range rowPts {
 		row := dst.Row(i)
-		for j, pj := range colPts {
-			row[j] = k.At(geom.Distance(m, pi, pj))
-		}
+		geom.Distances(row, m, pi, colPts)
+		k.apply(row)
 	}
 }
 

@@ -43,9 +43,7 @@ const (
 func Distance(m Metric, a, b Point) float64 {
 	switch m {
 	case Euclidean:
-		dx := a.X - b.X
-		dy := a.Y - b.Y
-		return math.Sqrt(dx*dx + dy*dy)
+		return euclid(a, b)
 	case GreatCircle:
 		return Haversine(a, b, 1)
 	case GreatCircleEarth100km:
@@ -54,6 +52,28 @@ func Distance(m Metric, a, b Point) float64 {
 		return 2 * math.Sin(Haversine(a, b, 1)/2)
 	default:
 		panic("geom: unknown metric")
+	}
+}
+
+func euclid(a, b Point) float64 {
+	dx := a.X - b.X
+	dy := a.Y - b.Y
+	return math.Sqrt(dx*dx + dy*dy)
+}
+
+// Distances fills dst[j] with Distance(m, p, pts[j]) — one row of a distance
+// block, with the metric resolved once for the planar case that every
+// covariance tile of a synthetic fit runs.
+func Distances(dst []float64, m Metric, p Point, pts []Point) {
+	dst = dst[:len(pts)]
+	if m == Euclidean {
+		for j, q := range pts {
+			dst[j] = euclid(p, q)
+		}
+		return
+	}
+	for j, q := range pts {
+		dst[j] = Distance(m, p, q)
 	}
 }
 

@@ -122,8 +122,7 @@ func BuildGenCholeskyGraph(m *Matrix, spec *GenSpec, bind bool) *runtime.Graph {
 			if bind {
 				run = func() {
 					cntDcmgHODLR.Inc()
-					r := spec.Pts[n.lo:n.hi]
-					spec.K.Block(n.dense, r, r, spec.Metric)
+					spec.K.SymBlock(n.dense, spec.Pts[n.lo:n.hi], spec.Metric)
 					if spec.Nugget != 0 {
 						for a := 0; a < n.dense.Rows; a++ {
 							n.dense.Set(a, a, n.dense.At(a, a)+spec.Nugget)

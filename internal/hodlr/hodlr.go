@@ -72,7 +72,7 @@ func build(k *cov.Kernel, pts []geom.Point, metric geom.Metric, lo, hi, leaf int
 	size := hi - lo
 	if size <= leaf {
 		d := la.NewMat(size, size)
-		k.Block(d, pts[lo:hi], pts[lo:hi], metric)
+		k.SymBlock(d, pts[lo:hi], metric)
 		for a := 0; a < size; a++ {
 			d.Set(a, a, d.At(a, a)+nugget)
 		}

@@ -122,7 +122,7 @@ func (d *DistTLR) genTile(k *cov.Kernel, nugget float64, i, j int) {
 			t = la.NewMat(di, di)
 			d.diag[i] = t
 		}
-		k.Block(t, ri, ri, d.Metric)
+		k.SymBlock(t, ri, d.Metric)
 		if nugget != 0 {
 			for a := 0; a < di; a++ {
 				t.Set(a, a, t.At(a, a)+nugget)

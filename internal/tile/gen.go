@@ -51,9 +51,13 @@ func AddGenTasks(g *runtime.Graph, m *SymMatrix, spec *GenSpec, hs [][]*runtime.
 				run = func() {
 					cntDcmg.Inc()
 					ri := spec.Pts[i*m.NB : i*m.NB+m.TileDim(i)]
-					rj := spec.Pts[j*m.NB : j*m.NB+m.TileDim(j)]
-					spec.K.Block(dst, ri, rj, spec.Metric)
-					if i == j && spec.Nugget != 0 {
+					if i != j {
+						rj := spec.Pts[j*m.NB : j*m.NB+m.TileDim(j)]
+						spec.K.Block(dst, ri, rj, spec.Metric)
+						return
+					}
+					spec.K.SymBlock(dst, ri, spec.Metric)
+					if spec.Nugget != 0 {
 						for a := 0; a < dst.Rows; a++ {
 							dst.Set(a, a, dst.At(a, a)+spec.Nugget)
 						}

@@ -67,10 +67,11 @@ func (m *SymMatrix) FillKernel(k *cov.Kernel, pts []geom.Point, metric geom.Metr
 	}
 	for i := 0; i < m.MT; i++ {
 		ri := pts[i*m.NB : i*m.NB+m.TileDim(i)]
-		for j := 0; j <= i; j++ {
+		for j := 0; j < i; j++ {
 			rj := pts[j*m.NB : j*m.NB+m.TileDim(j)]
 			k.Block(m.tiles[i][j], ri, rj, metric)
 		}
+		k.SymBlock(m.tiles[i][i], ri, metric)
 		if nugget != 0 {
 			d := m.tiles[i][i]
 			for a := 0; a < d.Rows; a++ {

@@ -97,7 +97,7 @@ func AddGenTasks(g *runtime.Graph, m *Matrix, spec *GenSpec, dh []*runtime.Handl
 					m.diag[i] = d
 				}
 				ri := spec.Pts[i*m.NB : i*m.NB+di]
-				spec.K.Block(d, ri, ri, spec.Metric)
+				spec.K.SymBlock(d, ri, spec.Metric)
 				if spec.Nugget != 0 {
 					for a := 0; a < di; a++ {
 						d.Set(a, a, d.At(a, a)+spec.Nugget)
