@@ -14,8 +14,8 @@
 // server's message, so callers can distinguish load shedding (503) from
 // caller bugs (4xx).
 //
-// The client targets the versioned /v1/ wire API; servers also keep the
-// original unversioned paths mounted as aliases for older clients.
+// The client targets the versioned /v1/ wire API, the only one the server
+// mounts.
 package client
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/runtime"
 	"repro/internal/tile"
+	"repro/internal/tlr"
 )
 
 // Variant selects the factorization whose DAG is simulated.
@@ -74,91 +75,39 @@ func (w Workload) effectiveTiling() (nb, mt int) {
 }
 
 // buildDAG constructs the structural Cholesky DAG for the workload, with
-// per-handle byte sizes reflecting the storage format. It mirrors the task
-// insertion of tile.BuildCholeskyGraph / tlr.BuildCholeskyGraph.
+// per-handle byte sizes reflecting the storage format. The DAG is
+// tile.AddCholeskySweep's — the one the full-tile and TLR factorizations
+// execute — costed with the dense flop counts or, for TLR, tlr's compressed
+// ones at the rank model's ranks.
 func (w Workload) buildDAG() (*runtime.Graph, int, int) {
 	nb, mt := w.effectiveTiling()
 	g := runtime.NewGraph()
 	hs := make([][]*runtime.Handle, mt)
-	tileBytes := func(i, j int) int64 {
-		if w.Variant == Dense || i == j {
-			return int64(nb) * int64(nb) * 8
-		}
-		k := w.Ranks.Rank(nb, i-j)
-		return int64(2*nb*k) * 8
-	}
+	rank := func(i, j int) int { return w.Ranks.Rank(nb, i-j) }
 	for i := 0; i < mt; i++ {
 		hs[i] = make([]*runtime.Handle, i+1)
 		for j := 0; j <= i; j++ {
-			hs[i][j] = g.NewHandle(fmt.Sprintf("A[%d,%d]", i, j), tileBytes(i, j), int64(i)<<32|int64(j))
+			bytes := int64(nb) * int64(nb) * 8
+			if w.Variant != Dense && i != j {
+				bytes = int64(2*nb*rank(i, j)) * 8
+			}
+			hs[i][j] = g.NewHandle(fmt.Sprintf("A[%d,%d]", i, j), bytes, int64(i)<<32|int64(j))
 		}
 	}
-	rank := func(i, j int) int {
-		if w.Variant == Dense {
-			return nb
-		}
-		return w.Ranks.Rank(nb, i-j)
+	kern := tile.SweepKernels{
+		Potrf: func(k int) (float64, func()) { return tile.FlopsPOTRF(nb), nil },
+		Trsm:  func(i, k int) (float64, func()) { return tile.FlopsTRSM(nb, nb), nil },
+		Syrk:  func(i, k int) (float64, func()) { return tile.FlopsSYRK(nb, nb), nil },
+		Gemm:  func(i, j, k int) (float64, func()) { return tile.FlopsGEMM(nb, nb, nb), nil },
 	}
-	for k := 0; k < mt; k++ {
-		g.AddTask(runtime.Task{
-			Name:     "potrf",
-			Flops:    tile.FlopsPOTRF(nb),
-			Priority: 3 * (mt - k),
-			Accesses: []runtime.Access{{Handle: hs[k][k], Mode: runtime.ReadWrite}},
-		})
-		for i := k + 1; i < mt; i++ {
-			var fl float64
-			if w.Variant == Dense {
-				fl = tile.FlopsTRSM(nb, nb)
-			} else {
-				fl = float64(nb) * float64(nb) * float64(rank(i, k))
-			}
-			g.AddTask(runtime.Task{
-				Name:     "trsm",
-				Flops:    fl,
-				Priority: 2 * (mt - i),
-				Accesses: []runtime.Access{
-					{Handle: hs[k][k], Mode: runtime.Read},
-					{Handle: hs[i][k], Mode: runtime.ReadWrite},
-				},
-			})
-		}
-		for i := k + 1; i < mt; i++ {
-			var fl float64
-			if w.Variant == Dense {
-				fl = tile.FlopsSYRK(nb, nb)
-			} else {
-				kk := rank(i, k)
-				fl = 2*float64(kk)*float64(kk)*float64(nb) + 2*float64(nb)*float64(nb)*float64(kk)
-			}
-			g.AddTask(runtime.Task{
-				Name:  "syrk",
-				Flops: fl,
-				Accesses: []runtime.Access{
-					{Handle: hs[i][k], Mode: runtime.Read},
-					{Handle: hs[i][i], Mode: runtime.ReadWrite},
-				},
-			})
-			for j := k + 1; j < i; j++ {
-				var fl float64
-				if w.Variant == Dense {
-					fl = tile.FlopsGEMM(nb, nb, nb)
-				} else {
-					ks := float64(rank(i, k) + rank(j, k) + rank(i, j))
-					fl = 2*float64(nb)*ks*ks + ks*ks*ks
-				}
-				g.AddTask(runtime.Task{
-					Name:  "gemm",
-					Flops: fl,
-					Accesses: []runtime.Access{
-						{Handle: hs[i][k], Mode: runtime.Read},
-						{Handle: hs[j][k], Mode: runtime.Read},
-						{Handle: hs[i][j], Mode: runtime.ReadWrite},
-					},
-				})
-			}
+	if w.Variant != Dense {
+		kern.Trsm = func(i, k int) (float64, func()) { return tlr.FlopsTRSMComp(nb, rank(i, k)), nil }
+		kern.Syrk = func(i, k int) (float64, func()) { return tlr.FlopsSYRKComp(nb, rank(i, k)), nil }
+		kern.Gemm = func(i, j, k int) (float64, func()) {
+			return tlr.FlopsGEMMComp(nb, rank(i, k), rank(j, k), rank(i, j)), nil
 		}
 	}
+	tile.AddCholeskySweep(g, mt, func(i, j int) *runtime.Handle { return hs[i][j] }, kern)
 	return g, nb, mt
 }
 

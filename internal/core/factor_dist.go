@@ -206,11 +206,11 @@ func (f distFactor) Bytes() int64 {
 	return b
 }
 
-// RankStats reduces the live shards' local rank statistics.
+// RankStats reduces the live shards' rank sums.
 func (f distFactor) RankStats() (maxRank int, meanRank float64) {
 	var sum, count int
 	for _, r := range f.d.world.AliveRanks() {
-		m, s, n := f.d.shards[r].LocalRankStats()
+		m, s, n := f.d.shards[r].RankSums()
 		maxRank = max(maxRank, m)
 		sum += s
 		count += n

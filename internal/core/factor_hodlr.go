@@ -24,7 +24,7 @@ var (
 type hodlrState struct {
 	taskGraph
 	hm    *hodlr.Matrix
-	hspec *hodlr.GenSpec // mutable kernel/nugget slot read by the tasks
+	hspec *tlr.GenSpec // mutable kernel/nugget slot read by the tasks
 	hg    *runtime.Graph
 }
 
@@ -35,7 +35,7 @@ func (st *hodlrState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64)
 			return nil, err
 		}
 		st.hm = hodlr.NewTree(e.p.N(), e.cfg.TileSize, e.cfg.Accuracy)
-		st.hspec = &hodlr.GenSpec{Pts: e.p.Points, Metric: e.p.Metric, Comp: comp}
+		st.hspec = &tlr.GenSpec{Pts: e.p.Points, Metric: e.p.Metric, Comp: comp}
 		st.hg = hodlr.BuildGenCholeskyGraph(st.hm, st.hspec, true)
 		cntCacheHODLRMiss.Inc()
 	} else {

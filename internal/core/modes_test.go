@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cov"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -178,12 +179,18 @@ func TestSessionDiagnosticsUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := obs.Default().Snapshot()
 		lik, err := s.LogLikelihood(theta())
 		if err != nil {
 			t.Fatalf("%v: %v", cfg.Mode, err)
 		}
 		if lik.NuggetUsed <= 0 || lik.NuggetRetries != 0 {
 			t.Fatalf("%v: diagnostics not populated: %+v", cfg.Mode, lik)
+		}
+		// ranks generate with the shared generator, so the compression
+		// instruments see them: MT = 3, one compression per off-diagonal tile
+		if got := obs.Default().Snapshot().Sub(before).Counters["tlr.compress.calls"]; cfg.Ranks > 1 && got != 3 {
+			t.Fatalf("%d ranks: tlr.compress.calls advanced by %d, want 3", cfg.Ranks, got)
 		}
 		if m := s.Metrics(); m.FactorFailures != 0 || m.NuggetEscalations != 0 || m.LastFactorFailure != "" {
 			t.Fatalf("%v: a clean evaluation left failures behind: %+v", cfg.Mode, m)

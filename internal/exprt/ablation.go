@@ -211,6 +211,34 @@ func ablationFormats(o Options) error {
 	}
 	fmt.Fprint(o.Out, tb.String())
 	fmt.Fprintln(o.Out, "HODLR compresses the far field harder; TLR's flat layout is what distributes (the paper's §II argument)")
+
+	// What each format costs end to end: one likelihood evaluation (assembly,
+	// compression, factorization, solve) on the same problem and leaf size.
+	if o.Scale == ScalePaper {
+		n, leaf = 3600, 200
+	}
+	syn, err := core.GenerateSynthetic(n, 0, maternRef(), o.Seed)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(o.Out, "one core.LogLikelihood per format (n=%d, nb=leaf=%d, %d workers)\n", n, leaf, o.Workers)
+	tb = stats.NewTable("compressor", "accuracy", "tlr time", "tlr MiB", "hodlr time", "hodlr MiB")
+	for _, comp := range []string{"svd", "rsvd"} {
+		for _, acc := range []float64{1e-5, 1e-7, 1e-9} {
+			row := []string{comp, fmt.Sprintf("%.0e", acc)}
+			for _, mode := range []core.Mode{core.TLR, core.HODLR} {
+				t0 := time.Now()
+				lik, err := core.LogLikelihood(syn.Train, maternRef(), core.Config{
+					Mode: mode, TileSize: leaf, Accuracy: acc, CompressorName: comp, Workers: o.Workers})
+				if err != nil {
+					return err
+				}
+				row = append(row, fmtSecs(time.Since(t0).Seconds(), false), fmt.Sprintf("%.2f", float64(lik.Bytes)/(1<<20)))
+			}
+			tb.AddRow(row...)
+		}
+	}
+	fmt.Fprint(o.Out, tb.String())
 	return nil
 }
 

@@ -200,31 +200,6 @@ func (n *node) forwardSolveMat(b *la.Mat, base int) {
 	n.right.forwardSolveMat(b, base)
 }
 
-// BackwardSolveMat overwrites the N×r block B with L⁻ᵀ·B.
-func (m *Matrix) BackwardSolveMat(b *la.Mat) {
-	if b.Rows != m.N {
-		panic(fmt.Sprintf("hodlr: solve-mat rows %d for n=%d", b.Rows, m.N))
-	}
-	m.root.backwardSolveMat(b, 0)
-}
-
-func (n *node) backwardSolveMat(b *la.Mat, base int) {
-	if n.dense != nil {
-		la.Trsm(la.Left, la.Lower, la.Transpose, 1, n.dense, b.View(n.lo-base, 0, n.hi-n.lo, b.Cols))
-		return
-	}
-	mid := n.left.hi
-	n.right.backwardSolveMat(b, base)
-	tlr.MatMulT(n.off, -1, b.View(mid-base, 0, n.hi-mid, b.Cols), b.View(n.lo-base, 0, mid-n.lo, b.Cols))
-	n.left.backwardSolveMat(b, base)
-}
-
-// SolveMat overwrites the N×r block B with A⁻¹·B (multi-RHS solve).
-func (m *Matrix) SolveMat(b *la.Mat) {
-	m.ForwardSolveMat(b)
-	m.BackwardSolveMat(b)
-}
-
 // RankStats returns the (max, mean) rank over the compressed off-diagonal
 // blocks; dense-fallback blocks count at their full minimum dimension.
 func (m *Matrix) RankStats() (int, float64) {

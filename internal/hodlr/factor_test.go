@@ -74,6 +74,8 @@ func TestSolveMatchesDense(t *testing.T) {
 	}
 }
 
+// The block forward solve is the column-by-column vector ForwardSolve (the
+// package's only direct check of its multi-column solve).
 func TestSolveMatMatchesVectorSolves(t *testing.T) {
 	n := 200
 	k, pts, _ := testSetup(t, n)
@@ -85,16 +87,16 @@ func TestSolveMatMatchesVectorSolves(t *testing.T) {
 	b := la.NewMat(n, 3)
 	r.NormSlice(b.Data)
 	got := b.Clone()
-	m.SolveMat(got)
+	m.ForwardSolveMat(got)
 	for j := 0; j < 3; j++ {
 		col := make([]float64, n)
 		for i := 0; i < n; i++ {
 			col[i] = b.At(i, j)
 		}
-		m.Solve(col)
+		m.ForwardSolve(col)
 		for i := 0; i < n; i++ {
 			if math.Abs(got.At(i, j)-col[i]) > 1e-9 {
-				t.Fatalf("SolveMat col %d row %d: %g vs %g", j, i, got.At(i, j), col[i])
+				t.Fatalf("ForwardSolveMat col %d row %d: %g vs %g", j, i, got.At(i, j), col[i])
 			}
 		}
 	}
@@ -109,7 +111,7 @@ func TestGenCholeskyDeterministicAcrossWorkers(t *testing.T) {
 	for _, comp := range []tlr.Compressor{tlr.SVDCompressor{}, tlr.RSVDCompressor{Seed: 42}} {
 		run := func(workers int) (*Matrix, float64) {
 			m := NewTree(n, 32, 1e-9)
-			spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: comp}
+			spec := &tlr.GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: comp}
 			if err := GenCholesky(m, spec, workers); err != nil {
 				t.Fatalf("%s workers=%d: %v", comp.Name(), workers, err)
 			}
@@ -147,7 +149,7 @@ func TestGenGraphReuseAcrossTheta(t *testing.T) {
 		{Variance: 1, Range: 0.1, Smoothness: 0.5}, // revisit the first point
 	}
 	m := NewTree(n, 32, 1e-9)
-	spec := &GenSpec{Pts: pts, Metric: geom.Euclidean, Comp: tlr.RSVDCompressor{Seed: 7}}
+	spec := &tlr.GenSpec{Pts: pts, Metric: geom.Euclidean, Comp: tlr.RSVDCompressor{Seed: 7}}
 	g := BuildGenCholeskyGraph(m, spec, true)
 	for _, th := range thetas {
 		spec.K = cov.NewKernel(th)
@@ -158,7 +160,7 @@ func TestGenGraphReuseAcrossTheta(t *testing.T) {
 		reused := m.LogDet()
 
 		fresh := NewTree(n, 32, 1e-9)
-		fspec := &GenSpec{K: spec.K, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: tlr.RSVDCompressor{Seed: 7}}
+		fspec := &tlr.GenSpec{K: spec.K, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: tlr.RSVDCompressor{Seed: 7}}
 		if err := GenCholesky(fresh, fspec, 4); err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +190,7 @@ func TestCholeskyBreakdownError(t *testing.T) {
 	}
 
 	mg := NewTree(n, 32, 1e-12)
-	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Comp: tlr.SVDCompressor{}}
+	spec := &tlr.GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Comp: tlr.SVDCompressor{}}
 	gerr := GenCholesky(mg, spec, 4)
 	if gerr == nil {
 		t.Fatal("graph factorization of near-singular Σ succeeded while sequential failed")

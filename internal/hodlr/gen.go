@@ -11,26 +11,18 @@ package hodlr
 import (
 	"fmt"
 
-	"repro/internal/cov"
-	"repro/internal/geom"
 	"repro/internal/la"
-	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/tile"
 	"repro/internal/tlr"
 )
 
-var (
-	cntDcmgHODLR = obs.GetCounter("hodlr.dcmg.calls")
-	cntCompressH = obs.GetCounter("hodlr.compress.calls")
-	histRankH    = obs.GetHistogram("hodlr.compress.rank")
-)
-
 // NewTree allocates the HODLR shell for n points: the recursion tree with
 // leaf blocks preallocated (zero) and off-diagonal blocks empty. Executing a
-// GenSpec graph fills it; re-executing with an updated spec refills it in
-// place — the reuse pattern core's likelihood evaluator drives once per
-// optimizer iteration.
+// BuildGenCholeskyGraph graph fills it; re-executing with an updated
+// tlr.GenSpec (closures read its fields when they run) refills it in place —
+// the reuse pattern core's likelihood evaluator drives once per optimizer
+// iteration.
 func NewTree(n, leafSize int, tol float64) *Matrix {
 	if leafSize < 2 {
 		panic("hodlr: leaf size must be at least 2")
@@ -52,31 +44,16 @@ func newTree(lo, hi, leaf int) *node {
 	return n
 }
 
-// GenSpec carries the inputs of HODLR covariance assembly. As with
-// tlr.GenSpec, task closures read the fields when they RUN: callers that
-// cache the assembly+factorization graph swap in a new Kernel and Nugget
-// between executions and re-run the same graph. Pts, Metric and Comp must
-// stay fixed for the graph's lifetime.
-type GenSpec struct {
-	K      *cov.Kernel
-	Pts    []geom.Point
-	Metric geom.Metric
-	Nugget float64
-	// Comp compresses the off-diagonal blocks. Stochastic backends
-	// implementing tlr.TileCompressor are re-seeded per block (keyed by the
-	// block's index range), keeping results bitwise-identical at any worker
-	// count.
-	Comp tlr.Compressor
-}
-
-// compressorFor resolves the compressor instance for the off block of node
-// n: per-block seeded for stochastic backends, spec.Comp otherwise. The
-// (lo, hi) range is unique per node, giving every block its own stream.
-func (s *GenSpec) compressorFor(n *node) tlr.Compressor {
-	if tc, ok := s.Comp.(tlr.TileCompressor); ok {
-		return tc.ForTile(n.lo, n.hi)
-	}
-	return s.Comp
+// genOff generates and compresses internal node n's off-diagonal block —
+// rows [mid, hi), columns [lo, mid) — with the generator TLR's tiles come
+// from. The (lo, hi) range is unique per node, giving a stochastic
+// compressor its own stream per block; blocks no larger than a leaf use the
+// spec's pooled scratch. HODLR has no rank cap and no tiling for ForceMiss
+// to address.
+func (n *node) genOff(spec *tlr.GenSpec, leaf int, tol float64) {
+	mid := n.left.hi
+	n.off = spec.OffBlock(spec.Pts[mid:n.hi], spec.Pts[n.lo:mid], leaf, 0, n.lo, n.hi, tol, 0)
+	n.schurS = nil
 }
 
 // nominalRank is the rank assumed for costing factorization tasks before
@@ -93,7 +70,7 @@ func flopsCompressH(r, c int) float64 {
 // graph (bind false) carries only costs, for the simulated executors. The
 // graph is re-executable: each run regenerates every block from the (possibly
 // updated) spec and refactors, leaving m holding the Cholesky factor.
-func BuildGenCholeskyGraph(m *Matrix, spec *GenSpec, bind bool) *runtime.Graph {
+func BuildGenCholeskyGraph(m *Matrix, spec *tlr.GenSpec, bind bool) *runtime.Graph {
 	g := runtime.NewGraph()
 	all := m.root.nodes(nil)
 	total := len(all)
@@ -120,15 +97,7 @@ func BuildGenCholeskyGraph(m *Matrix, spec *GenSpec, bind bool) *runtime.Graph {
 		if n.dense != nil {
 			var run func()
 			if bind {
-				run = func() {
-					cntDcmgHODLR.Inc()
-					spec.K.SymBlock(n.dense, spec.Pts[n.lo:n.hi], spec.Metric)
-					if spec.Nugget != 0 {
-						for a := 0; a < n.dense.Rows; a++ {
-							n.dense.Set(a, a, n.dense.At(a, a)+spec.Nugget)
-						}
-					}
-				}
+				run = func() { spec.DiagBlock(n.dense, n.lo) }
 			}
 			g.AddTask(runtime.Task{
 				Name:     "hdcmg",
@@ -144,15 +113,8 @@ func BuildGenCholeskyGraph(m *Matrix, spec *GenSpec, bind bool) *runtime.Graph {
 		var run func()
 		if bind {
 			run = func() {
-				cntDcmgHODLR.Inc()
-				block := la.NewMat(rows, cols)
-				spec.K.Block(block, spec.Pts[mid:n.hi], spec.Pts[n.lo:mid], spec.Metric)
-				t := spec.compressorFor(n).Compress(block, m.Tol)
-				cntCompressH.Inc()
-				histRankH.Observe(int64(t.Rank()))
-				n.off = t
-				n.schurS = nil
-				h[n].SetBytes(t.Bytes())
+				n.genOff(spec, m.LeafSize, m.Tol)
+				h[n].SetBytes(n.off.Bytes())
 			}
 		}
 		g.AddTask(runtime.Task{
@@ -234,7 +196,7 @@ func BuildGenCholeskyGraph(m *Matrix, spec *GenSpec, bind bool) *runtime.Graph {
 // task-graph execution. It returns la.ErrNotPositiveDefinite (wrapped) if a
 // leaf pivot fails; the result is bitwise-identical to the sequential
 // m.Cholesky() at any worker count.
-func GenCholesky(m *Matrix, spec *GenSpec, workers int) error {
+func GenCholesky(m *Matrix, spec *tlr.GenSpec, workers int) error {
 	g := BuildGenCholeskyGraph(m, spec, true)
 	return g.Execute(runtime.ExecOptions{Workers: workers})
 }

@@ -57,35 +57,19 @@ func (n *node) nodes(out []*node) []*node {
 }
 
 // Build assembles a HODLR representation of Σ(θ) over pts with the given
-// accuracy and leaf size, compressing each off-diagonal block with comp.
+// accuracy and leaf size, compressing each off-diagonal block with comp: the
+// sequential walk over the assembly bodies BuildGenCholeskyGraph's tasks run.
 func Build(k *cov.Kernel, pts []geom.Point, metric geom.Metric, leafSize int, tol float64, comp tlr.Compressor, nugget float64) *Matrix {
-	if leafSize < 2 {
-		panic("hodlr: leaf size must be at least 2")
-	}
-	m := &Matrix{N: len(pts), LeafSize: leafSize, Tol: tol}
-	m.root = build(k, pts, metric, 0, len(pts), leafSize, tol, comp, nugget)
-	return m
-}
-
-func build(k *cov.Kernel, pts []geom.Point, metric geom.Metric, lo, hi, leaf int, tol float64, comp tlr.Compressor, nugget float64) *node {
-	n := &node{lo: lo, hi: hi}
-	size := hi - lo
-	if size <= leaf {
-		d := la.NewMat(size, size)
-		k.SymBlock(d, pts[lo:hi], metric)
-		for a := 0; a < size; a++ {
-			d.Set(a, a, d.At(a, a)+nugget)
+	m := NewTree(len(pts), leafSize, tol)
+	spec := &tlr.GenSpec{K: k, Pts: pts, Metric: metric, Nugget: nugget, Comp: comp}
+	for _, n := range m.root.nodes(nil) {
+		if n.dense != nil {
+			spec.DiagBlock(n.dense, n.lo)
+		} else {
+			n.genOff(spec, leafSize, tol)
 		}
-		n.dense = d
-		return n
 	}
-	mid := lo + size/2
-	n.left = build(k, pts, metric, lo, mid, leaf, tol, comp, nugget)
-	n.right = build(k, pts, metric, mid, hi, leaf, tol, comp, nugget)
-	block := la.NewMat(hi-mid, mid-lo)
-	k.Block(block, pts[mid:hi], pts[lo:mid], metric)
-	n.off = comp.Compress(block, tol)
-	return n
+	return m
 }
 
 // Bytes returns the storage footprint.

@@ -10,33 +10,23 @@ import (
 )
 
 // DistTLR is one rank's shard of a 2D block-cyclically distributed TLR
-// matrix: dense diagonal tiles, compressed (U·Vᵀ) strictly-lower tiles, the
-// same storage scheme as tlr.Matrix but with each tile owned by exactly one
-// rank of the Grid. Messages carry the compressed factors, so a rank-r tile
-// costs (di+dk)·r doubles on the wire instead of the di·dk a dense tile
-// would — the communication saving the paper's distributed TLR runs exploit.
+// matrix: a tlr.Matrix in which only the tiles this rank owns are populated,
+// the tlr.GenSpec they are generated from, and the owner map. Messages carry
+// the compressed factors (tlr.CompTile.Encode), so a rank-r tile costs
+// (di+dk)·r doubles on the wire instead of the di·dk a dense tile would — the
+// communication saving the paper's distributed TLR runs exploit.
 //
 // The shard is a reusable shell: Generate rebuilds the owned tiles for a new
-// θ in place (reusing diagonal buffers and the dense scratch), so core's
-// distributed likelihood evaluator regenerates and refactors once per
-// optimizer iteration without reallocating the shard.
+// θ in place, so core's distributed likelihood evaluator regenerates and
+// refactors once per optimizer iteration without reallocating the shard.
+// MaxRank (on the Matrix) and ForceMiss (on the GenSpec) act as they do in
+// shared memory.
 type DistTLR struct {
-	N, NB, MT int
-	Tol       float64
-	Grid      Grid
-	Rank      int
+	*tlr.Matrix
+	*tlr.GenSpec
+	Grid Grid
+	Rank int
 
-	Pts    []geom.Point
-	Metric geom.Metric
-	Comp   tlr.Compressor
-
-	// MaxRank, when positive, caps compressed ranks: a tile exceeding it
-	// (at generation or during trailing updates) falls back to dense (DE)
-	// storage instead of erroring — mirroring tlr.Matrix.MaxRank.
-	MaxRank int
-	// ForceMiss, when non-nil, forces tile (i, j) of the mt×mt tiling to
-	// miss the compression tolerance and store densely (chaos injection).
-	ForceMiss func(mt, i, j int) bool
 	// PanelHook, when non-nil, is called by every rank at the start of each
 	// Cholesky panel — the deterministic kill point chaos injection targets
 	// to exercise elastic recovery at a reproducible panel epoch.
@@ -46,25 +36,16 @@ type DistTLR struct {
 	// identical to Grid while every rank lives, remapped deterministically
 	// to the survivors after a shrink (see OwnerMap).
 	Owners *OwnerMap
-
-	diag    map[int]*la.Mat
-	off     map[tileKey]*tlr.CompTile
-	scratch *la.Mat
 }
 
 // NewDistTLR allocates rank's empty shard of an n×n TLR matrix distributed
 // over grid. Call Generate to fill it for a given covariance kernel.
 func NewDistTLR(rank int, grid Grid, pts []geom.Point, metric geom.Metric, nb int, tol float64, comp tlr.Compressor) *DistTLR {
-	n := len(pts)
-	if n == 0 || nb <= 0 {
-		panic(fmt.Sprintf("mpi: invalid DistTLR dims n=%d nb=%d", n, nb))
-	}
 	return &DistTLR{
-		N: n, NB: nb, MT: (n + nb - 1) / nb, Tol: tol,
-		Grid: grid, Rank: rank,
-		Pts: pts, Metric: metric, Comp: comp,
+		Matrix:  tlr.NewMatrix(len(pts), nb, tol),
+		GenSpec: &tlr.GenSpec{Pts: pts, Metric: metric, Comp: comp},
+		Grid:    grid, Rank: rank,
 		Owners: NewOwnerMap(grid),
-		diag:   map[int]*la.Mat{}, off: map[tileKey]*tlr.CompTile{},
 	}
 }
 
@@ -72,77 +53,25 @@ func NewDistTLR(rank int, grid Grid, pts []geom.Point, metric geom.Metric, nb in
 // membership (identical to Grid.Owner until a rank dies).
 func (d *DistTLR) Owner(i, j int) int { return d.Owners.Owner(i, j) }
 
-// TileDim returns the edge of tile row i.
-func (d *DistTLR) TileDim(i int) int {
-	dim := d.N - i*d.NB
-	if dim > d.NB {
-		dim = d.NB
-	}
-	return dim
-}
-
-// Diag returns locally owned dense diagonal tile i (nil if not owned).
-func (d *DistTLR) Diag(i int) *la.Mat { return d.diag[i] }
-
-// Off returns locally owned compressed tile (i, j), j < i (nil if not owned).
-func (d *DistTLR) Off(i, j int) *tlr.CompTile { return d.off[tileKey{i, j}] }
-
-// Generate (re)builds the owned tiles of Σ(θ): diagonal tiles are generated
-// densely (plus nugget), off-diagonal tiles are generated densely into a
-// scratch buffer and immediately compressed. Stochastic compressors
-// implementing tlr.TileCompressor are re-seeded per tile, so the tile
-// contents are bitwise-identical to the shared-memory tlr.FromKernel /
-// GenCholesky pipeline at any grid shape — the property the distributed
-// likelihood's 1e-8 agreement with the shared path rests on.
+// Generate (re)builds the owned tiles of Σ(θ) with the generator the
+// shared-memory tlr.GenCholesky tasks run, so tile contents are
+// bitwise-identical to that pipeline at any grid shape, whichever rank
+// generates them — original owner or a survivor inheriting the tile after a
+// failure.
 func (d *DistTLR) Generate(k *cov.Kernel, nugget float64) {
-	if d.scratch == nil {
-		d.scratch = la.NewMat(d.NB, d.NB)
-	}
+	d.K, d.Nugget = k, nugget
 	for i := 0; i < d.MT; i++ {
 		for j := 0; j <= i; j++ {
 			if d.Owner(i, j) != d.Rank {
 				continue
 			}
-			d.genTile(k, nugget, i, j)
-		}
-	}
-}
-
-// genTile (re)generates owned tile (i, j) of Σ(θ) into the local store.
-// Deterministic per tile: stochastic compressors implementing
-// tlr.TileCompressor are re-seeded from (i, j), so any rank generating the
-// tile — original owner or a survivor inheriting it after a failure —
-// produces bitwise-identical contents.
-func (d *DistTLR) genTile(k *cov.Kernel, nugget float64, i, j int) {
-	di := d.TileDim(i)
-	ri := d.Pts[i*d.NB : i*d.NB+di]
-	if i == j {
-		t := d.diag[i]
-		if t == nil {
-			t = la.NewMat(di, di)
-			d.diag[i] = t
-		}
-		k.SymBlock(t, ri, d.Metric)
-		if nugget != 0 {
-			for a := 0; a < di; a++ {
-				t.Set(a, a, t.At(a, a)+nugget)
+			if i == j {
+				d.GenDiag(d.GenSpec, i)
+			} else {
+				d.GenOff(d.GenSpec, i, j)
 			}
 		}
-		return
 	}
-	dj := d.TileDim(j)
-	dense := d.scratch.View(0, 0, di, dj)
-	k.Block(dense, ri, d.Pts[j*d.NB:j*d.NB+dj], d.Metric)
-	comp := d.Comp
-	if tc, ok := comp.(tlr.TileCompressor); ok {
-		comp = tc.ForTile(i, j)
-	}
-	t := comp.Compress(dense, d.Tol)
-	if (d.MaxRank > 0 && t.Rank() > d.MaxRank) ||
-		(d.ForceMiss != nil && d.ForceMiss(d.MT, i, j)) {
-		t = tlr.NewDenseTile(dense.Clone())
-	}
-	d.off[tileKey{i, j}] = t
 }
 
 // ApplyMembership remaps tile ownership to an agreed membership view (the
@@ -152,49 +81,6 @@ func (d *DistTLR) genTile(k *cov.Kernel, nugget float64, i, j int) {
 // inherited tiles along with the rest of the shard.
 func (d *DistTLR) ApplyMembership(alive []bool) []int {
 	return d.Owners.Reassign(alive)
-}
-
-// encodeCompTile packs a compressed tile as [rows, cols, rank, U row-major,
-// V row-major] — the rank-dependent wire format of panel messages. A dense
-// (DE) tile is marked with the sentinel rank -1 and carries its full
-// row-major payload.
-func encodeCompTile(t *tlr.CompTile) []float64 {
-	rows, cols := t.Rows(), t.Cols()
-	if t.IsDense() {
-		out := make([]float64, 3+rows*cols)
-		out[0], out[1], out[2] = float64(rows), float64(cols), -1
-		p := 3
-		for a := 0; a < rows; a++ {
-			p += copy(out[p:], t.D.Row(a))
-		}
-		return out
-	}
-	k := t.Rank()
-	out := make([]float64, 3+(rows+cols)*k)
-	out[0], out[1], out[2] = float64(rows), float64(cols), float64(k)
-	p := 3
-	for a := 0; a < rows; a++ {
-		p += copy(out[p:], t.U.Row(a))
-	}
-	for a := 0; a < cols; a++ {
-		p += copy(out[p:], t.V.Row(a))
-	}
-	return out
-}
-
-// decodeCompTile unpacks an encodeCompTile payload.
-func decodeCompTile(data []float64) *tlr.CompTile {
-	rows, cols, k := int(data[0]), int(data[1]), int(data[2])
-	if k < 0 {
-		d := la.NewMat(rows, cols)
-		copy(d.Data, data[3:3+rows*cols])
-		return tlr.NewDenseTile(d)
-	}
-	u := la.NewMat(rows, k)
-	v := la.NewMat(cols, k)
-	copy(u.Data, data[3:3+rows*k])
-	copy(v.Data, data[3+rows*k:])
-	return &tlr.CompTile{U: u, V: v}
 }
 
 // Cholesky factors the distributed TLR matrix in place, cooperating with the
@@ -230,7 +116,7 @@ func (d *DistTLR) Cholesky(c *Comm) error {
 		diagTo := diagRecipients(own, k, mt)
 		failed := 0.0
 		if c.Rank() == diagOwner {
-			t := d.diag[k]
+			t := d.Diag(k)
 			if err := la.Potrf(t); err != nil {
 				failed = 1
 			}
@@ -256,9 +142,9 @@ func (d *DistTLR) Cholesky(c *Comm) error {
 
 		for i := k + 1; i < mt; i++ {
 			if c.Rank() == own(i, k) {
-				t := d.off[tileKey{i, k}]
+				t := d.Off(i, k)
 				tlr.TrsmLD(lkk, t)
-				payload := encodeCompTile(t)
+				payload := t.Encode()
 				for _, r := range panelRecipients(own, i, k, mt) {
 					c.Send(r, tagOf(kindPanel, i, k), payload)
 				}
@@ -270,15 +156,14 @@ func (d *DistTLR) Cholesky(c *Comm) error {
 			if t, ok := panel[i]; ok {
 				return t, nil
 			}
-			var t *tlr.CompTile
-			if owner := own(i, k); c.Rank() == owner {
-				t = d.off[tileKey{i, k}]
-			} else {
+			t := d.Off(i, k)
+			if owner := own(i, k); c.Rank() != owner {
 				data, err := c.Recv(owner, tagOf(kindPanel, i, k))
 				if err != nil {
 					return nil, err
 				}
-				t = decodeCompTile(data)
+				t = new(tlr.CompTile)
+				t.Decode(data)
 			}
 			panel[i] = t
 			return t, nil
@@ -293,14 +178,13 @@ func (d *DistTLR) Cholesky(c *Comm) error {
 					return err
 				}
 				if i == j {
-					tlr.SyrkLD(d.diag[i], pi)
+					tlr.SyrkLD(d.Diag(i), pi)
 				} else {
 					pj, err := needPanel(j)
 					if err != nil {
 						return err
 					}
-					key := tileKey{i, j}
-					d.off[key] = tlr.GemmLL(d.off[key], pi, pj, d.Tol, d.MaxRank)
+					d.UpdateOff(i, j, pi, pj)
 				}
 			}
 		}
@@ -320,7 +204,7 @@ func (d *DistTLR) LogDet(c *Comm) (float64, error) {
 	vec := make([]float64, d.MT)
 	for k := 0; k < d.MT; k++ {
 		if d.Owner(k, k) == c.Rank() {
-			vec[k] = la.LogDetFromChol(d.diag[k])
+			vec[k] = la.LogDetFromChol(d.Diag(k))
 		}
 	}
 	sum, err := c.AllreduceSumVec(tagOf(kindSum, 0, 0), vec)
@@ -360,7 +244,7 @@ func (d *DistTLR) ForwardSolve(c *Comm, b []float64) error {
 				}
 				bj := b[j*d.NB : j*d.NB+d.TileDim(j)]
 				contrib := make([]float64, di)
-				tlr.MatVec(d.off[tileKey{i, j}], -1, bj, contrib)
+				tlr.MatVec(d.Off(i, j), -1, bj, contrib)
 				c.Send(diagOwner, tagOf(kindFwd, i, j), contrib)
 			}
 		}
@@ -369,7 +253,7 @@ func (d *DistTLR) ForwardSolve(c *Comm, b []float64) error {
 				owner := d.Owner(i, j)
 				if owner == c.Rank() {
 					bj := b[j*d.NB : j*d.NB+d.TileDim(j)]
-					tlr.MatVec(d.off[tileKey{i, j}], -1, bj, bi)
+					tlr.MatVec(d.Off(i, j), -1, bj, bi)
 					continue
 				}
 				contrib, err := c.Recv(owner, tagOf(kindFwd, i, j))
@@ -380,7 +264,7 @@ func (d *DistTLR) ForwardSolve(c *Comm, b []float64) error {
 					bi[a] += contrib[a]
 				}
 			}
-			la.ForwardSolveVec(d.diag[i], bi)
+			la.ForwardSolveVec(d.Diag(i), bi)
 			for _, r := range c.AliveRanks() {
 				if r != c.Rank() {
 					c.Send(r, tagOf(kindFwdB, i, 0), bi)
@@ -416,7 +300,7 @@ func (d *DistTLR) BackwardSolve(c *Comm, b []float64) error {
 				}
 				bj := b[j*d.NB : j*d.NB+d.TileDim(j)]
 				contrib := make([]float64, di)
-				tlr.MatVecT(d.off[tileKey{j, i}], -1, bj, contrib)
+				tlr.MatVecT(d.Off(j, i), -1, bj, contrib)
 				c.Send(diagOwner, tagOf(kindBwd, j, i), contrib)
 			}
 		}
@@ -425,7 +309,7 @@ func (d *DistTLR) BackwardSolve(c *Comm, b []float64) error {
 				owner := d.Owner(j, i)
 				if owner == c.Rank() {
 					bj := b[j*d.NB : j*d.NB+d.TileDim(j)]
-					tlr.MatVecT(d.off[tileKey{j, i}], -1, bj, bi)
+					tlr.MatVecT(d.Off(j, i), -1, bj, bi)
 					continue
 				}
 				contrib, err := c.Recv(owner, tagOf(kindBwd, j, i))
@@ -437,7 +321,7 @@ func (d *DistTLR) BackwardSolve(c *Comm, b []float64) error {
 				}
 			}
 			bm := la.NewMatFrom(di, 1, bi)
-			la.Trsm(la.Left, la.Lower, la.Transpose, 1, d.diag[i], bm)
+			la.Trsm(la.Left, la.Lower, la.Transpose, 1, d.Diag(i), bm)
 			for _, r := range c.AliveRanks() {
 				if r != c.Rank() {
 					c.Send(r, tagOf(kindBwdB, i, 0), bi)
@@ -481,7 +365,7 @@ func (d *DistTLR) ForwardSolveMat(c *Comm, b *la.Mat) error {
 				}
 				bj := b.View(j*d.NB, 0, d.TileDim(j), nc)
 				contrib := la.NewMat(di, nc)
-				tlr.MatMul(d.off[tileKey{i, j}], -1, bj, contrib)
+				tlr.MatMul(d.Off(i, j), -1, bj, contrib)
 				c.Send(diagOwner, tagOf(kindFwd, i, j), contrib.Data)
 			}
 		}
@@ -490,7 +374,7 @@ func (d *DistTLR) ForwardSolveMat(c *Comm, b *la.Mat) error {
 				owner := d.Owner(i, j)
 				if owner == c.Rank() {
 					bj := b.View(j*d.NB, 0, d.TileDim(j), nc)
-					tlr.MatMul(d.off[tileKey{i, j}], -1, bj, bi)
+					tlr.MatMul(d.Off(i, j), -1, bj, bi)
 					continue
 				}
 				contrib, err := c.Recv(owner, tagOf(kindFwd, i, j))
@@ -505,7 +389,7 @@ func (d *DistTLR) ForwardSolveMat(c *Comm, b *la.Mat) error {
 					}
 				}
 			}
-			la.Trsm(la.Left, la.Lower, la.NoTrans, 1, d.diag[i], bi)
+			la.Trsm(la.Left, la.Lower, la.NoTrans, 1, d.Diag(i), bi)
 			payload := make([]float64, 0, di*nc)
 			for a := 0; a < di; a++ {
 				payload = append(payload, bi.Row(a)...)
@@ -526,30 +410,4 @@ func (d *DistTLR) ForwardSolveMat(c *Comm, b *la.Mat) error {
 		}
 	}
 	return nil
-}
-
-// Bytes returns the local shard's storage footprint.
-func (d *DistTLR) Bytes() int64 {
-	var b int64
-	for _, t := range d.diag {
-		b += int64(t.Rows) * int64(t.Cols) * 8
-	}
-	for _, t := range d.off {
-		b += t.Bytes()
-	}
-	return b
-}
-
-// LocalRankStats returns the max rank, rank sum and tile count over the
-// locally owned compressed tiles (reduce across ranks for global stats).
-func (d *DistTLR) LocalRankStats() (maxRank, sumRank, count int) {
-	for _, t := range d.off {
-		k := t.Rank()
-		if k > maxRank {
-			maxRank = k
-		}
-		sumRank += k
-		count++
-	}
-	return
 }

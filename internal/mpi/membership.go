@@ -191,9 +191,6 @@ func (g Grid) PanelRecipients(i, k, mt int) []int {
 	return panelRecipients(g.Owner, i, k, mt)
 }
 
-// tileKey identifies a tile in a rank's local store.
-type tileKey struct{ i, j int }
-
 // OwnerMap overlays membership onto a Grid: the grid's block-cyclic layout
 // is kept as a *logical* tile-to-slot mapping, and the map assigns each
 // slot a physical rank. While every rank is alive the assignment is the

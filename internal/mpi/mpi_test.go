@@ -216,16 +216,16 @@ func TestDistributedCholeskyShardsAreDisjoint(t *testing.T) {
 	RunWorld(4, func(c *Comm) error {
 		d := denseShard(c.Rank(), grid, pts, 16)
 		d.Generate(k, 0)
-		counts[c.Rank()] = len(d.diag) + len(d.off)
 		// a rank never materializes tiles it does not own
-		for i := range d.diag {
-			if grid.Owner(i, i) != c.Rank() {
-				t.Errorf("rank %d holds foreign diagonal tile %d", c.Rank(), i)
-			}
-		}
-		for key := range d.off {
-			if grid.Owner(key.i, key.j) != c.Rank() {
-				t.Errorf("rank %d holds foreign tile %v", c.Rank(), key)
+		for i := 0; i < d.MT; i++ {
+			for j := 0; j <= i; j++ {
+				if (i == j && d.Diag(i) == nil) || (i != j && d.Off(i, j) == nil) {
+					continue
+				}
+				counts[c.Rank()]++
+				if grid.Owner(i, j) != c.Rank() {
+					t.Errorf("rank %d holds foreign tile (%d,%d)", c.Rank(), i, j)
+				}
 			}
 		}
 		return nil

@@ -46,88 +46,112 @@ func newTileHandles(g *runtime.Graph, m *SymMatrix) [][]*runtime.Handle {
 	return hs
 }
 
-// addCholeskyTasks inserts the POTRF/TRSM/SYRK/GEMM task sweep over the
-// given tile handles (shared by BuildCholeskyGraph and the combined
-// generation+factorization graph in gen.go).
-func addCholeskyTasks(g *runtime.Graph, m *SymMatrix, hs [][]*runtime.Handle, bind bool) {
-	mt := m.MT
+// SweepKernels supplies what differs between the deployments of the
+// right-looking sweep: for each task of panel k, its flop annotation and its
+// body (nil in a structural graph). Everything else about the DAG — loop
+// nest, names, priorities, access lists — is AddCholeskySweep's.
+type SweepKernels struct {
+	Potrf func(k int) (flops float64, run func())
+	Trsm  func(i, k int) (flops float64, run func())
+	Syrk  func(i, k int) (flops float64, run func())
+	Gemm  func(i, j, k int) (flops float64, run func())
+}
+
+// AddCholeskySweep inserts the tiled right-looking Cholesky DAG (the
+// Chameleon dpotrf algorithm) over an mt×mt lower-triangular tile grid whose
+// tile (i, j), j ≤ i, lives behind handle(i, j). It is the only place the
+// sweep is spelled out: the full-tile and TLR factorizations and the cluster
+// simulator each pass their kernels, so the simulator replays the DAG that
+// executes.
+func AddCholeskySweep(g *runtime.Graph, mt int, handle func(i, j int) *runtime.Handle, kern SweepKernels) {
 	for k := 0; k < mt; k++ {
-		k := k
-		nbk := m.TileDim(k)
-		var run func()
-		if bind {
-			akk := m.Tile(k, k)
-			run = func() {
-				if err := la.Potrf(akk); err != nil {
-					panic(err)
-				}
-			}
-		}
+		flops, run := kern.Potrf(k)
 		g.AddTask(runtime.Task{
 			Name:     "potrf",
-			Flops:    FlopsPOTRF(nbk),
+			Flops:    flops,
 			Priority: 3 * (mt - k), // panel tasks drive the critical path
 			Run:      run,
-			Accesses: []runtime.Access{{Handle: hs[k][k], Mode: runtime.ReadWrite}},
+			Accesses: []runtime.Access{{Handle: handle(k, k), Mode: runtime.ReadWrite}},
 		})
 		for i := k + 1; i < mt; i++ {
-			i := i
-			var runT func()
-			if bind {
-				akk := m.Tile(k, k)
-				aik := m.Tile(i, k)
-				runT = func() { la.Trsm(la.Right, la.Lower, la.Transpose, 1, akk, aik) }
-			}
+			flops, run := kern.Trsm(i, k)
 			g.AddTask(runtime.Task{
 				Name:     "trsm",
-				Flops:    FlopsTRSM(nbk, m.TileDim(i)),
+				Flops:    flops,
 				Priority: 2 * (mt - i),
-				Run:      runT,
+				Run:      run,
 				Accesses: []runtime.Access{
-					{Handle: hs[k][k], Mode: runtime.Read},
-					{Handle: hs[i][k], Mode: runtime.ReadWrite},
+					{Handle: handle(k, k), Mode: runtime.Read},
+					{Handle: handle(i, k), Mode: runtime.ReadWrite},
 				},
 			})
 		}
 		for i := k + 1; i < mt; i++ {
-			i := i
-			var runS func()
-			if bind {
-				aik := m.Tile(i, k)
-				aii := m.Tile(i, i)
-				runS = func() { la.Syrk(la.Lower, -1, aik, la.NoTrans, 1, aii) }
-			}
+			flops, run := kern.Syrk(i, k)
 			g.AddTask(runtime.Task{
 				Name:  "syrk",
-				Flops: FlopsSYRK(m.TileDim(i), nbk),
-				Run:   runS,
+				Flops: flops,
+				Run:   run,
 				Accesses: []runtime.Access{
-					{Handle: hs[i][k], Mode: runtime.Read},
-					{Handle: hs[i][i], Mode: runtime.ReadWrite},
+					{Handle: handle(i, k), Mode: runtime.Read},
+					{Handle: handle(i, i), Mode: runtime.ReadWrite},
 				},
 			})
 			for j := k + 1; j < i; j++ {
-				j := j
-				var runG func()
-				if bind {
-					aik := m.Tile(i, k)
-					ajk := m.Tile(j, k)
-					aij := m.Tile(i, j)
-					runG = func() { la.Gemm(-1, aik, la.NoTrans, ajk, la.Transpose, 1, aij) }
-				}
+				flops, run := kern.Gemm(i, j, k)
 				g.AddTask(runtime.Task{
 					Name:  "gemm",
-					Flops: FlopsGEMM(m.TileDim(i), nbk, m.TileDim(j)),
-					Run:   runG,
+					Flops: flops,
+					Run:   run,
 					Accesses: []runtime.Access{
-						{Handle: hs[i][k], Mode: runtime.Read},
-						{Handle: hs[j][k], Mode: runtime.Read},
-						{Handle: hs[i][j], Mode: runtime.ReadWrite},
+						{Handle: handle(i, k), Mode: runtime.Read},
+						{Handle: handle(j, k), Mode: runtime.Read},
+						{Handle: handle(i, j), Mode: runtime.ReadWrite},
 					},
 				})
 			}
 		}
 	}
+}
+
+// addCholeskyTasks inserts the dense sweep over m's tile handles (shared by
+// BuildCholeskyGraph and the combined generation+factorization graph in
+// gen.go). A structural graph (bind false) carries the flop counts only.
+func addCholeskyTasks(g *runtime.Graph, m *SymMatrix, hs [][]*runtime.Handle, bind bool) {
+	body := func(run func()) func() {
+		if !bind {
+			return nil
+		}
+		return run
+	}
+	AddCholeskySweep(g, m.MT, func(i, j int) *runtime.Handle { return hs[i][j] }, SweepKernels{
+		Potrf: func(k int) (float64, func()) {
+			akk := m.Tile(k, k)
+			return FlopsPOTRF(m.TileDim(k)), body(func() {
+				if err := la.Potrf(akk); err != nil {
+					panic(err)
+				}
+			})
+		},
+		Trsm: func(i, k int) (float64, func()) {
+			akk, aik := m.Tile(k, k), m.Tile(i, k)
+			return FlopsTRSM(m.TileDim(k), m.TileDim(i)), body(func() {
+				la.Trsm(la.Right, la.Lower, la.Transpose, 1, akk, aik)
+			})
+		},
+		Syrk: func(i, k int) (float64, func()) {
+			aik, aii := m.Tile(i, k), m.Tile(i, i)
+			return FlopsSYRK(m.TileDim(i), m.TileDim(k)), body(func() {
+				la.Syrk(la.Lower, -1, aik, la.NoTrans, 1, aii)
+			})
+		},
+		Gemm: func(i, j, k int) (float64, func()) {
+			aik, ajk, aij := m.Tile(i, k), m.Tile(j, k), m.Tile(i, j)
+			return FlopsGEMM(m.TileDim(i), m.TileDim(k), m.TileDim(j)), body(func() {
+				la.Gemm(-1, aik, la.NoTrans, ajk, la.Transpose, 1, aij)
+			})
+		},
+	})
 }
 
 // Cholesky factors m in place (lower tiles hold L on return) using the task

@@ -36,6 +36,21 @@ const dcmgFlopsPerElem = 40
 // FlopsDCMG is the generation cost of a di×dj tile.
 func FlopsDCMG(di, dj int) float64 { return dcmgFlopsPerElem * float64(di) * float64(dj) }
 
+// dcmg generates tile (i, j) of Σ(θ) into m: SymBlock plus the nugget on the
+// diagonal, Block below it. It is the body of every generation task and of
+// the sequential FillKernel walk.
+func (m *SymMatrix) dcmg(spec *GenSpec, i, j int) {
+	cntDcmg.Inc()
+	dst := m.Tile(i, j)
+	ri := spec.Pts[i*m.NB : i*m.NB+m.TileDim(i)]
+	if i != j {
+		spec.K.Block(dst, ri, spec.Pts[j*m.NB:j*m.NB+m.TileDim(j)], spec.Metric)
+		return
+	}
+	spec.K.SymBlock(dst, ri, spec.Metric)
+	cov.AddNugget(dst, spec.Nugget)
+}
+
 // AddGenTasks inserts one dcmg task per stored tile of m, each writing its
 // tile handle. Tiles in low column blocks get higher priority: the panel
 // factorization consumes column k first, so generating left columns early
@@ -47,22 +62,7 @@ func AddGenTasks(g *runtime.Graph, m *SymMatrix, spec *GenSpec, hs [][]*runtime.
 			i, j := i, j
 			var run func()
 			if bind {
-				dst := m.Tile(i, j)
-				run = func() {
-					cntDcmg.Inc()
-					ri := spec.Pts[i*m.NB : i*m.NB+m.TileDim(i)]
-					if i != j {
-						rj := spec.Pts[j*m.NB : j*m.NB+m.TileDim(j)]
-						spec.K.Block(dst, ri, rj, spec.Metric)
-						return
-					}
-					spec.K.SymBlock(dst, ri, spec.Metric)
-					if spec.Nugget != 0 {
-						for a := 0; a < dst.Rows; a++ {
-							dst.Set(a, a, dst.At(a, a)+spec.Nugget)
-						}
-					}
-				}
+				run = func() { m.dcmg(spec, i, j) }
 			}
 			g.AddTask(runtime.Task{
 				Name:     "dcmg",

@@ -34,21 +34,3 @@ func (m *SymMatrix) ForwardSolveMat(b *la.Mat) {
 		}
 	}
 }
-
-// BackwardSolveMat solves Lᵀ·X = B in place for a factored matrix (B n×r),
-// with the same NB-wide column blocking as ForwardSolveMat.
-func (m *SymMatrix) BackwardSolveMat(b *la.Mat) {
-	if b.Rows != m.N {
-		panic("tile: BackwardSolveMat row mismatch")
-	}
-	for c0 := 0; c0 < b.Cols; c0 += m.NB {
-		bc := b.View(0, c0, b.Rows, min(m.NB, b.Cols-c0))
-		for i := m.MT - 1; i >= 0; i-- {
-			bi := m.rowBlock(bc, i)
-			for j := m.MT - 1; j > i; j-- {
-				la.Gemm(-1, m.Tile(j, i), la.Transpose, m.rowBlock(bc, j), la.NoTrans, 1, bi)
-			}
-			la.Trsm(la.Left, la.Lower, la.Transpose, 1, m.Tile(i, i), bi)
-		}
-	}
-}

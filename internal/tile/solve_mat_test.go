@@ -7,6 +7,7 @@ import (
 	"repro/internal/rng"
 )
 
+// The block forward solve against the dense factor's.
 func TestSolveMatMatchesDenseCholesky(t *testing.T) {
 	n := 50
 	a := spd(n, 51)
@@ -26,12 +27,10 @@ func TestSolveMatMatchesDenseCholesky(t *testing.T) {
 	}
 	want := b.Clone()
 	la.Trsm(la.Left, la.Lower, la.NoTrans, 1, ref, want)
-	la.Trsm(la.Left, la.Lower, la.Transpose, 1, ref, want)
 	got := b.Clone()
 	m.ForwardSolveMat(got)
-	m.BackwardSolveMat(got)
 	if !got.Equalish(want, 1e-8) {
-		t.Fatal("tile multi-RHS solve disagrees with dense")
+		t.Fatal("tile multi-RHS forward solve disagrees with dense")
 	}
 }
 

@@ -59,24 +59,16 @@ func (m *SymMatrix) Tile(i, j int) *la.Mat {
 }
 
 // FillKernel populates the matrix from a covariance kernel over pts (the
-// ExaGeoStat "matrix generation" stage). The nugget is added to diagonal
-// entries.
+// ExaGeoStat "matrix generation" stage): the sequential walk over the dcmg
+// body the generation tasks run. The nugget is added to diagonal entries.
 func (m *SymMatrix) FillKernel(k *cov.Kernel, pts []geom.Point, metric geom.Metric, nugget float64) {
 	if len(pts) != m.N {
 		panic(fmt.Sprintf("tile: %d points for n=%d", len(pts), m.N))
 	}
+	spec := &GenSpec{K: k, Pts: pts, Metric: metric, Nugget: nugget}
 	for i := 0; i < m.MT; i++ {
-		ri := pts[i*m.NB : i*m.NB+m.TileDim(i)]
-		for j := 0; j < i; j++ {
-			rj := pts[j*m.NB : j*m.NB+m.TileDim(j)]
-			k.Block(m.tiles[i][j], ri, rj, metric)
-		}
-		k.SymBlock(m.tiles[i][i], ri, metric)
-		if nugget != 0 {
-			d := m.tiles[i][i]
-			for a := 0; a < d.Rows; a++ {
-				d.Set(a, a, d.At(a, a)+nugget)
-			}
+		for j := 0; j <= i; j++ {
+			m.dcmg(spec, i, j)
 		}
 	}
 }

@@ -136,6 +136,47 @@ func (c *CompTile) Clone() *CompTile {
 	return &CompTile{U: c.U.Clone(), V: c.V.Clone()}
 }
 
+// Encode packs the tile as float64 words [rows, cols, rank, U row-major,
+// V row-major]; a dense (DE) tile carries the sentinel rank −1 and its full
+// row-major payload. It is the one serialization of a CompTile: panel
+// messages between ranks ship the words as they are, so a rank-r tile costs
+// (rows+cols)·r doubles on the wire, and the out-of-core store spills the
+// same words as bytes.
+func (c *CompTile) Encode() []float64 {
+	if c.stub {
+		panic("tlr: encode of non-resident tile")
+	}
+	rank, mats := c.Rank(), []*la.Mat{c.U, c.V}
+	if c.IsDense() {
+		rank, mats = -1, []*la.Mat{c.D}
+	}
+	out := make([]float64, 3, 3+c.Bytes()/8)
+	out[0], out[1], out[2] = float64(c.Rows()), float64(c.Cols()), float64(rank)
+	for _, m := range mats {
+		for a := 0; a < m.Rows; a++ {
+			out = append(out, m.Row(a)...)
+		}
+	}
+	return out
+}
+
+// Decode rebuilds the tile in place from Encode's words, clearing the
+// spill-stub state: a fresh tile on the receiving rank, or an evicted stub
+// whose holders keep their pointer. The tile takes ownership of words (a
+// received message or a spill read is the caller's alone); its factors are
+// views into them.
+func (c *CompTile) Decode(words []float64) {
+	rows, cols, rank := int(words[0]), int(words[1]), int(words[2])
+	payload := words[3:]
+	*c = CompTile{}
+	if rank < 0 {
+		c.D = la.NewMatFrom(rows, cols, payload)
+		return
+	}
+	c.U = la.NewMatFrom(rows, rank, payload[:rows*rank:rows*rank])
+	c.V = la.NewMatFrom(cols, rank, payload[rows*rank:])
+}
+
 // Compressor turns a dense tile into a CompTile with error below tol.
 type Compressor interface {
 	// Compress returns a low-rank approximation with Frobenius-relative

@@ -74,6 +74,64 @@ func flopsCompress(di, dj int) float64 {
 	return 2 * float64(di) * float64(dj) * float64(mn)
 }
 
+// DiagBlock fills d with the diagonal block of Σ(θ) over the d.Rows points
+// starting at lo: SymBlock plus the nugget.
+func (s *GenSpec) DiagBlock(d *la.Mat, lo int) {
+	cntDcmgTLR.Inc()
+	s.K.SymBlock(d, s.Pts[lo:lo+d.Rows], s.Metric)
+	cov.AddNugget(d, s.Nugget)
+}
+
+// OffBlock generates the block of Σ(θ) between the row and column points and
+// compresses it to tol. It is the one generator behind every deployment —
+// shared-memory TLR, the rank shards and HODLR — so a tile is a function of
+// (geometry, θ, (i, j)) alone: (i, j) seed a stochastic compressor's
+// per-tile stream and, with mt, are what ForceMiss is asked about. A block
+// of at most nb×nb is generated into pooled scratch. A tile whose rank
+// exceeds maxRank > 0, or that ForceMiss picks, is stored densely (DE).
+func (s *GenSpec) OffBlock(rows, cols []geom.Point, nb, mt, i, j int, tol float64, maxRank int) *CompTile {
+	var buf *la.Mat
+	if len(rows) <= nb && len(cols) <= nb {
+		buf = s.getScratch(nb)
+		defer s.scratch.Put(buf)
+	} else {
+		buf = la.NewMat(len(rows), len(cols))
+	}
+	dense := buf.View(0, 0, len(rows), len(cols))
+	s.K.Block(dense, rows, cols, s.Metric)
+	t := forTile(s.Comp, i, j).Compress(dense, tol)
+	cntCompress.Inc()
+	histCompRank.Observe(int64(t.Rank()))
+	if (maxRank > 0 && t.Rank() > maxRank) || (s.ForceMiss != nil && s.ForceMiss(mt, i, j)) {
+		// dense may be a view into a pooled buffer — copy it out
+		t = NewDenseTile(dense.Clone())
+		cntDenseTile.Inc()
+	}
+	return t
+}
+
+// tilePts returns the points of tile row (or column) i.
+func (m *Matrix) tilePts(spec *GenSpec, i int) []geom.Point {
+	return spec.Pts[i*m.NB : i*m.NB+m.TileDim(i)]
+}
+
+// GenDiag (re)generates dense diagonal tile i in place, allocating it on
+// first use.
+func (m *Matrix) GenDiag(spec *GenSpec, i int) {
+	if m.diag[i] == nil {
+		m.diag[i] = la.NewMat(m.TileDim(i), m.TileDim(i))
+	}
+	spec.DiagBlock(m.diag[i], i*m.NB)
+}
+
+// GenOff (re)generates compressed tile (i, j), j < i, replacing the tile
+// object wholesale, and returns it.
+func (m *Matrix) GenOff(spec *GenSpec, i, j int) *CompTile {
+	t := spec.OffBlock(m.tilePts(spec, i), m.tilePts(spec, j), m.NB, m.MT, i, j, m.Tol, m.MaxRank)
+	m.off[i][j] = t
+	return t
+}
+
 // AddGenTasks inserts the per-tile generation tasks of m, each writing its
 // tile handle: plain dense generation for diagonal tiles, fused
 // generate+compress for off-diagonal tiles. Tiles in low column blocks get
@@ -88,22 +146,7 @@ func AddGenTasks(g *runtime.Graph, m *Matrix, spec *GenSpec, dh []*runtime.Handl
 		i := i
 		var runD func()
 		if bind {
-			runD = func() {
-				cntDcmgTLR.Inc()
-				di := m.TileDim(i)
-				d := m.diag[i]
-				if d == nil {
-					d = la.NewMat(di, di)
-					m.diag[i] = d
-				}
-				ri := spec.Pts[i*m.NB : i*m.NB+di]
-				spec.K.SymBlock(d, ri, spec.Metric)
-				if spec.Nugget != 0 {
-					for a := 0; a < di; a++ {
-						d.Set(a, a, d.At(a, a)+spec.Nugget)
-					}
-				}
-			}
+			runD = func() { m.GenDiag(spec, i) }
 		}
 		g.AddTask(runtime.Task{
 			Name:     "dcmg",
@@ -116,27 +159,7 @@ func AddGenTasks(g *runtime.Graph, m *Matrix, spec *GenSpec, dh []*runtime.Handl
 			j := j
 			var run func()
 			if bind {
-				run = func() {
-					di, dj := m.TileDim(i), m.TileDim(j)
-					buf := spec.getScratch(m.NB)
-					dense := buf.View(0, 0, di, dj)
-					ri := spec.Pts[i*m.NB : i*m.NB+di]
-					rj := spec.Pts[j*m.NB : j*m.NB+dj]
-					spec.K.Block(dense, ri, rj, spec.Metric)
-					t := forTile(spec.Comp, i, j).Compress(dense, m.Tol)
-					cntCompress.Inc()
-					histCompRank.Observe(int64(t.Rank()))
-					if (m.MaxRank > 0 && t.Rank() > m.MaxRank) ||
-						(spec.ForceMiss != nil && spec.ForceMiss(m.MT, i, j)) {
-						// dense is a view into buf — copy before the buffer
-						// returns to the pool
-						t = NewDenseTile(dense.Clone())
-						cntDenseTile.Inc()
-					}
-					spec.scratch.Put(buf)
-					m.off[i][j] = t
-					oh[i][j].SetBytes(t.Bytes())
-				}
+				run = func() { oh[i][j].SetBytes(m.GenOff(spec, i, j).Bytes()) }
 			}
 			g.AddTask(runtime.Task{
 				Name:     "dcmg+comp",

@@ -71,8 +71,8 @@ func (m *Matrix) Off(i, j int) *CompTile { return m.off[i][j] }
 // immediately compressed with comp (the HiCMA "generate + compress"
 // pipeline). A nugget is added to the diagonal. The per-tile
 // generate+compress tasks run on the task runtime with the given worker
-// count; the result is bitwise-independent of workers (stochastic
-// compressors are re-seeded per tile, see TileCompressor).
+// count; the result is bitwise-independent of workers: a stochastic
+// compressor is a TileCompressor, re-seeded per tile.
 func FromKernel(k *cov.Kernel, pts []geom.Point, metric geom.Metric, n, nb int, tol float64, comp Compressor, nugget float64, workers int) *Matrix {
 	if len(pts) != n {
 		panic(fmt.Sprintf("tlr: %d points for n=%d", len(pts), n))
@@ -135,17 +135,16 @@ func (m *Matrix) ToDense() *la.Mat {
 }
 
 // Bytes returns the TLR storage footprint: the bytes the matrix occupies
-// fully resident (spilled tiles count at their logical size).
+// fully resident. A tile the out-of-core store spilled counts at its logical
+// size; a tile that was never generated — a rank shard populates only the
+// tiles it owns — counts nothing.
 func (m *Matrix) Bytes() int64 {
 	var b int64
 	for i, d := range m.diag {
-		if d == nil {
-			// evicted (or not yet generated) diagonal tile: logical size
+		if d != nil || m.ooc != nil {
 			di := int64(m.TileDim(i))
 			b += di * di * 8
-			continue
 		}
-		b += int64(d.Rows) * int64(d.Cols) * 8
 	}
 	for i := range m.off {
 		for _, t := range m.off[i] {
@@ -171,40 +170,43 @@ func (m *Matrix) DenseBytes() int64 {
 	return b
 }
 
-// RankStats returns the max and mean rank over the compressed tiles.
-func (m *Matrix) RankStats() (maxRank int, meanRank float64) {
-	var sum, cnt int
+// RankSums returns the max rank, rank sum and tile count over the populated
+// compressed tiles (summed across rank shards for global statistics).
+func (m *Matrix) RankSums() (maxRank, sumRank, count int) {
 	for i := range m.off {
 		for _, t := range m.off[i] {
 			if t == nil {
 				continue
 			}
-			k := t.Rank()
-			if k > maxRank {
-				maxRank = k
-			}
-			sum += k
-			cnt++
+			maxRank = max(maxRank, t.Rank())
+			sumRank += t.Rank()
+			count++
 		}
 	}
+	return
+}
+
+// RankStats returns the max and mean rank over the compressed tiles.
+func (m *Matrix) RankStats() (maxRank int, meanRank float64) {
+	maxRank, sum, cnt := m.RankSums()
 	if cnt > 0 {
 		meanRank = float64(sum) / float64(cnt)
 	}
 	return maxRank, meanRank
 }
 
-// flopsTRSMComp estimates the flops of the TLR panel solve on a tile of
+// FlopsTRSMComp estimates the flops of the TLR panel solve on a tile of
 // rank k: a triangular solve applied to an nb×k V factor.
-func flopsTRSMComp(nb, k int) float64 { return float64(nb) * float64(nb) * float64(k) }
+func FlopsTRSMComp(nb, k int) float64 { return float64(nb) * float64(nb) * float64(k) }
 
-// flopsSYRKComp estimates the compressed SYRK cost.
-func flopsSYRKComp(nb, k int) float64 {
+// FlopsSYRKComp estimates the compressed SYRK cost.
+func FlopsSYRKComp(nb, k int) float64 {
 	return 2*float64(k)*float64(k)*float64(nb) + 2*float64(nb)*float64(nb)*float64(k)
 }
 
-// flopsGEMMComp estimates the compressed GEMM + recompression cost for
+// FlopsGEMMComp estimates the compressed GEMM + recompression cost for
 // operand ranks ka, kb and output rank kc.
-func flopsGEMMComp(nb, ka, kb, kc int) float64 {
+func FlopsGEMMComp(nb, ka, kb, kc int) float64 {
 	ks := float64(ka + kb + kc)
 	// contraction + two tall QRs + small SVD ~ O(nb·k²) + O(k³)
 	return 2*float64(nb)*ks*ks + ks*ks*ks
@@ -242,11 +244,19 @@ func newTileHandles(g *runtime.Graph, m *Matrix) ([]*runtime.Handle, [][]*runtim
 	return dh, oh
 }
 
-// addCholeskyTasks inserts the TLR POTRF/TRSM/SYRK/GEMM sweep over the given
-// tile handles (shared by BuildCholeskyGraph and the fused
-// generation+factorization graph in gen.go). Task closures dereference m's
-// tiles at run time, so the same graph re-executes correctly after the
-// generation tasks (or GEMM recompressions) replace tile objects.
+// UpdateOff applies the trailing update C_ij ← C_ij − A·Bᵀ of the Cholesky
+// sweep to compressed tile (i, j), recompressing to m.Tol under m.MaxRank.
+// The update replaces the tile object.
+func (m *Matrix) UpdateOff(i, j int, a, b *CompTile) {
+	m.off[i][j] = GemmLL(m.off[i][j], a, b, m.Tol, m.MaxRank)
+}
+
+// addCholeskyTasks inserts the TLR sweep over the given tile handles (shared
+// by BuildCholeskyGraph and the fused generation+factorization graph in
+// gen.go): tile.AddCholeskySweep with HiCMA's kernels and costs in place of
+// Chameleon's. Task closures dereference m's tiles at run time, so the same
+// graph re-executes correctly after the generation tasks (or GEMM
+// recompressions) replace tile objects.
 func addCholeskyTasks(g *runtime.Graph, m *Matrix, dh []*runtime.Handle, oh [][]*runtime.Handle, bind bool) {
 	rank := func(i, j int) int {
 		if m.off[i][j] != nil {
@@ -260,79 +270,37 @@ func addCholeskyTasks(g *runtime.Graph, m *Matrix, dh []*runtime.Handle, oh [][]
 		}
 		return 1
 	}
-	mt := m.MT
-	for k := 0; k < mt; k++ {
-		k := k
-		var run func()
-		if bind {
-			run = func() {
+	body := func(run func()) func() {
+		if !bind {
+			return nil
+		}
+		return run
+	}
+	handle := func(i, j int) *runtime.Handle {
+		if i == j {
+			return dh[i]
+		}
+		return oh[i][j]
+	}
+	tile.AddCholeskySweep(g, m.MT, handle, tile.SweepKernels{
+		Potrf: func(k int) (float64, func()) {
+			return tile.FlopsPOTRF(m.TileDim(k)), body(func() {
 				if err := la.Potrf(m.diag[k]); err != nil {
 					panic(err)
 				}
-			}
-		}
-		g.AddTask(runtime.Task{
-			Name:     "potrf",
-			Flops:    tile.FlopsPOTRF(m.TileDim(k)),
-			Priority: 3 * (mt - k),
-			Run:      run,
-			Accesses: []runtime.Access{{Handle: dh[k], Mode: runtime.ReadWrite}},
-		})
-		for i := k + 1; i < mt; i++ {
-			i := i
-			var runT func()
-			if bind {
-				// dereference at run time: earlier GEMM tasks replace the
-				// CompTile object stored in m.off[i][k]
-				runT = func() { TrsmLD(m.diag[k], m.off[i][k]) }
-			}
-			g.AddTask(runtime.Task{
-				Name:     "trsm",
-				Flops:    flopsTRSMComp(m.TileDim(k), rank(i, k)),
-				Priority: 2 * (mt - i),
-				Run:      runT,
-				Accesses: []runtime.Access{
-					{Handle: dh[k], Mode: runtime.Read},
-					{Handle: oh[i][k], Mode: runtime.ReadWrite},
-				},
 			})
-		}
-		for i := k + 1; i < mt; i++ {
-			i := i
-			var runS func()
-			if bind {
-				runS = func() { SyrkLD(m.diag[i], m.off[i][k]) }
-			}
-			g.AddTask(runtime.Task{
-				Name:  "syrk",
-				Flops: flopsSYRKComp(m.TileDim(i), rank(i, k)),
-				Run:   runS,
-				Accesses: []runtime.Access{
-					{Handle: oh[i][k], Mode: runtime.Read},
-					{Handle: dh[i], Mode: runtime.ReadWrite},
-				},
-			})
-			for j := k + 1; j < i; j++ {
-				j := j
-				var runG func()
-				if bind {
-					runG = func() {
-						m.off[i][j] = GemmLL(m.off[i][j], m.off[i][k], m.off[j][k], m.Tol, m.MaxRank)
-					}
-				}
-				g.AddTask(runtime.Task{
-					Name:  "gemm",
-					Flops: flopsGEMMComp(m.TileDim(i), rank(i, k), rank(j, k), rank(i, j)),
-					Run:   runG,
-					Accesses: []runtime.Access{
-						{Handle: oh[i][k], Mode: runtime.Read},
-						{Handle: oh[j][k], Mode: runtime.Read},
-						{Handle: oh[i][j], Mode: runtime.ReadWrite},
-					},
-				})
-			}
-		}
-	}
+		},
+		Trsm: func(i, k int) (float64, func()) {
+			return FlopsTRSMComp(m.TileDim(k), rank(i, k)), body(func() { TrsmLD(m.diag[k], m.off[i][k]) })
+		},
+		Syrk: func(i, k int) (float64, func()) {
+			return FlopsSYRKComp(m.TileDim(i), rank(i, k)), body(func() { SyrkLD(m.diag[i], m.off[i][k]) })
+		},
+		Gemm: func(i, j, k int) (float64, func()) {
+			return FlopsGEMMComp(m.TileDim(i), rank(i, k), rank(j, k), rank(i, j)),
+				body(func() { m.UpdateOff(i, j, m.off[i][k], m.off[j][k]) })
+		},
+	})
 }
 
 // Cholesky factors m in place: on return the diagonal tiles hold dense

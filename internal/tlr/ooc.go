@@ -100,8 +100,8 @@ func AttachOOC(gg *GenGraph, m *Matrix, st *store.Store) {
 				}
 				return int64(di) * int64(di) * 8
 			},
-			Encode: func() []byte { return encodeMat(m.diag[i]) },
-			Decode: func(buf []byte) { m.diag[i] = decodeMat(buf, di, di) },
+			Encode: func() []byte { return wordBytes(m.diag[i].Data) },
+			Decode: func(buf []byte) { m.diag[i] = la.NewMatFrom(di, di, bytesWords(buf)) },
 			Drop:   func() { m.diag[i] = nil },
 			Materialize: func() {
 				if m.diag[i] == nil {
@@ -122,8 +122,8 @@ func AttachOOC(gg *GenGraph, m *Matrix, st *store.Store) {
 					}
 					return t.Bytes()
 				},
-				Encode: func() []byte { return encodeComp(m.off[i][j]) },
-				Decode: func(buf []byte) { decodeCompInto(m.off[i][j], buf) },
+				Encode: func() []byte { return wordBytes(m.off[i][j].Encode()) },
+				Decode: func(buf []byte) { m.off[i][j].Decode(bytesWords(buf)) },
 				Drop:   func() { m.off[i][j].drop() },
 				// The generation task replaces the tile object wholesale,
 				// so an overwrite pin needs no allocation.
@@ -161,79 +161,22 @@ func (c *CompTile) drop() {
 	c.U, c.V, c.D = nil, nil, nil
 }
 
-// Tile serialization: a fixed header (kind, rows, cols, rank as uint32)
-// followed by raw float64 payloads. Spill data never leaves the machine or
-// survives the process, so no versioning or checksums.
-const compHeader = 16
-
-func encodeComp(c *CompTile) []byte {
-	if c == nil || c.stub {
-		panic("tlr: encode of non-resident tile")
-	}
-	var kind uint32
-	var payload int
-	if c.IsDense() {
-		kind = 1
-		payload = c.D.Rows * c.D.Cols
-	} else {
-		payload = (c.U.Rows + c.V.Rows) * c.U.Cols
-	}
-	buf := make([]byte, compHeader+8*payload)
-	binary.LittleEndian.PutUint32(buf[0:], kind)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(c.Rows()))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(c.Cols()))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(c.Rank()))
-	if c.IsDense() {
-		encodeMatInto(buf[compHeader:], c.D)
-	} else {
-		n := encodeMatInto(buf[compHeader:], c.U)
-		encodeMatInto(buf[compHeader+n:], c.V)
+// Spill serialization: float64 words — a diagonal tile's compact data, an
+// off-diagonal tile's CompTile.Encode — as little-endian bytes. Spill data
+// never leaves the machine or survives the process, so no versioning or
+// checksums.
+func wordBytes(words []float64) []byte {
+	buf := make([]byte, 8*len(words))
+	for i, v := range words {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
 	}
 	return buf
 }
 
-// decodeCompInto rebuilds the tile's payload in place from spilled bytes,
-// clearing the stub state.
-func decodeCompInto(c *CompTile, buf []byte) {
-	kind := binary.LittleEndian.Uint32(buf[0:])
-	rows := int(binary.LittleEndian.Uint32(buf[4:]))
-	cols := int(binary.LittleEndian.Uint32(buf[8:]))
-	rank := int(binary.LittleEndian.Uint32(buf[12:]))
-	if kind == 1 {
-		c.D = decodeMat(buf[compHeader:], rows, cols)
-		c.U, c.V = nil, nil
-	} else {
-		c.U = decodeMat(buf[compHeader:], rows, rank)
-		c.V = decodeMat(buf[compHeader+8*rows*rank:], cols, rank)
-		c.D = nil
+func bytesWords(buf []byte) []float64 {
+	words := make([]float64, len(buf)/8)
+	for i := range words {
+		words[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
-	c.stub = false
-}
-
-// encodeMat serializes a compact (Stride == Cols) matrix's data.
-func encodeMat(m *la.Mat) []byte {
-	buf := make([]byte, 8*m.Rows*m.Cols)
-	encodeMatInto(buf, m)
-	return buf
-}
-
-// encodeMatInto writes m's elements into buf and returns the bytes used.
-func encodeMatInto(buf []byte, m *la.Mat) int {
-	n := 0
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
-			n += 8
-		}
-	}
-	return n
-}
-
-// decodeMat rebuilds an r×c matrix from encodeMat bytes.
-func decodeMat(buf []byte, r, c int) *la.Mat {
-	m := la.NewMat(r, c)
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return m
+	return words
 }

@@ -2,11 +2,13 @@ package tlr
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/geom"
+	"repro/internal/la"
 	"repro/internal/runtime"
 	"repro/internal/tlr/store"
 )
@@ -203,5 +205,63 @@ func TestOOCGraphReuse(t *testing.T) {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 		assertFactorsMatch(t, "reuse", m, ref)
+	}
+}
+
+// The one tile codec, both ways it is used: the words a panel message ships
+// decode into a fresh tile, and the same words spilled as bytes restore an
+// evicted stub in place — shape, rank, footprint and every payload bit.
+func TestCompTileCodecRoundTrip(t *testing.T) {
+	ragged := covTile(t, 10, 16, 0.6) // last tile row of a ragged tiling
+	zero := SVDCompressor{}.Compress(la.NewMat(12, 12), 1e-7)
+	if zero.Rank() != 0 {
+		t.Fatalf("zero tile compressed to rank %d", zero.Rank())
+	}
+	for _, tc := range []struct {
+		name string
+		tile *CompTile
+	}{
+		{"rank 0", zero},
+		{"rank k", SVDCompressor{}.Compress(covTile(t, 16, 16, 0.6), 1e-7)},
+		{"dense", NewDenseTile(covTile(t, 16, 16, 0.6))},
+		{"ragged", SVDCompressor{}.Compress(ragged, 1e-7)},
+		{"ragged dense", NewDenseTile(ragged)},
+	} {
+		want := tc.tile.Clone()
+		rows, cols, rank, bytes := want.Rows(), want.Cols(), want.Rank(), want.Bytes()
+		words := tc.tile.Encode()
+		wireRank := float64(rank)
+		if want.IsDense() {
+			wireRank = -1
+		}
+		if int64(len(words)) != 3+bytes/8 || words[0] != float64(rows) || words[1] != float64(cols) || words[2] != wireRank {
+			t.Fatalf("%s: %d words, header %v", tc.name, len(words), words[:3])
+		}
+		same := func(how string, got *CompTile) {
+			t.Helper()
+			if got.Rows() != rows || got.Cols() != cols || got.Rank() != rank || got.Bytes() != bytes || got.IsDense() != want.IsDense() {
+				t.Fatalf("%s, %s: %dx%d rank %d, %d bytes, dense=%v", tc.name, how, got.Rows(), got.Cols(), got.Rank(), got.Bytes(), got.IsDense())
+			}
+			for p, w := range want.Encode() {
+				if g := got.Encode()[p]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s, %s: word %d is %v, want %v", tc.name, how, p, g, w)
+				}
+			}
+		}
+		wire := new(CompTile)
+		wire.Decode(words)
+		same("wire", wire)
+
+		spilled := wordBytes(words)
+		stub := tc.tile // evicted where it sits: holders keep the pointer
+		stub.drop()
+		if stub.U != nil || stub.V != nil || stub.D != nil {
+			t.Fatalf("%s: dropped tile keeps a payload", tc.name)
+		}
+		if stub.Rows() != rows || stub.Cols() != cols || stub.Rank() != rank || stub.Bytes() != bytes {
+			t.Fatalf("%s: stub forgot its shape", tc.name)
+		}
+		stub.Decode(bytesWords(spilled))
+		same("spill", stub)
 	}
 }

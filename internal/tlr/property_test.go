@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/la"
 	"repro/internal/rng"
+	"repro/internal/tile"
 )
 
 // Property: compressing an exactly rank-k matrix recovers it with rank ≤ k
@@ -217,4 +218,31 @@ func BenchmarkGemmLL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		GemmLL(c, a, bt, 1e-7, 0)
 	}
+}
+
+// BenchmarkBuildGenCholeskyGraph times construction of the fused
+// generation + Cholesky DAG at mt=32 for both shells — the part of a
+// session's set-up that goes through tile.AddCholeskySweep's callbacks.
+func BenchmarkBuildGenCholeskyGraph(b *testing.B) {
+	const n, nb = 128, 4 // mt = 32: 6 512 tasks
+	var tasks int
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(tasks), "tasks")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
+	}
+	b.Run("tile", func(b *testing.B) {
+		m, spec := tile.NewSym(n, nb), &tile.GenSpec{}
+		for i := 0; i < b.N; i++ {
+			g, _ := tile.BuildGenCholeskyGraph(m, spec, true)
+			tasks = g.Len()
+		}
+		report(b)
+	})
+	b.Run("tlr", func(b *testing.B) {
+		m, spec := NewMatrix(n, nb, 1e-7), &GenSpec{}
+		for i := 0; i < b.N; i++ {
+			tasks = BuildGenCholeskyGraph(m, spec, true).Len()
+		}
+		report(b)
+	})
 }

@@ -20,21 +20,6 @@ func MatMul(a *CompTile, alpha float64, b, c *la.Mat) {
 	la.Gemm(alpha, a.U, la.NoTrans, tmp, la.NoTrans, 1, c)
 }
 
-// MatMulT computes C += alpha·Aᵀ·B (= alpha·V·(Uᵀ·B) when compressed).
-func MatMulT(a *CompTile, alpha float64, b, c *la.Mat) {
-	if a.IsDense() {
-		la.Gemm(alpha, a.D, la.Transpose, b, la.NoTrans, 1, c)
-		return
-	}
-	k := a.Rank()
-	if k == 0 {
-		return
-	}
-	tmp := la.NewMat(k, b.Cols)
-	la.Gemm(1, a.U, la.Transpose, b, la.NoTrans, 0, tmp)
-	la.Gemm(alpha, a.V, la.NoTrans, tmp, la.NoTrans, 1, c)
-}
-
 func (m *Matrix) rowBlock(b *la.Mat, i int) *la.Mat {
 	return b.View(i*m.NB, 0, m.TileDim(i), b.Cols)
 }
@@ -65,32 +50,4 @@ func (m *Matrix) ForwardSolveMat(b *la.Mat) {
 			m.unpinDiag(i)
 		}
 	}
-}
-
-// BackwardSolveMat solves Lᵀ·X = B in place against a TLR-factored matrix,
-// with the same NB-wide column blocking as ForwardSolveMat.
-func (m *Matrix) BackwardSolveMat(b *la.Mat) {
-	if b.Rows != m.N {
-		panic("tlr: BackwardSolveMat row mismatch")
-	}
-	for c0 := 0; c0 < b.Cols; c0 += m.NB {
-		bc := b.View(0, c0, b.Rows, min(m.NB, b.Cols-c0))
-		for i := m.MT - 1; i >= 0; i-- {
-			bi := m.rowBlock(bc, i)
-			for j := m.MT - 1; j > i; j-- {
-				m.pinOff(j, i)
-				MatMulT(m.off[j][i], -1, m.rowBlock(bc, j), bi)
-				m.unpinOff(j, i)
-			}
-			m.pinDiag(i)
-			la.Trsm(la.Left, la.Lower, la.Transpose, 1, m.diag[i], bi)
-			m.unpinDiag(i)
-		}
-	}
-}
-
-// SolveMat computes A⁻¹·B in place given the TLR Cholesky factors.
-func (m *Matrix) SolveMat(b *la.Mat) {
-	m.ForwardSolveMat(b)
-	m.BackwardSolveMat(b)
 }

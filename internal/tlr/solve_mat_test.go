@@ -23,20 +23,9 @@ func TestMatMulMatchesDense(t *testing.T) {
 	if !got.Equalish(want, 1e-9) {
 		t.Fatal("MatMul mismatch")
 	}
-
-	bt := la.NewMat(20, 3)
-	for i := range bt.Data {
-		bt.Data[i] = r.Norm()
-	}
-	gotT := la.NewMat(16, 3)
-	MatMulT(c, -1, bt, gotT)
-	wantT := la.NewMat(16, 3)
-	la.Gemm(-1, a, la.Transpose, bt, la.NoTrans, 0, wantT)
-	if !gotT.Equalish(wantT, 1e-9) {
-		t.Fatal("MatMulT mismatch")
-	}
 }
 
+// The block forward solve is the column-by-column vector ForwardSolve.
 func TestSolveMatMatchesVectorSolve(t *testing.T) {
 	n := 96
 	m, _, _ := maternTLR(t, n, 24, 0.1, 1e-10)
@@ -56,15 +45,15 @@ func TestSolveMatMatchesVectorSolve(t *testing.T) {
 		for i := 0; i < n; i++ {
 			col[i] = b.At(i, j)
 		}
-		m.Solve(col)
+		m.ForwardSolve(col)
 		for i := 0; i < n; i++ {
 			want.Set(i, j, col[i])
 		}
 	}
 	got := b.Clone()
-	m.SolveMat(got)
+	m.ForwardSolveMat(got)
 	if !got.Equalish(want, 1e-10) {
-		t.Fatal("SolveMat disagrees with per-column Solve")
+		t.Fatal("ForwardSolveMat disagrees with per-column ForwardSolve")
 	}
 }
 
