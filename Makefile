@@ -11,23 +11,25 @@ test:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# verify is the pre-merge gate, and what CI runs: gofmt and vet, every package
+# verify is the pre-merge gate, and what CI runs: gofmt and vet (la and tlr
+# also vetted for arm64, where the Go loops stand in for the amd64 assembly —
+# a cross-vet type-checks that build and needs no network), every package
 # once, uncached, under the race detector (the rank goroutines and mailboxes,
 # the session lock, lock-free instruments, the task graphs, the pooled
 # recompression workspaces, the tile store's pin/evict concurrency, the
 # recovery oracle with its injected task panics and rank deaths, the
 # out-of-core and serving suites and the fuzz targets' seed corpora are all in
 # that one pass; internal/core alone is the long pole), one iteration of the
-# recompression, graph-construction and covariance kernel benchmarks so they
-# cannot rot, then the
+# vector-loop, recompression, low-rank update, graph-construction and
+# covariance kernel benchmarks so they cannot rot, then the
 # benchmark module, which root `go test ./...` does not reach: its vet and
 # unit tests, and its smoke run, which must end with correct:true. Searching
 # for new fuzz inputs is `make fuzz`, not part of verify.
 verify:
 	test -z "$$(gofmt -l .)"
-	$(GO) vet ./...
+	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/
 	$(GO) test -race -count=1 -timeout 45m ./...
-	$(GO) test -run '^$$' -bench 'QRThin|SVDThin|Recompress|GemmLL|BuildGenCholeskyGraph|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
+	$(GO) test -run '^$$' -bench 'Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke
 
@@ -39,6 +41,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -parallel 1 ./internal/dataio/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime 10s -parallel 1 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelationTable$$' -fuzztime 10s -parallel 1 ./internal/cov/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompTileDecode$$' -fuzztime 10s -parallel 1 ./internal/tlr/
 
 # serve runs the kriging service (cmd/exaserve) on :8080.
 serve:

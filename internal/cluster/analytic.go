@@ -1,6 +1,10 @@
 package cluster
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/tlr"
+)
 
 // tlrKernelEfficiency derates the machine's effective rate for TLR tasks:
 // the QR/SVD recompression and small-rank GEMMs inside a TLR update run far
@@ -60,15 +64,14 @@ func AnalyticCholesky(m Machine, w Workload) Result {
 	// trsm and syrk: tile (i,k) at distance d = i−k occurs (mt−d) times.
 	for d := 1; d < mt; d++ {
 		cnt := float64(mt - d)
-		k := float64(rank(d))
 		storage += cnt * tileBytes(d)
 		var trsmF, syrkF float64
 		if w.Variant == Dense {
 			trsmF = fnb * fnb * fnb
 			syrkF = fnb * fnb * fnb
 		} else {
-			trsmF = fnb * fnb * k
-			syrkF = 2*k*k*fnb + 2*fnb*fnb*k
+			trsmF = tlr.FlopsTRSMComp(nb, rank(d))
+			syrkF = tlr.FlopsSYRKComp(nb, rank(d))
 		}
 		flops += cnt * (trsmF + syrkF)
 		bytes += cnt * (2*tileBytes(d) + 2*tileBytes(0))
@@ -83,8 +86,7 @@ func AnalyticCholesky(m Machine, w Workload) Result {
 			if w.Variant == Dense {
 				f = 2 * fnb * fnb * fnb
 			} else {
-				ks := float64(rank(s) + rank(t) + rank(s-t))
-				f = 2*fnb*ks*ks + ks*ks*ks
+				f = tlr.FlopsGEMMComp(nb, rank(s), rank(t), rank(s-t))
 			}
 			gemmFlops += cnt * f
 			gemmBytes += cnt * (tileBytes(s) + tileBytes(t) + 2*tileBytes(s-t))
@@ -128,9 +130,7 @@ func AnalyticCholesky(m Machine, w Workload) Result {
 	if w.Variant == Dense {
 		cpStep += (fnb*fnb*fnb + 2*fnb*fnb*fnb) / coreEff
 	} else {
-		k1 := float64(rank(1))
-		ks := float64(rank(2) + rank(1) + rank(1))
-		cpStep += (fnb*fnb*k1 + 2*fnb*ks*ks + ks*ks*ks) / coreEff
+		cpStep += (tlr.FlopsTRSMComp(nb, rank(1)) + tlr.FlopsGEMMComp(nb, rank(2), rank(1), rank(1))) / coreEff
 	}
 	cpTime := float64(mt) * cpStep
 

@@ -474,6 +474,57 @@ func TestQRThinProperties(t *testing.T) {
 	}
 }
 
+// The truncated pivoted QR: orthonormal Q, a residual within the cut (or at
+// rounding level without one), R's columns in A's order, fewer columns kept
+// with a cut than without, none for a matrix below it.
+func TestQRPivotThinProperties(t *testing.T) {
+	for _, tc := range kernelCases() {
+		a := tc.a
+		m, n := a.Rows, a.Cols
+		if m < n {
+			continue
+		}
+		aF := a.FrobNorm()
+		before := a.Clone()
+		full := -1
+		for _, cut := range []float64{0, 1e-7 * aF, 2 * aF} {
+			q, r := QRPivotThin(nil, a, cut)
+			if !a.Equalish(before, 0) {
+				t.Fatalf("%s: input modified", tc.name)
+			}
+			k := q.Cols
+			if k > n || q.Rows != m || r.Rows != k || r.Cols != n {
+				t.Fatalf("%s %dx%d cut %g: Q %dx%d R %dx%d", tc.name, m, n, cut, q.Rows, q.Cols, r.Rows, r.Cols)
+			}
+			if e := offIdentity(q); e > 1e-13 {
+				t.Fatalf("%s cut %g: ‖QᵀQ − I‖_F = %g", tc.name, cut, e)
+			}
+			rec := NewMat(m, n)
+			Gemm(1, q, NoTrans, r, NoTrans, 0, rec)
+			rec.Sub(a)
+			if e := rec.FrobNorm(); e > cut+1e-13*aF {
+				t.Fatalf("%s %dx%d cut %g: ‖A − QR‖_F = %g (‖A‖_F = %g)", tc.name, m, n, cut, e, aF)
+			}
+			switch {
+			case cut == 0:
+				full = k
+			case k > full:
+				t.Fatalf("%s: cut %g kept %d columns, no cut %d", tc.name, cut, k, full)
+			case cut > aF && k != 0:
+				t.Fatalf("%s: kept %d columns of a matrix below the cut", tc.name, k)
+			}
+		}
+		if len(tc.sigma) == 56 {
+			// The graded core: σ falls a decade every 3.4 columns, so a cut
+			// at 1e-7 keeps the 24 or so above it, not all 56.
+			q, _ := QRPivotThin(nil, a, 1e-7*aF)
+			if q.Cols < 20 || q.Cols > 30 {
+				t.Fatalf("%s: cut 1e-7 kept %d columns", tc.name, q.Cols)
+			}
+		}
+	}
+}
+
 // svdResidual returns ‖a − u·diag(s)·vᵀ‖_F.
 func svdResidual(a, u *Mat, s []float64, v *Mat) float64 {
 	us := u.Clone()
@@ -624,6 +675,26 @@ func BenchmarkSVDThin(b *testing.B) {
 		w.Reset()
 	}
 }
+
+// The Jacobi and Householder inner loops at the length of a recompression
+// core's rows.
+func BenchmarkDot(b *testing.B) {
+	x, y := kernelCases()[1].a.Row(0), kernelCases()[1].a.Row(1)
+	var s float64
+	for i := 0; i < b.N; i++ {
+		s += dot(x, y)
+	}
+	sinkFloat = s
+}
+
+func BenchmarkRotate(b *testing.B) {
+	x, y := kernelCases()[1].a.Row(0), kernelCases()[1].a.Row(1)
+	for i := 0; i < b.N; i++ {
+		rotate(0.8, 0.6, x, y)
+	}
+}
+
+var sinkFloat float64
 
 // Property: for random SPD matrices, solving against the Cholesky factor
 // reproduces the right-hand side.

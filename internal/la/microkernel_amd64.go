@@ -15,6 +15,19 @@ package la
 //go:noescape
 func microKernelFMA(kc int, ap, bp *float64, acc *[gemmMR * gemmNR]float64)
 
+// dotFMA, axpyFMA and rotateFMA are the vector bodies of dot, axpy and rotate
+// (qr.go, svd.go) over n ≥ 1 elements from x and y. rotateFMA requires that
+// x and y do not overlap.
+//
+//go:noescape
+func dotFMA(x, y *float64, n int) float64
+
+//go:noescape
+func axpyFMA(alpha float64, x, y *float64, n int)
+
+//go:noescape
+func rotateFMA(c, s float64, x, y *float64, n int)
+
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

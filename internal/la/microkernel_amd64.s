@@ -85,3 +85,209 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// AVX2+FMA bodies of dot, axpy and rotate (qr.go, svd.go). Each runs the
+// bulk of the slice in 4-wide YMM steps and the last n mod 4 elements with
+// the scalar forms of the same fused instructions, so a result depends on
+// the operands and n alone. Loads and stores are unaligned. Callers pass
+// n ≥ 1 (short slices stay in the Go loops).
+
+// func dotFMA(x, y *float64, n int) float64
+//
+// Four YMM accumulators, 16 elements per step: the FMA has a latency of four
+// or five cycles and two issue ports, and a 56- to 128-element row is too
+// short to amortize more.
+TEXT ·dotFMA(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), SI
+	MOVQ y+8(FP), DI
+	MOVQ n+16(FP), CX
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+	CMPQ CX, $16
+	JL   dot4
+
+dot16:
+	VMOVUPD     (SI), Y4
+	VMOVUPD     32(SI), Y5
+	VMOVUPD     64(SI), Y6
+	VMOVUPD     96(SI), Y7
+	VFMADD231PD (DI), Y4, Y0
+	VFMADD231PD 32(DI), Y5, Y1
+	VFMADD231PD 64(DI), Y6, Y2
+	VFMADD231PD 96(DI), Y7, Y3
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	SUBQ        $16, CX
+	CMPQ        CX, $16
+	JGE         dot16
+
+dot4:
+	CMPQ CX, $4
+	JL   dotsum
+
+dot4loop:
+	VMOVUPD     (SI), Y4
+	VFMADD231PD (DI), Y4, Y0
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $4, CX
+	CMPQ        CX, $4
+	JGE         dot4loop
+
+dotsum:
+	// (Y0 + Y1) + (Y2 + Y3), then the four lanes: (l0 + l2) + (l1 + l3).
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y3, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VUNPCKHPD    X0, X0, X1
+	VADDSD       X1, X0, X0
+
+	TESTQ CX, CX
+	JZ    dotdone
+
+dottail:
+	VMOVSD      (SI), X4
+	VFMADD231SD (DI), X4, X0
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+	DECQ        CX
+	JNZ         dottail
+
+dotdone:
+	VMOVSD X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func axpyFMA(alpha float64, x, y *float64, n int)
+//
+// y ← y + alpha·x, eight elements per step.
+TEXT ·axpyFMA(SB), NOSPLIT, $0-32
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         n+24(FP), CX
+
+	CMPQ CX, $8
+	JL   axpy4
+
+axpy8:
+	VMOVUPD     (DI), Y1
+	VMOVUPD     32(DI), Y2
+	VFMADD231PD (SI), Y0, Y1
+	VFMADD231PD 32(SI), Y0, Y2
+	VMOVUPD     Y1, (DI)
+	VMOVUPD     Y2, 32(DI)
+	ADDQ        $64, SI
+	ADDQ        $64, DI
+	SUBQ        $8, CX
+	CMPQ        CX, $8
+	JGE         axpy8
+
+axpy4:
+	CMPQ CX, $4
+	JL   axpytail
+
+	VMOVUPD     (DI), Y1
+	VFMADD231PD (SI), Y0, Y1
+	VMOVUPD     Y1, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $4, CX
+
+axpytail:
+	TESTQ CX, CX
+	JZ    axpydone
+
+axpy1:
+	VMOVSD      (DI), X1
+	VFMADD231SD (SI), X0, X1
+	VMOVSD      X1, (DI)
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+	DECQ        CX
+	JNZ         axpy1
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func rotateFMA(c, s float64, x, y *float64, n int)
+//
+// (x, y) ← (c·x − s·y, s·x + c·y), eight elements per step; each output is
+// one product and one fused multiply-add. x and y must not overlap.
+TEXT ·rotateFMA(SB), NOSPLIT, $0-40
+	VBROADCASTSD c+0(FP), Y0
+	VBROADCASTSD s+8(FP), Y1
+	MOVQ         x+16(FP), SI
+	MOVQ         y+24(FP), DI
+	MOVQ         n+32(FP), CX
+
+	CMPQ CX, $8
+	JL   rot4
+
+rot8:
+	VMOVUPD     (SI), Y2
+	VMOVUPD     (DI), Y3
+	VMOVUPD     32(SI), Y6
+	VMOVUPD     32(DI), Y7
+	VMULPD      Y1, Y3, Y4
+	VMULPD      Y0, Y3, Y5
+	VMULPD      Y1, Y7, Y8
+	VMULPD      Y0, Y7, Y9
+	VFMSUB231PD Y0, Y2, Y4
+	VFMADD231PD Y1, Y2, Y5
+	VFMSUB231PD Y0, Y6, Y8
+	VFMADD231PD Y1, Y6, Y9
+	VMOVUPD     Y4, (SI)
+	VMOVUPD     Y5, (DI)
+	VMOVUPD     Y8, 32(SI)
+	VMOVUPD     Y9, 32(DI)
+	ADDQ        $64, SI
+	ADDQ        $64, DI
+	SUBQ        $8, CX
+	CMPQ        CX, $8
+	JGE         rot8
+
+rot4:
+	CMPQ CX, $4
+	JL   rottail
+
+	VMOVUPD     (SI), Y2
+	VMOVUPD     (DI), Y3
+	VMULPD      Y1, Y3, Y4
+	VMULPD      Y0, Y3, Y5
+	VFMSUB231PD Y0, Y2, Y4
+	VFMADD231PD Y1, Y2, Y5
+	VMOVUPD     Y4, (SI)
+	VMOVUPD     Y5, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $4, CX
+
+rottail:
+	TESTQ CX, CX
+	JZ    rotdone
+
+rot1:
+	VMOVSD      (SI), X2
+	VMOVSD      (DI), X3
+	VMULSD      X1, X3, X4
+	VMULSD      X0, X3, X5
+	VFMSUB231SD X0, X2, X4
+	VFMADD231SD X1, X2, X5
+	VMOVSD      X4, (SI)
+	VMOVSD      X5, (DI)
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+	DECQ        CX
+	JNZ         rot1
+
+rotdone:
+	VZEROUPPER
+	RET

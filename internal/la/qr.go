@@ -2,17 +2,16 @@ package la
 
 import "math"
 
-// Householder QR for the recompression panels of TLR arithmetic: every
-// low-rank update C ← C − A·Bᵀ orthogonalizes two stacked nb×K factors
-// (128×56 at nb = 128), a few hundred times per factorization, so together
-// with SVDThin this routine is most of what a TLR likelihood evaluation
-// computes. Two choices make it fast on a row-major Mat. The factorization
-// runs on the transposed copy, so a reflector (a column of A below the
-// diagonal) and every column it updates are contiguous slices. And it is
-// blocked in the compact-WY form H₁⋯H_b = I − V·T·Vᵀ (Schreiber & Van Loan):
-// only a qrBlock-wide panel is factored with vector operations; the update
-// of the trailing columns and the formation of Q are matrix products, which
-// the packed FMA Gemm runs several times faster than any vector loop.
+// Householder QR for the tall panels of TLR arithmetic: the sketches of the
+// randomized compressor and the stacked nb×K factors of a general
+// recompression (128×56 at nb = 128), several hundred per factorization. Two
+// choices make it fast on a row-major Mat. The factorization runs on the
+// transposed copy, so a reflector (a column of A below the diagonal) and
+// every column it updates are contiguous slices. And it is blocked in the
+// compact-WY form H₁⋯H_b = I − V·T·Vᵀ (Schreiber & Van Loan): only a
+// qrBlock-wide panel is factored with vector operations; the update of the
+// trailing columns and the formation of Q are matrix products, which the
+// packed FMA Gemm runs several times faster than any vector loop.
 
 // qrBlock is the panel width: the share of the arithmetic left in vector
 // operations is about qrBlock/min(m, n), and the Gemm calls have inner
@@ -69,7 +68,7 @@ func QRThin(w *Work, a *Mat) (q, r *Mat) {
 		}
 	}
 
-	r = leadingRowsOfR(w, wt, k)
+	r = leadingRowsOfR(w, wt, k, nil)
 
 	// Q = H₁⋯H_k·[I; 0], panels last to first. Before panel j0 is applied,
 	// rows ≥ j0 of Q are zero left of column j0, so only the block from
@@ -93,13 +92,18 @@ func QRThin(w *Work, a *Mat) (q, r *Mat) {
 
 // leadingRowsOfR copies the first k rows of the upper-triangular R out of the
 // transposed compact storage wt (column c of R in wt[c][:c+1]) into a
-// row-major k×n matrix.
-func leadingRowsOfR(w *Work, wt *Mat, k int) *Mat {
+// row-major k×n matrix. With a permutation, column c lands in column perm[c]:
+// the rows of R·Pᵀ for a pivoted factorization X·P = Q·R.
+func leadingRowsOfR(w *Work, wt *Mat, k int, perm []int) *Mat {
 	n := wt.Rows
 	r := w.Mat(k, n)
 	for c := 0; c < n; c++ {
+		to := c
+		if perm != nil {
+			to = perm[c]
+		}
 		for i, v := range wt.Row(c)[:min(c+1, k)] {
-			r.Data[i*n+c] = v
+			r.Data[i*n+to] = v
 		}
 	}
 	return r
@@ -155,13 +159,23 @@ func formT(t, vt *Mat, j0 int, tau []float64) {
 }
 
 // dot and axpy are Dot and Axpy for slices whose lengths the caller has
-// already matched, unrolled four ways: the reflector and rotation loops are
-// short (tens to a few hundred elements) and a single accumulator would
-// serialize them on the latency of the add. They are kept apart from the
-// exported pair, which the dense backends also call: unrolling that pair in
-// place changed the rounding of every backend's quadratic form and measured
-// 4 % slower on the full-tile workload.
+// already matched. The reflector and rotation loops are short (tens to a few
+// hundred elements): from vecMin elements on they run as AVX2+FMA assembly
+// where the CPU has it (microkernel_amd64.s, the gate Gemm's micro-kernel
+// uses), and otherwise unrolled four ways in Go, since a single accumulator
+// would serialize them on the latency of the add. The two bodies round
+// differently (the assembly fuses each multiply-add and sums in a different
+// order); which one runs depends on the machine and the length alone. They
+// are kept apart from the exported pair, which the dense backends also call:
+// unrolling that pair in place changed the rounding of every backend's
+// quadratic form and measured 4 % slower on the full-tile workload.
+const vecMin = 8
+
 func dot(x, y []float64) float64 {
+	if useFMAKernel && len(x) >= vecMin {
+		y = y[:len(x)]
+		return dotFMA(&x[0], &y[0], len(x))
+	}
 	var s0, s1, s2, s3 float64
 	for len(x) >= 4 && len(y) >= 4 {
 		s0 += x[0] * y[0]
@@ -177,6 +191,11 @@ func dot(x, y []float64) float64 {
 }
 
 func axpy(alpha float64, x, y []float64) {
+	if useFMAKernel && len(x) >= vecMin {
+		y = y[:len(x)]
+		axpyFMA(alpha, &x[0], &y[0], len(x))
+		return
+	}
 	for len(x) >= 4 && len(y) >= 4 {
 		y[0] += alpha * x[0]
 		y[1] += alpha * x[1]

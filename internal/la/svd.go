@@ -51,12 +51,12 @@ func SVDThin(w *Work, a *Mat, tol float64) (u *Mat, s []float64, v *Mat) {
 		m, n = n, m
 	}
 	tau := w.Floats(n)
-	perm := make([]int, n)
-	r := qrcp(wt, tau, perm, tol)
+	perm := w.Ints(n)
+	r := qrcp(wt, tau, perm, svdDrop*tol, 0)
 
 	// W = first r rows of R. Jacobi rotates its rows until they are
 	// orthogonal, G·W = diag(s)·V_Rᵀ, and g accumulates G.
-	rw := leadingRowsOfR(w, wt, r)
+	rw := leadingRowsOfR(w, wt, r, nil)
 	g := w.Mat(r, r)
 	for i := 0; i < r; i++ {
 		g.Data[i*r+i] = 1
@@ -64,7 +64,7 @@ func SVDThin(w *Work, a *Mat, tol float64) (u *Mat, s []float64, v *Mat) {
 	s = w.Floats(r)
 	jacobiRows(rw, g, s)
 
-	order := make([]int, r)
+	order := w.Ints(r)
 	for i := range order {
 		s[i] = Nrm2(rw.Row(i))
 		order[i] = i
@@ -82,22 +82,9 @@ func SVDThin(w *Work, a *Mat, tol float64) (u *Mat, s []float64, v *Mat) {
 	for jj, j := range order {
 		copy(ut.Row(jj), g.Row(j))
 	}
-	for i := r - 1; i >= 0; i-- {
-		if tau[i] == 0 {
-			continue
-		}
-		h := wt.Row(i)[i:]
-		h[0] = 1 // R has been copied out; make the reflector's unit explicit
-		for jj := 0; jj < r; jj++ {
-			reflect(h, tau[i], ut.Row(jj)[i:])
-		}
-	}
+	applyQ(wt, tau, r, ut)
 	ux := w.Mat(m, r)
-	for jj := 0; jj < r; jj++ {
-		for i, x := range ut.Row(jj) {
-			ux.Data[i*r+jj] = x
-		}
-	}
+	ux.transposeFrom(ut)
 	vx := w.Mat(n, r)
 	sorted := w.Floats(r)
 	for jj, j := range order {
@@ -116,12 +103,63 @@ func SVDThin(w *Work, a *Mat, tol float64) (u *Mat, s []float64, v *Mat) {
 	return vx, sorted, ux
 }
 
+// QRPivotThin computes a truncated column-pivoted QR of the m×n matrix a
+// (m ≥ n): a ≈ Q·R with Q m×r having orthonormal columns, R r×n with its
+// columns in a's order (so not triangular), and ‖a − Q·R‖_F ≤ cut. The
+// pivoting takes the heaviest remaining column at each step and the
+// factorization stops as soon as the columns still to be reduced hold no more
+// than cut, or no more than ε times the heaviest column of a, in Frobenius
+// norm: r = 0 for a matrix that small. It is the basis-extension step of a
+// structured low-rank update (tlr), which orthogonalizes only the part of an
+// update its tile does not span yet. a is not modified. Results and
+// temporaries come from w and live until w.Reset (nil w: heap).
+func QRPivotThin(w *Work, a *Mat, cut float64) (q, r *Mat) {
+	m, n := a.Rows, a.Cols
+	if m < n {
+		panic("la: QRPivotThin of a wide matrix")
+	}
+	wt := w.Mat(n, m)
+	wt.transposeFrom(a)
+	tau := w.Floats(n)
+	perm := w.Ints(n)
+	k := qrcp(wt, tau, perm, 0, cut)
+
+	r = leadingRowsOfR(w, wt, k, perm)
+	// Column j of Q is H₀⋯H_{k−1}·e_j, built as row j of qt.
+	qt := w.Mat(k, m)
+	for j := 0; j < k; j++ {
+		qt.Data[j*m+j] = 1
+	}
+	applyQ(wt, tau, k, qt)
+	q = w.Mat(m, k)
+	q.transposeFrom(qt)
+	return q, r
+}
+
+// applyQ applies Q = H₀⋯H_{r−1} of a qrcp factorization to the rows of ut
+// (each a vector of length m): reflector i is (1, wt[i][i+1:]) with τ = tau[i].
+// The leading entry of each reflector's row in wt, an entry of R the caller
+// has copied out, is overwritten with the reflector's explicit 1.
+func applyQ(wt *Mat, tau []float64, r int, ut *Mat) {
+	for i := r - 1; i >= 0; i-- {
+		if tau[i] == 0 {
+			continue
+		}
+		h := wt.Row(i)[i:]
+		h[0] = 1
+		for jj := 0; jj < ut.Rows; jj++ {
+			reflect(h, tau[i], ut.Row(jj)[i:])
+		}
+	}
+}
+
 // qrcp factors X·P = Q·R by Householder QR with column pivoting, in place on
 // wt = Xᵀ (n rows of length m ≥ n), and stops at the first step r where the
-// rows of R still to come hold less than the drop threshold (see SVDThin).
-// On return rows < r of R sit in wt[c][:r], reflector i's tail in wt[i][i+1:],
+// rows of R still to come hold no more Frobenius mass than rel times that of
+// all of R, than abs, or than ε times the heaviest column (see SVDThin). On
+// return rows < r of R sit in wt[c][:r], reflector i's tail in wt[i][i+1:],
 // and column c of X·P is column perm[c] of X.
-func qrcp(wt *Mat, tau []float64, perm []int, tol float64) (r int) {
+func qrcp(wt *Mat, tau []float64, perm []int, rel, abs float64) (r int) {
 	n := wt.Rows
 	for c := range perm {
 		perm[c] = c
@@ -143,7 +181,7 @@ func qrcp(wt *Mat, tau []float64, perm []int, tol float64) (r int) {
 		}
 		if j == 0 {
 			const eps = 0x1p-52
-			cut2 = max(eps*eps*best, svdDrop*svdDrop*tol*tol*mass)
+			cut2 = max(eps*eps*best, rel*rel*mass, abs*abs)
 		}
 		if mass <= cut2 {
 			return j
@@ -225,9 +263,15 @@ func jacobiRows(w, g *Mat, sq []float64) {
 	cntSvdNoConv.Inc()
 }
 
-// rotate applies the plane rotation (x, y) ← (c·x − s·y, s·x + c·y).
+// rotate applies the plane rotation (x, y) ← (c·x − s·y, s·x + c·y) to two
+// slices that do not overlap (the vector body loads eight elements of each
+// before it stores any). See dot for the choice of body.
 func rotate(c, s float64, x, y []float64) {
 	y = y[:len(x)]
+	if useFMAKernel && len(x) >= vecMin {
+		rotateFMA(c, s, &x[0], &y[0], len(x))
+		return
+	}
 	for i, xi := range x {
 		yi := y[i]
 		x[i] = c*xi - s*yi

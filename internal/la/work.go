@@ -1,17 +1,42 @@
 package la
 
-// Work is a bump arena of float64 scratch for kernels that are called
-// hundreds of times per factorization with the same few shapes (QRThin,
-// SVDThin and their TLR callers). Every slice and matrix it hands out is
-// zeroed and stays valid until Reset; Reset makes the whole arena reusable,
-// so a steady stream of equal-sized calls allocates nothing.
+// Work is a bump arena of float64 and index scratch for kernels that are
+// called hundreds of times per factorization with the same few shapes
+// (QRThin, SVDThin and their TLR callers). Every slice and matrix it hands
+// out is zeroed and stays valid until Reset; Reset makes the whole arena
+// reusable, so a steady stream of equal-sized calls allocates nothing.
 //
 // A nil *Work allocates from the heap, which is what callers without a
 // repeating call pattern pass. A Work must not be shared between goroutines.
 type Work struct {
-	buf  []float64
+	floats arena[float64]
+	ints   arena[int] // pivot orders and permutations
+}
+
+type arena[T any] struct {
+	buf  []T
 	used int
-	need int // floats requested since the last Reset, served or not
+	need int // elements requested since the last reset, served or not
+}
+
+func (a *arena[T]) take(n int) []T {
+	a.need += n
+	if n > len(a.buf)-a.used {
+		// Arena full: serve this request from the heap (earlier slices stay
+		// valid) and let reset grow the arena to the observed demand.
+		return make([]T, n)
+	}
+	s := a.buf[a.used : a.used+n : a.used+n]
+	a.used += n
+	clear(s)
+	return s
+}
+
+func (a *arena[T]) reset() {
+	if a.need > len(a.buf) {
+		a.buf = make([]T, a.need+a.need/4)
+	}
+	a.used, a.need = 0, 0
 }
 
 // Floats returns a zeroed slice of length n.
@@ -19,16 +44,15 @@ func (w *Work) Floats(n int) []float64 {
 	if w == nil {
 		return make([]float64, n)
 	}
-	w.need += n
-	if n > len(w.buf)-w.used {
-		// Arena full: serve this request from the heap (earlier slices stay
-		// valid) and let Reset grow the arena to the observed demand.
-		return make([]float64, n)
+	return w.floats.take(n)
+}
+
+// Ints returns a zeroed index slice of length n.
+func (w *Work) Ints(n int) []int {
+	if w == nil {
+		return make([]int, n)
 	}
-	s := w.buf[w.used : w.used+n : w.used+n]
-	w.used += n
-	clear(s)
-	return s
+	return w.ints.take(n)
 }
 
 // Mat returns a zeroed r×c matrix backed by the arena.
@@ -39,8 +63,6 @@ func (w *Work) Mat(r, c int) *Mat {
 // Reset invalidates everything handed out so far and sizes the arena to
 // hold the demand seen since the previous Reset.
 func (w *Work) Reset() {
-	if w.need > len(w.buf) {
-		w.buf = make([]float64, w.need+w.need/4)
-	}
-	w.used, w.need = 0, 0
+	w.floats.reset()
+	w.ints.reset()
 }

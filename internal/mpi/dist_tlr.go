@@ -163,7 +163,9 @@ func (d *DistTLR) Cholesky(c *Comm) error {
 					return nil, err
 				}
 				t = new(tlr.CompTile)
-				t.Decode(data)
+				if err := t.Decode(data); err != nil {
+					return nil, fmt.Errorf("mpi: panel tile (%d,%d) from rank %d: %w", i, k, owner, err)
+				}
 			}
 			panel[i] = t
 			return t, nil

@@ -1,6 +1,8 @@
 package tlr
 
 import (
+	"math"
+
 	"repro/internal/la"
 	"repro/internal/obs"
 )
@@ -9,23 +11,43 @@ import (
 // rank budget during an update and were converted to exact dense storage.
 var cntDenseTile = obs.GetCounter("tlr.detile.fallback")
 
+// cntGeneral counts the low-rank updates that could not extend C's bases and
+// were stacked and recompressed from scratch (see addLowRank).
+var cntGeneral = obs.GetCounter("tlr.recompress.general")
+
+const (
+	// gramSlack is how far the Gram matrices of C's factors may be from
+	// diagonal (U, relative to its column norms) and from the identity (V)
+	// for the factors to serve as the bases of an update.
+	gramSlack = 1e-11
+	// basisShare is the share of tol·‖C′‖_F that each of the two basis
+	// truncations of an update may spend; the SVD of the core gets the rest.
+	basisShare = 0.02
+)
+
 // AddLowRank performs C ← recompress(C + alpha·X·Yᵀ, tol), the workhorse of
 // TLR GEMM. X and Y must have the same number of columns (the update rank).
-// The recompression is the QR+SVD scheme: stack the factors, orthogonalize,
-// and truncate the small core back to the accuracy threshold.
 //
 // A dense C absorbs the update exactly in place. A compressed result whose
 // recompressed rank still exceeds maxRank (> 0) falls back to a dense (DE)
-// tile built exactly from the stacked factors — graceful degradation instead
-// of unbounded rank growth.
+// tile built exactly from C and the update — graceful degradation instead of
+// unbounded rank growth.
 func AddLowRank(c *CompTile, alpha float64, x, y *la.Mat, tol float64, maxRank int) *CompTile {
 	w := getWork()
 	defer putWork(w)
 	return addLowRank(w, c, alpha, x, y, tol, maxRank)
 }
 
-// addLowRank is AddLowRank with the stacked factors and the recompression
-// drawn from w (x and y may themselves be scratch of w).
+// addLowRank is AddLowRank with every temporary drawn from w (x and y may
+// themselves be scratch of w).
+//
+// Every tile that leaves fromSVD, recompress or this function has V with
+// orthonormal columns and U with mutually orthogonal ones, and only TrsmLD,
+// which the factorization runs on a tile after its last update, ends that.
+// An update therefore pays only for what it adds: extendBases splits X and Y
+// against the bases C already has and orthogonalizes the remainder. A C that
+// does not carry the invariant, or whose bases have no room for the update,
+// is stacked with it and recompressed from scratch.
 func addLowRank(w *la.Work, c *CompTile, alpha float64, x, y *la.Mat, tol float64, maxRank int) *CompTile {
 	if x.Cols != y.Cols {
 		panic("tlr: AddLowRank rank mismatch between X and Y")
@@ -42,54 +64,240 @@ func addLowRank(w *la.Work, c *CompTile, alpha float64, x, y *la.Mat, tol float6
 		la.Gemm(alpha, x, la.NoTrans, y, la.Transpose, 1, c.D)
 		return c
 	}
-	kc := c.Rank()
-	u := w.Mat(m, kc+kx)
-	v := w.Mat(n, kc+kx)
-	for i := 0; i < m; i++ {
-		ui := u.Row(i)
-		copy(ui, c.U.Row(i))
-		for j, xv := range x.Row(i) {
-			ui[kc+j] = alpha * xv
+	out := extendBases(w, c, alpha, x, y, tol)
+	if out == nil {
+		cntGeneral.Inc()
+		kc := c.Rank()
+		u := w.Mat(m, kc+kx)
+		v := w.Mat(n, kc+kx)
+		for i := 0; i < m; i++ {
+			ui := u.Row(i)
+			copy(ui, c.U.Row(i))
+			for j, xv := range x.Row(i) {
+				ui[kc+j] = alpha * xv
+			}
 		}
+		for i := 0; i < n; i++ {
+			vi := v.Row(i)
+			copy(vi, c.V.Row(i))
+			copy(vi[kc:], y.Row(i))
+		}
+		out = recompress(w, u, v, tol)
 	}
-	for i := 0; i < n; i++ {
-		vi := v.Row(i)
-		copy(vi, c.V.Row(i))
-		copy(vi[kc:], y.Row(i))
-	}
-	out := recompress(w, u, v, tol)
 	if maxRank > 0 && out.Rank() > maxRank {
-		// Exact reconstruction from the untruncated stacked factors, not
-		// from the recompressed tile — the fallback loses nothing.
-		d := la.NewMat(m, n)
-		la.Gemm(1, u, la.NoTrans, v, la.Transpose, 0, d)
+		// Exact, from the operands rather than the truncated result.
+		d := c.Dense()
+		la.Gemm(alpha, x, la.NoTrans, y, la.Transpose, 1, d)
 		cntDenseTile.Inc()
 		return NewDenseTile(d)
 	}
 	return out
 }
 
+// extendBases is the structured form of C + alpha·X·Yᵀ truncated to tol, for
+// a compressed C = Û·diag(σ)·Vᵀ with Û and V orthonormal. It returns nil when
+// C is not of that form — checked here on every call from the two Gram
+// matrices, a function of the tile's entries alone — or when the tile has no
+// rank, or no room for kc+kx orthonormal directions.
+//
+// With P = ÛᵀX, E = X − Û·P and Q = VᵀY, F = Y − V·Q (each projection applied
+// twice, which leaves E ⟂ Û and F ⟂ V to rounding whatever the angle), and
+// truncated pivoted QRs E ≈ Qe·Re, F ≈ Qf·Rf,
+//
+//	C + alpha·X·Yᵀ ≈ [Û Qe]·(diag(σ, 0) + alpha·[P; Re]·[Q; Rf]ᵀ)·[V Qf]ᵀ,
+//
+// so the SVD works on a core of kc+re by kc+rf instead of kc+kx squared, no
+// Householder reflector is spent on the directions C already has, and the
+// result carries the invariant on to the next update.
+//
+// The error budget tol·‖C′‖_F is split three ways. The leading kc×kc block of
+// the core is C′ seen through the old bases, so its norm is a lower bound on
+// ‖C′‖_F that is known before either QR. Each QR may discard basisShare of
+// tol times that bound: the columns of E are weighted by the norms of the
+// matching columns of Y (and F's by X's), so what the QR reports as discarded
+// mass δ bounds the discarded term by ‖alpha·ΔE·Yᵀ‖_F ≤ |alpha|·√kx·δ. The
+// SVD tail gets the remaining (1 − 2·basisShare)·tol. Remainders at the level
+// of the rounding error of the projections are discarded whatever the budget:
+// their directions are noise, not orthogonal to the bases.
+func extendBases(w *la.Work, c *CompTile, alpha float64, x, y *la.Mat, tol float64) *CompTile {
+	m, n, kc, kx := c.Rows(), c.Cols(), c.Rank(), x.Cols
+	if kc == 0 || kc+kx > min(m, n) {
+		return nil
+	}
+	gu, gv := w.Mat(kc, kc), w.Mat(kc, kc)
+	la.Gemm(1, c.U, la.Transpose, c.U, la.NoTrans, 0, gu)
+	la.Gemm(1, c.V, la.Transpose, c.V, la.NoTrans, 0, gv)
+	sigma := w.Floats(kc)
+	for i := range sigma {
+		sigma[i] = math.Sqrt(gu.Data[i*kc+i])
+		if !(sigma[i] > 0) {
+			return nil
+		}
+	}
+	for i := 0; i < kc; i++ {
+		ui, vi := gu.Row(i), gv.Row(i)
+		if !(math.Abs(vi[i]-1) <= gramSlack) {
+			return nil
+		}
+		for j := 0; j < i; j++ {
+			if !(math.Abs(ui[j]) <= gramSlack*sigma[i]*sigma[j] && math.Abs(vi[j]) <= gramSlack) {
+				return nil
+			}
+		}
+	}
+	cntRecompress.Inc()
+
+	uh := w.Mat(m, kc)
+	for i := 0; i < m; i++ {
+		ui, hi := c.U.Row(i), uh.Row(i)
+		for j, s := range sigma {
+			hi[j] = ui[j] / s
+		}
+	}
+	p, e := splitOff(w, uh, x)
+	q, f := splitOff(w, c.V, y)
+
+	// k11 = diag(σ) + alpha·P·Qᵀ: C′ restricted to the bases C has.
+	k11 := w.Mat(kc, kc)
+	la.Gemm(alpha, p, la.NoTrans, q, la.Transpose, 0, k11)
+	for i, s := range sigma {
+		k11.Data[i*kc+i] += s
+	}
+	xn, yn := colNorms(w, x), colNorms(w, y)
+	var noise, x2, y2 float64 // Σ‖x_j‖²‖y_j‖², ‖X‖_F², ‖Y‖_F²
+	for j := range xn {
+		xj, yj := xn[j]*xn[j], yn[j]*yn[j]
+		noise += xj * yj
+		x2 += xj
+		y2 += yj
+	}
+	const eps = 0x1p-52
+	cut := max(basisShare*tol*k11.FrobNorm()/(math.Abs(alpha)*math.Sqrt(float64(kx))), 32*eps*math.Sqrt(noise))
+	qe, re := weightedQR(w, e, yn, cut)
+	qf, rf := weightedQR(w, f, xn, cut)
+	// E ⟂ Û holds column by column, relative to each column's norm; a basis
+	// vector the QR draws from the small difference of larger columns is
+	// orthogonal to Û only to that cancellation times ε. One projection of
+	// the basis itself restores it, at a cost to QeᵀQe of that small number
+	// squared.
+	projectOut(w, qe, uh)
+	projectOut(w, qf, c.V)
+	ke, kf := kc+qe.Cols, kc+qf.Cols
+
+	// core = diag(σ, 0) + alpha·[P; Re]·[Q; Rf]ᵀ
+	l, r := w.Mat(ke, kx), w.Mat(kf, kx)
+	l.View(0, 0, kc, kx).CopyFrom(p)
+	l.View(kc, 0, ke-kc, kx).CopyFrom(re)
+	r.View(0, 0, kc, kx).CopyFrom(q)
+	r.View(kc, 0, kf-kc, kx).CopyFrom(rf)
+	core := w.Mat(ke, kf)
+	la.Gemm(alpha, l, la.NoTrans, r, la.Transpose, 0, core)
+	var c2 float64
+	for i, s := range sigma {
+		core.Data[i*kf+i] += s
+		c2 += s * s
+	}
+	// An update that cancels C leaves a core of rounding noise, which has no
+	// scale of its own for a relative tolerance to act on (see recompress,
+	// whose measure ‖[U αX]‖_F·‖[V Y]‖_F this is).
+	if core.FrobNorm() <= float64(kc+kx)*eps*math.Sqrt((c2+alpha*alpha*x2)*(float64(kc)+y2)) {
+		return &CompTile{U: la.NewMat(m, 0), V: la.NewMat(n, 0)}
+	}
+	svdTol := (1 - 2*basisShare) * tol
+	cu, s, cv := la.SVDThin(w, core, svdTol)
+	k := frobRank(s, svdTol)
+	for i := 0; i < cu.Rows; i++ {
+		ci := cu.Row(i)[:k]
+		for j := range ci {
+			ci[j] *= s[j]
+		}
+	}
+	// U′ = [Û Qe]·(U_k·Σ_k), V′ = [V Qf]·V_k
+	nu, nv := la.NewMat(m, k), la.NewMat(n, k)
+	la.Gemm(1, uh, la.NoTrans, cu.View(0, 0, kc, k), la.NoTrans, 0, nu)
+	la.Gemm(1, qe, la.NoTrans, cu.View(kc, 0, ke-kc, k), la.NoTrans, 1, nu)
+	la.Gemm(1, c.V, la.NoTrans, cv.View(0, 0, kc, k), la.NoTrans, 0, nv)
+	la.Gemm(1, qf, la.NoTrans, cv.View(kc, 0, kf-kc, k), la.NoTrans, 1, nv)
+	return &CompTile{U: nu, V: nv}
+}
+
+// splitOff splits x against the orthonormal columns of b: x = b·p + e with
+// e ⟂ b. The projection runs twice; the second pass removes what the
+// rounding of the first left along b when x lies almost inside its span.
+func splitOff(w *la.Work, b, x *la.Mat) (p, e *la.Mat) {
+	p, e = w.Mat(b.Cols, x.Cols), w.Mat(x.Rows, x.Cols)
+	e.CopyFrom(x)
+	la.Gemm(1, b, la.Transpose, e, la.NoTrans, 0, p)
+	la.Gemm(-1, b, la.NoTrans, p, la.NoTrans, 1, e)
+	p2 := w.Mat(b.Cols, x.Cols)
+	la.Gemm(1, b, la.Transpose, e, la.NoTrans, 0, p2)
+	la.Gemm(-1, b, la.NoTrans, p2, la.NoTrans, 1, e)
+	p.Add(p2)
+	return p, e
+}
+
+// colNorms returns the Euclidean norms of the columns of a.
+func colNorms(w *la.Work, a *la.Mat) []float64 {
+	nrm := w.Floats(a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			nrm[j] += v * v
+		}
+	}
+	for j, v := range nrm {
+		nrm[j] = math.Sqrt(v)
+	}
+	return nrm
+}
+
+// weightedQR factors e ≈ q·r by la.QRPivotThin on e·diag(wt), so that the
+// pivoting and the cut act on the weighted columns, and returns r for the
+// unweighted e. e is overwritten. A column of weight zero meets nothing in
+// the product it belongs to and gets a zero column of r.
+func weightedQR(w *la.Work, e *la.Mat, wt []float64, cut float64) (q, r *la.Mat) {
+	for i := 0; i < e.Rows; i++ {
+		ei := e.Row(i)
+		for j, s := range wt {
+			ei[j] *= s
+		}
+	}
+	q, r = la.QRPivotThin(w, e, cut)
+	for i := 0; i < r.Rows; i++ {
+		ri := r.Row(i)
+		for j, s := range wt {
+			if s != 0 {
+				ri[j] /= s
+			}
+		}
+	}
+	return q, r
+}
+
 // gemmIntoDense applies C.D ← C.D − A·Bᵀ for a dense accumulator and any mix
 // of dense/compressed operands.
 func gemmIntoDense(cd *la.Mat, a, b *CompTile) {
-	switch {
-	case a.IsDense() && b.IsDense():
+	if a.IsDense() && b.IsDense() {
 		la.Gemm(-1, a.D, la.NoTrans, b.D, la.Transpose, 1, cd)
+		return
+	}
+	ws := getWork()
+	defer putWork(ws)
+	switch {
 	case a.IsDense():
 		// A·(Ub·Vbᵀ)ᵀ = (A·Vb)·Ubᵀ
-		t := la.NewMat(a.D.Rows, b.Rank())
+		t := ws.Mat(a.D.Rows, b.Rank())
 		la.Gemm(1, a.D, la.NoTrans, b.V, la.NoTrans, 0, t)
 		la.Gemm(-1, t, la.NoTrans, b.U, la.Transpose, 1, cd)
 	case b.IsDense():
 		// (Ua·Vaᵀ)·Bᵀ = Ua·(B·Va)ᵀ
-		t := la.NewMat(b.D.Rows, a.Rank())
+		t := ws.Mat(b.D.Rows, a.Rank())
 		la.Gemm(1, b.D, la.NoTrans, a.V, la.NoTrans, 0, t)
 		la.Gemm(-1, a.U, la.NoTrans, t, la.Transpose, 1, cd)
 	default:
 		// Ua·(Vaᵀ·Vb)·Ubᵀ
-		w := la.NewMat(a.Rank(), b.Rank())
+		w := ws.Mat(a.Rank(), b.Rank())
 		la.Gemm(1, a.V, la.Transpose, b.V, la.NoTrans, 0, w)
-		t := la.NewMat(a.U.Rows, b.Rank())
+		t := ws.Mat(a.U.Rows, b.Rank())
 		la.Gemm(1, a.U, la.NoTrans, w, la.NoTrans, 0, t)
 		la.Gemm(-1, t, la.NoTrans, b.U, la.Transpose, 1, cd)
 	}
@@ -170,9 +378,11 @@ func SyrkLD(c *la.Mat, a *CompTile) {
 	if k == 0 {
 		return
 	}
-	w := la.NewMat(k, k)
+	ws := getWork()
+	defer putWork(ws)
+	w := ws.Mat(k, k)
 	la.Gemm(1, a.V, la.Transpose, a.V, la.NoTrans, 0, w)
-	t := la.NewMat(a.U.Rows, k)
+	t := ws.Mat(a.U.Rows, k)
 	la.Gemm(1, a.U, la.NoTrans, w, la.NoTrans, 0, t)
 	// C -= T·Uaᵀ; use full gemm then rely on lower-triangle readers.
 	la.Gemm(-1, t, la.NoTrans, a.U, la.Transpose, 1, c)

@@ -6,7 +6,7 @@
 // A TLR matrix stores dense diagonal tiles and each off-diagonal tile (i, j)
 // as a product U·Vᵀ with per-tile rank k chosen so the compression error is
 // below a user-defined accuracy threshold. All TLR arithmetic preserves that
-// threshold through QR+SVD recompression.
+// threshold by recompressing every low-rank update (algebra.go).
 package tlr
 
 import (
@@ -19,8 +19,9 @@ import (
 	"repro/internal/rng"
 )
 
-// cntRecompress counts QR+SVD recompressions — the TLR update path's
-// dominant overhead, proportional to the SYRK/GEMM traffic of the
+// cntRecompress counts recompressions — every low-rank update of a
+// compressed tile, structured or general, and ACA's trim: the TLR update
+// path's dominant overhead, proportional to the GEMM traffic of the
 // factorization rather than the tile count.
 var cntRecompress = obs.GetCounter("tlr.recompress.calls")
 
@@ -164,17 +165,39 @@ func (c *CompTile) Encode() []float64 {
 // spill-stub state: a fresh tile on the receiving rank, or an evicted stub
 // whose holders keep their pointer. The tile takes ownership of words (a
 // received message or a spill read is the caller's alone); its factors are
-// views into them.
-func (c *CompTile) Decode(words []float64) {
+// views into them. Words that Encode could not have produced — a header that
+// is not three integers with rank in [−1, min(rows, cols)], or a payload of
+// the wrong length — are an error and leave the tile as it was.
+func (c *CompTile) Decode(words []float64) error {
+	if len(words) < 3 {
+		return fmt.Errorf("tlr: decode tile: %d words, no header", len(words))
+	}
+	for _, h := range words[:3] {
+		if !(h >= -1 && h <= math.MaxInt32) || h != math.Trunc(h) {
+			return fmt.Errorf("tlr: decode tile: header %v", words[:3])
+		}
+	}
 	rows, cols, rank := int(words[0]), int(words[1]), int(words[2])
+	if rows < 0 || cols < 0 || rank > min(rows, cols) {
+		return fmt.Errorf("tlr: decode tile: header %v", words[:3])
+	}
 	payload := words[3:]
+	// Every factor is at most MaxInt32 squared words, so int64 holds the sums.
+	want := int64(rows) * int64(cols)
+	if rank >= 0 {
+		want = (int64(rows) + int64(cols)) * int64(rank)
+	}
+	if int64(len(payload)) != want {
+		return fmt.Errorf("tlr: decode tile: %dx%d rank %d needs %d payload words, got %d", rows, cols, rank, want, len(payload))
+	}
 	*c = CompTile{}
 	if rank < 0 {
 		c.D = la.NewMatFrom(rows, cols, payload)
-		return
+		return nil
 	}
 	c.U = la.NewMatFrom(rows, rank, payload[:rows*rank:rows*rank])
 	c.V = la.NewMatFrom(cols, rank, payload[rows*rank:])
+	return nil
 }
 
 // Compressor turns a dense tile into a CompTile with error below tol.

@@ -204,12 +204,18 @@ func FlopsSYRKComp(nb, k int) float64 {
 	return 2*float64(k)*float64(k)*float64(nb) + 2*float64(nb)*float64(nb)*float64(k)
 }
 
-// FlopsGEMMComp estimates the compressed GEMM + recompression cost for
-// operand ranks ka, kb and output rank kc.
+// FlopsGEMMComp estimates the compressed GEMM C ← C − A·Bᵀ for operand ranks
+// ka, kb and target rank kc, as addLowRank's structured update runs it with
+// kx = min(ka, kb): the contraction Vaᵀ·Vb and its product with the wider U
+// (4·nb·ka·kb), the two Gram matrices that check C's bases (4·nb·kc²), the
+// projections against them — twice before the pivoted QRs of the two
+// remainders, once after on the half of the columns that survive them
+// (20·nb·kc·kx) — those QRs (4·nb·kx²), the SVD of the core ((kc+kx)³) and
+// the products back onto the bases (4·nb·(kc+kx)·kc).
 func FlopsGEMMComp(nb, ka, kb, kc int) float64 {
-	ks := float64(ka + kb + kc)
-	// contraction + two tall QRs + small SVD ~ O(nb·k²) + O(k³)
-	return 2*float64(nb)*ks*ks + ks*ks*ks
+	n, a, b, c := float64(nb), float64(ka), float64(kb), float64(kc)
+	x := min(a, b)
+	return 4*n*a*b + 4*n*c*c + 20*n*c*x + 4*n*x*x + (c+x)*(c+x)*(c+x) + 4*n*(c+x)*c
 }
 
 // BuildCholeskyGraph inserts the TLR Cholesky DAG into a new graph. The DAG

@@ -101,8 +101,14 @@ func AttachOOC(gg *GenGraph, m *Matrix, st *store.Store) {
 				return int64(di) * int64(di) * 8
 			},
 			Encode: func() []byte { return wordBytes(m.diag[i].Data) },
-			Decode: func(buf []byte) { m.diag[i] = la.NewMatFrom(di, di, bytesWords(buf)) },
-			Drop:   func() { m.diag[i] = nil },
+			Decode: func(buf []byte) error {
+				if len(buf) != di*di*8 {
+					return fmt.Errorf("tlr: decode diagonal tile: %d bytes for %dx%d", len(buf), di, di)
+				}
+				m.diag[i] = la.NewMatFrom(di, di, bytesWords(buf))
+				return nil
+			},
+			Drop: func() { m.diag[i] = nil },
 			Materialize: func() {
 				if m.diag[i] == nil {
 					m.diag[i] = la.NewMat(di, di)
@@ -123,7 +129,7 @@ func AttachOOC(gg *GenGraph, m *Matrix, st *store.Store) {
 					return t.Bytes()
 				},
 				Encode: func() []byte { return wordBytes(m.off[i][j].Encode()) },
-				Decode: func(buf []byte) { m.off[i][j].Decode(bytesWords(buf)) },
+				Decode: func(buf []byte) error { return m.off[i][j].Decode(bytesWords(buf)) },
 				Drop:   func() { m.off[i][j].drop() },
 				// The generation task replaces the tile object wholesale,
 				// so an overwrite pin needs no allocation.

@@ -208,16 +208,17 @@ func TestOOCGraphReuse(t *testing.T) {
 	}
 }
 
-// The one tile codec, both ways it is used: the words a panel message ships
-// decode into a fresh tile, and the same words spilled as bytes restore an
-// evicted stub in place — shape, rank, footprint and every payload bit.
-func TestCompTileCodecRoundTrip(t *testing.T) {
+// codecTiles is one tile of every kind the codec carries.
+func codecTiles(t testing.TB) []struct {
+	name string
+	tile *CompTile
+} {
 	ragged := covTile(t, 10, 16, 0.6) // last tile row of a ragged tiling
 	zero := SVDCompressor{}.Compress(la.NewMat(12, 12), 1e-7)
 	if zero.Rank() != 0 {
 		t.Fatalf("zero tile compressed to rank %d", zero.Rank())
 	}
-	for _, tc := range []struct {
+	return []struct {
 		name string
 		tile *CompTile
 	}{
@@ -226,7 +227,14 @@ func TestCompTileCodecRoundTrip(t *testing.T) {
 		{"dense", NewDenseTile(covTile(t, 16, 16, 0.6))},
 		{"ragged", SVDCompressor{}.Compress(ragged, 1e-7)},
 		{"ragged dense", NewDenseTile(ragged)},
-	} {
+	}
+}
+
+// The one tile codec, both ways it is used: the words a panel message ships
+// decode into a fresh tile, and the same words spilled as bytes restore an
+// evicted stub in place — shape, rank, footprint and every payload bit.
+func TestCompTileCodecRoundTrip(t *testing.T) {
+	for _, tc := range codecTiles(t) {
 		want := tc.tile.Clone()
 		rows, cols, rank, bytes := want.Rows(), want.Cols(), want.Rank(), want.Bytes()
 		words := tc.tile.Encode()
@@ -249,7 +257,9 @@ func TestCompTileCodecRoundTrip(t *testing.T) {
 			}
 		}
 		wire := new(CompTile)
-		wire.Decode(words)
+		if err := wire.Decode(words); err != nil {
+			t.Fatalf("%s, wire: %v", tc.name, err)
+		}
 		same("wire", wire)
 
 		spilled := wordBytes(words)
@@ -261,7 +271,71 @@ func TestCompTileCodecRoundTrip(t *testing.T) {
 		if stub.Rows() != rows || stub.Cols() != cols || stub.Rank() != rank || stub.Bytes() != bytes {
 			t.Fatalf("%s: stub forgot its shape", tc.name)
 		}
-		stub.Decode(bytesWords(spilled))
+		if err := stub.Decode(bytesWords(spilled)); err != nil {
+			t.Fatalf("%s, spill: %v", tc.name, err)
+		}
 		same("spill", stub)
+
+		// Words Encode cannot produce are refused and leave the tile alone.
+		for how, bad := range map[string][]float64{
+			"short payload":   words[:len(words)-min(1, len(words)-3)],
+			"long payload":    append(append([]float64(nil), words...), 0),
+			"no header":       words[:2],
+			"fractional rows": append([]float64{words[0] + 0.5}, words[1:]...),
+			"negative cols":   append([]float64{words[0], -words[1]}, words[2:]...),
+			"rank too large":  append([]float64{words[0], words[1], float64(min(rows, cols) + 1)}, words[3:]...),
+			"rank -2":         append([]float64{words[0], words[1], -2}, words[3:]...),
+			"NaN rank":        append([]float64{words[0], words[1], math.NaN()}, words[3:]...),
+			"huge rows":       append([]float64{1e300}, words[1:]...),
+		} {
+			if how == "short payload" && len(words) == 3 {
+				continue // rank 0 has no payload to shorten
+			}
+			if err := stub.Decode(bad); err == nil {
+				t.Fatalf("%s: %s decoded", tc.name, how)
+			}
+			same("after refused "+how, stub)
+		}
 	}
+}
+
+// Decode on arbitrary words returns an error or a tile whose shape, rank and
+// footprint agree with the payload it was given and whose every entry can be
+// read; it never panics.
+func FuzzCompTileDecode(f *testing.F) {
+	for _, tc := range codecTiles(f) {
+		words := tc.tile.Encode()
+		f.Add(wordBytes(words))
+		f.Add(wordBytes(words[:len(words)-len(words)/4]))
+		words[2]++
+		f.Add(wordBytes(words))
+	}
+	f.Add(wordBytes([]float64{1 << 31, 1 << 31, 1 << 30}))
+	f.Add(wordBytes([]float64{4, 4, math.Inf(1), 0, 0}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		words := bytesWords(data)
+		c := new(CompTile)
+		if err := c.Decode(words); err != nil {
+			if c.U != nil || c.V != nil || c.D != nil {
+				t.Fatalf("refused words left a payload behind")
+			}
+			return
+		}
+		if c.Rows() < 0 || c.Cols() < 0 || c.Rank() < 0 || c.Rank() > min(c.Rows(), c.Cols()) {
+			t.Fatalf("decoded %dx%d rank %d", c.Rows(), c.Cols(), c.Rank())
+		}
+		if c.Bytes() != int64(len(words)-3)*8 {
+			t.Fatalf("%dx%d rank %d dense=%v: %d bytes from %d payload words", c.Rows(), c.Cols(), c.Rank(), c.IsDense(), c.Bytes(), len(words)-3)
+		}
+		back := c.Encode() // reads every entry through the factor views
+		if len(back) != len(words) {
+			t.Fatalf("re-encoded to %d words from %d", len(back), len(words))
+		}
+		for i, w := range words {
+			// The header by value (−0 rows is 0 rows), the payload by bits.
+			if back[i] != w && (i < 3 || math.Float64bits(back[i]) != math.Float64bits(w)) {
+				t.Fatalf("word %d: %v re-encoded as %v", i, w, back[i])
+			}
+		}
+	})
 }

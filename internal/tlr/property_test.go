@@ -162,6 +162,98 @@ func TestRecompressMatchesDenseSVD(t *testing.T) {
 	}
 }
 
+// A low-rank update at the shapes and angles a factorization produces: the
+// error stays within tol·‖C′‖_F, the rank is within one of what an
+// untruncated SVD of the dense C′ picks, the result can serve as the target
+// of the next update, and only a C that does not carry orthogonal bases is
+// stacked and recompressed from scratch.
+func TestAddLowRankMatchesDenseSVD(t *testing.T) {
+	r := rng.New(21)
+	tileOf := func(m, n, k int, decades float64) *CompTile {
+		return &CompTile{U: gradedFactor(r, m, k, decades), V: gradedFactor(r, n, k, 0)}
+	}
+	times := func(a, b *la.Mat) *la.Mat {
+		out := la.NewMat(a.Rows, b.Cols)
+		la.Gemm(1, a, la.NoTrans, b, la.NoTrans, 0, out)
+		return out
+	}
+	rnd := func(m, n int) *la.Mat {
+		a := la.NewMat(m, n)
+		r.NormSlice(a.Data)
+		return a
+	}
+	graded := tileOf(128, 128, 28, 8)
+
+	// X ⟂ U: a graded factor with its components along Û removed.
+	uhat, _ := la.QRThin(nil, graded.U)
+	perp := gradedFactor(r, 128, 20, 6)
+	perp.Sub(times(uhat, times(uhat.T(), perp)))
+
+	// An update that cancels 90 % of C and adds a little of its own.
+	cancel := graded.U.Clone()
+	cancel.Scale(0.9)
+	for i := 0; i < 128; i++ {
+		for j, v := range gradedFactor(r, 128, 28, 6).Row(i) {
+			cancel.Row(i)[j] += 1e-3 * v
+		}
+	}
+
+	// A panel tile after its triangular solve: V is no longer orthonormal.
+	solved := tileOf(128, 128, 28, 8)
+	l := la.NewMat(128, 128)
+	for i := 0; i < 128; i++ {
+		for j := 0; j < i; j++ {
+			l.Set(i, j, 0.1*r.Norm())
+		}
+		l.Set(i, i, 1+r.Float64())
+	}
+	TrsmLD(l, solved)
+
+	cases := []struct {
+		name    string
+		c       *CompTile
+		alpha   float64
+		x, y    *la.Mat
+		general bool
+	}{
+		{"graded 128x28 + 128x28", graded, -1, gradedFactor(r, 128, 28, 8), gradedFactor(r, 128, 28, 0), false},
+		{"X inside span(U)", graded, -1, times(graded.U, rnd(28, 12)), gradedFactor(r, 128, 12, 0), false},
+		{"X orthogonal to U", graded, -1, perp, gradedFactor(r, 128, 20, 0), false},
+		{"kx > kc", tileOf(128, 128, 6, 2), 1, gradedFactor(r, 128, 30, 8), gradedFactor(r, 128, 30, 0), false},
+		{"ragged 64x128", tileOf(64, 128, 20, 8), -1, gradedFactor(r, 64, 20, 6), gradedFactor(r, 128, 20, 1), false},
+		{"C - C", graded, -1, graded.U, graded.V, false},
+		{"cancels 90% of C", graded, -1, cancel, graded.V, false},
+		{"V through TrsmLD", solved, -1, gradedFactor(r, 128, 28, 8), gradedFactor(r, 128, 28, 0), true},
+		{"no room: kc+kx > rows", tileOf(40, 128, 24, 8), -1, gradedFactor(r, 40, 24, 6), gradedFactor(r, 128, 24, 0), true},
+	}
+	for _, tc := range cases {
+		dense := tc.c.Dense()
+		la.Gemm(tc.alpha, tc.x, la.NoTrans, tc.y, la.Transpose, 1, dense)
+		_, s, _ := la.SVDThin(nil, dense, 0)
+		if tc.name == "C - C" {
+			s = nil // what is left of C − C is rounding noise, not a spectrum
+		}
+		for _, tol := range []float64{1e-5, 1e-7, 1e-9} {
+			general := cntGeneral.Value()
+			got := AddLowRank(tc.c, tc.alpha, tc.x, tc.y, tol, 0)
+			if took := cntGeneral.Value() > general; took != tc.general {
+				t.Errorf("%s tol %g: general path taken = %v, want %v", tc.name, tol, took, tc.general)
+			}
+			if want := frobRank(s, tol); got.Rank() > want+1 || (want == 0 && got.Rank() != 0) {
+				t.Errorf("%s tol %g: rank %d, dense SVD gives %d", tc.name, tol, got.Rank(), want)
+			}
+			d := got.Dense()
+			d.Sub(dense)
+			if e, ref := d.FrobNorm(), dense.FrobNorm(); e > tol*ref && len(s) > 0 {
+				t.Errorf("%s tol %g: error %g·‖C′‖_F", tc.name, tol, e/ref)
+			}
+			if gu, gv := BasisGaps(got); gu > gramSlack || gv > gramSlack {
+				t.Errorf("%s tol %g: result has UᵀU off-diagonal %g, ‖VᵀV − I‖ %g", tc.name, tol, gu, gv)
+			}
+		}
+	}
+}
+
 // The fused generate+compress+factor graph is bitwise-identical at any
 // worker count with the pooled kernel workspaces in play: an arena reused
 // across tiles of different shapes and ranks leaks nothing into a result.
@@ -217,6 +309,27 @@ func BenchmarkGemmLL(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GemmLL(c, a, bt, 1e-7, 0)
+	}
+}
+
+// BenchmarkAddLowRank is an update as the Cholesky sweep meets it: a rank-28
+// target with orthogonal bases and a rank-19 update of which half the
+// directions lie in the span the target already has.
+func BenchmarkAddLowRank(b *testing.B) {
+	r := rng.New(6)
+	c, _, _ := benchTiles()
+	mix := func(base *la.Mat, decades float64) *la.Mat {
+		out := gradedFactor(r, 128, 19, decades)
+		coef := la.NewMat(28, 9)
+		r.NormSlice(coef.Data)
+		la.Gemm(0.1, base, la.NoTrans, coef, la.NoTrans, 0, out.View(0, 0, 128, 9))
+		return out
+	}
+	x, y := mix(c.U, 6), mix(c.V, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AddLowRank(c, -1, x, y, 1e-7, 0)
 	}
 }
 

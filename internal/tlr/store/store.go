@@ -63,8 +63,9 @@ type SlotFuncs struct {
 	Bytes func() int64
 	// Encode serializes the payload for spilling.
 	Encode func() []byte
-	// Decode rebuilds the payload in place from spilled bytes.
-	Decode func([]byte)
+	// Decode rebuilds the payload in place from spilled bytes; on an error
+	// the payload is left as Drop left it.
+	Decode func([]byte) error
 	// Drop releases the payload's memory, leaving enough stub metadata
 	// behind for size/rank accounting while non-resident.
 	Drop func()
@@ -136,8 +137,8 @@ func (st *Store) Register(name string, fns SlotFuncs) *Slot {
 
 // Pin makes the slot's payload resident and protects it from eviction
 // until the matching Unpin. Pins nest: concurrent readers of one tile each
-// pin it. Pin never fails; a spill-read error leaves an empty payload and
-// is reported by Err.
+// pin it. Pin never fails; a spill that cannot be read or decoded leaves an
+// empty payload and is reported by Err.
 func (st *Store) Pin(s *Slot, mode PinMode) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -151,11 +152,12 @@ func (st *Store) Pin(s *Slot, mode PinMode) {
 		cntMiss.Inc()
 		if mode != PinOverwrite && s.region.Valid() {
 			buf, err := st.blob.Get(s.region)
+			if err == nil {
+				err = s.fns.Decode(buf)
+			}
 			if err != nil {
 				st.fail(fmt.Errorf("store: load %s: %w", s.name, err))
 				s.fns.Materialize()
-			} else {
-				s.fns.Decode(buf)
 			}
 		} else {
 			// Overwrite pin, or a slot evicted before ever holding data.

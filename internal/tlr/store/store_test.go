@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -22,7 +23,7 @@ func (p *fakePayload) slotFuncs() SlotFuncs {
 			return int64(len(p.data))
 		},
 		Encode: func() []byte { return append([]byte(nil), p.data...) },
-		Decode: func(b []byte) { p.data = append([]byte(nil), b...); p.size = len(b) },
+		Decode: func(b []byte) error { p.data = append([]byte(nil), b...); p.size = len(b); return nil },
 		Drop:   func() { p.data = nil },
 		Materialize: func() {
 			p.data = make([]byte, p.size)
@@ -241,4 +242,27 @@ func TestUnbalancedUnpinPanics(t *testing.T) {
 		}
 	}()
 	st.Unpin(s)
+}
+
+// A spill the payload's Decode refuses is reported by Err like a failed
+// read, and the slot is materialized empty so the pin still balances.
+func TestDecodeErrorReported(t *testing.T) {
+	st := mustStore(t, 128)
+	p, q := newPayload(128, 1), newPayload(128, 2)
+	fns := p.slotFuncs()
+	fns.Decode = func([]byte) error { return fmt.Errorf("corrupt") }
+	sp, sq := st.Register("p", fns), st.Register("q", q.slotFuncs())
+	st.Pin(sq, PinRead) // 256 resident > 128: evicts p
+	st.Unpin(sq)
+	if p.data != nil {
+		t.Fatal("p not evicted")
+	}
+	st.Pin(sp, PinRead)
+	st.Unpin(sp)
+	if err := st.Err(); err == nil || !strings.Contains(err.Error(), "load p: corrupt") {
+		t.Fatalf("Err() = %v, want the decode error for p", err)
+	}
+	if len(p.data) != 128 {
+		t.Fatalf("refused slot not materialized: %d bytes", len(p.data))
+	}
 }

@@ -12,7 +12,7 @@ import (
 
 // covTile builds an off-diagonal covariance block between two well separated
 // location clusters — the archetypal numerically low-rank tile.
-func covTile(t *testing.T, rows, cols int, sep float64) *la.Mat {
+func covTile(t testing.TB, rows, cols int, sep float64) *la.Mat {
 	t.Helper()
 	r := rng.New(42)
 	a := make([]geom.Point, rows)
