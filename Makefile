@@ -20,8 +20,9 @@ bench:
 # recovery oracle with its injected task panics and rank deaths, the
 # out-of-core and serving suites and the fuzz targets' seed corpora are all in
 # that one pass; internal/core alone is the long pole), one iteration of the
-# vector-loop, recompression, low-rank update, graph-construction and
-# covariance kernel benchmarks so they cannot rot, then the
+# dense-kernel (Trsm, Syrk, Potrf, one-column Gemm), vector-loop,
+# recompression, low-rank update, graph-construction and covariance kernel
+# benchmarks so they cannot rot, then the
 # benchmark module, which root `go test ./...` does not reach: its vet and
 # unit tests, and its smoke run, which must end with correct:true. Searching
 # for new fuzz inputs is `make fuzz`, not part of verify.
@@ -29,7 +30,7 @@ verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/
 	$(GO) test -race -count=1 -timeout 45m ./...
-	$(GO) test -run '^$$' -bench 'Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
+	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke
 

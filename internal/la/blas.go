@@ -86,31 +86,30 @@ func Gemv(alpha float64, a *Mat, ta Trans, x []float64, beta float64, y []float6
 	if len(x) != ac || len(y) != ar {
 		panic(fmt.Sprintf("la: gemv shape mismatch op(A)=%dx%d x=%d y=%d", ar, ac, len(x), len(y)))
 	}
-	if beta != 1 {
+	gemv(alpha, a, ta, x, beta, y)
+}
+
+// gemv is the body of Gemv and of a Gemm with one column, on the vector
+// kernels of qr.go: a dot per stored row of A, or, transposed, an axpy.
+func gemv(alpha float64, a *Mat, ta Trans, x []float64, beta float64, y []float64) {
+	if beta == 0 {
+		clear(y)
+	} else if beta != 1 {
 		for i := range y {
 			y[i] *= beta
 		}
 	}
+	if alpha == 0 {
+		return
+	}
 	if ta == NoTrans {
-		for i := 0; i < a.Rows; i++ {
-			row := a.Row(i)
-			var s float64
-			for j, v := range row {
-				s += v * x[j]
-			}
-			y[i] += alpha * s
+		for i := range y {
+			y[i] += alpha * dot(a.Row(i), x)
 		}
 		return
 	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		ax := alpha * x[i]
-		if ax == 0 {
-			continue
-		}
-		for j, v := range row {
-			y[j] += ax * v
-		}
+	for i, xi := range x {
+		axpy(alpha*xi, a.Row(i), y)
 	}
 }
 
@@ -125,13 +124,24 @@ func opDims(a *Mat, t Trans) (r, c int) {
 //
 // Large products go through the packed, register-tiled micro-kernel in
 // pack.go; small or skinny ones fall back to the naive loops (RefGemm's
-// kernel), where packing overhead would dominate.
+// kernel), where packing overhead would dominate; a C of one column is a
+// matrix-vector product and runs as Gemv does.
 func Gemm(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, beta float64, c *Mat) {
 	cntGemm.Inc()
 	ar, ac := opDims(a, ta)
 	br, bc := opDims(b, tb)
 	if ac != br || c.Rows != ar || c.Cols != bc {
 		panic(fmt.Sprintf("la: gemm shape mismatch op(A)=%dx%d op(B)=%dx%d C=%dx%d", ar, ac, br, bc, c.Rows, c.Cols))
+	}
+	if bc == 1 {
+		y := column(c, NoTrans)
+		gemv(alpha, a, ta, column(b, tb), beta, y)
+		if c.Stride != 1 {
+			for i, v := range y {
+				c.Data[i*c.Stride] = v
+			}
+		}
+		return
 	}
 	if beta != 1 {
 		if beta == 0 {
@@ -146,16 +156,30 @@ func Gemm(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, beta float64, c *Ma
 	gemmAcc(alpha, a, ta, b, tb, c)
 }
 
+// column returns the one column of op(m) as a slice: m's own storage where
+// that is contiguous, a copy where m is a strided view.
+func column(m *Mat, t Trans) []float64 {
+	if t == Transpose {
+		return m.Row(0)
+	}
+	if m.Stride == 1 {
+		return m.Data[:m.Rows]
+	}
+	v := make([]float64, m.Rows)
+	for i := range v {
+		v[i] = m.Data[i*m.Stride]
+	}
+	return v
+}
+
 // Syrk computes the symmetric rank-k update C = alpha*op(A)*op(A)ᵀ + beta*C,
 // referencing and updating only the uplo triangle of C (the other triangle is
 // left untouched). With t == NoTrans the update is A*Aᵀ; with Transpose it is
 // Aᵀ*A.
 //
-// The update is a triangle-restricted GEMM, so it reuses the packed kernel:
-// the triangle is processed in column panels of width syrkBlock whose
-// strictly-off-diagonal part is a plain rectangular gemmAcc and whose
-// diagonal (triangle-crossing) block is computed into pooled scratch and
-// merged element-wise.
+// The update is the packed product of op(A) with its own transpose, run over
+// the register tiles that hold an element of the triangle and no others: a
+// tile the diagonal crosses is computed whole and merged on its side of it.
 func Syrk(uplo Uplo, alpha float64, a *Mat, t Trans, beta float64, c *Mat) {
 	cntSyrk.Inc()
 	n, k := opDims(a, t)
@@ -175,9 +199,7 @@ func Syrk(uplo Uplo, alpha float64, a *Mat, t Trans, beta float64, c *Mat) {
 			}
 			ci := c.Row(i)[lo:hi]
 			if beta == 0 {
-				for j := range ci {
-					ci[j] = 0
-				}
+				clear(ci)
 			} else {
 				for j := range ci {
 					ci[j] *= beta
@@ -188,45 +210,11 @@ func Syrk(uplo Uplo, alpha float64, a *Mat, t Trans, beta float64, c *Mat) {
 	if alpha == 0 {
 		return
 	}
-	// opView(r0, w) is the w-row slab op(A)[r0:r0+w, :].
-	opView := func(r0, w int) (*Mat, Trans) {
-		if t == NoTrans {
-			return a.View(r0, 0, w, k), NoTrans
-		}
-		return a.View(0, r0, k, w), Transpose
+	p := lowerC
+	if uplo == Upper {
+		p = upperC
 	}
-	scratch := syrkScratchPool.Get().(*Mat)
-	defer syrkScratchPool.Put(scratch)
-	for j0 := 0; j0 < n; j0 += syrkBlock {
-		j1 := min(j0+syrkBlock, n)
-		w := j1 - j0
-		aj, taj := opView(j0, w)
-		// Diagonal block: full w×w product into scratch, merge the triangle.
-		s := scratch.View(0, 0, w, w)
-		s.Zero()
-		gemmAcc(alpha, aj, taj, aj, other(taj), s)
-		for i := 0; i < w; i++ {
-			lo, hi := 0, i+1
-			if uplo == Upper {
-				lo, hi = i, w
-			}
-			ci := c.Row(j0 + i)[j0+lo : j0+hi]
-			si := s.Row(i)[lo:hi]
-			for j := range ci {
-				ci[j] += si[j]
-			}
-		}
-		if j1 == n {
-			continue
-		}
-		// Off-diagonal panel below (Lower) or right of (Upper) the block.
-		rest, trest := opView(j1, n-j1)
-		if uplo == Lower {
-			gemmAcc(alpha, rest, trest, aj, other(taj), c.View(j1, j0, n-j1, w))
-		} else {
-			gemmAcc(alpha, aj, taj, rest, other(trest), c.View(j0, j1, w, n-j1))
-		}
-	}
+	gemmPacked(alpha, a, t, a, other(t), c, p)
 }
 
 // other flips a transpose flag.
@@ -244,10 +232,10 @@ func other(t Trans) Trans {
 //
 // T references only its uplo triangle and must be non-singular.
 //
-// The Right-side paths are organized so the innermost loop always walks a
-// contiguous stored row of T (right-looking elimination when op(T)'s column
-// is a stored row, dot-product substitution otherwise) instead of calling a
-// per-element triangle accessor.
+// A column of X (Left) or a row of X (Right) is a function of T, alpha and
+// the same column or row of B alone, bit for bit: solving B in slices, in
+// any order, gives what solving it whole gives. Callers that bound memory by
+// chunking their right-hand sides rely on it.
 func Trsm(side Side, uplo Uplo, t Trans, alpha float64, tri *Mat, b *Mat) {
 	cntTrsm.Inc()
 	if tri.Rows != tri.Cols {
@@ -260,226 +248,122 @@ func Trsm(side Side, uplo Uplo, t Trans, alpha float64, tri *Mat, b *Mat) {
 	if alpha != 1 {
 		b.Scale(alpha)
 	}
-	lowerEff := (uplo == Lower) != (t == Transpose) // effective "forward" orientation
-	switch side {
-	case Left:
-		if lowerEff {
-			// forward substitution over rows of B
-			for i := 0; i < n; i++ {
-				for k := 0; k < i; k++ {
-					lik := triAt(tri, uplo, t, i, k)
-					if lik != 0 {
-						Axpy(-lik, b.Row(k), b.Row(i))
-					}
-				}
-				d := triAt(tri, uplo, t, i, i)
-				inv := 1 / d
-				bi := b.Row(i)
-				for j := range bi {
-					bi[j] *= inv
-				}
-			}
-		} else {
-			for i := n - 1; i >= 0; i-- {
-				for k := i + 1; k < n; k++ {
-					uik := triAt(tri, uplo, t, i, k)
-					if uik != 0 {
-						Axpy(-uik, b.Row(k), b.Row(i))
-					}
-				}
-				inv := 1 / triAt(tri, uplo, t, i, i)
-				bi := b.Row(i)
-				for j := range bi {
-					bi[j] *= inv
-				}
-			}
+	trsm(side, uplo, t, tri, b)
+}
+
+// trsmBase is the largest triangle solved by substitution; a larger one is
+// split. trsmRows is how many rows of a Right-side B are transposed at once:
+// a trsmBase×trsmRows scratch panel fills a 32 KiB L1.
+const (
+	trsmBase = 32
+	trsmRows = 128
+)
+
+// trsm is Trsm with alpha = 1, one recursion for the eight orientations.
+// Splitting op(T) at n1 into T11, T22 and the one off-diagonal block that is
+// not zero, and B into the matching halves B1, B2 (rows on the Left, columns
+// on the Right), the half that depends on nothing else is solved first, its
+// contribution leaves the other half in one packed product with the
+// off-diagonal block, and the other half is solved.
+//
+// Every choice here is made on the order of the triangle, never on B's free
+// dimension, and the product is gemmPacked, not gemmAcc (whose route to the
+// naive loops depends on all three dimensions and sums in another order):
+// that is what makes a slice of B solve to the same bits as the whole.
+func trsm(side Side, uplo Uplo, t Trans, tri, b *Mat) {
+	n := tri.Rows
+	if n <= trsmBase {
+		trsmSmall(side, uplo, t, tri, b)
+		return
+	}
+	n1 := (n/2 + gemmNR - 1) / gemmNR * gemmNR
+	n2 := n - n1
+	off := tri.View(n1, 0, n2, n1)
+	if uplo == Upper {
+		off = tri.View(0, n1, n1, n2)
+	}
+	var b1, b2 *Mat
+	if side == Left {
+		b1, b2 = b.View(0, 0, n1, b.Cols), b.View(n1, 0, n2, b.Cols)
+	} else {
+		b1, b2 = b.View(0, 0, b.Rows, n1), b.View(0, n1, b.Rows, n2)
+	}
+	t11, t22 := tri.View(0, 0, n1, n1), tri.View(n1, n1, n2, n2)
+	// op(T) lower triangular on the Left, or upper on the Right, is forward
+	// substitution: X1 first.
+	if ((uplo == Lower) != (t == Transpose)) != (side == Left) {
+		b1, b2, t11, t22 = b2, b1, t22, t11
+	}
+	trsm(side, uplo, t, t11, b1)
+	if side == Left {
+		gemmPacked(-1, off, t, b1, NoTrans, b2, wholeC)
+	} else {
+		gemmPacked(-1, b1, NoTrans, off, t, b2, wholeC)
+	}
+	trsm(side, uplo, t, t22, b2)
+}
+
+// trsmSmall solves a system of order at most trsmBase. The Left side
+// substitutes over the rows of B. The Right side, X·op(T) = B, is the Left
+// side's op(T)ᵀ·Xᵀ = Bᵀ: its rows go through pooled scratch transposed, so
+// that the inner operation is still an axpy along B's free dimension and not
+// a dot of length ≤ trsmBase.
+func trsmSmall(side Side, uplo Uplo, t Trans, tri, b *Mat) {
+	if side == Left {
+		trsmSubst(uplo, t, tri, b)
+		return
+	}
+	n := tri.Rows
+	bufs := gemmPool.Get().(*gemmBufs)
+	defer gemmPool.Put(bufs)
+	for r0 := 0; r0 < b.Rows; r0 += trsmRows {
+		rows := min(trsmRows, b.Rows-r0)
+		bv := b.View(r0, 0, rows, n)
+		w := NewMatFrom(n, rows, bufs.a[:n*rows])
+		w.transposeFrom(bv)
+		trsmSubst(uplo, other(t), tri, w)
+		bv.transposeFrom(w)
+	}
+}
+
+// trsmSubst solves op(T)·X = B in place, row i of B losing op(T)[i][k] times
+// each row k solved before it and then divided by the diagonal.
+func trsmSubst(uplo Uplo, t Trans, tri, b *Mat) {
+	n := tri.Rows
+	forward := (uplo == Lower) != (t == Transpose)
+	at := func(s int) int { // the s-th row solved
+		if forward {
+			return s
 		}
-	case Right:
-		switch {
-		case uplo == Lower && t == NoTrans:
-			// X·L = B: right-looking, descending k. Once x[k] is known,
-			// its contribution x[k]·L[k][0:k] (a stored row) leaves B.
-			for r := 0; r < b.Rows; r++ {
-				x := b.Row(r)
-				for k := n - 1; k >= 0; k-- {
-					tk := tri.Row(k)
-					xk := x[k] / tk[k]
-					x[k] = xk
-					if xk != 0 {
-						for j, v := range tk[:k] {
-							x[j] -= xk * v
-						}
-					}
-				}
-			}
-		case uplo == Lower && t == Transpose:
-			// X·Lᵀ = B: x[j] needs Σ_{k<j} x[k]·L[j][k] — a dot with the
-			// stored row L[j][0:j].
-			for r := 0; r < b.Rows; r++ {
-				x := b.Row(r)
-				for j := 0; j < n; j++ {
-					tj := tri.Row(j)
-					s := x[j]
-					for k, v := range tj[:j] {
-						s -= x[k] * v
-					}
-					x[j] = s / tj[j]
-				}
-			}
-		case uplo == Upper && t == NoTrans:
-			// X·U = B: right-looking, ascending k, eliminating with the
-			// stored row U[k][k+1:n].
-			for r := 0; r < b.Rows; r++ {
-				x := b.Row(r)
-				for k := 0; k < n; k++ {
-					tk := tri.Row(k)
-					xk := x[k] / tk[k]
-					x[k] = xk
-					if xk != 0 {
-						for j := k + 1; j < n; j++ {
-							x[j] -= xk * tk[j]
-						}
-					}
-				}
-			}
-		default: // Upper, Transpose
-			// X·Uᵀ = B: x[j] needs Σ_{k>j} x[k]·U[j][k] — a dot with the
-			// stored row U[j][j+1:n].
-			for r := 0; r < b.Rows; r++ {
-				x := b.Row(r)
-				for j := n - 1; j >= 0; j-- {
-					tj := tri.Row(j)
-					s := x[j]
-					for k := j + 1; k < n; k++ {
-						s -= x[k] * tj[k]
-					}
-					x[j] = s / tj[j]
-				}
-			}
+		return n - 1 - s
+	}
+	for s := 0; s < n; s++ {
+		i := at(s)
+		bi := b.Row(i)
+		for q := 0; q < s; q++ {
+			k := at(q)
+			axpyFused(-triAt(tri, uplo, t, i, k), b.Row(k), bi)
+		}
+		inv := 1 / tri.At(i, i)
+		for j := range bi {
+			bi[j] *= inv
 		}
 	}
 }
 
-// Trmm computes B = alpha * op(T) * B (side Left) or B = alpha * B * op(T)
-// (side Right) where T is triangular.
-//
-// Like Trsm, the Right-side paths walk contiguous stored rows of T: the
-// transposed orientations are in-place dot products, the non-transposed ones
-// accumulate row contributions of T into a scratch row (reused across rows
-// of B) before copying back.
-func Trmm(side Side, uplo Uplo, t Trans, alpha float64, tri *Mat, b *Mat) {
-	cntTrmm.Inc()
-	if tri.Rows != tri.Cols {
-		panic("la: trmm with non-square triangular factor")
-	}
-	n := tri.Rows
-	if side == Left && b.Rows != n || side == Right && b.Cols != n {
-		panic("la: trmm shape mismatch")
-	}
-	lowerEff := (uplo == Lower) != (t == Transpose)
-	switch side {
-	case Left:
-		if lowerEff {
-			for i := n - 1; i >= 0; i-- {
-				bi := b.Row(i)
-				d := triAt(tri, uplo, t, i, i)
-				for j := range bi {
-					bi[j] *= d
-				}
-				for k := 0; k < i; k++ {
-					lik := triAt(tri, uplo, t, i, k)
-					if lik != 0 {
-						Axpy(lik, b.Row(k), bi)
-					}
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				bi := b.Row(i)
-				d := triAt(tri, uplo, t, i, i)
-				for j := range bi {
-					bi[j] *= d
-				}
-				for k := i + 1; k < n; k++ {
-					uik := triAt(tri, uplo, t, i, k)
-					if uik != 0 {
-						Axpy(uik, b.Row(k), bi)
-					}
-				}
-			}
+// axpyFused is y += alpha·x with one rounding rule at every length: the
+// fused body where the CPU has it, whose tail is the scalar form of the same
+// instruction, and the plain loop where it does not. axpy changes body at
+// vecMin, which would make an element's bits depend on the width of the
+// slice of B it was solved in.
+func axpyFused(alpha float64, x, y []float64) {
+	if !useFMAKernel {
+		for i, v := range x {
+			y[i] += alpha * v
 		}
-	case Right:
-		switch {
-		case uplo == Lower && t == NoTrans:
-			// y[j] = Σ_{k≥j} x[k]·L[k][j]: accumulate row k of L scaled by
-			// x[k] into scratch.
-			y := make([]float64, n)
-			for r := 0; r < b.Rows; r++ {
-				x := b.Row(r)
-				for j := range y {
-					y[j] = 0
-				}
-				for k := 0; k < n; k++ {
-					xk := x[k]
-					if xk == 0 {
-						continue
-					}
-					for j, v := range tri.Row(k)[:k+1] {
-						y[j] += xk * v
-					}
-				}
-				copy(x, y)
-			}
-		case uplo == Lower && t == Transpose:
-			// y[j] = Σ_{k≤j} x[k]·L[j][k]: in-place dot, descending j.
-			for r := 0; r < b.Rows; r++ {
-				x := b.Row(r)
-				for j := n - 1; j >= 0; j-- {
-					tj := tri.Row(j)
-					var s float64
-					for k, v := range tj[:j+1] {
-						s += x[k] * v
-					}
-					x[j] = s
-				}
-			}
-		case uplo == Upper && t == NoTrans:
-			// y[j] = Σ_{k≤j} x[k]·U[k][j]: accumulate row k of U into
-			// scratch.
-			y := make([]float64, n)
-			for r := 0; r < b.Rows; r++ {
-				x := b.Row(r)
-				for j := range y {
-					y[j] = 0
-				}
-				for k := 0; k < n; k++ {
-					xk := x[k]
-					if xk == 0 {
-						continue
-					}
-					tk := tri.Row(k)
-					for j := k; j < n; j++ {
-						y[j] += xk * tk[j]
-					}
-				}
-				copy(x, y)
-			}
-		default: // Upper, Transpose
-			// y[j] = Σ_{k≥j} x[k]·U[j][k]: in-place dot, ascending j.
-			for r := 0; r < b.Rows; r++ {
-				x := b.Row(r)
-				for j := 0; j < n; j++ {
-					tj := tri.Row(j)
-					var s float64
-					for k := j; k < n; k++ {
-						s += x[k] * tj[k]
-					}
-					x[j] = s
-				}
-			}
-		}
+		return
 	}
-	if alpha != 1 {
-		b.Scale(alpha)
+	if len(x) > 0 {
+		axpyFMA(alpha, &x[0], &y[0], len(x))
 	}
 }

@@ -20,11 +20,8 @@ func PotrfUnblocked(a *Mat) error {
 	}
 	n := a.Rows
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
 		jr := a.Row(j)
-		for k := 0; k < j; k++ {
-			d -= jr[k] * jr[k]
-		}
+		d := jr[j] - dot(jr[:j], jr[:j])
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("%w (pivot %d = %g)", ErrNotPositiveDefinite, j, d)
 		}
@@ -33,11 +30,7 @@ func PotrfUnblocked(a *Mat) error {
 		inv := 1 / d
 		for i := j + 1; i < n; i++ {
 			ir := a.Row(i)
-			s := ir[j]
-			for k := 0; k < j; k++ {
-				s -= ir[k] * jr[k]
-			}
-			ir[j] = s * inv
+			ir[j] = (ir[j] - dot(ir[:j], jr[:j])) * inv
 		}
 	}
 	return nil

@@ -103,7 +103,15 @@ func (m *Mat) T() *Mat {
 
 // transposeFrom sets m = srcᵀ; m must be src.Cols×src.Rows.
 func (m *Mat) transposeFrom(src *Mat) {
-	for i := 0; i < src.Rows; i++ {
+	i := 0
+	for ; i+4 <= src.Rows; i += 4 { // four source rows make one contiguous store
+		r0, r1, r2, r3 := src.Row(i), src.Row(i+1), src.Row(i+2), src.Row(i+3)
+		for j, v := range r0 {
+			d := m.Data[j*m.Stride+i : j*m.Stride+i+4]
+			d[0], d[1], d[2], d[3] = v, r1[j], r2[j], r3[j]
+		}
+	}
+	for ; i < src.Rows; i++ {
 		for j, v := range src.Row(i) {
 			m.Data[j*m.Stride+i] = v
 		}

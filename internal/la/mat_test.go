@@ -273,7 +273,7 @@ func TestTrsmAllVariants(t *testing.T) {
 				Trsm(side, uplo, tr, 1, tri, x)
 				// verify op(T)X = B or X op(T) = B
 				check := x.Clone()
-				Trmm(side, uplo, tr, 1, tri, check)
+				RefTrmm(side, uplo, tr, 1, tri, check)
 				if !check.Equalish(b, 1e-10) {
 					t.Fatalf("trsm/trmm round trip failed side=%v uplo=%v trans=%v", side, uplo, tr)
 				}

@@ -13,7 +13,6 @@ var (
 	cntGemv  = obs.GetCounter("la.gemv.calls")
 	cntSyrk  = obs.GetCounter("la.syrk.calls")
 	cntTrsm  = obs.GetCounter("la.trsm.calls")
-	cntTrmm  = obs.GetCounter("la.trmm.calls")
 	cntPotrf = obs.GetCounter("la.potrf.calls")
 	cntSvd   = obs.GetCounter("la.svd.calls")
 	cntQr    = obs.GetCounter("la.qr.calls")

@@ -57,6 +57,28 @@ func gemmAcc(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, c *Mat) {
 		refGemmAcc(alpha, a, ta, b, tb, c)
 		return
 	}
+	gemmPacked(alpha, a, ta, b, tb, c, wholeC)
+}
+
+// part names the elements of C a packed product updates: all of them, or
+// only those on and below (above) the diagonal, as Syrk does.
+type part int
+
+const (
+	wholeC part = iota
+	lowerC
+	upperC
+)
+
+// gemmPacked is the packed body of gemmAcc, for any shape. An element of C
+// receives alpha times the fused sum over each KC-deep slab of k in turn,
+// and the micro-kernel zero-pads partial tiles, so what one element gets
+// depends on its row of op(A) and its column of op(B) alone — not on the
+// shape of C or where in it the element sits. Trsm's slice independence
+// rests on that.
+func gemmPacked(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, c *Mat, p part) {
+	m, k := opDims(a, ta)
+	_, n := opDims(b, tb)
 	bufs := gemmPool.Get().(*gemmBufs)
 	defer gemmPool.Put(bufs)
 	for jc := 0; jc < n; jc += gemmNC {
@@ -66,8 +88,11 @@ func gemmAcc(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, c *Mat) {
 			packB(bufs.b, b, tb, pc, jc, kc, nc)
 			for ic := 0; ic < m; ic += gemmMC {
 				mc := min(gemmMC, m-ic)
+				if p == lowerC && ic+mc <= jc || p == upperC && jc+nc <= ic {
+					continue // the block lies wholly in the other triangle
+				}
 				packA(bufs.a, a, ta, ic, pc, mc, kc)
-				macroKernel(alpha, bufs.a, bufs.b, c, ic, jc, mc, nc, kc)
+				macroKernel(alpha, bufs.a, bufs.b, c, ic, jc, mc, nc, kc, p)
 			}
 		}
 	}
@@ -136,23 +161,38 @@ func packB(buf []float64, b *Mat, tb Trans, pc, jc, kc, nc int) {
 }
 
 // macroKernel runs the 4×8 micro-kernel over every register tile of the
-// packed mc×nc block and scatters alpha-scaled results into C at (ic, jc).
-func macroKernel(alpha float64, pa, pb []float64, c *Mat, ic, jc, mc, nc, kc int) {
+// packed mc×nc block that holds an element of part p and scatters the
+// alpha-scaled results into C at (ic, jc): whole rows of a tile, or, in a
+// tile the diagonal crosses, the stretch of each row on p's side of it.
+func macroKernel(alpha float64, pa, pb []float64, c *Mat, ic, jc, mc, nc, kc int, p part) {
 	var acc [gemmMR * gemmNR]float64
 	for jr := 0; jr < nc; jr += gemmNR {
 		bp := pb[(jr/gemmNR)*kc*gemmNR:]
-		cols := min(gemmNR, nc-jr)
+		j0, cols := jc+jr, min(gemmNR, nc-jr)
 		for ir := 0; ir < mc; ir += gemmMR {
+			i0, rows := ic+ir, min(gemmMR, mc-ir)
+			if p == lowerC && i0+rows <= j0 || p == upperC && j0+cols <= i0 {
+				continue
+			}
 			ap := pa[(ir/gemmMR)*kc*gemmMR:]
 			if useFMAKernel && kc > 0 {
 				microKernelFMA(kc, &ap[0], &bp[0], &acc)
 			} else {
 				microKernelGeneric(kc, ap, bp, &acc)
 			}
-			rows := min(gemmMR, mc-ir)
 			for r := 0; r < rows; r++ {
-				dst := c.Row(ic + ir + r)[jc+jr : jc+jr+cols]
-				src := acc[r*gemmNR:]
+				lo, hi := 0, cols
+				switch p {
+				case lowerC:
+					hi = min(cols, i0+r-j0+1)
+				case upperC:
+					lo = max(0, i0+r-j0)
+				}
+				if lo >= hi {
+					continue
+				}
+				dst := c.Row(i0 + r)[j0+lo : j0+hi]
+				src := acc[r*gemmNR+lo:]
 				for cc := range dst {
 					dst[cc] += alpha * src[cc]
 				}
@@ -224,13 +264,3 @@ func microKernelGeneric(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64)
 	acc[20], acc[21], acc[22], acc[23] = c20, c21, c22, c23
 	acc[28], acc[29], acc[30], acc[31] = c30, c31, c32, c33
 }
-
-// syrkScratchPool recycles the diagonal-block scratch used by Syrk.
-var syrkScratchPool = sync.Pool{New: func() any {
-	return NewMat(syrkBlock, syrkBlock)
-}}
-
-// syrkBlock is the column-panel width Syrk processes per step; the diagonal
-// (triangle-crossing) block of each panel is at most syrkBlock² and is
-// computed into pooled scratch before the triangle is merged.
-const syrkBlock = 128

@@ -5,10 +5,14 @@ import "fmt"
 // Reference (naive) BLAS3 kernels.
 //
 // These are the seed's original triple-loop implementations, retained
-// verbatim as the correctness oracle for the packed, register-tiled kernels
-// that now back Gemm/Syrk/Trsm/Trmm. The golden cross-check tests and the
-// kernel benchmarks compare against them; they must stay simple enough to be
-// obviously correct, so do not optimize them.
+// verbatim as the correctness oracle for the kernels that ride the packed,
+// register-tiled engine: Gemm, Syrk (the same product over the tiles of one
+// triangle) and Trsm (a recursion whose updates are packed products). The
+// golden cross-check tests and the kernel benchmarks compare against them;
+// they must stay simple enough to be obviously correct, so do not optimize
+// them. RefTrmm has no production counterpart: it is the multiply that the
+// tests check a solve against. refGemmAcc is also Gemm's route for products
+// too small to pack.
 
 // RefGemm computes C = alpha*op(A)*op(B) + beta*C with the naive ikj loop.
 func RefGemm(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, beta float64, c *Mat) {

@@ -16,6 +16,15 @@ func scalarBodies(f func()) {
 	f()
 }
 
+// bothBodies runs f once on the assembly bodies, where the CPU has them, and
+// once on the Go loops that every other machine runs.
+func bothBodies(t *testing.T, f func(t *testing.T)) {
+	if useFMAKernel {
+		t.Run("asm", f)
+	}
+	scalarBodies(func() { t.Run("go", f) })
+}
+
 // The assembly bodies of dot, axpy and rotate against the Go loops, for every
 // length that reaches each of their steps and tails and at every alignment of
 // the first element within a 32-byte vector: agreement to the few ulps by

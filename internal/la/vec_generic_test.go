@@ -1,0 +1,8 @@
+//go:build !amd64
+
+package la
+
+import "testing"
+
+// bothBodies runs f on the Go loops, the only bodies this build has.
+func bothBodies(t *testing.T, f func(t *testing.T)) { t.Run("go", f) }
