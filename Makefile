@@ -1,15 +1,12 @@
 GO ?= go
 
-.PHONY: build test bench verify fuzz serve clean
+.PHONY: build test verify fuzz serve clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
-
-bench:
-	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # verify is the pre-merge gate, and what CI runs: gofmt and vet (la and tlr
 # also vetted for arm64, where the Go loops stand in for the amd64 assembly —
@@ -40,6 +37,7 @@ verify:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenCheckpoint$$' -fuzztime 10s -parallel 1 ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -parallel 1 ./internal/dataio/
+	$(GO) test -run '^$$' -fuzz '^FuzzBlobFileRegions$$' -fuzztime 10s -parallel 1 ./internal/dataio/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime 10s -parallel 1 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelationTable$$' -fuzztime 10s -parallel 1 ./internal/cov/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompTileDecode$$' -fuzztime 10s -parallel 1 ./internal/tlr/

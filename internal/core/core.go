@@ -172,16 +172,10 @@ func (c Config) Validate() error {
 		if c.Ranks > 1 {
 			return fmt.Errorf("core: MemBudget bounds the shared-memory tile store; unsupported with Ranks=%d", c.Ranks)
 		}
-		nb, w := c.TileSize, c.Workers
-		if nb == 0 {
-			nb = 128
-		}
-		if w == 0 {
-			w = 1
-		}
-		if floor := tlr.MinMemBudget(nb, w); c.MemBudget < floor {
+		n := c.normalized()
+		if floor := tlr.MinMemBudget(n.TileSize, n.Workers); c.MemBudget < floor {
 			return fmt.Errorf("core: MemBudget %d below the in-flight working set %d for TileSize=%d, Workers=%d (pinned tiles are never evicted)",
-				c.MemBudget, floor, nb, w)
+				c.MemBudget, floor, n.TileSize, n.Workers)
 		}
 	}
 	if c.MaxRetries < 0 {
@@ -195,23 +189,25 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// normalized fills the zero fields with the DefaultConfig values. Callers
-// must Validate first.
+// normalized fills the zero fields from DefaultConfig, the one place the
+// defaults are written (an empty Ordering stays: it keeps the Problem's own).
+// Negative fields are Validate's to refuse.
 func (c Config) normalized() Config {
+	d := DefaultConfig()
 	if c.TileSize == 0 {
-		c.TileSize = 128
+		c.TileSize = d.TileSize
 	}
 	if c.Accuracy == 0 {
-		c.Accuracy = 1e-9
+		c.Accuracy = d.Accuracy
 	}
 	if c.Workers == 0 {
-		c.Workers = 1
+		c.Workers = d.Workers
 	}
 	if c.CompressorName == "" {
-		c.CompressorName = "svd"
+		c.CompressorName = d.CompressorName
 	}
 	if c.Ranks == 0 {
-		c.Ranks = 1
+		c.Ranks = d.Ranks
 	}
 	return c
 }

@@ -120,7 +120,7 @@ func (e *evaluator) evaluate(k *cov.Kernel, nugget float64) (LikResult, error) {
 	var res LikResult
 	err := e.withFactor(k, nugget, func(f Factor) (err error) {
 		copy(e.y, e.p.Z)
-		if err = f.HalfSolve(e.y); err != nil {
+		if err = f.HalfSolve(la.NewMatFrom(len(e.y), 1, e.y)); err != nil {
 			return err
 		}
 		if res.LogDet, err = f.LogDet(); err != nil {

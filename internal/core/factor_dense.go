@@ -41,16 +41,12 @@ func (st *denseState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64)
 	return memFactor{denseFactor{l: st.sigma}}, nil
 }
 
-// denseFactor is a dense lower Cholesky factor.
+// denseFactor is a dense lower Cholesky factor: each solve is one la.Trsm.
 type denseFactor struct{ l *la.Mat }
 
-func (f denseFactor) ForwardSolve(b []float64) { la.ForwardSolveVec(f.l, b) }
-func (f denseFactor) Solve(b []float64)        { la.CholSolveVec(f.l, b) }
-func (f denseFactor) ForwardSolveMat(b *la.Mat) {
-	la.Trsm(la.Left, la.Lower, la.NoTrans, 1, f.l, b)
+func (f denseFactor) ForwardSolveMat(b *la.Mat) { la.Trsm(la.Left, la.Lower, la.NoTrans, 1, f.l, b) }
+func (f denseFactor) BackwardSolveMat(b *la.Mat) {
+	la.Trsm(la.Left, la.Lower, la.Transpose, 1, f.l, b)
 }
 func (f denseFactor) LogDet() float64 { return la.LogDetFromChol(f.l) }
-func (f denseFactor) Bytes() int64 {
-	return int64(f.l.Rows) * int64(f.l.Cols) * 8
-}
-func (f denseFactor) RankStats() (int, float64) { return 0, 0 }
+func (f denseFactor) Bytes() int64    { return int64(f.l.Rows) * int64(f.l.Cols) * 8 }

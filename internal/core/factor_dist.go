@@ -170,21 +170,18 @@ func (f distFactor) onReplicas(b *la.Mat, solve func(c *mpi.Comm, sh *mpi.DistTL
 	return nil
 }
 
-func (f distFactor) HalfSolve(b []float64) error {
-	return f.onReplicas(la.NewMatFrom(len(b), 1, b), func(c *mpi.Comm, sh *mpi.DistTLR, y *la.Mat) error {
-		return sh.ForwardSolve(c, y.Data)
-	})
-}
-
-func (f distFactor) Solve(b []float64) error {
-	return f.onReplicas(la.NewMatFrom(len(b), 1, b), func(c *mpi.Comm, sh *mpi.DistTLR, y *la.Mat) error {
-		return sh.Solve(c, y.Data)
-	})
-}
-
-func (f distFactor) HalfSolveMat(b *la.Mat) error {
+func (f distFactor) HalfSolve(b *la.Mat) error {
 	return f.onReplicas(b, func(c *mpi.Comm, sh *mpi.DistTLR, w *la.Mat) error {
 		return sh.ForwardSolveMat(c, w)
+	})
+}
+
+func (f distFactor) Solve(b *la.Mat) error {
+	return f.onReplicas(b, func(c *mpi.Comm, sh *mpi.DistTLR, w *la.Mat) error {
+		if err := sh.ForwardSolveMat(c, w); err != nil {
+			return err
+		}
+		return sh.BackwardSolveMat(c, w)
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cov"
-	"repro/internal/la"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/tile"
@@ -43,27 +42,5 @@ func (st *tileState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) 
 	if err := e.run(st.g); err != nil {
 		return nil, fmt.Errorf("core: %s factorization: %w", e.cfg.Mode, err)
 	}
-	return memFactor{tileFactor{m: st.m, workers: e.cfg.Workers}}, nil
+	return memFactor{st.m}, nil
 }
-
-// tileFactor is a tiled dense factorization.
-type tileFactor struct {
-	m       *tile.SymMatrix
-	workers int
-}
-
-func (f tileFactor) ForwardSolve(b []float64) {
-	if err := tile.ForwardSolve(f.m, b, f.workers); err != nil {
-		// the forward-solve DAG cannot fail numerically; a failure is a
-		// programming error
-		panic(err)
-	}
-}
-func (f tileFactor) Solve(b []float64) {
-	f.ForwardSolve(b)
-	tile.BackwardSolve(f.m, b)
-}
-func (f tileFactor) ForwardSolveMat(b *la.Mat) { f.m.ForwardSolveMat(b) }
-func (f tileFactor) LogDet() float64           { return f.m.LogDet() }
-func (f tileFactor) Bytes() int64              { return f.m.Bytes() }
-func (f tileFactor) RankStats() (int, float64) { return 0, 0 }

@@ -56,10 +56,11 @@ func TestSessionMetricsTracedTile(t *testing.T) {
 	if d.Counters["tile.dcmg.calls"] != 10 {
 		t.Fatalf("dcmg calls = %d, want 10", d.Counters["tile.dcmg.calls"])
 	}
-	// 30 factorization tasks + the triangular-solve graph of HalfSolve
-	// (4 trsv + 6 gemv for MT = 4).
-	if d.Counters["runtime.tasks.completed"] != 40 {
-		t.Fatalf("completed tasks = %d, want 40", d.Counters["runtime.tasks.completed"])
+	// The fused graph and nothing else: for MT = 4, 10 dcmg + 4 potrf +
+	// 6 trsm + 6 syrk + 4 gemm = 30 tasks. HalfSolve is a serial sweep, not
+	// a graph (it was 4 trsv + 6 gemv tasks more, 40, while it was one).
+	if d.Counters["runtime.tasks.completed"] != 30 {
+		t.Fatalf("completed tasks = %d, want 30", d.Counters["runtime.tasks.completed"])
 	}
 }
 

@@ -190,7 +190,7 @@ func TestPredictThenVarianceSharesFactorization(t *testing.T) {
 }
 
 // unchunkedPredictWithVariance is the pre-chunking reference implementation:
-// one dense n×m W solved in a single HalfSolveMat.
+// one dense n×m W solved in a single HalfSolve.
 func unchunkedPredictWithVariance(t *testing.T, p *Problem, newPts []geom.Point, th cov.Params, cfg Config) Prediction {
 	t.Helper()
 	f := factorize(t, p, th, cfg)
@@ -199,7 +199,7 @@ func unchunkedPredictWithVariance(t *testing.T, p *Problem, newPts []geom.Point,
 	w := la.NewMat(n, m)
 	k.Block(w, p.Points, newPts, p.Metric)
 	y := append([]float64(nil), p.Z...)
-	if err := errors.Join(f.HalfSolveMat(w), f.HalfSolve(y)); err != nil {
+	if err := errors.Join(f.HalfSolve(w), f.HalfSolve(la.NewMatFrom(n, 1, y))); err != nil {
 		t.Fatal(err)
 	}
 	pr := Prediction{Mean: make([]float64, m), Variance: make([]float64, m)}

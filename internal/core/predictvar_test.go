@@ -64,12 +64,12 @@ func TestPredictWithVarianceReductionBitwise(t *testing.T) {
 		s.mu.Lock()
 		err = s.withFactor(k, th, s.cfg.nugget(th.Variance), func(f Factor) error {
 			y := append([]float64(nil), s.p.Z...)
-			if err := f.HalfSolve(y); err != nil {
+			if err := f.HalfSolve(la.NewMatFrom(n, 1, y)); err != nil {
 				return err
 			}
 			w := la.NewMat(n, m)
 			k.Block(w, s.p.Points, syn.TestPoints, s.p.Metric)
-			if err := f.HalfSolveMat(w); err != nil {
+			if err := f.HalfSolve(w); err != nil {
 				return err
 			}
 			for j := 0; j < m; j++ {

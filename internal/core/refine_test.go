@@ -14,7 +14,7 @@ import (
 func denseSolveRef(t *testing.T, p *Problem, b []float64) []float64 {
 	t.Helper()
 	x := append([]float64(nil), b...)
-	if err := factorize(t, p, theta(), Config{Mode: FullBlock}).Solve(x); err != nil {
+	if err := factorize(t, p, theta(), Config{Mode: FullBlock}).Solve(la.NewMatFrom(len(x), 1, x)); err != nil {
 		t.Fatal(err)
 	}
 	return x
@@ -55,7 +55,7 @@ func TestSolveRefinedBeatsUnrefinedAccuracy(t *testing.T) {
 
 	// plain loose TLR solve
 	plain := append([]float64(nil), b...)
-	if err := factorize(t, p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-2}).Solve(plain); err != nil {
+	if err := factorize(t, p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-2}).Solve(la.NewMatFrom(len(plain), 1, plain)); err != nil {
 		t.Fatal(err)
 	}
 	var plainErr float64

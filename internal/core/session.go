@@ -343,7 +343,7 @@ func (s *Session) lockSolveVector(k *cov.Kernel, theta cov.Params, nugget float6
 	// factorization: only the solve runs.
 	err = s.withFactor(k, theta, nugget, func(f Factor) error {
 		y = append(y[:0], s.p.Z...)
-		return f.Solve(y)
+		return f.Solve(la.NewMatFrom(len(y), 1, y))
 	})
 	if err != nil {
 		s.mu.Unlock()
@@ -418,7 +418,7 @@ func (s *Session) PredictWithVariance(newPts []geom.Point, theta cov.Params) (Pr
 			hi := min(lo+chunk, m)
 			w := la.NewMat(n, hi-lo)
 			k.Block(w, s.p.Points, newPts[lo:hi], s.p.Metric)
-			if err := f.HalfSolveMat(w); err != nil {
+			if err := f.HalfSolve(w); err != nil {
 				return err
 			}
 			// One pass over the row-major block with an accumulator per
@@ -462,7 +462,7 @@ func (s *Session) PredictWithVariance(newPts []geom.Point, theta cov.Params) (Pr
 	err := s.withFactor(k, theta, nugget, func(f Factor) error {
 		if yHalf = cached; yHalf == nil {
 			yHalf = append([]float64(nil), s.p.Z...)
-			if err := f.HalfSolve(yHalf); err != nil {
+			if err := f.HalfSolve(la.NewMatFrom(n, 1, yHalf)); err != nil {
 				return err
 			}
 		}

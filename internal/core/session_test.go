@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/mpi"
+	"repro/internal/tlr"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -65,6 +66,25 @@ func TestConfigNormalized(t *testing.T) {
 		if g := squarestGrid(ranks); g != want {
 			t.Fatalf("%d ranks on grid %v, want %v", ranks, g, want)
 		}
+	}
+}
+
+// TestDefaultConfigMatchesZero: the zero Config normalizes to DefaultConfig
+// field by field — the defaults are written once, there — except Ordering,
+// which stays empty to keep the Problem's own.
+func TestDefaultConfigMatchesZero(t *testing.T) {
+	want := DefaultConfig()
+	want.Ordering = ""
+	if got := (Config{}).normalized(); got != want {
+		t.Fatalf("zero Config normalizes to %+v, DefaultConfig is %+v", got, want)
+	}
+	// the budget floor is checked at the same defaults
+	floor := tlr.MinMemBudget(want.TileSize, want.Workers)
+	if err := (Config{Mode: TLR, MemBudget: floor}).Validate(); err != nil {
+		t.Fatalf("MemBudget at the default floor refused: %v", err)
+	}
+	if err := (Config{Mode: TLR, MemBudget: floor - 1}).Validate(); err == nil {
+		t.Fatal("MemBudget below the default floor accepted")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package exprt is the experiment harness: one function per table/figure of
 // the paper's evaluation (§VIII), each printing the same rows/series the
-// paper reports. cmd/paperbench and the repository benchmarks drive it.
+// paper reports. cmd/paperbench drives it.
 //
 // Two scales are supported. ScaleSmall (the default) runs real computations
 // at laptop size and the performance simulations with a coarse tile cap, so

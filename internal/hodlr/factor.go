@@ -15,13 +15,14 @@
 //
 // After Cholesky the tree holds L in place: leaves carry dense Cholesky
 // factors, off blocks carry L21 in compressed (or dense-fallback) form, and
-// the solves walk the tree exactly like MatVec does.
+// the solves walk the tree.
 package hodlr
 
 import (
 	"fmt"
 
 	"repro/internal/la"
+	"repro/internal/tile"
 	"repro/internal/tlr"
 )
 
@@ -71,10 +72,10 @@ func (n *node) factorPanel() {
 	case t.IsDense():
 		// L21ᵀ = L11⁻¹·A21ᵀ
 		dt := t.D.T()
-		n.left.forwardSolveMat(dt, n.lo)
+		n.left.solveMat(la.NoTrans, dt, n.lo)
 		t.D = dt.T()
 	case t.Rank() > 0:
-		n.left.forwardSolveMat(t.V, n.lo)
+		n.left.solveMat(la.NoTrans, t.V, n.lo)
 		k := t.Rank()
 		s := la.NewMat(k, k)
 		la.Gemm(1, t.V, la.Transpose, t.V, la.NoTrans, 0, s)
@@ -133,71 +134,39 @@ func (n *node) logDet() float64 {
 	return n.left.logDet() + n.right.logDet()
 }
 
-// ForwardSolve overwrites b with L⁻¹·b (forward substitution over the tree).
-func (m *Matrix) ForwardSolve(b []float64) {
-	if len(b) != m.N {
-		panic(fmt.Sprintf("hodlr: solve length %d for n=%d", len(b), m.N))
-	}
-	m.root.forwardSolve(b)
-}
-
-func (n *node) forwardSolve(b []float64) {
-	if n.dense != nil {
-		la.ForwardSolveVec(n.dense, b[n.lo:n.hi])
-		return
-	}
-	n.left.forwardSolve(b)
-	mid := n.left.hi
-	// b2 −= L21·x1
-	tlr.MatVec(n.off, -1, b[n.lo:mid], b[mid:n.hi])
-	n.right.forwardSolve(b)
-}
-
-// BackwardSolve overwrites b with L⁻ᵀ·b.
-func (m *Matrix) BackwardSolve(b []float64) {
-	if len(b) != m.N {
-		panic(fmt.Sprintf("hodlr: solve length %d for n=%d", len(b), m.N))
-	}
-	m.root.backwardSolve(b)
-}
-
-func (n *node) backwardSolve(b []float64) {
-	if n.dense != nil {
-		bm := la.NewMatFrom(n.hi-n.lo, 1, b[n.lo:n.hi])
-		la.Trsm(la.Left, la.Lower, la.Transpose, 1, n.dense, bm)
-		return
-	}
-	mid := n.left.hi
-	n.right.backwardSolve(b)
-	// b1 −= L21ᵀ·x2
-	tlr.MatVecT(n.off, -1, b[mid:n.hi], b[n.lo:mid])
-	n.left.backwardSolve(b)
-}
-
-// Solve overwrites b with A⁻¹·b (forward then backward substitution).
-func (m *Matrix) Solve(b []float64) {
-	m.ForwardSolve(b)
-	m.BackwardSolve(b)
-}
-
 // ForwardSolveMat overwrites the N×r block B with L⁻¹·B.
-func (m *Matrix) ForwardSolveMat(b *la.Mat) {
-	if b.Rows != m.N {
-		panic(fmt.Sprintf("hodlr: solve-mat rows %d for n=%d", b.Rows, m.N))
-	}
-	m.root.forwardSolveMat(b, 0)
+func (m *Matrix) ForwardSolveMat(b *la.Mat) { m.solveMat(la.NoTrans, b) }
+
+// BackwardSolveMat overwrites the N×r block B with L⁻ᵀ·B.
+func (m *Matrix) BackwardSolveMat(b *la.Mat) { m.solveMat(la.Transpose, b) }
+
+// solveMat walks the tree over one LeafSize-wide column block of B at a time
+// (tile.ColumnBlocks: chunked and whole solves agree bit for bit); the
+// recursion cannot fail.
+func (m *Matrix) solveMat(ta la.Trans, b *la.Mat) {
+	_ = tile.ColumnBlocks(m.N, m.LeafSize, b, func(bc *la.Mat) error {
+		m.root.solveMat(ta, bc, 0)
+		return nil
+	})
 }
 
-// forwardSolveMat solves over the subtree; b's row 0 is global index base.
-func (n *node) forwardSolveMat(b *la.Mat, base int) {
+// solveMat solves op(L)·X = B over the subtree; b's row 0 is global index
+// base. With L = [L11 0; L21 L22] the half that depends on nothing else is
+// solved first — the left for L, the right for Lᵀ — its contribution through
+// op(L21) leaves the other half, and the other half is solved.
+func (n *node) solveMat(ta la.Trans, b *la.Mat, base int) {
+	rows := func(d *node) *la.Mat { return b.View(d.lo-base, 0, d.hi-d.lo, b.Cols) }
 	if n.dense != nil {
-		la.Trsm(la.Left, la.Lower, la.NoTrans, 1, n.dense, b.View(n.lo-base, 0, n.hi-n.lo, b.Cols))
+		la.Trsm(la.Left, la.Lower, ta, 1, n.dense, rows(n))
 		return
 	}
-	n.left.forwardSolveMat(b, base)
-	mid := n.left.hi
-	tlr.MatMul(n.off, -1, b.View(n.lo-base, 0, mid-n.lo, b.Cols), b.View(mid-base, 0, n.hi-mid, b.Cols))
-	n.right.forwardSolveMat(b, base)
+	first, second := n.left, n.right
+	if ta == la.Transpose {
+		first, second = second, first
+	}
+	first.solveMat(ta, b, base)
+	tlr.MatMul(n.off, ta, -1, rows(first), rows(second))
+	second.solveMat(ta, b, base)
 }
 
 // RankStats returns the (max, mean) rank over the compressed off-diagonal

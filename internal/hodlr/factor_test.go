@@ -39,6 +39,13 @@ func TestCholeskyLogDetMatchesDense(t *testing.T) {
 	}
 }
 
+// solveVec overwrites b with A⁻¹·b through the two block solves at r = 1.
+func solveVec(m *Matrix, b []float64) {
+	bm := la.NewMatFrom(len(b), 1, b)
+	m.ForwardSolveMat(bm)
+	m.BackwardSolveMat(bm)
+}
+
 func TestSolveMatchesDense(t *testing.T) {
 	n := 300
 	k, pts, dense := testSetup(t, n)
@@ -53,9 +60,11 @@ func TestSolveMatchesDense(t *testing.T) {
 
 	// Full solve A⁻¹b.
 	got := append([]float64(nil), b...)
-	m.Solve(got)
+	solveVec(m, got)
 	want := append([]float64(nil), b...)
-	la.CholSolveVec(ref, want)
+	wm := la.NewMatFrom(n, 1, want)
+	la.Trsm(la.Left, la.Lower, la.NoTrans, 1, ref, wm)
+	la.Trsm(la.Left, la.Lower, la.Transpose, 1, ref, wm)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-6 {
 			t.Fatalf("solve mismatch at %d: %g vs %g", i, got[i], want[i])
@@ -66,39 +75,11 @@ func TestSolveMatchesDense(t *testing.T) {
 	// norm to agree (the HODLR L differs from the dense L by the block
 	// approximation, but ‖L⁻¹b‖² = bᵀA⁻¹b must match).
 	gh := append([]float64(nil), b...)
-	m.ForwardSolve(gh)
+	m.ForwardSolveMat(la.NewMatFrom(n, 1, gh))
 	wh := append([]float64(nil), b...)
-	la.ForwardSolveVec(ref, wh)
+	la.Trsm(la.Left, la.Lower, la.NoTrans, 1, ref, la.NewMatFrom(n, 1, wh))
 	if gq, wq := la.Dot(gh, gh), la.Dot(wh, wh); math.Abs(gq-wq) > 1e-6*wq {
 		t.Fatalf("quadratic form %g vs dense %g", gq, wq)
-	}
-}
-
-// The block forward solve is the column-by-column vector ForwardSolve (the
-// package's only direct check of its multi-column solve).
-func TestSolveMatMatchesVectorSolves(t *testing.T) {
-	n := 200
-	k, pts, _ := testSetup(t, n)
-	m := Build(k, pts, geom.Euclidean, 32, 1e-10, tlr.SVDCompressor{}, 1e-8)
-	if err := m.Cholesky(); err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(12)
-	b := la.NewMat(n, 3)
-	r.NormSlice(b.Data)
-	got := b.Clone()
-	m.ForwardSolveMat(got)
-	for j := 0; j < 3; j++ {
-		col := make([]float64, n)
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		m.ForwardSolve(col)
-		for i := 0; i < n; i++ {
-			if math.Abs(got.At(i, j)-col[i]) > 1e-9 {
-				t.Fatalf("ForwardSolveMat col %d row %d: %g vs %g", j, i, got.At(i, j), col[i])
-			}
-		}
 	}
 }
 
@@ -127,8 +108,8 @@ func TestGenCholeskyDeterministicAcrossWorkers(t *testing.T) {
 		r.NormSlice(b)
 		b1 := append([]float64(nil), b...)
 		b8 := append([]float64(nil), b...)
-		m1.Solve(b1)
-		m8.Solve(b8)
+		solveVec(m1, b1)
+		solveVec(m8, b8)
 		for i := range b1 {
 			if b1[i] != b8[i] {
 				t.Fatalf("%s: solve drifts with workers at %d: %.17g vs %.17g", comp.Name(), i, b1[i], b8[i])

@@ -6,7 +6,7 @@
 // machines, which is exactly the trade-off that led the paper to TLR.
 //
 // The package provides construction from a covariance kernel, storage
-// accounting, matrix reconstruction, and fast matrix-vector products — the
+// accounting, matrix reconstruction, and fast matrix products — the
 // operations the format-comparison ablation needs.
 package hodlr
 
@@ -141,23 +141,24 @@ func (n *node) fill(out *la.Mat) {
 	}
 }
 
-// MatVec computes y += alpha·A·x in O(k·n·log n) using the tree.
-func (m *Matrix) MatVec(alpha float64, x, y []float64) {
-	if len(x) != m.N || len(y) != m.N {
-		panic(fmt.Sprintf("hodlr: matvec dims %d/%d for n=%d", len(x), len(y), m.N))
+// MatMul computes Y += alpha·A·X for N×r blocks X and Y in O(k·n·log n) per
+// column using the tree (a matrix-vector product is r = 1).
+func (m *Matrix) MatMul(alpha float64, x, y *la.Mat) {
+	if x.Rows != m.N || y.Rows != m.N || x.Cols != y.Cols {
+		panic(fmt.Sprintf("hodlr: matmul dims %dx%d/%dx%d for n=%d", x.Rows, x.Cols, y.Rows, y.Cols, m.N))
 	}
-	m.root.matvec(alpha, x, y)
+	m.root.matmul(alpha, x, y)
 }
 
-func (n *node) matvec(alpha float64, x, y []float64) {
+func (n *node) matmul(alpha float64, x, y *la.Mat) {
+	rows := func(b *la.Mat, d *node) *la.Mat { return b.View(d.lo, 0, d.hi-d.lo, b.Cols) }
 	if n.dense != nil {
-		la.Gemv(alpha, n.dense, la.NoTrans, x[n.lo:n.hi], 1, y[n.lo:n.hi])
+		la.Gemm(alpha, n.dense, la.NoTrans, rows(x, n), la.NoTrans, 1, rows(y, n))
 		return
 	}
-	mid := n.left.hi
-	n.left.matvec(alpha, x, y)
-	n.right.matvec(alpha, x, y)
+	n.left.matmul(alpha, x, y)
+	n.right.matmul(alpha, x, y)
 	// off block: rows [mid,hi) × cols [lo,mid), plus its symmetric mirror
-	tlr.MatVec(n.off, alpha, x[n.lo:mid], y[mid:n.hi])
-	tlr.MatVecT(n.off, alpha, x[mid:n.hi], y[n.lo:mid])
+	tlr.MatMul(n.off, la.NoTrans, alpha, rows(x, n.left), rows(y, n.right))
+	tlr.MatMul(n.off, la.Transpose, alpha, rows(x, n.right), rows(y, n.left))
 }

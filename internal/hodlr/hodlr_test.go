@@ -81,7 +81,7 @@ func TestMatVecMatchesDense(t *testing.T) {
 	x := make([]float64, 150)
 	r.NormSlice(x)
 	got := make([]float64, 150)
-	m.MatVec(1.5, x, got)
+	m.MatMul(1.5, la.NewMatFrom(150, 1, x), la.NewMatFrom(150, 1, got))
 	want := make([]float64, 150)
 	la.Gemv(1.5, dense, la.NoTrans, x, 0, want)
 	for i := range got {
@@ -110,7 +110,7 @@ func TestMatVecDimsPanic(t *testing.T) {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	m.MatVec(1, make([]float64, 10), make([]float64, 64))
+	m.MatMul(1, la.NewMat(10, 1), la.NewMat(64, 1))
 }
 
 // The comparison the related-work section motivates: at equal accuracy on a

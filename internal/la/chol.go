@@ -81,21 +81,3 @@ func LogDetFromChol(l *Mat) float64 {
 	}
 	return 2 * s
 }
-
-// CholSolveVec solves A·x = b in place given the lower Cholesky factor L of
-// A: a forward solve with L followed by a backward solve with Lᵀ.
-func CholSolveVec(l *Mat, b []float64) {
-	n := l.Rows
-	if len(b) != n {
-		panic("la: cholsolve length mismatch")
-	}
-	bm := NewMatFrom(n, 1, b)
-	Trsm(Left, Lower, NoTrans, 1, l, bm)
-	Trsm(Left, Lower, Transpose, 1, l, bm)
-}
-
-// ForwardSolveVec solves L·x = b in place for lower-triangular L.
-func ForwardSolveVec(l *Mat, b []float64) {
-	bm := NewMatFrom(l.Rows, 1, b)
-	Trsm(Left, Lower, NoTrans, 1, l, bm)
-}

@@ -347,6 +347,14 @@ func TestPotrfRejectsIndefinite(t *testing.T) {
 	}
 }
 
+// cholSolve solves A·x = b in place given the lower Cholesky factor L of A:
+// Trsm on the n×1 block, forward with L then backward with Lᵀ.
+func cholSolve(l *Mat, b []float64) {
+	bm := NewMatFrom(len(b), 1, b)
+	Trsm(Left, Lower, NoTrans, 1, l, bm)
+	Trsm(Left, Lower, Transpose, 1, l, bm)
+}
+
 func TestCholSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 40
@@ -361,7 +369,7 @@ func TestCholSolve(t *testing.T) {
 	}
 	b := make([]float64, n)
 	Gemv(1, a, NoTrans, xTrue, 0, b)
-	CholSolveVec(l, b)
+	cholSolve(l, b)
 	for i := range b {
 		if math.Abs(b[i]-xTrue[i]) > 1e-8 {
 			t.Fatalf("cholsolve error at %d: %g vs %g", i, b[i], xTrue[i])
@@ -714,7 +722,7 @@ func TestQuickCholeskyInverseProperty(t *testing.T) {
 		}
 		b := make([]float64, n)
 		Gemv(1, a, NoTrans, x, 0, b)
-		CholSolveVec(l, b)
+		cholSolve(l, b)
 		for i := range b {
 			if math.Abs(b[i]-x[i]) > 1e-6 {
 				return false

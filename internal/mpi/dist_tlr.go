@@ -6,6 +6,7 @@ import (
 	"repro/internal/cov"
 	"repro/internal/geom"
 	"repro/internal/la"
+	"repro/internal/tile"
 	"repro/internal/tlr"
 )
 
@@ -220,196 +221,66 @@ func (d *DistTLR) LogDet(c *Comm) (float64, error) {
 	return out, nil
 }
 
-// ForwardSolve solves L·x = b in place against the factored shard. b is
-// replicated: every rank passes the full right-hand side and every rank
-// returns with the full solution, so the quadratic form can be reduced from
-// per-rank partial sums without a gather.
+// solveMat solves op(L)·X = B in place against the factored shard, for L (ta
+// NoTrans) or Lᵀ (Transpose) and any number of columns. B is replicated:
+// every rank passes the full right-hand side and every rank returns with the
+// full solution, so the quadratic form can be reduced from per-rank partial
+// sums without a gather.
 //
-// Row by row, the owners of the row's off-diagonal tiles compute their
-// contributions L_ij·b_j and ship them to the diagonal owner, which
-// subtracts them in ascending j order — the same order the shared-memory
-// ForwardSolve subtracts them — solves the diagonal block, and broadcasts
-// the solved block to every rank to restore replication.
-func (d *DistTLR) ForwardSolve(c *Comm, b []float64) error {
-	if len(b) != d.N {
-		panic("mpi: ForwardSolve length mismatch")
+// The rows and their order are tile.SolveSweep's. In row i the owner of each
+// off-diagonal tile forms its contribution −op(L)_ij·B_j — into B_i itself
+// when it also owns the diagonal tile, otherwise into a zeroed buffer it ships
+// to the diagonal owner, which adds what it receives in the sweep's order,
+// the order shared memory subtracts in (for one column 0 + v is exact, so a
+// vector solve is bitwise the shared one). The diagonal owner then solves the
+// block and broadcasts it to every rank to restore replication.
+func (d *DistTLR) solveMat(c *Comm, ta la.Trans, b *la.Mat) error {
+	kind, kindB := kindFwd, kindFwdB
+	if ta == la.Transpose {
+		kind, kindB = kindBwd, kindBwdB
 	}
-	for i := 0; i < d.MT; i++ {
-		di := d.TileDim(i)
-		bi := b[i*d.NB : i*d.NB+di]
-		diagOwner := d.Owner(i, i)
-		// contribution senders
-		if c.Rank() != diagOwner {
-			for j := 0; j < i; j++ {
-				if c.Rank() != d.Owner(i, j) {
-					continue
-				}
-				bj := b[j*d.NB : j*d.NB+d.TileDim(j)]
-				contrib := make([]float64, di)
-				tlr.MatVec(d.Off(i, j), -1, bj, contrib)
-				c.Send(diagOwner, tagOf(kindFwd, i, j), contrib)
-			}
-		}
-		if c.Rank() == diagOwner {
-			for j := 0; j < i; j++ {
-				owner := d.Owner(i, j)
-				if owner == c.Rank() {
-					bj := b[j*d.NB : j*d.NB+d.TileDim(j)]
-					tlr.MatVec(d.Off(i, j), -1, bj, bi)
-					continue
-				}
-				contrib, err := c.Recv(owner, tagOf(kindFwd, i, j))
+	return tile.SolveSweep(d.N, d.NB, ta, b,
+		func(i, j int, bj, bi *la.Mat) error {
+			r, q := max(i, j), min(i, j) // the stored tile
+			owner, diagOwner := d.Owner(r, q), d.Owner(i, i)
+			switch me := c.Rank(); {
+			case me == owner && me == diagOwner:
+				tlr.MatMul(d.Off(r, q), ta, -1, bj, bi)
+			case me == owner:
+				contrib := la.NewMat(bi.Rows, bi.Cols)
+				tlr.MatMul(d.Off(r, q), ta, -1, bj, contrib)
+				c.Send(diagOwner, tagOf(kind, r, q), contrib.Data)
+			case me == diagOwner:
+				contrib, err := c.Recv(owner, tagOf(kind, r, q))
 				if err != nil {
 					return err
 				}
-				for a := range bi {
-					bi[a] += contrib[a]
-				}
+				bi.Add(la.NewMatFrom(bi.Rows, bi.Cols, contrib))
 			}
-			la.ForwardSolveVec(d.Diag(i), bi)
-			for _, r := range c.AliveRanks() {
-				if r != c.Rank() {
-					c.Send(r, tagOf(kindFwdB, i, 0), bi)
-				}
-			}
-		} else {
-			data, err := c.Recv(diagOwner, tagOf(kindFwdB, i, 0))
-			if err != nil {
-				return err
-			}
-			copy(bi, data)
-		}
-	}
-	return nil
-}
-
-// BackwardSolve solves Lᵀ·x = b in place against the factored shard, with
-// the same replicated-vector protocol as ForwardSolve. Contributions
-// (L_ji)ᵀ·b_j are subtracted in descending j order, matching the
-// shared-memory BackwardSolve arithmetic.
-func (d *DistTLR) BackwardSolve(c *Comm, b []float64) error {
-	if len(b) != d.N {
-		panic("mpi: BackwardSolve length mismatch")
-	}
-	for i := d.MT - 1; i >= 0; i-- {
-		di := d.TileDim(i)
-		bi := b[i*d.NB : i*d.NB+di]
-		diagOwner := d.Owner(i, i)
-		if c.Rank() != diagOwner {
-			for j := d.MT - 1; j > i; j-- {
-				if c.Rank() != d.Owner(j, i) {
-					continue
-				}
-				bj := b[j*d.NB : j*d.NB+d.TileDim(j)]
-				contrib := make([]float64, di)
-				tlr.MatVecT(d.Off(j, i), -1, bj, contrib)
-				c.Send(diagOwner, tagOf(kindBwd, j, i), contrib)
-			}
-		}
-		if c.Rank() == diagOwner {
-			for j := d.MT - 1; j > i; j-- {
-				owner := d.Owner(j, i)
-				if owner == c.Rank() {
-					bj := b[j*d.NB : j*d.NB+d.TileDim(j)]
-					tlr.MatVecT(d.Off(j, i), -1, bj, bi)
-					continue
-				}
-				contrib, err := c.Recv(owner, tagOf(kindBwd, j, i))
+			return nil
+		},
+		func(i int, bi *la.Mat) error {
+			if diagOwner := d.Owner(i, i); c.Rank() != diagOwner {
+				data, err := c.Recv(diagOwner, tagOf(kindB, i, 0))
 				if err != nil {
 					return err
 				}
-				for a := range bi {
-					bi[a] += contrib[a]
-				}
+				bi.CopyFrom(la.NewMatFrom(bi.Rows, bi.Cols, data))
+				return nil
 			}
-			bm := la.NewMatFrom(di, 1, bi)
-			la.Trsm(la.Left, la.Lower, la.Transpose, 1, d.Diag(i), bm)
+			la.Trsm(la.Left, la.Lower, ta, 1, d.Diag(i), bi)
+			payload := bi.Clone().Data // compact: bi may be a column block of B
 			for _, r := range c.AliveRanks() {
 				if r != c.Rank() {
-					c.Send(r, tagOf(kindBwdB, i, 0), bi)
+					c.Send(r, tagOf(kindB, i, 0), payload)
 				}
 			}
-		} else {
-			data, err := c.Recv(diagOwner, tagOf(kindBwdB, i, 0))
-			if err != nil {
-				return err
-			}
-			copy(bi, data)
-		}
-	}
-	return nil
+			return nil
+		})
 }
 
-// Solve computes A⁻¹·b in place given the distributed TLR Cholesky factors.
-func (d *DistTLR) Solve(c *Comm, b []float64) error {
-	if err := d.ForwardSolve(c, b); err != nil {
-		return err
-	}
-	return d.BackwardSolve(c, b)
-}
+// ForwardSolveMat overwrites the replicated n×r block B with L⁻¹·B.
+func (d *DistTLR) ForwardSolveMat(c *Comm, b *la.Mat) error { return d.solveMat(c, la.NoTrans, b) }
 
-// ForwardSolveMat solves L·X = B in place for a replicated dense right-hand
-// side (prediction's cross-covariance panels), with the same row-by-row
-// protocol as ForwardSolve.
-func (d *DistTLR) ForwardSolveMat(c *Comm, b *la.Mat) error {
-	if b.Rows != d.N {
-		panic("mpi: ForwardSolveMat dimension mismatch")
-	}
-	nc := b.Cols
-	for i := 0; i < d.MT; i++ {
-		di := d.TileDim(i)
-		bi := b.View(i*d.NB, 0, di, nc)
-		diagOwner := d.Owner(i, i)
-		if c.Rank() != diagOwner {
-			for j := 0; j < i; j++ {
-				if c.Rank() != d.Owner(i, j) {
-					continue
-				}
-				bj := b.View(j*d.NB, 0, d.TileDim(j), nc)
-				contrib := la.NewMat(di, nc)
-				tlr.MatMul(d.Off(i, j), -1, bj, contrib)
-				c.Send(diagOwner, tagOf(kindFwd, i, j), contrib.Data)
-			}
-		}
-		if c.Rank() == diagOwner {
-			for j := 0; j < i; j++ {
-				owner := d.Owner(i, j)
-				if owner == c.Rank() {
-					bj := b.View(j*d.NB, 0, d.TileDim(j), nc)
-					tlr.MatMul(d.Off(i, j), -1, bj, bi)
-					continue
-				}
-				contrib, err := c.Recv(owner, tagOf(kindFwd, i, j))
-				if err != nil {
-					return err
-				}
-				for a := 0; a < di; a++ {
-					row := bi.Row(a)
-					crow := contrib[a*nc : a*nc+nc]
-					for q := range row {
-						row[q] += crow[q]
-					}
-				}
-			}
-			la.Trsm(la.Left, la.Lower, la.NoTrans, 1, d.Diag(i), bi)
-			payload := make([]float64, 0, di*nc)
-			for a := 0; a < di; a++ {
-				payload = append(payload, bi.Row(a)...)
-			}
-			for _, r := range c.AliveRanks() {
-				if r != c.Rank() {
-					c.Send(r, tagOf(kindFwdB, i, 0), payload)
-				}
-			}
-		} else {
-			data, err := c.Recv(diagOwner, tagOf(kindFwdB, i, 0))
-			if err != nil {
-				return err
-			}
-			for a := 0; a < di; a++ {
-				copy(bi.Row(a), data[a*nc:a*nc+nc])
-			}
-		}
-	}
-	return nil
-}
+// BackwardSolveMat overwrites the replicated n×r block B with L⁻ᵀ·B.
+func (d *DistTLR) BackwardSolveMat(c *Comm, b *la.Mat) error { return d.solveMat(c, la.Transpose, b) }

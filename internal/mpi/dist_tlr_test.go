@@ -104,6 +104,16 @@ func TestDistTLRCholeskyMatchesShared(t *testing.T) {
 	}
 }
 
+// solveVec overwrites the replicated b with A⁻¹·b: the two block solves at
+// r = 1.
+func solveVec(d *DistTLR, c *Comm, b []float64) error {
+	bm := la.NewMatFrom(len(b), 1, b)
+	if err := d.ForwardSolveMat(c, bm); err != nil {
+		return err
+	}
+	return d.BackwardSolveMat(c, bm)
+}
+
 // TestDistTLRLogDetAndSolveMatchShared compares the distributed LogDet and
 // forward/backward solves against the shared-memory path on a replicated
 // right-hand side: exactly equal, the reductions being order-preserving.
@@ -123,7 +133,9 @@ func TestDistTLRLogDetAndSolveMatchShared(t *testing.T) {
 		rhs[i] = math.Sin(float64(i) * 0.7)
 	}
 	want := append([]float64(nil), rhs...)
-	ref.Solve(want)
+	wm := la.NewMatFrom(n, 1, want)
+	ref.ForwardSolveMat(wm)
+	ref.BackwardSolveMat(wm)
 
 	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}} {
 		grid := Grid{P: shape[0], Q: shape[1]}
@@ -142,7 +154,7 @@ func TestDistTLRLogDetAndSolveMatchShared(t *testing.T) {
 			}
 			logDets[c.Rank()] = ld
 			b := append([]float64(nil), rhs...)
-			if err := d.Solve(c, b); err != nil {
+			if err := solveVec(d, c, b); err != nil {
 				return err
 			}
 			sols[c.Rank()] = b
@@ -168,7 +180,7 @@ func TestDistTLRLogDetAndSolveMatchShared(t *testing.T) {
 }
 
 // TestDistTLRForwardSolveMatMatchesShared checks the BLAS3 forward solve
-// used by prediction variances. Unlike the factors, the log-determinant and
+// used by prediction variances, and the backward solve after it. Unlike the factors, the log-determinant and
 // the vector solves it is held to a tolerance, not to equality (measured
 // 6.7e-16): a remote contribution L_ij·B_j is formed in a zeroed buffer and
 // then added to the row block, where the shared path accumulates it in place.
@@ -189,9 +201,11 @@ func TestDistTLRForwardSolveMatMatchesShared(t *testing.T) {
 	}
 	want := rhs.Clone()
 	ref.ForwardSolveMat(want)
+	wantFull := want.Clone()
+	ref.BackwardSolveMat(wantFull)
 
 	grid := Grid{P: 2, Q: 2}
-	got := make([]*la.Mat, 4)
+	got, gotFull := make([]*la.Mat, 4), make([]*la.Mat, 4)
 	errs := RunWorld(4, func(c *Comm) error {
 		d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, tol, comp)
 		d.Generate(k, 1e-9)
@@ -203,7 +217,8 @@ func TestDistTLRForwardSolveMatMatchesShared(t *testing.T) {
 			return err
 		}
 		got[c.Rank()] = b
-		return nil
+		gotFull[c.Rank()] = b.Clone()
+		return d.BackwardSolveMat(c, gotFull[c.Rank()])
 	})
 	for r, err := range errs {
 		if err != nil {
@@ -213,6 +228,9 @@ func TestDistTLRForwardSolveMatMatchesShared(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		if diff := maxAbsDiff(got[r], want); diff > 1e-9 {
 			t.Fatalf("rank %d: ForwardSolveMat deviates by %g", r, diff)
+		}
+		if diff := maxAbsDiff(gotFull[r], wantFull); diff > 1e-9 {
+			t.Fatalf("rank %d: BackwardSolveMat deviates by %g", r, diff)
 		}
 	}
 }

@@ -334,7 +334,7 @@ func TestElasticShrinkResumeTLRCholesky(t *testing.T) {
 			return err
 		}
 		y := append([]float64(nil), rhs...)
-		if err := d.Solve(c, y); err != nil {
+		if err := solveVec(d, c, y); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
@@ -403,7 +403,7 @@ func TestElasticShrinkResumeTLRCholesky(t *testing.T) {
 					return fmt.Errorf("recovered logdet %v != unfaulted %v", ld, refLD)
 				}
 				y := append([]float64(nil), rhs...)
-				if err := d.Solve(c, y); err != nil {
+				if err := solveVec(d, c, y); err != nil {
 					return err
 				}
 				for i := range y {

@@ -171,75 +171,3 @@ func (m *SymMatrix) LogDet() float64 {
 	// LogDetFromChol already multiplies by 2 per tile
 	return s
 }
-
-// BuildForwardSolveGraph inserts the tiled forward substitution L·x = b
-// (x overwrites b) into a new graph; bind as in BuildCholeskyGraph.
-func BuildForwardSolveGraph(m *SymMatrix, b *Vector, bind bool) *runtime.Graph {
-	g := runtime.NewGraph()
-	lh := make([][]*runtime.Handle, m.MT)
-	bh := make([]*runtime.Handle, m.MT)
-	for i := 0; i < m.MT; i++ {
-		lh[i] = make([]*runtime.Handle, i+1)
-		for j := 0; j <= i; j++ {
-			lh[i][j] = g.NewHandle(fmt.Sprintf("L[%d,%d]", i, j), int64(m.TileDim(i))*int64(m.TileDim(j))*8, int64(i)*int64(m.MT)+int64(j))
-		}
-		bh[i] = g.NewHandle(fmt.Sprintf("b[%d]", i), int64(m.TileDim(i))*8, int64(i)*int64(m.MT)+int64(i))
-	}
-	for i := 0; i < m.MT; i++ {
-		for j := 0; j < i; j++ {
-			i, j := i, j
-			var run func()
-			if bind {
-				lij := m.Tile(i, j)
-				run = func() { la.Gemm(-1, lij, la.NoTrans, b.Seg(j), la.NoTrans, 1, b.Seg(i)) }
-			}
-			g.AddTask(runtime.Task{
-				Name:  "gemv",
-				Flops: FlopsGEMM(m.TileDim(i), m.TileDim(j), 1),
-				Run:   run,
-				Accesses: []runtime.Access{
-					{Handle: lh[i][j], Mode: runtime.Read},
-					{Handle: bh[j], Mode: runtime.Read},
-					{Handle: bh[i], Mode: runtime.ReadWrite},
-				},
-			})
-		}
-		i := i
-		var run func()
-		if bind {
-			lii := m.Tile(i, i)
-			run = func() { la.Trsm(la.Left, la.Lower, la.NoTrans, 1, lii, b.Seg(i)) }
-		}
-		g.AddTask(runtime.Task{
-			Name:     "trsv",
-			Flops:    float64(m.TileDim(i)) * float64(m.TileDim(i)),
-			Priority: 1,
-			Run:      run,
-			Accesses: []runtime.Access{
-				{Handle: lh[i][i], Mode: runtime.Read},
-				{Handle: bh[i], Mode: runtime.ReadWrite},
-			},
-		})
-	}
-	return g
-}
-
-// ForwardSolve solves L·x = b in place over the runtime.
-func ForwardSolve(m *SymMatrix, b []float64, workers int) error {
-	v := NewVector(b, m.NB)
-	g := BuildForwardSolveGraph(m, v, true)
-	return g.Execute(runtime.ExecOptions{Workers: workers})
-}
-
-// BackwardSolve solves Lᵀ·x = b in place (sequential tile loop; the backward
-// sweep is cheap relative to factorization and used only on vectors).
-func BackwardSolve(m *SymMatrix, b []float64) {
-	v := NewVector(b, m.NB)
-	for i := m.MT - 1; i >= 0; i-- {
-		for j := m.MT - 1; j > i; j-- {
-			// b_i -= L[j][i]^T b_j
-			la.Gemm(-1, m.Tile(j, i), la.Transpose, v.Seg(j), la.NoTrans, 1, v.Seg(i))
-		}
-		la.Trsm(la.Left, la.Lower, la.Transpose, 1, m.Tile(i, i), v.Seg(i))
-	}
-}

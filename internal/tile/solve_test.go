@@ -33,28 +33,3 @@ func TestSolveMatMatchesDenseCholesky(t *testing.T) {
 		t.Fatal("tile multi-RHS forward solve disagrees with dense")
 	}
 }
-
-func TestForwardSolveMatMatchesVector(t *testing.T) {
-	n := 37
-	a := spd(n, 53)
-	m := FromDense(a, 10)
-	if err := Cholesky(m, 2); err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(54)
-	col := make([]float64, n)
-	r.NormSlice(col)
-	b := la.NewMat(n, 1)
-	for i, v := range col {
-		b.Set(i, 0, v)
-	}
-	if err := ForwardSolve(m, col, 2); err != nil {
-		t.Fatal(err)
-	}
-	m.ForwardSolveMat(b)
-	for i := 0; i < n; i++ {
-		if d := b.At(i, 0) - col[i]; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("matrix and vector forward solves disagree at %d", i)
-		}
-	}
-}

@@ -1,7 +1,8 @@
 // Package tile implements the Chameleon substitute: tile-layout symmetric
-// matrices and the tiled dense algorithms (Cholesky factorization,
-// triangular solves, log-determinant) expressed as task graphs over the
-// runtime package. This is the paper's "full-tile" computation mode.
+// matrices and the tiled dense algorithms — generation and Cholesky
+// factorization as task graphs over the runtime package, the triangular
+// solves as one serial sweep over a block right-hand side (solve.go), the
+// log-determinant. This is the paper's "full-tile" computation mode.
 package tile
 
 import (
@@ -121,33 +122,3 @@ func (m *SymMatrix) Bytes() int64 {
 	}
 	return b
 }
-
-// Vector is a tile-partitioned column vector aligned with a SymMatrix.
-type Vector struct {
-	N  int
-	NB int
-	MT int
-	// segs[i] is an la.Mat view of segment i (TileDim(i) × 1)
-	segs []*la.Mat
-	data []float64
-}
-
-// NewVector wraps data (length n) in tile-aligned segments. The segments
-// alias data.
-func NewVector(data []float64, nb int) *Vector {
-	n := len(data)
-	mt := (n + nb - 1) / nb
-	v := &Vector{N: n, NB: nb, MT: mt, data: data}
-	v.segs = make([]*la.Mat, mt)
-	for i := 0; i < mt; i++ {
-		d := tileDim(n, nb, i)
-		v.segs[i] = la.NewMatFrom(d, 1, data[i*nb:i*nb+d])
-	}
-	return v
-}
-
-// Seg returns segment i as a column matrix view.
-func (v *Vector) Seg(i int) *la.Mat { return v.segs[i] }
-
-// Data returns the underlying contiguous storage.
-func (v *Vector) Data() []float64 { return v.data }

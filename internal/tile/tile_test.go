@@ -120,10 +120,9 @@ func TestForwardBackwardSolve(t *testing.T) {
 	// b = A x
 	b := make([]float64, n)
 	la.Gemv(1, a, la.NoTrans, x, 0, b)
-	if err := ForwardSolve(m, b, 4); err != nil {
-		t.Fatal(err)
-	}
-	BackwardSolve(m, b)
+	bm := la.NewMatFrom(n, 1, b)
+	m.ForwardSolveMat(bm)
+	m.BackwardSolveMat(bm)
 	for i := range b {
 		if math.Abs(b[i]-x[i]) > 1e-7 {
 			t.Fatalf("solve error at %d: %g vs %g", i, b[i], x[i])
@@ -194,20 +193,5 @@ func TestCholeskyWorkersEquivalent(t *testing.T) {
 	}
 	if !m1.ToDense().Equalish(m2.ToDense(), 1e-12) {
 		t.Fatal("worker count changed the numerical result")
-	}
-}
-
-func TestVectorSegments(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6, 7}
-	v := NewVector(data, 3)
-	if v.MT != 3 || v.Seg(2).Rows != 1 {
-		t.Fatalf("segmentation wrong: MT=%d", v.MT)
-	}
-	v.Seg(1).Set(0, 0, 99)
-	if data[3] != 99 {
-		t.Fatal("segments must alias the input slice")
-	}
-	if v.Data()[3] != 99 {
-		t.Fatal("Data must return underlying storage")
 	}
 }

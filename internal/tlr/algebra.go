@@ -403,32 +403,24 @@ func TrsmLD(l *la.Mat, a *CompTile) {
 	la.Trsm(la.Left, la.Lower, la.NoTrans, 1, l, a.V)
 }
 
-// MatVec computes y += alpha · A · x for a TLR tile.
-func MatVec(a *CompTile, alpha float64, x, y []float64) {
+// MatMul computes C += alpha·op(A)·B for a TLR tile A and a dense block B of
+// r columns, op(A) being A (ta NoTrans) or Aᵀ = V·Uᵀ (Transpose). It is the
+// one low-rank product: with r = 1 both la.Gemm calls run as matrix-vector
+// products.
+func MatMul(a *CompTile, ta la.Trans, alpha float64, b, c *la.Mat) {
 	if a.IsDense() {
-		la.Gemv(alpha, a.D, la.NoTrans, x, 1, y)
+		la.Gemm(alpha, a.D, ta, b, la.NoTrans, 1, c)
 		return
 	}
 	k := a.Rank()
 	if k == 0 {
 		return
 	}
-	tmp := make([]float64, k)
-	la.Gemv(1, a.V, la.Transpose, x, 0, tmp)
-	la.Gemv(alpha, a.U, la.NoTrans, tmp, 1, y)
-}
-
-// MatVecT computes y += alpha · Aᵀ · x (= alpha · V·(Uᵀx) when compressed).
-func MatVecT(a *CompTile, alpha float64, x, y []float64) {
-	if a.IsDense() {
-		la.Gemv(alpha, a.D, la.Transpose, x, 1, y)
-		return
+	u, v := a.U, a.V
+	if ta == la.Transpose {
+		u, v = v, u
 	}
-	k := a.Rank()
-	if k == 0 {
-		return
-	}
-	tmp := make([]float64, k)
-	la.Gemv(1, a.U, la.Transpose, x, 0, tmp)
-	la.Gemv(alpha, a.V, la.NoTrans, tmp, 1, y)
+	tmp := la.NewMat(k, b.Cols)
+	la.Gemm(1, v, la.Transpose, b, la.NoTrans, 0, tmp)
+	la.Gemm(alpha, u, la.NoTrans, tmp, la.NoTrans, 1, c)
 }

@@ -127,27 +127,27 @@ func TestDenseTileKernelOps(t *testing.T) {
 		}
 	}
 
-	// MatVec / MatVecT accumulate like the compressed path.
+	// One-column MatMul accumulates like the compressed path, both ways.
 	x := make([]float64, 16)
 	for i := range x {
 		x[i] = math.Sin(float64(i))
 	}
 	y1 := make([]float64, 16)
 	y2 := make([]float64, 16)
-	MatVec(a, 2, x, y1)
+	MatMul(a, la.NoTrans, 2, la.NewMatFrom(16, 1, x), la.NewMatFrom(16, 1, y1))
 	la.Gemv(2, a.D, la.NoTrans, x, 1, y2)
 	for i := range y1 {
 		if math.Abs(y1[i]-y2[i]) > 1e-12 {
-			t.Fatalf("dense MatVec deviates at %d", i)
+			t.Fatalf("dense MatMul deviates at %d", i)
 		}
 	}
 	y1 = make([]float64, 16)
 	y2 = make([]float64, 16)
-	MatVecT(a, -1, x, y1)
+	MatMul(a, la.Transpose, -1, la.NewMatFrom(16, 1, x), la.NewMatFrom(16, 1, y1))
 	la.Gemv(-1, a.D, la.Transpose, x, 1, y2)
 	for i := range y1 {
 		if math.Abs(y1[i]-y2[i]) > 1e-12 {
-			t.Fatalf("dense MatVecT deviates at %d", i)
+			t.Fatalf("dense transposed MatMul deviates at %d", i)
 		}
 	}
 }
@@ -242,9 +242,9 @@ func TestForceMissGeneratesDenseTiles(t *testing.T) {
 	if err := la.Potrf(dense); err != nil {
 		t.Fatal(err)
 	}
-	la.CholSolveVec(dense, want)
+	denseSolveVec(dense, want)
 	got := append([]float64(nil), rhs...)
-	m.Solve(got)
+	solveVec(m, got)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-4*(1+math.Abs(want[i])) {
 			t.Fatalf("solution[%d] = %g want %g", i, got[i], want[i])

@@ -209,16 +209,16 @@ func checkZeroTile(t *testing.T, c, sq *CompTile) {
 	for i := range x {
 		x[i] = float64(i + 1)
 	}
-	MatVec(sq, 1, x, y)
-	MatVecT(sq, 1, x, y)
+	MatMul(sq, la.NoTrans, 1, la.NewMatFrom(12, 1, x), la.NewMatFrom(12, 1, y))
+	MatMul(sq, la.Transpose, 1, la.NewMatFrom(12, 1, x), la.NewMatFrom(12, 1, y))
 	for i, v := range y {
 		if v != 0 {
-			t.Fatalf("rank-0 MatVec wrote y[%d]=%g", i, v)
+			t.Fatalf("rank-0 one-column MatMul wrote y[%d]=%g", i, v)
 		}
 	}
 	b := la.NewMat(12, 3)
 	cM := la.NewMat(12, 3)
-	MatMul(sq, 1, b, cM)
+	MatMul(sq, la.NoTrans, 1, b, cM)
 	if cM.FrobNorm() != 0 {
 		t.Fatal("rank-0 MatMul wrote into C")
 	}

@@ -327,48 +327,36 @@ func (m *Matrix) LogDet() float64 {
 	return s
 }
 
-// ForwardSolve solves L·x = b in place against a TLR-factored matrix.
-func (m *Matrix) ForwardSolve(b []float64) {
-	if len(b) != m.N {
-		panic("tlr: ForwardSolve length mismatch")
-	}
-	for i := 0; i < m.MT; i++ {
-		bi := b[i*m.NB : i*m.NB+m.TileDim(i)]
-		for j := 0; j < i; j++ {
-			bj := b[j*m.NB : j*m.NB+m.TileDim(j)]
-			m.pinOff(i, j)
-			MatVec(m.off[i][j], -1, bj, bi)
-			m.unpinOff(i, j)
-		}
-		m.pinDiag(i)
-		la.ForwardSolveVec(m.diag[i], bi)
-		m.unpinDiag(i)
-	}
+// solveMat runs tile.SolveSweep with the compressed kernels, pinning each tile
+// around its use (a no-op in core); none of them can fail.
+func (m *Matrix) solveMat(ta la.Trans, b *la.Mat) {
+	_ = tile.SolveSweep(m.N, m.NB, ta, b,
+		func(i, j int, bj, bi *la.Mat) error {
+			r, c := max(i, j), min(i, j)
+			m.pinOff(r, c)
+			MatMul(m.off[r][c], ta, -1, bj, bi)
+			m.unpinOff(r, c)
+			return nil
+		},
+		func(i int, bi *la.Mat) error {
+			m.pinDiag(i)
+			la.Trsm(la.Left, la.Lower, ta, 1, m.diag[i], bi)
+			m.unpinDiag(i)
+			return nil
+		})
 }
 
-// BackwardSolve solves Lᵀ·x = b in place against a TLR-factored matrix.
-func (m *Matrix) BackwardSolve(b []float64) {
-	if len(b) != m.N {
-		panic("tlr: BackwardSolve length mismatch")
-	}
-	for i := m.MT - 1; i >= 0; i-- {
-		bi := b[i*m.NB : i*m.NB+m.TileDim(i)]
-		for j := m.MT - 1; j > i; j-- {
-			bj := b[j*m.NB : j*m.NB+m.TileDim(j)]
-			// b_i -= (L_ji)ᵀ b_j
-			m.pinOff(j, i)
-			MatVecT(m.off[j][i], -1, bj, bi)
-			m.unpinOff(j, i)
-		}
-		bm := la.NewMatFrom(len(bi), 1, bi)
-		m.pinDiag(i)
-		la.Trsm(la.Left, la.Lower, la.Transpose, 1, m.diag[i], bm)
-		m.unpinDiag(i)
-	}
-}
+// ForwardSolveMat overwrites the n×r block B with L⁻¹·B against a
+// TLR-factored matrix.
+func (m *Matrix) ForwardSolveMat(b *la.Mat) { m.solveMat(la.NoTrans, b) }
 
-// Solve computes A⁻¹·b in place given the TLR Cholesky factors.
-func (m *Matrix) Solve(b []float64) {
-	m.ForwardSolve(b)
-	m.BackwardSolve(b)
-}
+// BackwardSolveMat overwrites the n×r block B with L⁻ᵀ·B.
+func (m *Matrix) BackwardSolveMat(b *la.Mat) { m.solveMat(la.Transpose, b) }
+
+// ForwardSolve and BackwardSolve are the vector entry points bench/layers.go
+// times, and bench/ is edited only by [benchmark] PRs: one-line shims over
+// the block solve for the next one to retire. Nothing else may call them.
+func (m *Matrix) ForwardSolve(b []float64) { m.ForwardSolveMat(la.NewMatFrom(len(b), 1, b)) }
+
+// BackwardSolve: see ForwardSolve.
+func (m *Matrix) BackwardSolve(b []float64) { m.BackwardSolveMat(la.NewMatFrom(len(b), 1, b)) }

@@ -89,8 +89,8 @@ func assertFactorsMatch(t *testing.T, label string, got, want *Matrix) {
 	}
 	x := append([]float64(nil), rhs...)
 	xRef := append([]float64(nil), rhs...)
-	got.Solve(x)
-	want.Solve(xRef)
+	solveVec(got, x)
+	solveVec(want, xRef)
 	for i := range x {
 		if x[i] != xRef[i] {
 			t.Fatalf("%s: solve differs at %d: %v != %v", label, i, x[i], xRef[i])

@@ -54,7 +54,9 @@ func RefineSolve(precond *Matrix, matvec func(x, y []float64), b []float64, tol 
 
 	applyM := func(src, dst []float64) {
 		copy(dst, src)
-		precond.Solve(dst)
+		d := la.NewMatFrom(n, 1, dst)
+		precond.ForwardSolveMat(d)
+		precond.BackwardSolveMat(d)
 	}
 
 	applyM(r, z)

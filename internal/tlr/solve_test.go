@@ -17,43 +17,18 @@ func TestMatMulMatchesDense(t *testing.T) {
 		b.Data[i] = r.Norm()
 	}
 	got := la.NewMat(20, 5)
-	MatMul(c, 2, b, got)
+	MatMul(c, la.NoTrans, 2, b, got)
 	want := la.NewMat(20, 5)
 	la.Gemm(2, a, la.NoTrans, b, la.NoTrans, 0, want)
 	if !got.Equalish(want, 1e-9) {
 		t.Fatal("MatMul mismatch")
 	}
-}
-
-// The block forward solve is the column-by-column vector ForwardSolve.
-func TestSolveMatMatchesVectorSolve(t *testing.T) {
-	n := 96
-	m, _, _ := maternTLR(t, n, 24, 0.1, 1e-10)
-	if err := Cholesky(m, 2); err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(42)
-	const nrhs = 4
-	b := la.NewMat(n, nrhs)
-	for i := range b.Data {
-		b.Data[i] = r.Norm()
-	}
-	// column-by-column via the vector path
-	want := la.NewMat(n, nrhs)
-	for j := 0; j < nrhs; j++ {
-		col := make([]float64, n)
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		m.ForwardSolve(col)
-		for i := 0; i < n; i++ {
-			want.Set(i, j, col[i])
-		}
-	}
-	got := b.Clone()
-	m.ForwardSolveMat(got)
-	if !got.Equalish(want, 1e-10) {
-		t.Fatal("ForwardSolveMat disagrees with per-column ForwardSolve")
+	gotT := la.NewMat(16, 5)
+	MatMul(c, la.Transpose, -1, got, gotT)
+	wantT := la.NewMat(16, 5)
+	la.Gemm(-1, a, la.Transpose, got, la.NoTrans, 0, wantT)
+	if !gotT.Equalish(wantT, 1e-9) {
+		t.Fatal("transposed MatMul mismatch")
 	}
 }
 

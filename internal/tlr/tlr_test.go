@@ -179,6 +179,21 @@ func TestTrsmLD(t *testing.T) {
 	}
 }
 
+// solveVec overwrites b with A⁻¹·b through the two block solves at r = 1.
+func solveVec(m *Matrix, b []float64) {
+	bm := la.NewMatFrom(len(b), 1, b)
+	m.ForwardSolveMat(bm)
+	m.BackwardSolveMat(bm)
+}
+
+// denseSolveVec is solveVec's dense reference: l is the lower Cholesky factor.
+func denseSolveVec(l *la.Mat, b []float64) {
+	bm := la.NewMatFrom(len(b), 1, b)
+	la.Trsm(la.Left, la.Lower, la.NoTrans, 1, l, bm)
+	la.Trsm(la.Left, la.Lower, la.Transpose, 1, l, bm)
+}
+
+// A matrix-vector product is the one-column MatMul, in both orientations.
 func TestMatVecAndTranspose(t *testing.T) {
 	a := covTile(t, 18, 14, 0.6)
 	c := SVDCompressor{}.Compress(a, 1e-12)
@@ -186,23 +201,23 @@ func TestMatVecAndTranspose(t *testing.T) {
 	x := make([]float64, 14)
 	r.NormSlice(x)
 	y := make([]float64, 18)
-	MatVec(c, 2, x, y)
+	MatMul(c, la.NoTrans, 2, la.NewMatFrom(14, 1, x), la.NewMatFrom(18, 1, y))
 	want := make([]float64, 18)
 	la.Gemv(2, a, la.NoTrans, x, 0, want)
 	for i := range y {
 		if math.Abs(y[i]-want[i]) > 1e-9 {
-			t.Fatalf("MatVec mismatch at %d", i)
+			t.Fatalf("one-column MatMul mismatch at %d", i)
 		}
 	}
 	xt := make([]float64, 18)
 	r.NormSlice(xt)
 	yt := make([]float64, 14)
-	MatVecT(c, -1, xt, yt)
+	MatMul(c, la.Transpose, -1, la.NewMatFrom(18, 1, xt), la.NewMatFrom(14, 1, yt))
 	wantT := make([]float64, 14)
 	la.Gemv(-1, a, la.Transpose, xt, 0, wantT)
 	for i := range yt {
 		if math.Abs(yt[i]-wantT[i]) > 1e-9 {
-			t.Fatalf("MatVecT mismatch at %d", i)
+			t.Fatalf("one-column transposed MatMul mismatch at %d", i)
 		}
 	}
 }
@@ -318,9 +333,9 @@ func TestTLRSolveMatchesDense(t *testing.T) {
 	b := make([]float64, n)
 	r.NormSlice(b)
 	want := append([]float64(nil), b...)
-	la.CholSolveVec(ref, want)
+	denseSolveVec(ref, want)
 	got := append([]float64(nil), b...)
-	m.Solve(got)
+	solveVec(m, got)
 	var worst float64
 	for i := range got {
 		if d := math.Abs(got[i] - want[i]); d > worst {
