@@ -19,7 +19,9 @@ test:
 # that one pass; internal/core alone is the long pole), one iteration of the
 # dense-kernel (Trsm, Syrk, Potrf, one-column Gemm), vector-loop,
 # recompression, low-rank update, graph-construction and covariance kernel
-# benchmarks so they cannot rot, then the
+# benchmarks so they cannot rot, the two paperbench experiments the test suite
+# lists as too slow to run (`extensions`, `ablation`; about 6 s together, and
+# unrun they stayed broken for PRs), then the
 # benchmark module, which root `go test ./...` does not reach: its vet and
 # unit tests, and its smoke run, which must end with correct:true. Searching
 # for new fuzz inputs is `make fuzz`, not part of verify.
@@ -28,6 +30,7 @@ verify:
 	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/
 	$(GO) test -race -count=1 -timeout 45m ./...
 	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
+	$(GO) run ./cmd/paperbench -exp extensions -scale small >/dev/null && $(GO) run ./cmd/paperbench -exp ablation -scale small >/dev/null
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke
 

@@ -14,7 +14,7 @@ func main() {
 	machine := exago.NewMachine(exago.ShaheenNode, 256)
 	fmt.Printf("machine: %d x %s nodes (%d cores), %dx%d process grid\n\n",
 		machine.Nodes, machine.Profile.Name, machine.Nodes*machine.Profile.Cores,
-		machine.GridP, machine.GridQ)
+		machine.Grid.P, machine.Grid.Q)
 
 	truth := exago.Theta{Variance: 1, Range: 0.1, Smoothness: 0.5}
 	ranks := exago.CalibrateRankModel(1e-7, truth, 1024, 128)
@@ -25,7 +25,7 @@ func main() {
 	fmt.Printf("%-10s %-12s %-12s %-14s %-14s\n", "n", "full-tile", "tlr(1e-7)", "dense mem/node", "tlr mem/node")
 	for _, n := range []int{250_000, 500_000, 1_000_000, 2_000_000} {
 		dense := exago.AnalyticCholesky(machine, exago.Workload{N: n, NB: 560, Variant: exago.DenseVariant})
-		tlr := exago.AnalyticCholesky(machine, exago.Workload{N: n, NB: 1900, Variant: exago.TLRWorkload, Accuracy: 1e-7, Ranks: ranks})
+		tlr := exago.AnalyticCholesky(machine, exago.Workload{N: n, NB: 1900, Variant: exago.TLRWorkload, Ranks: ranks})
 		fmt.Printf("%-10d %-12s %-12s %-14s %-14s\n", n,
 			fmtres(dense), fmtres(tlr),
 			fmt.Sprintf("%.1f GB", float64(dense.MaxNodeBytes)/1e9),

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"math"
-
-	"repro/internal/tlr"
-)
+import "math"
 
 // tlrKernelEfficiency derates the machine's effective rate for TLR tasks:
 // the QR/SVD recompression and small-rank GEMMs inside a TLR update run far
@@ -34,75 +30,51 @@ const (
 // distance-dependent TLR ranks) while aggregating scheduling. The DES
 // (SimulateCholesky) and this model agree at small tile counts (see tests).
 func AnalyticCholesky(m Machine, w Workload) Result {
-	if w.Variant == TLRVariant && w.Ranks == nil {
-		panic("cluster: TLR workload without a rank model")
-	}
-	nb := w.NB
-	mt := (w.N + nb - 1) / nb
-	res := Result{EffectiveNB: nb, EffectiveMT: mt}
+	return newCostTable(m, w, 0).analytic()
+}
 
-	rank := func(d int) int {
-		if w.Variant == Dense {
-			return nb
-		}
-		return w.Ranks.Rank(nb, d)
-	}
-	tileBytes := func(d int) float64 {
-		if w.Variant == Dense || d == 0 {
-			return float64(nb) * float64(nb) * 8
-		}
-		return float64(2*nb*rank(d)) * 8
-	}
+// AnalyticPrediction models the Fig. 5 prediction operation: AnalyticCholesky
+// plus the solves of withSolves.
+func AnalyticPrediction(m Machine, w Workload, nRHS int) Result {
+	c := newCostTable(m, w, 0)
+	return c.withSolves(c.analytic(), nRHS)
+}
 
-	fnb := float64(nb)
+func (c costTable) analytic() Result {
+	m, mt := c.m, c.mt
+	res := Result{EffectiveNB: c.nb, EffectiveMT: mt}
+
 	// --- totals -------------------------------------------------------
-	var flops, bytes, storage float64
-	// potrf (diagonal, always dense)
-	flops += float64(mt) * fnb * fnb * fnb / 3
-	bytes += float64(mt) * tileBytes(0)
-	storage += float64(mt) * tileBytes(0)
-	// trsm and syrk: tile (i,k) at distance d = i−k occurs (mt−d) times.
+	// potrf on the mt diagonal tiles; trsm and syrk on tile (i,k), which at
+	// distance d = i−k occurs (mt−d) times.
+	flops := float64(mt) * c.potrf()
+	bytes := float64(mt) * c.tileBytes(0)
 	for d := 1; d < mt; d++ {
 		cnt := float64(mt - d)
-		storage += cnt * tileBytes(d)
-		var trsmF, syrkF float64
-		if w.Variant == Dense {
-			trsmF = fnb * fnb * fnb
-			syrkF = fnb * fnb * fnb
-		} else {
-			trsmF = tlr.FlopsTRSMComp(nb, rank(d))
-			syrkF = tlr.FlopsSYRKComp(nb, rank(d))
-		}
-		flops += cnt * (trsmF + syrkF)
-		bytes += cnt * (2*tileBytes(d) + 2*tileBytes(0))
+		flops += cnt * (c.trsm(d) + c.syrk(d))
+		bytes += cnt * (2*c.tileBytes(d) + 2*c.tileBytes(0))
 	}
 	// gemm: for panel k, pair (i, j) with s = i−k, t = j−k (s > t ≥ 1)
 	// occurs for (mt − s) panel indices; cost depends only on (s, t).
-	var gemmFlops, gemmBytes, gemmTasks float64
+	var gemmFlops, gemmBytes float64
 	for s := 2; s < mt; s++ {
 		cnt := float64(mt - s)
 		for t := 1; t < s; t++ {
-			var f float64
-			if w.Variant == Dense {
-				f = 2 * fnb * fnb * fnb
-			} else {
-				f = tlr.FlopsGEMMComp(nb, rank(s), rank(t), rank(s-t))
-			}
-			gemmFlops += cnt * f
-			gemmBytes += cnt * (tileBytes(s) + tileBytes(t) + 2*tileBytes(s-t))
-			gemmTasks += cnt
+			gemmFlops += cnt * c.gemm(s, t)
+			gemmBytes += cnt * (c.tileBytes(s) + c.tileBytes(t) + 2*c.tileBytes(s-t))
 		}
 	}
 	flops += gemmFlops
 	bytes += gemmBytes
 	res.TotalFlops = flops
-	res.Tasks = mt + (mt-1)*mt + int(gemmTasks)
+	res.Tasks = mt + (mt-1)*mt + mt*(mt-1)*(mt-2)/6
 
 	// --- memory check -------------------------------------------------
 	// The dense path (Chameleon descriptors) allocates the full square
 	// matrix; TLR (HiCMA) stores diagonal + compressed lower triangle only.
-	if w.Variant == Dense {
-		storage = float64(w.N) * float64(w.N) * 8
+	storage := c.storedBytes()
+	if c.w.Variant == Dense {
+		storage = float64(c.w.N) * float64(c.w.N) * 8
 	}
 	perNode := storage / float64(m.Nodes)
 	res.MaxNodeBytes = int64(1.5 * perNode)
@@ -113,42 +85,26 @@ func AnalyticCholesky(m Machine, w Workload) Result {
 
 	// --- roofline terms -------------------------------------------------
 	eff := denseEfficiency
-	if w.Variant == TLRVariant {
+	if c.w.Variant == TLRVariant {
 		eff = tlrKernelEfficiency
 	}
-	aggFlops := m.Profile.GFlopsPerCore * 1e9 * float64(m.Profile.Cores*m.Nodes)
-	flopTime := flops / (eff * aggFlops)
-	memTime := bytes / (m.Profile.MemBWGBs * 1e9 * float64(m.Nodes))
+	flopTime := flops / (eff * m.flopRate())
+	memTime := bytes / m.memBW()
 
 	// critical path: the panel chain potrf→trsm→(syrk|gemm) per step, run
 	// at single-core speed. The diagonal POTRF is a dense kernel in both
 	// variants and runs at dense efficiency; only the low-rank updates are
 	// derated.
-	coreDense := m.Profile.GFlopsPerCore * 1e9 * denseEfficiency
-	coreEff := m.Profile.GFlopsPerCore * 1e9 * eff
-	cpStep := fnb * fnb * fnb / 3 / coreDense
-	if w.Variant == Dense {
-		cpStep += (fnb*fnb*fnb + 2*fnb*fnb*fnb) / coreEff
-	} else {
-		cpStep += (tlr.FlopsTRSMComp(nb, rank(1)) + tlr.FlopsGEMMComp(nb, rank(2), rank(1), rank(1))) / coreEff
-	}
-	cpTime := float64(mt) * cpStep
+	core := m.Profile.GFlopsPerCore * 1e9
+	cpTime := float64(mt) * (c.potrf()/(core*denseEfficiency) + (c.trsm(1)+c.gemm(2, 1))/(core*eff))
 
 	// communication: panel tiles broadcast along process-grid rows and
 	// columns (the 2D block-cyclic pattern); each stored tile travels to at
-	// most GridP+GridQ−2 other nodes.
+	// most P+Q−2 other nodes.
 	var commTime float64
 	if m.Nodes > 1 && m.Profile.NetBWGBs > 0 {
-		bcast := float64(m.GridP + m.GridQ - 2)
-		if nn := float64(m.Nodes - 1); bcast > nn {
-			bcast = nn
-		}
-		var vol, msgs float64
-		for d := 0; d < mt; d++ {
-			cnt := float64(mt - d)
-			vol += cnt * tileBytes(d) * bcast
-			msgs += cnt * bcast
-		}
+		bcast := min(float64(m.Grid.P+m.Grid.Q-2), float64(m.Nodes-1))
+		vol, msgs := c.storedBytes()*bcast, float64(mt*(mt+1)/2)*bcast
 		res.CommBytes = vol
 		perNodeVol := vol / float64(m.Nodes)
 		perNodeMsgs := msgs / float64(m.Nodes)
@@ -157,49 +113,9 @@ func AnalyticCholesky(m Machine, w Workload) Result {
 	}
 
 	res.Seconds = math.Max(math.Max(flopTime, memTime), math.Max(cpTime, commTime))
-	if w.Variant == TLRVariant && m.Nodes > 1 {
+	if c.w.Variant == TLRVariant && m.Nodes > 1 {
 		res.Seconds *= tlrDistributedImbalance
 	}
-	res.Seconds += generationSeconds(m, w.N)
-	if w.Variant == TLRVariant {
-		res.Seconds += analyticCompression(m, w, nb, mt)
-	}
-	return res
-}
-
-// analyticCompression is compressionSeconds at true granularity using the
-// distance-counted tile population.
-func analyticCompression(m Machine, w Workload, nb, mt int) float64 {
-	var flops float64
-	for d := 1; d < mt; d++ {
-		k := w.Ranks.Rank(nb, d)
-		flops += float64(mt-d) * 4 * float64(nb) * float64(nb) * float64(k+10)
-	}
-	agg := m.Profile.GFlopsPerCore * 1e9 * float64(m.Profile.Cores*m.Nodes)
-	return flops / (compressionEfficiency * agg)
-}
-
-// AnalyticPrediction models the Fig. 5 prediction operation on top of
-// AnalyticCholesky, mirroring SimulatePrediction's solve model.
-func AnalyticPrediction(m Machine, w Workload, nRHS int) Result {
-	res := AnalyticCholesky(m, w)
-	if res.OOM {
-		return res
-	}
-	nb := w.NB
-	mt := (w.N + nb - 1) / nb
-	var factorBytes float64
-	factorBytes += float64(mt) * float64(nb) * float64(nb) * 8
-	for d := 1; d < mt; d++ {
-		if w.Variant == Dense {
-			factorBytes += float64(mt-d) * float64(nb) * float64(nb) * 8
-		} else {
-			factorBytes += float64(mt-d) * float64(2*nb*w.Ranks.Rank(nb, d)) * 8
-		}
-	}
-	aggBW := m.Profile.MemBWGBs * 1e9 * float64(m.Nodes)
-	sweep := 2 * factorBytes / aggBW
-	res.Seconds += sweep * (1 + 0.1*float64(nRHS-1))
-	res.Seconds += float64(nRHS) * float64(w.N) * 60 / (m.Profile.GFlopsPerCore * 1e9)
+	res.Seconds = c.withSetup(res.Seconds)
 	return res
 }

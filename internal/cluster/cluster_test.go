@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cov"
+	"repro/internal/mpi"
+	"repro/internal/runtime"
 )
 
 func testTheta() cov.Params { return cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.5} }
@@ -23,12 +26,12 @@ func TestSquarishGrid(t *testing.T) {
 		7:    {1, 7},
 	}
 	for n, want := range cases {
-		p, q := squarish(n)
-		if p != want[0] || q != want[1] {
-			t.Errorf("squarish(%d) = %d,%d want %v", n, p, q, want)
+		g := NewMachine(ShaheenNode, n).Grid
+		if g.P != want[0] || g.Q != want[1] {
+			t.Errorf("%d nodes on grid %d,%d want %v", n, g.P, g.Q, want)
 		}
-		if p*q != n {
-			t.Errorf("squarish(%d) does not factor", n)
+		if g.P*g.Q != n {
+			t.Errorf("grid of %d nodes does not factor", n)
 		}
 	}
 }
@@ -38,7 +41,7 @@ func TestOwnerBlockCyclic(t *testing.T) {
 	seen := make(map[int]bool)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
-			o := m.Owner(i, j)
+			o := m.Grid.Owner(i, j)
 			if o < 0 || o >= 6 {
 				t.Fatalf("owner out of range: %d", o)
 			}
@@ -48,7 +51,7 @@ func TestOwnerBlockCyclic(t *testing.T) {
 	if len(seen) != 6 {
 		t.Fatalf("block-cyclic did not use all nodes: %v", seen)
 	}
-	if m.Owner(0, 0) != m.Owner(2, 3) {
+	if m.Grid.Owner(0, 0) != m.Grid.Owner(2, 3) {
 		t.Fatal("cyclic periodicity broken")
 	}
 }
@@ -120,7 +123,7 @@ func TestTLRFasterThanDenseAtScale(t *testing.T) {
 	m := NewMachine(ShaheenNode, 16)
 	n := 250_000
 	dense := SimulateCholesky(m, Workload{N: n, NB: 560, Variant: Dense})
-	tlr := SimulateCholesky(m, Workload{N: n, NB: 1900, Variant: TLRVariant, Accuracy: 1e-7, Ranks: testModel})
+	tlr := SimulateCholesky(m, Workload{N: n, NB: 1900, Variant: TLRVariant, Ranks: testModel})
 	if dense.OOM || tlr.OOM {
 		t.Fatalf("unexpected OOM: dense=%v tlr=%v", dense.OOM, tlr.OOM)
 	}
@@ -161,18 +164,25 @@ func TestDenseOOMAtScale(t *testing.T) {
 }
 
 func TestCoarseningCap(t *testing.T) {
+	if desTileRows != 128 {
+		t.Fatalf("the DES coarsens to %d tile rows, want 128", desTileRows)
+	}
+	m := NewMachine(ShaheenNode, 256)
 	w := Workload{N: 2_000_000, NB: 560, Variant: Dense}
-	nb, mt := w.effectiveTiling()
-	if mt > 128 {
-		t.Fatalf("coarsening cap not applied: mt=%d", mt)
+	c := newCostTable(m, w, desTileRows)
+	if c.mt != desTileRows {
+		t.Fatalf("coarsening cap not applied: mt=%d", c.mt)
 	}
-	if nb*mt < w.N {
-		t.Fatalf("coarsened tiling does not cover the matrix: %d*%d < %d", nb, mt, w.N)
+	if c.nb*c.mt < w.N {
+		t.Fatalf("coarsened tiling does not cover the matrix: %d*%d < %d", c.nb, c.mt, w.N)
 	}
-	w.MaxTileRows = 64
-	_, mt2 := w.effectiveTiling()
-	if mt2 != 64 {
-		t.Fatalf("explicit cap ignored: %d", mt2)
+	// Under the cap, and for the roofline model at any size, the tiling is
+	// the workload's own.
+	if c := newCostTable(m, Workload{N: 60_000, NB: 1000}, desTileRows); c.nb != 1000 || c.mt != 60 {
+		t.Fatalf("tiling under the cap changed: nb=%d mt=%d", c.nb, c.mt)
+	}
+	if c := newCostTable(m, w, 0); c.nb != 560 || c.mt != 3572 {
+		t.Fatalf("true-granularity tiling changed: nb=%d mt=%d", c.nb, c.mt)
 	}
 }
 
@@ -218,4 +228,80 @@ func TestTLRWithoutRanksPanics(t *testing.T) {
 		}
 	}()
 	SimulateCholesky(NewMachine(ShaheenNode, 4), Workload{N: 10000, NB: 500, Variant: TLRVariant})
+}
+
+// TestZeroFieldsNameTheField: a forgotten field of the public simulator API
+// is refused where the cost table is built, by name, for the DES, the roofline
+// model, both prediction models and the communication model alike — not a
+// divide by zero, a nil dereference or +Inf seconds.
+func TestZeroFieldsNameTheField(t *testing.T) {
+	ok := NewMachine(ShaheenNode, 4)
+	dense := Workload{N: 10_000, NB: 500, Variant: Dense}
+	cases := []struct {
+		name string
+		m    Machine
+		w    Workload
+		want string
+	}{
+		{"no N", ok, Workload{NB: 500}, "Workload.N"},
+		{"no NB", ok, Workload{N: 1000}, "Workload.NB"},
+		{"literal machine", Machine{Profile: Haswell}, dense, "Machine.Nodes"},
+		{"grid does not cover nodes", Machine{Profile: ShaheenNode, Nodes: 4, Grid: mpi.Grid{P: 1, Q: 2}}, dense, "Machine.Grid"},
+		{"no rank model", ok, Workload{N: 10_000, NB: 500, Variant: TLRVariant}, "Workload.Ranks"},
+	}
+	models := map[string]func(Machine, Workload){
+		"SimulateCholesky":   func(m Machine, w Workload) { SimulateCholesky(m, w) },
+		"SimulatePrediction": func(m Machine, w Workload) { SimulatePrediction(m, w, 100) },
+		"AnalyticCholesky":   func(m Machine, w Workload) { AnalyticCholesky(m, w) },
+		"AnalyticPrediction": func(m Machine, w Workload) { AnalyticPrediction(m, w, 100) },
+		"DistCholeskyComm": func(m Machine, w Workload) {
+			DistCholeskyComm(m.Grid, w.N, w.NB, w.Ranks, w.Variant == Dense)
+		},
+	}
+	for _, tc := range cases {
+		for name, run := range models {
+			if name == "DistCholeskyComm" && tc.want == "Machine.Grid" {
+				continue // it is given the grid alone; its node count is P·Q
+			}
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.HasPrefix(msg, "cluster: ") || !strings.Contains(msg, tc.want) {
+						t.Errorf("%s, %s: panic %q, want a cluster message naming %s", name, tc.name, msg, tc.want)
+					}
+				}()
+				run(tc.m, tc.w)
+				t.Errorf("%s, %s: returned, want a panic naming %s", name, tc.name, tc.want)
+			}()
+		}
+	}
+}
+
+// TestScheduleCountsRemoteReads: on a hand-built DAG over two nodes CommBytes
+// is the summed size of the tiles read on a node that does not own them, and a
+// remote read delays its task by one latency plus bytes/bandwidth.
+func TestScheduleCountsRemoteReads(t *testing.T) {
+	m := NewMachine(Profile{Cores: 1, GFlopsPerCore: 1, MemBWGBs: 1e9, NetLatency: 0.5, NetBWGBs: 1e-6}, 2)
+	g := runtime.NewGraph()
+	a := g.NewHandle("a", 1000, 0) // Tag is the owning node
+	b := g.NewHandle("b", 3000, 1)
+	c := g.NewHandle("c", 500, 1)
+	g.AddTask(runtime.Task{Name: "wa", Flops: 1e9, Accesses: []runtime.Access{{Handle: a, Mode: runtime.Write}}})
+	g.AddTask(runtime.Task{Name: "wb", Flops: 2e9, Accesses: []runtime.Access{{Handle: b, Mode: runtime.Write}}})
+	// on node 1: reads a remotely (1000 bytes), b locally
+	g.AddTask(runtime.Task{Name: "c=a+b", Flops: 1e9, Accesses: []runtime.Access{
+		{Handle: a, Mode: runtime.Read}, {Handle: b, Mode: runtime.Read}, {Handle: c, Mode: runtime.ReadWrite}}})
+	// on node 0: reads b and c remotely (3500 bytes)
+	g.AddTask(runtime.Task{Name: "a+=b+c", Flops: 1e9, Accesses: []runtime.Access{
+		{Handle: b, Mode: runtime.Read}, {Handle: c, Mode: runtime.Read}, {Handle: a, Mode: runtime.ReadWrite}}})
+	makespan, comm := schedule(m, g, func(h *runtime.Handle) int { return int(h.Tag) })
+	if comm != 1000+3000+500 {
+		t.Fatalf("CommBytes %g, want 4500", comm)
+	}
+	// wa ends at 1, wb at 2; a reaches node 1 at 1+0.5+1 = 2.5, so c=a+b runs
+	// 2.5→3.5; c reaches node 0 at 3.5+0.5+0.5 = 4.5 (b at 2+0.5+3 = 5.5), so
+	// the last task runs 5.5→6.5.
+	if makespan != 6.5 {
+		t.Fatalf("makespan %g, want 6.5", makespan)
+	}
 }

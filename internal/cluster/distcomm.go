@@ -22,12 +22,14 @@ import "repro/internal/mpi"
 // under the accumulated low-rank updates. The returned slice has one entry
 // per rank, indexable by mpi rank id.
 func DistCholeskyComm(grid mpi.Grid, n, nb int, ranks *RankModel, dense bool) []float64 {
-	size := grid.P * grid.Q
-	sent := make([]float64, size)
-	if n <= 0 || nb <= 0 {
-		return sent
+	w := Workload{N: n, NB: nb, Variant: TLRVariant, Ranks: ranks}
+	if dense {
+		w.Variant = Dense
 	}
-	mt := (n + nb - 1) / nb
+	size := grid.P * grid.Q
+	c := newCostTable(Machine{Nodes: size, Grid: grid}, w, 0)
+	sent := make([]float64, size)
+	mt := c.mt
 	tileDim := func(i int) int {
 		if d := n - i*nb; d < nb {
 			return d
@@ -49,7 +51,7 @@ func DistCholeskyComm(grid mpi.Grid, n, nb int, ranks *RankModel, dense bool) []
 			di := tileDim(i)
 			doubles := 3 + di*dk
 			if !dense {
-				doubles = 3 + (di+dk)*ranks.Rank(nb, i-k)
+				doubles = 3 + (di+dk)*c.rank[i-k]
 			}
 			sent[grid.Owner(i, k)] += float64(len(grid.PanelRecipients(i, k, mt)) * doubles * 8)
 		}

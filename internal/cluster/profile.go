@@ -17,11 +17,16 @@
 //     node memory report OOM — the "missing points" of Fig. 4.
 //
 // At paper scale the true tile grid would generate billions of tasks, so the
-// simulator coarsens the tile grid to at most MaxTileRows rows while keeping
-// total arithmetic faithful to the algorithm at the coarsened tile size (a
-// legitimate configuration of the same algorithm); ranks for TLR costing
-// come from a RankModel calibrated by really compressing Matérn tiles.
+// simulator coarsens the tile grid to at most desTileRows = 128 rows while
+// keeping total arithmetic faithful to the algorithm at the coarsened tile
+// size (a legitimate configuration of the same algorithm), and the figures
+// are drawn by AnalyticCholesky, the roofline model at the true tile size.
+// Both price a (machine, workload) pair through one costTable; ranks for TLR
+// costing come from a RankModel calibrated by really compressing Matérn
+// tiles.
 package cluster
+
+import "repro/internal/mpi"
 
 // Profile describes one node type. Rates are effective (not peak) and were
 // set to give sensible absolute times; the reproduction targets relative
@@ -69,58 +74,27 @@ var (
 // Machine is a collection of identical nodes arranged in a process grid.
 type Machine struct {
 	Profile Profile
-	// Nodes is the node count; GridP×GridQ must equal Nodes (NewMachine
-	// picks a near-square factorization).
-	Nodes        int
-	GridP, GridQ int
-	// SlotsPerNode bounds the number of simulated execution slots per node;
-	// slot speed is scaled so aggregate node throughput is preserved.
-	// Defaults to min(Cores, 8).
-	SlotsPerNode int
+	// Nodes is the node count and Grid the 2D block-cyclic process grid that
+	// maps tile (i, j) to its node; Grid.P×Grid.Q must equal Nodes
+	// (NewMachine picks the most square factorization).
+	Nodes int
+	Grid  mpi.Grid
 }
 
 // NewMachine builds a machine with a near-square process grid.
 func NewMachine(p Profile, nodes int) Machine {
-	gp, gq := squarish(nodes)
-	slots := p.Cores
-	if slots > 8 {
-		slots = 8
-	}
-	return Machine{Profile: p, Nodes: nodes, GridP: gp, GridQ: gq, SlotsPerNode: slots}
+	return Machine{Profile: p, Nodes: nodes, Grid: mpi.SquarestGrid(nodes)}
 }
 
-func squarish(n int) (int, int) {
-	best := 1
-	for d := 1; d*d <= n; d++ {
-		if n%d == 0 {
-			best = d
-		}
-	}
-	return best, n / best
+// slots is the number of execution slots the simulator gives a node: its
+// cores up to 8, each slot sped up so the node's aggregate throughput is
+// preserved.
+func (m Machine) slots() int { return min(m.Profile.Cores, 8) }
+
+// flopRate is the machine's aggregate effective rate (flops/s) and memBW its
+// aggregate memory bandwidth (bytes/s); one slot has its share of either.
+func (m Machine) flopRate() float64 {
+	return m.Profile.GFlopsPerCore * 1e9 * float64(m.Profile.Cores*m.Nodes)
 }
 
-// slotRate returns the GF/s of one simulated slot.
-func (m Machine) slotRate() float64 {
-	return m.Profile.GFlopsPerCore * float64(m.Profile.Cores) / float64(m.slots())
-}
-
-// slotMemBW returns the memory bandwidth (bytes/s) available to one slot.
-func (m Machine) slotMemBW() float64 {
-	return m.Profile.MemBWGBs * 1e9 / float64(m.slots())
-}
-
-func (m Machine) slots() int {
-	if m.SlotsPerNode > 0 {
-		return m.SlotsPerNode
-	}
-	s := m.Profile.Cores
-	if s > 8 {
-		s = 8
-	}
-	return s
-}
-
-// Owner maps tile (i, j) to its node under 2D block-cyclic distribution.
-func (m Machine) Owner(i, j int) int {
-	return (i%m.GridP)*m.GridQ + j%m.GridQ
-}
+func (m Machine) memBW() float64 { return m.Profile.MemBWGBs * 1e9 * float64(m.Nodes) }

@@ -1,46 +1,11 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/runtime"
 	"repro/internal/tile"
-	"repro/internal/tlr"
 )
-
-// Variant selects the factorization whose DAG is simulated.
-type Variant int
-
-// Simulated computation variants.
-const (
-	Dense Variant = iota
-	TLRVariant
-)
-
-func (v Variant) String() string {
-	if v == Dense {
-		return "full-tile"
-	}
-	return "tlr"
-}
-
-// Workload describes one simulated MLE iteration (generation + Cholesky +
-// solve, the Fig. 3/4 unit of measurement).
-type Workload struct {
-	N  int
-	NB int
-	// Variant: Dense (full-tile) or TLRVariant.
-	Variant Variant
-	// Accuracy documents the TLR threshold (informational; costing uses
-	// Ranks).
-	Accuracy float64
-	// Ranks must be set for TLRVariant.
-	Ranks *RankModel
-	// MaxTileRows caps the simulated tile grid; larger problems are
-	// coarsened (default 128).
-	MaxTileRows int
-}
 
 // Result reports one simulation.
 type Result struct {
@@ -59,89 +24,26 @@ type Result struct {
 	EffectiveNB, EffectiveMT int
 }
 
-// effectiveTiling applies the coarsening cap.
-func (w Workload) effectiveTiling() (nb, mt int) {
-	cap := w.MaxTileRows
-	if cap <= 0 {
-		cap = 128
-	}
-	mt = (w.N + w.NB - 1) / w.NB
-	nb = w.NB
-	if mt > cap {
-		mt = cap
-		nb = (w.N + mt - 1) / mt
-	}
-	return nb, mt
-}
-
-// buildDAG constructs the structural Cholesky DAG for the workload, with
+// buildDAG constructs the structural Cholesky DAG of the table's tiling, with
 // per-handle byte sizes reflecting the storage format. The DAG is
 // tile.AddCholeskySweep's — the one the full-tile and TLR factorizations
-// execute — costed with the dense flop counts or, for TLR, tlr's compressed
-// ones at the rank model's ranks.
-func (w Workload) buildDAG() (*runtime.Graph, int, int) {
-	nb, mt := w.effectiveTiling()
+// execute — with the table's flop counts; a handle's Tag is its tile (i, j).
+func (c costTable) buildDAG() *runtime.Graph {
 	g := runtime.NewGraph()
-	hs := make([][]*runtime.Handle, mt)
-	rank := func(i, j int) int { return w.Ranks.Rank(nb, i-j) }
-	for i := 0; i < mt; i++ {
+	hs := make([][]*runtime.Handle, c.mt)
+	for i := range hs {
 		hs[i] = make([]*runtime.Handle, i+1)
-		for j := 0; j <= i; j++ {
-			bytes := int64(nb) * int64(nb) * 8
-			if w.Variant != Dense && i != j {
-				bytes = int64(2*nb*rank(i, j)) * 8
-			}
-			hs[i][j] = g.NewHandle(fmt.Sprintf("A[%d,%d]", i, j), bytes, int64(i)<<32|int64(j))
+		for j := range hs[i] {
+			hs[i][j] = g.NewHandle(fmt.Sprintf("A[%d,%d]", i, j), int64(c.tileBytes(i-j)), int64(i)<<32|int64(j))
 		}
 	}
-	kern := tile.SweepKernels{
-		Potrf: func(k int) (float64, func()) { return tile.FlopsPOTRF(nb), nil },
-		Trsm:  func(i, k int) (float64, func()) { return tile.FlopsTRSM(nb, nb), nil },
-		Syrk:  func(i, k int) (float64, func()) { return tile.FlopsSYRK(nb, nb), nil },
-		Gemm:  func(i, j, k int) (float64, func()) { return tile.FlopsGEMM(nb, nb, nb), nil },
-	}
-	if w.Variant != Dense {
-		kern.Trsm = func(i, k int) (float64, func()) { return tlr.FlopsTRSMComp(nb, rank(i, k)), nil }
-		kern.Syrk = func(i, k int) (float64, func()) { return tlr.FlopsSYRKComp(nb, rank(i, k)), nil }
-		kern.Gemm = func(i, j, k int) (float64, func()) {
-			return tlr.FlopsGEMMComp(nb, rank(i, k), rank(j, k), rank(i, j)), nil
-		}
-	}
-	tile.AddCholeskySweep(g, mt, func(i, j int) *runtime.Handle { return hs[i][j] }, kern)
-	return g, nb, mt
-}
-
-// kernelEvalSeconds is the modeled cost of one Matérn covariance evaluation
-// (distance + Bessel-K + scaling) on one core. Every likelihood iteration
-// regenerates the whole covariance matrix (θ changes between optimizer
-// steps), so generation is part of the measured iteration in both the paper
-// and this simulator. 3e-7 s ≈ 3.3 M evaluations/s/core, typical for a
-// general-order Bessel path.
-const kernelEvalSeconds = 3e-7
-
-// compressionEfficiency derates the machine's GEMM rate for the QR/SVD-type
-// kernels compression runs (lower arithmetic intensity, more memory traffic).
-const compressionEfficiency = 0.5
-
-// generationSeconds models the embarrassingly parallel covariance generation
-// of one iteration: n²/2 kernel evaluations across all cores.
-func generationSeconds(m Machine, n int) float64 {
-	evals := float64(n) * float64(n) / 2
-	return evals * kernelEvalSeconds / float64(m.Profile.Cores*m.Nodes)
-}
-
-// compressionSeconds models the per-iteration TLR compression of all
-// off-diagonal tiles (randomized/cross approximation, O(nb²·k) per tile).
-func compressionSeconds(m Machine, w Workload, nb, mt int) float64 {
-	var flops float64
-	for i := 0; i < mt; i++ {
-		for j := 0; j < i; j++ {
-			k := w.Ranks.Rank(nb, i-j)
-			flops += 4 * float64(nb) * float64(nb) * float64(k+10)
-		}
-	}
-	agg := m.Profile.GFlopsPerCore * 1e9 * float64(m.Profile.Cores*m.Nodes)
-	return flops / (compressionEfficiency * agg)
+	tile.AddCholeskySweep(g, c.mt, func(i, j int) *runtime.Handle { return hs[i][j] }, tile.SweepKernels{
+		Potrf: func(k int) (float64, func()) { return c.potrf(), nil },
+		Trsm:  func(i, k int) (float64, func()) { return c.trsm(i - k), nil },
+		Syrk:  func(i, k int) (float64, func()) { return c.syrk(i - k), nil },
+		Gemm:  func(i, j, k int) (float64, func()) { return c.gemm(i-k, j-k), nil },
+	})
+	return g
 }
 
 // SimulateCholesky runs the workload's factorization DAG on the machine and
@@ -151,77 +53,44 @@ func compressionSeconds(m Machine, w Workload, nb, mt int) float64 {
 // working set is 1.5× the owned-data footprint (runtime buffers and
 // communication staging), matching the qualitative OOM behaviour of Fig. 4.
 func SimulateCholesky(m Machine, w Workload) Result {
-	if w.Variant == TLRVariant && w.Ranks == nil {
-		panic("cluster: TLR workload without a rank model")
-	}
-	g, nb, mt := w.buildDAG()
-	res := Result{EffectiveNB: nb, EffectiveMT: mt, Tasks: g.Len(), TotalFlops: g.TotalFlops()}
+	return newCostTable(m, w, desTileRows).simulate()
+}
 
-	owner := func(h *runtime.Handle) int {
-		i := int(h.Tag >> 32)
-		j := int(h.Tag & 0xffffffff)
-		return m.Owner(i, j)
-	}
+// SimulatePrediction models the Fig. 5 prediction operation: one simulated
+// Cholesky factorization plus the solves of withSolves.
+func SimulatePrediction(m Machine, w Workload, nRHS int) Result {
+	c := newCostTable(m, w, desTileRows)
+	return c.withSolves(c.simulate(), nRHS)
+}
+
+func (c costTable) simulate() Result {
+	m := c.m
+	g := c.buildDAG()
+	res := Result{EffectiveNB: c.nb, EffectiveMT: c.mt, Tasks: g.Len(), TotalFlops: g.TotalFlops()}
+
 	// memory accounting; the dense path allocates the full square matrix
 	// (Chameleon descriptor), so off-diagonal tiles count twice (their
 	// mirror lives on the transposed owner).
+	tileOf := func(h *runtime.Handle) (i, j int) { return int(h.Tag >> 32), int(h.Tag & 0xffffffff) }
 	nodeBytes := make([]int64, m.Nodes)
 	for _, h := range g.Handles() {
-		nodeBytes[owner(h)] += h.Bytes
-		if w.Variant == Dense {
-			i := int(h.Tag >> 32)
-			j := int(h.Tag & 0xffffffff)
-			if i != j {
-				nodeBytes[m.Owner(j, i)] += h.Bytes
-			}
+		i, j := tileOf(h)
+		nodeBytes[m.Grid.Owner(i, j)] += h.Bytes
+		if c.w.Variant == Dense && i != j {
+			nodeBytes[m.Grid.Owner(j, i)] += h.Bytes
 		}
 	}
-	memLimit := int64(m.Profile.MemGB * 1e9)
 	for _, b := range nodeBytes {
-		wb := b + b/2
-		if wb > res.MaxNodeBytes {
-			res.MaxNodeBytes = wb
-		}
+		res.MaxNodeBytes = max(res.MaxNodeBytes, b+b/2)
 	}
-	if res.MaxNodeBytes > memLimit {
+	if res.MaxNodeBytes > int64(m.Profile.MemGB*1e9) {
 		res.OOM = true
 		return res
 	}
 
-	res.Seconds, res.CommBytes = simulateDAG(m, g, owner)
-	res.Seconds += generationSeconds(m, w.N)
-	if w.Variant == TLRVariant {
-		res.Seconds += compressionSeconds(m, w, nb, mt)
-	}
-	return res
-}
-
-// SimulatePrediction models the Fig. 5 prediction operation: one Cholesky
-// factorization plus forward/backward triangular solves with nRHS
-// right-hand sides and the cross-covariance application. The solves are
-// bandwidth-bound sweeps over the factor; their time is added analytically
-// (they are three orders of magnitude cheaper than the factorization, as
-// the paper notes).
-func SimulatePrediction(m Machine, w Workload, nRHS int) Result {
-	res := SimulateCholesky(m, w)
-	if res.OOM {
-		return res
-	}
-	// Sweep cost: read every factor byte twice (forward+backward) per RHS
-	// wavefront; RHS beyond the first pipeline almost freely, modeled at
-	// 10% marginal cost.
-	var fb int64
-	g, _, _ := w.buildDAG()
-	for _, h := range g.Handles() {
-		fb += h.Bytes
-	}
-	factorBytes := float64(fb)
-	aggBW := m.Profile.MemBWGBs * 1e9 * float64(m.Nodes)
-	sweep := 2 * factorBytes / aggBW
-	res.Seconds += sweep * (1 + 0.1*float64(nRHS-1))
-	// cross-covariance apply: nRHS × N kernel evaluations + dot products,
-	// negligible but accounted.
-	res.Seconds += float64(nRHS) * float64(w.N) * 60 / (m.Profile.GFlopsPerCore * 1e9)
+	var makespan float64
+	makespan, res.CommBytes = schedule(m, g, func(h *runtime.Handle) int { return m.Grid.Owner(tileOf(h)) })
+	res.Seconds = c.withSetup(makespan)
 	return res
 }
 
@@ -232,9 +101,8 @@ func SimulatePrediction(m Machine, w Workload, nRHS int) Result {
 // reports.
 func SimulateBlockCholesky(m Machine, n int) Result {
 	flops := float64(n) * float64(n) * float64(n) / 3
-	agg := m.Profile.GFlopsPerCore * 1e9 * float64(m.Profile.Cores) * float64(m.Nodes)
 	res := Result{
-		Seconds:    flops/(0.45*agg) + generationSeconds(m, n),
+		Seconds:    flops/(0.45*m.flopRate()) + generationSeconds(m, n),
 		Tasks:      1,
 		TotalFlops: flops,
 	}
@@ -247,135 +115,67 @@ func SimulateBlockCholesky(m Machine, n int) Result {
 	return res
 }
 
-// simulateDAG is the discrete-event engine: list scheduling with per-node
-// slot pools and communication delays on remote reads.
-func simulateDAG(m Machine, g *runtime.Graph, owner func(*runtime.Handle) int) (makespan, commBytes float64) {
-	tasks := g.Tasks()
-	n := len(tasks)
-	if n == 0 {
-		return 0, 0
-	}
-	slotRate := m.slotRate() * 1e9 // flops/s
-	slotBW := m.slotMemBW()        // bytes/s
-	lat := m.Profile.NetLatency
-	netBW := m.Profile.NetBWGBs * 1e9
+// schedule is the discrete-event simulation of g on m: runtime's list
+// scheduler with one pool of slots per node, told the two things a
+// distributed machine adds. A task runs on the node owning the tile it
+// writes, for max(flops/rate, bytes/memory-bandwidth) seconds of one slot;
+// and each tile it reads from another node arrives one latency plus
+// bytes/bandwidth after the task that last wrote it finished (transfers
+// overlap), every such read counted in commBytes.
+func schedule(m Machine, g *runtime.Graph, owner func(*runtime.Handle) int) (makespan, commBytes float64) {
+	perSlot := float64(m.Nodes * m.slots())
+	slotRate, slotBW := m.flopRate()/perSlot, m.memBW()/perSlot
+	lat, netBW := m.Profile.NetLatency, m.Profile.NetBWGBs*1e9
 
-	// node and local-byte footprint per task
-	taskNode := make([]int, n)
-	taskCost := make([]float64, n)
+	type fetch struct {
+		from  int // task that produces the tile, −1 for initial data
+		bytes float64
+	}
+	tasks := g.Tasks()
+	node := make([]int, len(tasks))
+	secs := make([]float64, len(tasks))
+	fetches := make([][]fetch, len(tasks))
+	lastWriter := make([]int, len(g.Handles()))
+	for i := range lastWriter {
+		lastWriter[i] = -1
+	}
 	for i, t := range tasks {
-		var node = 0
 		var bytes int64
 		for _, a := range t.Accesses {
 			bytes += a.Handle.Bytes
 			if a.Mode != runtime.Read {
-				node = owner(a.Handle)
+				node[i] = owner(a.Handle)
 			}
 		}
-		taskNode[i] = node
-		c := t.Flops / slotRate
-		if memTime := float64(bytes) / slotBW; memTime > c {
-			c = memTime
-		}
-		taskCost[i] = c
-	}
-
-	writeFinish := make(map[int]float64, len(g.Handles())) // handle ID -> producer finish
-	depFinish := make([]float64, n)
-	indeg := make([]int, n)
-	ready := &entryHeap{}
-	for i, t := range tasks {
-		indeg[i] = len(t.Deps())
-		if indeg[i] == 0 {
-			heap.Push(ready, entry{id: i, at: commReady(tasks[i], taskNode[i], 0, nil, owner, lat, netBW, &commBytes)})
-		}
-	}
-	slotFree := make([][]float64, m.Nodes)
-	for i := range slotFree {
-		slotFree[i] = make([]float64, m.slots())
-	}
-	for ready.Len() > 0 {
-		e := heap.Pop(ready).(entry)
-		t := tasks[e.id]
-		node := taskNode[e.id]
-		// earliest-free slot on the owning node
-		slots := slotFree[node]
-		wi := 0
-		for i := 1; i < len(slots); i++ {
-			if slots[i] < slots[wi] {
-				wi = i
-			}
-		}
-		start := slots[wi]
-		if e.at > start {
-			start = e.at
-		}
-		finish := start + taskCost[e.id]
-		slots[wi] = finish
-		if finish > makespan {
-			makespan = finish
-		}
+		secs[i] = max(t.Flops/slotRate, float64(bytes)/slotBW)
 		for _, a := range t.Accesses {
 			if a.Mode != runtime.Read {
-				writeFinish[a.Handle.ID] = finish
+				lastWriter[a.Handle.ID] = i
+			} else if owner(a.Handle) != node[i] {
+				fetches[i] = append(fetches[i], fetch{lastWriter[a.Handle.ID], float64(a.Handle.Bytes)})
+				commBytes += float64(a.Handle.Bytes)
 			}
 		}
-		for _, s := range t.Successors() {
-			if finish > depFinish[s] {
-				depFinish[s] = finish
+	}
+	makespan, err := g.Schedule(m.Nodes, m.slots(),
+		func(t *runtime.Task) float64 { return secs[t.ID] },
+		func(t *runtime.Task) int { return node[t.ID] },
+		func(t *runtime.Task, finish []float64) float64 {
+			var at float64
+			for _, f := range fetches[t.ID] {
+				sent := lat
+				if f.from >= 0 {
+					sent += finish[f.from]
+				}
+				if netBW > 0 {
+					sent += f.bytes / netBW
+				}
+				at = max(at, sent)
 			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				at := commReady(tasks[s], taskNode[s], depFinish[s], writeFinish, owner, lat, netBW, &commBytes)
-				heap.Push(ready, entry{id: s, at: at})
-			}
-		}
+			return at
+		}, nil)
+	if err != nil {
+		panic(err) // sequential task flow builds no cycle
 	}
 	return makespan, commBytes
-}
-
-// commReady returns the time the task's inputs are available on its node,
-// accounting one latency + transfer per remote read (transfers overlap).
-func commReady(t *runtime.Task, node int, depDone float64, writeFinish map[int]float64, owner func(*runtime.Handle) int, lat, bw float64, commBytes *float64) float64 {
-	ready := depDone
-	for _, a := range t.Accesses {
-		if a.Mode != runtime.Read {
-			continue
-		}
-		if owner(a.Handle) == node {
-			continue
-		}
-		src := 0.0
-		if writeFinish != nil {
-			src = writeFinish[a.Handle.ID]
-		}
-		*commBytes += float64(a.Handle.Bytes)
-		arr := src + lat
-		if bw > 0 {
-			arr += float64(a.Handle.Bytes) / bw
-		}
-		if arr > ready {
-			ready = arr
-		}
-	}
-	return ready
-}
-
-type entry struct {
-	id int
-	at float64
-}
-
-type entryHeap []entry
-
-func (h entryHeap) Len() int           { return len(h) }
-func (h entryHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h entryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)        { *h = append(*h, x.(entry)) }
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }

@@ -100,7 +100,7 @@ func (d *distState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (
 		}
 		sh := d.shards[c.Rank()]
 		if sh == nil {
-			sh = mpi.NewDistTLR(c.Rank(), squarestGrid(e.cfg.Ranks), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, comp)
+			sh = mpi.NewDistTLR(c.Rank(), mpi.SquarestGrid(e.cfg.Ranks), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, comp)
 			if d.inj != nil {
 				sh.ForceMiss = d.inj.CompressMiss
 				sh.PanelHook = d.inj.PanelKill
@@ -122,18 +122,6 @@ func (d *distState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (
 	}
 	d.ownersEpoch = epoch
 	return distFactor{d}, nil
-}
-
-// squarestGrid returns the most square P×Q process grid with P·Q = ranks,
-// P ≤ Q.
-func squarestGrid(ranks int) mpi.Grid {
-	p := 1
-	for f := 1; f*f <= ranks; f++ {
-		if ranks%f == 0 {
-			p = f
-		}
-	}
-	return mpi.Grid{P: p, Q: ranks / p}
 }
 
 // distFactor is the factorization distState leaves sharded over the ranks.

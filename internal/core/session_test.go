@@ -63,7 +63,7 @@ func TestConfigNormalized(t *testing.T) {
 	}
 	// Ranks are laid out on the most square grid, P ≤ Q.
 	for ranks, want := range map[int]mpi.Grid{1: {P: 1, Q: 1}, 4: {P: 2, Q: 2}, 6: {P: 2, Q: 3}, 7: {P: 1, Q: 7}} {
-		if g := squarestGrid(ranks); g != want {
+		if g := mpi.SquarestGrid(ranks); g != want {
 			t.Fatalf("%d ranks on grid %v, want %v", ranks, g, want)
 		}
 	}

@@ -165,7 +165,7 @@ func tileBetween(k *cov.Kernel, pts []geom.Point, nb, trial int) *la.Mat {
 func ablationTileSize(o Options) {
 	fmt.Fprintf(o.Out, "\n[3] tile size on simulated Cray XC40, 256 nodes, n=500K (paper §VIII-C: nb=560 dense / nb=1900 TLR)\n")
 	m := cluster.NewMachine(cluster.ShaheenNode, 256)
-	model := cluster.CalibrateRankModel(1e-7, maternRef(), 1024, 128)
+	model := rankModel(1e-7)
 	tb := stats.NewTable("nb", "full-tile", "tlr(1e-7)")
 	for _, nb := range []int{280, 560, 1120, 1900, 3800} {
 		den := cluster.AnalyticCholesky(m, cluster.Workload{N: 500_000, NB: nb, Variant: cluster.Dense})

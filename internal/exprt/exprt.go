@@ -3,10 +3,11 @@
 // paper reports. cmd/paperbench drives it.
 //
 // Two scales are supported. ScaleSmall (the default) runs real computations
-// at laptop size and the performance simulations with a coarse tile cap, so
-// every experiment finishes in at most a few minutes. ScalePaper uses the
-// paper's problem sizes for the simulated performance studies and larger
-// (but still single-machine-feasible) sizes for the statistical studies.
+// at laptop size and the simulated performance studies at three of the
+// paper's problem sizes per panel, so every experiment finishes in at most a
+// few minutes. ScalePaper uses all of the paper's problem sizes for the
+// simulated performance studies and larger (but still
+// single-machine-feasible) sizes for the statistical studies.
 package exprt
 
 import (

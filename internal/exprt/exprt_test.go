@@ -2,6 +2,7 @@ package exprt
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -34,13 +35,14 @@ func TestExperimentsCoverEveryTableAndFigure(t *testing.T) {
 }
 
 // slowExperiments are the names TestFastExperimentsPrintTheirSeries does not
-// run, each with the reason; `paperbench -exp <name>` is how they are run.
+// run, each with the reason; `paperbench -exp <name>` is how they are run, and
+// `make verify` runs `ablation` and `extensions` that way.
 var slowExperiments = map[string]string{
 	"fig6":       "Monte-Carlo fits of three θ at four accuracies: 20 s at the small scale, minutes under -race",
 	"table1":     "eight region fits at four accuracies: 14 s at the small scale",
 	"table2":     "four region fits at four accuracies: 12 s at the small scale",
 	"ablation":   "six sections of real factorizations and rank runs: 6 s at the small scale, a minute under -race",
-	"extensions": "two 150-evaluation fits; and its section [3] stops on the 1e-1 preconditioner, not positive definite at n=324 (so at the parent of the PR that wrote this list)",
+	"extensions": "two 150-evaluation fits: 2 s at the small scale, half a minute built and run under -race",
 }
 
 // TestFastExperimentsPrintTheirSeries runs every experiment that finishes in
@@ -86,6 +88,38 @@ func TestFastExperimentsPrintTheirSeries(t *testing.T) {
 			if !strings.Contains(buf.String(), want) {
 				t.Errorf("%s output missing %q:\n%s", name, want, buf.String())
 			}
+		}
+	}
+}
+
+// TestSimulatedTablesGolden pins every table the machine model prints at the
+// small scale — Fig. 3 part B on the four testbeds (part A is wall-clock),
+// Fig. 4, Fig. 5 and ablation sections [3] and [4] — byte for byte to the
+// text captured at the parent of the PR that put the DES, the roofline model
+// and Simulate on one scheduler and one cost table.
+func TestSimulatedTablesGolden(t *testing.T) {
+	run := func(f func(Options) error) func(Options) {
+		return func(o Options) {
+			if err := f(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, print := range map[string]func(Options){
+		"fig3b":     fig3Simulated,
+		"fig4":      run(Fig4),
+		"fig5":      run(Fig5),
+		"ablation3": ablationTileSize,
+		"ablation4": ablationScheduling,
+	} {
+		want, err := os.ReadFile("testdata/" + name + "_small.golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		print(Options{Out: &buf}.withDefaults())
+		if buf.String() != string(want) {
+			t.Errorf("%s moved:\n%s\nwant:\n%s", name, buf.String(), want)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package exprt
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/cov"
+	"repro/internal/la"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -75,13 +77,19 @@ func Extensions(o Options) error {
 	b := make([]float64, syn.Train.N())
 	rng.New(o.Seed + 7).NormSlice(b)
 	rt := stats.NewTable("preconditioner acc", "pcg iterations", "final rel residual")
-	for _, acc := range []float64{1e-1, 1e-2, 1e-4} {
+	for _, acc := range []float64{1e-1, 1e-2, 1e-4, 1e-6} {
 		_, res, err := core.SolveRefined(syn.Train, truth, core.Config{TileSize: 64, Accuracy: acc, Workers: o.Workers},
 			b, core.RefineOptions{Tol: 1e-11})
-		if err != nil {
+		switch {
+		case errors.Is(err, la.ErrNotPositiveDefinite):
+			// a result about this preconditioner, not a failed experiment: a
+			// TLR approximation this loose need not be positive definite
+			rt.AddRow(fmt.Sprintf("%.0e", acc), "not SPD", "-")
+		case err != nil:
 			return err
+		default:
+			rt.AddRow(fmt.Sprintf("%.0e", acc), fmt.Sprintf("%d", res.Iterations), fmt.Sprintf("%.1e", res.RelResidual))
 		}
-		rt.AddRow(fmt.Sprintf("%.0e", acc), fmt.Sprintf("%d", res.Iterations), fmt.Sprintf("%.1e", res.RelResidual))
 	}
 	fmt.Fprint(o.Out, rt.String())
 	fmt.Fprintln(o.Out, "looser factorizations cost more Krylov iterations — the accuracy/effort dial the paper's conclusion anticipates")

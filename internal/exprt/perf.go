@@ -2,6 +2,8 @@ package exprt
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -17,18 +19,22 @@ func maternRef() cov.Params { return cov.Params{Variance: 1, Range: 0.1, Smoothn
 // tlrAccs are the TLR accuracy thresholds of Fig. 3.
 var tlrAccs = []float64{1e-5, 1e-7, 1e-9, 1e-12}
 
-// simTileCap bounds the simulated tile grid so each DES run finishes in
-// seconds; the coarsening is documented in the cluster package.
-const simTileCap = 64
+// rankModels holds the rank model of each accuracy the simulated studies have
+// asked for. Calibration really compresses Matérn tiles (seeded, so the same
+// model every time): once per process is enough.
+var rankModels sync.Map
 
-// rankModels calibrates one rank model per accuracy (shared across the
-// performance experiments; calibration really compresses Matérn tiles).
-func rankModels(accs []float64) map[float64]*cluster.RankModel {
-	out := make(map[float64]*cluster.RankModel, len(accs))
-	for _, a := range accs {
-		out[a] = cluster.CalibrateRankModel(a, maternRef(), 1024, 128)
+func rankModel(acc float64) *cluster.RankModel {
+	m, ok := rankModels.Load(acc)
+	if !ok {
+		m, _ = rankModels.LoadOrStore(acc, cluster.CalibrateRankModel(acc, maternRef(), 1024, 128))
 	}
-	return out
+	return m.(*cluster.RankModel)
+}
+
+// accLabel renders an accuracy as the paper's legends do: 1e-9, not 1e-09.
+func accLabel(acc float64) string {
+	return strings.Replace(fmt.Sprintf("%.0e", acc), "e-0", "e-", 1)
 }
 
 // fmtSecs renders a simulated/measured duration or OOM.
@@ -46,13 +52,53 @@ func fmtSecs(s float64, oom bool) string {
 	}
 }
 
+// simSweep prints one panel of a simulated figure: a row per problem size,
+// full-tile at nb=560 and TLR at nb=1900 per accuracy across (the paper's
+// tile sizes, §VIII-C), before them the full-block LAPACK baseline when the
+// machine is a single shared-memory node, OOM where the model says the
+// working set does not fit. It returns the largest full-tile/TLR ratio among
+// the cells that fit.
+func simSweep(o Options, m cluster.Machine, sizes []int, accs []float64,
+	model func(cluster.Machine, cluster.Workload) cluster.Result) (maxSpeedup float64) {
+	block := m.Nodes == 1
+	head := []string{"n"}
+	if block {
+		head = append(head, "full-block")
+	}
+	head = append(head, "full-tile")
+	for _, acc := range accs {
+		head = append(head, "tlr("+accLabel(acc)+")")
+	}
+	tb := stats.NewTable(head...)
+	for _, n := range sizes {
+		row := []string{fmt.Sprintf("%d", n)}
+		if block {
+			blk := cluster.SimulateBlockCholesky(m, n)
+			row = append(row, fmtSecs(blk.Seconds, blk.OOM))
+		}
+		til := model(m, cluster.Workload{N: n, NB: 560, Variant: cluster.Dense})
+		row = append(row, fmtSecs(til.Seconds, til.OOM))
+		for _, acc := range accs {
+			r := model(m, cluster.Workload{N: n, NB: 1900, Variant: cluster.TLRVariant, Ranks: rankModel(acc)})
+			row = append(row, fmtSecs(r.Seconds, r.OOM))
+			if !r.OOM && !til.OOM {
+				maxSpeedup = max(maxSpeedup, til.Seconds/r.Seconds)
+			}
+		}
+		tb.AddRow(row...)
+	}
+	fmt.Fprint(o.Out, tb.String())
+	return maxSpeedup
+}
+
 // Fig3 reproduces Figure 3: time of one MLE iteration (generation +
 // factorization + solve) versus problem size, comparing full-block,
 // full-tile, and TLR at four accuracies.
 //
-// Part A times the real Go implementation at laptop sizes; part B replays
-// the same task DAGs on the paper's four Intel testbed profiles at the
-// paper's problem sizes through the machine simulator.
+// Part A times the real Go implementation at laptop sizes; part B prices the
+// same iteration at the paper's problem sizes on the paper's four Intel
+// testbed profiles with cluster's roofline model (AnalyticCholesky, true tile
+// granularity).
 func Fig3(o Options) error {
 	o = o.withDefaults()
 	th := maternRef()
@@ -102,42 +148,21 @@ func Fig3(o Options) error {
 	fmt.Fprint(o.Out, tb.String())
 	fmt.Fprintf(o.Out, "measured full-tile/TLR(1e-5) speedup at n=%d: %.2fx\n", sizes[len(sizes)-1], lastSpeedup)
 	fmt.Fprintln(o.Out, "note: at laptop sizes compression overhead dominates; the paper-scale crossover appears in part B")
-
-	// --- Part B: simulated paper-scale runs on the four testbeds -------
-	var simSizes []int
-	if o.Scale == ScalePaper {
-		simSizes = []int{55225, 63001, 71289, 79524, 87616, 96100, 104329, 112225}
-	} else {
-		simSizes = []int{55225, 79524, 112225}
-	}
-	models := rankModels(tlrAccs)
-	for _, prof := range []cluster.Profile{cluster.Haswell, cluster.Broadwell, cluster.KNL, cluster.Skylake} {
-		m := cluster.NewMachine(prof, 1)
-		fmt.Fprintf(o.Out, "\n[B] simulated one-iteration time — %s (%d cores)\n", prof.Name, prof.Cores)
-		st := stats.NewTable("n", "full-block", "full-tile", "tlr(1e-12)", "tlr(1e-9)", "tlr(1e-7)", "tlr(1e-5)")
-		var maxSpeedup float64
-		for _, n := range simSizes {
-			blk := cluster.SimulateBlockCholesky(m, n)
-			til := cluster.AnalyticCholesky(m, cluster.Workload{N: n, NB: 560, Variant: cluster.Dense})
-			row := []string{fmt.Sprintf("%d", n), fmtSecs(blk.Seconds, blk.OOM), fmtSecs(til.Seconds, til.OOM)}
-			for _, acc := range []float64{1e-12, 1e-9, 1e-7, 1e-5} {
-				r := cluster.AnalyticCholesky(m, cluster.Workload{
-					N: n, NB: 1900, Variant: cluster.TLRVariant, Accuracy: acc,
-					Ranks: models[acc],
-				})
-				row = append(row, fmtSecs(r.Seconds, r.OOM))
-				if !r.OOM && !til.OOM {
-					if s := til.Seconds / r.Seconds; s > maxSpeedup {
-						maxSpeedup = s
-					}
-				}
-			}
-			st.AddRow(row...)
-		}
-		fmt.Fprint(o.Out, st.String())
-		fmt.Fprintf(o.Out, "max TLR speedup vs full-tile on %s: %.1fx (paper: 5x-13x across testbeds)\n", prof.Name, maxSpeedup)
-	}
+	fig3Simulated(o)
 	return nil
+}
+
+// fig3Simulated is part B of Fig. 3: the paper's sizes on the four testbeds.
+func fig3Simulated(o Options) {
+	sizes := []int{55225, 63001, 71289, 79524, 87616, 96100, 104329, 112225}
+	if o.Scale == ScaleSmall {
+		sizes = []int{55225, 79524, 112225}
+	}
+	for _, prof := range []cluster.Profile{cluster.Haswell, cluster.Broadwell, cluster.KNL, cluster.Skylake} {
+		fmt.Fprintf(o.Out, "\n[B] simulated one-iteration time — %s (%d cores)\n", prof.Name, prof.Cores)
+		s := simSweep(o, cluster.NewMachine(prof, 1), sizes, []float64{1e-12, 1e-9, 1e-7, 1e-5}, cluster.AnalyticCholesky)
+		fmt.Fprintf(o.Out, "max TLR speedup vs full-tile on %s: %.1fx (paper: 5x-13x across testbeds)\n", prof.Name, s)
+	}
 }
 
 // Fig4 reproduces Figure 4: simulated one-iteration time on the Cray XC40
@@ -145,8 +170,6 @@ func Fig3(o Options) error {
 // (OOM) points mirror the paper's out-of-memory gaps.
 func Fig4(o Options) error {
 	o = o.withDefaults()
-	accs := []float64{1e-9, 1e-7, 1e-5}
-	models := rankModels(accs)
 	configs := []struct {
 		nodes int
 		sizes []int
@@ -159,29 +182,9 @@ func Fig4(o Options) error {
 		configs[1].sizes = []int{250_000, 1_000_000, 2_000_000}
 	}
 	for _, cfg := range configs {
-		m := cluster.NewMachine(cluster.ShaheenNode, cfg.nodes)
 		fmt.Fprintf(o.Out, "\nsimulated Cray XC40, %d nodes (%d cores)\n", cfg.nodes, cfg.nodes*cluster.ShaheenNode.Cores)
-		tb := stats.NewTable("n", "full-tile", "tlr(1e-9)", "tlr(1e-7)", "tlr(1e-5)")
-		var maxSpeedup float64
-		for _, n := range cfg.sizes {
-			til := cluster.AnalyticCholesky(m, cluster.Workload{N: n, NB: 560, Variant: cluster.Dense})
-			row := []string{fmt.Sprintf("%d", n), fmtSecs(til.Seconds, til.OOM)}
-			for _, acc := range accs {
-				r := cluster.AnalyticCholesky(m, cluster.Workload{
-					N: n, NB: 1900, Variant: cluster.TLRVariant, Accuracy: acc,
-					Ranks: models[acc],
-				})
-				row = append(row, fmtSecs(r.Seconds, r.OOM))
-				if !r.OOM && !til.OOM {
-					if s := til.Seconds / r.Seconds; s > maxSpeedup {
-						maxSpeedup = s
-					}
-				}
-			}
-			tb.AddRow(row...)
-		}
-		fmt.Fprint(o.Out, tb.String())
-		fmt.Fprintf(o.Out, "max TLR speedup vs full-tile on %d nodes: %.1fx (paper: up to 5x)\n", cfg.nodes, maxSpeedup)
+		s := simSweep(o, cluster.NewMachine(cluster.ShaheenNode, cfg.nodes), cfg.sizes, []float64{1e-9, 1e-7, 1e-5}, cluster.AnalyticCholesky)
+		fmt.Fprintf(o.Out, "max TLR speedup vs full-tile on %d nodes: %.1fx (paper: up to 5x)\n", cfg.nodes, s)
 	}
 	return nil
 }
@@ -191,28 +194,15 @@ func Fig4(o Options) error {
 // track Fig. 4(a) because the Cholesky factorization dominates.
 func Fig5(o Options) error {
 	o = o.withDefaults()
-	accs := []float64{1e-9, 1e-7, 1e-5}
-	models := rankModels(accs)
-	m := cluster.NewMachine(cluster.ShaheenNode, 256)
 	sizes := []int{100_000, 200_000, 250_000, 500_000, 750_000, 1_000_000}
 	if o.Scale == ScaleSmall {
 		sizes = []int{100_000, 500_000, 1_000_000}
 	}
 	fmt.Fprintf(o.Out, "simulated prediction of 100 unknowns, Cray XC40, 256 nodes\n")
-	tb := stats.NewTable("n", "full-tile", "tlr(1e-9)", "tlr(1e-7)", "tlr(1e-5)")
-	for _, n := range sizes {
-		til := cluster.AnalyticPrediction(m, cluster.Workload{N: n, NB: 560, Variant: cluster.Dense}, 100)
-		row := []string{fmt.Sprintf("%d", n), fmtSecs(til.Seconds, til.OOM)}
-		for _, acc := range accs {
-			r := cluster.AnalyticPrediction(m, cluster.Workload{
-				N: n, NB: 1900, Variant: cluster.TLRVariant, Accuracy: acc,
-				Ranks: models[acc],
-			}, 100)
-			row = append(row, fmtSecs(r.Seconds, r.OOM))
-		}
-		tb.AddRow(row...)
+	predict := func(m cluster.Machine, w cluster.Workload) cluster.Result {
+		return cluster.AnalyticPrediction(m, w, 100)
 	}
-	fmt.Fprint(o.Out, tb.String())
+	simSweep(o, cluster.NewMachine(cluster.ShaheenNode, 256), sizes, []float64{1e-9, 1e-7, 1e-5}, predict)
 	fmt.Fprintln(o.Out, "prediction time tracks the MLE iteration of Fig. 4(a): the factorization dominates")
 	return nil
 }

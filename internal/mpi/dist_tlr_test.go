@@ -332,7 +332,7 @@ func TestRunWorldRankCounts(t *testing.T) {
 	const n, nb = 64, 16
 	k, pts := distProblem(n)
 	for _, size := range []int{1, 2, 6} {
-		grid := squarishGrid(size)
+		grid := SquarestGrid(size)
 		errs := RunWorld(size, func(c *Comm) error {
 			d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
 			d.Generate(k, 1e-9)
@@ -348,17 +348,6 @@ func TestRunWorldRankCounts(t *testing.T) {
 			}
 		}
 	}
-}
-
-// squarishGrid factors size into the most square P×Q grid (P ≤ Q).
-func squarishGrid(size int) Grid {
-	p := 1
-	for f := 1; f*f <= size; f++ {
-		if size%f == 0 {
-			p = f
-		}
-	}
-	return Grid{P: p, Q: size / p}
 }
 
 // TestCommStatsCountTraffic: a 2×2 distributed factorization moves bytes and

@@ -167,6 +167,17 @@ type Grid struct {
 	P, Q int
 }
 
+// SquarestGrid returns the most square P×Q grid with P·Q = n, P ≤ Q.
+func SquarestGrid(n int) Grid {
+	p := 1
+	for f := 1; f*f <= n; f++ {
+		if n%f == 0 {
+			p = f
+		}
+	}
+	return Grid{P: p, Q: n / p}
+}
+
 // Owner returns the rank owning tile (i, j).
 func (g Grid) Owner(i, j int) int { return (i%g.P)*g.Q + j%g.Q }
 

@@ -272,31 +272,65 @@ type SimOptions struct {
 	Barrier bool
 }
 
-// Simulate performs list scheduling of the DAG on Workers homogeneous
-// workers under the given cost model and returns the makespan in seconds.
-// No task bodies run; only the declared costs matter. A graph whose
-// dependencies form a cycle (impossible via AddTask, but reachable through
-// corrupted state) yields an error naming the tasks on the cycle.
-func (g *Graph) Simulate(opt SimOptions) (float64, error) {
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	n := len(g.tasks)
-	if n == 0 {
-		return 0, nil
-	}
+// plan resolves the options: at least one worker, flops as the default cost
+// and, for Barrier, the level-ordered graph of withBarriers in g's place.
+func (g *Graph) plan(opt SimOptions) (*Graph, int, CostModel, error) {
 	cost := opt.Cost
 	if cost == nil {
 		cost = func(t *Task) float64 { return t.Flops }
 	}
 	if opt.Barrier {
 		if err := g.cycleError(); err != nil {
-			return 0, err
+			return nil, 0, nil, err
 		}
-		return g.simulateBarrier(workers, cost), nil
+		g, cost = g.withBarriers(cost)
 	}
-	return g.simulateList(workers, cost, nil)
+	return g, max(opt.Workers, 1), cost, nil
+}
+
+// Simulate performs list scheduling of the DAG on Workers homogeneous
+// workers under the given cost model and returns the makespan in seconds.
+// No task bodies run; only the declared costs matter. A graph whose
+// dependencies form a cycle (impossible via AddTask, but reachable through
+// corrupted state) yields an error naming the tasks on the cycle.
+func (g *Graph) Simulate(opt SimOptions) (float64, error) {
+	g, workers, cost, err := g.plan(opt)
+	if err != nil {
+		return 0, err
+	}
+	return g.Schedule(1, workers, cost, nil, nil, nil)
+}
+
+// withBarriers returns the bulk-synchronous form of g and its cost model: the
+// tasks level by level (a task's level is its topological depth), in ID order
+// and without priorities inside a level, and after each level a zero-cost
+// "barrier" task that every task of the level precedes and every task of the
+// next follows. The list schedule of that graph is the fork-join schedule, so
+// Barrier needs no engine of its own. Task IDs in it count in level order.
+func (g *Graph) withBarriers(cost CostModel) (*Graph, CostModel) {
+	level := make([]int, len(g.tasks))
+	var byLevel [][]*Task
+	for i, t := range g.tasks {
+		for _, d := range t.deps {
+			level[i] = max(level[i], level[d]+1)
+		}
+		if level[i] == len(byLevel) {
+			byLevel = append(byLevel, nil)
+		}
+		byLevel[level[i]] = append(byLevel[level[i]], t)
+	}
+	b := NewGraph()
+	sync := b.NewHandle("barrier", 0, 0)
+	costs := make([]float64, 0, len(g.tasks)+len(byLevel))
+	for _, tasks := range byLevel {
+		for _, t := range tasks {
+			b.AddTask(Task{Name: t.Name, Flops: t.Flops, Accesses: []Access{{sync, Read}}})
+			costs = append(costs, cost(t))
+		}
+		b.AddTask(Task{Name: "barrier", Accesses: []Access{{sync, ReadWrite}}})
+		costs = append(costs, 0)
+	}
+	return b, func(t *Task) float64 { return costs[t.ID] }
 }
 
 // cycleError reports a diagnostic error naming the tasks on a dependency
@@ -367,107 +401,73 @@ func (g *Graph) cycleError() error {
 	return fmt.Errorf("runtime: dependency cycle: %s", strings.Join(names, " → "))
 }
 
-// simulateList is the list-scheduling engine behind Simulate and
-// SimulateTrace; rec, when non-nil, receives every (task, worker, start,
-// finish) placement.
-func (g *Graph) simulateList(workers int, cost CostModel, rec func(t *Task, worker int, start, finish float64)) (float64, error) {
+// Schedule is the list scheduler every simulated run goes through: Simulate
+// and SimulateTrace on one pool of workers, the cluster package's machine
+// simulator on one pool per node. Ready tasks are taken by (ready time,
+// priority, ID) and run for cost(task) seconds on the earliest-free of their
+// pool's slots. Two hooks add what shared memory does not need (nil there):
+// place names the pool a task runs on (nil: pool 0), and arrive returns when
+// its inputs have reached that pool, given the finish times, by task ID, of
+// everything scheduled so far — a task is ready at the later of that and its
+// last predecessor's finish. rec, when non-nil, receives every placement, on
+// lane pool·slots + slot. It returns the makespan, or the cycleError of a
+// graph that cannot be scheduled to the end.
+func (g *Graph) Schedule(pools, slots int, cost CostModel, place func(*Task) int,
+	arrive func(t *Task, finish []float64) float64,
+	rec func(t *Task, lane int, start, finish float64)) (float64, error) {
 	n := len(g.tasks)
-	if n == 0 {
-		return 0, nil
-	}
-	readyAt := make([]float64, n) // max finish time of predecessors
+	finish := make([]float64, n)
 	indeg := make([]int, n)
 	ready := &simHeap{}
+	push := func(t *Task) {
+		var at float64
+		for _, d := range t.deps {
+			at = max(at, finish[d])
+		}
+		if arrive != nil {
+			at = max(at, arrive(t, finish))
+		}
+		heap.Push(ready, simEntry{task: t, ready: at})
+	}
 	for i, t := range g.tasks {
 		indeg[i] = t.indegree
 		if t.indegree == 0 {
-			heap.Push(ready, simEntry{task: t, ready: 0})
+			push(t)
 		}
 	}
-	workerFree := make([]float64, workers)
+	free := make([]float64, pools*slots)
 	var makespan float64
-	scheduled := 0
-	for scheduled < n {
+	for scheduled := 0; scheduled < n; scheduled++ {
 		if ready.Len() == 0 {
 			// unreachable for AddTask-built graphs; diagnose rather than hang
 			return 0, g.cycleError()
 		}
 		e := heap.Pop(ready).(simEntry)
-		// earliest-available worker
-		wi := 0
-		for i := 1; i < workers; i++ {
-			if workerFree[i] < workerFree[wi] {
-				wi = i
+		first := 0
+		if place != nil {
+			first = place(e.task) * slots
+		}
+		lane := first // earliest-free slot of the pool
+		for i := first + 1; i < first+slots; i++ {
+			if free[i] < free[lane] {
+				lane = i
 			}
 		}
-		start := workerFree[wi]
-		if e.ready > start {
-			start = e.ready
-		}
-		finish := start + cost(e.task)
-		workerFree[wi] = finish
-		if finish > makespan {
-			makespan = finish
-		}
+		start := max(free[lane], e.ready)
+		end := start + cost(e.task)
+		free[lane], finish[e.task.ID] = end, end
+		makespan = max(makespan, end)
 		if rec != nil {
-			rec(e.task, wi, start, finish)
+			rec(e.task, lane, start, end)
 		}
-		scheduled++
 		for _, s := range e.task.successors {
-			if readyAt[s] < finish {
-				readyAt[s] = finish
-			}
 			indeg[s]--
 			if indeg[s] == 0 {
-				heap.Push(ready, simEntry{task: g.tasks[s], ready: readyAt[s]})
+				push(g.tasks[s])
 			}
 		}
 	}
 	return makespan, nil
-}
-
-// simulateBarrier schedules the DAG one topological level at a time with a
-// full synchronization between levels.
-func (g *Graph) simulateBarrier(workers int, cost CostModel) float64 {
-	n := len(g.tasks)
-	level := make([]int, n)
-	maxLevel := 0
-	for i, t := range g.tasks {
-		for _, d := range t.deps {
-			if level[d]+1 > level[i] {
-				level[i] = level[d] + 1
-			}
-		}
-		if level[i] > maxLevel {
-			maxLevel = level[i]
-		}
-	}
-	byLevel := make([][]*Task, maxLevel+1)
-	for i, t := range g.tasks {
-		byLevel[level[i]] = append(byLevel[level[i]], t)
-	}
-	var clock float64
-	workerFree := make([]float64, workers)
-	for _, tasks := range byLevel {
-		for i := range workerFree {
-			workerFree[i] = clock
-		}
-		levelEnd := clock
-		for _, t := range tasks {
-			wi := 0
-			for i := 1; i < workers; i++ {
-				if workerFree[i] < workerFree[wi] {
-					wi = i
-				}
-			}
-			workerFree[wi] += cost(t)
-			if workerFree[wi] > levelEnd {
-				levelEnd = workerFree[wi]
-			}
-		}
-		clock = levelEnd
-	}
-	return clock
 }
 
 type simEntry struct {
@@ -477,7 +477,7 @@ type simEntry struct {
 
 // simHeap orders by readiness time, then priority, then ID. Scheduling the
 // earliest-ready task first approximates list scheduling well for the
-// homogeneous-worker shared-memory model.
+// homogeneous-worker model.
 type simHeap []simEntry
 
 func (h simHeap) Len() int { return len(h) }

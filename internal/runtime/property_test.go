@@ -113,3 +113,73 @@ func TestQuickSimulateBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the one list scheduler, on seeded random DAGs over several pool
+// and slot counts. Without an arrival hook the makespan lies between the
+// critical path and the serial total; two runs agree exactly; one pool with
+// nil hooks is Simulate; every placement is on a lane of the task's pool, no
+// lane runs two tasks at once, and no task starts before its predecessors
+// finish or before the arrival hook says its inputs are there.
+func TestQuickScheduleEngine(t *testing.T) {
+	cost := func(t *Task) float64 { return t.Flops }
+	f := func(seed int64) bool {
+		g := randomDAG(rng.New(uint64(seed) + 13))
+		serial, cp := g.TotalFlops(), g.CriticalPathFlops()
+		for _, pools := range []int{1, 2, 3} {
+			for _, slots := range []int{1, 2, 4} {
+				place := func(t *Task) int { return t.ID % pools }
+				mk, err := g.Schedule(pools, slots, cost, place, nil, nil)
+				if err != nil || mk > serial+1e-9 || mk < cp-1e-9 {
+					t.Logf("seed %d, %dx%d: makespan %g outside [%g, %g] (%v)", seed, pools, slots, mk, cp, serial, err)
+					return false
+				}
+				if again, _ := g.Schedule(pools, slots, cost, place, nil, nil); again != mk {
+					t.Logf("seed %d, %dx%d: two runs gave %g and %g", seed, pools, slots, mk, again)
+					return false
+				}
+				if sim, _ := g.Simulate(SimOptions{Workers: slots}); pools == 1 && sim != mk {
+					t.Logf("seed %d, 1x%d: Schedule %g, Simulate %g", seed, slots, mk, sim)
+					return false
+				}
+				// reading a predecessor's output from another pool takes 1.5
+				arrive := func(t *Task, finish []float64) float64 {
+					var at float64
+					for _, d := range t.Deps() {
+						if d%pools != t.ID%pools {
+							at = max(at, finish[d]+1.5)
+						}
+					}
+					return at
+				}
+				start := make([]float64, g.Len())
+				end := make([]float64, g.Len())
+				laneFree := make([]float64, pools*slots)
+				ok := true
+				_, err = g.Schedule(pools, slots, cost, place, arrive, func(t *Task, lane int, s, e float64) {
+					if lane/slots != place(t) || s < laneFree[lane] || e != s+cost(t) {
+						ok = false
+					}
+					laneFree[lane], start[t.ID], end[t.ID] = e, s, e
+				})
+				for _, tk := range g.Tasks() {
+					for _, d := range tk.Deps() {
+						if start[tk.ID] < end[d] {
+							ok = false
+						}
+					}
+					if start[tk.ID] < arrive(tk, end) {
+						ok = false
+					}
+				}
+				if err != nil || !ok {
+					t.Logf("seed %d, %dx%d: schedule with arrivals breaks an invariant (%v)", seed, pools, slots, err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

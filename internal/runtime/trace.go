@@ -271,30 +271,28 @@ func (tr *Trace) Gantt(width int) string {
 	return b.String()
 }
 
-// SimulateTrace performs the same list scheduling as Simulate (Barrier is
-// ignored) and additionally returns the schedule as a Trace, with the cost
-// model's seconds rescaled so the makespan maps to ~1s of trace time. The
-// returned trace obeys the exact schedule invariants (critical path ≤
-// makespan ≤ busy time) because a list schedule never lets every worker idle
-// while work remains — the property the measured executor can only approach
-// to within scheduling overhead.
+// SimulateTrace performs the same list scheduling as Simulate and additionally
+// returns the schedule as a Trace, with the cost model's seconds rescaled so
+// the makespan maps to ~1s of trace time. The returned trace obeys the exact
+// schedule invariants (critical path ≤ makespan ≤ busy time) because a list
+// schedule never lets every worker idle while work remains — the property the
+// measured executor can only approach to within scheduling overhead. With
+// Barrier the trace is that of the level-ordered graph (see withBarriers):
+// one zero-length "barrier" event closes each level.
 func (g *Graph) SimulateTrace(opt SimOptions) (*Trace, float64, error) {
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
+	g, workers, cost, err := g.plan(opt)
+	if err != nil {
+		return nil, 0, err
 	}
-	cost := opt.Cost
-	if cost == nil {
-		cost = func(t *Task) float64 { return t.Flops }
-	}
-	type rec struct {
-		t             *Task
-		worker        int
-		start, finish float64
-	}
-	var recs []rec
-	makespan, err := g.simulateList(workers, cost, func(t *Task, w int, s, f float64) {
-		recs = append(recs, rec{t, w, s, f})
+	tr := &Trace{Workers: workers}
+	var secs [][2]float64 // start and finish of tr.Events[i], in model seconds
+	makespan, err := g.Schedule(1, workers, cost, nil, nil, func(t *Task, lane int, start, finish float64) {
+		var bytes int64
+		for _, a := range t.Accesses {
+			bytes += a.Handle.Bytes
+		}
+		tr.Events = append(tr.Events, TraceEvent{Task: t.Name, ID: t.ID, Worker: lane, Flops: t.Flops, Bytes: bytes})
+		secs = append(secs, [2]float64{start, finish})
 	})
 	if err != nil {
 		return nil, 0, err
@@ -303,21 +301,9 @@ func (g *Graph) SimulateTrace(opt SimOptions) (*Trace, float64, error) {
 	if makespan > 0 {
 		scale = 1e9 / makespan // makespan ↦ ~1s of trace time
 	}
-	tr := &Trace{Workers: workers, Wall: time.Duration(makespan * scale)}
-	for _, r := range recs {
-		var bytes int64
-		for _, a := range r.t.Accesses {
-			bytes += a.Handle.Bytes
-		}
-		tr.Events = append(tr.Events, TraceEvent{
-			Task:   r.t.Name,
-			ID:     r.t.ID,
-			Worker: r.worker,
-			Start:  time.Duration(r.start * scale),
-			End:    time.Duration(r.finish * scale),
-			Flops:  r.t.Flops,
-			Bytes:  bytes,
-		})
+	tr.Wall = time.Duration(makespan * scale)
+	for i, s := range secs {
+		tr.Events[i].Start, tr.Events[i].End = time.Duration(s[0]*scale), time.Duration(s[1]*scale)
 	}
 	sort.Slice(tr.Events, func(i, j int) bool { return tr.Events[i].Start < tr.Events[j].Start })
 	tr.CritPath = g.criticalPathMeasured(tr.Events)

@@ -281,6 +281,46 @@ func TestQuickSimulateTraceInvariants(t *testing.T) {
 	}
 }
 
+// TestSimulateTraceHonoursBarrier: with Barrier the trace is the fork-join
+// schedule Simulate prices — same makespan, one zero-length "barrier" event
+// closing each level, no task of a level starting before the barrier of the
+// one before — and it still obeys the schedule invariants.
+func TestSimulateTraceHonoursBarrier(t *testing.T) {
+	g := randomDAG(rng.New(14))
+	opt := SimOptions{Workers: 3, Barrier: true}
+	want, err := g.Simulate(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	async, _ := g.Simulate(SimOptions{Workers: 3})
+	tr, mk, err := g.SimulateTrace(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mk != want || mk < async {
+		t.Fatalf("barrier trace makespan %g, Simulate %g, async %g", mk, want, async)
+	}
+	var barriers int
+	var lastBarrier time.Duration
+	for _, e := range tr.Events { // sorted by start
+		if e.Task == "barrier" {
+			barriers++
+			if e.Duration() != 0 {
+				t.Fatalf("barrier event lasts %v", e.Duration())
+			}
+			lastBarrier = e.Start
+		} else if e.Start < lastBarrier {
+			t.Fatalf("task %d starts at %v, before the barrier at %v", e.ID, e.Start, lastBarrier)
+		}
+	}
+	if barriers == 0 || len(tr.Events) != g.Len()+barriers {
+		t.Fatalf("%d events for %d tasks and %d barriers", len(tr.Events), g.Len(), barriers)
+	}
+	if slack := time.Duration(2 * len(tr.Events)); tr.CritPath > tr.Makespan()+slack {
+		t.Fatalf("critical path %v above makespan %v", tr.CritPath, tr.Makespan())
+	}
+}
+
 // TestQuickExecuteTracedInvariants: for real traced runs the robust subset of
 // the invariants must hold — critical path ≤ makespan ≤ wall, utilization in
 // [0, 1]. (Makespan ≤ busy time is NOT asserted here: real scheduling
