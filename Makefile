@@ -17,7 +17,7 @@ test:
 # recovery oracle with its injected task panics and rank deaths, the
 # out-of-core and serving suites and the fuzz targets' seed corpora are all in
 # that one pass; internal/core alone is the long pole), one iteration of the
-# dense-kernel (Trsm, Syrk, Potrf, one-column Gemm), vector-loop,
+# dense-kernel (Trsm, Syrk, Potrf, the skinny and one-column Gemms), vector-loop,
 # recompression, low-rank update, graph-construction and covariance kernel
 # benchmarks so they cannot rot, the two paperbench experiments the test suite
 # lists as too slow to run (`extensions`, `ablation`; about 6 s together, and
@@ -29,7 +29,7 @@ verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/
 	$(GO) test -race -count=1 -timeout 45m ./...
-	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
+	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
 	$(GO) run ./cmd/paperbench -exp extensions -scale small >/dev/null && $(GO) run ./cmd/paperbench -exp ablation -scale small >/dev/null
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke

@@ -21,70 +21,73 @@ type solveGolden struct {
 	variance [8]float64
 }
 
-// solveGoldens were recorded at the commit before a right-hand side became a
-// block (PR 22, amd64 with the FMA kernels): every triangular solve above la
-// was then one of twelve hand-written loops. The dense rows do not compress,
-// so they are listed once, not per compressor.
+// solveGoldens were first recorded at the commit before a right-hand side
+// became a block (PR 22, amd64 with the FMA kernels), when every triangular
+// solve above la was one of twelve hand-written loops, and re-recorded when
+// every Gemm of two or more columns left the naive loops for the micro-kernel
+// and Syrk lost its small-problem route (PR 25): the two likelihoods of the
+// dense rows and every mean and variance of full-block kept their bits. The
+// dense rows do not compress, so they are listed once, not per compressor.
 var solveGoldens = map[string]solveGolden{
 	"full-block": {
 		lik:      -0x1.f780fbe3d9fb6p+07,
-		predict:  [4]float64{-0x1.43ad6151ff415p+00, -0x1.034fd4be86bf1p+00, -0x1.cc44e9b26d82fp-01, -0x1.3950fa75cb03ep-02},
+		predict:  [4]float64{-0x1.43ad6151ff417p+00, -0x1.034fd4be86bf1p+00, -0x1.cc44e9b26d831p-01, -0x1.3950fa75cb062p-02},
 		mean:     [8]float64{-0x1.43ad6151ff425p+00, -0x1.034fd4be86bfcp+00, -0x1.cc44e9b26d839p-01, -0x1.3950fa75cb066p-02, 0x1.507c67e25ebfap-01, -0x1.e8a752520335dp-03, 0x1.6231f395a512fp-01, -0x1.86167cc338c31p+00},
 		variance: [8]float64{0x1.0bc7b8c0a57d8p-03, 0x1.c60ba4556f48p-04, 0x1.0a26b81178cep-04, 0x1.4b82ecb6a7298p-03, 0x1.33435da90c0b4p-02, 0x1.b138656e8ea5p-03, 0x1.9339a1888d848p-03, 0x1.631eee37362ep-05},
 	},
 	"full-tile": {
 		lik:      -0x1.f780fbe3d9fb8p+07,
-		predict:  [4]float64{-0x1.43ad6151ff412p+00, -0x1.034fd4be86bfap+00, -0x1.cc44e9b26d83fp-01, -0x1.3950fa75cb05cp-02},
-		mean:     [8]float64{-0x1.43ad6151ff41ap+00, -0x1.034fd4be86c06p+00, -0x1.cc44e9b26d842p-01, -0x1.3950fa75cb066p-02, 0x1.507c67e25ebf3p-01, -0x1.e8a75252032eap-03, 0x1.6231f395a5125p-01, -0x1.86167cc338c55p+00},
-		variance: [8]float64{0x1.0bc7b8c0a57dp-03, 0x1.c60ba4556f4p-04, 0x1.0a26b81178c9p-04, 0x1.4b82ecb6a7298p-03, 0x1.33435da90c0c8p-02, 0x1.b138656e8ea44p-03, 0x1.9339a1888d84p-03, 0x1.631eee373616p-05},
+		predict:  [4]float64{-0x1.43ad6151ff416p+00, -0x1.034fd4be86bfcp+00, -0x1.cc44e9b26d837p-01, -0x1.3950fa75cb055p-02},
+		mean:     [8]float64{-0x1.43ad6151ff41bp+00, -0x1.034fd4be86bfep+00, -0x1.cc44e9b26d84p-01, -0x1.3950fa75cb075p-02, 0x1.507c67e25ebfdp-01, -0x1.e8a7525203381p-03, 0x1.6231f395a513cp-01, -0x1.86167cc338c38p+00},
+		variance: [8]float64{0x1.0bc7b8c0a57d8p-03, 0x1.c60ba4556f47p-04, 0x1.0a26b81178cbp-04, 0x1.4b82ecb6a7298p-03, 0x1.33435da90c0b6p-02, 0x1.b138656e8ea3cp-03, 0x1.9339a1888d848p-03, 0x1.631eee37362ap-05},
 	},
 	"tlr/svd": {
-		lik:      -0x1.f780fc2baf038p+07,
-		predict:  [4]float64{-0x1.43ad61497e93p+00, -0x1.034fd5902cd06p+00, -0x1.cc44e955c5bbfp-01, -0x1.3950fba08988ep-02},
-		mean:     [8]float64{-0x1.43ad61497e932p+00, -0x1.034fd5902cd0cp+00, -0x1.cc44e955c5bbcp-01, -0x1.3950fba089886p-02, 0x1.507c67ab1a7e5p-01, -0x1.e8a7585c1e00cp-03, 0x1.6231f305c935ap-01, -0x1.86167cba6d3b1p+00},
-		variance: [8]float64{0x1.0bc7b8c0a6218p-03, 0x1.c60ba4557476p-04, 0x1.0a26b81178d6p-04, 0x1.4b82ecb6a65b8p-03, 0x1.33435da90b52ap-02, 0x1.b138656e8ec18p-03, 0x1.9339a1888deap-03, 0x1.631eee37361ep-05},
+		lik:      -0x1.f780fc2baf036p+07,
+		predict:  [4]float64{-0x1.43ad61497e92cp+00, -0x1.034fd5902ccfdp+00, -0x1.cc44e955c5bcap-01, -0x1.3950fba089881p-02},
+		mean:     [8]float64{-0x1.43ad61497e936p+00, -0x1.034fd5902cd09p+00, -0x1.cc44e955c5bbdp-01, -0x1.3950fba089892p-02, 0x1.507c67ab1a7d8p-01, -0x1.e8a7585c1dff2p-03, 0x1.6231f305c934bp-01, -0x1.86167cba6d3bbp+00},
+		variance: [8]float64{0x1.0bc7b8c0a62p-03, 0x1.c60ba4557475p-04, 0x1.0a26b81178d1p-04, 0x1.4b82ecb6a65cp-03, 0x1.33435da90b524p-02, 0x1.b138656e8ec18p-03, 0x1.9339a1888de9p-03, 0x1.631eee373612p-05},
 	},
 	"tlr+membudget/svd": {
-		lik:      -0x1.f780fc2baf038p+07,
-		predict:  [4]float64{-0x1.43ad61497e93p+00, -0x1.034fd5902cd06p+00, -0x1.cc44e955c5bbfp-01, -0x1.3950fba08988ep-02},
-		mean:     [8]float64{-0x1.43ad61497e932p+00, -0x1.034fd5902cd0cp+00, -0x1.cc44e955c5bbcp-01, -0x1.3950fba089886p-02, 0x1.507c67ab1a7e5p-01, -0x1.e8a7585c1e00cp-03, 0x1.6231f305c935ap-01, -0x1.86167cba6d3b1p+00},
-		variance: [8]float64{0x1.0bc7b8c0a6218p-03, 0x1.c60ba4557476p-04, 0x1.0a26b81178d6p-04, 0x1.4b82ecb6a65b8p-03, 0x1.33435da90b52ap-02, 0x1.b138656e8ec18p-03, 0x1.9339a1888deap-03, 0x1.631eee37361ep-05},
+		lik:      -0x1.f780fc2baf036p+07,
+		predict:  [4]float64{-0x1.43ad61497e92cp+00, -0x1.034fd5902ccfdp+00, -0x1.cc44e955c5bcap-01, -0x1.3950fba089881p-02},
+		mean:     [8]float64{-0x1.43ad61497e936p+00, -0x1.034fd5902cd09p+00, -0x1.cc44e955c5bbdp-01, -0x1.3950fba089892p-02, 0x1.507c67ab1a7d8p-01, -0x1.e8a7585c1dff2p-03, 0x1.6231f305c934bp-01, -0x1.86167cba6d3bbp+00},
+		variance: [8]float64{0x1.0bc7b8c0a62p-03, 0x1.c60ba4557475p-04, 0x1.0a26b81178d1p-04, 0x1.4b82ecb6a65cp-03, 0x1.33435da90b524p-02, 0x1.b138656e8ec18p-03, 0x1.9339a1888de9p-03, 0x1.631eee373612p-05},
 	},
 	"tlr-ranks4/svd": {
-		lik:      -0x1.f780fc2baf038p+07,
-		predict:  [4]float64{-0x1.43ad61497e93p+00, -0x1.034fd5902cd06p+00, -0x1.cc44e955c5bbfp-01, -0x1.3950fba08988ep-02},
-		mean:     [8]float64{-0x1.43ad61497e932p+00, -0x1.034fd5902cd08p+00, -0x1.cc44e955c5bb8p-01, -0x1.3950fba0898b5p-02, 0x1.507c67ab1a7efp-01, -0x1.e8a7585c1e02fp-03, 0x1.6231f305c9356p-01, -0x1.86167cba6d3b1p+00},
-		variance: [8]float64{0x1.0bc7b8c0a6218p-03, 0x1.c60ba4557473p-04, 0x1.0a26b81178d3p-04, 0x1.4b82ecb6a65c8p-03, 0x1.33435da90b52cp-02, 0x1.b138656e8ec14p-03, 0x1.9339a1888de9p-03, 0x1.631eee373612p-05},
+		lik:      -0x1.f780fc2baf036p+07,
+		predict:  [4]float64{-0x1.43ad61497e92cp+00, -0x1.034fd5902ccfdp+00, -0x1.cc44e955c5bcap-01, -0x1.3950fba089881p-02},
+		mean:     [8]float64{-0x1.43ad61497e936p+00, -0x1.034fd5902cd09p+00, -0x1.cc44e955c5bbdp-01, -0x1.3950fba089892p-02, 0x1.507c67ab1a7d8p-01, -0x1.e8a7585c1dff2p-03, 0x1.6231f305c934bp-01, -0x1.86167cba6d3bbp+00},
+		variance: [8]float64{0x1.0bc7b8c0a62p-03, 0x1.c60ba4557475p-04, 0x1.0a26b81178d1p-04, 0x1.4b82ecb6a65cp-03, 0x1.33435da90b524p-02, 0x1.b138656e8ec18p-03, 0x1.9339a1888de9p-03, 0x1.631eee373612p-05},
 	},
 	"hodlr/svd": {
-		lik:      -0x1.f780fbfa5519ep+07,
-		predict:  [4]float64{-0x1.43ad60d3a6083p+00, -0x1.034fd5148f05ap+00, -0x1.cc44e9015092cp-01, -0x1.3950f9795c045p-02},
-		mean:     [8]float64{-0x1.43ad60d3a607fp+00, -0x1.034fd5148f04ep+00, -0x1.cc44e90150927p-01, -0x1.3950f9795c078p-02, 0x1.507c67ae639fdp-01, -0x1.e8a75071909a5p-03, 0x1.6231f3bb7cfb7p-01, -0x1.86167d2f3984dp+00},
-		variance: [8]float64{0x1.0bc7b8c0a4388p-03, 0x1.c60ba4556f2ap-04, 0x1.0a26b8117579p-04, 0x1.4b82ecb6a85cp-03, 0x1.33435da90fb82p-02, 0x1.b138656e8de58p-03, 0x1.9339a1888968p-03, 0x1.631eee3730c4p-05},
+		lik:      -0x1.f780fbfa5519fp+07,
+		predict:  [4]float64{-0x1.43ad60d3a607cp+00, -0x1.034fd5148f05dp+00, -0x1.cc44e90150946p-01, -0x1.3950f9795c07cp-02},
+		mean:     [8]float64{-0x1.43ad60d3a607cp+00, -0x1.034fd5148f05fp+00, -0x1.cc44e9015093fp-01, -0x1.3950f9795c076p-02, 0x1.507c67ae639e8p-01, -0x1.e8a75071909dfp-03, 0x1.6231f3bb7cfbbp-01, -0x1.86167d2f3985bp+00},
+		variance: [8]float64{0x1.0bc7b8c0a4378p-03, 0x1.c60ba4556f29p-04, 0x1.0a26b8117579p-04, 0x1.4b82ecb6a85bp-03, 0x1.33435da90fb8p-02, 0x1.b138656e8de6p-03, 0x1.9339a18889678p-03, 0x1.631eee3730ccp-05},
 	},
 	"tlr/rsvd": {
-		lik:      -0x1.f780fc183cf38p+07,
-		predict:  [4]float64{-0x1.43ad615e09afbp+00, -0x1.034fd482c9adap+00, -0x1.cc44ea72332f4p-01, -0x1.3950faa4de0eep-02},
-		mean:     [8]float64{-0x1.43ad615e09bp+00, -0x1.034fd482c9adfp+00, -0x1.cc44ea72332f3p-01, -0x1.3950faa4de0c5p-02, 0x1.507c67a7752a4p-01, -0x1.e8a756906e854p-03, 0x1.6231f30c26aabp-01, -0x1.86167cbafcfecp+00},
-		variance: [8]float64{0x1.0bc7b8c0a5e3p-03, 0x1.c60ba45574bap-04, 0x1.0a26b8117918p-04, 0x1.4b82ecb6a6de8p-03, 0x1.33435da90b60ep-02, 0x1.b138656e8ebb4p-03, 0x1.9339a1888d8c8p-03, 0x1.631eee37361ap-05},
+		lik:      -0x1.f780fc183682cp+07,
+		predict:  [4]float64{-0x1.43ad615e09f15p+00, -0x1.034fd4831976bp+00, -0x1.cc44ea7233296p-01, -0x1.3950faa4de52dp-02},
+		mean:     [8]float64{-0x1.43ad615e09f16p+00, -0x1.034fd48319773p+00, -0x1.cc44ea7233298p-01, -0x1.3950faa4de51fp-02, 0x1.507c67a78392cp-01, -0x1.e8a756906e5e5p-03, 0x1.6231f30c2ff46p-01, -0x1.86167cbaecbfcp+00},
+		variance: [8]float64{0x1.0bc7b8c0a5e3p-03, 0x1.c60ba45574bfp-04, 0x1.0a26b8117914p-04, 0x1.4b82ecb6a6df8p-03, 0x1.33435da90b61ap-02, 0x1.b138656e8ebacp-03, 0x1.9339a1888d8c8p-03, 0x1.631eee373618p-05},
 	},
 	"tlr+membudget/rsvd": {
-		lik:      -0x1.f780fc183cf38p+07,
-		predict:  [4]float64{-0x1.43ad615e09afbp+00, -0x1.034fd482c9adap+00, -0x1.cc44ea72332f4p-01, -0x1.3950faa4de0eep-02},
-		mean:     [8]float64{-0x1.43ad615e09bp+00, -0x1.034fd482c9adfp+00, -0x1.cc44ea72332f3p-01, -0x1.3950faa4de0c5p-02, 0x1.507c67a7752a4p-01, -0x1.e8a756906e854p-03, 0x1.6231f30c26aabp-01, -0x1.86167cbafcfecp+00},
-		variance: [8]float64{0x1.0bc7b8c0a5e3p-03, 0x1.c60ba45574bap-04, 0x1.0a26b8117918p-04, 0x1.4b82ecb6a6de8p-03, 0x1.33435da90b60ep-02, 0x1.b138656e8ebb4p-03, 0x1.9339a1888d8c8p-03, 0x1.631eee37361ap-05},
+		lik:      -0x1.f780fc183682cp+07,
+		predict:  [4]float64{-0x1.43ad615e09f15p+00, -0x1.034fd4831976bp+00, -0x1.cc44ea7233296p-01, -0x1.3950faa4de52dp-02},
+		mean:     [8]float64{-0x1.43ad615e09f16p+00, -0x1.034fd48319773p+00, -0x1.cc44ea7233298p-01, -0x1.3950faa4de51fp-02, 0x1.507c67a78392cp-01, -0x1.e8a756906e5e5p-03, 0x1.6231f30c2ff46p-01, -0x1.86167cbaecbfcp+00},
+		variance: [8]float64{0x1.0bc7b8c0a5e3p-03, 0x1.c60ba45574bfp-04, 0x1.0a26b8117914p-04, 0x1.4b82ecb6a6df8p-03, 0x1.33435da90b61ap-02, 0x1.b138656e8ebacp-03, 0x1.9339a1888d8c8p-03, 0x1.631eee373618p-05},
 	},
 	"tlr-ranks4/rsvd": {
-		lik:      -0x1.f780fc183cf38p+07,
-		predict:  [4]float64{-0x1.43ad615e09afbp+00, -0x1.034fd482c9adap+00, -0x1.cc44ea72332f4p-01, -0x1.3950faa4de0eep-02},
-		mean:     [8]float64{-0x1.43ad615e09b03p+00, -0x1.034fd482c9acbp+00, -0x1.cc44ea72332f8p-01, -0x1.3950faa4de0ccp-02, 0x1.507c67a7752aep-01, -0x1.e8a756906e89cp-03, 0x1.6231f30c26aa7p-01, -0x1.86167cbafcffcp+00},
-		variance: [8]float64{0x1.0bc7b8c0a5e28p-03, 0x1.c60ba45574bep-04, 0x1.0a26b8117915p-04, 0x1.4b82ecb6a6df8p-03, 0x1.33435da90b616p-02, 0x1.b138656e8ebb8p-03, 0x1.9339a1888d8c8p-03, 0x1.631eee373614p-05},
+		lik:      -0x1.f780fc183682cp+07,
+		predict:  [4]float64{-0x1.43ad615e09f15p+00, -0x1.034fd4831976bp+00, -0x1.cc44ea7233296p-01, -0x1.3950faa4de52dp-02},
+		mean:     [8]float64{-0x1.43ad615e09f16p+00, -0x1.034fd48319773p+00, -0x1.cc44ea7233298p-01, -0x1.3950faa4de51fp-02, 0x1.507c67a78392cp-01, -0x1.e8a756906e5e5p-03, 0x1.6231f30c2ff46p-01, -0x1.86167cbaecbfcp+00},
+		variance: [8]float64{0x1.0bc7b8c0a5e3p-03, 0x1.c60ba45574bfp-04, 0x1.0a26b8117914p-04, 0x1.4b82ecb6a6df8p-03, 0x1.33435da90b61ap-02, 0x1.b138656e8ebacp-03, 0x1.9339a1888d8c8p-03, 0x1.631eee373618p-05},
 	},
 	"hodlr/rsvd": {
-		lik:      -0x1.f780fbd2f5525p+07,
-		predict:  [4]float64{-0x1.43ad6156a23aap+00, -0x1.034fd4b681d2bp+00, -0x1.cc44e9df68984p-01, -0x1.3950fa6ab1006p-02},
-		mean:     [8]float64{-0x1.43ad6156a23aap+00, -0x1.034fd4b681d1dp+00, -0x1.cc44e9df68981p-01, -0x1.3950fa6ab100bp-02, 0x1.507c67ac6f62fp-01, -0x1.e8a753237f3dp-03, 0x1.6231f3c134452p-01, -0x1.86167cbd291dfp+00},
-		variance: [8]float64{0x1.0bc7b8c0a4f18p-03, 0x1.c60ba4556f38p-04, 0x1.0a26b811778cp-04, 0x1.4b82ecb6a6388p-03, 0x1.33435da910bbp-02, 0x1.b138656e8ed04p-03, 0x1.9339a18890ee8p-03, 0x1.631eee3731a8p-05},
+		lik:      -0x1.f780fbd2f552bp+07,
+		predict:  [4]float64{-0x1.43ad6156a25e9p+00, -0x1.034fd4b681d2dp+00, -0x1.cc44e9df68938p-01, -0x1.3950fa6ab12bcp-02},
+		mean:     [8]float64{-0x1.43ad6156a25edp+00, -0x1.034fd4b681d25p+00, -0x1.cc44e9df68936p-01, -0x1.3950fa6ab12bdp-02, 0x1.507c67ac6f62fp-01, -0x1.e8a753237f429p-03, 0x1.6231f3c134415p-01, -0x1.86167cbd291f2p+00},
+		variance: [8]float64{0x1.0bc7b8c0a4f18p-03, 0x1.c60ba4556f3bp-04, 0x1.0a26b811778ep-04, 0x1.4b82ecb6a6368p-03, 0x1.33435da910ba6p-02, 0x1.b138656e8ecfp-03, 0x1.9339a18890efp-03, 0x1.631eee3731aep-05},
 	},
 }
 

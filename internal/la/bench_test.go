@@ -72,6 +72,39 @@ func BenchmarkPotrf(b *testing.B) {
 	reportGflops(b, n*n*n/3.0)
 }
 
+// The multi-column products that carry the most work in a fit_tlr evaluation
+// (n=1600, nb=128, 1e-7): m×n×k with m a tile's 128 rows or a rank, n and k a
+// rank or 128 — a TLR update's projections, bases and core products.
+func BenchmarkGemmSkinny(b *testing.B) {
+	cases := []struct {
+		ta      Trans
+		m, n, k int
+	}{
+		{NoTrans, 128, 18, 128},
+		{Transpose, 128, 18, 128},
+		{NoTrans, 16, 18, 128},
+		{Transpose, 128, 18, 16},
+		{Transpose, 26, 16, 128},
+		{Transpose, 74, 128, 128},
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("%sN/%dx%dx%d", [2]string{"N", "T"}[c.ta], c.m, c.n, c.k)
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			a := randMat(rng, c.m, c.k)
+			if c.ta == Transpose {
+				a = randMat(rng, c.k, c.m)
+			}
+			x, y := randMat(rng, c.k, c.n), randMat(rng, c.m, c.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Gemm(-1, a, c.ta, x, NoTrans, 1, y)
+			}
+			reportGflops(b, 2*float64(c.m)*float64(c.n)*float64(c.k))
+		})
+	}
+}
+
 // A tile times one column: the update of a vector forward solve.
 func BenchmarkGemmOneColumn(b *testing.B) {
 	const n = 128

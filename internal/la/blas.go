@@ -122,10 +122,14 @@ func opDims(a *Mat, t Trans) (r, c int) {
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C.
 //
-// Large products go through the packed, register-tiled micro-kernel in
-// pack.go; small or skinny ones fall back to the naive loops (RefGemm's
-// kernel), where packing overhead would dominate; a C of one column is a
-// matrix-vector product and runs as Gemv does.
+// A C of two or more columns, of any shape, goes through the register-tiled
+// micro-kernel (gemmDirect in pack.go), which reads op(A) and op(B) in place;
+// a C of one column is a matrix-vector product and runs as Gemv does.
+//
+// An element of a C of two or more columns is a function of alpha, beta, its
+// old value, its row of op(A) and its column of op(B) alone, bit for bit: a
+// block of rows, or of at least two columns, computed on its own equals the
+// same block of the whole product.
 func Gemm(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, beta float64, c *Mat) {
 	cntGemm.Inc()
 	ar, ac := opDims(a, ta)
@@ -153,7 +157,7 @@ func Gemm(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, beta float64, c *Ma
 	if alpha == 0 {
 		return
 	}
-	gemmAcc(alpha, a, ta, b, tb, c)
+	gemmDirect(alpha, a, ta, b, tb, c, wholeC)
 }
 
 // column returns the one column of op(m) as a slice: m's own storage where
@@ -177,18 +181,14 @@ func column(m *Mat, t Trans) []float64 {
 // left untouched). With t == NoTrans the update is A*Aᵀ; with Transpose it is
 // Aᵀ*A.
 //
-// The update is the packed product of op(A) with its own transpose, run over
-// the register tiles that hold an element of the triangle and no others: a
-// tile the diagonal crosses is computed whole and merged on its side of it.
+// The update is Gemm's driver on op(A) and its own transpose, run over the
+// register tiles that hold an element of the triangle and no others: a tile
+// the diagonal crosses is computed whole and merged on its side of it.
 func Syrk(uplo Uplo, alpha float64, a *Mat, t Trans, beta float64, c *Mat) {
 	cntSyrk.Inc()
 	n, k := opDims(a, t)
 	if c.Rows != n || c.Cols != n {
 		panic(fmt.Sprintf("la: syrk shape mismatch op(A)=%dx%d C=%dx%d", n, k, c.Rows, c.Cols))
-	}
-	if n < gemmMR || n*n*k < smallGemmFlops {
-		RefSyrk(uplo, alpha, a, t, beta, c)
-		return
 	}
 	// Apply beta to the referenced triangle only.
 	if beta != 1 {
@@ -214,7 +214,7 @@ func Syrk(uplo Uplo, alpha float64, a *Mat, t Trans, beta float64, c *Mat) {
 	if uplo == Upper {
 		p = upperC
 	}
-	gemmPacked(alpha, a, t, a, other(t), c, p)
+	gemmDirect(alpha, a, t, a, other(t), c, p)
 }
 
 // other flips a transpose flag.
@@ -263,13 +263,13 @@ const (
 // Splitting op(T) at n1 into T11, T22 and the one off-diagonal block that is
 // not zero, and B into the matching halves B1, B2 (rows on the Left, columns
 // on the Right), the half that depends on nothing else is solved first, its
-// contribution leaves the other half in one packed product with the
-// off-diagonal block, and the other half is solved.
+// contribution leaves the other half in one product with the off-diagonal
+// block, and the other half is solved.
 //
 // Every choice here is made on the order of the triangle, never on B's free
-// dimension, and the product is gemmPacked, not gemmAcc (whose route to the
-// naive loops depends on all three dimensions and sums in another order):
-// that is what makes a slice of B solve to the same bits as the whole.
+// dimension, and the product is gemmDirect, not Gemm (whose route for a
+// one-column C is the Gemv body, which sums in another order): that is what
+// makes a slice of B solve to the same bits as the whole.
 func trsm(side Side, uplo Uplo, t Trans, tri, b *Mat) {
 	n := tri.Rows
 	if n <= trsmBase {
@@ -296,9 +296,9 @@ func trsm(side Side, uplo Uplo, t Trans, tri, b *Mat) {
 	}
 	trsm(side, uplo, t, t11, b1)
 	if side == Left {
-		gemmPacked(-1, off, t, b1, NoTrans, b2, wholeC)
+		gemmDirect(-1, off, t, b1, NoTrans, b2, wholeC)
 	} else {
-		gemmPacked(-1, b1, NoTrans, off, t, b2, wholeC)
+		gemmDirect(-1, b1, NoTrans, off, t, b2, wholeC)
 	}
 	trsm(side, uplo, t, t22, b2)
 }

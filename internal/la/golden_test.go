@@ -39,9 +39,11 @@ func maxRelDiff(got, want *Mat) float64 {
 
 var goldenDims = []int{1, 2, 3, 5, 7, 16, 31, 64, 65, 100, 127, 130}
 
-func TestGemmGolden(t *testing.T) {
+func TestGemmGolden(t *testing.T) { bothBodies(t, testGemmGolden) }
+
+func testGemmGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	shapes := [][3]int{}
+	shapes := [][3]int{} // m, k, n
 	for _, n := range goldenDims {
 		shapes = append(shapes, [3]int{n, n, n})
 	}
@@ -50,6 +52,17 @@ func TestGemmGolden(t *testing.T) {
 		[3]int{1, 64, 64}, [3]int{64, 64, 1}, [3]int{64, 1, 64},
 		[3]int{3, 257, 5}, [3]int{129, 7, 131}, [3]int{37, 300, 4},
 		[3]int{200, 520, 9}, [3]int{5, 1000, 5},
+	)
+	// What the naive loops used to take: fewer than four rows or eight
+	// columns, or m·n·k below 32³; and no depth at all.
+	for m := 1; m <= 3; m++ {
+		for n := 2; n <= 7; n++ {
+			shapes = append(shapes, [3]int{m, 0, n}, [3]int{m, 1, n}, [3]int{m, 5 * n, n})
+		}
+	}
+	shapes = append(shapes,
+		[3]int{4, 16, 8}, [3]int{16, 31, 18}, [3]int{31, 30, 9}, [3]int{12, 200, 13},
+		[3]int{5, 0, 9}, [3]int{128, 0, 18},
 	)
 	alphaBeta := [][2]float64{{1, 0}, {1, 1}, {-1, 0.5}, {2, -1}, {0, 0.5}, {0.3, 0}}
 	for _, sh := range shapes {

@@ -8,12 +8,19 @@ package la
 // with the default GOAMD64=v1 still run on older machines through the
 // scalar fallback.
 
-// microKernelFMA computes the packed 4×8 register tile
-// acc = Σ_p a(:,p)·b(p,:) with eight YMM FMA accumulators. kc must be ≥ 1;
-// ap and bp point at panels of kc*gemmMR and kc*gemmNR float64s.
+// microKernelFMA is the AVX2+FMA body of microKernel: the 4×8 register tile
+// acc[r][c] = Σ_p a[r·ars+p·aps]·b[p·ldb+c] with eight YMM FMA accumulators.
+// kc must be ≥ 1 and every element that formula names must be readable.
 //
 //go:noescape
-func microKernelFMA(kc int, ap, bp *float64, acc *[gemmMR * gemmNR]float64)
+func microKernelFMA(kc int, a *float64, ars, aps int, b *float64, ldb int, acc *[gemmMR * gemmNR]float64)
+
+// addTileAVX is the body of addTile for a whole 4×8 tile: C[r][c] +=
+// alpha·acc[r][c] with C's rows ldc elements apart, a product then a sum, as
+// the Go loop rounds it.
+//
+//go:noescape
+func addTileAVX(alpha float64, acc *[gemmMR * gemmNR]float64, c *float64, ldc int)
 
 // dotFMA, axpyFMA and rotateFMA are the vector bodies of dot, axpy and rotate
 // (qr.go, svd.go) over n ≥ 1 elements from x and y. rotateFMA requires that

@@ -2,21 +2,34 @@
 
 #include "textflag.h"
 
-// func microKernelFMA(kc int, ap, bp *float64, acc *[32]float64)
+// func microKernelFMA(kc int, a *float64, ars, aps int, b *float64, ldb int, acc *[32]float64)
 //
-// Computes the 4×8 register tile acc[r][c] = Σ_p ap[p*4+r] * bp[p*8+c]
+// Computes the 4×8 register tile acc[r][c] = Σ_p a[r*ars+p*aps] * b[p*ldb+c]
 // using eight YMM accumulators:
 //
 //	Y0..Y7 — acc rows 0..3, columns [0:4] and [4:8]
-//	Y8, Y9 — the two 4-wide vectors of row p of the packed B panel
-//	Y10    — broadcast of one packed A element
+//	Y8, Y9 — the two 4-wide vectors of row p of op(B)
+//	Y10    — broadcast of one element of op(A)
+//
+// Strides are in elements. A packed A panel is ars=1, aps=4 and a packed B
+// panel ldb=8; a row-major A read in place is ars=lda, aps=1, its transpose
+// ars=1, aps=lda, and a B read in place is ldb=its stride.
 //
 // Per p-step: 2 vector loads + 4 broadcasts + 8 FMAs = 64 flops.
-TEXT ·microKernelFMA(SB), NOSPLIT, $0-32
+TEXT ·microKernelFMA(SB), NOSPLIT, $0-56
 	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ acc+24(FP), DX
+	MOVQ a+8(FP), SI
+	MOVQ ars+16(FP), R8
+	MOVQ aps+24(FP), R9
+	MOVQ b+32(FP), DI
+	MOVQ ldb+40(FP), R10
+	MOVQ acc+48(FP), DX
+
+	// Strides to bytes; R11 = 3·ars, the offset of row 3 of op(A).
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (R8)(R8*2), R11
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -38,20 +51,20 @@ loop:
 	VFMADD231PD  Y8, Y10, Y0
 	VFMADD231PD  Y9, Y10, Y1
 
-	VBROADCASTSD 8(SI), Y10
+	VBROADCASTSD (SI)(R8*1), Y10
 	VFMADD231PD  Y8, Y10, Y2
 	VFMADD231PD  Y9, Y10, Y3
 
-	VBROADCASTSD 16(SI), Y10
+	VBROADCASTSD (SI)(R8*2), Y10
 	VFMADD231PD  Y8, Y10, Y4
 	VFMADD231PD  Y9, Y10, Y5
 
-	VBROADCASTSD 24(SI), Y10
+	VBROADCASTSD (SI)(R11*1), Y10
 	VFMADD231PD  Y8, Y10, Y6
 	VFMADD231PD  Y9, Y10, Y7
 
-	ADDQ $32, SI
-	ADDQ $64, DI
+	ADDQ R9, SI
+	ADDQ R10, DI
 	DECQ CX
 	JNZ  loop
 
@@ -64,6 +77,52 @@ done:
 	VMOVUPD Y5, 160(DX)
 	VMOVUPD Y6, 192(DX)
 	VMOVUPD Y7, 224(DX)
+	VZEROUPPER
+	RET
+
+// func addTileAVX(alpha float64, acc *[32]float64, c *float64, ldc int)
+//
+// C[r][0:8] += alpha·acc[r][0:8] for the four rows of a register tile, C's
+// rows ldc elements apart: a product, rounded, then a sum — VMULPD and
+// VADDPD, not a fused multiply-add — so the bits are those of the Go loop.
+TEXT ·addTileAVX(SB), NOSPLIT, $0-32
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ         acc+8(FP), SI
+	MOVQ         c+16(FP), DI
+	MOVQ         ldc+24(FP), CX
+	SHLQ         $3, CX
+
+	VMULPD  (SI), Y0, Y1
+	VMULPD  32(SI), Y0, Y2
+	VADDPD  (DI), Y1, Y1
+	VADDPD  32(DI), Y2, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	ADDQ    CX, DI
+
+	VMULPD  64(SI), Y0, Y1
+	VMULPD  96(SI), Y0, Y2
+	VADDPD  (DI), Y1, Y1
+	VADDPD  32(DI), Y2, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	ADDQ    CX, DI
+
+	VMULPD  128(SI), Y0, Y1
+	VMULPD  160(SI), Y0, Y2
+	VADDPD  (DI), Y1, Y1
+	VADDPD  32(DI), Y2, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	ADDQ    CX, DI
+
+	VMULPD  192(SI), Y0, Y1
+	VMULPD  224(SI), Y0, Y2
+	VADDPD  (DI), Y1, Y1
+	VADDPD  32(DI), Y2, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+
 	VZEROUPPER
 	RET
 

@@ -8,11 +8,15 @@ const useFMAKernel = false
 
 // microKernelFMA is never called when useFMAKernel is false; this stub
 // satisfies the compiler on targets without the assembly implementation.
-func microKernelFMA(kc int, ap, bp *float64, acc *[gemmMR * gemmNR]float64) {
+func microKernelFMA(kc int, a *float64, ars, aps int, b *float64, ldb int, acc *[gemmMR * gemmNR]float64) {
 	panic("la: FMA micro-kernel unavailable on this architecture")
 }
 
-// The vector bodies are unreachable for the same reason.
+// The tile and vector bodies are unreachable for the same reason.
+func addTileAVX(alpha float64, acc *[gemmMR * gemmNR]float64, c *float64, ldc int) {
+	panic("la: AVX tile update unavailable on this architecture")
+}
+
 func dotFMA(x, y *float64, n int) float64 {
 	panic("la: FMA vector kernels unavailable on this architecture")
 }

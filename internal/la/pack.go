@@ -2,19 +2,21 @@ package la
 
 import "sync"
 
-// Packed, cache-blocked GEMM (the BLIS/GotoBLAS structure).
+// Register-tiled GEMM (the BLIS/GotoBLAS loop nest), one driver over one
+// micro-kernel.
 //
-// op(A) is partitioned into MC×KC blocks and op(B) into KC×NC blocks; each
-// block is packed into a contiguous scratch buffer laid out as micro-panels
-// so the innermost kernel streams both operands with unit stride regardless
-// of the original transpose/stride. The micro-kernel computes a 4×8 tile of
-// C: on amd64 with AVX2+FMA it runs as eight YMM accumulators (see
-// microkernel_amd64.s, runtime CPUID-gated); elsewhere a scalar 32-accumulator
-// Go loop is used.
+// The micro-kernel computes a 4×8 tile of C from a kc-deep stretch of op(A)
+// and op(B) read through strides: element (r, p) of op(A) at a[r·ars+p·aps],
+// row p of op(B) at b[p·ldb]. On amd64 with AVX2+FMA it runs as eight YMM
+// accumulators (microkernel_amd64.s, runtime CPUID-gated); elsewhere a scalar
+// 32-accumulator Go loop with the same signature is used.
 //
-//	KC×NC panel of B — packed once, reused by every MC block   (L3-sized)
-//	MC×KC panel of A — packed per block                        (L2-sized)
-//	 4×8  C tile     — register accumulators                   (registers)
+// gemmDirect hands the kernel op(A) and op(B) where they lie and packs only
+// what it cannot read in place (see there), blocked as
+//
+//	KC×NC slab of op(B) — reused by every MC block             (L3-sized)
+//	MC×KC block of op(A) — reused by every 8-column panel      (L2-sized)
+//	  4×8 tile of C      — register accumulators               (registers)
 //
 // Scratch buffers are recycled through a sync.Pool so steady-state likelihood
 // iterations allocate nothing.
@@ -26,18 +28,14 @@ const (
 	gemmNC = 512 // B-block cols; gemmKC×gemmNC ≈ 1 MiB, L3-resident
 )
 
-// smallGemmFlops is the m·n·k product below which packing overhead outweighs
-// the micro-kernel's gains and the naive loops win.
-const smallGemmFlops = 32 * 32 * 32
-
 // FMAKernelEnabled reports whether the AVX2+FMA assembly micro-kernel is in
 // use on this machine (false on non-amd64 or when the CPU/OS lacks AVX2+FMA
 // support). Benchmark reports record it so numbers are comparable.
 func FMAKernelEnabled() bool { return useFMAKernel }
 
 type gemmBufs struct {
-	a []float64 // packed MC×KC block, micro-panels of gemmMR rows
-	b []float64 // packed KC×NC block, micro-panels of gemmNR cols
+	a []float64 // op(A)'s packed fringe panel; trsmSmall's transposed rows
+	b []float64 // packed KC×NC slab of op(B), micro-panels of gemmNR cols
 }
 
 var gemmPool = sync.Pool{New: func() any {
@@ -47,21 +45,8 @@ var gemmPool = sync.Pool{New: func() any {
 	}
 }}
 
-// gemmAcc accumulates C += alpha*op(A)*op(B) (alpha ≠ 0, beta already
-// applied by the caller), routing between the naive loops and the packed
-// kernel on problem size.
-func gemmAcc(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, c *Mat) {
-	m, k := opDims(a, ta)
-	_, n := opDims(b, tb)
-	if m < gemmMR || n < gemmNR || m*n*k < smallGemmFlops {
-		refGemmAcc(alpha, a, ta, b, tb, c)
-		return
-	}
-	gemmPacked(alpha, a, ta, b, tb, c, wholeC)
-}
-
-// part names the elements of C a packed product updates: all of them, or
-// only those on and below (above) the diagonal, as Syrk does.
+// part names the elements of C a product updates: all of them, or only those
+// on and below (above) the diagonal, as Syrk does.
 type part int
 
 const (
@@ -70,29 +55,77 @@ const (
 	upperC
 )
 
-// gemmPacked is the packed body of gemmAcc, for any shape. An element of C
-// receives alpha times the fused sum over each KC-deep slab of k in turn,
-// and the micro-kernel zero-pads partial tiles, so what one element gets
-// depends on its row of op(A) and its column of op(B) alone — not on the
-// shape of C or where in it the element sits. Trsm's slice independence
-// rests on that.
-func gemmPacked(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, c *Mat, p part) {
+// gemmDirect accumulates C += alpha·op(A)·op(B) (beta already applied by the
+// caller) over part p of C, for any shape, packing only what the micro-kernel
+// cannot read in place:
+//
+//   - op(A) is read where it lies, transposed or not (ars, aps are its row
+//     and column strides); only its last m mod 4 rows are packed, zero-padded
+//     to a panel of four.
+//   - op(B) is read where it lies when B is not transposed (a row of eight
+//     contiguous elements per p); only its last n mod 8 columns are packed,
+//     zero-padded to a panel of eight. A transposed B is packed whole.
+//
+// An element of C receives alpha times one fused chain over each KC-deep
+// slab of k in turn, and partial tiles are zero-padded, so what one element
+// gets depends on its row of op(A) and its column of op(B) alone — not on the
+// shape of C or where in it the element sits. Gemm's shape independence and
+// Trsm's slice independence rest on that. Packing op(A) would not pay: a
+// panel of the skinny products TLR runs (m = 128 tile rows, n and k at rank
+// size) is read only n/8 ≈ 2–4 times.
+func gemmDirect(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, c *Mat, p part) {
 	m, k := opDims(a, ta)
 	_, n := opDims(b, tb)
+	ars, aps := a.Stride, 1
+	if ta == Transpose {
+		ars, aps = 1, a.Stride
+	}
+	mFull := m - m%gemmMR
 	bufs := gemmPool.Get().(*gemmBufs)
 	defer gemmPool.Put(bufs)
+	var acc [gemmMR * gemmNR]float64
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
+		nFull := nc - nc%gemmNR
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
-			packB(bufs.b, b, tb, pc, jc, kc, nc)
+			// bufs.b holds all of op(B)'s panels when B is transposed, its
+			// fringe panel alone when not; bufs.a holds op(A)'s fringe panel.
+			if tb == Transpose {
+				packB(bufs.b, b, tb, pc, jc, kc, nc)
+			} else if nFull < nc {
+				packB(bufs.b, b, tb, pc, jc+nFull, kc, nc-nFull)
+			}
+			if mFull < m {
+				packA(bufs.a, a, ta, mFull, pc, m-mFull, kc)
+			}
 			for ic := 0; ic < m; ic += gemmMC {
 				mc := min(gemmMC, m-ic)
 				if p == lowerC && ic+mc <= jc || p == upperC && jc+nc <= ic {
 					continue // the block lies wholly in the other triangle
 				}
-				packA(bufs.a, a, ta, ic, pc, mc, kc)
-				macroKernel(alpha, bufs.a, bufs.b, c, ic, jc, mc, nc, kc, p)
+				for jr := 0; jr < nc; jr += gemmNR {
+					j0, cols := jc+jr, min(gemmNR, nc-jr)
+					bp, ldb := bufs.b[(jr/gemmNR)*kc*gemmNR:], gemmNR
+					if tb == NoTrans {
+						bp = bufs.b
+						if jr < nFull {
+							bp, ldb = b.Data[pc*b.Stride+j0:], b.Stride
+						}
+					}
+					for i0 := ic; i0 < ic+mc; i0 += gemmMR {
+						rows := min(gemmMR, m-i0)
+						if p == lowerC && i0+rows <= j0 || p == upperC && j0+cols <= i0 {
+							continue // the tile lies wholly in the other triangle
+						}
+						if i0 < mFull {
+							microKernel(kc, a.Data[i0*ars+pc*aps:], ars, aps, bp, ldb, &acc)
+						} else {
+							microKernel(kc, bufs.a, 1, gemmMR, bp, ldb, &acc)
+						}
+						addTile(alpha, &acc, c, i0, j0, rows, cols, p)
+					}
+				}
 			}
 		}
 	}
@@ -160,60 +193,61 @@ func packB(buf []float64, b *Mat, tb Trans, pc, jc, kc, nc int) {
 	}
 }
 
-// macroKernel runs the 4×8 micro-kernel over every register tile of the
-// packed mc×nc block that holds an element of part p and scatters the
-// alpha-scaled results into C at (ic, jc): whole rows of a tile, or, in a
-// tile the diagonal crosses, the stretch of each row on p's side of it.
-func macroKernel(alpha float64, pa, pb []float64, c *Mat, ic, jc, mc, nc, kc int, p part) {
-	var acc [gemmMR * gemmNR]float64
-	for jr := 0; jr < nc; jr += gemmNR {
-		bp := pb[(jr/gemmNR)*kc*gemmNR:]
-		j0, cols := jc+jr, min(gemmNR, nc-jr)
-		for ir := 0; ir < mc; ir += gemmMR {
-			i0, rows := ic+ir, min(gemmMR, mc-ir)
-			if p == lowerC && i0+rows <= j0 || p == upperC && j0+cols <= i0 {
-				continue
-			}
-			ap := pa[(ir/gemmMR)*kc*gemmMR:]
-			if useFMAKernel && kc > 0 {
-				microKernelFMA(kc, &ap[0], &bp[0], &acc)
-			} else {
-				microKernelGeneric(kc, ap, bp, &acc)
-			}
-			for r := 0; r < rows; r++ {
-				lo, hi := 0, cols
-				switch p {
-				case lowerC:
-					hi = min(cols, i0+r-j0+1)
-				case upperC:
-					lo = max(0, i0+r-j0)
-				}
-				if lo >= hi {
-					continue
-				}
-				dst := c.Row(i0 + r)[j0+lo : j0+hi]
-				src := acc[r*gemmNR+lo:]
-				for cc := range dst {
-					dst[cc] += alpha * src[cc]
-				}
-			}
+// addTile adds alpha times the leading rows×cols of a register tile into C at
+// (i0, j0): whole rows, or, in a tile the diagonal crosses, the stretch of
+// each row on p's side of it.
+func addTile(alpha float64, acc *[gemmMR * gemmNR]float64, c *Mat, i0, j0, rows, cols int, p part) {
+	whole := p == wholeC || p == lowerC && j0+cols <= i0+1 || p == upperC && i0+rows <= j0+1
+	if useFMAKernel && whole && rows == gemmMR && cols == gemmNR {
+		_ = c.Row(i0 + gemmMR - 1)[j0+gemmNR-1]
+		addTileAVX(alpha, acc, &c.Data[i0*c.Stride+j0], c.Stride)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		lo, hi := 0, cols
+		switch p {
+		case lowerC:
+			hi = min(cols, i0+r-j0+1)
+		case upperC:
+			lo = max(0, i0+r-j0)
+		}
+		if lo >= hi {
+			continue
+		}
+		dst := c.Row(i0 + r)[j0+lo : j0+hi]
+		src := acc[r*gemmNR+lo:]
+		for cc := range dst {
+			dst[cc] += alpha * src[cc]
 		}
 	}
 }
 
-// microKernelGeneric computes acc = Σ_p a(:,p)·b(p,:) over the packed
-// panels — the portable scalar fallback for the assembly micro-kernel. The
-// 4×8 tile is processed as two 4×4 halves to limit register pressure.
-func microKernelGeneric(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
+// microKernel computes the 4×8 register tile
+// acc[r][c] = Σ_{p<kc} a[r·ars+p·aps]·b[p·ldb+c] — one chain per element, in
+// p order, fused where the CPU has FMA. a and b must reach the last element
+// the formula names; the slices are checked here, so a fringe bug panics
+// before the assembly reads past them.
+func microKernel(kc int, a []float64, ars, aps int, b []float64, ldb int, acc *[gemmMR * gemmNR]float64) {
+	if useFMAKernel && kc > 0 {
+		_, _ = a[(gemmMR-1)*ars+(kc-1)*aps], b[(kc-1)*ldb+gemmNR-1]
+		microKernelFMA(kc, &a[0], ars, aps, &b[0], ldb, acc)
+		return
+	}
+	microKernelGeneric(kc, a, ars, aps, b, ldb, acc)
+}
+
+// microKernelGeneric is the portable scalar body of microKernel. The 4×8
+// tile is processed as two 4×4 halves to limit register pressure.
+func microKernelGeneric(kc int, a []float64, ars, aps int, b []float64, ldb int, acc *[gemmMR * gemmNR]float64) {
 	var (
 		c00, c01, c02, c03 float64
 		c10, c11, c12, c13 float64
 		c20, c21, c22, c23 float64
 		c30, c31, c32, c33 float64
 	)
-	for p, ia, ib := 0, 0, 0; p < kc; p, ia, ib = p+1, ia+gemmMR, ib+gemmNR {
-		a0, a1, a2, a3 := ap[ia], ap[ia+1], ap[ia+2], ap[ia+3]
-		b0, b1, b2, b3 := bp[ib], bp[ib+1], bp[ib+2], bp[ib+3]
+	for p, ia, ib := 0, 0, 0; p < kc; p, ia, ib = p+1, ia+aps, ib+ldb {
+		a0, a1, a2, a3 := a[ia], a[ia+ars], a[ia+2*ars], a[ia+3*ars]
+		b0, b1, b2, b3 := b[ib], b[ib+1], b[ib+2], b[ib+3]
 		c00 += a0 * b0
 		c01 += a0 * b1
 		c02 += a0 * b2
@@ -239,9 +273,9 @@ func microKernelGeneric(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64)
 	c10, c11, c12, c13 = 0, 0, 0, 0
 	c20, c21, c22, c23 = 0, 0, 0, 0
 	c30, c31, c32, c33 = 0, 0, 0, 0
-	for p, ia, ib := 0, 0, 0; p < kc; p, ia, ib = p+1, ia+gemmMR, ib+gemmNR {
-		a0, a1, a2, a3 := ap[ia], ap[ia+1], ap[ia+2], ap[ia+3]
-		b0, b1, b2, b3 := bp[ib+4], bp[ib+5], bp[ib+6], bp[ib+7]
+	for p, ia, ib := 0, 0, 0; p < kc; p, ia, ib = p+1, ia+aps, ib+ldb {
+		a0, a1, a2, a3 := a[ia], a[ia+ars], a[ia+2*ars], a[ia+3*ars]
+		b0, b1, b2, b3 := b[ib+4], b[ib+5], b[ib+6], b[ib+7]
 		c00 += a0 * b0
 		c01 += a0 * b1
 		c02 += a0 * b2

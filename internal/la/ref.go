@@ -11,8 +11,7 @@ import "fmt"
 // golden cross-check tests and the kernel benchmarks compare against them;
 // they must stay simple enough to be obviously correct, so do not optimize
 // them. RefTrmm has no production counterpart: it is the multiply that the
-// tests check a solve against. refGemmAcc is also Gemm's route for products
-// too small to pack.
+// tests check a solve against.
 
 // RefGemm computes C = alpha*op(A)*op(B) + beta*C with the naive ikj loop.
 func RefGemm(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, beta float64, c *Mat) {
