@@ -11,12 +11,16 @@ test:
 # verify is the pre-merge gate, and what CI runs: gofmt and vet (la and tlr
 # also vetted for arm64, where the Go loops stand in for the amd64 assembly —
 # a cross-vet type-checks that build and needs no network), every package
-# once, uncached, under the race detector (the rank goroutines and mailboxes,
-# the session lock, lock-free instruments, the task graphs, the pooled
-# recompression workspaces, the tile store's pin/evict concurrency, the
-# recovery oracle with its injected task panics and rank deaths, the
-# out-of-core and serving suites and the fuzz targets' seed corpora are all in
-# that one pass; internal/core alone is the long pole), one iteration of the
+# once, uncached, under the race detector and in a shuffled order (the rank
+# goroutines and mailboxes, the session lock, lock-free instruments, the task
+# graphs, the pooled recompression workspaces, the tile store's pin/evict
+# concurrency, the equivalence and recovery oracles, the out-of-core and
+# serving suites and the fuzz targets' seed corpora are all in that one pass;
+# internal/core alone is the long pole: 78-86 s on two cores, where it took
+# 113-121 s back to back before its cross-checks became one equivalence
+# oracle; the process-wide instrument registry is the state a shuffled order
+# could leak, and every test reads it as a difference of snapshots), one
+# iteration of the
 # dense-kernel (Trsm, Syrk, Potrf, the skinny and one-column Gemms), vector-loop,
 # recompression, low-rank update, graph-construction and covariance kernel
 # benchmarks so they cannot rot, the two paperbench experiments the test suite
@@ -28,7 +32,7 @@ test:
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/
-	$(GO) test -race -count=1 -timeout 45m ./...
+	$(GO) test -race -shuffle=on -count=1 -timeout 45m ./...
 	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
 	$(GO) run ./cmd/paperbench -exp extensions -scale small >/dev/null && $(GO) run ./cmd/paperbench -exp ablation -scale small >/dev/null
 	cd bench && $(GO) vet ./... && $(GO) test ./...

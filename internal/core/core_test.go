@@ -34,59 +34,6 @@ func TestNewProblemValidation(t *testing.T) {
 	}
 }
 
-func TestLogLikelihoodModesAgree(t *testing.T) {
-	p := smallProblem(t, 100, 2)
-	th := theta()
-	ref, err := LogLikelihood(p, th, Config{Mode: FullBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tileRes, err := LogLikelihood(p, th, Config{Mode: FullTile, TileSize: 32, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tileRes.Value-ref.Value) > 1e-6*math.Abs(ref.Value) {
-		t.Fatalf("full-tile %g vs full-block %g", tileRes.Value, ref.Value)
-	}
-	tlrRes, err := LogLikelihood(p, th, Config{Mode: TLR, TileSize: 32, Accuracy: 1e-10, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tlrRes.Value-ref.Value) > 1e-4*math.Abs(ref.Value)+1e-3 {
-		t.Fatalf("tlr %g vs full-block %g", tlrRes.Value, ref.Value)
-	}
-	if tlrRes.Bytes >= tileRes.Bytes {
-		t.Log("note: no compression gain at this tiny size (expected for small n)")
-	}
-	if tlrRes.MaxRank <= 0 {
-		t.Fatal("TLR result missing rank stats")
-	}
-}
-
-func TestLogLikelihoodTLRConvergesWithAccuracy(t *testing.T) {
-	p := smallProblem(t, 144, 3)
-	th := theta()
-	ref, err := LogLikelihood(p, th, Config{Mode: FullBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := math.Inf(1)
-	for _, acc := range []float64{1e-3, 1e-6, 1e-9} {
-		r, err := LogLikelihood(p, th, Config{Mode: TLR, TileSize: 24, Accuracy: acc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := math.Abs(r.Value - ref.Value)
-		if e > prev*2 {
-			t.Fatalf("TLR likelihood error grew with tighter accuracy: %g -> %g", prev, e)
-		}
-		prev = e
-	}
-	if prev > 1e-3 {
-		t.Fatalf("TLR at 1e-9 still off by %g", prev)
-	}
-}
-
 func TestLogLikelihoodHigherAtTruth(t *testing.T) {
 	// ℓ(θ*) should beat clearly wrong parameter guesses on average.
 	p := smallProblem(t, 121, 4)
@@ -155,34 +102,6 @@ func TestFitTLRMatchesExactFit(t *testing.T) {
 	}
 	if math.Abs(tlrFit.Theta.Range-exact.Theta.Range) > 0.3*exact.Theta.Range {
 		t.Errorf("TLR range %g vs exact %g", tlrFit.Theta.Range, exact.Theta.Range)
-	}
-}
-
-func TestPredictModesAgree(t *testing.T) {
-	syn, err := GenerateSynthetic(256, 20, theta(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := theta()
-	pb, err := Predict(syn.Train, syn.TestPoints, th, Config{Mode: FullBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := Predict(syn.Train, syn.TestPoints, th, Config{Mode: FullTile, TileSize: 64, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := Predict(syn.Train, syn.TestPoints, th, Config{Mode: TLR, TileSize: 64, Accuracy: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pb {
-		if math.Abs(pt[i]-pb[i]) > 1e-6 {
-			t.Fatalf("full-tile prediction differs at %d: %g vs %g", i, pt[i], pb[i])
-		}
-		if math.Abs(pl[i]-pb[i]) > 1e-3 {
-			t.Fatalf("TLR prediction differs at %d: %g vs %g", i, pl[i], pb[i])
-		}
 	}
 }
 

@@ -178,72 +178,31 @@ func TestSessionAppliesConfiguredOrdering(t *testing.T) {
 	}
 }
 
-// TestOrderingInvariantLikelihood: the log-likelihood is a property of the
-// dataset, not of the row order — every ordering must produce the same value
-// up to factorization roundoff (dense mode) and compression tolerance (TLR).
-// What an ordering does change is the cost: on clustered points, whose raw
-// order interleaves the clusters, a locality-aware ordering must leave the
-// TLR tiles at lower rank than the raw order does.
-func TestOrderingInvariantLikelihood(t *testing.T) {
-	pts, z := rawDataset(t, 144, 25)
-	clustered := geom.GenerateClustered(144, 8, 0.02, rng.New(28))
-	zc, err := cov.SampleField(cov.NewKernel(theta()), clustered, geom.Euclidean, rng.New(29))
+// TestOrderingLowersClusteredRanks: what an ordering changes is the cost —
+// on clustered points, whose raw order interleaves the clusters, a
+// locality-aware ordering leaves the TLR tiles at lower rank than the raw
+// order does. (That the answer does not change is TestEquivalenceOracle's:
+// every row is held to full-block in caller order.)
+func TestOrderingLowersClusteredRanks(t *testing.T) {
+	pts := geom.GenerateClustered(144, 8, 0.02, rng.New(28))
+	z, err := cov.SampleField(cov.NewKernel(theta()), pts, geom.Euclidean, rng.New(29))
 	if err != nil {
 		t.Fatal(err)
 	}
-	newPts := []geom.Point{{X: 0.31, Y: 0.47}, {X: 0.83, Y: 0.12}, {X: 0.05, Y: 0.95}}
-	type result struct {
-		lik      float64
-		meanRank float64
-		pred     []float64
+	p, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.None)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(pts []geom.Point, z []float64, cfg Config) map[string]result {
-		out := map[string]result{}
-		for _, name := range geom.OrderingNames() {
-			cfg := cfg
-			cfg.Ordering = name
-			cfg.TileSize = 24
-			p, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.None)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := NewSession(p, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lik, err := s.LogLikelihood(theta())
-			if err != nil {
-				t.Fatal(err)
-			}
-			pred, err := s.Predict(newPts, theta())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[name] = result{lik: lik.Value, meanRank: lik.MeanRank, pred: pred}
+	meanRank := func(ordering string) float64 {
+		lik, err := LogLikelihood(p, theta(), Config{Mode: TLR, TileSize: 24, Accuracy: 1e-9, Ordering: ordering})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
+		return lik.MeanRank
 	}
-	check := func(res map[string]result, tol float64, mode string) {
-		ref := res[geom.OrderNone]
-		for name, r := range res {
-			if rel := math.Abs(r.lik-ref.lik) / math.Abs(ref.lik); rel > tol {
-				t.Fatalf("%s: %s loglik %.12f vs none %.12f (rel %.2e > %.0e)",
-					mode, name, r.lik, ref.lik, rel, tol)
-			}
-			for i := range r.pred {
-				if d := math.Abs(r.pred[i] - ref.pred[i]); d > tol*10 {
-					t.Fatalf("%s: %s prediction %d differs by %g", mode, name, i, d)
-				}
-			}
-		}
-	}
-	tlrCfg := Config{Mode: TLR, Accuracy: 1e-9, CompressorName: "svd"}
-	check(run(pts, z, Config{Mode: FullBlock}), 1e-10, "dense")
-	check(run(pts, z, tlrCfg), 1e-6, "tlr")
-	res := run(clustered, zc, tlrCfg)
-	check(res, 1e-6, "tlr clustered")
+	raw := meanRank(geom.OrderNone)
 	for _, name := range []string{geom.OrderHilbert, geom.OrderKDBlock} {
-		if got, raw := res[name].meanRank, res[geom.OrderNone].meanRank; got >= raw {
+		if got := meanRank(name); got >= raw {
 			t.Fatalf("clustered points: %s mean tile rank %.1f is not below the raw order's %.1f", name, got, raw)
 		}
 	}
@@ -278,29 +237,6 @@ func TestOrderingComposesWithChaos(t *testing.T) {
 	for i := range wantPred {
 		if gotPred[i] != wantPred[i] {
 			t.Fatalf("hilbert-ordered prediction %d diverged under chaos", i)
-		}
-	}
-}
-
-// TestOrderingDistributedMatchesShared: the distributed backend under each
-// ordering agrees with the shared-memory likelihood on the same ordering.
-func TestOrderingDistributedMatchesShared(t *testing.T) {
-	p := smallProblem(t, 256, 27)
-	for _, name := range []string{geom.OrderMorton, geom.OrderHilbert, geom.OrderKDBlock} {
-		shared := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-9, Ordering: name}
-		want, err := LogLikelihood(p, theta(), shared)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dist := shared
-		dist.Ranks = 4
-		got, err := LogLikelihood(p, theta(), dist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel := math.Abs(got.Value-want.Value) / math.Abs(want.Value); rel > 1e-12 {
-			t.Fatalf("%s: distributed loglik %.12f vs shared %.12f (rel %.2e)",
-				name, got.Value, want.Value, rel)
 		}
 	}
 }

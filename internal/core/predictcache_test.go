@@ -1,16 +1,11 @@
 package core
 
 import (
-	"errors"
-	"math"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/cov"
-	"repro/internal/geom"
-	"repro/internal/la"
-	"repro/internal/rng"
 	"repro/internal/tlr"
 )
 
@@ -185,100 +180,6 @@ func TestPredictThenVarianceSharesFactorization(t *testing.T) {
 		}
 		if runs := cntFactorRuns.Value() - runs0; runs != 1 {
 			t.Fatalf("mean+variance predicts at one θ (mean first: %v) took %d factorizations, want 1", firstMean, runs)
-		}
-	}
-}
-
-// unchunkedPredictWithVariance is the pre-chunking reference implementation:
-// one dense n×m W solved in a single HalfSolve.
-func unchunkedPredictWithVariance(t *testing.T, p *Problem, newPts []geom.Point, th cov.Params, cfg Config) Prediction {
-	t.Helper()
-	f := factorize(t, p, th, cfg)
-	k := cov.NewKernel(th)
-	n, m := p.N(), len(newPts)
-	w := la.NewMat(n, m)
-	k.Block(w, p.Points, newPts, p.Metric)
-	y := append([]float64(nil), p.Z...)
-	if err := errors.Join(f.HalfSolve(w), f.HalfSolve(la.NewMatFrom(n, 1, y))); err != nil {
-		t.Fatal(err)
-	}
-	pr := Prediction{Mean: make([]float64, m), Variance: make([]float64, m)}
-	c0 := k.At(0)
-	for i := 0; i < m; i++ {
-		var mean, norm2 float64
-		for r := 0; r < n; r++ {
-			wi := w.At(r, i)
-			mean += wi * y[r]
-			norm2 += wi * wi
-		}
-		pr.Mean[i] = mean
-		v := c0 - norm2
-		if v < 0 {
-			v = 0
-		}
-		pr.Variance[i] = v
-	}
-	return pr
-}
-
-// TestPredictWithVarianceChunkedBitwise checks the column-block variance
-// path reproduces the one-shot n×m computation bit for bit in every mode,
-// with the request spanning several partial and full chunks.
-func TestPredictWithVarianceChunkedBitwise(t *testing.T) {
-	syn, err := GenerateSynthetic(300, 0, theta(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 75 query points against TileSize 32: two full chunks plus a remainder.
-	qpts := geom.GeneratePerturbedGrid(75, rng.New(12))
-	th := theta()
-	for _, mode := range []Mode{FullBlock, FullTile, TLR} {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := Config{Mode: mode, TileSize: 32, Accuracy: 1e-9}
-			want := unchunkedPredictWithVariance(t, syn.Train, qpts, th, cfg)
-			got, err := PredictWithVariance(syn.Train, qpts, th, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Mean {
-				if got.Mean[i] != want.Mean[i] {
-					t.Fatalf("mean %d: chunked %v unchunked %v (diff %g)", i, got.Mean[i], want.Mean[i], got.Mean[i]-want.Mean[i])
-				}
-				if got.Variance[i] != want.Variance[i] {
-					t.Fatalf("variance %d: chunked %v unchunked %v", i, got.Variance[i], want.Variance[i])
-				}
-			}
-		})
-	}
-}
-
-// TestPredictWithVarianceChunkedDistributed checks the bounded-memory
-// distributed variance path (factor once, solve per column block) against
-// the shared-memory result across multiple chunks.
-func TestPredictWithVarianceChunkedDistributed(t *testing.T) {
-	syn, err := GenerateSynthetic(256, 0, theta(), 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qpts := geom.GeneratePerturbedGrid(150, rng.New(14))
-	th := theta()
-	base := Config{Mode: TLR, TileSize: 64, Accuracy: 1e-7}
-	want, err := PredictWithVariance(syn.Train, qpts, th, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := base
-	cfg.Ranks = 4
-	got, err := PredictWithVariance(syn.Train, qpts, th, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Mean {
-		if math.Abs(got.Mean[i]-want.Mean[i]) > 1e-8 {
-			t.Fatalf("mean %d: distributed %g shared %g", i, got.Mean[i], want.Mean[i])
-		}
-		if math.Abs(got.Variance[i]-want.Variance[i]) > 1e-8 {
-			t.Fatalf("variance %d: distributed %g shared %g", i, got.Variance[i], want.Variance[i])
 		}
 	}
 }

@@ -6,97 +6,7 @@ import (
 
 	"repro/internal/cov"
 	"repro/internal/geom"
-	"repro/internal/la"
 )
-
-func TestPredictWithVarianceMeanMatchesPredict(t *testing.T) {
-	syn, err := GenerateSynthetic(256, 20, theta(), 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []Config{
-		{Mode: FullBlock},
-		{Mode: FullTile, TileSize: 64, Workers: 2},
-		{Mode: TLR, TileSize: 64, Accuracy: 1e-10},
-	} {
-		mean, err := Predict(syn.Train, syn.TestPoints, theta(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := PredictWithVariance(syn.Train, syn.TestPoints, theta(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range mean {
-			if math.Abs(mean[i]-pr.Mean[i]) > 1e-6 {
-				t.Fatalf("%v: mean mismatch at %d: %g vs %g", cfg.Mode, i, mean[i], pr.Mean[i])
-			}
-		}
-	}
-}
-
-// TestPredictWithVarianceReductionBitwise: the row-order pass with one
-// accumulator per column returns, bit for bit, what the column-at-a-time
-// reduction it replaced returns from the same half-solved block — with more
-// points than one chunk holds, at a ν that goes through the table.
-func TestPredictWithVarianceReductionBitwise(t *testing.T) {
-	th := cov.Params{Variance: 1.2, Range: 0.1, Smoothness: 0.8}
-	syn, err := GenerateSynthetic(256, 40, th, 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []Config{
-		{Mode: FullBlock},
-		{Mode: FullTile, TileSize: 16, Workers: 2},
-		{Mode: TLR, TileSize: 32, Accuracy: 1e-8},
-	} {
-		s, err := NewSession(syn.Train, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := s.PredictWithVariance(syn.TestPoints, th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// the reduction as it was: per column, rows ascending
-		k, n, m := cov.NewKernel(th), syn.Train.N(), len(syn.TestPoints)
-		want := Prediction{Mean: make([]float64, m), Variance: make([]float64, m)}
-		s.mu.Lock()
-		err = s.withFactor(k, th, s.cfg.nugget(th.Variance), func(f Factor) error {
-			y := append([]float64(nil), s.p.Z...)
-			if err := f.HalfSolve(la.NewMatFrom(n, 1, y)); err != nil {
-				return err
-			}
-			w := la.NewMat(n, m)
-			k.Block(w, s.p.Points, syn.TestPoints, s.p.Metric)
-			if err := f.HalfSolve(w); err != nil {
-				return err
-			}
-			for j := 0; j < m; j++ {
-				var mean, norm2 float64
-				for r := 0; r < n; r++ {
-					wi := w.At(r, j)
-					mean += wi * y[r]
-					norm2 += wi * wi
-				}
-				want.Mean[j], want.Variance[j] = mean, max(k.At(0)-norm2, 0)
-			}
-			return nil
-		})
-		s.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < m; j++ {
-			if math.Float64bits(pr.Mean[j]) != math.Float64bits(want.Mean[j]) ||
-				math.Float64bits(pr.Variance[j]) != math.Float64bits(want.Variance[j]) {
-				t.Fatalf("%v point %d: (%v, %v), column-at-a-time reduction (%v, %v)",
-					cfg.Mode, j, pr.Mean[j], pr.Variance[j], want.Mean[j], want.Variance[j])
-			}
-		}
-		s.Close()
-	}
-}
 
 func TestPredictVariancePositiveAndBounded(t *testing.T) {
 	syn, err := GenerateSynthetic(256, 25, theta(), 22)
@@ -163,26 +73,6 @@ func TestPredictionCoverageCalibrated(t *testing.T) {
 	coverage := float64(pooledIn) / float64(pooledTot)
 	if coverage < 0.85 || coverage > 1.0 {
 		t.Fatalf("95%% interval empirical coverage %g badly calibrated", coverage)
-	}
-}
-
-func TestPredictWithVarianceTLRMatchesDense(t *testing.T) {
-	syn, err := GenerateSynthetic(256, 20, theta(), 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := PredictWithVariance(syn.Train, syn.TestPoints, theta(), Config{Mode: FullBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := PredictWithVariance(syn.Train, syn.TestPoints, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact.Variance {
-		if math.Abs(exact.Variance[i]-approx.Variance[i]) > 1e-4 {
-			t.Fatalf("TLR variance diverges at %d: %g vs %g", i, approx.Variance[i], exact.Variance[i])
-		}
 	}
 }
 

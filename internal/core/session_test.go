@@ -1,21 +1,41 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/geom"
 	"repro/internal/mpi"
 	"repro/internal/tlr"
 )
 
+// validateCase is one Config.Validate row; want is a substring of the error,
+// "" for a valid config.
+type validateCase struct {
+	name string
+	cfg  Config
+	want string
+}
+
+func checkValidate(t *testing.T, cases []validateCase) {
+	t.Helper()
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want string // substring of the error; "" = valid
-	}{
+	checkValidate(t, []validateCase{
 		{"zero value", Config{}, ""},
 		{"defaults", DefaultConfig(), ""},
 		{"tlr", Config{Mode: TLR, Accuracy: 1e-7, CompressorName: "rsvd"}, ""},
@@ -29,18 +49,27 @@ func TestConfigValidate(t *testing.T) {
 		{"negative ranks", Config{Ranks: -4}, "Ranks"},
 		{"dist dense", Config{Mode: FullBlock, Ranks: 4}, "requires Mode=TLR"},
 		{"dist full tile", Config{Mode: FullTile, Ranks: 4}, "requires Mode=TLR"},
-	} {
-		err := tc.cfg.Validate()
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
-		}
-	}
+	})
+}
+
+// TestChaosConfigValidation covers the failure knobs' error paths.
+func TestChaosConfigValidation(t *testing.T) {
+	checkValidate(t, []validateCase{
+		{"retries ok", Config{MaxRetries: 3}, ""},
+		{"chaos ok", Config{Chaos: &chaos.FaultPlan{Seed: 1, TaskPanics: 2}}, ""},
+		{"negative retries", Config{MaxRetries: -1}, "MaxRetries"},
+		{"invalid chaos plan", Config{Chaos: &chaos.FaultPlan{TaskPanics: -1}}, "TaskPanics"},
+	})
+}
+
+func TestMemBudgetValidation(t *testing.T) {
+	checkValidate(t, []validateCase{
+		{"minimal budget", Config{Mode: TLR, TileSize: 64, MemBudget: tlr.MinMemBudget(64, 1)}, ""},
+		{"negative", Config{Mode: TLR, MemBudget: -1}, "negative MemBudget"},
+		{"dense mode", Config{Mode: FullBlock, MemBudget: 1 << 30}, "requires Mode=TLR"},
+		{"distributed", Config{Mode: TLR, Ranks: 4, MemBudget: 1 << 30}, "unsupported with Ranks"},
+		{"too small", Config{Mode: TLR, TileSize: 128, Workers: 2, MemBudget: 1024}, "below the in-flight working set"},
+	})
 }
 
 func TestConfigNormalized(t *testing.T) {
@@ -112,70 +141,5 @@ func TestEntryPointsValidateConfig(t *testing.T) {
 	}
 	if _, err := NewSession(nil, Config{}); err == nil {
 		t.Error("NewSession accepted a nil problem")
-	}
-}
-
-// A Session must produce the same results as the free functions and remain
-// consistent across repeated calls (the explicit-reuse contract).
-func TestSessionMatchesFreeFunctions(t *testing.T) {
-	p := smallProblem(t, 100, 4)
-	cfg := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-8}
-	th := theta()
-
-	s, err := NewSession(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := LogLikelihood(p, th, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		got, err := s.LogLikelihood(th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Value != want.Value || got.LogDet != want.LogDet {
-			t.Fatalf("rep %d: session %v free %v", rep, got, want)
-		}
-	}
-
-	wantPred, err := Predict(p, p.Points[:3], th, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPred, err := s.Predict(p.Points[:3], th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantPred {
-		if math.Abs(gotPred[i]-wantPred[i]) > 1e-9 {
-			t.Fatalf("prediction %d: session %g free %g", i, gotPred[i], wantPred[i])
-		}
-	}
-
-	if s.Config().TileSize != 32 || s.Config().Ranks != 1 {
-		t.Fatalf("session config not normalized: %+v", s.Config())
-	}
-}
-
-func TestSessionFitMatchesFreeFit(t *testing.T) {
-	p := smallProblem(t, 100, 5)
-	cfg := Config{Mode: FullBlock}
-	opts := FitOptions{FixSmoothness: true, Start: theta(), MaxEvals: 40}
-	want, err := Fit(p, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Fit(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Theta != want.Theta || got.Evals != want.Evals {
-		t.Fatalf("session fit %+v, free fit %+v", got, want)
 	}
 }

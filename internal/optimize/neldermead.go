@@ -2,8 +2,7 @@
 // that drives the maximum likelihood search — the substitute for the NLopt
 // (BOBYQA) layer of ExaGeoStat. The main entry point is NelderMead, a
 // downhill-simplex method with box-constraint projection, adaptive
-// parameters, and optional restarts; MultiStart wraps it for the rough
-// likelihood surfaces strong-correlation cases produce.
+// parameters, and restarts of a search that stalls.
 package optimize
 
 import (
@@ -268,72 +267,4 @@ func simplexRun(p Problem, x0 []float64, o Options, eval func([]float64) float64
 	}
 	sort.Slice(simplex, func(a, b int) bool { return simplex[a].f < simplex[b].f })
 	return simplex[0].x, simplex[0].f, false
-}
-
-// MultiStart runs NelderMead from each start point and returns the best
-// result. Starts are projected into the box.
-func MultiStart(p Problem, starts [][]float64, opt Options) (Result, error) {
-	if len(starts) == 0 {
-		return Result{}, fmt.Errorf("%w: no start points", ErrBadProblem)
-	}
-	var best Result
-	bestSet := false
-	totalEvals := 0
-	for _, s := range starts {
-		r, err := NelderMead(p, s, opt)
-		if err != nil {
-			return Result{}, err
-		}
-		totalEvals += r.Evals
-		if !bestSet || r.F < best.F {
-			best = r
-			bestSet = true
-		}
-	}
-	best.Evals = totalEvals
-	return best, nil
-}
-
-// GridSearch evaluates the objective on a regular grid inside the box
-// (points per dimension given by div) and returns the best point found. It
-// is the brute-force companion to NelderMead: useful for seeding the simplex
-// on multi-modal likelihood surfaces and for verifying that a local search
-// did not stop in a spurious basin.
-func GridSearch(p Problem, div int) (Result, error) {
-	if err := validate(p, p.Lower); err != nil {
-		return Result{}, err
-	}
-	if div < 2 {
-		div = 2
-	}
-	n := len(p.Lower)
-	idx := make([]int, n)
-	x := make([]float64, n)
-	best := Result{F: math.Inf(1)}
-	for {
-		for i := 0; i < n; i++ {
-			frac := float64(idx[i]) / float64(div-1)
-			x[i] = p.Lower[i] + frac*(p.Upper[i]-p.Lower[i])
-		}
-		v := p.Objective(x)
-		best.Evals++
-		if !math.IsNaN(v) && v < best.F {
-			best.F = v
-			best.X = append(best.X[:0], x...)
-		}
-		// odometer increment
-		i := 0
-		for ; i < n; i++ {
-			idx[i]++
-			if idx[i] < div {
-				break
-			}
-			idx[i] = 0
-		}
-		if i == n {
-			break
-		}
-	}
-	best.Converged = best.X != nil
-	return best, nil
 }

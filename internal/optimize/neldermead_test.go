@@ -151,31 +151,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestMultiStartEscapesBasin(t *testing.T) {
-	// Two-well function: local min near 2.5 (f≈1), global at -2.5 (f≈0).
-	lo, hi := box(1, -4, 4)
-	p := Problem{
-		Objective: func(x []float64) float64 {
-			v := x[0]
-			return math.Min((v-2.5)*(v-2.5)+1, (v+2.5)*(v+2.5))
-		},
-		Lower: lo, Upper: hi,
-	}
-	r, err := MultiStart(p, [][]float64{{3}, {-3}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.X[0]+2.5) > 1e-3 {
-		t.Fatalf("multistart missed global minimum: %v", r.X)
-	}
-}
-
-func TestMultiStartEmpty(t *testing.T) {
-	if _, err := MultiStart(Problem{}, nil, Options{}); !errors.Is(err, ErrBadProblem) {
-		t.Fatal("expected ErrBadProblem for empty starts")
-	}
-}
-
 // The three-parameter Matérn-like shape: anisotropic curved valley in a
 // positive box, representative of the actual MLE surface.
 func TestCurvedValley3D(t *testing.T) {
@@ -195,43 +170,6 @@ func TestCurvedValley3D(t *testing.T) {
 	}
 	if math.Abs(r.X[0]-1) > 5e-3 || math.Abs(r.X[1]-0.1) > 5e-3 || math.Abs(r.X[2]-0.5) > 5e-3 {
 		t.Fatalf("valley minimum missed: %v", r.X)
-	}
-}
-
-func TestGridSearchFindsBasin(t *testing.T) {
-	lo, hi := box(2, -4, 4)
-	p := Problem{
-		Objective: func(x []float64) float64 {
-			// global minimum near (2, -2); a decoy basin near (-2, 2)
-			g := (x[0]-2)*(x[0]-2) + (x[1]+2)*(x[1]+2)
-			d := (x[0]+2)*(x[0]+2) + (x[1]-2)*(x[1]-2) + 3
-			return math.Min(g, d)
-		},
-		Lower: lo, Upper: hi,
-	}
-	r, err := GridSearch(p, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.X[0]-2) > 1 || math.Abs(r.X[1]+2) > 1 {
-		t.Fatalf("grid search missed the global basin: %v", r.X)
-	}
-	if r.Evals != 81 {
-		t.Fatalf("evals = %d, want 81", r.Evals)
-	}
-	// refine with NelderMead from the grid point
-	nm, err := NelderMead(p, r.X, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(nm.X[0]-2) > 1e-3 || math.Abs(nm.X[1]+2) > 1e-3 {
-		t.Fatalf("refinement failed: %v", nm.X)
-	}
-}
-
-func TestGridSearchValidation(t *testing.T) {
-	if _, err := GridSearch(Problem{}, 3); err == nil {
-		t.Fatal("empty problem must error")
 	}
 }
 
