@@ -16,13 +16,13 @@ test:
 # graphs, the pooled recompression workspaces, the tile store's pin/evict
 # concurrency, the equivalence and recovery oracles, the out-of-core and
 # serving suites and the fuzz targets' seed corpora are all in that one pass;
-# internal/core alone is the long pole: 78-86 s on two cores, where it took
-# 113-121 s back to back before its cross-checks became one equivalence
-# oracle; the process-wide instrument registry is the state a shuffled order
-# could leak, and every test reads it as a difference of snapshots), one
-# iteration of the
-# dense-kernel (Trsm, Syrk, Potrf, the skinny and one-column Gemms), vector-loop,
-# recompression, low-rank update, graph-construction and covariance kernel
+# internal/core is the long pole: about 80 s run alone on two cores, about
+# 150 s inside this pass, where it shares them with internal/la — the whole
+# target takes about 4 minutes; the process-wide instrument registry is the
+# state a shuffled order could leak, and every test reads it as a difference
+# of snapshots), one iteration of the dense-kernel (Trsm, Syrk, Potrf, the
+# skinny and one-column Gemms), vector-loop, recompression, low-rank update,
+# graph-construction, covariance kernel and distributed generate+factor
 # benchmarks so they cannot rot, the two paperbench experiments the test suite
 # lists as too slow to run (`extensions`, `ablation`; about 6 s together, and
 # unrun they stayed broken for PRs), then the
@@ -33,7 +33,7 @@ verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/
 	$(GO) test -race -shuffle=on -count=1 -timeout 45m ./...
-	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/
+	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock|DistCholesky' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/ ./internal/mpi/
 	$(GO) run ./cmd/paperbench -exp extensions -scale small >/dev/null && $(GO) run ./cmd/paperbench -exp ablation -scale small >/dev/null
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke

@@ -16,28 +16,24 @@ func distCommPoints(n int) []geom.Point {
 	return geom.Sorted(geom.Morton, pts)
 }
 
-// measureCholeskyComm runs a distributed factorization and returns per-rank
-// bytes sent during the Cholesky phase only.
+// measureCholeskyComm runs a distributed generation and factorization and
+// returns the bytes each rank sent.
 func measureCholeskyComm(t *testing.T, grid mpi.Grid, n, nb int, acc float64, dense bool) []float64 {
 	t.Helper()
 	pts := distCommPoints(n)
 	k := cov.NewKernel(cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.5})
 	size := grid.P * grid.Q
 	world := mpi.NewWorld(size)
-	before := make([]mpi.CommStats, size)
 	sent := make([]float64, size)
 	errs := world.Run(func(c *mpi.Comm) error {
-		rank := c.Rank()
-		d := mpi.NewDistTLR(rank, grid, pts, geom.Euclidean, nb, acc, tlr.SVDCompressor{})
+		d := mpi.NewDistTLR(grid, pts, geom.Euclidean, nb, acc, tlr.SVDCompressor{})
 		if dense {
 			d.ForceMiss = func(mt, i, j int) bool { return true }
 		}
-		d.Generate(k, 1e-8)
-		before[rank] = c.Stats()
-		if err := d.Cholesky(c); err != nil {
+		if err := d.GenCholesky(c, k, 1e-8); err != nil {
 			return err
 		}
-		sent[rank] = float64(c.Stats().Sub(before[rank]).BytesSent)
+		sent[c.Rank()] = float64(c.Stats().BytesSent)
 		return nil
 	})
 	for _, err := range errs {
@@ -49,8 +45,9 @@ func measureCholeskyComm(t *testing.T, grid mpi.Grid, n, nb int, acc float64, de
 }
 
 // For dense factorization the message sizes are fully determined by the
-// tiling, so the analytic model must match the measured traffic exactly —
-// including at a non-divisible n/nb with ragged boundary tiles.
+// tiling, and the model prices the transfers the ranks send, so it must match
+// the measured traffic exactly — including at a non-divisible n/nb with
+// ragged boundary tiles.
 func TestDistCholeskyCommDenseExact(t *testing.T) {
 	for _, tc := range []struct {
 		grid  mpi.Grid

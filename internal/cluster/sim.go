@@ -46,6 +46,9 @@ func (c costTable) buildDAG() *runtime.Graph {
 	return g
 }
 
+// tileOf returns the tile (i, j) behind one of buildDAG's handles.
+func tileOf(h *runtime.Handle) (i, j int) { return int(h.Tag >> 32), int(h.Tag & 0xffffffff) }
+
 // SimulateCholesky runs the workload's factorization DAG on the machine and
 // returns the simulated result, including the per-iteration matrix
 // generation (and, for TLR, compression) that ExaGeoStat performs on every
@@ -71,7 +74,6 @@ func (c costTable) simulate() Result {
 	// memory accounting; the dense path allocates the full square matrix
 	// (Chameleon descriptor), so off-diagonal tiles count twice (their
 	// mirror lives on the transposed owner).
-	tileOf := func(h *runtime.Handle) (i, j int) { return int(h.Tag >> 32), int(h.Tag & 0xffffffff) }
 	nodeBytes := make([]int64, m.Nodes)
 	for _, h := range g.Handles() {
 		i, j := tileOf(h)
@@ -117,58 +119,43 @@ func SimulateBlockCholesky(m Machine, n int) Result {
 
 // schedule is the discrete-event simulation of g on m: runtime's list
 // scheduler with one pool of slots per node, told the two things a
-// distributed machine adds. A task runs on the node owning the tile it
-// writes, for max(flops/rate, bytes/memory-bandwidth) seconds of one slot;
-// and each tile it reads from another node arrives one latency plus
+// distributed machine adds, both read from g.Place over the owner map. A task
+// runs on its node for max(flops/rate, bytes/memory-bandwidth) seconds of one
+// slot; and each tile it reads from another node arrives one latency plus
 // bytes/bandwidth after the task that last wrote it finished (transfers
-// overlap), every such read counted in commBytes.
+// overlap). commBytes counts each transfer once, however many tasks of its
+// node read it — what the ranks send.
 func schedule(m Machine, g *runtime.Graph, owner func(*runtime.Handle) int) (makespan, commBytes float64) {
 	perSlot := float64(m.Nodes * m.slots())
 	slotRate, slotBW := m.flopRate()/perSlot, m.memBW()/perSlot
 	lat, netBW := m.Profile.NetLatency, m.Profile.NetBWGBs*1e9
 
-	type fetch struct {
-		from  int // task that produces the tile, −1 for initial data
-		bytes float64
-	}
+	p := g.Place(owner)
 	tasks := g.Tasks()
-	node := make([]int, len(tasks))
 	secs := make([]float64, len(tasks))
-	fetches := make([][]fetch, len(tasks))
-	lastWriter := make([]int, len(g.Handles()))
-	for i := range lastWriter {
-		lastWriter[i] = -1
-	}
 	for i, t := range tasks {
 		var bytes int64
 		for _, a := range t.Accesses {
 			bytes += a.Handle.Bytes
-			if a.Mode != runtime.Read {
-				node[i] = owner(a.Handle)
-			}
 		}
 		secs[i] = max(t.Flops/slotRate, float64(bytes)/slotBW)
-		for _, a := range t.Accesses {
-			if a.Mode != runtime.Read {
-				lastWriter[a.Handle.ID] = i
-			} else if owner(a.Handle) != node[i] {
-				fetches[i] = append(fetches[i], fetch{lastWriter[a.Handle.ID], float64(a.Handle.Bytes)})
-				commBytes += float64(a.Handle.Bytes)
-			}
-		}
+	}
+	for _, x := range p.Transfers {
+		commBytes += float64(x.Handle.Bytes)
 	}
 	makespan, err := g.Schedule(m.Nodes, m.slots(),
 		func(t *runtime.Task) float64 { return secs[t.ID] },
-		func(t *runtime.Task) int { return node[t.ID] },
+		func(t *runtime.Task) int { return p.Node[t.ID] },
 		func(t *runtime.Task, finish []float64) float64 {
 			var at float64
-			for _, f := range fetches[t.ID] {
+			for _, x := range p.Inputs[t.ID] {
+				f := p.Transfers[x]
 				sent := lat
-				if f.from >= 0 {
-					sent += finish[f.from]
+				if f.From >= 0 {
+					sent += finish[f.From]
 				}
 				if netBW > 0 {
-					sent += f.bytes / netBW
+					sent += float64(f.Handle.Bytes) / netBW
 				}
 				at = max(at, sent)
 			}

@@ -83,10 +83,10 @@ func (d *distState) replayable(err error) bool {
 // factorizeOnce is one generate → factor pass over the live ranks. When the
 // membership changed since the shards last agreed on it, the run opens with
 // the epoch-tagged membership agreement (doubling as the post-shrink
-// barrier) and remaps ownership, so Generate also materializes the tiles the
-// survivors inherited. A Cholesky breakdown — which the SPD-agreement
-// allreduce makes every rank observe identically — and a rank death both
-// fail the run on every rank.
+// barrier) and remaps ownership, so GenCholesky also generates the tiles the
+// survivors inherited. A Cholesky breakdown fails the rank that owns the
+// pivot and a rank death the rank that died; either way the World's poison
+// fails every rank still waiting on it, so the run fails.
 func (d *distState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (Factor, error) {
 	comp, err := tlr.CompressorByName(e.cfg.CompressorName)
 	if err != nil {
@@ -100,7 +100,7 @@ func (d *distState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (
 		}
 		sh := d.shards[c.Rank()]
 		if sh == nil {
-			sh = mpi.NewDistTLR(c.Rank(), mpi.SquarestGrid(e.cfg.Ranks), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, comp)
+			sh = mpi.NewDistTLR(mpi.SquarestGrid(e.cfg.Ranks), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, comp)
 			if d.inj != nil {
 				sh.ForceMiss = d.inj.CompressMiss
 				sh.PanelHook = d.inj.PanelKill
@@ -114,8 +114,7 @@ func (d *distState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (
 			}
 			sh.ApplyMembership(alive)
 		}
-		sh.Generate(k, nugget)
-		return sh.Cholesky(c)
+		return sh.GenCholesky(c, k, nugget)
 	})
 	if err != nil {
 		return nil, err

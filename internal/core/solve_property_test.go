@@ -97,10 +97,9 @@ func blockSolves(t *testing.T, n, nb int) ([]blockSolve, *la.Mat) {
 		return nil
 	}
 	if err := firstErr(world.Run(func(c *mpi.Comm) error {
-		sh := mpi.NewDistTLR(c.Rank(), mpi.Grid{P: 2, Q: 2}, pts, geom.Euclidean, nb, 1e-10, tlr.SVDCompressor{})
+		sh := mpi.NewDistTLR(mpi.Grid{P: 2, Q: 2}, pts, geom.Euclidean, nb, 1e-10, tlr.SVDCompressor{})
 		shards[c.Rank()] = sh
-		sh.Generate(k, nugget)
-		return sh.Cholesky(c)
+		return sh.GenCholesky(c, k, nugget)
 	})); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cov"
 	"repro/internal/geom"
 	"repro/internal/la"
+	"repro/internal/runtime"
 	"repro/internal/tile"
 	"repro/internal/tlr"
 )
@@ -13,185 +14,157 @@ import (
 // DistTLR is one rank's shard of a 2D block-cyclically distributed TLR
 // matrix: a tlr.Matrix in which only the tiles this rank owns are populated,
 // the tlr.GenSpec they are generated from, and the owner map. Messages carry
-// the compressed factors (tlr.CompTile.Encode), so a rank-r tile costs
-// (di+dk)·r doubles on the wire instead of the di·dk a dense tile would — the
-// communication saving the paper's distributed TLR runs exploit.
+// tlr.Matrix.EncodeTile's words, so a rank-r tile costs (di+dk)·r doubles on
+// the wire instead of the di·dk a dense tile would — the communication saving
+// the paper's distributed TLR runs exploit.
 //
-// The shard is a reusable shell: Generate rebuilds the owned tiles for a new
-// θ in place, so core's distributed likelihood evaluator regenerates and
-// refactors once per optimizer iteration without reallocating the shard.
-// MaxRank (on the Matrix) and ForceMiss (on the GenSpec) act as they do in
-// shared memory.
+// The shard is a reusable shell: GenCholesky rebuilds the owned tiles for a
+// new θ in place and factors them, so core's distributed likelihood evaluator
+// regenerates and refactors once per optimizer iteration without
+// reallocating the shard. MaxRank (on the Matrix) and ForceMiss (on the
+// GenSpec) act as they do in shared memory.
 type DistTLR struct {
 	*tlr.Matrix
 	*tlr.GenSpec
-	Grid Grid
-	Rank int
 
-	// PanelHook, when non-nil, is called by every rank at the start of each
-	// Cholesky panel — the deterministic kill point chaos injection targets
-	// to exercise elastic recovery at a reproducible panel epoch.
+	// PanelHook, when non-nil, is called by every rank as its walk reaches
+	// each panel's POTRF — the deterministic kill point chaos injection
+	// targets to exercise elastic recovery at a reproducible panel epoch.
 	PanelHook func(rank, k int)
 
 	// Owners maps tiles to physical ranks through the membership overlay:
-	// identical to Grid while every rank lives, remapped deterministically
+	// the Grid's layout while every rank lives, remapped deterministically
 	// to the survivors after a shrink (see OwnerMap).
 	Owners *OwnerMap
+
+	// graph is tlr's generate+factor DAG over the shard, built once; place
+	// is where its tasks run and what crosses ranks under Owners, and sends
+	// lists, per task, the transfers of its output.
+	graph *runtime.Graph
+	place runtime.Placement
+	sends [][]int
 }
 
-// NewDistTLR allocates rank's empty shard of an n×n TLR matrix distributed
-// over grid. Call Generate to fill it for a given covariance kernel.
-func NewDistTLR(rank int, grid Grid, pts []geom.Point, metric geom.Metric, nb int, tol float64, comp tlr.Compressor) *DistTLR {
-	return &DistTLR{
+// NewDistTLR allocates an empty shard of an n×n TLR matrix distributed over
+// grid; GenCholesky fills and factors the tiles of the rank that runs it.
+func NewDistTLR(grid Grid, pts []geom.Point, metric geom.Metric, nb int, tol float64, comp tlr.Compressor) *DistTLR {
+	d := &DistTLR{
 		Matrix:  tlr.NewMatrix(len(pts), nb, tol),
 		GenSpec: &tlr.GenSpec{Pts: pts, Metric: metric, Comp: comp},
-		Grid:    grid, Rank: rank,
-		Owners: NewOwnerMap(grid),
+		Owners:  NewOwnerMap(grid),
 	}
+	d.graph = tlr.BuildGenCholeskyGraph(d.Matrix, d.GenSpec, true)
+	d.placeTasks()
+	return d
 }
 
 // Owner returns the physical rank owning tile (i, j) under the current
 // membership (identical to Grid.Owner until a rank dies).
 func (d *DistTLR) Owner(i, j int) int { return d.Owners.Owner(i, j) }
 
-// Generate (re)builds the owned tiles of Σ(θ) with the generator the
-// shared-memory tlr.GenCholesky tasks run, so tile contents are
-// bitwise-identical to that pipeline at any grid shape, whichever rank
-// generates them — original owner or a survivor inheriting the tile after a
-// failure.
-func (d *DistTLR) Generate(k *cov.Kernel, nugget float64) {
-	d.K, d.Nugget = k, nugget
-	for i := 0; i < d.MT; i++ {
-		for j := 0; j <= i; j++ {
-			if d.Owner(i, j) != d.Rank {
-				continue
-			}
-			if i == j {
-				d.GenDiag(d.GenSpec, i)
-			} else {
-				d.GenOff(d.GenSpec, i, j)
-			}
-		}
+// placeTasks infers, from the graph's data access under the current owners,
+// which rank runs each task and which ranks each task's output goes to. Every
+// tile is written by its generation task before anything reads it, so every
+// transfer has a producing task.
+func (d *DistTLR) placeTasks() {
+	d.place = d.graph.Place(func(h *runtime.Handle) int { return d.Owner(d.TileOf(h)) })
+	d.sends = make([][]int, d.graph.Len())
+	for x, tr := range d.place.Transfers {
+		d.sends[tr.From] = append(d.sends[tr.From], x)
 	}
 }
 
 // ApplyMembership remaps tile ownership to an agreed membership view (the
-// []bool from Comm.AgreeAlive). Survivors keep every tile they hold; dead
-// ranks' slots are dealt deterministically to the survivors. Returns the
-// slots that changed hands. Follow with Generate, which materializes the
-// inherited tiles along with the rest of the shard.
+// []bool from Comm.AgreeAlive) and re-infers the placement. Survivors keep
+// every tile they hold; dead ranks' slots are dealt deterministically to the
+// survivors, whose next GenCholesky generates the inherited tiles along with
+// the rest. Returns the slots that changed hands.
 func (d *DistTLR) ApplyMembership(alive []bool) []int {
-	return d.Owners.Reassign(alive)
+	moved := d.Owners.Reassign(alive)
+	d.placeTasks()
+	return moved
 }
 
-// Cholesky factors the distributed TLR matrix in place, cooperating with the
-// other ranks of comm. Right-looking, panel by panel:
+// GenCholesky generates Σ(θ) for kernel k and nugget into the shard and
+// factors it in place, cooperating with the other ranks of c. It runs the
+// DAG shared memory runs — tlr.BuildGenCholeskyGraph — owner-computes: the
+// rank walks the tasks in ID order and runs those whose output it owns,
+// generation included, receiving a tile the first time one of its tasks
+// reads it from another rank and sending each output to exactly the ranks
+// runtime.Graph.Place lists. Sends never block, and a rank waits only on a
+// task of lower ID, so the walk cannot deadlock; every message is consumed,
+// so the World's mailboxes drain and it can be reused for the next θ. Tiles
+// are the shared generator's and each tile's updates run in the DAG's order,
+// so the factor is bitwise shared memory's on every grid. Received tiles are
+// dropped on return: the shard holds only what it owns.
 //
-//  1. the owner of (k, k) runs a dense POTRF and ships L_kk to the owners of
-//     the column-k panel tiles (Grid.DiagRecipients);
-//  2. each panel owner applies the compressed TRSM (V ← L_kk⁻¹·V) and ships
-//     the compressed tile to exactly the ranks that consume it in the
-//     trailing update (Grid.PanelRecipients), so mailboxes drain completely
-//     and the World can be reused for the next θ;
-//  3. owned trailing tiles are updated with the same SyrkLD/GemmLL kernels as
-//     the shared-memory path, in the same k-ascending per-tile order the
-//     shared DAG serializes to.
-//
-// A non-SPD pivot is agreed via one small allreduce per panel and returned
-// as an error on every rank, with all broadcasts still consumed.
-//
-// A run that a rank failure aborts leaves the shard half factored; nothing
-// here resumes it. The caller regenerates the shard (Generate, after
-// ApplyMembership on the survivors) and factors again: each tile's updates
-// are applied in fixed k-ascending order whoever owns it, so the result is
-// bitwise-identical to an unfaulted factorization.
-func (d *DistTLR) Cholesky(c *Comm) error {
-	own := d.Owner
-	mt := d.MT
-	for k := 0; k < mt; k++ {
-		if d.PanelHook != nil {
-			d.PanelHook(c.Rank(), k)
+// A non-SPD pivot fails the rank that owns it, with an error wrapping
+// la.ErrNotPositiveDefinite; the World's poison fails every rank still
+// waiting on it, and a rank whose owned work was already done returns nil.
+// A failed run leaves the shard half factored and nothing here resumes it:
+// the caller runs GenCholesky again (after ApplyMembership on the survivors
+// of a rank death), which regenerates every owned tile.
+func (d *DistTLR) GenCholesky(c *Comm, k *cov.Kernel, nugget float64) error {
+	d.K, d.Nugget = k, nugget
+	me, panel := c.Rank(), 0
+	received := make([]bool, len(d.place.Transfers))
+	defer func() {
+		for x, got := range received {
+			if got {
+				d.ClearTile(d.TileOf(d.place.Transfers[x].Handle))
+			}
 		}
-		var lkk *la.Mat
-		diagOwner := own(k, k)
-		diagTo := diagRecipients(own, k, mt)
-		failed := 0.0
-		if c.Rank() == diagOwner {
-			t := d.Diag(k)
-			if err := la.Potrf(t); err != nil {
-				failed = 1
+	}()
+	for _, t := range d.graph.Tasks() {
+		if t.Name == "potrf" {
+			if d.PanelHook != nil {
+				d.PanelHook(me, panel)
 			}
-			lkk = t
-			for _, r := range diagTo {
-				c.Send(r, tagOf(kindLkk, k, k), t.Data[:t.Rows*t.Stride])
+			panel++
+		}
+		if d.place.Node[t.ID] != me {
+			continue
+		}
+		for _, x := range d.place.Inputs[t.ID] {
+			if received[x] {
+				continue
 			}
-		} else if contains(diagTo, c.Rank()) {
-			dk := d.TileDim(k)
-			data, err := c.Recv(diagOwner, tagOf(kindLkk, k, k))
+			i, j := d.TileOf(d.place.Transfers[x].Handle)
+			words, err := c.Recv(d.Owner(i, j), tagOf(kindTile, i, j))
 			if err != nil {
 				return err
 			}
-			lkk = la.NewMatFrom(dk, dk, data)
+			if err := d.DecodeTile(i, j, words); err != nil {
+				return fmt.Errorf("mpi: tile (%d,%d) from rank %d: %w", i, j, d.Owner(i, j), err)
+			}
+			received[x] = true
 		}
-		bad, err := c.AllreduceSum(tagOf(kindFail, k, 0), failed)
-		if err != nil {
+		if err := runBody(t); err != nil {
 			return err
 		}
-		if bad > 0 {
-			return fmt.Errorf("mpi: TLR matrix not positive definite at panel %d: %w", k, la.ErrNotPositiveDefinite)
-		}
-
-		for i := k + 1; i < mt; i++ {
-			if c.Rank() == own(i, k) {
-				t := d.Off(i, k)
-				tlr.TrsmLD(lkk, t)
-				payload := t.Encode()
-				for _, r := range panelRecipients(own, i, k, mt) {
-					c.Send(r, tagOf(kindPanel, i, k), payload)
-				}
+		var encoded *runtime.Handle // a tile is encoded once for all its recipients
+		var words []float64
+		for _, x := range d.sends[t.ID] {
+			tr := d.place.Transfers[x]
+			i, j := d.TileOf(tr.Handle)
+			if tr.Handle != encoded {
+				encoded, words = tr.Handle, d.EncodeTile(i, j)
 			}
-		}
-
-		panel := map[int]*tlr.CompTile{}
-		needPanel := func(i int) (*tlr.CompTile, error) {
-			if t, ok := panel[i]; ok {
-				return t, nil
-			}
-			t := d.Off(i, k)
-			if owner := own(i, k); c.Rank() != owner {
-				data, err := c.Recv(owner, tagOf(kindPanel, i, k))
-				if err != nil {
-					return nil, err
-				}
-				t = new(tlr.CompTile)
-				if err := t.Decode(data); err != nil {
-					return nil, fmt.Errorf("mpi: panel tile (%d,%d) from rank %d: %w", i, k, owner, err)
-				}
-			}
-			panel[i] = t
-			return t, nil
-		}
-		for i := k + 1; i < mt; i++ {
-			for j := k + 1; j <= i; j++ {
-				if own(i, j) != c.Rank() {
-					continue
-				}
-				pi, err := needPanel(i)
-				if err != nil {
-					return err
-				}
-				if i == j {
-					tlr.SyrkLD(d.Diag(i), pi)
-				} else {
-					pj, err := needPanel(j)
-					if err != nil {
-						return err
-					}
-					d.UpdateOff(i, j, pi, pj)
-				}
-			}
+			c.Send(tr.To, tagOf(kindTile, i, j), words)
 		}
 	}
+	return nil
+}
+
+// runBody runs one task, turning a panic of its body — la.Potrf's breakdown —
+// into this rank's error, as the shared executor does.
+func runBody(t *runtime.Task) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &runtime.TaskPanic{Name: t.Name, ID: t.ID, Value: r}
+		}
+	}()
+	t.Run()
 	return nil
 }
 

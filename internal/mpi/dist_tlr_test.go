@@ -1,8 +1,11 @@
 package mpi
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/cov"
 	"repro/internal/geom"
@@ -55,9 +58,8 @@ func TestDistTLRCholeskyMatchesShared(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}} {
 		grid := Grid{P: shape[0], Q: shape[1]}
 		errs := RunWorld(grid.P*grid.Q, func(c *Comm) error {
-			d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, tol, comp)
-			d.Generate(k, nugget)
-			if err := d.Cholesky(c); err != nil {
+			d := NewDistTLR(grid, pts, geom.Euclidean, nb, tol, comp)
+			if err := d.GenCholesky(c, k, nugget); err != nil {
 				return err
 			}
 			for i := 0; i < d.MT; i++ {
@@ -143,9 +145,8 @@ func TestDistTLRLogDetAndSolveMatchShared(t *testing.T) {
 		logDets := make([]float64, size)
 		sols := make([][]float64, size)
 		errs := RunWorld(size, func(c *Comm) error {
-			d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, tol, comp)
-			d.Generate(k, nugget)
-			if err := d.Cholesky(c); err != nil {
+			d := NewDistTLR(grid, pts, geom.Euclidean, nb, tol, comp)
+			if err := d.GenCholesky(c, k, nugget); err != nil {
 				return err
 			}
 			ld, err := d.LogDet(c)
@@ -207,9 +208,8 @@ func TestDistTLRForwardSolveMatMatchesShared(t *testing.T) {
 	grid := Grid{P: 2, Q: 2}
 	got, gotFull := make([]*la.Mat, 4), make([]*la.Mat, 4)
 	errs := RunWorld(4, func(c *Comm) error {
-		d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, tol, comp)
-		d.Generate(k, 1e-9)
-		if err := d.Cholesky(c); err != nil {
+		d := NewDistTLR(grid, pts, geom.Euclidean, nb, tol, comp)
+		if err := d.GenCholesky(c, k, 1e-9); err != nil {
 			return err
 		}
 		b := rhs.Clone()
@@ -237,7 +237,8 @@ func TestDistTLRForwardSolveMatMatchesShared(t *testing.T) {
 
 // TestDistTLRWorldReuse factors twice on one World with different θ — the
 // evaluator's reuse pattern. A leftover message from evaluation 1 would
-// corrupt evaluation 2; exact recipient sets guarantee drained mailboxes.
+// corrupt evaluation 2; every inferred transfer has a receiving task, so the
+// mailboxes drain.
 func TestDistTLRWorldReuse(t *testing.T) {
 	const (
 		n   = 90
@@ -261,11 +262,10 @@ func TestDistTLRWorldReuse(t *testing.T) {
 		errs := w.Run(func(c *Comm) error {
 			d := shards[c.Rank()]
 			if d == nil {
-				d = NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, tol, comp)
+				d = NewDistTLR(grid, pts, geom.Euclidean, nb, tol, comp)
 				shards[c.Rank()] = d
 			}
-			d.Generate(kern, 1e-9)
-			if err := d.Cholesky(c); err != nil {
+			if err := d.GenCholesky(c, kern, 1e-9); err != nil {
 				return err
 			}
 			ld, err := d.LogDet(c)
@@ -288,42 +288,143 @@ func TestDistTLRWorldReuse(t *testing.T) {
 	}
 }
 
-// TestDistTLRNotSPDFailsEverywhere: a matrix with a negative diagonal fails
-// on every rank in agreement, and the World stays reusable afterwards.
+// wreckPivots is a PanelHook that, on the rank owning (k, k), makes the
+// diagonal of every panel k it picks negative just before that panel's POTRF.
+func wreckPivots(d *DistTLR, pick func(k int) bool) func(rank, k int) {
+	return func(rank, k int) {
+		if pick(k) && d.Owner(k, k) == rank {
+			t := d.Diag(k)
+			for a := 0; a < t.Rows; a++ {
+				t.Set(a, a, -1)
+			}
+		}
+	}
+}
+
+// runNotSPD runs fn on w and holds it to the failure contract of a broken
+// pivot: the run ends — no rank hangs — the rank owning the pivot fails with
+// an error wrapping la.ErrNotPositiveDefinite, and every other rank either
+// fails with one too (the World's poison) or, its owned work done before the
+// failure, returns nil.
+func runNotSPD(t *testing.T, w *World, pivotOwner int, fn func(c *Comm) error) {
+	t.Helper()
+	done := make(chan []error, 1)
+	go func() { done <- w.Run(fn) }()
+	var errs []error
+	select {
+	case errs = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("a rank hangs after the failed pivot")
+	}
+	for r, err := range errs {
+		if (err != nil || r == pivotOwner) && !errors.Is(err, la.ErrNotPositiveDefinite) {
+			t.Fatalf("rank %d: %v, want an error wrapping la.ErrNotPositiveDefinite", r, err)
+		}
+	}
+}
+
+// TestDistTLRNotSPDFailsEverywhere: a matrix whose every pivot is negative
+// fails at panel 0 under the failure contract of runNotSPD, and the World
+// stays reusable afterwards.
 func TestDistTLRNotSPDFailsEverywhere(t *testing.T) {
 	const n, nb = 64, 16
 	k, pts := distProblem(n)
 	grid := Grid{P: 2, Q: 2}
 	w := NewWorld(4)
-	errs := w.Run(func(c *Comm) error {
-		d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
-		d.Generate(k, 1e-9)
-		// wreck every owned diagonal tile
-		for i := 0; i < d.MT; i++ {
-			if t := d.Diag(i); t != nil {
-				for a := 0; a < t.Rows; a++ {
-					t.Set(a, a, -1)
-				}
-			}
-		}
-		return d.Cholesky(c)
+	runNotSPD(t, w, grid.Owner(0, 0), func(c *Comm) error {
+		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+		d.PanelHook = wreckPivots(d, func(int) bool { return true })
+		return d.GenCholesky(c, k, 1e-9)
 	})
-	for r, err := range errs {
-		if err == nil {
-			t.Fatalf("rank %d should report the SPD failure", r)
-		}
-	}
 	// the same World must still work for a healthy factorization
-	errs = w.Run(func(c *Comm) error {
-		d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
-		d.Generate(k, 1e-9)
-		return d.Cholesky(c)
+	errs := w.Run(func(c *Comm) error {
+		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+		return d.GenCholesky(c, k, 1e-9)
 	})
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: world not reusable after failure: %v", r, err)
 		}
 	}
+}
+
+// TestDistTLRLastPivotFailsAndWorldHeals breaks only the last diagonal tile
+// on a 2×2 grid — the case where every other rank finishes its owned work
+// before the failure, which a per-panel agreement used to cover. The run
+// fails under runNotSPD's contract, and the same World and shards then
+// factor bitwise what a fresh World does.
+func TestDistTLRLastPivotFailsAndWorldHeals(t *testing.T) {
+	const n, nb = 64, 16
+	k, pts := distProblem(n)
+	grid := Grid{P: 2, Q: 2}
+	newShard := func() *DistTLR {
+		return NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.RSVDCompressor{Seed: 3, Oversample: 8})
+	}
+	factor := func(w *World, shards []*DistTLR) [][]float64 {
+		bits := make([][]float64, len(shards))
+		for r, err := range w.Run(func(c *Comm) error {
+			d := shards[c.Rank()]
+			if err := d.GenCholesky(c, k, 1e-9); err != nil {
+				return err
+			}
+			ld, err := d.LogDet(c)
+			bits[c.Rank()] = append(ownedWords(d, c.Rank()), ld)
+			return err
+		}) {
+			if err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+		}
+		return bits
+	}
+	fresh := make([]*DistTLR, 4)
+	for r := range fresh {
+		fresh[r] = newShard()
+	}
+	want := factor(NewWorld(4), fresh)
+
+	w, shards := NewWorld(4), make([]*DistTLR, 4)
+	for r := range shards {
+		shards[r] = newShard()
+		last := shards[r].MT - 1
+		shards[r].PanelHook = wreckPivots(shards[r], func(k int) bool { return k == last })
+	}
+	runNotSPD(t, w, grid.Owner(shards[0].MT-1, shards[0].MT-1), func(c *Comm) error {
+		return shards[c.Rank()].GenCholesky(c, k, 1e-9)
+	})
+	for _, d := range shards {
+		d.PanelHook = nil
+	}
+	got := factor(w, shards)
+	for r := range want {
+		if len(got[r]) != len(want[r]) {
+			t.Fatalf("rank %d: %d words after the failure, %d on a fresh World", r, len(got[r]), len(want[r]))
+		}
+		for i := range want[r] {
+			if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+				t.Fatalf("rank %d: word %d is %v after the failure, %v on a fresh World", r, i, got[r][i], want[r][i])
+			}
+		}
+	}
+}
+
+// ownedWords concatenates the encoded tiles rank owns — and holds nothing
+// else: a received tile left in the shard fails the test.
+func ownedWords(d *DistTLR, rank int) []float64 {
+	var out []float64
+	for i := 0; i < d.MT; i++ {
+		for j := 0; j <= i; j++ {
+			owned := d.Owner(i, j) == rank
+			held := (i == j && d.Diag(i) != nil) || (i != j && d.Off(i, j) != nil)
+			if owned != held {
+				panic(fmt.Sprintf("rank %d: tile (%d,%d) owned %v, held %v", rank, i, j, owned, held))
+			}
+			if owned {
+				out = append(out, d.EncodeTile(i, j)...)
+			}
+		}
+	}
+	return out
 }
 
 // TestRunWorldRankCounts runs the distributed pipeline at 1, 2 and 6 ranks
@@ -334,9 +435,8 @@ func TestRunWorldRankCounts(t *testing.T) {
 	for _, size := range []int{1, 2, 6} {
 		grid := SquarestGrid(size)
 		errs := RunWorld(size, func(c *Comm) error {
-			d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
-			d.Generate(k, 1e-9)
-			if err := d.Cholesky(c); err != nil {
+			d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+			if err := d.GenCholesky(c, k, 1e-9); err != nil {
 				return err
 			}
 			_, err := d.LogDet(c)
@@ -358,9 +458,8 @@ func TestCommStatsCountTraffic(t *testing.T) {
 	w := NewWorld(4)
 	grid := Grid{P: 2, Q: 2}
 	w.Run(func(c *Comm) error {
-		d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
-		d.Generate(k, 1e-9)
-		return d.Cholesky(c)
+		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+		return d.GenCholesky(c, k, 1e-9)
 	})
 	var totalSent, totalRecv int64
 	for r := 0; r < 4; r++ {
@@ -374,9 +473,8 @@ func TestCommStatsCountTraffic(t *testing.T) {
 
 	w1 := NewWorld(1)
 	w1.Run(func(c *Comm) error {
-		d := NewDistTLR(c.Rank(), Grid{P: 1, Q: 1}, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
-		d.Generate(k, 1e-9)
-		if err := d.Cholesky(c); err != nil {
+		d := NewDistTLR(Grid{P: 1, Q: 1}, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+		if err := d.GenCholesky(c, k, 1e-9); err != nil {
 			return err
 		}
 		_, err := d.LogDet(c)
@@ -384,5 +482,96 @@ func TestCommStatsCountTraffic(t *testing.T) {
 	})
 	if st := w1.Stats(0); st.BytesSent != 0 || st.BytesRecv != 0 {
 		t.Fatalf("single rank should move no bytes, got %+v", st)
+	}
+}
+
+// TestPlacementFollowsCholeskyRule holds the transfers runtime.Graph.Place
+// infers over tlr's generate+factor DAG — the messages the ranks send — to the
+// right-looking Cholesky's rule, written out here as the oracle: L_kk goes to
+// the owners of (i, k), i > k; panel tile (i, k) goes to the owners of (i, j),
+// k < j ≤ i, and of (a, i), a > i; each to every such rank but the tile's
+// owner, once, from the POTRF or TRSM that finished it.
+func TestPlacementFollowsCholeskyRule(t *testing.T) {
+	const nb = 4
+	for _, grid := range []Grid{{1, 1}, {1, 2}, {2, 2}, {2, 3}, {3, 3}, {1, 6}} {
+		for _, mt := range []int{1, 2, 3, 5, 8, 15, 19} {
+			n := mt*nb - 1 // ragged last tile
+			d := NewDistTLR(grid, make([]geom.Point, n), geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+			want := map[[3]int]bool{}
+			add := func(i, j, to int) {
+				if to != grid.Owner(i, j) {
+					want[[3]int{i, j, to}] = true
+				}
+			}
+			for k := 0; k < mt; k++ {
+				for i := k + 1; i < mt; i++ {
+					add(k, k, grid.Owner(i, k))
+					for j := k + 1; j <= i; j++ {
+						add(i, k, grid.Owner(i, j))
+					}
+					for a := i + 1; a < mt; a++ {
+						add(i, k, grid.Owner(a, i))
+					}
+				}
+			}
+			got := map[[3]int]bool{}
+			for _, tr := range d.place.Transfers {
+				i, j := d.TileOf(tr.Handle)
+				key := [3]int{i, j, tr.To}
+				if got[key] {
+					t.Fatalf("grid %dx%d, mt %d: tile (%d,%d) sent to rank %d twice", grid.P, grid.Q, mt, i, j, tr.To)
+				}
+				got[key] = true
+				producer := "trsm"
+				if i == j {
+					producer = "potrf"
+				}
+				if name := d.graph.Tasks()[tr.From].Name; name != producer {
+					t.Fatalf("grid %dx%d, mt %d: tile (%d,%d) sent after %s, want %s", grid.P, grid.Q, mt, i, j, name, producer)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("grid %dx%d, mt %d: %d transfers inferred, the rule has %d", grid.P, grid.Q, mt, len(got), len(want))
+			}
+			for key := range want {
+				if !got[key] {
+					t.Fatalf("grid %dx%d, mt %d: tile (%d,%d) never sent to rank %d", grid.P, grid.Q, mt, key[0], key[1], key[2])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDistCholesky times one distributed generate+factor at lik_scale's
+// shape (n=2400, nb=160, rsvd at 1e-7, ν=½) on 2 and 4 ranks, over a World
+// and shards reused across iterations as core's evaluator reuses them.
+func BenchmarkDistCholesky(b *testing.B) {
+	const n, nb = 2400, 160
+	k, pts := distProblem(n)
+	comp, err := tlr.CompressorByName("rsvd")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ranks := range []int{2, 4} {
+		b.Run(fmt.Sprintf("ranks%d", ranks), func(b *testing.B) {
+			w, shards := NewWorld(ranks), make([]*DistTLR, ranks)
+			factor := func() {
+				for r, err := range w.Run(func(c *Comm) error {
+					if shards[c.Rank()] == nil {
+						shards[c.Rank()] = NewDistTLR(SquarestGrid(ranks), pts, geom.Euclidean, nb, 1e-7, comp)
+					}
+					return shards[c.Rank()].GenCholesky(c, k, 1e-9)
+				}) {
+					if err != nil {
+						b.Fatalf("rank %d: %v", r, err)
+					}
+				}
+			}
+			factor() // builds the shards
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				factor()
+			}
+		})
 	}
 }

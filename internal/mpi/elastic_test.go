@@ -71,11 +71,10 @@ func TestRankDeathFromTimeout(t *testing.T) {
 	}
 }
 
-// TestMarkDeadAndHealth exercises the membership bookkeeping: liveness
-// views, epoch bumps, idempotent MarkDead, and the Health report.
-func TestMarkDeadAndHealth(t *testing.T) {
+// TestMarkDead exercises the membership bookkeeping: liveness views, epoch
+// bumps and idempotent MarkDead.
+func TestMarkDead(t *testing.T) {
 	w := NewWorld(3)
-	w.Run(func(c *Comm) error { return nil }) // stamps last-heard-from
 	if got := w.AliveCount(); got != 3 {
 		t.Fatalf("AliveCount = %d, want 3", got)
 	}
@@ -94,21 +93,6 @@ func TestMarkDeadAndHealth(t *testing.T) {
 	}
 	if got := w.LowestAlive(); got != 0 {
 		t.Fatalf("LowestAlive = %d, want 0", got)
-	}
-	health := w.Health()
-	if len(health) != 3 {
-		t.Fatalf("Health has %d entries, want 3", len(health))
-	}
-	for r, h := range health {
-		if h.Rank != r {
-			t.Fatalf("Health[%d].Rank = %d", r, h.Rank)
-		}
-		if wantAlive := r != 1; h.Alive != wantAlive {
-			t.Fatalf("Health[%d].Alive = %v, want %v", r, h.Alive, wantAlive)
-		}
-		if h.LastHeard.IsZero() {
-			t.Fatalf("Health[%d].LastHeard is zero after a Run", r)
-		}
 	}
 }
 
@@ -323,10 +307,9 @@ func TestElasticShrinkResumeTLRCholesky(t *testing.T) {
 	var refLD float64
 	refSol := make([]float64, n)
 	errs := RunWorld(ranks, func(c *Comm) error {
-		d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, tol, comp)
+		d := NewDistTLR(grid, pts, geom.Euclidean, nb, tol, comp)
 		refShards[c.Rank()] = d
-		d.Generate(k, nugget)
-		if err := d.Cholesky(c); err != nil {
+		if err := d.GenCholesky(c, k, nugget); err != nil {
 			return err
 		}
 		ld, err := d.LogDet(c)
@@ -357,15 +340,14 @@ func TestElasticShrinkResumeTLRCholesky(t *testing.T) {
 
 			// Run 1: the victim dies at the start of panel 2.
 			errs := w.Run(func(c *Comm) error {
-				d := NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, tol, comp)
+				d := NewDistTLR(grid, pts, geom.Euclidean, nb, tol, comp)
 				d.PanelHook = func(rank, panel int) {
 					if rank == victim && panel == 2 && !fired.Swap(true) {
 						panic(fmt.Errorf("chaos kill at panel %d", panel))
 					}
 				}
 				shards[c.Rank()] = d
-				d.Generate(k, nugget)
-				return d.Cholesky(c)
+				return d.GenCholesky(c, k, nugget)
 			})
 			dead := -1
 			for _, err := range errs {
@@ -391,8 +373,7 @@ func TestElasticShrinkResumeTLRCholesky(t *testing.T) {
 					return fmt.Errorf("membership agreement still lists rank %d alive", victim)
 				}
 				d.ApplyMembership(alive)
-				d.Generate(k, nugget)
-				if err := d.Cholesky(c); err != nil {
+				if err := d.GenCholesky(c, k, nugget); err != nil {
 					return err
 				}
 				ld, err := d.LogDet(c)
@@ -449,8 +430,7 @@ func TestElasticShrinkResumeTLRCholesky(t *testing.T) {
 			// optimizer iteration) must still match the unfaulted run.
 			errs = w.Run(func(c *Comm) error {
 				d := shards[c.Rank()]
-				d.Generate(k, nugget)
-				if err := d.Cholesky(c); err != nil {
+				if err := d.GenCholesky(c, k, nugget); err != nil {
 					return err
 				}
 				ld, err := d.LogDet(c)

@@ -125,12 +125,12 @@ func TestRankPanicPoisonsAndWorldHeals(t *testing.T) {
 
 	// The next Run heals the world: mailboxes drained, poison cleared.
 	errs = w.Run(func(c *Comm) error {
-		got, err := c.Bcast(0, 3, []float64{float64(c.Rank() + 1)}, []int{0, 1, 2, 3})
+		sum, err := c.AllreduceSum(3, float64(c.Rank()+1))
 		if err != nil {
 			return err
 		}
-		if got[0] != 1 {
-			return fmt.Errorf("bcast after heal got %v", got)
+		if sum != 10 {
+			return fmt.Errorf("allreduce after heal got %v", sum)
 		}
 		return nil
 	})

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -26,30 +25,6 @@ type RankDeath struct {
 
 func (d *RankDeath) Error() string {
 	return fmt.Sprintf("mpi: rank %d died (membership epoch %d)", d.Rank, d.Epoch)
-}
-
-// RankHealth is one rank's liveness entry in World.Health.
-type RankHealth struct {
-	Rank  int
-	Alive bool
-	// LastHeard is the last time the rank was observed doing anything — a
-	// send, or entering a Run. The zero time means it has never been heard
-	// from (a World that never Ran).
-	LastHeard time.Time
-}
-
-// Health reports per-rank liveness and last-heard-from times — the
-// diagnostic view behind every shrink decision. Dead ranks keep their last
-// LastHeard value, so the report shows when the failed rank went silent.
-func (w *World) Health() []RankHealth {
-	out := make([]RankHealth, w.size)
-	for r := range out {
-		out[r] = RankHealth{Rank: r, Alive: w.alive[r].Load()}
-		if ns := w.lastHeard[r].Load(); ns != 0 {
-			out[r].LastHeard = time.Unix(0, ns)
-		}
-	}
-	return out
 }
 
 // Alive reports whether rank is a live member of the current epoch.
@@ -78,7 +53,8 @@ func (w *World) AliveRanks() []int {
 }
 
 // LowestAlive returns the lowest live rank — the root every collective
-// gathers at (rank 0 until rank 0 dies).
+// gathers at (rank 0 until rank 0 dies), and the replica every
+// rank-replicated result is read back from.
 func (w *World) LowestAlive() int {
 	for r := 0; r < w.size; r++ {
 		if w.alive[r].Load() {
@@ -119,18 +95,8 @@ func (w *World) MarkDead(rank int) int64 {
 	return epoch
 }
 
-// heard stamps rank's last-heard-from time.
-func (w *World) heard(rank int) { w.lastHeard[rank].Store(time.Now().UnixNano()) }
-
 // AliveRanks returns the live ranks of this endpoint's world, ascending.
 func (c *Comm) AliveRanks() []int { return c.world.AliveRanks() }
-
-// LowestAlive returns the lowest live rank — the replica every
-// rank-replicated result is read back from.
-func (c *Comm) LowestAlive() int { return c.world.LowestAlive() }
-
-// Epoch returns the current membership epoch.
-func (c *Comm) Epoch() int64 { return c.world.Epoch() }
 
 // AgreeAlive is the epoch-tagged membership allreduce: every surviving rank
 // contributes its local liveness view (one 0/1 entry per rank) and receives
@@ -180,27 +146,6 @@ func SquarestGrid(n int) Grid {
 
 // Owner returns the rank owning tile (i, j).
 func (g Grid) Owner(i, j int) int { return (i%g.P)*g.Q + j%g.Q }
-
-// DiagRecipients returns the ranks (other than the owner of (k, k)) that
-// need the factored diagonal tile L_kk: the owners of the panel tiles
-// (i, k), i > k, which apply the triangular solve to their tiles.
-func (g Grid) DiagRecipients(k, mt int) []int {
-	return diagRecipients(g.Owner, k, mt)
-}
-
-// PanelRecipients returns the ranks (other than the owner) that consume the
-// solved panel tile (i, k) during the trailing update of panel k: the owners
-// of tiles (i, j), k < j ≤ i (where it is the left SYRK/GEMM operand) and of
-// tiles (a, i), i < a < mt (where it is the right GEMM operand). The
-// distributed Cholesky sends each panel tile to exactly this set, so every
-// message is consumed and mailboxes drain completely — the property that
-// lets one World be reused across many factorizations (core's distributed
-// likelihood) without stale-message corruption, and it ships strictly fewer
-// bytes than a blanket process row+column broadcast when the trailing
-// submatrix is narrow.
-func (g Grid) PanelRecipients(i, k, mt int) []int {
-	return panelRecipients(g.Owner, i, k, mt)
-}
 
 // OwnerMap overlays membership onto a Grid: the grid's block-cyclic layout
 // is kept as a *logical* tile-to-slot mapping, and the map assigns each
@@ -253,35 +198,4 @@ func (m *OwnerMap) Reassign(alive []bool) (moved []int) {
 		m.phys[s] = want
 	}
 	return moved
-}
-
-// diagRecipients is DiagRecipients generalized over an ownership function
-// (the OwnerMap of a shrunken world, or a plain Grid).
-func diagRecipients(owner func(i, j int) int, k, mt int) []int {
-	o := owner(k, k)
-	var out []int
-	for i := k + 1; i < mt; i++ {
-		if r := owner(i, k); r != o && !contains(out, r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// panelRecipients is PanelRecipients generalized over an ownership function.
-func panelRecipients(owner func(i, j int) int, i, k, mt int) []int {
-	o := owner(i, k)
-	var out []int
-	add := func(r int) {
-		if r != o && !contains(out, r) {
-			out = append(out, r)
-		}
-	}
-	for j := k + 1; j <= i; j++ {
-		add(owner(i, j))
-	}
-	for a := i + 1; a < mt; a++ {
-		add(owner(a, i))
-	}
-	return out
 }

@@ -6,11 +6,12 @@
 //
 // The distributed TLR Cholesky factorization in this package (dist_tlr.go;
 // with every tile forced dense it is the dense tiled algorithm) is the
-// real-execution counterpart of the cluster package's simulator: the same 2D
-// block-cyclic ownership and panel broadcasts, executed rather than modeled.
-// Per-rank traffic counters (CommStats) record the bytes each rank actually
-// sends and receives so the analytic communication model can be validated
-// against real message volumes (internal/cluster's distcomm tests).
+// real-execution counterpart of the cluster package's simulator: the same DAG
+// on the same 2D block-cyclic ownership, with the same transfers inferred by
+// runtime.Graph.Place, executed rather than modeled. Per-rank traffic counters
+// (CommStats) record the bytes each rank actually sends and receives so the
+// communication model can be validated against real message volumes
+// (internal/cluster's distcomm tests).
 package mpi
 
 import (
@@ -76,13 +77,11 @@ type World struct {
 	failErr  error
 	poisoned atomic.Bool
 
-	// Membership: alive flags, the epoch that advances at every MarkDead,
-	// and per-rank last-heard-from stamps (see Health). Run spawns
-	// goroutines only for live ranks, so a shrunken World keeps the
-	// original rank numbering while executing on the survivors.
-	alive     []atomic.Bool
-	epoch     atomic.Int64
-	lastHeard []atomic.Int64
+	// Membership: alive flags and the epoch that advances at every MarkDead.
+	// Run spawns goroutines only for live ranks, so a shrunken World keeps
+	// the original rank numbering while executing on the survivors.
+	alive []atomic.Bool
+	epoch atomic.Int64
 }
 
 // SetMsgHook installs the fault-injection hook for cross-rank messages.
@@ -156,7 +155,7 @@ func NewWorld(size int) *World {
 	}
 	w := &World{
 		size: size, boxes: make([]*mailbox, size), stats: make([]commCounters, size),
-		alive: make([]atomic.Bool, size), lastHeard: make([]atomic.Int64, size),
+		alive: make([]atomic.Bool, size),
 	}
 	for i := range w.boxes {
 		mb := &mailbox{}
@@ -204,12 +203,11 @@ func (w *World) At(rank int) *Comm {
 }
 
 // Send delivers a copy of data to dst under tag. Sends never block (the
-// mailbox is unbounded), which makes naturally deadlock-free programs out of
-// panel-broadcast algorithms. Under an injected-drop MsgHook the transmission
-// is retried up to maxTransmits times; a message dropped every time is lost
-// and surfaces at the receiver as a deadline error.
+// mailbox is unbounded), so a program whose ranks only ever wait for work of
+// a lower task ID is deadlock-free. Under an injected-drop MsgHook the
+// transmission is retried up to maxTransmits times; a message dropped every
+// time is lost and surfaces at the receiver as a deadline error.
 func (c *Comm) Send(dst, tag int, data []float64) {
-	c.world.heard(c.rank)
 	epoch := c.world.epoch.Load()
 	if dst == c.rank {
 		// self-sends are legal and common in broadcast loops
@@ -263,10 +261,10 @@ func (mb *mailbox) put(m message) {
 // the world's receive deadline passes — a timeout is diagnosed as the
 // death of the silent source and wraps a RankDeath, so recovery layers can
 // shrink the world instead of merely reporting a hang. Pending messages
-// are always drained first, even on a poisoned world, so a coordinated
-// protocol whose messages are already in flight (the SPD agreement
-// allreduce) completes before the poison error surfaces; messages stamped
-// with a previous membership epoch are discarded on sight.
+// are always drained first, even on a poisoned world, so a rank whose
+// inputs have already arrived keeps working until it needs one that never
+// will; messages stamped with a previous membership epoch are discarded on
+// sight.
 func (c *Comm) Recv(src, tag int) ([]float64, error) {
 	mb := c.world.boxes[c.rank]
 	var deadline time.Time
@@ -317,20 +315,6 @@ func (c *Comm) Recv(src, tag int) ([]float64, error) {
 	}
 }
 
-// Bcast distributes data from root to every rank in ranks (which must
-// include root) and returns the received copy. Non-root callers pass nil.
-func (c *Comm) Bcast(root, tag int, data []float64, ranks []int) ([]float64, error) {
-	if c.rank == root {
-		for _, r := range ranks {
-			if r != root {
-				c.Send(r, tag, data)
-			}
-		}
-		return data, nil
-	}
-	return c.Recv(root, tag)
-}
-
 // AllreduceSum sums one value across the live ranks (gather to the lowest
 // live rank, then broadcast). It uses tag and tag+1; callers must leave
 // both free. On a full world the root is rank 0, exactly the historical
@@ -360,20 +344,6 @@ func (c *Comm) AllreduceSumVec(tag int, v []float64) ([]float64, error) {
 	})
 }
 
-// AllreduceMax computes the maximum of one value across the live ranks,
-// with the same tag discipline as AllreduceSum (tag and tag+1 consumed).
-func (c *Comm) AllreduceMax(tag int, v float64) (float64, error) {
-	out, err := c.allreduce(tag, []float64{v}, func(acc, got []float64) {
-		if got[0] > acc[0] {
-			acc[0] = got[0]
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
 // allreduce gathers every live rank's contribution at the lowest live rank,
 // combines in ascending rank order, and broadcasts the result back. acc is
 // combined in place.
@@ -400,12 +370,6 @@ func (c *Comm) allreduce(tag int, acc []float64, combine func(acc, got []float64
 	}
 	c.Send(root, tag, acc)
 	return c.Recv(root, tag+1)
-}
-
-// Barrier synchronizes all ranks (counter on rank 0).
-func (c *Comm) Barrier(tag int) error {
-	_, err := c.AllreduceSum(tag, 0)
-	return err
 }
 
 // Run runs fn once per rank concurrently and waits for completion; per-rank
@@ -439,7 +403,6 @@ func (w *World) Run(fn func(c *Comm) error) []error {
 			continue // shrunken world: no goroutine for a dead rank
 		}
 		r := r
-		w.heard(r)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -473,13 +436,4 @@ func (w *World) Run(fn func(c *Comm) error) []error {
 // RunWorld runs fn once per rank of a fresh World and waits for completion.
 func RunWorld(size int, fn func(c *Comm) error) []error {
 	return NewWorld(size).Run(fn)
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -53,40 +53,39 @@ func TestSendCopiesData(t *testing.T) {
 	}
 }
 
-func TestBcastAndAllreduce(t *testing.T) {
+func TestAllreduceSum(t *testing.T) {
 	const size = 6
 	var wg sync.WaitGroup
 	w := NewWorld(size)
 	sums := make([]float64, size)
-	bcasts := make([][]float64, size)
-	all := []int{0, 1, 2, 3, 4, 5}
+	vecs := make([][]float64, size)
 	for r := 0; r < size; r++ {
 		r := r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			c := w.At(r)
-			var data []float64
-			if r == 2 {
-				data = []float64{3.5}
-			}
 			var err error
-			if bcasts[r], err = c.Bcast(2, 9, data, all); err != nil {
+			if sums[r], err = c.AllreduceSum(50, float64(r)); err != nil {
 				t.Error(err)
 				return
 			}
-			if sums[r], err = c.AllreduceSum(50, float64(r)); err != nil {
+			v := make([]float64, size)
+			v[r] = float64(r + 1)
+			if vecs[r], err = c.AllreduceSumVec(60, v); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
 	for r := 0; r < size; r++ {
-		if bcasts[r][0] != 3.5 {
-			t.Fatalf("rank %d bcast got %v", r, bcasts[r])
-		}
 		if sums[r] != 15 {
 			t.Fatalf("rank %d allreduce got %g", r, sums[r])
+		}
+		for i, v := range vecs[r] {
+			if v != float64(i+1) {
+				t.Fatalf("rank %d vector allreduce got %v", r, vecs[r])
+			}
 		}
 	}
 }
@@ -106,20 +105,6 @@ func TestGridOwnership(t *testing.T) {
 	if len(seen) != 6 {
 		t.Fatalf("not all ranks own tiles: %v", seen)
 	}
-	// DiagRecipients(0): owners of column-0 panel tiles (i%2)*3, i=1..5,
-	// minus the diagonal owner 0 → just rank 3.
-	if got := g.DiagRecipients(0, 6); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("DiagRecipients(0,6) = %v, want [3]", got)
-	}
-	for i := 0; i < 6; i++ {
-		for k := 0; k <= i; k++ {
-			for _, r := range g.PanelRecipients(i, k, 6) {
-				if r == g.Owner(i, k) {
-					t.Fatalf("panel (%d,%d) recipient set includes its own owner", i, k)
-				}
-			}
-		}
-	}
 }
 
 // distProblem builds the shared test inputs.
@@ -135,7 +120,7 @@ func distProblem(n int) (*cov.Kernel, []geom.Point) {
 // tiled algorithm through the same schedule and wire format as the
 // compressed one.
 func denseShard(rank int, grid Grid, pts []geom.Point, nb int) *DistTLR {
-	d := NewDistTLR(rank, grid, pts, geom.Euclidean, nb, 1e-12, tlr.SVDCompressor{})
+	d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-12, tlr.SVDCompressor{})
 	d.ForceMiss = func(mt, i, j int) bool { return true }
 	return d
 }
@@ -167,8 +152,7 @@ func TestDistributedCholeskyMatchesDense(t *testing.T) {
 		errs := RunWorld(cfg.p*cfg.q, func(c *Comm) error {
 			d := denseShard(c.Rank(), grid, pts, cfg.nb)
 			shards[c.Rank()] = d
-			d.Generate(k, 1e-10)
-			if err := d.Cholesky(c); err != nil {
+			if err := d.GenCholesky(c, k, 1e-10); err != nil {
 				return err
 			}
 			ld, err := d.LogDet(c)
@@ -213,10 +197,12 @@ func TestDistributedCholeskyShardsAreDisjoint(t *testing.T) {
 	k, pts := distProblem(64)
 	grid := Grid{P: 2, Q: 2}
 	counts := make([]int, 4)
-	RunWorld(4, func(c *Comm) error {
+	errs := RunWorld(4, func(c *Comm) error {
 		d := denseShard(c.Rank(), grid, pts, 16)
-		d.Generate(k, 0)
-		// a rank never materializes tiles it does not own
+		if err := d.GenCholesky(c, k, 1e-10); err != nil {
+			return err
+		}
+		// a rank keeps no tile it does not own: what it received is dropped
 		for i := 0; i < d.MT; i++ {
 			for j := 0; j <= i; j++ {
 				if (i == j && d.Diag(i) == nil) || (i != j && d.Off(i, j) == nil) {
@@ -230,6 +216,11 @@ func TestDistributedCholeskyShardsAreDisjoint(t *testing.T) {
 		}
 		return nil
 	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
 	total := 0
 	for _, ct := range counts {
 		total += ct
@@ -241,17 +232,11 @@ func TestDistributedCholeskyShardsAreDisjoint(t *testing.T) {
 
 func TestDistributedCholeskyNotSPDFailsEverywhere(t *testing.T) {
 	// A nugget of −2 under a unit variance makes every diagonal entry −1: the
-	// first pivot fails and every rank must report it, in agreement.
+	// first pivot fails, under runNotSPD's contract.
 	k, pts := distProblem(32)
 	grid := Grid{P: 2, Q: 2}
-	errs := RunWorld(4, func(c *Comm) error {
+	runNotSPD(t, NewWorld(4), grid.Owner(0, 0), func(c *Comm) error {
 		d := denseShard(c.Rank(), grid, pts, 8)
-		d.Generate(k, -2)
-		return d.Cholesky(c)
+		return d.GenCholesky(c, k, -2)
 	})
-	for r, err := range errs {
-		if err == nil {
-			t.Fatalf("rank %d should report the failure", r)
-		}
-	}
 }

@@ -16,7 +16,7 @@ import "fmt"
 // no headroom for the compressed-tile message kinds the TLR layer adds.
 //
 // All internal tags are ≥ UserTagLimit. Application code passing tags to
-// Send/Recv/Bcast/AllreduceSum must stay below it.
+// Send/Recv/AllreduceSum must stay below it.
 
 // UserTagLimit is the first tag value reserved for the library's internal
 // message kinds. Application tags must lie in [0, UserTagLimit).
@@ -27,9 +27,7 @@ const tagIndexBits = 24
 
 // Internal message kinds; each is a disjoint tag namespace.
 const (
-	kindLkk    = iota + 1 // factored diagonal tile broadcast
-	kindPanel             // solved panel tile (dense payload or compressed U/V payload)
-	kindFail              // per-panel SPD agreement (reduction: uses k = 0 and k = 1)
+	kindTile   = iota + 1 // a factorization task's output tile (i, k), as Matrix.EncodeTile's words
 	kindSum               // scalar reductions (LogDet and friends)
 	kindFwd               // forward-solve partial contributions
 	kindFwdB              // forward-solve solved-block broadcast

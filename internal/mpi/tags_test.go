@@ -10,7 +10,7 @@ import "testing"
 func TestTagNamespaceUnique(t *testing.T) {
 	const mt = 6 // (90 + 16 - 1) / 16
 	seen := map[int]string{}
-	for kind := kindLkk; kind < kindLast; kind++ {
+	for kind := kindTile; kind < kindLast; kind++ {
 		for i := 0; i < mt; i++ {
 			for k := 0; k < mt; k++ {
 				tag := tagOf(kind, i, k)
@@ -35,10 +35,10 @@ func TestTagNamespaceUnique(t *testing.T) {
 
 func TestTagOverflowPanics(t *testing.T) {
 	for _, bad := range [][3]int{
-		{kindLkk, 1 << tagIndexBits, 0},   // i overflow
-		{kindLkk, 0, 1<<tagIndexBits - 1}, // k overflow (reply headroom)
-		{kindLkk, -1, 0},                  // negative index
-		{0, 0, 0},                         // invalid kind
+		{kindTile, 1 << tagIndexBits, 0},   // i overflow
+		{kindTile, 0, 1<<tagIndexBits - 1}, // k overflow (reply headroom)
+		{kindTile, -1, 0},                  // negative index
+		{0, 0, 0},                          // invalid kind
 	} {
 		func() {
 			defer func() {

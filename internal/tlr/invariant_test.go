@@ -164,9 +164,8 @@ func TestUpdateTargetsKeepInvariant(t *testing.T) {
 		before = general.Value()
 		grid := mpi.Grid{P: 2, Q: 2}
 		for rank, err := range mpi.RunWorld(4, func(c *mpi.Comm) error {
-			d := mpi.NewDistTLR(c.Rank(), grid, pts, geom.Euclidean, nb, tol, comp)
-			d.Generate(k, nugget)
-			if err := d.Cholesky(c); err != nil {
+			d := mpi.NewDistTLR(grid, pts, geom.Euclidean, nb, tol, comp)
+			if err := d.GenCholesky(c, k, nugget); err != nil {
 				return err
 			}
 			return sameAsRef(d.Matrix, func(i, j int) bool { return grid.Owner(i, j) == c.Rank() })

@@ -66,6 +66,54 @@ func (m *Matrix) Diag(i int) *la.Mat { return m.diag[i] }
 // Off returns compressed tile (i, j), j < i.
 func (m *Matrix) Off(i, j int) *CompTile { return m.off[i][j] }
 
+// EncodeTile returns tile (i, j), j ≤ i, as words: a diagonal tile's compact
+// row-major data, an off-diagonal tile's CompTile.Encode. It is the one
+// serialization of a tile — what a rank sends and what the out-of-core store
+// spills. A diagonal tile's words are its storage; both callers copy them.
+func (m *Matrix) EncodeTile(i, j int) []float64 {
+	if i == j {
+		return m.diag[i].Data
+	}
+	return m.off[i][j].Encode()
+}
+
+// DecodeTile installs EncodeTile's words as tile (i, j) and takes ownership
+// of them. An off-diagonal tile already in the slot — an evicted stub — is
+// rebuilt in place, so its holders keep their pointer. Words of the wrong
+// length or shape for the slot are an error and leave it as it was.
+func (m *Matrix) DecodeTile(i, j int, words []float64) error {
+	di, dj := m.TileDim(i), m.TileDim(j)
+	if i == j {
+		if len(words) != di*di {
+			return fmt.Errorf("tlr: decode diagonal tile %d: %d words for %dx%d", i, len(words), di, di)
+		}
+		m.diag[i] = la.NewMatFrom(di, di, words)
+		return nil
+	}
+	t := new(CompTile)
+	if err := t.Decode(words); err != nil {
+		return err
+	}
+	if t.Rows() != di || t.Cols() != dj {
+		return fmt.Errorf("tlr: decode tile (%d,%d): %dx%d words for a %dx%d tile", i, j, t.Rows(), t.Cols(), di, dj)
+	}
+	if old := m.off[i][j]; old != nil {
+		*old = *t
+	} else {
+		m.off[i][j] = t
+	}
+	return nil
+}
+
+// ClearTile empties slot (i, j): a rank shard forgets a tile it received.
+func (m *Matrix) ClearTile(i, j int) {
+	if i == j {
+		m.diag[i] = nil
+	} else {
+		m.off[i][j] = nil
+	}
+}
+
 // FromKernel assembles and compresses the covariance matrix Σ(θ) for pts:
 // diagonal tiles stay dense; each off-diagonal tile is generated densely and
 // immediately compressed with comp (the HiCMA "generate + compress"
@@ -228,10 +276,15 @@ func BuildCholeskyGraph(m *Matrix, bind bool) *runtime.Graph {
 	return g
 }
 
+// TileOf returns the tile (i, j) behind one of the handles of m's task
+// graphs — what owner maps are keyed by.
+func (m *Matrix) TileOf(h *runtime.Handle) (i, j int) { return int(h.Tag) / m.MT, int(h.Tag) % m.MT }
+
 // newTileHandles registers one data handle per stored tile: dense diagonal
-// tiles and compressed off-diagonal tiles. Compressed handles start with the
-// current tile's footprint (zero for an empty shell) and are refreshed by the
-// generate+compress tasks via SetBytes as ranks change.
+// tiles and compressed off-diagonal tiles, tile (i, j) tagged i·MT + j for
+// TileOf. Compressed handles start with the current tile's footprint (zero
+// for an empty shell) and are refreshed by the generate+compress tasks via
+// SetBytes as ranks change.
 func newTileHandles(g *runtime.Graph, m *Matrix) ([]*runtime.Handle, [][]*runtime.Handle) {
 	dh := make([]*runtime.Handle, m.MT)
 	oh := make([][]*runtime.Handle, m.MT)

@@ -100,15 +100,9 @@ func AttachOOC(gg *GenGraph, m *Matrix, st *store.Store) {
 				}
 				return int64(di) * int64(di) * 8
 			},
-			Encode: func() []byte { return wordBytes(m.diag[i].Data) },
-			Decode: func(buf []byte) error {
-				if len(buf) != di*di*8 {
-					return fmt.Errorf("tlr: decode diagonal tile: %d bytes for %dx%d", len(buf), di, di)
-				}
-				m.diag[i] = la.NewMatFrom(di, di, bytesWords(buf))
-				return nil
-			},
-			Drop: func() { m.diag[i] = nil },
+			Encode: func() []byte { return wordBytes(m.EncodeTile(i, i)) },
+			Decode: func(buf []byte) error { return m.DecodeTile(i, i, bytesWords(buf)) },
+			Drop:   func() { m.ClearTile(i, i) },
 			Materialize: func() {
 				if m.diag[i] == nil {
 					m.diag[i] = la.NewMat(di, di)
@@ -128,8 +122,8 @@ func AttachOOC(gg *GenGraph, m *Matrix, st *store.Store) {
 					}
 					return t.Bytes()
 				},
-				Encode: func() []byte { return wordBytes(m.off[i][j].Encode()) },
-				Decode: func(buf []byte) error { return m.off[i][j].Decode(bytesWords(buf)) },
+				Encode: func() []byte { return wordBytes(m.EncodeTile(i, j)) },
+				Decode: func(buf []byte) error { return m.DecodeTile(i, j, bytesWords(buf)) },
 				Drop:   func() { m.off[i][j].drop() },
 				// The generation task replaces the tile object wholesale,
 				// so an overwrite pin needs no allocation.
@@ -167,10 +161,9 @@ func (c *CompTile) drop() {
 	c.U, c.V, c.D = nil, nil, nil
 }
 
-// Spill serialization: float64 words — a diagonal tile's compact data, an
-// off-diagonal tile's CompTile.Encode — as little-endian bytes. Spill data
-// never leaves the machine or survives the process, so no versioning or
-// checksums.
+// Spill serialization: Matrix.EncodeTile's words as little-endian bytes.
+// Spill data never leaves the machine or survives the process, so no
+// versioning or checksums.
 func wordBytes(words []float64) []byte {
 	buf := make([]byte, 8*len(words))
 	for i, v := range words {

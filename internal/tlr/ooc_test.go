@@ -301,7 +301,10 @@ func TestCompTileCodecRoundTrip(t *testing.T) {
 
 // Decode on arbitrary words returns an error or a tile whose shape, rank and
 // footprint agree with the payload it was given and whose every entry can be
-// read; it never panics.
+// read; it never panics. The matrix codec around it (Matrix.DecodeTile, what
+// a rank and the spill decode with) takes exactly di² words into a diagonal
+// slot and exactly the tiles of its shape into an off-diagonal one; anything
+// else is an error.
 func FuzzCompTileDecode(f *testing.F) {
 	for _, tc := range codecTiles(f) {
 		words := tc.tile.Encode()
@@ -312,10 +315,27 @@ func FuzzCompTileDecode(f *testing.F) {
 	}
 	f.Add(wordBytes([]float64{1 << 31, 1 << 31, 1 << 30}))
 	f.Add(wordBytes([]float64{4, 4, math.Inf(1), 0, 0}))
+	for _, n := range []int{100, 99, 256, 257} { // the diagonal slots' sizes, and one off
+		f.Add(wordBytes(make([]float64, n)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		words := bytesWords(data)
+		m := NewMatrix(26, 16, 0) // diagonal slots 16×16 and a ragged 10×10
+		for i := 0; i < m.MT; i++ {
+			di := m.TileDim(i)
+			if err := m.DecodeTile(i, i, words); (err == nil) != (len(words) == di*di) {
+				t.Fatalf("diagonal slot %dx%d from %d words: error %v", di, di, len(words), err)
+			} else if err == nil && len(m.EncodeTile(i, i)) != len(words) {
+				t.Fatalf("diagonal slot %dx%d re-encoded to %d words from %d", di, di, len(m.EncodeTile(i, i)), len(words))
+			}
+		}
 		c := new(CompTile)
-		if err := c.Decode(words); err != nil {
+		err := c.Decode(words)
+		fits := err == nil && c.Rows() == m.TileDim(1) && c.Cols() == m.TileDim(0)
+		if slotErr := m.DecodeTile(1, 0, append([]float64(nil), words...)); (slotErr == nil) != fits {
+			t.Fatalf("off-diagonal slot %dx%d from %d words: error %v, tile error %v", m.TileDim(1), m.TileDim(0), len(words), slotErr, err)
+		}
+		if err != nil {
 			if c.U != nil || c.V != nil || c.D != nil {
 				t.Fatalf("refused words left a payload behind")
 			}
