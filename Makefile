@@ -16,9 +16,9 @@ test:
 # graphs, the pooled recompression workspaces, the tile store's pin/evict
 # concurrency, the equivalence and recovery oracles, the out-of-core and
 # serving suites and the fuzz targets' seed corpora are all in that one pass;
-# internal/core is the long pole: about 80 s run alone on two cores, about
-# 150 s inside this pass, where it shares them with internal/la — the whole
-# target takes about 4 minutes; the process-wide instrument registry is the
+# internal/core is the long pole: about 80 s run alone on two cores, 150–200 s
+# inside this pass, where it shares them with internal/la — the whole target
+# takes 4–5 minutes; the process-wide instrument registry is the
 # state a shuffled order could leak, and every test reads it as a difference
 # of snapshots), one iteration of the dense-kernel (Trsm, Syrk, Potrf, the
 # skinny and one-column Gemms), vector-loop, recompression, low-rank update,
@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenCheckpoint$$' -fuzztime 10s -parallel 1 ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -parallel 1 ./internal/dataio/
 	$(GO) test -run '^$$' -fuzz '^FuzzBlobFileRegions$$' -fuzztime 10s -parallel 1 ./internal/dataio/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime 10s -parallel 1 ./internal/dataio/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime 10s -parallel 1 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelationTable$$' -fuzztime 10s -parallel 1 ./internal/cov/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompTileDecode$$' -fuzztime 10s -parallel 1 ./internal/tlr/

@@ -72,8 +72,9 @@ type Config struct {
 	// MaxRetries is the number of times one evaluation is re-run from
 	// generation after a fault of the execution itself: a task panic, or on
 	// ranks a rank death (a panic, an injected kill, or a receive timeout
-	// diagnosing a silent peer), which also shrinks the world to the
-	// survivors while more than one remains. 0 (the default) surfaces the
+	// diagnosing a silent peer), which also replaces the world with a fresh
+	// one a rank smaller while more than one remains, on that rank count's
+	// most square grid. 0 (the default) surfaces the
 	// fault. A re-run reads nothing but the locations, θ, the nugget and the
 	// per-tile seeds, so its result is bitwise that of an unfaulted run. A
 	// non-positive-definite pivot is a property of θ, not of the execution,

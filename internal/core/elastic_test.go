@@ -5,13 +5,16 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/chaos"
 )
 
 // TestElasticRecoveryFailureBudget: MaxRetries is a per-evaluation budget.
-// Two deaths inside one evaluation exhaust a budget of 1 — the second is
-// surfaced and its rank stays a member — while a budget of 2 absorbs both
-// and still matches the unfaulted run bitwise; a death in a later evaluation
-// draws on a fresh budget.
+// Two deaths inside one evaluation — one on the 6-rank World, one on the
+// 5-rank World its shrink builds — exhaust a budget of 1: the second is
+// surfaced and the World stays at 5 ranks. A budget of 2 absorbs both and
+// still matches the unfaulted run bitwise on the 4 ranks left; a death in a
+// later evaluation draws on a fresh budget.
 func TestElasticRecoveryFailureBudget(t *testing.T) {
 	p := smallProblem(t, 240, 13)
 	th := theta()
@@ -21,7 +24,8 @@ func TestElasticRecoveryFailureBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// armed builds the shards with a clean evaluation, then arms two kills:
-	// rank 4 at panel 3, and rank 1 at panel 2 of whichever run comes after.
+	// rank 4 at panel 3 on those shards, and rank 1 at panel 2 through an
+	// injector, which only shards built after it carry — the survivors'.
 	armed := func(budget int) *Session {
 		cfg := clean
 		cfg.MaxRetries = budget
@@ -33,17 +37,13 @@ func TestElasticRecoveryFailureBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := s.ranks()
-		var first, second atomic.Bool
+		var first atomic.Bool
 		db.shards[4].PanelHook = func(rank, panel int) {
 			if panel == 3 && !first.Swap(true) {
 				panic(errors.New("first injected death"))
 			}
 		}
-		db.shards[1].PanelHook = func(rank, panel int) {
-			if panel == 2 && first.Load() && !second.Swap(true) {
-				panic(errors.New("second injected death"))
-			}
-		}
+		db.inj = chaos.NewInjector(&chaos.FaultPlan{KillRank: 2, KillAtPanel: 3})
 		return s
 	}
 
@@ -58,7 +58,7 @@ func TestElasticRecoveryFailureBudget(t *testing.T) {
 	if d := s.Metrics(); d.RanksLost != 1 || d.Replays != 1 {
 		t.Fatalf("RanksLost = %d, Replays = %d, want the budget 1", d.RanksLost, d.Replays)
 	}
-	// both kills have fired; the next evaluation runs clean on the 5 survivors
+	// both kills have fired; the next evaluation runs clean on the 5 ranks
 	again, err := s.LogLikelihood(th)
 	if err != nil {
 		t.Fatalf("evaluation after the exhausted budget failed: %v", err)

@@ -26,21 +26,25 @@ const chaosRecvTimeout = 30 * time.Second
 // distFactor runs the World once per operation on it.
 type distState struct {
 	world  *mpi.World
-	shards []*mpi.DistTLR
+	shards []*mpi.DistTLR  // one per rank, nil until factorizeOnce builds it
 	inj    *chaos.Injector // nil unless Config.Chaos is set
-
-	// ownersEpoch is the membership epoch every shard's ownership map
-	// reflects; it trails world.Epoch() between a rank death and the next
-	// completed factorization.
-	ownersEpoch int64
 
 	traceStart time.Time // set by enableTracing
 }
 
 func newDistState(e *evaluator) factorizer {
-	w := mpi.NewWorld(e.cfg.Ranks)
-	if e.inj != nil {
-		inj := e.inj
+	d := &distState{inj: e.inj}
+	d.newWorld(e.cfg.Ranks)
+	return d
+}
+
+// newWorld replaces the World and its shards with a fresh World of size ranks
+// and no shards: at the start, and as the shrink after a rank death. The
+// chaos message hook and receive deadline are armed when fault injection is,
+// and the communication timeline when tracing is.
+func (d *distState) newWorld(size int) {
+	w := mpi.NewWorld(size)
+	if inj := d.inj; inj != nil {
 		w.SetRecvTimeout(chaosRecvTimeout)
 		w.SetMsgHook(func(src, dst, tag int, bytes int64, attempt int) mpi.MsgFault {
 			drop, delay := inj.MessageFault(src, dst, tag, attempt)
@@ -53,10 +57,13 @@ func newDistState(e *evaluator) factorizer {
 			return mpi.MsgFault{Verdict: mpi.MsgDeliver}
 		})
 	}
-	return &distState{world: w, shards: make([]*mpi.DistTLR, e.cfg.Ranks), inj: e.inj}
+	if !d.traceStart.IsZero() {
+		w.EnableTrace(d.traceStart)
+	}
+	d.world, d.shards = w, make([]*mpi.DistTLR, size)
 }
 
-// run executes fn on every live rank and returns the first rank error.
+// run executes fn on every rank and returns the first rank error.
 func (d *distState) run(fn func(c *mpi.Comm) error) error {
 	for _, err := range d.world.Run(fn) {
 		if err != nil {
@@ -66,71 +73,59 @@ func (d *distState) run(fn func(c *mpi.Comm) error) error {
 	return nil
 }
 
-// replayable is the verdict on ranks: err wraps a rank-death diagnosis of the
-// current membership epoch naming a still-live rank, and that rank is not
-// the last one. The rank is marked dead, so the re-run happens on the
-// survivors. Stale diagnoses (from before an already-completed shrink) are
-// not replayable.
+// replayable is the verdict on ranks: err wraps a rank-death diagnosis and
+// the World has a rank to spare. The shrink is MPI_Comm_shrink's: the World
+// and its shards are dropped for a fresh World one rank smaller, on which the
+// re-run generates every tile anew. Nothing of the failed run is carried
+// over, so there is no membership to agree on.
 func (d *distState) replayable(err error) bool {
 	var rd *mpi.RankDeath
-	if !errors.As(err, &rd) || rd.Epoch != d.world.Epoch() || !d.world.Alive(rd.Rank) || d.world.AliveCount() <= 1 {
+	if !errors.As(err, &rd) || d.world.Size() <= 1 {
 		return false
 	}
-	d.world.MarkDead(rd.Rank)
+	d.newWorld(d.world.Size() - 1)
 	return true
 }
 
-// factorizeOnce is one generate → factor pass over the live ranks. When the
-// membership changed since the shards last agreed on it, the run opens with
-// the epoch-tagged membership agreement (doubling as the post-shrink
-// barrier) and remaps ownership, so GenCholesky also generates the tiles the
-// survivors inherited. A Cholesky breakdown fails the rank that owns the
-// pivot and a rank death the rank that died; either way the World's poison
-// fails every rank still waiting on it, so the run fails.
+// factorizeOnce is one generate → factor pass over the ranks, building each
+// rank's shard on the World's squarest grid the first time it runs. A
+// Cholesky breakdown fails the rank that owns the pivot and a rank death the
+// rank that died; either way the World's poison fails every rank still
+// waiting on it, so the run fails.
 func (d *distState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (Factor, error) {
 	comp, err := tlr.CompressorByName(e.cfg.CompressorName)
 	if err != nil {
 		return nil, err
 	}
-	epoch := d.world.Epoch()
-	shrunk := epoch != d.ownersEpoch
 	err = d.run(func(c *mpi.Comm) error {
 		if d.inj != nil {
 			d.inj.RankFault(c.Rank())
 		}
 		sh := d.shards[c.Rank()]
 		if sh == nil {
-			sh = mpi.NewDistTLR(mpi.SquarestGrid(e.cfg.Ranks), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, comp)
+			sh = mpi.NewDistTLR(mpi.SquarestGrid(c.Size()), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, comp)
 			if d.inj != nil {
 				sh.ForceMiss = d.inj.CompressMiss
 				sh.PanelHook = d.inj.PanelKill
 			}
 			d.shards[c.Rank()] = sh
 		}
-		if shrunk {
-			alive, _, err := c.AgreeAlive()
-			if err != nil {
-				return err
-			}
-			sh.ApplyMembership(alive)
-		}
 		return sh.GenCholesky(c, k, nugget)
 	})
 	if err != nil {
 		return nil, err
 	}
-	d.ownersEpoch = epoch
 	return distFactor{d}, nil
 }
 
 // distFactor is the factorization distState leaves sharded over the ranks.
-// Each operation is one World.Run against the shards in which every live
-// rank computes an identical replica of the result; the lowest live rank's
-// is handed back. A rank death fails the operation, and with it the attempt
-// of the recovery rule it is part of.
+// Each operation is one World.Run against the shards in which every rank
+// computes an identical replica of the result; rank 0's is handed back. A
+// rank death fails the operation, and with it the attempt of the recovery
+// rule it is part of.
 type distFactor struct{ d *distState }
 
-// use runs fn on every live rank against its shard.
+// use runs fn on every rank against its shard.
 func (f distFactor) use(fn func(c *mpi.Comm, sh *mpi.DistTLR) error) error {
 	return f.d.run(func(c *mpi.Comm) error {
 		sh := f.d.shards[c.Rank()]
@@ -142,8 +137,8 @@ func (f distFactor) use(fn func(c *mpi.Comm, sh *mpi.DistTLR) error) error {
 	})
 }
 
-// onReplicas runs solve on a private copy of b per rank and copies the
-// lowest live rank's back into b.
+// onReplicas runs solve on a private copy of b per rank and copies rank 0's
+// back into b.
 func (f distFactor) onReplicas(b *la.Mat, solve func(c *mpi.Comm, sh *mpi.DistTLR, b *la.Mat) error) error {
 	replicas := make([]*la.Mat, len(f.d.shards))
 	err := f.use(func(c *mpi.Comm, sh *mpi.DistTLR) error {
@@ -153,7 +148,7 @@ func (f distFactor) onReplicas(b *la.Mat, solve func(c *mpi.Comm, sh *mpi.DistTL
 	if err != nil {
 		return err
 	}
-	b.CopyFrom(replicas[f.d.world.LowestAlive()])
+	b.CopyFrom(replicas[0])
 	return nil
 }
 
@@ -172,29 +167,31 @@ func (f distFactor) Solve(b *la.Mat) error {
 	})
 }
 
-func (f distFactor) LogDet() (float64, error) {
-	logDets := make([]float64, len(f.d.shards))
-	err := f.use(func(c *mpi.Comm, sh *mpi.DistTLR) (err error) {
-		logDets[c.Rank()], err = sh.LogDet(c)
+func (f distFactor) LogDet() (logDet float64, err error) {
+	err = f.use(func(c *mpi.Comm, sh *mpi.DistTLR) error {
+		ld, err := sh.LogDet(c)
+		if c.Rank() == 0 {
+			logDet = ld
+		}
 		return err
 	})
-	return logDets[f.d.world.LowestAlive()], err
+	return logDet, err
 }
 
-// Bytes sums the live shards' footprints.
+// Bytes sums the shards' footprints.
 func (f distFactor) Bytes() int64 {
 	var b int64
-	for _, r := range f.d.world.AliveRanks() {
-		b += f.d.shards[r].Bytes()
+	for _, sh := range f.d.shards {
+		b += sh.Bytes()
 	}
 	return b
 }
 
-// RankStats reduces the live shards' rank sums.
+// RankStats reduces the shards' rank sums.
 func (f distFactor) RankStats() (maxRank int, meanRank float64) {
 	var sum, count int
-	for _, r := range f.d.world.AliveRanks() {
-		m, s, n := f.d.shards[r].RankSums()
+	for _, sh := range f.d.shards {
+		m, s, n := sh.RankSums()
 		maxRank = max(maxRank, m)
 		sum += s
 		count += n
@@ -211,8 +208,9 @@ func (s *Session) ranks() *distState {
 	return d
 }
 
-// commStats returns the per-rank cumulative traffic — the measured
-// counterpart of cluster.DistCholeskyComm.
+// commStats returns the per-rank cumulative traffic of the World the session
+// runs on now, counted since that World was built — the measured counterpart
+// of cluster.DistCholeskyComm.
 func (d *distState) commStats() []mpi.CommStats {
 	out := make([]mpi.CommStats, d.world.Size())
 	for r := range out {
@@ -222,7 +220,9 @@ func (d *distState) commStats() []mpi.CommStats {
 }
 
 // CommStats returns the per-rank cumulative traffic of a session on ranks
-// (nil for shared-memory sessions).
+// (nil for shared-memory sessions). It describes the World the session runs
+// on now: after a rank death shrank it, Config.Ranks − Metrics().RanksLost
+// entries, counted since that smaller World was built.
 func (s *Session) CommStats() []mpi.CommStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -232,7 +232,8 @@ func (s *Session) CommStats() []mpi.CommStats {
 	return nil
 }
 
-// enableTracing starts a timestamped communication timeline on the World.
+// enableTracing starts a timestamped communication timeline on the World,
+// and on every World a shrink builds after it.
 func (d *distState) enableTracing() {
 	d.traceStart = time.Now()
 	d.world.EnableTrace(d.traceStart)

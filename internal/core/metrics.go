@@ -24,7 +24,8 @@ type Metrics struct {
 	// every cross-rank message an instant event.
 	Trace *runtime.Trace
 	// Comm is the per-rank cumulative traffic (nil for shared-memory
-	// sessions).
+	// sessions) of the World the session runs on now: Config.Ranks −
+	// RanksLost entries, counted since that World was built.
 	Comm []mpi.CommStats
 	// FactorFailures counts this session's failed factorization attempts;
 	// NuggetEscalations counts how many were answered by growing the nugget
@@ -34,8 +35,9 @@ type Metrics struct {
 	NuggetEscalations int64
 	LastFactorFailure string
 	// Replays counts the evaluations re-run from generation after a task
-	// panic or a rank death (Config.MaxRetries); RanksLost how many of those
-	// lost a rank of the distributed world (0 for shared-memory sessions).
+	// panic or a rank death (Config.MaxRetries); RanksLost how many ranks the
+	// distributed world shrank by, one per replayed rank death (0 for
+	// shared-memory sessions).
 	Replays   int64
 	RanksLost int
 }
@@ -71,7 +73,7 @@ func (s *Session) Metrics() Metrics {
 	if r := s.ranks(); r != nil {
 		m.Trace = r.commTrace()
 		m.Comm = r.commStats()
-		m.RanksLost = r.world.Size() - r.world.AliveCount()
+		m.RanksLost = s.ev.cfg.Ranks - r.world.Size()
 	}
 	return m
 }

@@ -168,11 +168,17 @@ func SaveModel(w io.Writer, m Model) error {
 	return enc.Encode(m)
 }
 
-// LoadModel parses a model document and validates it.
+// LoadModel parses a model document and validates it. The document is one
+// JSON object; anything after it but whitespace — a second document, junk
+// appended to the file — is an error.
 func LoadModel(r io.Reader) (Model, error) {
 	var m Model
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&m); err != nil {
 		return Model{}, fmt.Errorf("dataio: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Model{}, errors.New("dataio: model document followed by more data")
 	}
 	if err := m.Theta.Validate(); err != nil {
 		return Model{}, err

@@ -132,6 +132,36 @@ func TestModelValidationOnLoad(t *testing.T) {
 	}
 }
 
+// TestModelTrailingBytes: a model document is one JSON object and nothing but
+// whitespace after it — two concatenated files or a document with junk
+// appended must not load as the first object.
+func TestModelTrailingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, model()); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	for _, c := range []struct {
+		name, in string
+		ok       bool
+	}{
+		{"as saved", doc, true},
+		{"trailing whitespace", doc + " \n\t\r\n", true},
+		{"two documents", doc + doc, false},
+		{"junk appended", doc + "junk", false},
+		{"stray bracket", doc + "]", false},
+		{"trailing number", doc + "0", false},
+	} {
+		m, err := LoadModel(strings.NewReader(c.in))
+		if c.ok && (err != nil || m != model()) {
+			t.Errorf("%s: %+v, %v; want the saved model", c.name, m, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: loaded %+v, want an error", c.name, m)
+		}
+	}
+}
+
 func TestModelSaveRejectsInvalidTheta(t *testing.T) {
 	m := model()
 	m.Theta.Range = 0

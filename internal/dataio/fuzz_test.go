@@ -3,6 +3,7 @@ package dataio
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -47,6 +48,46 @@ func FuzzReadCSV(f *testing.F) {
 			if !sameBits(rec.Points[i].X, back.Points[i].X) || !sameBits(rec.Points[i].Y, back.Points[i].Y) || !sameBits(rec.Z[i], back.Z[i]) {
 				t.Fatalf("row %d changed across the round trip: %v %v -> %v %v", i, rec.Points[i], rec.Z[i], back.Points[i], back.Z[i])
 			}
+		}
+	})
+}
+
+// FuzzLoadModel feeds arbitrary bytes to the model-document reader, which
+// loads files from outside the process. It must return an error or a valid
+// model, never panic; and every document it accepts must go through
+// SaveModel → LoadModel to an equal Model.
+func FuzzLoadModel(f *testing.F) {
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, model()); err != nil {
+		f.Fatal(err)
+	}
+	saved := buf.String()
+	for _, seed := range []string{
+		saved,
+		saved[:len(saved)/2],
+		saved + "junk",
+		strings.Replace(saved, `"matern"`, `"wavelet"`, 1),
+		strings.Replace(saved, `"euclidean"`, `"taxicab"`, 1),
+		strings.Replace(saved, `"Variance": 1.2`, `"Variance": -1.2`, 1),
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := LoadModel(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveModel(&out, m); err != nil {
+			t.Fatalf("saving an accepted model %+v: %v", m, err)
+		}
+		back, err := LoadModel(&out)
+		if err != nil {
+			t.Fatalf("re-loading what SaveModel wrote: %v\n%s", err, out.Bytes())
+		}
+		if back != m {
+			t.Fatalf("round trip changed %+v into %+v", m, back)
 		}
 	})
 }

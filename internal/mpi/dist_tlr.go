@@ -11,9 +11,29 @@ import (
 	"repro/internal/tlr"
 )
 
+// Grid is a 2D process grid mapping tiles to ranks block-cyclically, the
+// distribution the paper's distributed runs use.
+type Grid struct {
+	P, Q int
+}
+
+// SquarestGrid returns the most square P×Q grid with P·Q = n, P ≤ Q.
+func SquarestGrid(n int) Grid {
+	p := 1
+	for f := 1; f*f <= n; f++ {
+		if n%f == 0 {
+			p = f
+		}
+	}
+	return Grid{P: p, Q: n / p}
+}
+
+// Owner returns the rank owning tile (i, j).
+func (g Grid) Owner(i, j int) int { return (i%g.P)*g.Q + j%g.Q }
+
 // DistTLR is one rank's shard of a 2D block-cyclically distributed TLR
 // matrix: a tlr.Matrix in which only the tiles this rank owns are populated,
-// the tlr.GenSpec they are generated from, and the owner map. Messages carry
+// the tlr.GenSpec they are generated from, and the grid. Messages carry
 // tlr.Matrix.EncodeTile's words, so a rank-r tile costs (di+dk)·r doubles on
 // the wire instead of the di·dk a dense tile would — the communication saving
 // the paper's distributed TLR runs exploit.
@@ -29,16 +49,13 @@ type DistTLR struct {
 
 	// PanelHook, when non-nil, is called by every rank as its walk reaches
 	// each panel's POTRF — the deterministic kill point chaos injection
-	// targets to exercise elastic recovery at a reproducible panel epoch.
+	// targets to exercise elastic recovery at a reproducible panel.
 	PanelHook func(rank, k int)
 
-	// Owners maps tiles to physical ranks through the membership overlay:
-	// the Grid's layout while every rank lives, remapped deterministically
-	// to the survivors after a shrink (see OwnerMap).
-	Owners *OwnerMap
+	grid Grid
 
 	// graph is tlr's generate+factor DAG over the shard, built once; place
-	// is where its tasks run and what crosses ranks under Owners, and sends
+	// is where its tasks run and what crosses ranks on the grid, and sends
 	// lists, per task, the transfers of its output.
 	graph *runtime.Graph
 	place runtime.Placement
@@ -47,43 +64,27 @@ type DistTLR struct {
 
 // NewDistTLR allocates an empty shard of an n×n TLR matrix distributed over
 // grid; GenCholesky fills and factors the tiles of the rank that runs it.
+// Which rank runs each task and which ranks each task's output goes to is
+// inferred here, once, from the graph's data access on the grid. Every tile
+// is written by its generation task before anything reads it, so every
+// transfer has a producing task.
 func NewDistTLR(grid Grid, pts []geom.Point, metric geom.Metric, nb int, tol float64, comp tlr.Compressor) *DistTLR {
 	d := &DistTLR{
 		Matrix:  tlr.NewMatrix(len(pts), nb, tol),
 		GenSpec: &tlr.GenSpec{Pts: pts, Metric: metric, Comp: comp},
-		Owners:  NewOwnerMap(grid),
+		grid:    grid,
 	}
 	d.graph = tlr.BuildGenCholeskyGraph(d.Matrix, d.GenSpec, true)
-	d.placeTasks()
-	return d
-}
-
-// Owner returns the physical rank owning tile (i, j) under the current
-// membership (identical to Grid.Owner until a rank dies).
-func (d *DistTLR) Owner(i, j int) int { return d.Owners.Owner(i, j) }
-
-// placeTasks infers, from the graph's data access under the current owners,
-// which rank runs each task and which ranks each task's output goes to. Every
-// tile is written by its generation task before anything reads it, so every
-// transfer has a producing task.
-func (d *DistTLR) placeTasks() {
 	d.place = d.graph.Place(func(h *runtime.Handle) int { return d.Owner(d.TileOf(h)) })
 	d.sends = make([][]int, d.graph.Len())
 	for x, tr := range d.place.Transfers {
 		d.sends[tr.From] = append(d.sends[tr.From], x)
 	}
+	return d
 }
 
-// ApplyMembership remaps tile ownership to an agreed membership view (the
-// []bool from Comm.AgreeAlive) and re-infers the placement. Survivors keep
-// every tile they hold; dead ranks' slots are dealt deterministically to the
-// survivors, whose next GenCholesky generates the inherited tiles along with
-// the rest. Returns the slots that changed hands.
-func (d *DistTLR) ApplyMembership(alive []bool) []int {
-	moved := d.Owners.Reassign(alive)
-	d.placeTasks()
-	return moved
-}
+// Owner returns the rank owning tile (i, j).
+func (d *DistTLR) Owner(i, j int) int { return d.grid.Owner(i, j) }
 
 // GenCholesky generates Σ(θ) for kernel k and nugget into the shard and
 // factors it in place, cooperating with the other ranks of c. It runs the
@@ -102,8 +103,8 @@ func (d *DistTLR) ApplyMembership(alive []bool) []int {
 // la.ErrNotPositiveDefinite; the World's poison fails every rank still
 // waiting on it, and a rank whose owned work was already done returns nil.
 // A failed run leaves the shard half factored and nothing here resumes it:
-// the caller runs GenCholesky again (after ApplyMembership on the survivors
-// of a rank death), which regenerates every owned tile.
+// the caller runs GenCholesky again, which regenerates every owned tile — or,
+// after a rank death, runs it on fresh shards of a smaller World.
 func (d *DistTLR) GenCholesky(c *Comm, k *cov.Kernel, nugget float64) error {
 	d.K, d.Nugget = k, nugget
 	me, panel := c.Rank(), 0
@@ -173,9 +174,8 @@ func runBody(t *runtime.Task) (err error) {
 // nonzero contributor, so the combine is exact — followed by a k-ascending
 // sum on every rank. Unlike a scalar sum of per-rank partials, the result
 // does not depend on how tiles are grouped over ranks, so it is
-// bitwise-identical at any grid shape and across membership changes — the
-// property the elastic-recovery "identical to the unfaulted run" guarantee
-// rests on.
+// bitwise-identical at any grid shape — the property that makes a re-run on
+// a smaller World after a rank death identical to the unfaulted run.
 func (d *DistTLR) LogDet(c *Comm) (float64, error) {
 	vec := make([]float64, d.MT)
 	for k := 0; k < d.MT; k++ {
@@ -243,7 +243,7 @@ func (d *DistTLR) solveMat(c *Comm, ta la.Trans, b *la.Mat) error {
 			}
 			la.Trsm(la.Left, la.Lower, ta, 1, d.Diag(i), bi)
 			payload := bi.Clone().Data // compact: bi may be a column block of B
-			for _, r := range c.AliveRanks() {
+			for r := 0; r < c.Size(); r++ {
 				if r != c.Rank() {
 					c.Send(r, tagOf(kindB, i, 0), payload)
 				}

@@ -43,7 +43,8 @@ func maxAbsDiff(a, b *la.Mat) float64 {
 // (tlr.Matrix.GenDiag/GenOff, per-tile compressor seeding) and the
 // distributed update order is the shared DAG's serialization, so the factors
 // are bit-for-bit equal on every grid shape, including ragged tiles (n=90,
-// nb=16) and rectangular grids.
+// nb=16) and rectangular grids — among them 1×3 and 1×5, the grids a 4- or
+// 6-rank World shrinks to after losing a rank.
 func TestDistTLRCholeskyMatchesShared(t *testing.T) {
 	const (
 		n      = 90
@@ -55,7 +56,7 @@ func TestDistTLRCholeskyMatchesShared(t *testing.T) {
 	comp := tlr.RSVDCompressor{Seed: 42, Oversample: 8}
 	ref := sharedTLRFactor(t, k, pts, nb, tol, comp, nugget)
 
-	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}} {
+	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {1, 3}, {1, 5}} {
 		grid := Grid{P: shape[0], Q: shape[1]}
 		errs := RunWorld(grid.P*grid.Q, func(c *Comm) error {
 			d := NewDistTLR(grid, pts, geom.Euclidean, nb, tol, comp)
@@ -118,7 +119,8 @@ func solveVec(d *DistTLR, c *Comm, b []float64) error {
 
 // TestDistTLRLogDetAndSolveMatchShared compares the distributed LogDet and
 // forward/backward solves against the shared-memory path on a replicated
-// right-hand side: exactly equal, the reductions being order-preserving.
+// right-hand side: exactly equal, the reductions being order-preserving, on
+// every grid including the 1×3 and 1×5 a rank death shrinks to.
 func TestDistTLRLogDetAndSolveMatchShared(t *testing.T) {
 	const (
 		n      = 90
@@ -139,7 +141,7 @@ func TestDistTLRLogDetAndSolveMatchShared(t *testing.T) {
 	ref.ForwardSolveMat(wm)
 	ref.BackwardSolveMat(wm)
 
-	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}} {
+	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {1, 3}, {1, 5}} {
 		grid := Grid{P: shape[0], Q: shape[1]}
 		size := grid.P * grid.Q
 		logDets := make([]float64, size)

@@ -21,12 +21,9 @@ import (
 	"time"
 )
 
-// message is one tagged payload in flight. epoch stamps the membership
-// epoch it was sent under: after a shrink, messages from the previous epoch
-// are stale by definition and receivers discard them on sight.
+// message is one tagged payload in flight.
 type message struct {
 	src, tag int
-	epoch    int64
 	data     []float64
 }
 
@@ -76,13 +73,18 @@ type World struct {
 	failMu   sync.Mutex
 	failErr  error
 	poisoned atomic.Bool
-
-	// Membership: alive flags and the epoch that advances at every MarkDead.
-	// Run spawns goroutines only for live ranks, so a shrunken World keeps
-	// the original rank numbering while executing on the survivors.
-	alive []atomic.Bool
-	epoch atomic.Int64
 }
+
+// RankDeath identifies which rank a distributed run lost. Every poison error
+// caused by a rank failure — a panic inside Run, or a receive timeout
+// diagnosing a silent peer — wraps one, so callers can recover it with
+// errors.As and decide to go on with a smaller World instead of giving up.
+type RankDeath struct {
+	// Rank is the rank diagnosed dead.
+	Rank int
+}
+
+func (d *RankDeath) Error() string { return fmt.Sprintf("mpi: rank %d died", d.Rank) }
 
 // SetMsgHook installs the fault-injection hook for cross-rank messages.
 // Call before Run; a nil hook (the default) costs nothing.
@@ -153,15 +155,11 @@ func NewWorld(size int) *World {
 	if size <= 0 {
 		panic("mpi: world size must be positive")
 	}
-	w := &World{
-		size: size, boxes: make([]*mailbox, size), stats: make([]commCounters, size),
-		alive: make([]atomic.Bool, size),
-	}
+	w := &World{size: size, boxes: make([]*mailbox, size), stats: make([]commCounters, size)}
 	for i := range w.boxes {
 		mb := &mailbox{}
 		mb.cond = sync.NewCond(&mb.mu)
 		w.boxes[i] = mb
-		w.alive[i].Store(true)
 	}
 	return w
 }
@@ -208,16 +206,9 @@ func (w *World) At(rank int) *Comm {
 // transmission is retried up to maxTransmits times; a message dropped every
 // time is lost and surfaces at the receiver as a deadline error.
 func (c *Comm) Send(dst, tag int, data []float64) {
-	epoch := c.world.epoch.Load()
 	if dst == c.rank {
 		// self-sends are legal and common in broadcast loops
-		c.deliver(message{src: c.rank, tag: tag, epoch: epoch, data: append([]float64(nil), data...)})
-		return
-	}
-	if !c.world.Alive(dst) {
-		// A send to a dead rank vanishes, as it would on a real
-		// interconnect; leaving it enqueued would break the drained-mailbox
-		// reuse contract for a peer that will never Recv again.
+		c.deliver(message{src: c.rank, tag: tag, data: append([]float64(nil), data...)})
 		return
 	}
 	if hook := c.world.hook; hook != nil {
@@ -243,7 +234,7 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	cntMsgsSent.Inc()
 	cntBytesSent.Add(int64(8 * len(data)))
 	c.world.logComm(c.rank, dst, true, tag, int64(8*len(data)))
-	c.world.boxes[dst].put(message{src: c.rank, tag: tag, epoch: epoch, data: append([]float64(nil), data...)})
+	c.world.boxes[dst].put(message{src: c.rank, tag: tag, data: append([]float64(nil), data...)})
 }
 
 func (c *Comm) deliver(m message) { c.world.boxes[c.rank].put(m) }
@@ -257,14 +248,12 @@ func (mb *mailbox) put(m message) {
 
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload. It fails instead of blocking forever when the world
-// is poisoned by a rank failure, when src is already marked dead, or when
-// the world's receive deadline passes — a timeout is diagnosed as the
-// death of the silent source and wraps a RankDeath, so recovery layers can
-// shrink the world instead of merely reporting a hang. Pending messages
-// are always drained first, even on a poisoned world, so a rank whose
-// inputs have already arrived keeps working until it needs one that never
-// will; messages stamped with a previous membership epoch are discarded on
-// sight.
+// is poisoned by a rank failure or when the world's receive deadline passes
+// — a timeout is diagnosed as the death of the silent source and wraps a
+// RankDeath, so recovery layers can go on without it instead of merely
+// reporting a hang. Pending messages are always drained first, even on a
+// poisoned world, so a rank whose inputs have already arrived keeps working
+// until it needs one that never will.
 func (c *Comm) Recv(src, tag int) ([]float64, error) {
 	mb := c.world.boxes[c.rank]
 	var deadline time.Time
@@ -280,15 +269,7 @@ func (c *Comm) Recv(src, tag int) ([]float64, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		epoch := c.world.epoch.Load()
-		for i := 0; i < len(mb.pending); i++ {
-			m := mb.pending[i]
-			if m.epoch != epoch {
-				// stale transmission from before a shrink: drop and rescan
-				mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
-				i--
-				continue
-			}
+		for i, m := range mb.pending {
 			if m.src == src && m.tag == tag {
 				mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
 				if src != c.rank {
@@ -300,25 +281,19 @@ func (c *Comm) Recv(src, tag int) ([]float64, error) {
 				return m.data, nil
 			}
 		}
-		if !c.world.Alive(src) {
-			return nil, fmt.Errorf("mpi: rank %d: recv(src %d, tag %d): %w",
-				c.rank, src, tag, &RankDeath{Rank: src, Epoch: epoch})
-		}
 		if c.world.poisoned.Load() {
 			return nil, fmt.Errorf("mpi: rank %d: recv(src %d, tag %d) aborted: %w", c.rank, src, tag, c.world.Err())
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("mpi: rank %d: recv(src %d, tag %d) timed out after %v: %w",
-				c.rank, src, tag, c.world.recvTimeout, &RankDeath{Rank: src, Epoch: epoch})
+				c.rank, src, tag, c.world.recvTimeout, &RankDeath{Rank: src})
 		}
 		mb.cond.Wait()
 	}
 }
 
-// AllreduceSum sums one value across the live ranks (gather to the lowest
-// live rank, then broadcast). It uses tag and tag+1; callers must leave
-// both free. On a full world the root is rank 0, exactly the historical
-// behavior; after a shrink the root moves to the lowest survivor.
+// AllreduceSum sums one value across the ranks (gather to rank 0, then
+// broadcast). It uses tag and tag+1; callers must leave both free.
 func (c *Comm) AllreduceSum(tag int, v float64) (float64, error) {
 	out, err := c.allreduce(tag, []float64{v}, func(acc, got []float64) {
 		acc[0] += got[0]
@@ -329,13 +304,13 @@ func (c *Comm) AllreduceSum(tag int, v float64) (float64, error) {
 	return out[0], nil
 }
 
-// AllreduceSumVec sums one vector elementwise across the live ranks, with
-// the same tag discipline as AllreduceSum. When each element has exactly
-// one non-zero contributor (per-tile partial results) the elementwise sum
-// is exact, so reducing a vector and summing it in a fixed element order
+// AllreduceSumVec sums one vector elementwise across the ranks, with the
+// same tag discipline as AllreduceSum. When each element has exactly one
+// non-zero contributor (per-tile partial results) the elementwise sum is
+// exact, so reducing a vector and summing it in a fixed element order
 // afterwards yields a result independent of how the tiles are distributed
-// — the property that keeps log-determinants and quadratic forms bitwise
-// stable across membership changes.
+// — the property that keeps log-determinants bitwise stable across grid
+// shapes and world sizes.
 func (c *Comm) AllreduceSumVec(tag int, v []float64) ([]float64, error) {
 	return c.allreduce(tag, append([]float64(nil), v...), func(acc, got []float64) {
 		for i := range acc {
@@ -344,32 +319,25 @@ func (c *Comm) AllreduceSumVec(tag int, v []float64) ([]float64, error) {
 	})
 }
 
-// allreduce gathers every live rank's contribution at the lowest live rank,
-// combines in ascending rank order, and broadcasts the result back. acc is
-// combined in place.
+// allreduce gathers every rank's contribution at rank 0, combines in
+// ascending rank order, and broadcasts the result back. acc is combined in
+// place.
 func (c *Comm) allreduce(tag int, acc []float64, combine func(acc, got []float64)) ([]float64, error) {
-	ranks := c.AliveRanks()
-	root := ranks[0]
-	if c.rank == root {
-		for _, r := range ranks {
-			if r == root {
-				continue
-			}
-			got, err := c.Recv(r, tag)
-			if err != nil {
-				return nil, err
-			}
-			combine(acc, got)
-		}
-		for _, r := range ranks {
-			if r != root {
-				c.Send(r, tag+1, acc)
-			}
-		}
-		return acc, nil
+	if c.rank != 0 {
+		c.Send(0, tag, acc)
+		return c.Recv(0, tag+1)
 	}
-	c.Send(root, tag, acc)
-	return c.Recv(root, tag+1)
+	for r := 1; r < c.Size(); r++ {
+		got, err := c.Recv(r, tag)
+		if err != nil {
+			return nil, err
+		}
+		combine(acc, got)
+	}
+	for r := 1; r < c.Size(); r++ {
+		c.Send(r, tag+1, acc)
+	}
+	return acc, nil
 }
 
 // Run runs fn once per rank concurrently and waits for completion; per-rank
@@ -399,9 +367,6 @@ func (w *World) Run(fn func(c *Comm) error) []error {
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
 	for r := 0; r < w.size; r++ {
-		if !w.alive[r].Load() {
-			continue // shrunken world: no goroutine for a dead rank
-		}
 		r := r
 		wg.Add(1)
 		go func() {
@@ -409,10 +374,9 @@ func (w *World) Run(fn func(c *Comm) error) []error {
 			defer func() {
 				if rec := recover(); rec != nil {
 					// A panic is the death of this rank: the poison error
-					// carries the rank's identity and the failure epoch so
-					// survivors (whose Recvs all fail with it) can tell
-					// exactly which peer to shrink away.
-					death := &RankDeath{Rank: r, Epoch: w.epoch.Load()}
+					// carries the rank's identity, so survivors (whose Recvs
+					// all fail with it) can tell which peer was lost.
+					death := &RankDeath{Rank: r}
 					var err error
 					if e, ok := rec.(error); ok {
 						err = fmt.Errorf("mpi: rank %d panicked: %w (%w)", r, e, death)

@@ -27,14 +27,13 @@ const tagIndexBits = 24
 
 // Internal message kinds; each is a disjoint tag namespace.
 const (
-	kindTile   = iota + 1 // a factorization task's output tile (i, k), as Matrix.EncodeTile's words
-	kindSum               // scalar reductions (LogDet and friends)
-	kindFwd               // forward-solve partial contributions
-	kindFwdB              // forward-solve solved-block broadcast
-	kindBwd               // backward-solve partial contributions
-	kindBwdB              // backward-solve solved-block broadcast
-	kindMember            // membership allreduce (epoch-tagged; uses k = 0 and k = 1)
-	kindLast              // sentinel: first unused kind
+	kindTile = iota + 1 // a factorization task's output tile (i, k), as Matrix.EncodeTile's words
+	kindSum             // scalar reductions (LogDet and friends)
+	kindFwd             // forward-solve partial contributions
+	kindFwdB            // forward-solve solved-block broadcast
+	kindBwd             // backward-solve partial contributions
+	kindBwdB            // backward-solve solved-block broadcast
+	kindLast            // sentinel: first unused kind
 )
 
 // tagOf builds the internal tag for (kind, i, k). It panics when an index
