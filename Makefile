@@ -10,7 +10,9 @@ test:
 
 # verify is the pre-merge gate, and what CI runs: gofmt and vet (la and tlr
 # also vetted for arm64, where the Go loops stand in for the amd64 assembly —
-# a cross-vet type-checks that build and needs no network), every package
+# a cross-vet type-checks that build and needs no network), that only core
+# and the root alias import internal/chaos (runtime, mpi and tlr take plain
+# nil-by-default func fields and core adapts the injector onto them), every package
 # once, uncached, under the race detector and in a shuffled order (the rank
 # goroutines and mailboxes, the session lock, lock-free instruments, the task
 # graphs, the pooled recompression workspaces, the tile store's pin/evict
@@ -32,6 +34,7 @@ test:
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/
+	test "$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -E ' repro/internal/chaos( |$$)' | cut -d' ' -f1 | xargs)" = "repro repro/internal/core"
 	$(GO) test -race -shuffle=on -count=1 -timeout 45m ./...
 	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock|DistCholesky' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/ ./internal/mpi/
 	$(GO) run ./cmd/paperbench -exp extensions -scale small >/dev/null && $(GO) run ./cmd/paperbench -exp ablation -scale small >/dev/null

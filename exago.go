@@ -118,13 +118,14 @@ type (
 )
 
 // FaultPlan describes a deterministic, seeded set of faults to inject into a
-// Session via Config.Chaos: task panics and stragglers, dropped and delayed
-// messages (healed by retransmission), forced compression-tolerance misses
-// (degraded to exact dense tiles — the only way a tile of the product ends up
-// dense), and a rank kill. A task panic or a rank kill fails the evaluation
-// it lands in in bounded time; with Config.MaxRetries > 0 that evaluation is
-// re-run from generation — after a kill, on a fresh World one rank smaller —
-// and ends bitwise equal to an unfaulted one.
+// Session via Config.Chaos: task panics and stragglers, which strike a task of
+// the generate+factor DAG on the worker pool or on ranks alike, forced
+// compression-tolerance misses (degraded to exact dense tiles — the only way a
+// tile of the product ends up dense), and a rank kill placed by KillAtTask. A
+// task panic or a rank kill fails the evaluation it lands in in bounded time;
+// with Config.MaxRetries > 0 that evaluation is re-run from generation — after
+// a rank dies, on a fresh World one rank smaller — and ends bitwise equal to
+// an unfaulted one.
 // See Session.ChaosStats for what actually fired.
 type FaultPlan = chaos.FaultPlan
 

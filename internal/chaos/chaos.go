@@ -1,18 +1,20 @@
 // Package chaos provides deterministic, seeded fault injection for the
-// execution layers: task panics and slowdowns for the shared-memory runtime,
-// message drops and delays plus rank kills for the mpi layer, and forced
-// compression-tolerance misses for the TLR generation pipeline.
+// execution layers. A fault strikes a task of the generate+factor DAG on
+// whichever executor runs it — a panic or a slowdown on the shared-memory
+// worker pool and on the ranks alike, and a rank kill on the ranks — or
+// forces a compression-tolerance miss in the TLR generation pipeline.
 //
 // The package deliberately imports nothing from runtime/mpi/tlr/core — those
-// layers expose nil-by-default hook points (runtime.ExecOptions.Inject,
-// mpi.World.SetMsgHook, tlr.GenSpec.ForceMiss) and core adapts an Injector
-// onto them, so the happy path pays a single nil check per hook site and the
-// dependency graph stays acyclic.
+// layers expose nil-by-default func fields (runtime.ExecOptions.Inject and
+// mpi.DistTLR.Inject, both func(graphLen, taskID int), and
+// tlr.GenSpec.ForceMiss) and core adapts an Injector onto them, so the happy
+// path pays a single nil check per hook site and the dependency graph stays
+// acyclic.
 //
 // Every victim choice derives from FaultPlan.Seed through SplitMix64-style
-// hashing of stable coordinates (task IDs, tile indices, message tuples),
-// never from wall-clock time or execution order, so a given plan injects the
-// same faults run after run.
+// hashing of stable coordinates (task IDs, tile indices), never from
+// wall-clock time or execution order, so a given plan injects the same
+// faults run after run.
 package chaos
 
 import (
@@ -29,7 +31,7 @@ var ErrInjected = errors.New("chaos: injected fault")
 
 // FaultPlan is a declarative, seeded set of faults to inject. The zero value
 // injects nothing; counts are budgets (total injections per Injector, i.e.
-// per session), not rates. Durations left zero default to 200µs.
+// per session), not rates.
 type FaultPlan struct {
 	// Seed parameterizes every victim choice. Two injectors with the same
 	// plan pick the same victims; vary Seed to explore different placements.
@@ -37,23 +39,14 @@ type FaultPlan struct {
 
 	// TaskPanics is the number of task executions to kill with an injected
 	// panic (each victim fires once per Injector — a re-run of its graph
-	// succeeds, which is what lets a replayed evaluation prove recovery).
+	// succeeds, which is what lets a replayed evaluation prove recovery). On
+	// ranks the panic is the death of the rank that runs the task.
 	TaskPanics int
 	// TaskDelays is the number of task executions to slow down by TaskDelay
-	// (straggler injection).
+	// (straggler injection; on ranks, a straggler rank).
 	TaskDelays int
 	// TaskDelay is the injected straggler duration (0 = 200µs).
 	TaskDelay time.Duration
-
-	// DropMessages is the number of cross-rank message transmissions to drop
-	// (first transmission only; mpi.World retransmits, so a dropped message
-	// delays but never loses data).
-	DropMessages int
-	// DelayMessages is the number of cross-rank messages to delay by
-	// MessageDelay before delivery.
-	DelayMessages int
-	// MessageDelay is the injected in-flight delay (0 = 200µs).
-	MessageDelay time.Duration
 
 	// CompressMisses is the number of off-diagonal TLR tiles forced to miss
 	// the compression tolerance and fall back to dense (DE) storage. Unlike
@@ -63,19 +56,14 @@ type FaultPlan struct {
 	CompressMisses int
 
 	// KillRank, when positive, kills rank KillRank-1 (one-based so the zero
-	// value means "no kill") with a panic at its first hook call — the
-	// rank-failure drill for world poisoning.
+	// value means "no kill") once, with a panic — the rank-failure drill.
 	KillRank int
-	// KillAtPanel, when positive, moves the KillRank kill from the run entry
-	// (the RankFault site) to the start of Cholesky panel KillAtPanel (via
-	// the PanelKill hook) — a deterministic mid-factorization kill point for
-	// exercising elastic recovery with partially factored shards. Panel
-	// indices are 1-based here like KillRank, so KillAtPanel=k kills at the
-	// start of the k-th panel; the zero value keeps the legacy run-entry
-	// kill site, and one past the last panel (the tile count plus one) kills
-	// at the rank's first solve against the finished factor. Ignored unless
-	// KillRank is set.
-	KillAtPanel int
+	// KillAtTask places the kill: the victim dies before the first task it
+	// owns whose ID in the generate+factor DAG is ≥ KillAtTask, so 0 is its
+	// first task. A value it owns no such task for — the DAG's length, say —
+	// kills it at its first operation on the finished factor. Requires
+	// KillRank.
+	KillAtTask int
 }
 
 // Validate rejects negative budgets and durations with field-naming errors.
@@ -89,38 +77,27 @@ func (p *FaultPlan) Validate() error {
 	if p.TaskDelay < 0 {
 		return fmt.Errorf("chaos: negative TaskDelay %v", p.TaskDelay)
 	}
-	if p.DropMessages < 0 {
-		return fmt.Errorf("chaos: negative DropMessages %d", p.DropMessages)
-	}
-	if p.DelayMessages < 0 {
-		return fmt.Errorf("chaos: negative DelayMessages %d", p.DelayMessages)
-	}
-	if p.MessageDelay < 0 {
-		return fmt.Errorf("chaos: negative MessageDelay %v", p.MessageDelay)
-	}
 	if p.CompressMisses < 0 {
 		return fmt.Errorf("chaos: negative CompressMisses %d", p.CompressMisses)
 	}
 	if p.KillRank < 0 {
 		return fmt.Errorf("chaos: negative KillRank %d", p.KillRank)
 	}
-	if p.KillAtPanel < 0 {
-		return fmt.Errorf("chaos: negative KillAtPanel %d", p.KillAtPanel)
+	if p.KillAtTask < 0 {
+		return fmt.Errorf("chaos: negative KillAtTask %d", p.KillAtTask)
 	}
-	if p.KillAtPanel > 0 && p.KillRank == 0 {
-		return fmt.Errorf("chaos: KillAtPanel=%d without KillRank", p.KillAtPanel)
+	if p.KillAtTask > 0 && p.KillRank == 0 {
+		return fmt.Errorf("chaos: KillAtTask=%d without KillRank", p.KillAtTask)
 	}
 	return nil
 }
 
 // Stats counts the faults an Injector actually raised.
 type Stats struct {
-	TaskPanics      int64
-	TaskDelays      int64
-	MessagesDropped int64
-	MessagesDelayed int64
-	CompressMisses  int64
-	RanksKilled     int64
+	TaskPanics     int64
+	TaskDelays     int64
+	CompressMisses int64
+	RanksKilled    int64
 }
 
 // Injector is the stateful executor of one FaultPlan. It is safe for
@@ -131,18 +108,13 @@ type Injector struct {
 	mu      sync.Mutex
 	victims map[int]*victimSet   // graph length -> task victim choice
 	misses  map[int]map[int]bool // tile count mt -> forced-miss linear indices
-	msgSeq  map[msgKey]int       // per-(src,dst,tag) delivery counter
 
-	panics  atomic.Int64
-	delays  atomic.Int64
-	drops   atomic.Int64
-	msDelay atomic.Int64
-	miss    atomic.Int64
-	killed  atomic.Bool
-	kills   atomic.Int64
+	panics atomic.Int64
+	delays atomic.Int64
+	miss   atomic.Int64
+	killed atomic.Bool
+	kills  atomic.Int64
 }
-
-type msgKey struct{ src, dst, tag int }
 
 // victimSet fixes which task IDs of a graph of a given length get injected
 // panics/delays, and which of those already fired (budgets are per-Injector:
@@ -164,29 +136,20 @@ func NewInjector(p *FaultPlan) *Injector {
 	if plan.TaskDelay == 0 {
 		plan.TaskDelay = 200 * time.Microsecond
 	}
-	if plan.MessageDelay == 0 {
-		plan.MessageDelay = 200 * time.Microsecond
-	}
 	return &Injector{
 		plan:    plan,
 		victims: map[int]*victimSet{},
 		misses:  map[int]map[int]bool{},
-		msgSeq:  map[msgKey]int{},
 	}
 }
-
-// Plan returns the (defaults-resolved) plan the injector executes.
-func (in *Injector) Plan() FaultPlan { return in.plan }
 
 // Stats snapshots the injected-fault counts.
 func (in *Injector) Stats() Stats {
 	return Stats{
-		TaskPanics:      in.panics.Load(),
-		TaskDelays:      in.delays.Load(),
-		MessagesDropped: in.drops.Load(),
-		MessagesDelayed: in.msDelay.Load(),
-		CompressMisses:  in.miss.Load(),
-		RanksKilled:     in.kills.Load(),
+		TaskPanics:     in.panics.Load(),
+		TaskDelays:     in.delays.Load(),
+		CompressMisses: in.miss.Load(),
+		RanksKilled:    in.kills.Load(),
 	}
 }
 
@@ -269,30 +232,22 @@ func (in *Injector) TaskHook(graphLen, taskID int) {
 	}
 }
 
-// MessageFault decides the fate of one cross-rank message transmission:
-// drop it (the sender retransmits), delay it, or deliver it untouched.
-// Candidates hash from the stable (src, dst, tag, occurrence) tuple;
-// retransmissions (attempt > 0) always deliver, so a dropped message costs
-// latency but never data.
-func (in *Injector) MessageFault(src, dst, tag, attempt int) (drop bool, delay time.Duration) {
-	if attempt != 0 {
-		return false, 0
+// ForRank is the mpi.DistTLR.Inject adapter for one rank of a World, called
+// before every task the rank owns and, with taskID = graphLen, before each
+// operation on the finished factor. Every rank gets TaskHook's panics and
+// delays; the plan's victim also dies, once per Injector, at its first call
+// with taskID ≥ KillAtTask or ≥ graphLen.
+func (in *Injector) ForRank(rank int) func(graphLen, taskID int) {
+	if in.plan.KillRank != rank+1 {
+		return in.TaskHook
 	}
-	in.mu.Lock()
-	key := msgKey{src, dst, tag}
-	occ := in.msgSeq[key]
-	in.msgSeq[key] = occ + 1
-	h := in.mix(3, uint64(src), uint64(dst), uint64(tag), uint64(occ))
-	switch {
-	case h%4 == 0 && in.drops.Load() < int64(in.plan.DropMessages):
-		in.drops.Add(1)
-		drop = true
-	case h%4 == 1 && in.msDelay.Load() < int64(in.plan.DelayMessages):
-		in.msDelay.Add(1)
-		delay = in.plan.MessageDelay
+	return func(graphLen, taskID int) {
+		if taskID >= min(in.plan.KillAtTask, graphLen) && !in.killed.Swap(true) {
+			in.kills.Add(1)
+			panic(fmt.Errorf("%w: rank %d killed at task %d", ErrInjected, rank, taskID))
+		}
+		in.TaskHook(graphLen, taskID)
 	}
-	in.mu.Unlock()
-	return drop, delay
 }
 
 // CompressMiss is the tlr.GenSpec.ForceMiss adapter: it reports whether tile
@@ -320,34 +275,4 @@ func (in *Injector) CompressMiss(mt, i, j int) bool {
 		in.miss.Add(1)
 	}
 	return hit
-}
-
-// RankFault kills the plan's victim rank (once per Injector) with a panic;
-// call it at the top of every rank's World.Run closure. Non-victim ranks
-// return immediately. When the plan targets a specific panel (KillAtPanel),
-// the kill is deferred to PanelKill and this site is a no-op.
-func (in *Injector) RankFault(rank int) {
-	if in.plan.KillRank != rank+1 || in.plan.KillAtPanel > 0 {
-		return
-	}
-	if in.killed.Swap(true) {
-		return
-	}
-	in.kills.Add(1)
-	panic(fmt.Errorf("%w: rank %d killed", ErrInjected, rank))
-}
-
-// PanelKill is the mpi.DistTLR.PanelHook adapter: it kills the plan's victim
-// rank (once per Injector) with a panic at the start of the plan's target
-// panel — panel KillAtPanel-1, matching the hook's 0-based panel index. A
-// no-op for non-victim ranks, other panels, and plans without KillAtPanel.
-func (in *Injector) PanelKill(rank, panel int) {
-	if in.plan.KillAtPanel == 0 || in.plan.KillRank != rank+1 || in.plan.KillAtPanel != panel+1 {
-		return
-	}
-	if in.killed.Swap(true) {
-		return
-	}
-	in.kills.Add(1)
-	panic(fmt.Errorf("%w: rank %d killed at panel %d", ErrInjected, rank, panel))
 }

@@ -2,32 +2,42 @@ package chaos
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
+// panicked calls hook(graphLen, id) for each id in turn and returns the IDs
+// whose call panicked; every panic must wrap ErrInjected.
+func panicked(t *testing.T, hook func(graphLen, taskID int), graphLen int, ids ...int) []int {
+	t.Helper()
+	var fired []int
+	for _, id := range ids {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if err, ok := r.(error); !ok || !errors.Is(err, ErrInjected) {
+						t.Fatalf("panic value must wrap ErrInjected: %v", r)
+					}
+					fired = append(fired, id)
+				}
+			}()
+			hook(graphLen, id)
+		}()
+	}
+	return fired
+}
+
 // panicVictims runs a graph of graphLen task executions against a fresh
 // injector and returns the task IDs whose execution panicked.
 func panicVictims(t *testing.T, plan FaultPlan, graphLen int) []int {
 	t.Helper()
-	in := NewInjector(&plan)
-	var victims []int
-	for id := 0; id < graphLen; id++ {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					err, ok := r.(error)
-					if !ok || !errors.Is(err, ErrInjected) {
-						t.Fatalf("panic value must wrap ErrInjected: %v", r)
-					}
-					victims = append(victims, id)
-				}
-			}()
-			in.TaskHook(graphLen, id)
-		}()
+	ids := make([]int, graphLen)
+	for id := range ids {
+		ids[id] = id
 	}
-	return victims
+	return panicked(t, NewInjector(&plan).TaskHook, graphLen, ids...)
 }
 
 func TestTaskPanicsDeterministicAndBudgeted(t *testing.T) {
@@ -83,43 +93,6 @@ func TestReplaysAlwaysSucceed(t *testing.T) {
 	}
 }
 
-func TestMessageFaultDeterministicAndBudgeted(t *testing.T) {
-	run := func() (drops, delays int, verdicts []bool) {
-		in := NewInjector(&FaultPlan{Seed: 9, DropMessages: 2, DelayMessages: 2})
-		for i := 0; i < 200; i++ {
-			drop, delay := in.MessageFault(i%3, (i+1)%3, i%7, 0)
-			verdicts = append(verdicts, drop)
-			if drop {
-				drops++
-			}
-			if delay > 0 {
-				delays++
-			}
-		}
-		return
-	}
-	d1, l1, v1 := run()
-	d2, _, v2 := run()
-	if d1 != 2 || l1 != 2 {
-		t.Fatalf("budgets not honored: %d drops, %d delays", d1, l1)
-	}
-	if d1 != d2 {
-		t.Fatalf("drop counts disagree across runs: %d vs %d", d1, d2)
-	}
-	for i := range v1 {
-		if v1[i] != v2[i] {
-			t.Fatalf("verdict %d not deterministic", i)
-		}
-	}
-	// Retransmissions are never dropped.
-	in := NewInjector(&FaultPlan{Seed: 9, DropMessages: 100})
-	for i := 0; i < 50; i++ {
-		if drop, _ := in.MessageFault(0, 1, i, 1); drop {
-			t.Fatal("attempt 1 must always deliver")
-		}
-	}
-}
-
 func TestCompressMissPureAndBudgeted(t *testing.T) {
 	const mt = 8
 	in := NewInjector(&FaultPlan{Seed: 3, CompressMisses: 4})
@@ -147,65 +120,54 @@ func TestCompressMissPureAndBudgeted(t *testing.T) {
 	}
 }
 
-func TestRankFaultFiresOnce(t *testing.T) {
-	in := NewInjector(&FaultPlan{KillRank: 2}) // kills rank 1
-	in.RankFault(0)                            // not the victim
-	fired := 0
-	for i := 0; i < 3; i++ {
-		func() {
-			defer func() {
-				if recover() != nil {
-					fired++
-				}
-			}()
-			in.RankFault(1)
-		}()
+// The kill is the victim rank's alone, and it fires once per Injector.
+func TestRankKillFiresOnce(t *testing.T) {
+	in := NewInjector(&FaultPlan{KillRank: 2}) // kills rank 1 at its first task
+	if got := panicked(t, in.ForRank(0), 10, 0, 1, 10); len(got) != 0 {
+		t.Fatalf("rank 0 is not the victim, yet died at %v", got)
 	}
-	if fired != 1 {
-		t.Fatalf("rank kill fired %d times, want exactly once", fired)
+	if got := panicked(t, in.ForRank(1), 10, 3, 4, 10, 0); !slices.Equal(got, []int{3}) {
+		t.Fatalf("victim died at %v, want its first task only", got)
 	}
 	if s := in.Stats(); s.RanksKilled != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
 }
 
-func TestPanelKillTargetsPanelOnce(t *testing.T) {
-	in := NewInjector(&FaultPlan{KillRank: 3, KillAtPanel: 3}) // rank 2, panel 2
-	in.RankFault(2)                                            // deferred to the panel site: must not fire
-	in.PanelKill(2, 0)                                         // wrong panel
-	in.PanelKill(1, 2)                                         // wrong rank
-	fired := 0
-	for i := 0; i < 3; i++ {
-		func() {
-			defer func() {
-				if recover() != nil {
-					fired++
-				}
-			}()
-			in.PanelKill(2, 2)
-		}()
-	}
-	if fired != 1 {
-		t.Fatalf("panel kill fired %d times, want exactly once", fired)
-	}
-	if s := in.Stats(); s.RanksKilled != 1 {
-		t.Fatalf("stats: %+v", s)
+// KillAtTask kills before the first owned task at or past it, and a value
+// past the victim's last task — or past the DAG — at the step after it.
+func TestKillAtTaskTargetsFirstOwnedTask(t *testing.T) {
+	for _, tc := range []struct {
+		at   int
+		ids  []int // the victim's calls, in walk order; 20 = graphLen
+		want []int
+	}{
+		{7, []int{2, 5, 9, 12, 20}, []int{9}},
+		{9, []int{2, 5, 9, 12, 20}, []int{9}},
+		{13, []int{2, 5, 9, 12, 20, 20}, []int{20}},
+		{500, []int{2, 5, 9, 12, 20}, []int{20}},
+	} {
+		in := NewInjector(&FaultPlan{KillRank: 3, KillAtTask: tc.at}) // rank 2
+		if got := panicked(t, in.ForRank(1), 20, tc.ids...); len(got) != 0 {
+			t.Fatalf("KillAtTask %d: rank 1 died at %v", tc.at, got)
+		}
+		if got := panicked(t, in.ForRank(2), 20, tc.ids...); !slices.Equal(got, tc.want) {
+			t.Errorf("KillAtTask %d: victim died at %v, want %v", tc.at, got, tc.want)
+		}
 	}
 }
 
 func TestStatsCountInjections(t *testing.T) {
-	in := NewInjector(&FaultPlan{Seed: 5, TaskPanics: 1, DelayMessages: 1, MessageDelay: time.Microsecond})
+	in := NewInjector(&FaultPlan{Seed: 5, TaskPanics: 1, TaskDelays: 2, TaskDelay: time.Microsecond, KillRank: 1})
+	panicked(t, in.ForRank(0), 20, 0, 1)
 	for id := 0; id < 20; id++ {
 		func() {
 			defer func() { _ = recover() }()
 			in.TaskHook(20, id)
 		}()
 	}
-	for i := 0; i < 100; i++ {
-		in.MessageFault(0, 1, i, 0)
-	}
 	s := in.Stats()
-	if s.TaskPanics != 1 || s.MessagesDelayed != 1 {
+	if s.TaskPanics != 1 || s.TaskDelays != 2 || s.RanksKilled != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
 }
@@ -218,20 +180,17 @@ func TestValidateNamesFields(t *testing.T) {
 		{FaultPlan{TaskPanics: -1}, "TaskPanics"},
 		{FaultPlan{TaskDelays: -1}, "TaskDelays"},
 		{FaultPlan{TaskDelay: -time.Second}, "TaskDelay"},
-		{FaultPlan{DropMessages: -1}, "DropMessages"},
-		{FaultPlan{DelayMessages: -1}, "DelayMessages"},
-		{FaultPlan{MessageDelay: -time.Second}, "MessageDelay"},
 		{FaultPlan{CompressMisses: -1}, "CompressMisses"},
 		{FaultPlan{KillRank: -1}, "KillRank"},
-		{FaultPlan{KillRank: 1, KillAtPanel: -1}, "KillAtPanel"},
-		{FaultPlan{KillAtPanel: 2}, "KillAtPanel"},
+		{FaultPlan{KillRank: 1, KillAtTask: -1}, "KillAtTask"},
+		{FaultPlan{KillAtTask: 2}, "KillAtTask"},
 	} {
 		err := tc.plan.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Validate(%+v) = %v, want mention of %s", tc.plan, err, tc.want)
 		}
 	}
-	ok := FaultPlan{Seed: 1, TaskPanics: 2, DropMessages: 1, KillRank: 3}
+	ok := FaultPlan{Seed: 1, TaskPanics: 2, TaskDelays: 1, KillRank: 3, KillAtTask: 40}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}

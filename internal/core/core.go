@@ -92,9 +92,11 @@ type Config struct {
 	// maps results back to caller order.
 	Ordering string
 	// Chaos, when non-nil, injects the plan's deterministic faults into the
-	// session's executions — task panics/stragglers, message drops/delays,
-	// forced compression misses, rank kills. Nil (the default) injects
-	// nothing and pays a single nil check per hook site.
+	// session's executions — task panics/stragglers on any task graph, on
+	// the worker pool or on ranks, forced compression misses in TLR, rank
+	// kills on ranks. Validate refuses a fault the configuration has no
+	// place for. Nil (the default) injects nothing and pays a single nil
+	// check per hook site.
 	Chaos *chaos.FaultPlan
 	// MemBudget, when > 0, bounds the resident tile bytes of the TLR
 	// mode: tiles beyond the budget are evicted to a disk spill file and
@@ -182,9 +184,20 @@ func (c Config) Validate() error {
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("core: negative MaxRetries %d", c.MaxRetries)
 	}
-	if c.Chaos != nil {
-		if err := c.Chaos.Validate(); err != nil {
+	if p := c.Chaos; p != nil {
+		if err := p.Validate(); err != nil {
 			return fmt.Errorf("core: Chaos: %w", err)
+		}
+		// a fault the configuration has no place for would never fire
+		switch {
+		case p.KillRank > 0 && (c.Ranks <= 1 || p.KillRank > c.Ranks):
+			return fmt.Errorf("core: Chaos.KillRank=%d names no rank of Ranks=%d", p.KillRank, c.Ranks)
+		case p.CompressMisses > 0 && c.Mode != TLR:
+			return fmt.Errorf("core: Chaos.CompressMisses requires Mode=TLR, got %v", c.Mode)
+		case p.TaskPanics > 0 && c.Mode == FullBlock:
+			return fmt.Errorf("core: Chaos.TaskPanics: Mode=%v runs no task graph", c.Mode)
+		case p.TaskDelays > 0 && c.Mode == FullBlock:
+			return fmt.Errorf("core: Chaos.TaskDelays: Mode=%v runs no task graph", c.Mode)
 		}
 	}
 	return nil

@@ -24,8 +24,10 @@ func TestElasticRecoveryFailureBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// armed builds the shards with a clean evaluation, then arms two kills:
-	// rank 4 at panel 3 on those shards, and rank 1 at panel 2 through an
-	// injector, which only shards built after it carry — the survivors'.
+	// rank 4 halfway through the DAG on those shards, and rank 1 a third of
+	// the way through an injector, which only shards built after it carry —
+	// the survivors'.
+	dag := genCholeskyLen(p.N(), clean.TileSize)
 	armed := func(budget int) *Session {
 		cfg := clean
 		cfg.MaxRetries = budget
@@ -38,12 +40,12 @@ func TestElasticRecoveryFailureBudget(t *testing.T) {
 		}
 		db := s.ranks()
 		var first atomic.Bool
-		db.shards[4].PanelHook = func(rank, panel int) {
-			if panel == 3 && !first.Swap(true) {
+		db.shards[4].Inject = func(graphLen, taskID int) {
+			if taskID >= dag/2 && !first.Swap(true) {
 				panic(errors.New("first injected death"))
 			}
 		}
-		db.inj = chaos.NewInjector(&chaos.FaultPlan{KillRank: 2, KillAtPanel: 3})
+		db.inj = chaos.NewInjector(&chaos.FaultPlan{KillRank: 2, KillAtTask: dag / 3})
 		return s
 	}
 

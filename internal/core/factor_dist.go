@@ -13,9 +13,9 @@ import (
 )
 
 // chaosRecvTimeout bounds a rank's wait for one message while fault
-// injection is armed. In-process ranks lose a message only through the
-// injector, so only then can a Recv block forever; the deadline turns that
-// hang into a diagnosed rank death.
+// injection is armed. Nothing in the process can lose a message; the
+// deadline is there so that a fault drill gone wrong ends in an error
+// instead of a hung run.
 const chaosRecvTimeout = 30 * time.Second
 
 // distState is the fifth way to factor — TLR over Config.Ranks > 1 ranks: a
@@ -40,22 +40,12 @@ func newDistState(e *evaluator) factorizer {
 
 // newWorld replaces the World and its shards with a fresh World of size ranks
 // and no shards: at the start, and as the shrink after a rank death. The
-// chaos message hook and receive deadline are armed when fault injection is,
-// and the communication timeline when tracing is.
+// receive deadline is armed when fault injection is, and the communication
+// timeline when tracing is.
 func (d *distState) newWorld(size int) {
 	w := mpi.NewWorld(size)
-	if inj := d.inj; inj != nil {
+	if d.inj != nil {
 		w.SetRecvTimeout(chaosRecvTimeout)
-		w.SetMsgHook(func(src, dst, tag int, bytes int64, attempt int) mpi.MsgFault {
-			drop, delay := inj.MessageFault(src, dst, tag, attempt)
-			switch {
-			case drop:
-				return mpi.MsgFault{Verdict: mpi.MsgDrop}
-			case delay > 0:
-				return mpi.MsgFault{Verdict: mpi.MsgDelay, Delay: delay}
-			}
-			return mpi.MsgFault{Verdict: mpi.MsgDeliver}
-		})
 	}
 	if !d.traceStart.IsZero() {
 		w.EnableTrace(d.traceStart)
@@ -98,15 +88,12 @@ func (d *distState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (
 		return nil, err
 	}
 	err = d.run(func(c *mpi.Comm) error {
-		if d.inj != nil {
-			d.inj.RankFault(c.Rank())
-		}
 		sh := d.shards[c.Rank()]
 		if sh == nil {
 			sh = mpi.NewDistTLR(mpi.SquarestGrid(c.Size()), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, comp)
 			if d.inj != nil {
 				sh.ForceMiss = d.inj.CompressMiss
-				sh.PanelHook = d.inj.PanelKill
+				sh.Inject = d.inj.ForRank(c.Rank())
 			}
 			d.shards[c.Rank()] = sh
 		}
@@ -127,14 +114,7 @@ type distFactor struct{ d *distState }
 
 // use runs fn on every rank against its shard.
 func (f distFactor) use(fn func(c *mpi.Comm, sh *mpi.DistTLR) error) error {
-	return f.d.run(func(c *mpi.Comm) error {
-		sh := f.d.shards[c.Rank()]
-		if f.d.inj != nil {
-			// "panel MT": the kill site past the factorization
-			f.d.inj.PanelKill(c.Rank(), sh.MT)
-		}
-		return fn(c, sh)
-	})
+	return f.d.run(func(c *mpi.Comm) error { return fn(c, f.d.shards[c.Rank()]) })
 }
 
 // onReplicas runs solve on a private copy of b per rank and copies rank 0's

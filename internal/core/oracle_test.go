@@ -506,9 +506,9 @@ func (o *oracle) row(t *testing.T, row oracleRow) {
 
 // fit is one short Fit, free on shared-memory TLR and then one leg per
 // subtest on a session: the same config, under a memory budget, on four
-// ranks, on four ranks with messages dropped and delayed, and on six ranks
-// losing one mid-fit to a kill while messages are dropped and delayed. θ̂, ℓ,
-// the evaluation count and the prediction at θ̂ are bitwise one answer.
+// ranks, on four ranks with straggling tasks, and on six ranks losing one
+// mid-fit to a kill while tasks straggle. θ̂, ℓ, the evaluation count and
+// the prediction at θ̂ are bitwise one answer.
 func (o *oracle) fit(t *testing.T) {
 	r := oracleRand{rng.New(oracleSeed)}
 	th := r.theta("half")
@@ -534,14 +534,14 @@ func (o *oracle) fit(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bits(fit, pred)
-	budget, ranks4, lossy, lost := base, base, base, base
+	budget, ranks4, stragglers, lost := base, base, base, base
 	budget.Workers, budget.MemBudget, budget.SpillDir = 1, tlr.MinMemBudget(24, 1), t.TempDir()
-	ranks4.Ranks, lossy.Ranks = 4, 4
+	ranks4.Ranks, stragglers.Ranks = 4, 4
 	lost.Ranks, lost.MaxRetries = 6, 1
-	lost.Chaos = &chaos.FaultPlan{Seed: r.Uint64(), KillRank: 4, KillAtPanel: 3,
-		DropMessages: 4, DelayMessages: 4, MessageDelay: 50 * time.Microsecond}
-	lossy.Chaos = &chaos.FaultPlan{Seed: r.Uint64(), DropMessages: 4, DelayMessages: 4, MessageDelay: 50 * time.Microsecond}
-	for _, leg := range []deployment{{"tlr", base}, {"tlr+membudget", budget}, {"ranks4", ranks4}, {"ranks4-lossy", lossy}, {"ranks6-lost-rank", lost}} {
+	lost.Chaos = &chaos.FaultPlan{Seed: r.Uint64(), KillRank: 4, KillAtTask: genCholeskyLen(p.N(), 24) / 2,
+		TaskDelays: 4, TaskDelay: 50 * time.Microsecond}
+	stragglers.Chaos = &chaos.FaultPlan{Seed: r.Uint64(), TaskDelays: 4, TaskDelay: 50 * time.Microsecond}
+	for _, leg := range []deployment{{"tlr", base}, {"tlr+membudget", budget}, {"ranks4", ranks4}, {"ranks4-stragglers", stragglers}, {"ranks6-lost-rank", lost}} {
 		t.Run(leg.name, func(t *testing.T) {
 			s, err := NewSession(p, leg.cfg)
 			if err != nil {
@@ -567,8 +567,8 @@ func (o *oracle) fit(t *testing.T) {
 			if plan := leg.cfg.Chaos; plan != nil {
 				killed := min(plan.KillRank, 1) // KillRank 0 kills no rank
 				st, m := s.ChaosStats(), s.Metrics()
-				if st.RanksKilled != int64(killed) || st.MessagesDropped < 1 || m.RanksLost != killed || m.Replays != int64(killed) || m.FactorFailures != 0 {
-					t.Errorf("chaos %+v, metrics %+v: want %d rank(s) lost in as many replays, a message dropped, no failure", st, m, killed)
+				if st.RanksKilled != int64(killed) || st.TaskDelays < 1 || m.RanksLost != killed || m.Replays != int64(killed) || m.FactorFailures != 0 {
+					t.Errorf("chaos %+v, metrics %+v: want %d rank(s) lost in as many replays, a task delayed, no failure", st, m, killed)
 				}
 			}
 		})

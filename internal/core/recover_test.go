@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +43,49 @@ func oracleProblem(t *testing.T, geometry string, n int, seed uint64) *Problem {
 	return p
 }
 
+// genCholeskyLen is the length of the generate+factor DAG of an n×n matrix
+// in nb tiles: the task IDs a FaultPlan's KillAtTask counts in.
+func genCholeskyLen(n, nb int) int {
+	return tlr.BuildGenCholeskyGraph(tlr.NewMatrix(n, nb, 0), &tlr.GenSpec{}, false).Len()
+}
+
+// panicVictims returns the first two tasks, in ID order, of a graphLen-task
+// DAG that plan's injector panics on.
+func panicVictims(plan chaos.FaultPlan, graphLen int) (a, b int) {
+	in := chaos.NewInjector(&plan)
+	var ids []int
+	for id := 0; id < graphLen; id++ {
+		func() {
+			defer func() {
+				if recover() != nil {
+					ids = append(ids, id)
+				}
+			}()
+			in.TaskHook(graphLen, id)
+		}()
+	}
+	return ids[0], ids[1]
+}
+
+// downstream reports whether task b of the n×n, nb-tile generate+factor DAG
+// depends, through any chain, on task a.
+func downstream(n, nb, a, b int) bool {
+	tasks := tlr.BuildGenCholeskyGraph(tlr.NewMatrix(n, nb, 0), &tlr.GenSpec{}, false).Tasks()
+	seen := map[int]bool{}
+	var reaches func(id int) bool
+	reaches = func(id int) bool {
+		if id == a {
+			return true
+		}
+		if seen[id] {
+			return false
+		}
+		seen[id] = true
+		return slices.ContainsFunc(tasks[id].Deps(), reaches)
+	}
+	return reaches(b)
+}
+
 // factorRuns returns how many generate+factor executions ran since before.
 func factorRuns(before obs.Snapshot) int64 {
 	return obs.Default().Snapshot().Sub(before).Counters["core.factor.runs"]
@@ -58,9 +102,10 @@ func sameEvaluation(got, want LikResult) bool {
 // TestRecoveryOracle is the one check of the one recovery rule (recoverLoop):
 // a faulted evaluation is re-run from (geometry, θ, nugget, tile seed) and is
 // bitwise the clean one — on every shared-memory backend under injected task
-// panics, and on ranks under a rank death at each kill site — a fault past
-// the budget surfaces as the injected error, and a numerical breakdown is
-// never replayed at the nugget that broke down.
+// panics, and on ranks under a rank death at each kill site and under the
+// same task panics and delays — a fault past the budget surfaces as the
+// injected error, and a numerical breakdown is never replayed at the nugget
+// that broke down.
 func TestRecoveryOracle(t *testing.T) {
 	const n, nb = 192, 24
 	th := theta()
@@ -176,18 +221,19 @@ func TestRecoveryOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dag := genCholeskyLen(p.N(), clean.TileSize)
 	for _, site := range []struct {
-		name          string
-		victim, panel int // panel 0 = run entry, k > 0 = start of panel k-1
+		name         string
+		victim, task int // the victim dies before its first task ≥ task
 	}{
 		{"run-entry", 2, 0},
-		{"mid-panel", 4, 4},
-		{"root", 0, 3},
+		{"mid-panel", 4, dag / 2},
+		{"root", 0, dag / 3},
 	} {
 		t.Run("ranks/"+site.name, func(t *testing.T) {
 			cfg := clean
 			cfg.MaxRetries = 1
-			cfg.Chaos = &chaos.FaultPlan{KillRank: site.victim + 1, KillAtPanel: site.panel}
+			cfg.Chaos = &chaos.FaultPlan{KillRank: site.victim + 1, KillAtTask: site.task}
 			s, err := NewSession(p, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -240,8 +286,7 @@ func TestRecoveryOracle(t *testing.T) {
 		const victim = 3
 		cfg := clean
 		cfg.MaxRetries = 1
-		tiles := (p.N() + cfg.TileSize - 1) / cfg.TileSize
-		cfg.Chaos = &chaos.FaultPlan{KillRank: victim + 1, KillAtPanel: tiles + 1}
+		cfg.Chaos = &chaos.FaultPlan{KillRank: victim + 1, KillAtTask: dag}
 		s, err := NewSession(p, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -277,6 +322,48 @@ func TestRecoveryOracle(t *testing.T) {
 		}
 		if m := s0.Metrics(); m.Replays != 0 || m.RanksLost != 0 {
 			t.Errorf("MaxRetries == 0: %+v, want nothing absorbed", m)
+		}
+	})
+
+	// Task faults strike the ranks' walk of the DAG as they strike the worker
+	// pool: a panic kills the rank running the task, a delay makes it a
+	// straggler. The seed puts the second panic victim downstream of the
+	// first, so the two land in different runs: two deaths, two shrinks.
+	t.Run("ranks/task-faults", func(t *testing.T) {
+		plan := chaos.FaultPlan{Seed: 19, TaskPanics: 2, TaskDelays: 2, TaskDelay: 50 * time.Microsecond}
+		if a, b := panicVictims(plan, dag); !downstream(p.N(), clean.TileSize, a, b) {
+			t.Fatalf("panic victims %d and %d are independent tasks: pick a seed that chains them", a, b)
+		}
+		cfg := clean
+		cfg.MaxRetries = 2
+		cfg.Chaos = &plan
+		s, err := NewSession(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.LogLikelihood(th)
+		if err != nil {
+			t.Fatalf("faulted evaluation did not recover: %v", err)
+		}
+		if !sameEvaluation(got, want) {
+			t.Errorf("recovered evaluation %+v != clean %+v", got, want)
+		}
+		pred, err := s.Predict(newPts, th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range pred {
+			if pred[i] != wantPred[i] {
+				t.Errorf("prediction %d on the survivors: %.17g != unfaulted %.17g", i, pred[i], wantPred[i])
+			}
+		}
+		st, m := s.ChaosStats(), s.Metrics()
+		if st.TaskPanics != 2 || st.TaskDelays != 2 || st.RanksKilled != 0 {
+			t.Errorf("chaos %+v, want 2 task panics, 2 task delays, no planned kill", st)
+		}
+		if m.RanksLost != 2 || m.Replays != 2 || m.FactorFailures != 0 {
+			t.Errorf("%d ranks lost, %d replays, %d failures; want two ranks lost in two replays, no failure",
+				m.RanksLost, m.Replays, m.FactorFailures)
 		}
 	})
 

@@ -56,9 +56,19 @@ func TestConfigValidate(t *testing.T) {
 func TestChaosConfigValidation(t *testing.T) {
 	checkValidate(t, []validateCase{
 		{"retries ok", Config{MaxRetries: 3}, ""},
-		{"chaos ok", Config{Chaos: &chaos.FaultPlan{Seed: 1, TaskPanics: 2}}, ""},
+		{"chaos ok", Config{Mode: FullTile, Chaos: &chaos.FaultPlan{Seed: 1, TaskPanics: 2}}, ""},
 		{"negative retries", Config{MaxRetries: -1}, "MaxRetries"},
 		{"invalid chaos plan", Config{Chaos: &chaos.FaultPlan{TaskPanics: -1}}, "TaskPanics"},
+		// faults the configuration never delivers
+		{"kill on shared memory", Config{Mode: TLR, Chaos: &chaos.FaultPlan{KillRank: 1}}, "KillRank"},
+		{"kill past the ranks", Config{Mode: TLR, Ranks: 4, Chaos: &chaos.FaultPlan{KillRank: 5}}, "KillRank"},
+		{"kill on ranks ok", Config{Mode: TLR, Ranks: 4, Chaos: &chaos.FaultPlan{KillRank: 4, KillAtTask: 9}}, ""},
+		{"compress misses off TLR", Config{Mode: HODLR, Chaos: &chaos.FaultPlan{CompressMisses: 1}}, "CompressMisses"},
+		{"compress misses full-tile", Config{Mode: FullTile, Chaos: &chaos.FaultPlan{CompressMisses: 1}}, "CompressMisses"},
+		{"compress misses on ranks ok", Config{Mode: TLR, Ranks: 2, Chaos: &chaos.FaultPlan{CompressMisses: 1}}, ""},
+		{"task panics full-block", Config{Mode: FullBlock, Chaos: &chaos.FaultPlan{TaskPanics: 1}}, "TaskPanics"},
+		{"task delays full-block", Config{Mode: FullBlock, Chaos: &chaos.FaultPlan{TaskDelays: 1}}, "TaskDelays"},
+		{"task faults on ranks ok", Config{Mode: TLR, Ranks: 3, Chaos: &chaos.FaultPlan{TaskPanics: 1, TaskDelays: 1}}, ""},
 	})
 }
 

@@ -119,7 +119,8 @@ func ReadCSVFile(path string) (Records, error) {
 
 // Model is a fitted-model document.
 type Model struct {
-	// Kind is the covariance family name ("matern", …).
+	// Kind is the covariance family name: "matern", the only one LoadModel
+	// accepts ("" reads as Matérn too).
 	Kind string `json:"kind"`
 	// Theta is the estimated parameter vector.
 	Theta cov.Params `json:"theta"`
@@ -186,8 +187,10 @@ func LoadModel(r io.Reader) (Model, error) {
 	if _, err := MetricByName(m.Metric); err != nil {
 		return Model{}, err
 	}
-	if _, err := cov.ModelByName(m.Kind); err != nil {
-		return Model{}, err
+	// every consumer of a loaded model evaluates Matérn; a document naming
+	// another family would be predicted as Matérn without a word
+	if m.Kind != "" && m.Kind != "matern" {
+		return Model{}, fmt.Errorf("dataio: model kind %q: only \"matern\" is supported", m.Kind)
 	}
 	return m, nil
 }

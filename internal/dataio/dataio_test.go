@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,6 +129,25 @@ func TestModelValidationOnLoad(t *testing.T) {
 	for i, in := range bad {
 		if _, err := LoadModel(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d should fail", i)
+		}
+	}
+}
+
+// TestModelKindOnLoad: only Matérn is evaluated from a model document, so a
+// document naming another covariance family does not load; an empty kind
+// reads as Matérn.
+func TestModelKindOnLoad(t *testing.T) {
+	for kind, ok := range map[string]bool{
+		"matern": true, "": true,
+		"spherical": false, "gaussian": false, "powexp": false, "wavelet": false, "Matern": false,
+	} {
+		doc := fmt.Sprintf(`{"kind":%q,"theta":{"Variance":1,"Range":0.1,"Smoothness":0.5},"metric":"euclidean"}`, kind)
+		m, err := LoadModel(strings.NewReader(doc))
+		if ok && (err != nil || m.Kind != kind) {
+			t.Errorf("kind %q: %+v, %v; want it loaded", kind, m, err)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), "kind")) {
+			t.Errorf("kind %q: loaded %+v (err %v), want an error naming the kind", kind, m, err)
 		}
 	}
 }

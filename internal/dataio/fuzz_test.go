@@ -70,6 +70,7 @@ func FuzzLoadModel(f *testing.F) {
 		strings.Replace(saved, `"euclidean"`, `"taxicab"`, 1),
 		strings.Replace(saved, `"Variance": 1.2`, `"Variance": -1.2`, 1),
 		"",
+		strings.Replace(saved, `"matern"`, `"spherical"`, 1),
 	} {
 		f.Add([]byte(seed))
 	}

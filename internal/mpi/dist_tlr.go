@@ -47,10 +47,13 @@ type DistTLR struct {
 	*tlr.Matrix
 	*tlr.GenSpec
 
-	// PanelHook, when non-nil, is called by every rank as its walk reaches
-	// each panel's POTRF — the deterministic kill point chaos injection
-	// targets to exercise elastic recovery at a reproducible panel.
-	PanelHook func(rank, k int)
+	// Inject, when non-nil, runs before every task this rank owns, once its
+	// inputs are in, with the graph's length and the task's ID —
+	// runtime.ExecOptions.Inject's shape — and once more with taskID =
+	// graphLen before each LogDet and solve, the step after the
+	// factorization. It runs outside the task's recover, so a panic in it is
+	// the death of this rank.
+	Inject func(graphLen, taskID int)
 
 	grid Grid
 
@@ -107,7 +110,7 @@ func (d *DistTLR) Owner(i, j int) int { return d.grid.Owner(i, j) }
 // after a rank death, runs it on fresh shards of a smaller World.
 func (d *DistTLR) GenCholesky(c *Comm, k *cov.Kernel, nugget float64) error {
 	d.K, d.Nugget = k, nugget
-	me, panel := c.Rank(), 0
+	me := c.Rank()
 	received := make([]bool, len(d.place.Transfers))
 	defer func() {
 		for x, got := range received {
@@ -117,12 +120,6 @@ func (d *DistTLR) GenCholesky(c *Comm, k *cov.Kernel, nugget float64) error {
 		}
 	}()
 	for _, t := range d.graph.Tasks() {
-		if t.Name == "potrf" {
-			if d.PanelHook != nil {
-				d.PanelHook(me, panel)
-			}
-			panel++
-		}
 		if d.place.Node[t.ID] != me {
 			continue
 		}
@@ -140,6 +137,7 @@ func (d *DistTLR) GenCholesky(c *Comm, k *cov.Kernel, nugget float64) error {
 			}
 			received[x] = true
 		}
+		d.inject(t.ID)
 		if err := runBody(t); err != nil {
 			return err
 		}
@@ -155,6 +153,14 @@ func (d *DistTLR) GenCholesky(c *Comm, k *cov.Kernel, nugget float64) error {
 		}
 	}
 	return nil
+}
+
+// inject calls the Inject hook, if any, for task taskID (graph.Len() for the
+// step after the factorization).
+func (d *DistTLR) inject(taskID int) {
+	if d.Inject != nil {
+		d.Inject(d.graph.Len(), taskID)
+	}
 }
 
 // runBody runs one task, turning a panic of its body — la.Potrf's breakdown —
@@ -177,6 +183,7 @@ func runBody(t *runtime.Task) (err error) {
 // bitwise-identical at any grid shape — the property that makes a re-run on
 // a smaller World after a rank death identical to the unfaulted run.
 func (d *DistTLR) LogDet(c *Comm) (float64, error) {
+	d.inject(d.graph.Len())
 	vec := make([]float64, d.MT)
 	for k := 0; k < d.MT; k++ {
 		if d.Owner(k, k) == c.Rank() {
@@ -208,6 +215,7 @@ func (d *DistTLR) LogDet(c *Comm) (float64, error) {
 // vector solve is bitwise the shared one). The diagonal owner then solves the
 // block and broadcasts it to every rank to restore replication.
 func (d *DistTLR) solveMat(c *Comm, ta la.Trans, b *la.Mat) error {
+	d.inject(d.graph.Len())
 	kind, kindB := kindFwd, kindFwdB
 	if ta == la.Transpose {
 		kind, kindB = kindBwd, kindBwdB

@@ -290,14 +290,19 @@ func TestDistTLRWorldReuse(t *testing.T) {
 	}
 }
 
-// wreckPivots is a PanelHook that, on the rank owning (k, k), makes the
-// diagonal of every panel k it picks negative just before that panel's POTRF.
-func wreckPivots(d *DistTLR, pick func(k int) bool) func(rank, k int) {
-	return func(rank, k int) {
-		if pick(k) && d.Owner(k, k) == rank {
-			t := d.Diag(k)
-			for a := 0; a < t.Rows; a++ {
-				t.Set(a, a, -1)
+// wreckPivots is an Inject hook that makes the diagonal of every panel k it
+// picks negative just before that panel's POTRF, on the rank that runs it.
+func wreckPivots(d *DistTLR, pick func(k int) bool) func(graphLen, taskID int) {
+	return func(graphLen, taskID int) {
+		if taskID == graphLen {
+			return // the step after the factorization
+		}
+		if task := d.graph.Tasks()[taskID]; task.Name == "potrf" {
+			if k, _ := d.TileOf(task.Accesses[0].Handle); pick(k) {
+				t := d.Diag(k)
+				for a := 0; a < t.Rows; a++ {
+					t.Set(a, a, -1)
+				}
 			}
 		}
 	}
@@ -335,7 +340,7 @@ func TestDistTLRNotSPDFailsEverywhere(t *testing.T) {
 	w := NewWorld(4)
 	runNotSPD(t, w, grid.Owner(0, 0), func(c *Comm) error {
 		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
-		d.PanelHook = wreckPivots(d, func(int) bool { return true })
+		d.Inject = wreckPivots(d, func(int) bool { return true })
 		return d.GenCholesky(c, k, 1e-9)
 	})
 	// the same World must still work for a healthy factorization
@@ -389,13 +394,13 @@ func TestDistTLRLastPivotFailsAndWorldHeals(t *testing.T) {
 	for r := range shards {
 		shards[r] = newShard()
 		last := shards[r].MT - 1
-		shards[r].PanelHook = wreckPivots(shards[r], func(k int) bool { return k == last })
+		shards[r].Inject = wreckPivots(shards[r], func(k int) bool { return k == last })
 	}
 	runNotSPD(t, w, grid.Owner(shards[0].MT-1, shards[0].MT-1), func(c *Comm) error {
 		return shards[c.Rank()].GenCholesky(c, k, 1e-9)
 	})
 	for _, d := range shards {
-		d.PanelHook = nil
+		d.Inject = nil
 	}
 	got := factor(w, shards)
 	for r := range want {

@@ -71,8 +71,19 @@ func TestRankDeathFromTimeout(t *testing.T) {
 	}
 }
 
+// potrfID returns the ID of panel k's POTRF in d's generate+factor DAG.
+func potrfID(d *DistTLR, k int) int {
+	for _, t := range d.graph.Tasks() {
+		if i, _ := d.TileOf(t.Accesses[0].Handle); t.Name == "potrf" && i == k {
+			return t.ID
+		}
+	}
+	panic(fmt.Sprintf("no POTRF for panel %d", k))
+}
+
 // TestElasticShrinkResumeTLRCholesky is the end-to-end mpi-layer drill: a
-// 6-rank distributed TLR Cholesky loses one rank at the start of panel 2, the
+// 6-rank distributed TLR Cholesky loses one rank at panel 2 — before the
+// first task it owns from that panel's POTRF on — the
 // run reports its death, and the survivors start over as a fresh 5-rank World
 // on SquarestGrid(5) with fresh shards, as core's recovery does. Its factor
 // tiles, log-determinant and solve must be bitwise-identical to an unfaulted
@@ -127,13 +138,14 @@ func TestElasticShrinkResumeTLRCholesky(t *testing.T) {
 
 	for _, victim := range []int{3, 0} {
 		t.Run(fmt.Sprintf("victim=%d", victim), func(t *testing.T) {
-			// Run 1: the victim dies at the start of panel 2.
+			// Run 1: the victim dies at panel 2.
 			var fired atomic.Bool
 			errs := RunWorld(ranks, func(c *Comm) error {
 				d := NewDistTLR(grid, pts, geom.Euclidean, nb, tol, comp)
-				d.PanelHook = func(rank, panel int) {
-					if rank == victim && panel == 2 && !fired.Swap(true) {
-						panic(fmt.Errorf("chaos kill at panel %d", panel))
+				at := potrfID(d, 2)
+				d.Inject = func(graphLen, taskID int) {
+					if c.Rank() == victim && taskID >= at && !fired.Swap(true) {
+						panic(fmt.Errorf("chaos kill at task %d", taskID))
 					}
 				}
 				return d.GenCholesky(c, k, nugget)

@@ -3,76 +3,9 @@ package mpi
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestSendDropIsRetransmitted(t *testing.T) {
-	w := NewWorld(2)
-	var attempts atomic.Int64
-	w.SetMsgHook(func(src, dst, tag int, bytes int64, attempt int) MsgFault {
-		attempts.Add(1)
-		if attempt == 0 {
-			return MsgFault{Verdict: MsgDrop}
-		}
-		return MsgFault{Verdict: MsgDeliver}
-	})
-	errs := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 5, []float64{3.25})
-			return nil
-		}
-		got, err := c.Recv(0, 5)
-		if err != nil {
-			return err
-		}
-		if got[0] != 3.25 {
-			return fmt.Errorf("payload corrupted: %v", got)
-		}
-		return nil
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	if attempts.Load() < 2 {
-		t.Fatalf("hook saw %d transmissions, want the drop plus a retransmit", attempts.Load())
-	}
-}
-
-func TestSendDelayStillDelivers(t *testing.T) {
-	w := NewWorld(2)
-	w.SetMsgHook(func(src, dst, tag int, bytes int64, attempt int) MsgFault {
-		return MsgFault{Verdict: MsgDelay, Delay: time.Millisecond}
-	})
-	errs := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 1, []float64{1})
-			c.Send(1, 1, []float64{2})
-			return nil
-		}
-		// Same-tag messages must keep their send order through the delay.
-		a, err := c.Recv(0, 1)
-		if err != nil {
-			return err
-		}
-		b, err := c.Recv(0, 1)
-		if err != nil {
-			return err
-		}
-		if a[0] != 1 || b[0] != 2 {
-			return fmt.Errorf("delayed messages reordered: %v %v", a, b)
-		}
-		return nil
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-}
 
 func TestRecvTimeoutDiagnosesLostMessage(t *testing.T) {
 	w := NewWorld(2)

@@ -27,32 +27,6 @@ type message struct {
 	data     []float64
 }
 
-// MsgVerdict is a fault-injection decision for one message transmission.
-type MsgVerdict int
-
-// Verdicts a MsgHook can return.
-const (
-	MsgDeliver MsgVerdict = iota // deliver untouched
-	MsgDrop                      // lose this transmission (the sender retransmits)
-	MsgDelay                     // deliver after Delay
-)
-
-// MsgFault is the outcome a MsgHook assigns to one transmission.
-type MsgFault struct {
-	Verdict MsgVerdict
-	Delay   time.Duration
-}
-
-// MsgHook intercepts every cross-rank transmission (attempt counts the
-// retransmissions of one logical message). Nil-by-default: the happy path
-// pays one nil check per Send.
-type MsgHook func(src, dst, tag int, bytes int64, attempt int) MsgFault
-
-// maxTransmits bounds Send's retransmit loop under an injected-drop hook: a
-// message dropped on every transmission is genuinely lost and surfaces as a
-// receiver-side timeout instead of an unbounded spin.
-const maxTransmits = 4
-
 // World is a communicator group of size ranks with reliable, ordered,
 // tag-matched delivery.
 type World struct {
@@ -61,9 +35,8 @@ type World struct {
 	stats []commCounters
 	trace *commTrace // nil until EnableTrace
 
-	// hook and recvTimeout are configured before Run (never concurrently
-	// with it); see SetMsgHook / SetRecvTimeout.
-	hook        MsgHook
+	// recvTimeout is configured before Run (never concurrently with it);
+	// see SetRecvTimeout.
 	recvTimeout time.Duration
 
 	// Rank-failure poisoning: the first rank to fail (error return or panic
@@ -85,10 +58,6 @@ type RankDeath struct {
 }
 
 func (d *RankDeath) Error() string { return fmt.Sprintf("mpi: rank %d died", d.Rank) }
-
-// SetMsgHook installs the fault-injection hook for cross-rank messages.
-// Call before Run; a nil hook (the default) costs nothing.
-func (w *World) SetMsgHook(h MsgHook) { w.hook = h }
 
 // SetRecvTimeout bounds every Recv: a rank blocked longer than d returns a
 // timeout error instead of deadlocking. Zero (the default) waits forever.
@@ -202,31 +171,12 @@ func (w *World) At(rank int) *Comm {
 
 // Send delivers a copy of data to dst under tag. Sends never block (the
 // mailbox is unbounded), so a program whose ranks only ever wait for work of
-// a lower task ID is deadlock-free. Under an injected-drop MsgHook the
-// transmission is retried up to maxTransmits times; a message dropped every
-// time is lost and surfaces at the receiver as a deadline error.
+// a lower task ID is deadlock-free.
 func (c *Comm) Send(dst, tag int, data []float64) {
 	if dst == c.rank {
 		// self-sends are legal and common in broadcast loops
 		c.deliver(message{src: c.rank, tag: tag, data: append([]float64(nil), data...)})
 		return
-	}
-	if hook := c.world.hook; hook != nil {
-		delivered := false
-		for attempt := 0; attempt < maxTransmits; attempt++ {
-			f := hook(c.rank, dst, tag, int64(8*len(data)), attempt)
-			if f.Verdict == MsgDrop {
-				continue // retransmit
-			}
-			if f.Verdict == MsgDelay && f.Delay > 0 {
-				time.Sleep(f.Delay)
-			}
-			delivered = true
-			break
-		}
-		if !delivered {
-			return
-		}
 	}
 	st := &c.world.stats[c.rank]
 	st.bytesSent.Add(int64(8 * len(data)))

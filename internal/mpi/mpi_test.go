@@ -12,6 +12,8 @@ import (
 	"repro/internal/tlr"
 )
 
+// TestSendRecvTagMatching: a receive takes the oldest message of its tag,
+// whatever arrived before it under other tags.
 func TestSendRecvTagMatching(t *testing.T) {
 	w := NewWorld(2)
 	done := make(chan struct{})
@@ -24,18 +26,22 @@ func TestSendRecvTagMatching(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		a, err := c.Recv(0, 1)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if a[0] != 1 || b[0] != 2 {
-			t.Errorf("tag matching broken: %v %v", a, b)
+		// same-tag messages keep their send order
+		for _, want := range []float64{1, 3} {
+			a, err := c.Recv(0, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if a[0] != want || b[0] != 2 {
+				t.Errorf("tag matching broken: got %v (want %v), %v", a, want, b)
+			}
 		}
 	}()
 	c0 := w.At(0)
 	c0.Send(1, 1, []float64{1})
 	c0.Send(1, 2, []float64{2})
+	c0.Send(1, 1, []float64{3})
 	<-done
 }
 

@@ -46,7 +46,8 @@ type ExecOptions struct {
 	// Inject, when non-nil, runs before every task execution inside the
 	// executor's panic-recovery scope — the chaos-injection hook. It receives
 	// the graph length and the task ID; a hook panic is handled exactly like
-	// a task panic, a hook sleep models a straggler.
+	// a task panic, a hook sleep models a straggler. The ranks' walk of the
+	// same DAG calls mpi.DistTLR.Inject, of the same shape.
 	Inject func(graphLen, taskID int)
 }
 
