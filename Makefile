@@ -8,9 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the pre-merge gate, and what CI runs: gofmt and vet (la and tlr
-# also vetted for arm64, where the Go loops stand in for the amd64 assembly —
-# a cross-vet type-checks that build and needs no network), that only core
+# verify is the pre-merge gate, and what CI runs: gofmt and vet (la, tlr and
+# cov also vetted for arm64, where the Go loops stand in for the amd64
+# assembly — a cross-vet type-checks that build and needs no network), the
+# covariance row kernel's bitwise tests built at GOAMD64=v3 (they hold the
+# assembly to the Go loops, which stay unfused only while the compiler does
+# not contract x*y+z on amd64 — this pins that it still does not), that only core
 # and the root alias import internal/chaos (runtime, mpi and tlr take plain
 # nil-by-default func fields and core adapts the injector onto them), every package
 # once, uncached, under the race detector and in a shuffled order (the rank
@@ -24,8 +27,8 @@ test:
 # state a shuffled order could leak, and every test reads it as a difference
 # of snapshots), one iteration of the dense-kernel (Trsm, Syrk, Potrf, the
 # skinny and one-column Gemms), vector-loop, recompression, low-rank update,
-# graph-construction, covariance kernel and distributed generate+factor
-# benchmarks so they cannot rot, the two paperbench experiments the test suite
+# graph-construction, covariance kernel, cached-predict and distributed
+# generate+factor benchmarks so they cannot rot, the two paperbench experiments the test suite
 # lists as too slow to run (`extensions`, `ablation`; about 6 s together, and
 # unrun they stayed broken for PRs), then the
 # benchmark module, which root `go test ./...` does not reach: its vet and
@@ -33,10 +36,11 @@ test:
 # for new fuzz inputs is `make fuzz`, not part of verify.
 verify:
 	test -z "$$(gofmt -l .)"
-	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/
+	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/ ./internal/cov/
+	GOAMD64=v3 $(GO) test -count=1 -run Bitwise ./internal/cov/
 	test "$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -E ' repro/internal/chaos( |$$)' | cut -d' ' -f1 | xargs)" = "repro repro/internal/core"
 	$(GO) test -race -shuffle=on -count=1 -timeout 45m ./...
-	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock|DistCholesky' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/ ./internal/mpi/
+	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock|SessionPredictCached|DistCholesky' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/ ./internal/core/ ./internal/mpi/
 	$(GO) run ./cmd/paperbench -exp extensions -scale small >/dev/null && $(GO) run ./cmd/paperbench -exp ablation -scale small >/dev/null
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke
@@ -51,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime 10s -parallel 1 ./internal/dataio/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime 10s -parallel 1 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelationTable$$' -fuzztime 10s -parallel 1 ./internal/cov/
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelRowBitwise$$' -fuzztime 10s -parallel 1 ./internal/cov/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompTileDecode$$' -fuzztime 10s -parallel 1 ./internal/tlr/
 
 # serve runs the kriging service (cmd/exaserve) on :8080.

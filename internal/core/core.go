@@ -268,6 +268,14 @@ func NewProblemOrdered(pts []geom.Point, z []float64, metric geom.Metric, ord ge
 	if len(pts) != len(z) {
 		return nil, fmt.Errorf("core: %d locations but %d measurements", len(pts), len(z))
 	}
+	if err := finitePoints("observation", pts); err != nil {
+		return nil, err
+	}
+	for i, v := range z {
+		if !finite(v) {
+			return nil, fmt.Errorf("core: measurement %d is %g, not a finite number", i, v)
+		}
+	}
 	if ord == nil {
 		ord = geom.None
 	}
@@ -279,6 +287,20 @@ func NewProblemOrdered(pts []geom.Point, z []float64, metric geom.Metric, ord ge
 		Perm:     perm,
 		Ordering: ord.Name(),
 	}, nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// finitePoints rejects a location with a NaN or infinite coordinate, naming
+// its index: a covariance at a non-finite distance is not defined, and no
+// kernel form reports one.
+func finitePoints(what string, pts []geom.Point) error {
+	for i, p := range pts {
+		if !finite(p.X) || !finite(p.Y) {
+			return fmt.Errorf("core: %s location %d is (%g, %g), not finite", what, i, p.X, p.Y)
+		}
+	}
+	return nil
 }
 
 // N returns the number of observations.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cov"
@@ -31,6 +32,68 @@ func TestNewProblemValidation(t *testing.T) {
 	p, err := NewProblem(pts, []float64{1, 2, 3, 4}, geom.Euclidean)
 	if err != nil || p.N() != 4 {
 		t.Fatalf("valid problem rejected: %v", err)
+	}
+}
+
+// nonFinite is one NaN and the two infinities.
+var nonFinite = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// TestNewProblemRejectsNonFinite: a NaN or infinite coordinate or
+// measurement is an error naming its index. Accepted, a NaN distance reads as
+// covariance 0 from the correlation table and the likelihood comes out finite
+// and wrong.
+func TestNewProblemRejectsNonFinite(t *testing.T) {
+	for _, bad := range nonFinite {
+		for field := 0; field < 3; field++ {
+			pts := geom.GeneratePerturbedGrid(4, rng.New(1))
+			z := []float64{1, 2, 3, 4}
+			switch field {
+			case 0:
+				pts[2].X = bad
+			case 1:
+				pts[2].Y = bad
+			case 2:
+				z[2] = bad
+			}
+			_, err := NewProblem(pts, z, geom.Euclidean)
+			if err == nil || !strings.Contains(err.Error(), " 2 ") || !strings.Contains(err.Error(), "finite") {
+				t.Errorf("%v in field %d of observation 2: got %v", bad, field, err)
+			}
+		}
+	}
+}
+
+// TestSessionPredictRejectsNonFinite: Predict at a NaN or infinite location
+// is an error naming it, not a silent 0.
+func TestSessionPredictRejectsNonFinite(t *testing.T) {
+	s, err := NewSession(smallProblem(t, 25, 11), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	th := cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.6}
+	for _, bad := range nonFinite {
+		pts := []geom.Point{{X: 0.5, Y: 0.5}, {X: bad, Y: 0.5}}
+		if out, err := s.Predict(pts, th); err == nil || !strings.Contains(err.Error(), "location 1") {
+			t.Errorf("Predict at x=%v: got %v, %v", bad, out, err)
+		}
+	}
+}
+
+// TestSessionPredictWithVarianceRejectsNonFinite: the same for the
+// conditional variance.
+func TestSessionPredictWithVarianceRejectsNonFinite(t *testing.T) {
+	s, err := NewSession(smallProblem(t, 25, 11), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	th := cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.6}
+	for _, bad := range nonFinite {
+		pts := []geom.Point{{X: 0.5, Y: bad}}
+		if pr, err := s.PredictWithVariance(pts, th); err == nil || !strings.Contains(err.Error(), "location 0") {
+			t.Errorf("PredictWithVariance at y=%v: got %+v, %v", bad, pr, err)
+		}
 	}
 }
 

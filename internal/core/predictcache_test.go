@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -309,6 +310,40 @@ func TestSessionConcurrentPredicts(t *testing.T) {
 			}
 			if wantRuns != rounds*perRound {
 				t.Errorf("%d factorizations over %d serial rounds, want %d a round", wantRuns, rounds, perRound)
+			}
+		})
+	}
+}
+
+// BenchmarkSessionPredictCached times the operation the benchmark's
+// predict_p50_ms samples on fit_dense: a 4-point mean Predict against the
+// cached solve of a full-tile Session at n = 1500 (a 1600-point field less
+// 100 held out, whose locations are the queries), at the general-ν table
+// and at ν = ½. Each call is one 1500-entry covariance row and one dot
+// product per point.
+func BenchmarkSessionPredictCached(b *testing.B) {
+	for _, nu := range []float64{0.6, 0.5} {
+		b.Run(fmt.Sprintf("nu%g", nu), func(b *testing.B) {
+			th := cov.Params{Variance: 1, Range: 0.08, Smoothness: nu}
+			syn, err := GenerateSynthetic(1600, 100, th, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := NewSession(syn.Train, Config{Mode: FullTile, TileSize: 128})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			q := syn.TestPoints
+			if _, err := s.Predict(q[:4], th); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := 4 * i % (len(q) - 3)
+				if _, err := s.Predict(q[lo:lo+4], th); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

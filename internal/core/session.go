@@ -285,6 +285,9 @@ func (s *Session) Predict(newPts []geom.Point, theta cov.Params) ([]float64, err
 	if err := theta.Validate(); err != nil {
 		return nil, err
 	}
+	if err := finitePoints("prediction", newPts); err != nil {
+		return nil, err
+	}
 	if len(newPts) == 0 {
 		return nil, nil
 	}
@@ -399,6 +402,9 @@ func (s *Session) withFactor(k *cov.Kernel, theta cov.Params, nugget float64, us
 // ranks every call factors, alone.
 func (s *Session) PredictWithVariance(newPts []geom.Point, theta cov.Params) (Prediction, error) {
 	if err := theta.Validate(); err != nil {
+		return Prediction{}, err
+	}
+	if err := finitePoints("prediction", newPts); err != nil {
 		return Prediction{}, err
 	}
 	if len(newPts) == 0 {

@@ -223,8 +223,7 @@ func (k *Kernel) SymBlock(dst *la.Mat, pts []geom.Point, m geom.Metric) {
 // the column above the diagonal with its mirror.
 func (k *Kernel) symRow(dst *la.Mat, i int, pts []geom.Point, m geom.Metric) {
 	row := dst.Row(i)[:i]
-	geom.Distances(row, m, pts[i], pts[:i])
-	k.apply(row)
+	k.row(row, m, pts[i], pts[:i])
 	dst.Set(i, i, k.P.Variance)
 	for j, v := range row {
 		dst.Set(j, i, v)
@@ -282,9 +281,7 @@ func (k *Kernel) Block(dst *la.Mat, rowPts, colPts []geom.Point, m geom.Metric) 
 		panic("cov: block dims mismatch")
 	}
 	for i, pi := range rowPts {
-		row := dst.Row(i)
-		geom.Distances(row, m, pi, colPts)
-		k.apply(row)
+		k.row(dst.Row(i), m, pi, colPts)
 	}
 }
 

@@ -277,52 +277,3 @@ func FuzzCorrelationTable(f *testing.F) {
 		}
 	})
 }
-
-var sinkBlock float64
-
-// BenchmarkKernelBlock generates one 128×128 off-diagonal tile: through the
-// table (ν = 0.6), through the exact Bessel routine entry by entry (the
-// oracle — what the table replaced), and through the ν = ½ closed form; and
-// times the table's build.
-func BenchmarkKernelBlock(b *testing.B) {
-	const nb = 128
-	pts := geom.GeneratePerturbedGrid(2*nb, rng.New(1))
-	rows, cols := pts[:nb], pts[nb:]
-	dst := la.NewMat(nb, nb)
-	perEntry := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(nb*nb), "ns/entry")
-	}
-	for _, bc := range []struct {
-		name string
-		nu   float64
-	}{{"table-nu0.6", 0.6}, {"closed-nu0.5", 0.5}} {
-		k := NewKernel(Params{Variance: 1, Range: 0.1, Smoothness: bc.nu})
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k.Block(dst, rows, cols, geom.Euclidean)
-			}
-			perEntry(b)
-			sinkBlock = dst.At(nb-1, nb-1)
-		})
-	}
-	b.Run("exact-nu0.6", func(b *testing.B) {
-		k := NewKernel(Params{Variance: 1, Range: 0.1, Smoothness: 0.6})
-		for i := 0; i < b.N; i++ {
-			for r, pr := range rows {
-				row := dst.Row(r)
-				for c, pc := range cols {
-					row[c] = exactAt(k, geom.Distance(geom.Euclidean, pr, pc))
-				}
-			}
-		}
-		perEntry(b)
-		sinkBlock = dst.At(nb-1, nb-1)
-	})
-	b.Run("build-nu0.6", func(b *testing.B) {
-		norm := NewKernel(Params{Variance: 1, Range: 1, Smoothness: 0.6}).norm
-		for i := 0; i < b.N; i++ {
-			sinkBlock = buildTable(0.6, norm).c[0][0]
-		}
-		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/build")
-	})
-}

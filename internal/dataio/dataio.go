@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -46,7 +47,8 @@ func WriteCSV(w io.Writer, r Records) error {
 // sniffing: if the first non-blank line does not parse as three floats it
 // is the header, so column names that contain digits ("x_1,y_1,z_1") are
 // skipped correctly. Blank lines are skipped; malformed rows after the
-// first are reported with their line number.
+// first, and a NaN or infinite value on any row, are reported with their line
+// number.
 func ReadCSV(r io.Reader) (Records, error) {
 	var out Records
 	sc := bufio.NewScanner(r)
@@ -62,7 +64,7 @@ func ReadCSV(r io.Reader) (Records, error) {
 		vals, err := parseXYZ(line)
 		if first {
 			first = false
-			if err != nil {
+			if err != nil && !errors.Is(err, errNotFinite) {
 				continue // unparsable first line: the header
 			}
 		}
@@ -81,7 +83,11 @@ func ReadCSV(r io.Reader) (Records, error) {
 	return out, nil
 }
 
-// parseXYZ parses one "x,y,z" data row.
+// errNotFinite marks a field that parses as a float but is NaN or infinite:
+// a data row that is wrong, never a header.
+var errNotFinite = errors.New("not a finite number")
+
+// parseXYZ parses one "x,y,z" data row of finite numbers.
 func parseXYZ(line string) ([3]float64, error) {
 	parts := strings.Split(line, ",")
 	if len(parts) != 3 {
@@ -92,6 +98,9 @@ func parseXYZ(line string) ([3]float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return [3]float64{}, fmt.Errorf("field %d: %w", i+1, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return [3]float64{}, fmt.Errorf("field %d: %q is %w", i+1, strings.TrimSpace(p), errNotFinite)
 		}
 		vals[i] = v
 	}

@@ -66,6 +66,22 @@ func TestCSVErrors(t *testing.T) {
 	}
 }
 
+// TestCSVRejectsNonFinite: a NaN or infinite value is an error naming its
+// line, on the first data line as on any other — it is never taken for a
+// header.
+func TestCSVRejectsNonFinite(t *testing.T) {
+	for in, line := range map[string]string{
+		"x,y,z\n0.1,0.2,0.3\n0.4,NaN,0.5\n": "line 3",
+		"0.1,0.2,+Inf\n0.4,0.5,0.6\n":       "line 1",
+		"x,y,z\n-inf,0.2,0.3\n":             "line 2",
+	} {
+		_, err := ReadCSV(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), line) || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%q: got %v, want a non-finite error on %s", in, err, line)
+		}
+	}
+}
+
 func TestCSVMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteCSV(&buf, Records{Points: make([]geom.Point, 2), Z: make([]float64, 3)})

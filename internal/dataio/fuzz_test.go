@@ -9,9 +9,9 @@ import (
 
 // FuzzReadCSV feeds arbitrary bytes to the dataset parser — the one reader
 // that takes a file straight from the user. It must return an error or a
-// non-empty dataset with one measurement per location, never panic; and what
-// it accepts must survive WriteCSV → ReadCSV bit for bit (a NaN staying a
-// NaN), which is what lets a dataset be re-read for a resumed fit.
+// non-empty dataset of finite values with one measurement per location,
+// never panic; and what it accepts must survive WriteCSV → ReadCSV bit for
+// bit, which is what lets a dataset be re-read for a resumed fit.
 func FuzzReadCSV(f *testing.F) {
 	for _, seed := range []string{
 		"x,y,z\n0.5,0.5,1.25\n0.1,0.9,-0.5\n",
@@ -32,6 +32,13 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if len(rec.Points) == 0 || len(rec.Points) != len(rec.Z) {
 			t.Fatalf("accepted %d points with %d measurements", len(rec.Points), len(rec.Z))
+		}
+		for i, p := range rec.Points {
+			for _, v := range []float64{p.X, p.Y, rec.Z[i]} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("row %d accepted with a non-finite value: %v %v", i, p, rec.Z[i])
+				}
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteCSV(&buf, rec); err != nil {
@@ -93,14 +100,8 @@ func FuzzLoadModel(f *testing.F) {
 	})
 }
 
-// sameBits is float equality that tells +0 from -0 and treats any two NaNs
-// as equal (a NaN's payload does not survive its decimal spelling).
-func sameBits(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	return math.Float64bits(a) == math.Float64bits(b)
-}
+// sameBits is float equality that tells +0 from -0.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // Operations of FuzzBlobFileRegions: the low two bits of an op byte; the rest
 // of the byte picks the live blob it applies to, the next byte is size−1.

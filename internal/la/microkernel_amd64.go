@@ -41,11 +41,14 @@ func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0 (XCR0).
 func xgetbv() (eax, edx uint32)
 
-// useFMAKernel reports whether the AVX2+FMA micro-kernel is safe to call.
-var useFMAKernel = func() bool {
+// AVX2FMA reports whether the CPU has AVX, AVX2 and FMA and the OS saves
+// YMM state: the gate of la's assembly bodies and of cov's row kernel. It
+// implies math.Exp's own FMA path (AVX and FMA), which the row kernel
+// transcribes lane by lane.
+var AVX2FMA = func() bool {
 	_, _, c, _ := cpuidex(1, 0)
-	const fmaBit, osxsaveBit = 1 << 12, 1 << 27
-	if c&fmaBit == 0 || c&osxsaveBit == 0 {
+	const fmaBit, osxsaveBit, avxBit = 1 << 12, 1 << 27, 1 << 28
+	if c&fmaBit == 0 || c&osxsaveBit == 0 || c&avxBit == 0 {
 		return false
 	}
 	// OS must preserve XMM (bit 1) and YMM (bit 2) state across context
@@ -58,3 +61,7 @@ var useFMAKernel = func() bool {
 	const avx2Bit = 1 << 5
 	return b&avx2Bit != 0
 }()
+
+// useFMAKernel reports whether the AVX2+FMA micro-kernel is safe to call; the
+// tests turn it off to run the Go loops.
+var useFMAKernel = AVX2FMA

@@ -2,9 +2,13 @@
 
 package la
 
-// Non-amd64 targets always use the portable scalar micro-kernel and vector
-// loops.
-const useFMAKernel = false
+// Non-amd64 targets have no assembly bodies (AVX2FMA, the gate other
+// packages read, is false) and always use the portable scalar micro-kernel
+// and vector loops.
+const (
+	AVX2FMA      = false
+	useFMAKernel = false
+)
 
 // microKernelFMA is never called when useFMAKernel is false; this stub
 // satisfies the compiler on targets without the assembly implementation.
