@@ -18,14 +18,16 @@ test:
 # nil-by-default func fields and core adapts the injector onto them), every package
 # once, uncached, under the race detector and in a shuffled order (the rank
 # goroutines and mailboxes, the session lock, lock-free instruments, the task
-# graphs, the pooled recompression workspaces, the tile store's pin/evict
-# concurrency, the equivalence and recovery oracles, the out-of-core and
-# serving suites and the fuzz targets' seed corpora are all in that one pass;
-# internal/core is the long pole: about 80 s run alone on two cores, 150–200 s
-# inside this pass, where it shares them with internal/la — the whole target
-# takes 4–5 minutes; the process-wide instrument registry is the
-# state a shuffled order could leak, and every test reads it as a difference
-# of snapshots), one iteration of the dense-kernel (Trsm, Syrk, Potrf, the
+# graphs, the pooled recompression workspaces, the equivalence and recovery
+# oracles, the out-of-core and serving suites and the fuzz targets' seed
+# corpora are all in that one pass; internal/core is the long pole: about
+# 80 s run alone on two cores, 150–200 s inside this pass, where it shares
+# them with internal/la — the whole target takes about 7 minutes; the
+# process-wide instrument registry is the state a shuffled order could leak,
+# and every test reads it as a difference of snapshots), then the tile spill
+# cache's and out-of-core suites three more times under the race detector
+# (pins and evictions run inside concurrently executing task bodies; about
+# 40 s), one iteration of the dense-kernel (Trsm, Syrk, Potrf, the
 # skinny and one-column Gemms), vector-loop, recompression, low-rank update,
 # graph-construction, covariance kernel, cached-predict and distributed
 # generate+factor benchmarks so they cannot rot, the two paperbench experiments the test suite
@@ -40,6 +42,7 @@ verify:
 	GOAMD64=v3 $(GO) test -count=1 -run Bitwise ./internal/cov/
 	test "$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -E ' repro/internal/chaos( |$$)' | cut -d' ' -f1 | xargs)" = "repro repro/internal/core"
 	$(GO) test -race -shuffle=on -count=1 -timeout 45m ./...
+	$(GO) test -race -count=3 -run 'OOC|Pin|Evict|Unpin|Footprint|DecodeError' ./internal/tlr/
 	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|BuildGenCholeskyGraph|KernelBlock|SessionPredictCached|DistCholesky' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/cov/ ./internal/core/ ./internal/mpi/
 	$(GO) run ./cmd/paperbench -exp extensions -scale small >/dev/null && $(GO) run ./cmd/paperbench -exp ablation -scale small >/dev/null
 	cd bench && $(GO) vet ./... && $(GO) test ./...

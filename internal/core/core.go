@@ -108,8 +108,9 @@ type Config struct {
 	// the shared-memory path (Ranks ≤ 1).
 	MemBudget int64
 	// SpillDir is the directory the out-of-core spill file is created in
-	// ("" = the OS temp dir). The file is unlinked at creation, so it can
-	// never outlive the process, crash or no crash. Ignored unless
+	// ("" = the OS temp dir). NewSession creates the file, so a directory
+	// that cannot hold one fails there; it is unlinked at creation, so it
+	// can never outlive the process, crash or no crash. Set it only with
 	// MemBudget > 0.
 	SpillDir string
 }
@@ -167,6 +168,9 @@ func (c Config) Validate() error {
 	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("core: negative MemBudget %d", c.MemBudget)
+	}
+	if c.SpillDir != "" && c.MemBudget == 0 {
+		return fmt.Errorf("core: SpillDir %q without a MemBudget: nothing would spill", c.SpillDir)
 	}
 	if c.MemBudget > 0 {
 		if c.Mode != TLR {

@@ -32,10 +32,10 @@ type distState struct {
 	traceStart time.Time // set by enableTracing
 }
 
-func newDistState(e *evaluator) factorizer {
+func newDistState(e *evaluator) (factorizer, error) {
 	d := &distState{inj: e.inj}
 	d.newWorld(e.cfg.Ranks)
-	return d
+	return d, nil
 }
 
 // newWorld replaces the World and its shards with a fresh World of size ranks

@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/tlr"
-	"repro/internal/tlr/store"
 )
 
 // Graph-reuse counters for the TLR mode: the fused generate+compress+Cholesky
@@ -22,14 +21,27 @@ var (
 // + compressed-tile slots), the handle layout, the generation scratch pool,
 // and the fused generate+compress+Cholesky DAG — only ranks and tile
 // contents are rebuilt per θ. With Config.MemBudget > 0 the shell is bound
-// to an out-of-core tile store whose spill file lives as long as the state
-// (released by Close).
+// to an out-of-core spill cache, opened with the session and released by
+// Close.
 type tlrState struct {
 	taskGraph
-	tm    *tlr.Matrix    // tile shell
-	tspec *tlr.GenSpec   // mutable kernel/nugget slot read by the gen tasks
-	tg    *runtime.Graph // fused generate+compress + factorization DAG
-	st    *store.Store   // out-of-core tile store; nil when MemBudget == 0
+	tm    *tlr.Matrix     // tile shell
+	tspec *tlr.GenSpec    // mutable kernel/nugget slot read by the gen tasks
+	tg    *runtime.Graph  // fused generate+compress + factorization DAG
+	cache *tlr.SpillCache // nil when MemBudget == 0
+}
+
+// newTLRState opens the spill cache of a session with a memory budget, so
+// a spill location that cannot hold one fails NewSession.
+func newTLRState(e *evaluator) (factorizer, error) {
+	if e.cfg.MemBudget == 0 {
+		return &tlrState{}, nil
+	}
+	c, err := tlr.NewSpillCache(e.cfg.SpillDir, e.cfg.MemBudget)
+	if err != nil {
+		return nil, fmt.Errorf("core: out-of-core spill file: %w", err)
+	}
+	return &tlrState{cache: c}, nil
 }
 
 func (st *tlrState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (Factor, error) {
@@ -43,16 +55,9 @@ func (st *tlrState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (
 		if e.inj != nil {
 			st.tspec.ForceMiss = e.inj.CompressMiss
 		}
-		if e.cfg.MemBudget > 0 {
-			gg := tlr.NewGenCholeskyGraph(st.tm, st.tspec, true)
-			ts, err := store.NewTemp(e.cfg.SpillDir, e.cfg.MemBudget)
-			if err != nil {
-				return nil, fmt.Errorf("core: out-of-core spill file: %w", err)
-			}
-			tlr.AttachOOC(gg, st.tm, ts)
-			st.tg, st.st = gg.G, ts
-		} else {
-			st.tg = tlr.BuildGenCholeskyGraph(st.tm, st.tspec, true)
+		st.tg = tlr.BuildGenCholeskyGraph(st.tm, st.tspec, true)
+		if st.cache != nil {
+			st.cache.Bind(st.tm)
 		}
 		cntCacheTLRMiss.Inc()
 	} else {
@@ -60,30 +65,33 @@ func (st *tlrState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (
 	}
 	st.tspec.K = k
 	st.tspec.Nugget = nugget
-	if err := e.run(st.tg); err != nil {
-		return nil, fmt.Errorf("core: %s factorization: %w", e.cfg.Mode, err)
-	}
-	if st.st != nil {
-		if err := st.st.Err(); err != nil {
-			return nil, fmt.Errorf("core: out-of-core spill: %w", err)
+	err := e.run(st.tg)
+	if st.cache != nil {
+		// a tile that could not be read back came back empty: whatever the
+		// run made of it is void, a failed pivot included
+		if serr := st.cache.Err(); serr != nil {
+			return nil, fmt.Errorf("core: out-of-core spill: %w", serr)
 		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %s factorization: %w", e.cfg.Mode, err)
 	}
 	return memFactor{st.tm}, nil
 }
 
 // Close releases the out-of-core spill file; a no-op for in-memory sessions.
 func (st *tlrState) Close() error {
-	if st.st == nil {
+	if st.cache == nil {
 		return nil
 	}
-	return st.st.Close()
+	return st.cache.Close()
 }
 
-// storeStats reports the tile store's peak resident bytes and spill-file
-// size for Session.StoreStats.
+// storeStats reports the spill cache's peak resident bytes and spill-file
+// size for Session.StoreStats, once the session has factored.
 func (st *tlrState) storeStats() (highWater, spilled int64, ok bool) {
-	if st.st == nil {
+	if st.cache == nil || st.tm == nil {
 		return 0, 0, false
 	}
-	return st.st.HighWater(), st.st.SpillSize(), true
+	return st.cache.HighWater(), st.cache.SpillSize(), true
 }

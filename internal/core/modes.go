@@ -23,7 +23,7 @@ type modeSpec struct {
 	keep bool
 	// new builds the row's factorizer, with whatever per-problem state it
 	// caches across evaluations, for a validated and normalized e.cfg.
-	new func(e *evaluator) factorizer
+	new func(e *evaluator) (factorizer, error)
 }
 
 // modes lists the five ways to factor. Everything above the factorization —
@@ -31,14 +31,13 @@ type modeSpec struct {
 // is written once against Factor and never dispatches on Mode.
 var modes = []modeSpec{
 	{mode: FullBlock, name: "full-block", aliases: []string{"dense", "fullblock", "exact"}, keep: true,
-		new: func(*evaluator) factorizer { return &denseState{} }},
+		new: func(*evaluator) (factorizer, error) { return &denseState{}, nil }},
 	{mode: FullTile, name: "full-tile", aliases: []string{"tile", "fulltile"}, keep: true,
-		new: func(*evaluator) factorizer { return &tileState{} }},
-	{mode: TLR, name: "tlr", keep: true,
-		new: func(*evaluator) factorizer { return &tlrState{} }},
+		new: func(*evaluator) (factorizer, error) { return &tileState{}, nil }},
+	{mode: TLR, name: "tlr", keep: true, new: newTLRState},
 	{mode: TLR, name: "tlr", ranks: true, new: newDistState},
 	{mode: HODLR, name: "hodlr", keep: true,
-		new: func(*evaluator) factorizer { return &hodlrState{} }},
+		new: func(*evaluator) (factorizer, error) { return &hodlrState{}, nil }},
 }
 
 // lookupMode returns the row that factors in mode m over the given number of

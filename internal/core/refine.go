@@ -12,11 +12,6 @@ import (
 type RefineOptions struct {
 	// Tol is the target relative residual (default 1e-10).
 	Tol float64
-	// MaxIter caps PCG iterations (default 50).
-	MaxIter int
-	// BlockRows controls the row blocking of the matrix-free exact matvec
-	// (default 256).
-	BlockRows int
 }
 
 // SolveRefined solves Σ(θ)·x = b to near machine precision by combining a
@@ -42,9 +37,6 @@ func SolveRefined(p *Problem, theta cov.Params, cfg Config, b []float64, opts Re
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-10
 	}
-	if opts.BlockRows <= 0 {
-		opts.BlockRows = 256
-	}
 	k := cov.NewKernel(theta)
 	nug := cfg.nugget(theta.Variance)
 
@@ -58,8 +50,8 @@ func SolveRefined(p *Problem, theta cov.Params, cfg Config, b []float64, opts Re
 		return nil, tlr.RefineResult{}, fmt.Errorf("core: preconditioner factorization: %w", err)
 	}
 
-	matvec := exactMatVec(p, k, nug, opts.BlockRows)
-	x, res, err := tlr.RefineSolve(pre, matvec, b, opts.Tol, opts.MaxIter)
+	matvec := exactMatVec(p, k, nug, cfg.TileSize)
+	x, res, err := tlr.RefineSolve(pre, matvec, b, opts.Tol)
 	if err != nil {
 		return x, res, fmt.Errorf("core: refined solve: %w", err)
 	}
@@ -67,8 +59,9 @@ func SolveRefined(p *Problem, theta cov.Params, cfg Config, b []float64, opts Re
 }
 
 // exactMatVec returns y += Σ(θ)·x applied matrix-free: covariance rows are
-// assembled in blocks and immediately consumed, so the full n×n matrix is
-// never stored.
+// assembled blockRows at a time and immediately consumed, so the full n×n
+// matrix is never stored. Each row sums over j in the same order whatever
+// the blocking, so the result does not depend on it.
 func exactMatVec(p *Problem, k *cov.Kernel, nugget float64, blockRows int) func(x, y []float64) {
 	n := p.N()
 	return func(x, y []float64) {

@@ -116,7 +116,9 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 	if cfg.Chaos != nil {
 		ev.inj = chaos.NewInjector(cfg.Chaos)
 	}
-	ev.fac = row.new(ev)
+	if ev.fac, err = row.new(ev); err != nil {
+		return nil, err
+	}
 	return &Session{p: p, cfg: cfg, ev: ev, keepFactor: row.keep}, nil
 }
 
@@ -132,8 +134,8 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// StoreStats reports the out-of-core tile store's peak resident bytes and
-// current spill-file size. ok is false when the session runs in memory
+// StoreStats reports the out-of-core spill cache's peak resident tile bytes
+// and current spill-file size. ok is false when the session runs in memory
 // (MemBudget == 0) or no factorization has happened yet.
 func (s *Session) StoreStats() (highWater, spilled int64, ok bool) {
 	s.mu.RLock()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -79,7 +81,29 @@ func TestMemBudgetValidation(t *testing.T) {
 		{"dense mode", Config{Mode: FullBlock, MemBudget: 1 << 30}, "requires Mode=TLR"},
 		{"distributed", Config{Mode: TLR, Ranks: 4, MemBudget: 1 << 30}, "unsupported with Ranks"},
 		{"too small", Config{Mode: TLR, TileSize: 128, Workers: 2, MemBudget: 1024}, "below the in-flight working set"},
+		{"spill dir without budget", Config{Mode: TLR, SpillDir: "spill"}, "SpillDir \"spill\" without a MemBudget"},
 	})
+}
+
+// A spill location that cannot hold the spill file — missing, or a file —
+// fails NewSession, not the first evaluation.
+func TestNewSessionOpensSpillFile(t *testing.T) {
+	p := smallProblem(t, 100, 1)
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{filepath.Join(t.TempDir(), "missing"), file} {
+		cfg := Config{Mode: TLR, TileSize: 50, MemBudget: tlr.MinMemBudget(50, 1), SpillDir: dir}
+		s, err := NewSession(p, cfg)
+		if err == nil {
+			s.Close()
+			t.Fatalf("SpillDir %s: NewSession succeeded", dir)
+		}
+		if !strings.Contains(err.Error(), "out-of-core spill file") {
+			t.Fatalf("SpillDir %s: %v", dir, err)
+		}
+	}
 }
 
 func TestConfigNormalized(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/tile"
 	"repro/internal/tlr"
-	"repro/internal/tlr/store"
 )
 
 // blockSolve is one format's pair of block triangular solves against a
@@ -65,17 +64,17 @@ func blockSolves(t *testing.T, n, nb int) ([]blockSolve, *la.Mat) {
 	}
 
 	ooc := tlr.NewMatrix(n, nb, 1e-10)
-	gg := tlr.NewGenCholeskyGraph(ooc, spec(), true)
-	st, err := store.NewTemp(t.TempDir(), tlr.MinMemBudget(nb, 2))
+	g := tlr.BuildGenCholeskyGraph(ooc, spec(), true)
+	cache, err := tlr.NewSpillCache(t.TempDir(), tlr.MinMemBudget(nb, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
-	tlr.AttachOOC(gg, ooc, st)
-	if err := gg.G.Execute(runtime.ExecOptions{Workers: 2}); err != nil {
+	t.Cleanup(func() { cache.Close() })
+	cache.Bind(ooc)
+	if err := g.Execute(runtime.ExecOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Err(); err != nil {
+	if err := cache.Err(); err != nil {
 		t.Fatal(err)
 	}
 

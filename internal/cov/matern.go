@@ -49,8 +49,8 @@ func (p Params) String() string {
 	return fmt.Sprintf("(θ1=%.4g, θ2=%.4g, θ3=%.4g)", p.Variance, p.Range, p.Smoothness)
 }
 
-// Kernel evaluates a covariance C(r; θ) at distance r ≥ 0. For the Matérn
-// family (the paper's model, and the default)
+// Kernel evaluates the Matérn covariance C(r; θ) (the paper's model) at
+// distance r ≥ 0:
 //
 //	C(r) = θ₁ · 2^{1−θ₃}/Γ(θ₃) · (r/θ₂)^{θ₃} · K_{θ₃}(r/θ₂),  C(0) = θ₁.
 //
@@ -64,10 +64,7 @@ type Kernel struct {
 	P Params
 	// precomputed 2^{1-nu}/Gamma(nu)
 	norm float64
-	// model selects the covariance family (Matern by default; see
-	// NewModelKernel for the alternatives).
-	model Model
-	// form is the model/ν dispatch, resolved once at construction.
+	// form is the ν dispatch, resolved once at construction.
 	form form
 	// tab is h_ν for form == tabulated, nil otherwise.
 	tab *corrTable
@@ -81,45 +78,26 @@ const (
 	matern12              // Matérn ν = ½: exp(−s)
 	matern32              // Matérn ν = 3∕2: (1+s)·exp(−s)
 	matern52              // Matérn ν = 5∕2: (1+s+s²∕3)·exp(−s)
-	powExp
-	gaussian
-	spherical
 )
 
 // NewKernel builds a Matérn kernel, precomputing the Γ normalization and,
 // for a smoothness without a closed form, fetching its correlation table.
-func NewKernel(p Params) *Kernel { return newKernel(Matern, p) }
-
-func newKernel(m Model, p Params) *Kernel {
+func NewKernel(p Params) *Kernel {
 	nu := p.Smoothness
-	k := &Kernel{P: p, model: m, norm: math.Exp((1-nu)*math.Ln2 - bessel.LogGamma(nu))}
-	switch m {
-	case PoweredExponential:
-		k.form = powExp
-	case GaussianModel:
-		k.form = gaussian
-	case Spherical:
-		k.form = spherical
-	case Matern:
-		switch nu {
-		case 0.5:
-			k.form = matern12
-		case 1.5:
-			k.form = matern32
-		case 2.5:
-			k.form = matern52
-		default:
-			k.form = tabulated
-			k.tab = tableFor(nu, k.norm)
-		}
+	k := &Kernel{P: p, norm: math.Exp((1-nu)*math.Ln2 - bessel.LogGamma(nu))}
+	switch nu {
+	case 0.5:
+		k.form = matern12
+	case 1.5:
+		k.form = matern32
+	case 2.5:
+		k.form = matern52
 	default:
-		panic(fmt.Sprintf("cov: unhandled model %v", m))
+		k.form = tabulated
+		k.tab = tableFor(nu, k.norm)
 	}
 	return k
 }
-
-// Model reports the kernel's covariance family.
-func (k *Kernel) Model() Model { return k.model }
 
 // At returns C(r; θ).
 func (k *Kernel) At(r float64) float64 {
@@ -131,8 +109,8 @@ func (k *Kernel) At(r float64) float64 {
 	return v[0]
 }
 
-// apply maps distances to covariances in place, v[j] ← C(v[j]; θ): the
-// family and ν are dispatched once and each form is one loop over the row.
+// apply maps distances to covariances in place, v[j] ← C(v[j]; θ): ν is
+// dispatched once and each form is one loop over the row.
 func (k *Kernel) apply(v []float64) {
 	variance, rng := k.P.Variance, k.P.Range
 	switch k.form {
@@ -160,25 +138,6 @@ func (k *Kernel) apply(v []float64) {
 		for j, r := range v {
 			s := r / rng
 			v[j] = variance * (1 + s + s*s/3) * math.Exp(-s)
-		}
-	case powExp:
-		nu := k.P.Smoothness
-		for j, r := range v {
-			v[j] = variance * math.Exp(-math.Pow(r/rng, nu))
-		}
-	case gaussian:
-		for j, r := range v {
-			s := r / rng
-			v[j] = variance * math.Exp(-s*s)
-		}
-	case spherical:
-		for j, r := range v {
-			s := r / rng
-			if s >= 1 {
-				v[j] = 0
-				continue
-			}
-			v[j] = variance * (1 - 1.5*s + 0.5*s*s*s)
 		}
 	}
 }

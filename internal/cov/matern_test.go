@@ -268,3 +268,20 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+func TestChordalMetricSPDSmoothMatern(t *testing.T) {
+	// Matérn with ν = 2.5 under the chordal metric stays SPD on the sphere
+	// (the motivation for the Chordal option).
+	r := rng.New(32)
+	pts := make([]geom.Point, 36)
+	for i := range pts {
+		pts[i] = geom.Point{X: r.Uniform(-180, 180), Y: r.Uniform(-85, 85)}
+	}
+	k := NewKernel(Params{Variance: 1, Range: 0.4, Smoothness: 2.5})
+	sigma := la.NewMat(36, 36)
+	k.Matrix(sigma, pts, geom.Chordal)
+	AddNugget(sigma, 1e-10)
+	if err := la.Potrf(sigma); err != nil {
+		t.Fatalf("chordal Matérn(2.5) not SPD: %v", err)
+	}
+}

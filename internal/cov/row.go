@@ -23,9 +23,8 @@ func (k *Kernel) row(dst []float64, m geom.Metric, p geom.Point, pts []geom.Poin
 // fill writes dst[j] = C(‖p − pts[j]‖; θ), or C(dst[j]; θ) when pts is nil.
 // Where the CPU has AVX2 and FMA (la's one CPUID probe, which also implies
 // the FMA path of math.Exp that rowAVX transcribes), rowAVX does the work;
-// the groups of four it declines, the tail past the last whole group, the
-// powered exponential (math.Pow has no vector body) and every other CPU run
-// the Go loops.
+// the groups of four it declines, the tail past the last whole group and
+// every other CPU run the Go loops.
 func (k *Kernel) fill(dst []float64, p geom.Point, pts []geom.Point) {
 	slow := func(lo, hi int) {
 		if pts != nil {
@@ -34,7 +33,7 @@ func (k *Kernel) fill(dst []float64, p geom.Point, pts []geom.Point) {
 		k.apply(dst[lo:hi])
 	}
 	n := len(dst)
-	if !la.AVX2FMA || k.form == powExp || n < 4 {
+	if !la.AVX2FMA || n < 4 {
 		slow(0, n)
 		return
 	}

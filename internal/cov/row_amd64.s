@@ -19,7 +19,6 @@ LANES(one, $1.0)
 LANES(two, $2.0)
 LANES(three, $3.0)
 LANES(half, $0.5)
-LANES(threehalves, $1.5)
 
 // math.Exp's constants, the decimal literals of $GOROOT/src/math/exp_amd64.s.
 LANES(log2e, $1.4426950408889634073599246810018920)
@@ -234,23 +233,17 @@ havedist:
 	JEQ  tabulated
 	CMPQ BX, $const_matern32
 	JEQ  matern32
-	CMPQ BX, $const_matern52
-	JEQ  matern52
-	CMPQ BX, $const_gaussian
-	JEQ  gaussian
 
-	// spherical: θ₁·(1 − 1.5·s + 0.5·s·s·s), 0 where s ≥ 1.
-	VMULPD  threehalves<>(SB), Y9, Y5
-	VMOVUPD one<>(SB), Y6
-	VSUBPD  Y5, Y6, Y5
-	VMULPD  half<>(SB), Y9, Y6
-	VMULPD  Y9, Y6, Y6
-	VMULPD  Y9, Y6, Y6
-	VADDPD  Y6, Y5, Y5
-	VMULPD  Y5, Y13, Y1
-	VCMPPD  $0x1d, one<>(SB), Y9, Y6   // s >= 1
-	VANDNPD Y1, Y6, Y1
-	JMP     store
+	// matern52: θ₁·(1 + s + s·s/3)·exp(−s)
+	VXORPD signbit<>(SB), Y9, Y0
+	EXP(Y0, Y1, X2, X3, Y3, X4)
+	VADDPD one<>(SB), Y9, Y5
+	VMULPD Y9, Y9, Y6
+	VDIVPD three<>(SB), Y6, Y6
+	VADDPD Y6, Y5, Y5
+	VMULPD Y5, Y13, Y5
+	VMULPD Y1, Y5, Y1
+	JMP    store
 
 matern12:
 	// θ₁·exp(−s)
@@ -266,26 +259,6 @@ matern32:
 	VADDPD one<>(SB), Y9, Y5
 	VMULPD Y5, Y13, Y5
 	VMULPD Y1, Y5, Y1
-	JMP    store
-
-matern52:
-	// θ₁·(1 + s + s·s/3)·exp(−s)
-	VXORPD signbit<>(SB), Y9, Y0
-	EXP(Y0, Y1, X2, X3, Y3, X4)
-	VADDPD one<>(SB), Y9, Y5
-	VMULPD Y9, Y9, Y6
-	VDIVPD three<>(SB), Y6, Y6
-	VADDPD Y6, Y5, Y5
-	VMULPD Y5, Y13, Y5
-	VMULPD Y1, Y5, Y1
-	JMP    store
-
-gaussian:
-	// θ₁·exp(−s·s)
-	VMULPD Y9, Y9, Y0
-	VXORPD signbit<>(SB), Y0, Y0
-	EXP(Y0, Y1, X2, X3, Y3, X4)
-	VMULPD Y1, Y13, Y1
 	JMP    store
 
 tabulated:

@@ -10,20 +10,11 @@ import (
 )
 
 // rowKernels returns one kernel per form at the given range: the general-ν
-// table at two smoothnesses, the three Matérn closed forms, the Gaussian, the
-// spherical, and the powered exponential (which the row kernel leaves to the
-// Go loops).
-func rowKernels(t testing.TB, variance, rng float64) []*Kernel {
+// table at two smoothnesses and the three closed forms.
+func rowKernels(variance, rng float64) []*Kernel {
 	var ks []*Kernel
 	for _, nu := range []float64{0.6, 2.2, 0.5, 1.5, 2.5} {
 		ks = append(ks, NewKernel(Params{Variance: variance, Range: rng, Smoothness: nu}))
-	}
-	for _, m := range []Model{GaussianModel, Spherical, PoweredExponential} {
-		k, err := NewModelKernel(m, Params{Variance: variance, Range: rng, Smoothness: 1.2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ks = append(ks, k)
 	}
 	return ks
 }
@@ -50,8 +41,8 @@ func checkRow(t testing.TB, k *Kernel, m geom.Metric, p geom.Point, pts []geom.P
 	got[n] = 42
 	k.row(got[:n], m, p, pts)
 	if j, ok := sameRow(got, want); !ok {
-		t.Fatalf("%v ν=%g θ₂=%g metric %v, row of %d: entry %d (d=%v) is %v (%#x), the Go loops give %v (%#x)",
-			k.Model(), k.P.Smoothness, k.P.Range, m, n, j, geom.Distance(m, p, pts[j]),
+		t.Fatalf("ν=%g θ₂=%g metric %v, row of %d: entry %d (d=%v) is %v (%#x), the Go loops give %v (%#x)",
+			k.P.Smoothness, k.P.Range, m, n, j, geom.Distance(m, p, pts[j]),
 			got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 	}
 	if got[n] != 42 {
@@ -68,14 +59,14 @@ func checkFill(t testing.TB, k *Kernel, dist []float64) {
 	got := append([]float64(nil), dist...)
 	k.fill(got, geom.Point{}, nil)
 	if j, ok := sameRow(got, want); !ok {
-		t.Fatalf("%v ν=%g θ₂=%g: distance %v (s=%v) gives %v (%#x), apply %v (%#x)",
-			k.Model(), k.P.Smoothness, k.P.Range, dist[j], dist[j]/k.P.Range,
+		t.Fatalf("ν=%g θ₂=%g: distance %v (s=%v) gives %v (%#x), apply %v (%#x)",
+			k.P.Smoothness, k.P.Range, dist[j], dist[j]/k.P.Range,
 			got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 	}
 }
 
 // TestKernelRowBitwise: the row kernel is the Go loops bit for bit — every
-// form, the Euclidean metric (distances computed inside the kernel) and the
+// Matérn form, the Euclidean metric (distances computed inside the kernel) and the
 // great-circle one (distances from geom), rows of every length to 9 and
 // around 128, ranges from 2⁻⁸ to 2, and distances at every edge of the
 // straight-line path: zero, subnormal, either side of the table's first cell
@@ -89,7 +80,7 @@ func TestKernelRowBitwise(t *testing.T) {
 	ranges := []float64{0x1p-8, 0x1p-5, 0.17, 0x1p-1, 1, 2}
 	r := rng.New(34)
 	for _, rg := range ranges {
-		for _, k := range rowKernels(t, 1.3, rg) {
+		for _, k := range rowKernels(1.3, rg) {
 			for _, m := range []geom.Metric{geom.Euclidean, geom.GreatCircle} {
 				for _, n := range lengths {
 					pts := testPoints(m, n+1, uint64(n)+7)
@@ -143,8 +134,7 @@ func TestKernelRowBitwise(t *testing.T) {
 
 // FuzzKernelRowBitwise: for any valid (ν, θ₂, θ₁) and distance scale r, the
 // row kernel agrees with the Go loops bit for bit on a row of nine distances
-// around r, both from distances and from points, for the Matérn kernel at ν
-// and the Gaussian and spherical kernels at θ₂.
+// around r, both from distances and from points.
 func FuzzKernelRowBitwise(f *testing.F) {
 	for _, nu := range []float64{0.5, 1.5, 2.5, 0.6, 2.2} {
 		for _, r := range []float64{0, 1e-7, 0.03, 0.3, 5, 700, 1e300} {
@@ -163,18 +153,9 @@ func FuzzKernelRowBitwise(f *testing.F) {
 		for j, d := range dist {
 			pts[j] = geom.Point{X: 0.5 + d, Y: 0.5 - d/3}
 		}
-		ks := []*Kernel{NewKernel(p)}
-		for _, m := range []Model{GaussianModel, Spherical} {
-			k, err := NewModelKernel(m, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ks = append(ks, k)
-		}
-		for _, k := range ks {
-			checkFill(t, k, dist)
-			checkRow(t, k, geom.Euclidean, geom.Point{X: 0.5, Y: 0.5}, pts)
-		}
+		k := NewKernel(p)
+		checkFill(t, k, dist)
+		checkRow(t, k, geom.Euclidean, geom.Point{X: 0.5, Y: 0.5}, pts)
 	})
 }
 
@@ -182,16 +163,13 @@ var sinkBlock float64
 
 // benchForms are the forms BenchmarkKernelBlock times, by name.
 var benchForms = []struct {
-	name  string
-	model Model
-	nu    float64
+	name string
+	nu   float64
 }{
-	{"table-nu0.6", Matern, 0.6},
-	{"nu0.5", Matern, 0.5},
-	{"nu1.5", Matern, 1.5},
-	{"nu2.5", Matern, 2.5},
-	{"gaussian", GaussianModel, 1},
-	{"spherical", Spherical, 1},
+	{"table-nu0.6", 0.6},
+	{"nu0.5", 0.5},
+	{"nu1.5", 1.5},
+	{"nu2.5", 2.5},
 }
 
 // BenchmarkKernelBlock generates one 128×128 off-diagonal tile per form,
@@ -209,10 +187,7 @@ func BenchmarkKernelBlock(b *testing.B) {
 		sinkBlock = dst.At(nb-1, nb-1)
 	}
 	for _, bc := range benchForms {
-		k, err := NewModelKernel(bc.model, Params{Variance: 1, Range: 0.1, Smoothness: bc.nu})
-		if err != nil {
-			b.Fatal(err)
-		}
+		k := NewKernel(Params{Variance: 1, Range: 0.1, Smoothness: bc.nu})
 		b.Run(bc.name+"/vector", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k.Block(dst, rows, cols, geom.Euclidean)

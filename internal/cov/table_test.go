@@ -149,13 +149,6 @@ func TestOneDefinitionOfC(t *testing.T) {
 		NewKernel(Params{Variance: 1.3, Range: 0.17, Smoothness: 1.5}),
 		NewKernel(Params{Variance: 1.3, Range: 0.17, Smoothness: 2.5}),
 	}
-	for _, m := range []Model{PoweredExponential, GaussianModel, Spherical} {
-		k, err := NewModelKernel(m, Params{Variance: 1.3, Range: 0.4, Smoothness: 1.2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		kernels = append(kernels, k)
-	}
 	for _, metric := range allMetrics {
 		pts := testPoints(metric, n, 5)
 		for _, k := range kernels {
@@ -172,8 +165,8 @@ func TestOneDefinitionOfC(t *testing.T) {
 						"Matrix": mat.At(i, j), "MatrixParallel": par.At(i, j),
 					} {
 						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("metric %v, %v ν=%g: %s[%d,%d] = %v, At = %v",
-								metric, k.Model(), k.P.Smoothness, name, i, j, got, want)
+							t.Fatalf("metric %v, ν=%g: %s[%d,%d] = %v, At = %v",
+								metric, k.P.Smoothness, name, i, j, got, want)
 						}
 					}
 				}

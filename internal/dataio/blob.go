@@ -20,7 +20,7 @@ func (r Region) Valid() bool { return r.Cap > 0 }
 
 // BlobFile is a single-file blob store for spill data: fixed-cost Put/Get
 // of byte slices addressed by Region. It is built for the out-of-core tile
-// store's access pattern — the same logical blob is rewritten many times as
+// cache's access pattern — the same logical blob is rewritten many times as
 // a tile is evicted, reloaded and updated across optimizer iterations — so
 // Put reuses the caller's previous region in place when the new payload
 // fits its capacity, and recycles outgrown regions through a free list

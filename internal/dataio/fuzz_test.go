@@ -113,7 +113,7 @@ const (
 )
 
 // FuzzBlobFileRegions drives a BlobFile — the spill file under the
-// out-of-core tile store — with a byte-coded sequence of Put (over the
+// out-of-core tile cache — with a byte-coded sequence of Put (over the
 // caller's previous region, or fresh), Free and Get, beside an in-memory
 // model of what is live and which capacities are free. After every
 // operation: live regions lie inside the file and never overlap, every live

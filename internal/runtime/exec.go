@@ -89,14 +89,11 @@ func (g *Graph) execute(opt ExecOptions, rec *recorder) error {
 		failed  error
 	)
 
-	// runTask executes one task between its residency pins, turning a panic
-	// of the body (or of the injection hook) into a *TaskPanic. A failed task
-	// is never re-run here: the graph aborts and the caller, which knows how
-	// to regenerate the data, decides whether to execute it again.
+	// runTask executes one task, turning a panic of the body (or of the
+	// injection hook) into a *TaskPanic. A failed task is never re-run here:
+	// the graph aborts and the caller, which knows how to regenerate the
+	// data, decides whether to execute it again.
 	runTask := func(w int, t *Task) (err error) {
-		if unpin := pinTask(t); unpin != nil {
-			defer unpin()
-		}
 		var t0 time.Time
 		if rec != nil {
 			t0 = time.Now()
@@ -193,48 +190,6 @@ func (g *Graph) execute(opt ExecOptions, rec *recorder) error {
 		return fmt.Errorf("runtime: executed %d of %d tasks; dependency cycle or inference bug", done, n)
 	}
 	return nil
-}
-
-// pinTask pins every distinct handle the task accesses (via Handle.PinFn)
-// and returns the matching unpin closure, or nil when no accessed handle
-// carries residency hooks. A handle is pinned in overwrite mode only when
-// every access the task declares on it is Write — then the store need not
-// load spilled bytes that are about to be clobbered.
-func pinTask(t *Task) (unpin func()) {
-	var pinned []*Handle
-	for _, a := range t.Accesses {
-		h := a.Handle
-		if h.PinFn == nil || handleSeen(pinned, h) {
-			continue
-		}
-		overwrite := true
-		for _, b := range t.Accesses {
-			if b.Handle == h && b.Mode != Write {
-				overwrite = false
-				break
-			}
-		}
-		h.PinFn(overwrite)
-		pinned = append(pinned, h)
-	}
-	if len(pinned) == 0 {
-		return nil
-	}
-	return func() {
-		for _, h := range pinned {
-			h.UnpinFn()
-		}
-	}
-}
-
-// handleSeen reports whether h is already in the (tiny) pinned list.
-func handleSeen(list []*Handle, h *Handle) bool {
-	for _, x := range list {
-		if x == h {
-			return true
-		}
-	}
-	return false
 }
 
 // taskHeap is a max-heap on task priority (ties broken by insertion order,

@@ -38,19 +38,6 @@ type Handle struct {
 	Name  string
 	Bytes int64
 	Tag   int64
-
-	// PinFn/UnpinFn, when non-nil (set them together), bracket every task
-	// execution touching the handle: the executor calls PinFn once before
-	// the task body — so an out-of-core store can bring an evicted payload
-	// back into residency in time — and UnpinFn once after it, whether the
-	// body returned or panicked. overwrite is true when the task's only
-	// accesses to the handle are Write: the payload is about to be fully
-	// rewritten, so the store may materialize an empty buffer instead of
-	// reading spilled bytes back from disk. Pins nest (a handle may be
-	// pinned by several concurrent readers); the store unpins by reference
-	// count.
-	PinFn   func(overwrite bool)
-	UnpinFn func()
 }
 
 // SetBytes updates the payload size of a variable-size handle (a compressed

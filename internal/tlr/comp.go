@@ -48,17 +48,6 @@ func putWork(w *la.Work) {
 type CompTile struct {
 	U, V *la.Mat
 	D    *la.Mat
-
-	// Spill stub: when the out-of-core store evicts this tile (ooc.go) the
-	// factors above are nil and these fields keep the logical shape, so
-	// Rank/Rows/Cols/Bytes — the rank-statistics and footprint accounting —
-	// answer without a disk load. Kernels touching actual entries require
-	// the tile to be pinned resident.
-	stub    bool
-	stRows  int
-	stCols  int
-	stRank  int
-	stDense bool
 }
 
 // NewDenseTile wraps a dense matrix as an exact (DE) tile. The tile takes
@@ -68,17 +57,11 @@ func NewDenseTile(d *la.Mat) *CompTile { return &CompTile{D: d} }
 // IsDense reports whether the tile stores its entries exactly (DE fallback)
 // rather than as low-rank factors.
 func (c *CompTile) IsDense() bool {
-	if c.stub {
-		return c.stDense
-	}
 	return c.D != nil
 }
 
 // Rank returns the stored rank (the full min dimension for a dense tile).
 func (c *CompTile) Rank() int {
-	if c.stub {
-		return c.stRank
-	}
 	if c.IsDense() {
 		return min(c.D.Rows, c.D.Cols)
 	}
@@ -87,9 +70,6 @@ func (c *CompTile) Rank() int {
 
 // Rows and Cols return the tile's logical dimensions.
 func (c *CompTile) Rows() int {
-	if c.stub {
-		return c.stRows
-	}
 	if c.IsDense() {
 		return c.D.Rows
 	}
@@ -98,17 +78,13 @@ func (c *CompTile) Rows() int {
 
 // Cols returns the number of columns of the represented tile.
 func (c *CompTile) Cols() int {
-	if c.stub {
-		return c.stCols
-	}
 	if c.IsDense() {
 		return c.D.Cols
 	}
 	return c.V.Rows
 }
 
-// Bytes returns the storage footprint of the representation (the logical
-// footprint for a spilled stub — the bytes the tile occupies when resident).
+// Bytes returns the storage footprint of the representation.
 func (c *CompTile) Bytes() int64 {
 	if c.IsDense() {
 		return int64(c.Rows()) * int64(c.Cols()) * 8
@@ -141,12 +117,9 @@ func (c *CompTile) Clone() *CompTile {
 // V row-major]; a dense (DE) tile carries the sentinel rank −1 and its full
 // row-major payload. It is the one serialization of a CompTile: panel
 // messages between ranks ship the words as they are, so a rank-r tile costs
-// (rows+cols)·r doubles on the wire, and the out-of-core store spills the
+// (rows+cols)·r doubles on the wire, and the out-of-core cache spills the
 // same words as bytes.
 func (c *CompTile) Encode() []float64 {
-	if c.stub {
-		panic("tlr: encode of non-resident tile")
-	}
 	rank, mats := c.Rank(), []*la.Mat{c.U, c.V}
 	if c.IsDense() {
 		rank, mats = -1, []*la.Mat{c.D}
@@ -161,11 +134,9 @@ func (c *CompTile) Encode() []float64 {
 	return out
 }
 
-// Decode rebuilds the tile in place from Encode's words, clearing the
-// spill-stub state: a fresh tile on the receiving rank, or an evicted stub
-// whose holders keep their pointer. The tile takes ownership of words (a
-// received message or a spill read is the caller's alone); its factors are
-// views into them. Words that Encode could not have produced — a header that
+// Decode rebuilds the tile in place from Encode's words. The tile takes
+// ownership of words (a received message or a spill read is the caller's
+// alone); its factors are views into them. Words that Encode could not have produced — a header that
 // is not three integers with rank in [−1, min(rows, cols)], or a payload of
 // the wrong length — are an error and leave the tile as it was.
 func (c *CompTile) Decode(words []float64) error {

@@ -118,6 +118,8 @@ func (m *Matrix) tilePts(spec *GenSpec, i int) []geom.Point {
 // GenDiag (re)generates dense diagonal tile i in place, allocating it on
 // first use.
 func (m *Matrix) GenDiag(spec *GenSpec, i int) {
+	m.pin(i, i, pinOverwrite)
+	defer m.unpin(i, i)
 	if m.diag[i] == nil {
 		m.diag[i] = la.NewMat(m.TileDim(i), m.TileDim(i))
 	}
@@ -127,6 +129,8 @@ func (m *Matrix) GenDiag(spec *GenSpec, i int) {
 // GenOff (re)generates compressed tile (i, j), j < i, replacing the tile
 // object wholesale, and returns it.
 func (m *Matrix) GenOff(spec *GenSpec, i, j int) *CompTile {
+	m.pin(i, j, pinOverwrite)
+	defer m.unpin(i, j)
 	t := spec.OffBlock(m.tilePts(spec, i), m.tilePts(spec, j), m.NB, m.MT, i, j, m.Tol, m.MaxRank)
 	m.off[i][j] = t
 	return t

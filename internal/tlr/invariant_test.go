@@ -12,7 +12,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/runtime"
 	"repro/internal/tlr"
-	"repro/internal/tlr/store"
 )
 
 // Every tile a factorization hands to GemmLL as the update target has V with
@@ -143,17 +142,17 @@ func TestUpdateTargetsKeepInvariant(t *testing.T) {
 
 		before = general.Value()
 		ooc := tlr.NewMatrix(n, nb, tol)
-		gg := tlr.NewGenCholeskyGraph(ooc, spec(), true)
-		st, err := store.NewTemp(t.TempDir(), tlr.MinMemBudget(nb, 2))
+		g := tlr.BuildGenCholeskyGraph(ooc, spec(), true)
+		cache, err := tlr.NewSpillCache(t.TempDir(), tlr.MinMemBudget(nb, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
-		tlr.AttachOOC(gg, ooc, st)
-		if err := gg.G.Execute(runtime.ExecOptions{Workers: 2}); err != nil {
+		defer cache.Close()
+		cache.Bind(ooc)
+		if err := g.Execute(runtime.ExecOptions{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Err(); err != nil {
+		if err := cache.Err(); err != nil {
 			t.Fatal(err)
 		}
 		sameCount("under MemBudget", before)

@@ -29,11 +29,11 @@ type Matrix struct {
 	diag []*la.Mat
 	off  [][]*CompTile // off[i][j] valid for j < i
 
-	// ooc, when non-nil, is the out-of-core binding installed by AttachOOC:
-	// tile payloads may be spilled to disk, and every direct tile access of
-	// the solve/logdet/reconstruction paths pins the tile resident around
-	// the access. Nil means all tiles are memory-resident (the default).
-	ooc *oocBinding
+	// spill, when non-nil, is the out-of-core cache SpillCache.Bind
+	// installed: a tile may be evicted to disk, its slot left nil, between
+	// the pins that bracket every access (spill.go). Nil keeps every tile
+	// resident (the default).
+	spill *SpillCache
 }
 
 // NewMatrix allocates an empty TLR matrix shell.
@@ -68,7 +68,7 @@ func (m *Matrix) Off(i, j int) *CompTile { return m.off[i][j] }
 
 // EncodeTile returns tile (i, j), j ≤ i, as words: a diagonal tile's compact
 // row-major data, an off-diagonal tile's CompTile.Encode. It is the one
-// serialization of a tile — what a rank sends and what the out-of-core store
+// serialization of a tile — what a rank sends and what the out-of-core cache
 // spills. A diagonal tile's words are its storage; both callers copy them.
 func (m *Matrix) EncodeTile(i, j int) []float64 {
 	if i == j {
@@ -78,9 +78,8 @@ func (m *Matrix) EncodeTile(i, j int) []float64 {
 }
 
 // DecodeTile installs EncodeTile's words as tile (i, j) and takes ownership
-// of them. An off-diagonal tile already in the slot — an evicted stub — is
-// rebuilt in place, so its holders keep their pointer. Words of the wrong
-// length or shape for the slot are an error and leave it as it was.
+// of them. Words of the wrong length or shape for the slot are an error and
+// leave it as it was.
 func (m *Matrix) DecodeTile(i, j int, words []float64) error {
 	di, dj := m.TileDim(i), m.TileDim(j)
 	if i == j {
@@ -97,15 +96,12 @@ func (m *Matrix) DecodeTile(i, j int, words []float64) error {
 	if t.Rows() != di || t.Cols() != dj {
 		return fmt.Errorf("tlr: decode tile (%d,%d): %dx%d words for a %dx%d tile", i, j, t.Rows(), t.Cols(), di, dj)
 	}
-	if old := m.off[i][j]; old != nil {
-		*old = *t
-	} else {
-		m.off[i][j] = t
-	}
+	m.off[i][j] = t
 	return nil
 }
 
-// ClearTile empties slot (i, j): a rank shard forgets a tile it received.
+// ClearTile empties slot (i, j): a rank shard forgets a tile it received,
+// the out-of-core cache drops one it spilled.
 func (m *Matrix) ClearTile(i, j int) {
 	if i == j {
 		m.diag[i] = nil
@@ -159,18 +155,18 @@ func FromDense(a *la.Mat, nb int, tol float64, comp Compressor) *Matrix {
 func (m *Matrix) ToDense() *la.Mat {
 	out := la.NewMat(m.N, m.N)
 	for i := 0; i < m.MT; i++ {
-		m.pinDiag(i)
+		m.pin(i, i, pinRead)
 		d := m.diag[i]
 		for a := 0; a < d.Rows; a++ {
 			for b := 0; b < d.Cols; b++ {
 				out.Set(i*m.NB+a, i*m.NB+b, d.At(a, b))
 			}
 		}
-		m.unpinDiag(i)
+		m.unpin(i, i)
 		for j := 0; j < i; j++ {
-			m.pinOff(i, j)
+			m.pin(i, j, pinRead)
 			t := m.off[i][j].Dense()
-			m.unpinOff(i, j)
+			m.unpin(i, j)
 			for a := 0; a < t.Rows; a++ {
 				for b := 0; b < t.Cols; b++ {
 					out.Set(i*m.NB+a, j*m.NB+b, t.At(a, b))
@@ -183,22 +179,21 @@ func (m *Matrix) ToDense() *la.Mat {
 }
 
 // Bytes returns the TLR storage footprint: the bytes the matrix occupies
-// fully resident. A tile the out-of-core store spilled counts at its logical
-// size; a tile that was never generated — a rank shard populates only the
-// tiles it owns — counts nothing.
+// fully resident. A tile the out-of-core cache evicted counts at its size; a
+// tile that was never generated — a rank shard populates only the tiles it
+// owns — counts nothing.
 func (m *Matrix) Bytes() int64 {
 	var b int64
 	for i, d := range m.diag {
-		if d != nil || m.ooc != nil {
+		if d != nil || m.spill != nil {
 			di := int64(m.TileDim(i))
 			b += di * di * 8
 		}
 	}
 	for i := range m.off {
-		for _, t := range m.off[i] {
-			if t != nil {
-				b += t.Bytes()
-			}
+		for j := range m.off[i] {
+			tb, _, _ := m.offStats(i, j)
+			b += tb
 		}
 	}
 	return b
@@ -222,13 +217,12 @@ func (m *Matrix) DenseBytes() int64 {
 // compressed tiles (summed across rank shards for global statistics).
 func (m *Matrix) RankSums() (maxRank, sumRank, count int) {
 	for i := range m.off {
-		for _, t := range m.off[i] {
-			if t == nil {
-				continue
+		for j := range m.off[i] {
+			if _, r, ok := m.offStats(i, j); ok {
+				maxRank = max(maxRank, r)
+				sumRank += r
+				count++
 			}
-			maxRank = max(maxRank, t.Rank())
-			sumRank += t.Rank()
-			count++
 		}
 	}
 	return
@@ -329,11 +323,13 @@ func addCholeskyTasks(g *runtime.Graph, m *Matrix, dh []*runtime.Handle, oh [][]
 		}
 		return 1
 	}
-	body := func(run func()) func() {
+	// body pins the tiles a kernel uses around it: its operands for
+	// reading, its target for update.
+	body := func(run func(), uses ...tileUse) func() {
 		if !bind {
 			return nil
 		}
-		return run
+		return func() { m.with(run, uses...) }
 	}
 	handle := func(i, j int) *runtime.Handle {
 		if i == j {
@@ -341,23 +337,27 @@ func addCholeskyTasks(g *runtime.Graph, m *Matrix, dh []*runtime.Handle, oh [][]
 		}
 		return oh[i][j]
 	}
+	read := func(i, j int) tileUse { return tileUse{i, j, pinRead} }
+	update := func(i, j int) tileUse { return tileUse{i, j, pinUpdate} }
 	tile.AddCholeskySweep(g, m.MT, handle, tile.SweepKernels{
 		Potrf: func(k int) (float64, func()) {
 			return tile.FlopsPOTRF(m.TileDim(k)), body(func() {
 				if err := la.Potrf(m.diag[k]); err != nil {
 					panic(err)
 				}
-			})
+			}, update(k, k))
 		},
 		Trsm: func(i, k int) (float64, func()) {
-			return FlopsTRSMComp(m.TileDim(k), rank(i, k)), body(func() { TrsmLD(m.diag[k], m.off[i][k]) })
+			return FlopsTRSMComp(m.TileDim(k), rank(i, k)),
+				body(func() { TrsmLD(m.diag[k], m.off[i][k]) }, read(k, k), update(i, k))
 		},
 		Syrk: func(i, k int) (float64, func()) {
-			return FlopsSYRKComp(m.TileDim(i), rank(i, k)), body(func() { SyrkLD(m.diag[i], m.off[i][k]) })
+			return FlopsSYRKComp(m.TileDim(i), rank(i, k)),
+				body(func() { SyrkLD(m.diag[i], m.off[i][k]) }, read(i, k), update(i, i))
 		},
 		Gemm: func(i, j, k int) (float64, func()) {
 			return FlopsGEMMComp(m.TileDim(i), rank(i, k), rank(j, k), rank(i, j)),
-				body(func() { m.UpdateOff(i, j, m.off[i][k], m.off[j][k]) })
+				body(func() { m.UpdateOff(i, j, m.off[i][k], m.off[j][k]) }, read(i, k), read(j, k), update(i, j))
 		},
 	})
 }
@@ -373,9 +373,9 @@ func Cholesky(m *Matrix, workers int) error {
 func (m *Matrix) LogDet() float64 {
 	var s float64
 	for i := range m.diag {
-		m.pinDiag(i)
+		m.pin(i, i, pinRead)
 		s += la.LogDetFromChol(m.diag[i])
-		m.unpinDiag(i)
+		m.unpin(i, i)
 	}
 	return s
 }
@@ -386,15 +386,15 @@ func (m *Matrix) solveMat(ta la.Trans, b *la.Mat) {
 	_ = tile.SolveSweep(m.N, m.NB, ta, b,
 		func(i, j int, bj, bi *la.Mat) error {
 			r, c := max(i, j), min(i, j)
-			m.pinOff(r, c)
+			m.pin(r, c, pinRead)
 			MatMul(m.off[r][c], ta, -1, bj, bi)
-			m.unpinOff(r, c)
+			m.unpin(r, c)
 			return nil
 		},
 		func(i int, bi *la.Mat) error {
-			m.pinDiag(i)
+			m.pin(i, i, pinRead)
 			la.Trsm(la.Left, la.Lower, ta, 1, m.diag[i], bi)
-			m.unpinDiag(i)
+			m.unpin(i, i)
 			return nil
 		})
 }

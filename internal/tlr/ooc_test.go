@@ -3,64 +3,56 @@ package tlr
 import (
 	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/geom"
 	"repro/internal/la"
 	"repro/internal/runtime"
-	"repro/internal/tlr/store"
 )
 
 // oocFactor builds and factors Σ(θ) under the given memory budget,
-// returning the matrix and its store. Budget 0 means unbounded (but still
-// routed through the store, exercising the hooks).
-func oocFactor(t *testing.T, n, nb int, budget int64, workers int) (*Matrix, *store.Store) {
+// returning the matrix and its cache.
+func oocFactor(t *testing.T, n, nb int, budget int64, workers int) (*Matrix, *SpillCache) {
 	t.Helper()
-	gg, m, st := oocGraph(t, n, nb, budget)
-	if err := gg.G.Execute(runtime.ExecOptions{Workers: workers}); err != nil {
+	g, m, c := oocGraph(t, n, nb, budget)
+	if err := g.Execute(runtime.ExecOptions{Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return m, st
+	return m, c
 }
 
-// oocGraph builds the fused graph of the test problem bound to a fresh store
-// with the given budget, not yet executed.
-func oocGraph(t *testing.T, n, nb int, budget int64) (*GenGraph, *Matrix, *store.Store) {
+// oocGraph builds the fused graph of the test problem over a matrix bound to
+// a fresh cache with the given budget, not yet executed.
+func oocGraph(t *testing.T, n, nb int, budget int64) (*runtime.Graph, *Matrix, *SpillCache) {
 	t.Helper()
 	k, pts := genTestSetup(t, n)
 	m := NewMatrix(n, nb, 1e-7)
 	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: SVDCompressor{}}
-	gg := NewGenCholeskyGraph(m, spec, true)
-	st, err := store.NewTemp(t.TempDir(), budget)
+	g := BuildGenCholeskyGraph(m, spec, true)
+	c, err := NewSpillCache(t.TempDir(), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
-	AttachOOC(gg, m, st)
-	return gg, m, st
+	t.Cleanup(func() { c.Close() })
+	c.Bind(m)
+	return g, m, c
 }
 
-// countPins wraps the residency hooks of every handle of gg and returns the
-// running balance of pins taken minus pins released.
-func countPins(gg *GenGraph) *atomic.Int64 {
-	var balance atomic.Int64
-	wrap := func(h *runtime.Handle) {
-		pin, unpin := h.PinFn, h.UnpinFn
-		h.PinFn = func(overwrite bool) { balance.Add(1); pin(overwrite) }
-		h.UnpinFn = func() { unpin(); balance.Add(-1) }
-	}
-	for i, h := range gg.DH {
-		wrap(h)
-		for _, o := range gg.OH[i] {
-			wrap(o)
+// outstandingPins is the number of pins the cache holds.
+func outstandingPins(c *SpillCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var pins int
+	for _, row := range c.recs {
+		for _, r := range row {
+			pins += r.pins
 		}
 	}
-	return &balance
+	return pins
 }
 
 // refFactor is the plain in-memory reference factorization.
@@ -107,12 +99,12 @@ func TestOOCCholeskyBitwiseUnderBudget(t *testing.T) {
 	ref := refFactor(t, n, nb)
 	full := ref.Bytes()
 	budget := full / 4
-	m, st := oocFactor(t, n, nb, budget, 1)
-	if st.HighWater() > budget+MinMemBudget(nb, 1) {
+	m, c := oocFactor(t, n, nb, budget, 1)
+	if c.HighWater() > budget+MinMemBudget(nb, 1) {
 		t.Fatalf("high water %d exceeds budget %d plus working set %d",
-			st.HighWater(), budget, MinMemBudget(nb, 1))
+			c.HighWater(), budget, MinMemBudget(nb, 1))
 	}
-	if st.SpillSize() == 0 {
+	if c.SpillSize() == 0 {
 		t.Fatal("no bytes ever spilled: budget had no effect")
 	}
 	assertFactorsMatch(t, "budget=quarter", m, ref)
@@ -139,7 +131,7 @@ func TestOOCWorkerInvariance(t *testing.T) {
 // Eviction under retry: chaos-injected task panics abort the graph while the
 // budget forces evictions, so a re-execution starts from whatever mix of
 // resident, spilled and half-updated tiles the abort left. Every abort must
-// release its pins and leave the store error-free, and re-executing until the
+// release its pins and leave the cache error-free, and re-executing until the
 // victims are spent must end bitwise-identical to the clean in-memory run at
 // every worker count.
 func TestOOCEvictionUnderRetry(t *testing.T) {
@@ -148,16 +140,15 @@ func TestOOCEvictionUnderRetry(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for _, seed := range []uint64{1, 99} {
 			inj := chaos.NewInjector(&chaos.FaultPlan{Seed: seed, TaskPanics: 5})
-			gg, m, st := oocGraph(t, n, nb, ref.Bytes()/4)
-			pinned := countPins(gg)
+			g, m, c := oocGraph(t, n, nb, ref.Bytes()/4)
 			opt := runtime.ExecOptions{Workers: workers, Inject: inj.TaskHook}
 			aborts := 0
 			for {
-				err := gg.G.Execute(opt)
-				if serr := st.Err(); serr != nil {
-					t.Fatalf("seed %d: store error after %d aborts: %v", seed, aborts, serr)
+				err := g.Execute(opt)
+				if serr := c.Err(); serr != nil {
+					t.Fatalf("seed %d: cache error after %d aborts: %v", seed, aborts, serr)
 				}
-				if got := pinned.Load(); got != 0 {
+				if got := outstandingPins(c); got != 0 {
 					t.Fatalf("seed %d: %d pins outlived the execution that took them", seed, got)
 				}
 				if err == nil {
@@ -173,7 +164,7 @@ func TestOOCEvictionUnderRetry(t *testing.T) {
 			if aborts == 0 || inj.Stats().TaskPanics != 5 {
 				t.Fatalf("seed %d: %d aborts, %d panics injected, want all 5 victims spent", seed, aborts, inj.Stats().TaskPanics)
 			}
-			if st.SpillSize() == 0 {
+			if c.SpillSize() == 0 {
 				t.Fatalf("seed %d: nothing spilled", seed)
 			}
 			assertFactorsMatch(t, "chaos", m, ref)
@@ -186,22 +177,13 @@ func TestOOCEvictionUnderRetry(t *testing.T) {
 // spilled from the first run.
 func TestOOCGraphReuse(t *testing.T) {
 	const n, nb = 300, 50
-	k, pts := genTestSetup(t, n)
 	ref := refFactor(t, n, nb)
-	m := NewMatrix(n, nb, 1e-7)
-	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: SVDCompressor{}}
-	gg := NewGenCholeskyGraph(m, spec, true)
-	st, err := store.NewTemp(t.TempDir(), ref.Bytes()/4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	AttachOOC(gg, m, st)
+	g, m, c := oocGraph(t, n, nb, ref.Bytes()/4)
 	for pass := 0; pass < 2; pass++ {
-		if err := gg.G.Execute(runtime.ExecOptions{Workers: 2}); err != nil {
+		if err := g.Execute(runtime.ExecOptions{Workers: 2}); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
-		if err := st.Err(); err != nil {
+		if err := c.Err(); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 		assertFactorsMatch(t, "reuse", m, ref)
@@ -231,8 +213,9 @@ func codecTiles(t testing.TB) []struct {
 }
 
 // The one tile codec, both ways it is used: the words a panel message ships
-// decode into a fresh tile, and the same words spilled as bytes restore an
-// evicted stub in place — shape, rank, footprint and every payload bit.
+// decode into a fresh tile, and the same words spilled as bytes fill the
+// empty slot an eviction leaves — shape, rank, footprint and every payload
+// bit.
 func TestCompTileCodecRoundTrip(t *testing.T) {
 	for _, tc := range codecTiles(t) {
 		want := tc.tile.Clone()
@@ -262,19 +245,11 @@ func TestCompTileCodecRoundTrip(t *testing.T) {
 		}
 		same("wire", wire)
 
-		spilled := wordBytes(words)
-		stub := tc.tile // evicted where it sits: holders keep the pointer
-		stub.drop()
-		if stub.U != nil || stub.V != nil || stub.D != nil {
-			t.Fatalf("%s: dropped tile keeps a payload", tc.name)
-		}
-		if stub.Rows() != rows || stub.Cols() != cols || stub.Rank() != rank || stub.Bytes() != bytes {
-			t.Fatalf("%s: stub forgot its shape", tc.name)
-		}
-		if err := stub.Decode(bytesWords(spilled)); err != nil {
+		m := NewMatrix(rows+cols, cols, 0) // slot (1, 0) is rows×cols
+		if err := m.DecodeTile(1, 0, bytesWords(wordBytes(words))); err != nil {
 			t.Fatalf("%s, spill: %v", tc.name, err)
 		}
-		same("spill", stub)
+		same("spill", m.Off(1, 0))
 
 		// Words Encode cannot produce are refused and leave the tile alone.
 		for how, bad := range map[string][]float64{
@@ -291,10 +266,14 @@ func TestCompTileCodecRoundTrip(t *testing.T) {
 			if how == "short payload" && len(words) == 3 {
 				continue // rank 0 has no payload to shorten
 			}
-			if err := stub.Decode(bad); err == nil {
+			if err := wire.Decode(bad); err == nil {
 				t.Fatalf("%s: %s decoded", tc.name, how)
 			}
-			same("after refused "+how, stub)
+			same("after refused "+how, wire)
+			if err := m.DecodeTile(1, 0, bad); err == nil {
+				t.Fatalf("%s: %s decoded into the slot", tc.name, how)
+			}
+			same("slot after refused "+how, m.Off(1, 0))
 		}
 	}
 }

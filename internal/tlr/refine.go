@@ -18,6 +18,9 @@ type RefineResult struct {
 // ErrNoConvergence is returned when PCG exhausts its iteration budget.
 var ErrNoConvergence = errors.New("tlr: iterative refinement did not converge")
 
+// refineMaxIter caps the PCG iterations of RefineSolve.
+const refineMaxIter = 50
+
 // RefineSolve solves A·x = b to relative residual tol using preconditioned
 // conjugate gradients, with a (possibly loose-accuracy) TLR Cholesky
 // factorization of A as the preconditioner and matvec applying the exact
@@ -30,13 +33,10 @@ var ErrNoConvergence = errors.New("tlr: iterative refinement did not converge")
 //
 // The preconditioner must already be factored (Cholesky called on it). b is
 // not modified; the solution is returned in a fresh slice.
-func RefineSolve(precond *Matrix, matvec func(x, y []float64), b []float64, tol float64, maxIter int) ([]float64, RefineResult, error) {
+func RefineSolve(precond *Matrix, matvec func(x, y []float64), b []float64, tol float64) ([]float64, RefineResult, error) {
 	n := len(b)
 	if precond.N != n {
 		return nil, RefineResult{}, errors.New("tlr: preconditioner dimension mismatch")
-	}
-	if maxIter <= 0 {
-		maxIter = 50
 	}
 	if tol <= 0 {
 		tol = 1e-12
@@ -64,7 +64,7 @@ func RefineSolve(precond *Matrix, matvec func(x, y []float64), b []float64, tol 
 	rz := la.Dot(r, z)
 
 	res := RefineResult{}
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < refineMaxIter; it++ {
 		for i := range ap {
 			ap[i] = 0
 		}
