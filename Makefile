@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrelationTable$$' -fuzztime 10s -parallel 1 ./internal/cov/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelRowBitwise$$' -fuzztime 10s -parallel 1 ./internal/cov/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompTileDecode$$' -fuzztime 10s -parallel 1 ./internal/tlr/
+	$(GO) test -run '^$$' -fuzz '^FuzzSVDThin$$' -fuzztime 10s -parallel 1 ./internal/la/
 
 # serve runs the kriging service (cmd/exaserve) on :8080.
 serve:

@@ -1,7 +1,7 @@
 // Package la provides the dense linear algebra substrate used throughout the
 // repository: a row-major matrix type, BLAS-like level-1/2/3 kernels, and
 // LAPACK-like factorizations (blocked Cholesky, blocked Householder QR,
-// QR-preconditioned one-sided Jacobi SVD).
+// Golub–Kahan SVD by bidiagonalization and bidiagonal QR).
 //
 // The package plays the role of Intel MKL / reference LAPACK in the original
 // ExaGeoStat stack. All routines operate on float64 and are deterministic.

@@ -1,6 +1,7 @@
 package la
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -436,8 +437,75 @@ func kernelCases() []kernelCase {
 		{name: "no columns 5x0", a: NewMat(5, 0)},
 		{name: "no rows 0x5", a: NewMat(0, 5)},
 	}
-	for _, d := range [][2]int{{8, 3}, {5, 5}, {20, 7}, {3, 8}, {64, 16}, {1, 5}, {5, 1}, {33, 17}} {
+	for _, d := range [][2]int{{8, 3}, {5, 5}, {20, 7}, {3, 8}, {64, 16}, {1, 5}, {5, 1}, {33, 17}, {1, 12}, {12, 1}} {
 		cases = append(cases, kernelCase{name: "random", a: randMat(rng, d[0], d[1])})
+	}
+	// Spectra that separate an SVD from a good one: graded over fourteen
+	// decades, repeated, clustered within 1e-12, and exactly rank-deficient.
+	decay := make([]float64, 40)
+	for j := range decay {
+		decay[j] = math.Pow(10, -14*float64(j)/39)
+	}
+	repeated := make([]float64, 48)
+	for j := range repeated {
+		repeated[j] = []float64{1, 1e-3, 1e-9}[j/16]
+	}
+	clustered := make([]float64, 40)
+	for j := range clustered {
+		clustered[j] = 1 - 2.5e-14*float64(j)
+	}
+	deficient := make([]float64, 50)
+	for j := 0; j < 20; j++ {
+		deficient[j] = math.Pow(10, -3*float64(j)/19)
+	}
+	for _, c := range []struct {
+		name  string
+		m, n  int
+		sigma []float64
+	}{
+		{"graded 1..1e-14 64x40", 64, 40, decay},
+		{"graded 1..1e-14 40x64", 40, 64, decay},
+		{"repeated 48x48", 48, 48, repeated},
+		{"clustered 40x40", 40, 40, clustered},
+		{"rank 20 of 60x50", 60, 50, deficient},
+		{"largest census shape 128x74", 128, 74, decay[:20]},
+	} {
+		cases = append(cases, kernelCase{name: c.name, a: withSpectrum(rng, c.m, c.n, c.sigma), sigma: c.sigma})
+	}
+	for _, c := range censusShapes(rng) {
+		cases = append(cases, kernelCase{name: c.name, a: c.a})
+	}
+	return cases
+}
+
+// withSpectrum returns U·diag(sigma)·Vᵀ for random U (m×k) and V (n×k) with
+// orthonormal columns, k = len(sigma) ≤ min(m, n).
+func withSpectrum(rng *rand.Rand, m, n int, sigma []float64) *Mat {
+	k := len(sigma)
+	u, v := orthoCols(rng, m, k), orthoCols(rng, n, k)
+	for i := 0; i < m; i++ {
+		for j, x := range sigma {
+			u.Set(i, j, u.At(i, j)*x)
+		}
+	}
+	a := NewMat(m, n)
+	Gemm(1, u, NoTrans, v, Transpose, 0, a)
+	return a
+}
+
+// censusShapes are inputs TLR feeds SVDThin, with spectra graded over twelve
+// decades as a tile's are: cores of recompression and basis extension (40×40
+// and 71×67 at nb = 128), the wide projection QᵀA of the randomized
+// compressor (74×128), and that projection at nb = 512 (130×512).
+func censusShapes(rng *rand.Rand) []kernelCase {
+	var cases []kernelCase
+	for _, d := range [][2]int{{40, 40}, {71, 67}, {74, 128}, {130, 512}} {
+		k := min(d[0], d[1])
+		sigma := make([]float64, k)
+		for j := range sigma {
+			sigma[j] = math.Pow(10, -12*float64(j)/float64(k-1))
+		}
+		cases = append(cases, kernelCase{name: fmt.Sprintf("census %dx%d", d[0], d[1]), a: withSpectrum(rng, d[0], d[1], sigma)})
 	}
 	return cases
 }
@@ -549,63 +617,70 @@ func svdResidual(a, u *Mat, s []float64, v *Mat) float64 {
 func TestSVDThinProperties(t *testing.T) {
 	noconv := cntSvdNoConv.Value()
 	for _, tc := range kernelCases() {
-		a := tc.a
-		m, n := a.Rows, a.Cols
-		aF := a.FrobNorm()
-		before := a.Clone()
-		_, sFull, _ := SVDThin(nil, a, 0)
-		for _, tol := range []float64{0, 1e-7} {
-			u, s, v := SVDThin(nil, a, tol)
-			if !a.Equalish(before, 0) {
-				t.Fatalf("%s: input modified", tc.name)
-			}
-			r := len(s)
-			if r > min(m, n) || u.Rows != m || u.Cols != r || v.Rows != n || v.Cols != r {
-				t.Fatalf("%s %dx%d tol %g: U %dx%d V %dx%d s %d", tc.name, m, n, tol, u.Rows, u.Cols, v.Rows, v.Cols, r)
-			}
-			for i, x := range s {
-				if x <= 0 || (i > 0 && x > s[i-1]) {
-					t.Fatalf("%s tol %g: singular values not positive and descending: %v", tc.name, tol, s)
-				}
-			}
-			// Rounding in the accumulated rotations grows with their number.
-			orth := 5e-15 * float64(max(r, 20))
-			if e := offIdentity(u); e > orth {
-				t.Fatalf("%s tol %g: ‖UᵀU − I‖_F = %g", tc.name, tol, e)
-			}
-			if e := offIdentity(v); e > orth {
-				t.Fatalf("%s tol %g: ‖VᵀV − I‖_F = %g", tc.name, tol, e)
-			}
-			// What is left out is below ε·‖A‖₂ without a tolerance and below
-			// svdDrop·tol·‖A‖_F with one.
-			if e := svdResidual(a, u, s, v); e > (1e-13+svdDrop*tol)*aF {
-				t.Fatalf("%s %dx%d tol %g: ‖A − UΣVᵀ‖_F = %g (‖A‖_F = %g)", tc.name, m, n, tol, e, aF)
-			}
-			if r > len(sFull) {
-				t.Fatalf("%s: tol %g kept %d directions, tol 0 kept %d", tc.name, tol, r, len(sFull))
-			}
-			for i, x := range s {
-				if math.Abs(x-sFull[i]) > (1e-13+svdDrop*tol)*aF {
-					t.Fatalf("%s tol %g: σ[%d] = %g, untruncated %g", tc.name, tol, i, x, sFull[i])
-				}
+		checkSVDThin(t, tc.name, tc.a, tc.sigma)
+	}
+	if d := cntSvdNoConv.Value() - noconv; d != 0 {
+		t.Fatalf("bidiagonal QR ran out of iterations on %d inputs", d)
+	}
+}
+
+// checkSVDThin holds SVDThin(a, tol) to its contract at tol 0, 1e-7 and
+// 1e-5: U and V orthonormal to 1e-13 (a hundredth of what tlr's Gram check
+// tolerates), s positive and descending, what is left out below
+// svdDrop·tol·‖a‖_F plus rounding, the truncated values those of the full
+// spectrum, and, where sigma gives it, that spectrum exact to 1e-14·‖a‖₂.
+func checkSVDThin(t *testing.T, name string, a *Mat, sigma []float64) {
+	t.Helper()
+	m, n := a.Rows, a.Cols
+	aF := a.FrobNorm()
+	before := a.Clone()
+	_, sFull, _ := SVDThin(nil, a, 0)
+	for _, tol := range []float64{0, 1e-7, 1e-5} {
+		u, s, v := SVDThin(nil, a, tol)
+		if !a.Equalish(before, 0) {
+			t.Fatalf("%s: input modified", name)
+		}
+		r := len(s)
+		if r > min(m, n) || u.Rows != m || u.Cols != r || v.Rows != n || v.Cols != r {
+			t.Fatalf("%s %dx%d tol %g: U %dx%d V %dx%d s %d", name, m, n, tol, u.Rows, u.Cols, v.Rows, v.Cols, r)
+		}
+		for i, x := range s {
+			if x <= 0 || (i > 0 && x > s[i-1]) {
+				t.Fatalf("%s tol %g: singular values not positive and descending: %v", name, tol, s)
 			}
 		}
-		if aF == 0 && len(sFull) != 0 {
-			t.Fatalf("%s: zero matrix has %d singular values", tc.name, len(sFull))
+		if e := offIdentity(u); e > 1e-13 {
+			t.Fatalf("%s tol %g: ‖UᵀU − I‖_F = %g", name, tol, e)
 		}
-		// Exact spectrum, where known: relative to ‖A‖₂.
-		for i, want := range tc.sigma {
-			got := 0.0
-			if i < len(sFull) {
-				got = sFull[i]
-			}
-			if math.Abs(got-want) > 1e-14*tc.sigma[0] {
-				t.Fatalf("%s: σ[%d] = %g want %g", tc.name, i, got, want)
+		if e := offIdentity(v); e > 1e-13 {
+			t.Fatalf("%s tol %g: ‖VᵀV − I‖_F = %g", name, tol, e)
+		}
+		// What is left out is below ε·‖A‖₂ without a tolerance and below
+		// svdDrop·tol·‖A‖_F with one.
+		if e := svdResidual(a, u, s, v); e > (1e-13+svdDrop*tol)*aF {
+			t.Fatalf("%s %dx%d tol %g: ‖A − UΣVᵀ‖_F = %g (‖A‖_F = %g)", name, m, n, tol, e, aF)
+		}
+		if r > len(sFull) {
+			t.Fatalf("%s: tol %g kept %d directions, tol 0 kept %d", name, tol, r, len(sFull))
+		}
+		for i, x := range s {
+			if math.Abs(x-sFull[i]) > (1e-13+svdDrop*tol)*aF {
+				t.Fatalf("%s tol %g: σ[%d] = %g, untruncated %g", name, tol, i, x, sFull[i])
 			}
 		}
 	}
-	if d := cntSvdNoConv.Value() - noconv; d != 0 {
-		t.Fatalf("Jacobi ran out of sweeps on %d inputs", d)
+	if aF == 0 && len(sFull) != 0 {
+		t.Fatalf("%s: zero matrix has %d singular values", name, len(sFull))
+	}
+	// Exact spectrum, where known: relative to ‖A‖₂.
+	for i, want := range sigma {
+		got := 0.0
+		if i < len(sFull) {
+			got = sFull[i]
+		}
+		if math.Abs(got-want) > 1e-14*sigma[0] {
+			t.Fatalf("%s: σ[%d] = %g want %g", name, i, got, want)
+		}
 	}
 }
 
@@ -629,6 +704,31 @@ func TestSVDLowRankExact(t *testing.T) {
 	if _, s, _ = SVDThin(nil, a, 1e-8); len(s) != 3 {
 		t.Fatalf("with a tolerance the rank-3 matrix keeps %d directions", len(s))
 	}
+}
+
+// FuzzSVDThin holds SVDThin to its contract on small matrices whose entries
+// span 1e-150 … 1e150: two bytes give the shape (at most 12×12), then two
+// bytes an entry, a signed mantissa and a decimal exponent. Squares of such
+// entries are still finite, but only a scaled rotation generator and a rank
+// cut taken relative to ‖a‖₂ keep every step of the SVD in range.
+func FuzzSVDThin(f *testing.F) {
+	f.Add([]byte{3, 3, 0x40, 150, 0x40, 150, 0x40, 150})
+	f.Add([]byte{11, 7, 0x7f, 255, 0x81, 0, 0x10, 200, 0x22, 90, 0x7f, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		a := NewMat(int(data[0])%12+1, int(data[1])%12+1)
+		data = data[2:]
+		for i := range a.Data {
+			if len(data) < 2 {
+				break
+			}
+			a.Data[i] = float64(int8(data[0])) / 128 * math.Pow(10, float64(int(data[1])*300/255-150))
+			data = data[2:]
+		}
+		checkSVDThin(t, "fuzz", a, nil)
+	})
 }
 
 // Work hands out zeroed memory that stays valid until Reset, survives
@@ -660,8 +760,7 @@ func TestWorkArena(t *testing.T) {
 	}
 }
 
-// The recompression shapes: a stacked 128×56 factor for QRThin, its 56×56
-// core for SVDThin, each with a warm arena as tlr runs them.
+// A stacked 128×56 recompression factor, with a warm arena as tlr runs it.
 func BenchmarkQRThin(b *testing.B) {
 	a := kernelCases()[0].a
 	w := new(Work)
@@ -673,18 +772,21 @@ func BenchmarkQRThin(b *testing.B) {
 	}
 }
 
+// SVDThin at the shapes tlr feeds it, tol 1e-7, warm arena.
 func BenchmarkSVDThin(b *testing.B) {
-	a := kernelCases()[1].a
-	w := new(Work)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SVDThin(w, a, 1e-7)
-		w.Reset()
+	for _, c := range censusShapes(rand.New(rand.NewSource(15))) {
+		b.Run(fmt.Sprintf("%dx%d", c.a.Rows, c.a.Cols), func(b *testing.B) {
+			w := new(Work)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SVDThin(w, c.a, 1e-7)
+				w.Reset()
+			}
+		})
 	}
 }
 
-// The Jacobi and Householder inner loops at the length of a recompression
+// The rotation and Householder inner loops at the length of a recompression
 // core's rows.
 func BenchmarkDot(b *testing.B) {
 	x, y := kernelCases()[1].a.Row(0), kernelCases()[1].a.Row(1)

@@ -16,8 +16,9 @@ var (
 	cntPotrf = obs.GetCounter("la.potrf.calls")
 	cntSvd   = obs.GetCounter("la.svd.calls")
 	cntQr    = obs.GetCounter("la.qr.calls")
-	// cntSvdNoConv counts SVDThin calls whose Jacobi iteration used all its
-	// sweeps without converging; the result is then only approximately
-	// orthogonal. Expected to stay 0.
+	// cntSvdNoConv counts SVDThin calls whose bidiagonal QR iteration spent
+	// its budget (6·n² inner steps) before every superdiagonal entry reached
+	// zero; the singular values are then only approximate. Expected to stay
+	// 0.
 	cntSvdNoConv = obs.GetCounter("la.svd.noconverge")
 )

@@ -29,8 +29,16 @@ func QRThin(w *Work, a *Mat) (q, r *Mat) {
 	if k == 0 {
 		return w.Mat(m, 0), w.Mat(0, n)
 	}
-	wt := w.Mat(n, m) // aᵀ; ends as R above and reflector tails below the diagonal
+	wt := w.Mat(n, m)
 	wt.transposeFrom(a)
+	return qrT(w, wt)
+}
+
+// qrT is QRThin of the matrix held transposed in wt, neither of whose sizes
+// is 0; wt ends as R above its diagonal and reflector tails below.
+func qrT(w *Work, wt *Mat) (q, r *Mat) {
+	n, m := wt.Rows, wt.Cols
+	k := min(m, n)
 	// Row j of vt is reflector j in full: zeros, an explicit 1 at j, the
 	// tail. tm holds one upper-triangular T per panel, rows j0..j0+b.
 	vt := w.Mat(k, m)
@@ -111,15 +119,31 @@ func leadingRowsOfR(w *Work, wt *Mat, k int, perm []int) *Mat {
 
 // house overwrites x = (x₀, tail) with (β, v tail) and returns τ such that
 // H = I − τ·v·vᵀ, v = (1, v tail), maps x to (β, 0, …) — LAPACK's dlarfg.
-// τ = 0 (H = I) when the tail is already zero.
+// τ = 0 (H = I) when the tail is already zero. The norm is a plain sum of
+// squares where that sum lies well inside the exponent range and dnrm2's
+// scaled one otherwise, and a vector whose norm is near the underflow
+// threshold is reflected scaled up by an exact power of two, so that H is
+// orthogonal for entries of any magnitude.
 func house(x []float64) float64 {
 	tail := x[1:]
 	ss := dot(tail, tail)
-	if ss == 0 {
-		return 0
-	}
 	x0 := x[0]
-	beta := -math.Copysign(math.Sqrt(x0*x0+ss), x0)
+	norm := math.Sqrt(x0*x0 + ss)
+	if !(ss > 0x1p-900 && norm < 0x1p450) {
+		xn := Nrm2(tail)
+		if xn == 0 {
+			return 0
+		}
+		if norm = math.Hypot(x0, xn); norm < 0x1p-900 {
+			for i := range x {
+				x[i] *= 0x1p600
+			}
+			tau := house(x)
+			x[0] *= 0x1p-600
+			return tau
+		}
+	}
+	beta := -math.Copysign(norm, x0)
 	inv := 1 / (x0 - beta)
 	for i := range tail {
 		tail[i] *= inv

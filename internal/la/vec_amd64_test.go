@@ -152,7 +152,7 @@ func TestVectorKernelsPassNonFinite(t *testing.T) {
 }
 
 // QRThin and SVDThin meet the same residual and orthogonality bounds on the
-// Go loops as on the assembly, and Jacobi converges on both.
+// Go loops as on the assembly, and bidiagonal QR converges on both.
 func TestQRSVDPropertiesScalarBodies(t *testing.T) {
 	if !useFMAKernel {
 		t.Skip("no AVX2+FMA on this CPU: the other tests already ran the Go loops")

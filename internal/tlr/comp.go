@@ -256,26 +256,25 @@ func (SVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 }
 
 // RSVDCompressor compresses via randomized range finding (Halko/Martinsson/
-// Tropp) with oversampling and optional power iterations, then an exact SVD
+// Tropp) with oversampling and one power iteration, then an exact SVD
 // of the small projected matrix. Much cheaper than full SVD when the
 // numerical rank is far below the tile size.
 type RSVDCompressor struct {
-	// Oversample extends the sketch width beyond the rank guess (default 10).
-	Oversample int
-	// PowerIters stabilizes the range estimate for slowly decaying spectra
-	// (default 1); set negative to disable power iterations entirely.
-	PowerIters int
 	// Seed parameterizes the deterministic per-tile generators handed out by
-	// ForTile and the default generator used when Rng is nil (default
-	// 0x5eed).
+	// ForTile and the generator Compress uses otherwise (default 0x5eed).
 	Seed uint64
-	// Rng provides the Gaussian sketch; a fixed default seed keeps runs
-	// deterministic when nil. A non-nil Rng is mutated by Compress, so it
-	// must not be shared across concurrent compressions — parallel callers
-	// go through ForTile, which derives an independent per-tile stream
-	// instead of touching this field.
-	Rng *rng.Rand
+	// gen is the Gaussian stream of the tile ForTile named; Compress
+	// advances it, so an instance from ForTile serves one compression.
+	gen *rng.Rand
 }
+
+// The sketch is sketchMargin columns wider than the rank guess, and
+// powerPasses power iterations stabilize the range estimate for slowly
+// decaying spectra.
+const (
+	sketchMargin = 10
+	powerPasses  = 1
+)
 
 // Name implements Compressor.
 func (RSVDCompressor) Name() string { return "rsvd" }
@@ -292,7 +291,7 @@ func (r RSVDCompressor) ForTile(i, j int) Compressor {
 	// runs the result through SplitMix64 again, so nearby tiles land on
 	// well-separated states.
 	s := seed ^ (uint64(i)*0x9e3779b97f4a7c15 + uint64(j)*0xbf58476d1ce4e5b9 + 0x2545f4914f6cdd1d)
-	r.Rng = rng.New(s)
+	r.gen = rng.New(s)
 	return r
 }
 
@@ -306,17 +305,7 @@ func (r RSVDCompressor) ForTile(i, j int) Compressor {
 // alone. The projected matrix QᵀA is factored once, after the range is
 // accepted.
 func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
-	over := r.Oversample
-	if over <= 0 {
-		over = 10
-	}
-	iters := r.PowerIters
-	if iters < 0 {
-		iters = 0
-	} else if r.PowerIters == 0 {
-		iters = 1
-	}
-	gen := r.Rng
+	gen := r.gen
 	if gen == nil {
 		seed := r.Seed
 		if seed == 0 {
@@ -356,12 +345,12 @@ func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 	qbuf := ws.Mat(m, maxK)
 	q := qbuf.View(0, 0, m, 0)
 	for guess := 8; ; guess *= 2 {
-		nw := min(guess+over, maxK) - q.Cols
+		nw := min(guess+sketchMargin, maxK) - q.Cols
 		om = ws.Mat(n, nw)
 		gen.NormSlice(om.Data)
 		y := ws.Mat(m, nw)
 		la.Gemm(1, a, la.NoTrans, om, la.NoTrans, 0, y)
-		for it := 0; it < iters; it++ {
+		for it := 0; it < powerPasses; it++ {
 			projectOut(ws, y, q)
 			qy, _ := la.QRThin(ws, y)
 			z := ws.Mat(n, nw)

@@ -136,16 +136,6 @@ func TestRSVDForTileDeterminism(t *testing.T) {
 	}
 }
 
-// The documented PowerIters default is 1; zero must not silently mean 2.
-func TestRSVDPowerItersDefault(t *testing.T) {
-	a := covTile(t, 40, 36, 0.8)
-	def := RSVDCompressor{}.Compress(a, 1e-6)
-	one := RSVDCompressor{PowerIters: 1}.Compress(a, 1e-6)
-	if def.Rank() != one.Rank() || !exactEqual(def.U, one.U) || !exactEqual(def.V, one.V) {
-		t.Fatal("PowerIters zero value does not behave as the documented default of 1")
-	}
-}
-
 // A zero tile has rank 0 and zero storage however it arises — from any of
 // the three compressors, or from an update that cancels the tile exactly —
 // and every TLR kernel treats the rank-0 tile as a structural no-op.

@@ -176,3 +176,35 @@ func TestUpdateTargetsKeepInvariant(t *testing.T) {
 		sameCount("on 4 ranks", before)
 	}
 }
+
+// With no ragged tile row — so no update target of rank 0 and none without
+// room — a whole factorization never takes the general stack-and-recompress
+// path at a loose or a tight accuracy: every target passes the Gram check,
+// which holds the tile's bases to the orthogonality SVDThin gives its U and V.
+func TestFactorizationTakesNoGeneralPath(t *testing.T) {
+	const n, nb = 768, 128
+	pts := geom.GeneratePerturbedGrid(n, rng.New(11))
+	pts = geom.ApplyPerm(pts, geom.MortonOrder(pts))
+	k := cov.NewKernel(cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.5})
+	general := obs.GetCounter("tlr.recompress.general")
+	updates := obs.GetCounter("tlr.recompress.calls")
+	for _, tol := range []float64{1e-5, 1e-7} {
+		for _, name := range []string{"svd", "rsvd"} {
+			comp, err := tlr.CompressorByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := tlr.FromKernel(k, pts, geom.Euclidean, n, nb, tol, comp, 1e-6, 2)
+			g0, u0 := general.Value(), updates.Value()
+			if err := tlr.Cholesky(m, 2); err != nil {
+				t.Fatal(err)
+			}
+			if u := updates.Value() - u0; u == 0 {
+				t.Fatalf("%s at %g: no low-rank update ran", name, tol)
+			}
+			if d := general.Value() - g0; d != 0 {
+				t.Errorf("%s at %g: %d updates took the general path", name, tol, d)
+			}
+		}
+	}
+}
