@@ -35,7 +35,7 @@ func (st *denseState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64)
 	}
 	k.MatrixParallel(st.sigma, e.p.Points, e.p.Metric, e.cfg.Workers)
 	cov.AddNugget(st.sigma, nugget)
-	if err := la.Potrf(st.sigma); err != nil {
+	if err := la.PotrfParallel(st.sigma, e.cfg.Workers); err != nil {
 		return nil, fmt.Errorf("core: %s factorization: %w", e.cfg.Mode, err)
 	}
 	return memFactor{denseFactor{l: st.sigma}}, nil

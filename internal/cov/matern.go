@@ -15,8 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
+	"runtime"
 
 	"repro/internal/bessel"
 	"repro/internal/geom"
@@ -192,42 +191,25 @@ func (k *Kernel) symRow(dst *la.Mat, i int, pts []geom.Point, m geom.Metric) {
 // MatrixParallel fills dst exactly like Matrix but splits the lower-triangle
 // rows across worker goroutines — the FullBlock analogue of the per-tile
 // dcmg generation tasks (paper's "parallel for" matrix generation). Rows are
-// handed out in small chunks through an atomic cursor so the triangular cost
-// profile (row i costs ~i kernel evaluations) load-balances dynamically.
-// Each element (and its mirror) is written by exactly one goroutine, so the
-// workers never contend. workers < 2 or small n falls back to the
-// sequential path.
+// handed out in small chunks through la.ParallelFor's atomic cursor so the
+// triangular cost profile (row i costs ~i kernel evaluations) load-balances
+// dynamically. Each element (and its mirror) is written by exactly one
+// goroutine, so the workers never contend. workers < 2 or small n runs on
+// the calling goroutine.
 func (k *Kernel) MatrixParallel(dst *la.Mat, pts []geom.Point, m geom.Metric, workers int) {
 	n := len(pts)
 	if dst.Rows != n || dst.Cols != n {
 		panic(fmt.Sprintf("cov: matrix dims %dx%d for %d points", dst.Rows, dst.Cols, n))
 	}
 	const chunk = 16
-	if workers < 2 || n < 4*chunk {
-		k.Matrix(dst, pts, m)
-		return
+	if n < 4*chunk {
+		workers = 1
 	}
-	var (
-		next int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := atomic.AddInt64(&next, 1) - 1
-				lo := int(c) * chunk
-				if lo >= n {
-					return
-				}
-				for i := lo; i < min(lo+chunk, n); i++ {
-					k.symRow(dst, i, pts, m)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	la.ParallelFor(workers, (n+chunk-1)/chunk, func(c int) {
+		for i := c * chunk; i < min(c*chunk+chunk, n); i++ {
+			k.symRow(dst, i, pts, m)
+		}
+	})
 }
 
 // Block fills dst (len(rows)×len(cols)) with the cross-covariance between
@@ -267,33 +249,40 @@ func SampleField(k *Kernel, pts []geom.Point, m geom.Metric, r *rng.Rand) ([]flo
 	return SampleFromFactor(l, r), nil
 }
 
-// FieldFactor assembles Σ(θ) for pts and returns its lower Cholesky factor.
-// Callers drawing many replicates at fixed locations (Monte Carlo, paper
-// §VIII-D1) factor once and call SampleFromFactor per replicate.
+// FieldFactor assembles Σ(θ) for pts and returns its lower Cholesky factor,
+// both on every core (GOMAXPROCS): the fill and the factor are bit for bit
+// what one core computes. Callers drawing many replicates at fixed locations
+// (Monte Carlo, paper §VIII-D1) factor once and call SampleFromFactor per
+// replicate.
 func FieldFactor(k *Kernel, pts []geom.Point, m geom.Metric) (*la.Mat, error) {
-	n := len(pts)
+	n, workers := len(pts), runtime.GOMAXPROCS(0)
 	sigma := la.NewMat(n, n)
-	k.Matrix(sigma, pts, m)
+	k.MatrixParallel(sigma, pts, m, workers)
 	AddNugget(sigma, 1e-12*k.P.Variance*float64(n))
-	if err := la.Potrf(sigma); err != nil {
+	if err := la.PotrfParallel(sigma, workers); err != nil {
 		return nil, fmt.Errorf("cov: covariance not SPD for θ=%v: %w", k.P, err)
 	}
 	return sigma, nil
 }
 
 // SampleFromFactor returns L·e with e ~ N(0, I) for a lower Cholesky factor.
+// The rows of L are shared out over every core (GOMAXPROCS); each zᵢ is one
+// left-to-right sum, so the draw does not depend on how many there are.
 func SampleFromFactor(l *la.Mat, r *rng.Rand) []float64 {
+	const chunk = 64
 	n := l.Rows
 	e := make([]float64, n)
 	r.NormSlice(e)
 	z := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := l.Row(i)
-		var s float64
-		for j := 0; j <= i && j < len(row); j++ {
-			s += row[j] * e[j]
+	la.ParallelFor(runtime.GOMAXPROCS(0), (n+chunk-1)/chunk, func(c int) {
+		for i := c * chunk; i < min(c*chunk+chunk, n); i++ {
+			row := l.Row(i)
+			var s float64
+			for j := 0; j <= i && j < len(row); j++ {
+				s += row[j] * e[j]
+			}
+			z[i] = s
 		}
-		z[i] = s
-	}
+	})
 	return z
 }

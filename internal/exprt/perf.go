@@ -124,7 +124,7 @@ func Fig3(o Options) error {
 			_, err := core.LogLikelihood(syn.Train, th, cfg)
 			return time.Since(t0).Seconds(), err
 		}
-		tb1, err := timeOf(core.Config{Mode: core.FullBlock})
+		tb1, err := timeOf(core.Config{Mode: core.FullBlock, Workers: o.Workers})
 		if err != nil {
 			return err
 		}

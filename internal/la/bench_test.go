@@ -58,18 +58,25 @@ func BenchmarkSyrk(b *testing.B) {
 	reportGflops(b, n*n*n)
 }
 
+// Potrf at a tile's order and at two full-block orders, on one and two
+// workers: the trailing blocks stay in cache and are shared out only above
+// the super-panel's 256.
 func BenchmarkPotrf(b *testing.B) {
-	const n = 128
-	a0 := randSPD(rand.New(rand.NewSource(3)), n)
-	a := a0.Clone()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(a.Data, a0.Data)
-		if err := Potrf(a); err != nil {
-			b.Fatal(err)
+	for _, n := range []int{128, 1500, 2300} {
+		a0 := randSPD(rand.New(rand.NewSource(3)), n)
+		a := a0.Clone()
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%d/w%d", n, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(a.Data, a0.Data)
+					if err := PotrfParallel(a, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportGflops(b, float64(n)*float64(n)*float64(n)/3)
+			})
 		}
 	}
-	reportGflops(b, n*n*n/3.0)
 }
 
 // The multi-column products that carry the most work in a fit_tlr evaluation
