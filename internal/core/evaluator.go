@@ -65,8 +65,8 @@ type evaluator struct {
 	y []float64 // rhs scratch
 
 	// trace switches graph executions to ExecuteTraced; lastTrace keeps the
-	// most recent execution's trace for Session.Metrics. FullBlock has no
-	// task graph, so lastTrace stays nil in that mode.
+	// most recent execution's trace for Session.Metrics. FullBlock and the
+	// ranks execute no task graph here, so lastTrace stays nil in those modes.
 	trace     bool
 	lastTrace *runtime.Trace
 }

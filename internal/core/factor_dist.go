@@ -8,7 +8,6 @@ import (
 	"repro/internal/cov"
 	"repro/internal/la"
 	"repro/internal/mpi"
-	"repro/internal/runtime"
 	"repro/internal/tlr"
 )
 
@@ -28,8 +27,6 @@ type distState struct {
 	world  *mpi.World
 	shards []*mpi.DistTLR  // one per rank, nil until factorizeOnce builds it
 	inj    *chaos.Injector // nil unless Config.Chaos is set
-
-	traceStart time.Time // set by enableTracing
 }
 
 func newDistState(e *evaluator) (factorizer, error) {
@@ -40,15 +37,11 @@ func newDistState(e *evaluator) (factorizer, error) {
 
 // newWorld replaces the World and its shards with a fresh World of size ranks
 // and no shards: at the start, and as the shrink after a rank death. The
-// receive deadline is armed when fault injection is, and the communication
-// timeline when tracing is.
+// receive deadline is armed when fault injection is.
 func (d *distState) newWorld(size int) {
 	w := mpi.NewWorld(size)
 	if d.inj != nil {
 		w.SetRecvTimeout(chaosRecvTimeout)
-	}
-	if !d.traceStart.IsZero() {
-		w.EnableTrace(d.traceStart)
 	}
 	d.world, d.shards = w, make([]*mpi.DistTLR, size)
 }
@@ -210,24 +203,4 @@ func (s *Session) CommStats() []mpi.CommStats {
 		return d.commStats()
 	}
 	return nil
-}
-
-// enableTracing starts a timestamped communication timeline on the World,
-// and on every World a shrink builds after it.
-func (d *distState) enableTracing() {
-	d.traceStart = time.Now()
-	d.world.EnableTrace(d.traceStart)
-}
-
-// commTrace renders the communication timeline as a runtime.Trace — one
-// worker lane per rank, every cross-rank message an instant event. Nil until
-// enableTracing is called.
-func (d *distState) commTrace() *runtime.Trace {
-	if !d.world.TraceEnabled() {
-		return nil
-	}
-	tr := &runtime.Trace{Workers: d.world.Size()}
-	tr.MergeEvents(d.world.TraceEvents(0))
-	tr.Wall = time.Since(d.traceStart)
-	return tr
 }

@@ -36,7 +36,7 @@ func (st *hodlrState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64)
 		}
 		st.hm = hodlr.NewTree(e.p.N(), e.cfg.TileSize, e.cfg.Accuracy)
 		st.hspec = &tlr.GenSpec{Pts: e.p.Points, Metric: e.p.Metric, Comp: comp}
-		st.hg = hodlr.BuildGenCholeskyGraph(st.hm, st.hspec, true)
+		st.hg = hodlr.BuildGenCholeskyGraph(st.hm, st.hspec)
 		cntCacheHODLRMiss.Inc()
 	} else {
 		cntCacheHODLRHit.Inc()

@@ -19,9 +19,8 @@ type Metrics struct {
 	Obs obs.Snapshot
 	// Trace is the most recent task-graph execution trace (nil until
 	// EnableTracing is called and a graph-backed evaluation runs; always nil
-	// for FullBlock, which has no task graph). For distributed sessions it
-	// is the communication timeline instead — one worker lane per rank,
-	// every cross-rank message an instant event.
+	// for FullBlock and on ranks, which run no shared-memory task graph —
+	// Comm is what a distributed session reports).
 	Trace *runtime.Trace
 	// Comm is the per-rank cumulative traffic (nil for shared-memory
 	// sessions) of the World the session runs on now: Config.Ranks −
@@ -42,19 +41,16 @@ type Metrics struct {
 	RanksLost int
 }
 
-// EnableTracing switches the session's graph executions to traced mode.
-// Shared-memory sessions record per-task timings of every subsequent
-// factorization (retrievable via Metrics().Trace, which keeps the most
-// recent one); distributed sessions start a timestamped communication
-// timeline. Call it before the evaluations of interest; tracing adds two
-// time.Now() calls per task and is safe to leave on.
+// EnableTracing switches the session's shared-memory graph executions to
+// traced mode: every subsequent factorization records per-task timings
+// (retrievable via Metrics().Trace, which keeps the most recent one). It
+// records nothing in FullBlock or on ranks. Call it before the evaluations
+// of interest; tracing adds two time.Now() calls per task and is safe to
+// leave on.
 func (s *Session) EnableTracing() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ev.trace = true
-	if d := s.ranks(); d != nil {
-		d.enableTracing()
-	}
 }
 
 // Metrics returns the session's current observability state. The Obs
@@ -71,7 +67,6 @@ func (s *Session) Metrics() Metrics {
 	m.Replays = d.Replays
 	m.Trace = s.ev.lastTrace
 	if r := s.ranks(); r != nil {
-		m.Trace = r.commTrace()
 		m.Comm = r.commStats()
 		m.RanksLost = s.ev.cfg.Ranks - r.world.Size()
 	}

@@ -94,7 +94,7 @@ func TestSessionMetricsTLRRankHistogram(t *testing.T) {
 }
 
 // TestSessionMetricsDistComm: a traced distributed session reports per-rank
-// comm stats and a communication-timeline trace with one lane per rank.
+// comm stats and no trace — the ranks run no shared-memory task graph.
 func TestSessionMetricsDistComm(t *testing.T) {
 	p := smallProblem(t, 64, 13)
 	s, err := NewSession(p, Config{Mode: TLR, TileSize: 16, Accuracy: 1e-7, Ranks: 4})
@@ -116,18 +116,7 @@ func TestSessionMetricsDistComm(t *testing.T) {
 	if sent == 0 {
 		t.Fatal("no cross-rank messages recorded")
 	}
-	if m.Trace == nil {
-		t.Fatal("no communication timeline")
-	}
-	if len(m.Trace.Events) == 0 || m.Trace.Workers != 4 {
-		t.Fatalf("comm timeline: %d events on %d lanes", len(m.Trace.Events), m.Trace.Workers)
-	}
-	for _, e := range m.Trace.Events {
-		if e.Start != e.End {
-			t.Fatalf("comm event not instantaneous: %+v", e)
-		}
-		if e.Start < 0 || e.End > m.Trace.Wall {
-			t.Fatalf("comm event outside [0, wall]: %+v", e)
-		}
+	if m.Trace != nil {
+		t.Fatalf("trace on ranks: %d events", len(m.Trace.Events))
 	}
 }

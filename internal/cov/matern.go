@@ -155,9 +155,6 @@ func (k *Kernel) offTable(s float64) float64 {
 	}
 }
 
-// Correlation returns C(r)/θ₁ ∈ (0, 1].
-func (k *Kernel) Correlation(r float64) float64 { return k.At(r) / k.P.Variance }
-
 // Matrix fills dst (n×n) with Σ_ij = C(d(p_i, p_j); θ) for the locations pts
 // under metric m: SymBlock over all of pts.
 func (k *Kernel) Matrix(dst *la.Mat, pts []geom.Point, m geom.Metric) {

@@ -75,7 +75,7 @@ func TestKernelRangeControlsDecay(t *testing.T) {
 	// Larger range = stronger correlation at the same distance.
 	weak := NewKernel(Params{Variance: 1, Range: 0.03, Smoothness: 0.5})
 	strong := NewKernel(Params{Variance: 1, Range: 0.3, Smoothness: 0.5})
-	if weak.Correlation(0.1) >= strong.Correlation(0.1) {
+	if weak.At(0.1)/weak.P.Variance >= strong.At(0.1)/strong.P.Variance {
 		t.Fatal("range parameter does not control correlation strength")
 	}
 }

@@ -212,45 +212,6 @@ func (r Region) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X < r.MaxX && p.Y >= r.MinY && p.Y < r.MaxY
 }
 
-// PartitionGrid splits the bounding box of pts into px×py equal rectangles
-// and returns, for each rectangle in row-major order, the indices of the
-// points inside it. Boundary points on the global max edge fall in the last
-// row/column.
-func PartitionGrid(pts []Point, px, py int) [][]int {
-	if len(pts) == 0 || px <= 0 || py <= 0 {
-		return nil
-	}
-	minX, maxX := pts[0].X, pts[0].X
-	minY, maxY := pts[0].Y, pts[0].Y
-	for _, p := range pts[1:] {
-		minX = math.Min(minX, p.X)
-		maxX = math.Max(maxX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxY = math.Max(maxY, p.Y)
-	}
-	out := make([][]int, px*py)
-	dx := (maxX - minX) / float64(px)
-	dy := (maxY - minY) / float64(py)
-	for i, p := range pts {
-		cx, cy := 0, 0
-		if dx > 0 {
-			cx = int((p.X - minX) / dx)
-		}
-		if dy > 0 {
-			cy = int((p.Y - minY) / dy)
-		}
-		if cx >= px {
-			cx = px - 1
-		}
-		if cy >= py {
-			cy = py - 1
-		}
-		cell := cy*px + cx
-		out[cell] = append(out[cell], i)
-	}
-	return out
-}
-
 // MinPairDistance returns the smallest pairwise distance among pts under m.
 // It is O(n²) and intended for test-sized inputs.
 func MinPairDistance(m Metric, pts []Point) float64 {

@@ -142,40 +142,6 @@ func TestApplyPerm(t *testing.T) {
 	}
 }
 
-func TestPartitionGridCoversAllPoints(t *testing.T) {
-	r := rng.New(6)
-	pts := GeneratePerturbedGrid(500, r)
-	parts := PartitionGrid(pts, 4, 2)
-	if len(parts) != 8 {
-		t.Fatalf("want 8 regions, got %d", len(parts))
-	}
-	total := 0
-	seen := make([]bool, len(pts))
-	for _, part := range parts {
-		for _, idx := range part {
-			if seen[idx] {
-				t.Fatal("point assigned to two regions")
-			}
-			seen[idx] = true
-			total++
-		}
-	}
-	if total != len(pts) {
-		t.Fatalf("regions cover %d of %d points", total, len(pts))
-	}
-}
-
-func TestPartitionGridBalance(t *testing.T) {
-	// A dense uniform grid should split nearly evenly.
-	pts := GenerateGrid(40) // 1600 points
-	parts := PartitionGrid(pts, 2, 2)
-	for i, p := range parts {
-		if len(p) != 400 {
-			t.Fatalf("region %d has %d points, want 400", i, len(p))
-		}
-	}
-}
-
 func TestRegionContains(t *testing.T) {
 	r := Region{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	if !r.Contains(Point{0.5, 0.5}) || r.Contains(Point{1.5, 0.5}) || r.Contains(Point{1, 0.5}) {

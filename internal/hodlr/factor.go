@@ -14,8 +14,8 @@
 // is where the format's approximation lives.
 //
 // After Cholesky the tree holds L in place: leaves carry dense Cholesky
-// factors, off blocks carry L21 in compressed (or dense-fallback) form, and
-// the solves walk the tree.
+// factors, off blocks carry L21 in compressed form, and the solves walk the
+// tree.
 package hodlr
 
 import (
@@ -63,20 +63,14 @@ func (n *node) potrf() error {
 
 // factorPanel turns the off block A21 into the panel L21 = A21·L11⁻ᵀ, using
 // the already-factored left subtree, and caches S = ṼᵀṼ for the Schur
-// updates. For a compressed block only V moves: L21 = U·(L11⁻¹·V)ᵀ. For a
-// dense block (compression-miss fallback) the whole panel is solved.
+// updates. Only V moves: L21 = U·(L11⁻¹·V)ᵀ. Every off block is
+// compressed: HODLR generates with no rank cap and no forced misses, and
+// AddLowRank keeps a compressed tile compressed when maxRank is 0.
 func (n *node) factorPanel() {
 	t := n.off
 	n.schurS = nil
-	switch {
-	case t.IsDense():
-		// L21ᵀ = L11⁻¹·A21ᵀ
-		dt := t.D.T()
-		n.left.solveMat(la.NoTrans, dt, n.lo)
-		t.D = dt.T()
-	case t.Rank() > 0:
+	if k := t.Rank(); k > 0 {
 		n.left.solveMat(la.NoTrans, t.V, n.lo)
-		k := t.Rank()
 		s := la.NewMat(k, k)
 		la.Gemm(1, t.V, la.Transpose, t.V, la.NoTrans, 0, s)
 		n.schurS = s
@@ -91,19 +85,6 @@ func (n *node) factorPanel() {
 func (n *node) applySchur(d *node, tol float64) {
 	mid := n.left.hi
 	t := n.off
-	if t.IsDense() {
-		p := t.D // the dense panel L21, rows global [mid, n.hi)
-		if d.dense != nil {
-			pd := p.View(d.lo-mid, 0, d.hi-d.lo, p.Cols)
-			la.Gemm(-1, pd, la.NoTrans, pd, la.Transpose, 1, d.dense)
-			return
-		}
-		dmid := d.left.hi
-		x := p.View(dmid-mid, 0, d.hi-dmid, p.Cols)
-		y := p.View(d.lo-mid, 0, dmid-d.lo, p.Cols)
-		d.off = tlr.AddLowRank(d.off, -1, x, y, tol, 0)
-		return
-	}
 	if t.Rank() == 0 {
 		return
 	}
@@ -170,7 +151,7 @@ func (n *node) solveMat(ta la.Trans, b *la.Mat, base int) {
 }
 
 // RankStats returns the (max, mean) rank over the compressed off-diagonal
-// blocks; dense-fallback blocks count at their full minimum dimension.
+// blocks.
 func (m *Matrix) RankStats() (int, float64) {
 	var max, sum, cnt int
 	for _, d := range m.root.nodes(nil) {
@@ -178,9 +159,6 @@ func (m *Matrix) RankStats() (int, float64) {
 			continue
 		}
 		r := d.off.Rank()
-		if d.off.IsDense() {
-			r = min(d.off.Rows(), d.off.Cols())
-		}
 		if r > max {
 			max = r
 		}

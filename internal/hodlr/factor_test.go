@@ -89,7 +89,7 @@ func TestSolveMatchesDense(t *testing.T) {
 func TestGenCholeskyDeterministicAcrossWorkers(t *testing.T) {
 	n := 300
 	k, pts, _ := testSetup(t, n)
-	for _, comp := range []tlr.Compressor{tlr.SVDCompressor{}, tlr.RSVDCompressor{Seed: 42}} {
+	for _, comp := range []tlr.Compressor{tlr.SVDCompressor{}, tlr.RSVDCompressor{}} {
 		run := func(workers int) (*Matrix, float64) {
 			m := NewTree(n, 32, 1e-9)
 			spec := &tlr.GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: comp}
@@ -130,8 +130,8 @@ func TestGenGraphReuseAcrossTheta(t *testing.T) {
 		{Variance: 1, Range: 0.1, Smoothness: 0.5}, // revisit the first point
 	}
 	m := NewTree(n, 32, 1e-9)
-	spec := &tlr.GenSpec{Pts: pts, Metric: geom.Euclidean, Comp: tlr.RSVDCompressor{Seed: 7}}
-	g := BuildGenCholeskyGraph(m, spec, true)
+	spec := &tlr.GenSpec{Pts: pts, Metric: geom.Euclidean, Comp: tlr.RSVDCompressor{}}
+	g := BuildGenCholeskyGraph(m, spec)
 	for _, th := range thetas {
 		spec.K = cov.NewKernel(th)
 		spec.Nugget = 1e-8
@@ -141,7 +141,7 @@ func TestGenGraphReuseAcrossTheta(t *testing.T) {
 		reused := m.LogDet()
 
 		fresh := NewTree(n, 32, 1e-9)
-		fspec := &tlr.GenSpec{K: spec.K, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: tlr.RSVDCompressor{Seed: 7}}
+		fspec := &tlr.GenSpec{K: spec.K, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: tlr.RSVDCompressor{}}
 		if err := GenCholesky(fresh, fspec, 4); err != nil {
 			t.Fatal(err)
 		}

@@ -66,11 +66,9 @@ func flopsCompressH(r, c int) float64 {
 }
 
 // BuildGenCholeskyGraph builds the combined assembly + factorization DAG
-// over m's tree. When bind is true the tasks mutate m in place; a structural
-// graph (bind false) carries only costs, for the simulated executors. The
-// graph is re-executable: each run regenerates every block from the (possibly
+// over m's tree; its tasks mutate m in place. The graph is re-executable: each run regenerates every block from the (possibly
 // updated) spec and refactors, leaving m holding the Cholesky factor.
-func BuildGenCholeskyGraph(m *Matrix, spec *tlr.GenSpec, bind bool) *runtime.Graph {
+func BuildGenCholeskyGraph(m *Matrix, spec *tlr.GenSpec) *runtime.Graph {
 	g := runtime.NewGraph()
 	all := m.root.nodes(nil)
 	total := len(all)
@@ -95,33 +93,25 @@ func BuildGenCholeskyGraph(m *Matrix, spec *tlr.GenSpec, bind bool) *runtime.Gra
 	for idx, n := range all {
 		idx, n := idx, n
 		if n.dense != nil {
-			var run func()
-			if bind {
-				run = func() { spec.DiagBlock(n.dense, n.lo) }
-			}
 			g.AddTask(runtime.Task{
 				Name:     "hdcmg",
 				Flops:    tile.FlopsDCMG(n.hi-n.lo, n.hi-n.lo),
 				Priority: 4 * (total - idx),
-				Run:      run,
+				Run:      func() { spec.DiagBlock(n.dense, n.lo) },
 				Accesses: []runtime.Access{{Handle: h[n], Mode: runtime.Write}},
 			})
 			continue
 		}
 		mid := n.left.hi
 		rows, cols := n.hi-mid, mid-n.lo
-		var run func()
-		if bind {
-			run = func() {
-				n.genOff(spec, m.LeafSize, m.Tol)
-				h[n].SetBytes(n.off.Bytes())
-			}
-		}
 		g.AddTask(runtime.Task{
 			Name:     "hdcmg+comp",
 			Flops:    tile.FlopsDCMG(rows, cols) + flopsCompressH(rows, cols),
 			Priority: 4 * (total - idx),
-			Run:      run,
+			Run: func() {
+				n.genOff(spec, m.LeafSize, m.Tol)
+				h[n].SetBytes(n.off.Bytes())
+			},
 			Accesses: []runtime.Access{{Handle: h[n], Mode: runtime.Write}},
 		})
 	}
@@ -131,19 +121,15 @@ func BuildGenCholeskyGraph(m *Matrix, spec *tlr.GenSpec, bind bool) *runtime.Gra
 	var emit func(n *node)
 	emit = func(n *node) {
 		if n.dense != nil {
-			var run func()
-			if bind {
-				run = func() {
-					if err := n.potrf(); err != nil {
-						panic(err)
-					}
-				}
-			}
 			g.AddTask(runtime.Task{
 				Name:     "hpotrf",
 				Flops:    tile.FlopsPOTRF(n.hi - n.lo),
 				Priority: 3,
-				Run:      run,
+				Run: func() {
+					if err := n.potrf(); err != nil {
+						panic(err)
+					}
+				},
 				Accesses: []runtime.Access{{Handle: h[n], Mode: runtime.ReadWrite}},
 			})
 			return
@@ -155,31 +141,22 @@ func BuildGenCholeskyGraph(m *Matrix, spec *tlr.GenSpec, bind bool) *runtime.Gra
 		for _, l := range n.left.nodes(nil) {
 			acc = append(acc, runtime.Access{Handle: h[l], Mode: runtime.Read})
 		}
-		var runP func()
-		if bind {
-			runP = func() { n.factorPanel() }
-		}
 		g.AddTask(runtime.Task{
 			Name:     "hpanel",
 			Flops:    tile.FlopsTRSM(mid-n.lo, nominalRank),
 			Priority: 2,
-			Run:      runP,
+			Run:      n.factorPanel,
 			Accesses: acc,
 		})
 		// One Schur task per right-subtree node; distinct targets are
 		// independent and run concurrently, same-target updates from nested
 		// panels serialize in recursion order via the ReadWrite access.
 		for _, d := range n.right.nodes(nil) {
-			d := d
-			var runS func()
-			if bind {
-				runS = func() { n.applySchur(d, m.Tol) }
-			}
 			g.AddTask(runtime.Task{
 				Name:     "hschur",
 				Flops:    2 * float64(d.hi-d.lo) * float64(d.hi-d.lo) * nominalRank,
 				Priority: 1,
-				Run:      runS,
+				Run:      func() { n.applySchur(d, m.Tol) },
 				Accesses: []runtime.Access{
 					{Handle: h[n], Mode: runtime.Read},
 					{Handle: h[d], Mode: runtime.ReadWrite},
@@ -197,6 +174,6 @@ func BuildGenCholeskyGraph(m *Matrix, spec *tlr.GenSpec, bind bool) *runtime.Gra
 // leaf pivot fails; the result is bitwise-identical to the sequential
 // m.Cholesky() at any worker count.
 func GenCholesky(m *Matrix, spec *tlr.GenSpec, workers int) error {
-	g := BuildGenCholeskyGraph(m, spec, true)
+	g := BuildGenCholeskyGraph(m, spec)
 	return g.Execute(runtime.ExecOptions{Workers: workers})
 }

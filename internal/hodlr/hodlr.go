@@ -40,7 +40,7 @@ type node struct {
 
 	// schurS caches S = ṼᵀṼ, computed once by the panel solve of the
 	// Cholesky factorization (factor.go) and consumed by every Schur update
-	// the panel feeds. Nil before factorization and for dense/rank-0 panels.
+	// the panel feeds. Nil before factorization and for rank-0 panels.
 	schurS *la.Mat
 }
 

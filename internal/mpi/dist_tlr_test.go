@@ -53,7 +53,7 @@ func TestDistTLRCholeskyMatchesShared(t *testing.T) {
 		nugget = 1e-9
 	)
 	k, pts := distProblem(n)
-	comp := tlr.RSVDCompressor{Seed: 42}
+	comp := tlr.RSVDCompressor{}
 	ref := sharedTLRFactor(t, k, pts, nb, tol, comp, nugget)
 
 	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {1, 3}, {1, 5}} {
@@ -129,7 +129,7 @@ func TestDistTLRLogDetAndSolveMatchShared(t *testing.T) {
 		nugget = 1e-9
 	)
 	k, pts := distProblem(n)
-	comp := tlr.RSVDCompressor{Seed: 42}
+	comp := tlr.RSVDCompressor{}
 	ref := sharedTLRFactor(t, k, pts, nb, tol, comp, nugget)
 	wantLogDet := ref.LogDet()
 	rhs := make([]float64, n)
@@ -248,7 +248,7 @@ func TestDistTLRWorldReuse(t *testing.T) {
 		tol = 1e-7
 	)
 	_, pts := distProblem(n)
-	comp := tlr.RSVDCompressor{Seed: 42}
+	comp := tlr.RSVDCompressor{}
 	thetas := []cov.Params{
 		{Variance: 1, Range: 0.1, Smoothness: 0.5},
 		{Variance: 1.7, Range: 0.23, Smoothness: 1.1},
@@ -365,7 +365,7 @@ func TestDistTLRLastPivotFailsAndWorldHeals(t *testing.T) {
 	k, pts := distProblem(n)
 	grid := Grid{P: 2, Q: 2}
 	newShard := func() *DistTLR {
-		return NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.RSVDCompressor{Seed: 3})
+		return NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.RSVDCompressor{})
 	}
 	factor := func(w *World, shards []*DistTLR) [][]float64 {
 		bits := make([][]float64, len(shards))

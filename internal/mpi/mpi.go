@@ -19,6 +19,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
+)
+
+// Process-wide communication counters (all worlds). Self-deliveries are not
+// counted, matching CommStats.
+var (
+	cntMsgsSent  = obs.GetCounter("mpi.msgs.sent")
+	cntBytesSent = obs.GetCounter("mpi.bytes.sent")
 )
 
 // message is one tagged payload in flight.
@@ -33,7 +42,6 @@ type World struct {
 	size  int
 	boxes []*mailbox
 	stats []commCounters
-	trace *commTrace // nil until EnableTrace
 
 	// recvTimeout is configured before Run (never concurrently with it);
 	// see SetRecvTimeout.
@@ -183,7 +191,6 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	st.msgsSent.Add(1)
 	cntMsgsSent.Inc()
 	cntBytesSent.Add(int64(8 * len(data)))
-	c.world.logComm(c.rank, dst, true, tag, int64(8*len(data)))
 	c.world.boxes[dst].put(message{src: c.rank, tag: tag, data: append([]float64(nil), data...)})
 }
 
@@ -226,7 +233,6 @@ func (c *Comm) Recv(src, tag int) ([]float64, error) {
 					st := &c.world.stats[c.rank]
 					st.bytesRecv.Add(int64(8 * len(m.data)))
 					st.msgsRecv.Add(1)
-					c.world.logComm(c.rank, src, false, tag, int64(8*len(m.data)))
 				}
 				return m.data, nil
 			}

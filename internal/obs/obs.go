@@ -1,10 +1,9 @@
 // Package obs is the lightweight metrics layer threaded through the compute
-// stack: counters (kernel invocations, cache hits), gauges (last-seen sizes),
-// and power-of-two histograms (compression ranks, task durations). All
-// instruments are lock-free on the hot path — one atomic add per observation
-// — and snapshot into plain mergeable values, so per-rank or per-phase
-// snapshots can be combined or differenced without touching the live
-// instruments.
+// stack: counters (kernel invocations, cache hits) and power-of-two
+// histograms (compression ranks, task durations). All instruments are
+// lock-free on the hot path — one atomic add per observation — and snapshot
+// into plain values, so two snapshots can be differenced to isolate one phase
+// without touching the live instruments.
 //
 // The package keeps one default registry; call sites resolve their
 // instruments once at package init (obs.GetCounter("la.gemm.calls")) and hit
@@ -32,15 +31,6 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a last-write-wins value.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the last stored value (zero if never set).
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // histBuckets is the fixed bucket count: bucket i holds values v with
 // bitlen(v) == i, i.e. v in [2^(i-1), 2^i). Bucket 0 holds v ≤ 0.
@@ -111,8 +101,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is a point-in-time copy of a Histogram, mergeable with other
-// snapshots (e.g. one per rank) by addition.
+// HistSnapshot is a point-in-time copy of a Histogram.
 type HistSnapshot struct {
 	Count int64 `json:"count"`
 	Sum   int64 `json:"sum"`
@@ -169,40 +158,11 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// Merge returns the snapshot combining s and o (counts and sums add, bounds
-// widen) — the per-rank merge operation.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Count: s.Count + o.Count, Sum: s.Sum + o.Sum}
-	switch {
-	case s.Count == 0:
-		out.Min, out.Max = o.Min, o.Max
-	case o.Count == 0:
-		out.Min, out.Max = s.Min, s.Max
-	default:
-		out.Min = min(s.Min, o.Min)
-		out.Max = max(s.Max, o.Max)
-	}
-	for i, n := range s.Buckets {
-		if out.Buckets == nil {
-			out.Buckets = map[int]int64{}
-		}
-		out.Buckets[i] += n
-	}
-	for i, n := range o.Buckets {
-		if out.Buckets == nil {
-			out.Buckets = map[int]int64{}
-		}
-		out.Buckets[i] += n
-	}
-	return out
-}
-
 // Registry owns named instruments. Lookup is mutex-guarded (cold path);
 // returned instruments are lock-free.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -210,7 +170,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -232,18 +191,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
@@ -260,18 +207,14 @@ func (r *Registry) Histogram(name string) *Histogram {
 // resolve at package init, Inc on the hot path).
 func GetCounter(name string) *Counter { return defaultRegistry.Counter(name) }
 
-// GetGauge resolves a gauge in the default registry.
-func GetGauge(name string) *Gauge { return defaultRegistry.Gauge(name) }
-
 // GetHistogram resolves a histogram in the default registry.
 func GetHistogram(name string) *Histogram { return defaultRegistry.Histogram(name) }
 
 // Snapshot is a point-in-time copy of a registry: plain values, safe to
-// marshal, merge, or difference. Zero-valued instruments are included so a
+// marshal or difference. Zero-valued instruments are included so a
 // snapshot always names every instrument that has been resolved.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`
-	Gauges     map[string]float64      `json:"gauges,omitempty"`
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
@@ -281,14 +224,10 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
 		Histograms: make(map[string]HistSnapshot, len(r.hists)),
 	}
 	for n, c := range r.counters {
 		s.Counters[n] = c.Value()
-	}
-	for n, g := range r.gauges {
-		s.Gauges[n] = g.Value()
 	}
 	for n, h := range r.hists {
 		s.Histograms[n] = h.Snapshot()
@@ -296,49 +235,16 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Merge combines two snapshots: counters and histograms add (per-rank
-// semantics), gauges from o win where both define them.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistSnapshot{},
-	}
-	for n, v := range s.Counters {
-		out.Counters[n] = v
-	}
-	for n, v := range o.Counters {
-		out.Counters[n] += v
-	}
-	for n, v := range s.Gauges {
-		out.Gauges[n] = v
-	}
-	for n, v := range o.Gauges {
-		out.Gauges[n] = v
-	}
-	for n, h := range s.Histograms {
-		out.Histograms[n] = h
-	}
-	for n, h := range o.Histograms {
-		out.Histograms[n] = out.Histograms[n].Merge(h)
-	}
-	return out
-}
-
 // Sub returns the per-instrument delta s − prev for counters and histogram
 // counts/sums (bucket-wise; Min/Max are copied from s since extrema don't
-// difference), gauges from s — the idiom for measuring one phase.
+// difference) — the idiom for measuring one phase.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	out := Snapshot{
 		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
 		Histograms: map[string]HistSnapshot{},
 	}
 	for n, v := range s.Counters {
 		out.Counters[n] = v - prev.Counters[n]
-	}
-	for n, v := range s.Gauges {
-		out.Gauges[n] = v
 	}
 	for n, h := range s.Histograms {
 		p := prev.Histograms[n]

@@ -18,12 +18,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("x.calls") != c {
 		t.Fatal("counter lookup must return the same instrument")
 	}
-	g := r.Gauge("x.size")
-	g.Set(3.5)
-	g.Set(7.25)
-	if g.Value() != 7.25 {
-		t.Fatalf("gauge = %g, want 7.25", g.Value())
-	}
 }
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
@@ -63,31 +57,14 @@ func TestHistogramNegativeClampsToZero(t *testing.T) {
 }
 
 func TestSnapshotMergeAndSub(t *testing.T) {
-	r1, r2 := NewRegistry(), NewRegistry()
-	r1.Counter("a").Add(3)
-	r2.Counter("a").Add(4)
-	r2.Counter("b").Add(1)
-	r1.Gauge("g").Set(1)
-	r2.Gauge("g").Set(2)
-	r1.Histogram("h").Observe(8)
-	r2.Histogram("h").Observe(64)
+	r := NewRegistry()
+	r.Counter("a").Add(3)
+	r.Histogram("h").Observe(8)
 
-	m := r1.Snapshot().Merge(r2.Snapshot())
-	if m.Counters["a"] != 7 || m.Counters["b"] != 1 {
-		t.Fatalf("merged counters: %v", m.Counters)
-	}
-	if m.Gauges["g"] != 2 {
-		t.Fatalf("merged gauge: %v", m.Gauges)
-	}
-	h := m.Histograms["h"]
-	if h.Count != 2 || h.Sum != 72 || h.Min != 8 || h.Max != 64 {
-		t.Fatalf("merged histogram: %+v", h)
-	}
-
-	before := r1.Snapshot()
-	r1.Counter("a").Add(10)
-	r1.Histogram("h").Observe(16)
-	d := r1.Snapshot().Sub(before)
+	before := r.Snapshot()
+	r.Counter("a").Add(10)
+	r.Histogram("h").Observe(16)
+	d := r.Snapshot().Sub(before)
 	if d.Counters["a"] != 10 {
 		t.Fatalf("delta counter: %v", d.Counters)
 	}
@@ -120,13 +97,11 @@ func TestConcurrentInstruments(t *testing.T) {
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r.Counter("calls").Inc()
-				r.Gauge("last").Set(float64(w))
 				r.Histogram("vals").Observe(int64(i % 128))
 				if i%100 == 0 {
 					_ = r.Snapshot() // snapshots race against writers by design
@@ -150,7 +125,6 @@ func TestDefaultRegistryHelpers(t *testing.T) {
 	if Default().Counter("obs_test.unique.counter") != c {
 		t.Fatal("GetCounter must resolve into the default registry")
 	}
-	_ = GetGauge("obs_test.unique.gauge")
 	_ = GetHistogram("obs_test.unique.hist")
 	s := Default().Snapshot()
 	if _, ok := s.Counters["obs_test.unique.counter"]; !ok {

@@ -131,7 +131,7 @@ func NelderMead(p Problem, x0 []float64, opt Options) (Result, error) {
 	converged := false
 
 	for attempt := 0; attempt <= o.Restarts && evals < o.MaxEvals; attempt++ {
-		x, f, conv := simplexRun(p, bestX, o, eval, &evals)
+		x, f, conv := simplexRun(p, bestX, bestF, o, eval, &evals)
 		// Converged tracks the attempt that produced the returned minimum:
 		// an attempt that only ties the incumbent still stamps its
 		// convergence (same answer, now within tolerance), but a worse
@@ -152,8 +152,9 @@ func NelderMead(p Problem, x0 []float64, opt Options) (Result, error) {
 	return Result{X: bestX, F: bestF, Evals: evals, Converged: converged}, nil
 }
 
-// simplexRun is one simplex descent from around x0.
-func simplexRun(p Problem, x0 []float64, o Options, eval func([]float64) float64, evals *int) ([]float64, float64, bool) {
+// simplexRun is one simplex descent from around x0, whose objective value f0
+// is already known. It evaluates no point once *evals reaches o.MaxEvals.
+func simplexRun(p Problem, x0 []float64, f0 float64, o Options, eval func([]float64) float64, evals *int) ([]float64, float64, bool) {
 	n := len(x0)
 	// adaptive Nelder–Mead parameters (Gao & Han 2012)
 	alpha := 1.0
@@ -165,10 +166,10 @@ func simplexRun(p Problem, x0 []float64, o Options, eval func([]float64) float64
 		x []float64
 		f float64
 	}
-	simplex := make([]vertex, n+1)
-	simplex[0] = vertex{x: append([]float64(nil), x0...)}
-	simplex[0].f = eval(simplex[0].x)
-	for i := 1; i <= n; i++ {
+	budget := func() bool { return *evals < o.MaxEvals }
+	simplex := make([]vertex, 1, n+1)
+	simplex[0] = vertex{x: append([]float64(nil), x0...), f: f0}
+	for i := 1; i <= n && budget(); i++ {
 		x := append([]float64(nil), x0...)
 		width := p.Upper[i-1] - p.Lower[i-1]
 		step := o.InitStep * width
@@ -181,14 +182,14 @@ func simplexRun(p Problem, x0 []float64, o Options, eval func([]float64) float64
 		}
 		x[i-1] += step
 		clip(x, p.Lower, p.Upper)
-		simplex[i] = vertex{x: x, f: eval(x)}
+		simplex = append(simplex, vertex{x: x, f: eval(x)})
 	}
 
 	centroid := make([]float64, n)
 	trial := make([]float64, n)
 	trial2 := make([]float64, n)
 
-	for *evals < o.MaxEvals {
+	for len(simplex) == n+1 && budget() {
 		sort.Slice(simplex, func(a, b int) bool { return simplex[a].f < simplex[b].f })
 		// convergence checks
 		diam := 0.0
@@ -226,7 +227,10 @@ func simplexRun(p Problem, x0 []float64, o Options, eval func([]float64) float64
 				trial2[j] = centroid[j] + beta*(trial[j]-centroid[j])
 			}
 			clip(trial2, p.Lower, p.Upper)
-			fe := eval(trial2)
+			fe := math.Inf(1)
+			if budget() {
+				fe = eval(trial2)
+			}
 			if fe < fr {
 				copy(simplex[n].x, trial2)
 				simplex[n].f = fe
@@ -249,13 +253,17 @@ func simplexRun(p Problem, x0 []float64, o Options, eval func([]float64) float64
 				}
 			}
 			clip(trial2, p.Lower, p.Upper)
-			fc := eval(trial2)
+			fc := math.Inf(1)
+			if budget() {
+				fc = eval(trial2)
+			}
 			if fc < math.Min(fr, worst.f) {
 				copy(simplex[n].x, trial2)
 				simplex[n].f = fc
 			} else {
-				// shrink toward the best vertex
-				for i := 1; i <= n; i++ {
+				// shrink toward the best vertex, moving only the vertices
+				// the budget can evaluate
+				for i := 1; i <= n && budget(); i++ {
 					for j := 0; j < n; j++ {
 						simplex[i].x[j] = simplex[0].x[j] + delta*(simplex[i].x[j]-simplex[0].x[j])
 					}

@@ -117,19 +117,33 @@ func TestNaNObjectiveTreatedAsBad(t *testing.T) {
 	}
 }
 
+// TestMaxEvalsHonored: at every budget the search evaluates no point twice —
+// the first simplex reuses the start point's value — and Evals counts
+// exactly the objective calls, never more than MaxEvals.
 func TestMaxEvalsHonored(t *testing.T) {
 	lo, hi := box(2, -5, 5)
-	calls := 0
-	p := Problem{
-		Objective: func(x []float64) float64 { calls++; return x[0]*x[0] + x[1]*x[1] },
-		Lower:     lo, Upper: hi,
-	}
-	_, err := NelderMead(p, []float64{3, 3}, Options{MaxEvals: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls > 37+5 { // a shrink step may finish slightly over
-		t.Fatalf("objective called %d times for MaxEvals=37", calls)
+	for budget := 1; budget <= 120; budget++ {
+		seen := map[[2]float64]bool{}
+		repeated := false
+		p := Problem{
+			Objective: func(x []float64) float64 {
+				k := [2]float64{x[0], x[1]}
+				repeated = repeated || seen[k]
+				seen[k] = true
+				return (x[0]-1)*(x[0]-1) + 3*(x[1]-2)*(x[1]-2)
+			},
+			Lower: lo, Upper: hi,
+		}
+		r, err := NelderMead(p, []float64{4, -3}, Options{MaxEvals: budget, TolX: 1e-12, TolF: 1e-15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if repeated {
+			t.Fatalf("MaxEvals %d: a point was evaluated twice", budget)
+		}
+		if r.Evals != len(seen) || r.Evals > budget {
+			t.Fatalf("MaxEvals %d: Evals %d for %d calls", budget, r.Evals, len(seen))
+		}
 	}
 }
 

@@ -228,33 +228,25 @@ type SimOptions struct {
 	Barrier bool
 }
 
-// plan resolves the options: at least one worker, flops as the default cost
-// and, for Barrier, the level-ordered graph of withBarriers in g's place.
-func (g *Graph) plan(opt SimOptions) (*Graph, int, CostModel, error) {
+// Simulate performs list scheduling of the DAG on Workers homogeneous
+// workers under the given cost model (flops when nil) and returns the
+// makespan in seconds. No task bodies run; only the declared costs matter.
+// With Barrier the level-ordered graph of withBarriers is scheduled in g's
+// place. A graph whose dependencies form a cycle (impossible via AddTask, but
+// reachable through corrupted state) yields an error naming the tasks on the
+// cycle.
+func (g *Graph) Simulate(opt SimOptions) (float64, error) {
 	cost := opt.Cost
 	if cost == nil {
 		cost = func(t *Task) float64 { return t.Flops }
 	}
 	if opt.Barrier {
 		if err := g.cycleError(); err != nil {
-			return nil, 0, nil, err
+			return 0, err
 		}
 		g, cost = g.withBarriers(cost)
 	}
-	return g, max(opt.Workers, 1), cost, nil
-}
-
-// Simulate performs list scheduling of the DAG on Workers homogeneous
-// workers under the given cost model and returns the makespan in seconds.
-// No task bodies run; only the declared costs matter. A graph whose
-// dependencies form a cycle (impossible via AddTask, but reachable through
-// corrupted state) yields an error naming the tasks on the cycle.
-func (g *Graph) Simulate(opt SimOptions) (float64, error) {
-	g, workers, cost, err := g.plan(opt)
-	if err != nil {
-		return 0, err
-	}
-	return g.Schedule(1, workers, cost, nil, nil, nil)
+	return g.Schedule(1, max(opt.Workers, 1), cost, nil, nil, nil)
 }
 
 // withBarriers returns the bulk-synchronous form of g and its cost model: the
@@ -358,15 +350,15 @@ func (g *Graph) cycleError() error {
 }
 
 // Schedule is the list scheduler every simulated run goes through: Simulate
-// and SimulateTrace on one pool of workers, the cluster package's machine
-// simulator on one pool per node. Ready tasks are taken by (ready time,
-// priority, ID) and run for cost(task) seconds on the earliest-free of their
-// pool's slots. Two hooks add what shared memory does not need (nil there):
+// on one pool of workers, the cluster package's machine simulator on one pool
+// per node. Ready tasks are taken by (ready time, priority, ID) and run for
+// cost(task) seconds on the earliest-free of their pool's slots. Two hooks add what shared memory does not need (nil there):
 // place names the pool a task runs on (nil: pool 0), and arrive returns when
 // its inputs have reached that pool, given the finish times, by task ID, of
 // everything scheduled so far — a task is ready at the later of that and its
 // last predecessor's finish. rec, when non-nil, receives every placement, on
-// lane pool·slots + slot. It returns the makespan, or the cycleError of a
+// lane pool·slots + slot; no simulator sets it, the tests read a schedule's
+// placements through it. It returns the makespan, or the cycleError of a
 // graph that cannot be scheduled to the end.
 func (g *Graph) Schedule(pools, slots int, cost CostModel, place func(*Task) int,
 	arrive func(t *Task, finish []float64) float64,

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 )
 
-// TraceEvent records one task execution (or, for merged communication
-// timelines, one instantaneous event with Start == End).
+// TraceEvent records one task execution.
 type TraceEvent struct {
 	Task   string
 	ID     int
@@ -42,8 +40,7 @@ func (e TraceEvent) GFlops() float64 {
 // Trace is the execution record of a graph run — the observability layer
 // StarPU provides via its FXT traces. All events and Wall share one epoch
 // (the instant ExecuteTraced started), and events are clamped into
-// [0, Wall], so Utilization() is in [0, 1] by construction and Gantt bars
-// never leave the frame.
+// [0, Wall], so Utilization() is in [0, 1] by construction.
 type Trace struct {
 	Workers int
 	Wall    time.Duration
@@ -66,8 +63,7 @@ func (g *Graph) ExecuteTraced(opt ExecOptions) (*Trace, error) {
 	tr := &Trace{Workers: workers}
 	// One epoch for events AND Wall. Taking two time.Now() readings (one
 	// for the recorder base, one for the wall start) lets event offsets and
-	// Wall disagree by the gap between them: Utilization() could exceed 1
-	// and Gantt painted bars past the right edge.
+	// Wall disagree by the gap between them: Utilization() could exceed 1.
 	rec := &recorder{base: time.Now(), events: make([][]TraceEvent, workers)}
 	err := g.execute(opt, rec)
 	tr.Wall = time.Since(rec.base)
@@ -76,7 +72,7 @@ func (g *Graph) ExecuteTraced(opt ExecOptions) (*Trace, error) {
 	}
 	// Clamp into [0, Wall]: with the shared epoch every event already falls
 	// inside the window, so clamping only absorbs timer quantization noise —
-	// but the downstream invariants (utilization, Gantt) want hard bounds.
+	// but Utilization wants hard bounds.
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		if e.Start < 0 {
@@ -206,110 +202,6 @@ func (tr *Trace) TotalFlops() float64 {
 	return s
 }
 
-// MergeEvents appends foreign events (e.g. a per-rank communication timeline
-// sharing the trace epoch) and restores the start-time ordering. Workers is
-// raised if the merged events name higher worker lanes.
-func (tr *Trace) MergeEvents(evs []TraceEvent) {
-	tr.Events = append(tr.Events, evs...)
-	for _, e := range evs {
-		if e.Worker >= tr.Workers {
-			tr.Workers = e.Worker + 1
-		}
-		if e.End > tr.Wall {
-			tr.Wall = e.End
-		}
-	}
-	sort.Slice(tr.Events, func(i, j int) bool { return tr.Events[i].Start < tr.Events[j].Start })
-}
-
-// Gantt renders an ASCII timeline, one row per worker; each task paints the
-// first letter of its name over its time span. Bars are clamped to the frame
-// on both ends.
-func (tr *Trace) Gantt(width int) string {
-	if width < 20 {
-		width = 20
-	}
-	if tr.Wall <= 0 || len(tr.Events) == 0 {
-		return "(empty trace)\n"
-	}
-	rows := make([][]byte, tr.Workers)
-	for i := range rows {
-		rows[i] = []byte(strings.Repeat(".", width))
-	}
-	scale := float64(width) / float64(tr.Wall)
-	for _, e := range tr.Events {
-		if e.Worker < 0 || e.Worker >= tr.Workers {
-			continue
-		}
-		s := int(float64(e.Start) * scale)
-		t := int(float64(e.End) * scale)
-		if s < 0 {
-			s = 0
-		}
-		if s >= width {
-			s = width - 1
-		}
-		if t >= width {
-			t = width - 1
-		}
-		if t < s {
-			t = s
-		}
-		mark := byte('?')
-		if len(e.Task) > 0 {
-			mark = e.Task[0]
-		}
-		for c := s; c <= t; c++ {
-			rows[e.Worker][c] = mark
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "wall %v, %d tasks, utilization %.0f%%\n", tr.Wall.Round(time.Microsecond), len(tr.Events), 100*tr.Utilization())
-	for i, row := range rows {
-		fmt.Fprintf(&b, "w%-2d |%s|\n", i, row)
-	}
-	return b.String()
-}
-
-// SimulateTrace performs the same list scheduling as Simulate and additionally
-// returns the schedule as a Trace, with the cost model's seconds rescaled so
-// the makespan maps to ~1s of trace time. The returned trace obeys the exact
-// schedule invariants (critical path ≤ makespan ≤ busy time) because a list
-// schedule never lets every worker idle while work remains — the property the
-// measured executor can only approach to within scheduling overhead. With
-// Barrier the trace is that of the level-ordered graph (see withBarriers):
-// one zero-length "barrier" event closes each level.
-func (g *Graph) SimulateTrace(opt SimOptions) (*Trace, float64, error) {
-	g, workers, cost, err := g.plan(opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	tr := &Trace{Workers: workers}
-	var secs [][2]float64 // start and finish of tr.Events[i], in model seconds
-	makespan, err := g.Schedule(1, workers, cost, nil, nil, func(t *Task, lane int, start, finish float64) {
-		var bytes int64
-		for _, a := range t.Accesses {
-			bytes += a.Handle.Bytes
-		}
-		tr.Events = append(tr.Events, TraceEvent{Task: t.Name, ID: t.ID, Worker: lane, Flops: t.Flops, Bytes: bytes})
-		secs = append(secs, [2]float64{start, finish})
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	scale := 1.0
-	if makespan > 0 {
-		scale = 1e9 / makespan // makespan ↦ ~1s of trace time
-	}
-	tr.Wall = time.Duration(makespan * scale)
-	for i, s := range secs {
-		tr.Events[i].Start, tr.Events[i].End = time.Duration(s[0]*scale), time.Duration(s[1]*scale)
-	}
-	sort.Slice(tr.Events, func(i, j int) bool { return tr.Events[i].Start < tr.Events[j].Start })
-	tr.CritPath = g.criticalPathMeasured(tr.Events)
-	return tr, makespan, nil
-}
-
 // ---- Chrome trace-event export -------------------------------------------
 
 // chromeEvent is one entry of the Chrome trace-event JSON format
@@ -343,9 +235,9 @@ type NamedTrace struct {
 // WriteChromeTrace writes the trace as Chrome trace-event JSON under the
 // given process name. Open the file in Perfetto (ui.perfetto.dev) or
 // chrome://tracing. Each task is a complete ("X") event on its worker's
-// thread lane annotated with flops, bytes, and achieved GFLOP/s;
-// zero-duration events (merged communication timestamps) become instant
-// ("i") events.
+// thread lane annotated with flops, bytes, and achieved GFLOP/s; an event
+// of zero duration (below the clock's resolution, or clamped at Wall)
+// becomes an instant ("i") event.
 func (tr *Trace) WriteChromeTrace(w io.Writer, process string) error {
 	return WriteChromeTraces(w, NamedTrace{Name: process, Trace: tr})
 }

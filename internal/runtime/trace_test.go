@@ -3,7 +3,7 @@ package runtime
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,32 +138,6 @@ func TestTraceByKernel(t *testing.T) {
 	}
 }
 
-func TestGanttRendering(t *testing.T) {
-	g := busyGraph(10)
-	tr, err := g.ExecuteTraced(ExecOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tr.Gantt(60)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 { // header + 3 workers
-		t.Fatalf("gantt rows: %d\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[0], "utilization") {
-		t.Fatalf("gantt header missing: %s", lines[0])
-	}
-	if !strings.Contains(out, "w") || !strings.Contains(out, "|") {
-		t.Fatal("gantt body malformed")
-	}
-}
-
-func TestGanttEmptyTrace(t *testing.T) {
-	tr := &Trace{Workers: 2}
-	if !strings.Contains(tr.Gantt(40), "empty") {
-		t.Fatal("empty trace should render a placeholder")
-	}
-}
-
 func TestExecuteTracedPropagatesErrors(t *testing.T) {
 	g := NewGraph()
 	h := g.NewHandle("a", 8, 0)
@@ -234,90 +208,49 @@ func randomDAG(r *rng.Rand) *Graph {
 	return g
 }
 
-// TestQuickSimulateTraceInvariants: for random DAGs at several worker counts,
-// the simulated schedule obeys the exact invariants
-//
-//	critical path ≤ makespan ≤ busy time
-//
-// (a list schedule never lets every worker idle while work remains, so the
-// makespan cannot exceed the serial work; and no schedule beats the longest
-// dependency chain). The slack term absorbs only float→Duration rounding.
-func TestQuickSimulateTraceInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rng.New(uint64(seed) + 11)
-		g := randomDAG(r)
-		for _, w := range []int{1, 2, 4, 8} {
-			tr, mk, err := g.SimulateTrace(SimOptions{Workers: w})
-			if err != nil || mk <= 0 || tr.Wall <= 0 {
-				return false
-			}
-			slack := time.Duration(2 * len(tr.Events)) // per-event rounding
-			if tr.CritPath > tr.Makespan()+slack {
-				t.Logf("seed %d w %d: crit %v > makespan %v", seed, w, tr.CritPath, tr.Makespan())
-				return false
-			}
-			if tr.Makespan() > tr.BusyTime()+slack {
-				t.Logf("seed %d w %d: makespan %v > busy %v", seed, w, tr.Makespan(), tr.BusyTime())
-				return false
-			}
-			if u := tr.Utilization(); u <= 0 || u > 1 {
-				return false
-			}
-			if len(tr.Events) != len(g.Tasks()) {
-				return false
-			}
-			// 1 worker degenerates to serial execution: makespan == busy time
-			if w == 1 {
-				d := tr.Makespan() - tr.BusyTime()
-				if d < -slack || d > slack {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSimulateTraceHonoursBarrier: with Barrier the trace is the fork-join
-// schedule Simulate prices — same makespan, one zero-length "barrier" event
-// closing each level, no task of a level starting before the barrier of the
-// one before — and it still obeys the schedule invariants.
+// TestSimulateTraceHonoursBarrier: with Barrier, Simulate prices the list
+// schedule of withBarriers' graph — the same makespan Schedule reports for it,
+// no less than the asynchronous one, one zero-length "barrier" task closing
+// each level, and no task of a level starting before the barrier of the one
+// before.
 func TestSimulateTraceHonoursBarrier(t *testing.T) {
 	g := randomDAG(rng.New(14))
-	opt := SimOptions{Workers: 3, Barrier: true}
-	want, err := g.Simulate(opt)
+	want, err := g.Simulate(SimOptions{Workers: 3, Barrier: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	async, _ := g.Simulate(SimOptions{Workers: 3})
-	tr, mk, err := g.SimulateTrace(opt)
+	type placement struct {
+		barrier       bool
+		start, finish float64
+	}
+	var placed []placement
+	b, cost := g.withBarriers(func(t *Task) float64 { return t.Flops })
+	mk, err := b.Schedule(1, 3, cost, nil, nil, func(t *Task, _ int, start, finish float64) {
+		placed = append(placed, placement{t.Name == "barrier", start, finish})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mk != want || mk < async {
-		t.Fatalf("barrier trace makespan %g, Simulate %g, async %g", mk, want, async)
+		t.Fatalf("barrier schedule makespan %g, Simulate %g, async %g", mk, want, async)
 	}
+	sort.Slice(placed, func(i, j int) bool { return placed[i].start < placed[j].start })
 	var barriers int
-	var lastBarrier time.Duration
-	for _, e := range tr.Events { // sorted by start
-		if e.Task == "barrier" {
+	var lastBarrier float64
+	for _, p := range placed {
+		if p.barrier {
 			barriers++
-			if e.Duration() != 0 {
-				t.Fatalf("barrier event lasts %v", e.Duration())
+			if p.finish != p.start {
+				t.Fatalf("barrier lasts %g", p.finish-p.start)
 			}
-			lastBarrier = e.Start
-		} else if e.Start < lastBarrier {
-			t.Fatalf("task %d starts at %v, before the barrier at %v", e.ID, e.Start, lastBarrier)
+			lastBarrier = p.start
+		} else if p.start < lastBarrier {
+			t.Fatalf("task starts at %g, before the barrier at %g", p.start, lastBarrier)
 		}
 	}
-	if barriers == 0 || len(tr.Events) != g.Len()+barriers {
-		t.Fatalf("%d events for %d tasks and %d barriers", len(tr.Events), g.Len(), barriers)
-	}
-	if slack := time.Duration(2 * len(tr.Events)); tr.CritPath > tr.Makespan()+slack {
-		t.Fatalf("critical path %v above makespan %v", tr.CritPath, tr.Makespan())
+	if barriers == 0 || len(placed) != g.Len()+barriers {
+		t.Fatalf("%d placements for %d tasks and %d barriers", len(placed), g.Len(), barriers)
 	}
 }
 
@@ -446,27 +379,5 @@ func TestWriteChromeTracesMultiProcess(t *testing.T) {
 	}
 	if !pids[0] || !pids[1] || len(pids) != 2 {
 		t.Fatalf("pids = %v, want {0, 1}", pids)
-	}
-}
-
-// TestMergeEventsCommLane: merged zero-duration comm events raise the worker
-// count and become instant events in the Chrome export.
-func TestMergeEventsCommLane(t *testing.T) {
-	g := busyGraph(4)
-	tr, err := g.ExecuteTraced(ExecOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := tr.Wall / 2
-	tr.MergeEvents([]TraceEvent{{Task: "send r0->r1", Worker: 2, Start: at, End: at, Bytes: 1024}})
-	if tr.Workers != 3 {
-		t.Fatalf("workers = %d after merge, want 3", tr.Workers)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, "dist"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"ph":"i"`) {
-		t.Fatal("zero-duration merged event did not export as an instant event")
 	}
 }

@@ -137,7 +137,7 @@ type EndpointStats struct {
 }
 
 // MetricsResponse is the GET /v1/metrics payload: the full process-wide obs
-// snapshot (every counter/gauge/histogram the compute layers maintain,
+// snapshot (every counter and histogram the compute layers maintain,
 // including the core.predict.cache.* and core.factor.runs evidence counters),
 // per-endpoint latency summaries, and the registered models.
 type MetricsResponse struct {

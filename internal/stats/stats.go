@@ -78,39 +78,6 @@ func (s Summary) String() string {
 		s.N, s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean)
 }
 
-// BoxplotRow renders an ASCII boxplot of the summary across [lo, hi] in
-// width characters: whiskers as '-', box as '=', median as '|'.
-func (s Summary) BoxplotRow(lo, hi float64, width int) string {
-	if width < 10 {
-		width = 10
-	}
-	pos := func(v float64) int {
-		if hi <= lo {
-			return 0
-		}
-		p := int(float64(width-1) * (v - lo) / (hi - lo))
-		if p < 0 {
-			p = 0
-		}
-		if p > width-1 {
-			p = width - 1
-		}
-		return p
-	}
-	row := make([]byte, width)
-	for i := range row {
-		row[i] = ' '
-	}
-	for i := pos(s.Min); i <= pos(s.Max); i++ {
-		row[i] = '-'
-	}
-	for i := pos(s.Q1); i <= pos(s.Q3); i++ {
-		row[i] = '='
-	}
-	row[pos(s.Median)] = '|'
-	return string(row)
-}
-
 // Table is a simple fixed-width text table builder for experiment reports.
 type Table struct {
 	header []string

@@ -58,32 +58,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestBoxplotRow(t *testing.T) {
-	s := Summarize([]float64{0, 0.25, 0.5, 0.75, 1})
-	row := s.BoxplotRow(0, 1, 41)
-	if len(row) != 41 {
-		t.Fatalf("row length %d", len(row))
-	}
-	if row[0] != '-' || row[40] != '-' {
-		t.Fatalf("whiskers missing: %q", row)
-	}
-	if !strings.Contains(row, "|") || !strings.Contains(row, "=") {
-		t.Fatalf("box or median missing: %q", row)
-	}
-	mid := strings.IndexByte(row, '|')
-	if mid < 15 || mid > 25 {
-		t.Fatalf("median badly placed at %d: %q", mid, row)
-	}
-}
-
-func TestBoxplotRowDegenerateRange(t *testing.T) {
-	s := Summarize([]float64{1, 1, 1})
-	row := s.BoxplotRow(1, 1, 20)
-	if len(row) != 20 {
-		t.Fatal("degenerate range mishandled")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("region", "θ1", "θ2")
 	tb.AddRow("R1", "0.85", "6.04")

@@ -260,13 +260,14 @@ func (SVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 // of the small projected matrix. Much cheaper than full SVD when the
 // numerical rank is far below the tile size.
 type RSVDCompressor struct {
-	// Seed parameterizes the deterministic per-tile generators handed out by
-	// ForTile and the generator Compress uses otherwise (default 0x5eed).
-	Seed uint64
 	// gen is the Gaussian stream of the tile ForTile named; Compress
 	// advances it, so an instance from ForTile serves one compression.
 	gen *rng.Rand
 }
+
+// rsvdSeed seeds the per-tile generators ForTile hands out and the generator
+// Compress uses otherwise.
+const rsvdSeed = 0x5eed
 
 // The sketch is sketchMargin columns wider than the rank guess, and
 // powerPasses power iterations stabilize the range estimate for slowly
@@ -280,17 +281,13 @@ const (
 func (RSVDCompressor) Name() string { return "rsvd" }
 
 // ForTile implements TileCompressor: the returned instance draws its sketch
-// from a stream seeded by (Seed, i, j) only, so compressing tile (i, j) is
+// from a stream seeded by (rsvdSeed, i, j) only, so compressing tile (i, j) is
 // bitwise-reproducible at any worker count and in any execution order.
 func (r RSVDCompressor) ForTile(i, j int) Compressor {
-	seed := r.Seed
-	if seed == 0 {
-		seed = 0x5eed
-	}
 	// SplitMix64-style mixing of the tile coordinates into the seed; rng.New
 	// runs the result through SplitMix64 again, so nearby tiles land on
 	// well-separated states.
-	s := seed ^ (uint64(i)*0x9e3779b97f4a7c15 + uint64(j)*0xbf58476d1ce4e5b9 + 0x2545f4914f6cdd1d)
+	s := rsvdSeed ^ (uint64(i)*0x9e3779b97f4a7c15 + uint64(j)*0xbf58476d1ce4e5b9 + 0x2545f4914f6cdd1d)
 	r.gen = rng.New(s)
 	return r
 }
@@ -307,11 +304,7 @@ func (r RSVDCompressor) ForTile(i, j int) Compressor {
 func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 	gen := r.gen
 	if gen == nil {
-		seed := r.Seed
-		if seed == 0 {
-			seed = 0x5eed
-		}
-		gen = rng.New(seed)
+		gen = rng.New(rsvdSeed)
 	}
 	m, n := a.Rows, a.Cols
 	maxK := min(m, n)
