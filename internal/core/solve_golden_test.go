@@ -29,6 +29,10 @@ type solveGolden struct {
 // dense rows and every mean and variance of full-block kept their bits. The
 // eight tlr and hodlr rows were re-recorded when la.SVDThin moved from
 // Jacobi rotations to bidiagonalization and bidiagonal QR; the dense rows
+// kept their bits. The six tlr rows were re-recorded when the TLR Cholesky
+// became a left-looking sweep that compresses each factor tile once, and
+// hodlr/rsvd when the randomized compressor began to truncate against the
+// full tolerance less its residual estimate; hodlr/svd and the dense rows
 // kept their bits. The dense rows do not compress, so they are listed once,
 // not per compressor.
 var solveGoldens = map[string]solveGolden{
@@ -45,22 +49,22 @@ var solveGoldens = map[string]solveGolden{
 		variance: [8]float64{0x1.0bc7b8c0a57d8p-03, 0x1.c60ba4556f47p-04, 0x1.0a26b81178cbp-04, 0x1.4b82ecb6a7298p-03, 0x1.33435da90c0b6p-02, 0x1.b138656e8ea3cp-03, 0x1.9339a1888d848p-03, 0x1.631eee37362ap-05},
 	},
 	"tlr/svd": {
-		lik:      -0x1.f780fc2bb0b4bp+07,
-		predict:  [4]float64{-0x1.43ad614986902p+00, -0x1.034fd5902ede4p+00, -0x1.cc44e955c2a57p-01, -0x1.3950fba0866edp-02},
-		mean:     [8]float64{-0x1.43ad6149869p+00, -0x1.034fd5902edd7p+00, -0x1.cc44e955c2a48p-01, -0x1.3950fba0866cdp-02, 0x1.507c67ab19e7dp-01, -0x1.e8a7585c8678p-03, 0x1.6231f305cb72cp-01, -0x1.86167cba6ca14p+00},
-		variance: [8]float64{0x1.0bc7b8c0a6218p-03, 0x1.c60ba455746ep-04, 0x1.0a26b81178cdp-04, 0x1.4b82ecb6a65c8p-03, 0x1.33435da90b53ep-02, 0x1.b138656e8ec34p-03, 0x1.9339a1888de9p-03, 0x1.631eee373608p-05},
+		lik:      -0x1.f780fc07d73f2p+07,
+		predict:  [4]float64{-0x1.43ad614a9adc8p+00, -0x1.034fd45b85bb7p+00, -0x1.cc44ea8ecd57p-01, -0x1.3950fbbf6b531p-02},
+		mean:     [8]float64{-0x1.43ad614a9adc4p+00, -0x1.034fd45b85bb2p+00, -0x1.cc44ea8ecd564p-01, -0x1.3950fbbf6b51ap-02, 0x1.507c67c5276fdp-01, -0x1.e8a75216f9f1ap-03, 0x1.6231f36e4e44ep-01, -0x1.86167ccb14ddap+00},
+		variance: [8]float64{0x1.0bc7b8c0a6028p-03, 0x1.c60ba4556dcap-04, 0x1.0a26b81178d3p-04, 0x1.4b82ecb6a63ap-03, 0x1.33435da90c4bcp-02, 0x1.b138656e8ec0cp-03, 0x1.9339a1888d4a8p-03, 0x1.631eee373616p-05},
 	},
 	"tlr+membudget/svd": {
-		lik:      -0x1.f780fc2bb0b4bp+07,
-		predict:  [4]float64{-0x1.43ad614986902p+00, -0x1.034fd5902ede4p+00, -0x1.cc44e955c2a57p-01, -0x1.3950fba0866edp-02},
-		mean:     [8]float64{-0x1.43ad6149869p+00, -0x1.034fd5902edd7p+00, -0x1.cc44e955c2a48p-01, -0x1.3950fba0866cdp-02, 0x1.507c67ab19e7dp-01, -0x1.e8a7585c8678p-03, 0x1.6231f305cb72cp-01, -0x1.86167cba6ca14p+00},
-		variance: [8]float64{0x1.0bc7b8c0a6218p-03, 0x1.c60ba455746ep-04, 0x1.0a26b81178cdp-04, 0x1.4b82ecb6a65c8p-03, 0x1.33435da90b53ep-02, 0x1.b138656e8ec34p-03, 0x1.9339a1888de9p-03, 0x1.631eee373608p-05},
+		lik:      -0x1.f780fc07d73f2p+07,
+		predict:  [4]float64{-0x1.43ad614a9adc8p+00, -0x1.034fd45b85bb7p+00, -0x1.cc44ea8ecd57p-01, -0x1.3950fbbf6b531p-02},
+		mean:     [8]float64{-0x1.43ad614a9adc4p+00, -0x1.034fd45b85bb2p+00, -0x1.cc44ea8ecd564p-01, -0x1.3950fbbf6b51ap-02, 0x1.507c67c5276fdp-01, -0x1.e8a75216f9f1ap-03, 0x1.6231f36e4e44ep-01, -0x1.86167ccb14ddap+00},
+		variance: [8]float64{0x1.0bc7b8c0a6028p-03, 0x1.c60ba4556dcap-04, 0x1.0a26b81178d3p-04, 0x1.4b82ecb6a63ap-03, 0x1.33435da90c4bcp-02, 0x1.b138656e8ec0cp-03, 0x1.9339a1888d4a8p-03, 0x1.631eee373616p-05},
 	},
 	"tlr-ranks4/svd": {
-		lik:      -0x1.f780fc2bb0b4bp+07,
-		predict:  [4]float64{-0x1.43ad614986902p+00, -0x1.034fd5902ede4p+00, -0x1.cc44e955c2a57p-01, -0x1.3950fba0866edp-02},
-		mean:     [8]float64{-0x1.43ad6149869p+00, -0x1.034fd5902edd7p+00, -0x1.cc44e955c2a48p-01, -0x1.3950fba0866cdp-02, 0x1.507c67ab19e7dp-01, -0x1.e8a7585c8678p-03, 0x1.6231f305cb72cp-01, -0x1.86167cba6ca14p+00},
-		variance: [8]float64{0x1.0bc7b8c0a6218p-03, 0x1.c60ba455746ep-04, 0x1.0a26b81178cdp-04, 0x1.4b82ecb6a65c8p-03, 0x1.33435da90b53ep-02, 0x1.b138656e8ec34p-03, 0x1.9339a1888de9p-03, 0x1.631eee373608p-05},
+		lik:      -0x1.f780fc07d73f2p+07,
+		predict:  [4]float64{-0x1.43ad614a9adc8p+00, -0x1.034fd45b85bb7p+00, -0x1.cc44ea8ecd57p-01, -0x1.3950fbbf6b531p-02},
+		mean:     [8]float64{-0x1.43ad614a9adc4p+00, -0x1.034fd45b85bb2p+00, -0x1.cc44ea8ecd564p-01, -0x1.3950fbbf6b51ap-02, 0x1.507c67c5276fdp-01, -0x1.e8a75216f9f1ap-03, 0x1.6231f36e4e44ep-01, -0x1.86167ccb14ddap+00},
+		variance: [8]float64{0x1.0bc7b8c0a6028p-03, 0x1.c60ba4556dcap-04, 0x1.0a26b81178d3p-04, 0x1.4b82ecb6a63ap-03, 0x1.33435da90c4bcp-02, 0x1.b138656e8ec0cp-03, 0x1.9339a1888d4a8p-03, 0x1.631eee373616p-05},
 	},
 	"hodlr/svd": {
 		lik:      -0x1.f780fbfa5471cp+07,
@@ -69,28 +73,28 @@ var solveGoldens = map[string]solveGolden{
 		variance: [8]float64{0x1.0bc7b8c0a436p-03, 0x1.c60ba4556f23p-04, 0x1.0a26b8117579p-04, 0x1.4b82ecb6a858p-03, 0x1.33435da90fb96p-02, 0x1.b138656e8de4p-03, 0x1.9339a18889678p-03, 0x1.631eee3730ccp-05},
 	},
 	"tlr/rsvd": {
-		lik:      -0x1.f780fc17da17ep+07,
-		predict:  [4]float64{-0x1.43ad615e0ab8cp+00, -0x1.034fd4818f7d1p+00, -0x1.cc44ea72558b8p-01, -0x1.3950faa4db454p-02},
-		mean:     [8]float64{-0x1.43ad615e0ab94p+00, -0x1.034fd4818f7c1p+00, -0x1.cc44ea72558bbp-01, -0x1.3950faa4db42ap-02, 0x1.507c67a81df06p-01, -0x1.e8a7568e39b67p-03, 0x1.6231f30bf9ac9p-01, -0x1.86167cbae8c65p+00},
-		variance: [8]float64{0x1.0bc7b8c0a5e38p-03, 0x1.c60ba45574b6p-04, 0x1.0a26b8117913p-04, 0x1.4b82ecb6a6e08p-03, 0x1.33435da90b624p-02, 0x1.b138656e8eb9cp-03, 0x1.9339a1888d848p-03, 0x1.631eee373606p-05},
+		lik:      -0x1.f780fc07d73cp+07,
+		predict:  [4]float64{-0x1.43ad614a9af9fp+00, -0x1.034fd45b85c1ap+00, -0x1.cc44ea8ecca76p-01, -0x1.3950fbbf6bec2p-02},
+		mean:     [8]float64{-0x1.43ad614a9af9fp+00, -0x1.034fd45b85c2ep+00, -0x1.cc44ea8ecca81p-01, -0x1.3950fbbf6beb5p-02, 0x1.507c67c527652p-01, -0x1.e8a75216f6916p-03, 0x1.6231f36e4e435p-01, -0x1.86167ccb14dep+00},
+		variance: [8]float64{0x1.0bc7b8c0a6028p-03, 0x1.c60ba4556dcbp-04, 0x1.0a26b81178d2p-04, 0x1.4b82ecb6a6398p-03, 0x1.33435da90c4b2p-02, 0x1.b138656e8ec08p-03, 0x1.9339a1888d4bp-03, 0x1.631eee37361ap-05},
 	},
 	"tlr+membudget/rsvd": {
-		lik:      -0x1.f780fc17da17ep+07,
-		predict:  [4]float64{-0x1.43ad615e0ab8cp+00, -0x1.034fd4818f7d1p+00, -0x1.cc44ea72558b8p-01, -0x1.3950faa4db454p-02},
-		mean:     [8]float64{-0x1.43ad615e0ab94p+00, -0x1.034fd4818f7c1p+00, -0x1.cc44ea72558bbp-01, -0x1.3950faa4db42ap-02, 0x1.507c67a81df06p-01, -0x1.e8a7568e39b67p-03, 0x1.6231f30bf9ac9p-01, -0x1.86167cbae8c65p+00},
-		variance: [8]float64{0x1.0bc7b8c0a5e38p-03, 0x1.c60ba45574b6p-04, 0x1.0a26b8117913p-04, 0x1.4b82ecb6a6e08p-03, 0x1.33435da90b624p-02, 0x1.b138656e8eb9cp-03, 0x1.9339a1888d848p-03, 0x1.631eee373606p-05},
+		lik:      -0x1.f780fc07d73cp+07,
+		predict:  [4]float64{-0x1.43ad614a9af9fp+00, -0x1.034fd45b85c1ap+00, -0x1.cc44ea8ecca76p-01, -0x1.3950fbbf6bec2p-02},
+		mean:     [8]float64{-0x1.43ad614a9af9fp+00, -0x1.034fd45b85c2ep+00, -0x1.cc44ea8ecca81p-01, -0x1.3950fbbf6beb5p-02, 0x1.507c67c527652p-01, -0x1.e8a75216f6916p-03, 0x1.6231f36e4e435p-01, -0x1.86167ccb14dep+00},
+		variance: [8]float64{0x1.0bc7b8c0a6028p-03, 0x1.c60ba4556dcbp-04, 0x1.0a26b81178d2p-04, 0x1.4b82ecb6a6398p-03, 0x1.33435da90c4b2p-02, 0x1.b138656e8ec08p-03, 0x1.9339a1888d4bp-03, 0x1.631eee37361ap-05},
 	},
 	"tlr-ranks4/rsvd": {
-		lik:      -0x1.f780fc17da17ep+07,
-		predict:  [4]float64{-0x1.43ad615e0ab8cp+00, -0x1.034fd4818f7d1p+00, -0x1.cc44ea72558b8p-01, -0x1.3950faa4db454p-02},
-		mean:     [8]float64{-0x1.43ad615e0ab94p+00, -0x1.034fd4818f7c1p+00, -0x1.cc44ea72558bbp-01, -0x1.3950faa4db42ap-02, 0x1.507c67a81df06p-01, -0x1.e8a7568e39b67p-03, 0x1.6231f30bf9ac9p-01, -0x1.86167cbae8c65p+00},
-		variance: [8]float64{0x1.0bc7b8c0a5e38p-03, 0x1.c60ba45574b6p-04, 0x1.0a26b8117913p-04, 0x1.4b82ecb6a6e08p-03, 0x1.33435da90b624p-02, 0x1.b138656e8eb9cp-03, 0x1.9339a1888d848p-03, 0x1.631eee373606p-05},
+		lik:      -0x1.f780fc07d73cp+07,
+		predict:  [4]float64{-0x1.43ad614a9af9fp+00, -0x1.034fd45b85c1ap+00, -0x1.cc44ea8ecca76p-01, -0x1.3950fbbf6bec2p-02},
+		mean:     [8]float64{-0x1.43ad614a9af9fp+00, -0x1.034fd45b85c2ep+00, -0x1.cc44ea8ecca81p-01, -0x1.3950fbbf6beb5p-02, 0x1.507c67c527652p-01, -0x1.e8a75216f6916p-03, 0x1.6231f36e4e435p-01, -0x1.86167ccb14dep+00},
+		variance: [8]float64{0x1.0bc7b8c0a6028p-03, 0x1.c60ba4556dcbp-04, 0x1.0a26b81178d2p-04, 0x1.4b82ecb6a6398p-03, 0x1.33435da90c4b2p-02, 0x1.b138656e8ec08p-03, 0x1.9339a1888d4bp-03, 0x1.631eee37361ap-05},
 	},
 	"hodlr/rsvd": {
-		lik:      -0x1.f780fbd316f9bp+07,
-		predict:  [4]float64{-0x1.43ad6156a09f4p+00, -0x1.034fd4b8e37f8p+00, -0x1.cc44e9df501c9p-01, -0x1.3950fa6ab0c1fp-02},
-		mean:     [8]float64{-0x1.43ad6156a0a09p+00, -0x1.034fd4b8e37fp+00, -0x1.cc44e9df501cdp-01, -0x1.3950fa6ab0c1ep-02, 0x1.507c67ac5f892p-01, -0x1.e8a753238a9a1p-03, 0x1.6231f3c64ac1cp-01, -0x1.86167cba0d50cp+00},
-		variance: [8]float64{0x1.0bc7b8c0a4f2p-03, 0x1.c60ba4556f43p-04, 0x1.0a26b8117793p-04, 0x1.4b82ecb6a6368p-03, 0x1.33435da910876p-02, 0x1.b138656e8ecc8p-03, 0x1.9339a18890ebp-03, 0x1.631eee3731a2p-05},
+		lik:      -0x1.f780fbfa5472bp+07,
+		predict:  [4]float64{-0x1.43ad60d3a7f01p+00, -0x1.034fd514853e3p+00, -0x1.cc44e9015e74ep-01, -0x1.3950f979567f4p-02},
+		mean:     [8]float64{-0x1.43ad60d3a7effp+00, -0x1.034fd514853e2p+00, -0x1.cc44e9015e746p-01, -0x1.3950f9795681p-02, 0x1.507c67ae607f5p-01, -0x1.e8a750719155bp-03, 0x1.6231f3bb89c7bp-01, -0x1.86167d2f39d25p+00},
+		variance: [8]float64{0x1.0bc7b8c0a437p-03, 0x1.c60ba4556f23p-04, 0x1.0a26b811757bp-04, 0x1.4b82ecb6a857p-03, 0x1.33435da90fb8cp-02, 0x1.b138656e8de3p-03, 0x1.9339a1888968p-03, 0x1.631eee3730cap-05},
 	},
 }
 

@@ -199,19 +199,6 @@ func ApplyPermFloat(v []float64, perm []int) []float64 {
 	return out
 }
 
-// Region is an axis-aligned rectangle used to carve a dataset into the
-// geographic sub-regions the paper analyzes (R1…R8 soil moisture, R1…R4
-// wind speed).
-type Region struct {
-	MinX, MinY, MaxX, MaxY float64
-}
-
-// Contains reports whether p lies in r (inclusive lower, exclusive upper,
-// except at the global maximum where it is inclusive).
-func (r Region) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X < r.MaxX && p.Y >= r.MinY && p.Y < r.MaxY
-}
-
 // MinPairDistance returns the smallest pairwise distance among pts under m.
 // It is O(n²) and intended for test-sized inputs.
 func MinPairDistance(m Metric, pts []Point) float64 {

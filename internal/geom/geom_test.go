@@ -142,13 +142,6 @@ func TestApplyPerm(t *testing.T) {
 	}
 }
 
-func TestRegionContains(t *testing.T) {
-	r := Region{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	if !r.Contains(Point{0.5, 0.5}) || r.Contains(Point{1.5, 0.5}) || r.Contains(Point{1, 0.5}) {
-		t.Fatal("region containment wrong")
-	}
-}
-
 func TestQuickHaversineTriangleInequality(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy float64) bool {
 		norm := func(lon, lat float64) Point {

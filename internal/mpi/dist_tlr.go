@@ -69,8 +69,8 @@ type DistTLR struct {
 // grid; GenCholesky fills and factors the tiles of the rank that runs it.
 // Which rank runs each task and which ranks each task's output goes to is
 // inferred here, once, from the graph's data access on the grid. Every tile
-// is written by its generation task before anything reads it, so every
-// transfer has a producing task.
+// is written by the one task that generates or factors it before anything
+// reads it, so every transfer has a producing task.
 func NewDistTLR(grid Grid, pts []geom.Point, metric geom.Metric, nb int, tol float64, comp tlr.Compressor) *DistTLR {
 	d := &DistTLR{
 		Matrix:  tlr.NewMatrix(len(pts), nb, tol),
@@ -97,9 +97,10 @@ func (d *DistTLR) Owner(i, j int) int { return d.grid.Owner(i, j) }
 // reads it from another rank and sending each output to exactly the ranks
 // runtime.Graph.Place lists. Sends never block, and a rank waits only on a
 // task of lower ID, so the walk cannot deadlock; every message is consumed,
-// so the World's mailboxes drain and it can be reused for the next θ. Tiles
-// are the shared generator's and each tile's updates run in the DAG's order,
-// so the factor is bitwise shared memory's on every grid. Received tiles are
+// so the World's mailboxes drain and it can be reused for the next θ. Each
+// tile is computed by one task from the shared generator and from tiles the
+// DAG finished before it, so the factor is bitwise shared memory's on every
+// grid. Received tiles are
 // dropped on return: the shard holds only what it owns.
 //
 // A non-SPD pivot fails the rank that owns it, with an error wrapping

@@ -60,9 +60,10 @@ type SweepKernels struct {
 // AddCholeskySweep inserts the tiled right-looking Cholesky DAG (the
 // Chameleon dpotrf algorithm) over an mt×mt lower-triangular tile grid whose
 // tile (i, j), j ≤ i, lives behind handle(i, j). It is the only place the
-// sweep is spelled out: the full-tile and TLR factorizations and the cluster
-// simulator each pass their kernels, so the simulator replays the DAG that
-// executes.
+// sweep is spelled out: the full-tile factorization and the cluster
+// simulator each pass their kernels. The simulator prices TLR on it too, as
+// HiCMA runs it at the paper's tile sizes; the executed TLR factorization is
+// tlr's left-looking sweep, which moves the same tiles between ranks.
 func AddCholeskySweep(g *runtime.Graph, mt int, handle func(i, j int) *runtime.Handle, kern SweepKernels) {
 	for k := 0; k < mt; k++ {
 		flops, run := kern.Potrf(k)

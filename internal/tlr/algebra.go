@@ -276,39 +276,73 @@ func weightedQR(w *la.Work, e *la.Mat, wt []float64, cut float64) (q, r *la.Mat)
 // gemmIntoDense applies C.D ← C.D − A·Bᵀ for a dense accumulator and any mix
 // of dense/compressed operands.
 func gemmIntoDense(cd *la.Mat, a, b *CompTile) {
-	if a.IsDense() && b.IsDense() {
-		la.Gemm(-1, a.D, la.NoTrans, b.D, la.Transpose, 1, cd)
+	kw := termWidth(a, b)
+	if kw == 0 {
 		return
 	}
 	ws := getWork()
 	defer putWork(ws)
+	x, y := ws.Mat(a.Rows(), kw), ws.Mat(b.Rows(), kw)
+	schurTerm(ws, a, b, x, y)
+	la.Gemm(-1, x, la.NoTrans, y, la.Transpose, 1, cd)
+}
+
+// termWidth is the inner width schurTerm writes A·Bᵀ at: the smaller rank of
+// two compressed tiles, the rank of the compressed one beside a dense one,
+// the shared dimension of two dense ones, and 0 when either has rank 0.
+func termWidth(a, b *CompTile) int {
 	switch {
+	case a.Rank() == 0 || b.Rank() == 0:
+		return 0
+	case a.IsDense() && b.IsDense():
+		return a.Cols()
+	case a.IsDense():
+		return b.Rank()
+	case b.IsDense():
+		return a.Rank()
+	}
+	return min(a.Rank(), b.Rank())
+}
+
+// schurTerm writes the product of two tiles of one tile column as
+// A·Bᵀ = X·Yᵀ into x (A's rows) and y (B's rows), termWidth(a, b) columns
+// each. Any temporary comes from w.
+func schurTerm(w *la.Work, a, b *CompTile, x, y *la.Mat) {
+	switch {
+	case a.IsDense() && b.IsDense():
+		x.CopyFrom(a.D)
+		y.CopyFrom(b.D)
 	case a.IsDense():
 		// A·(Ub·Vbᵀ)ᵀ = (A·Vb)·Ubᵀ
-		t := ws.Mat(a.D.Rows, b.Rank())
-		la.Gemm(1, a.D, la.NoTrans, b.V, la.NoTrans, 0, t)
-		la.Gemm(-1, t, la.NoTrans, b.U, la.Transpose, 1, cd)
+		la.Gemm(1, a.D, la.NoTrans, b.V, la.NoTrans, 0, x)
+		y.CopyFrom(b.U)
 	case b.IsDense():
 		// (Ua·Vaᵀ)·Bᵀ = Ua·(B·Va)ᵀ
-		t := ws.Mat(b.D.Rows, a.Rank())
-		la.Gemm(1, b.D, la.NoTrans, a.V, la.NoTrans, 0, t)
-		la.Gemm(-1, a.U, la.NoTrans, t, la.Transpose, 1, cd)
+		x.CopyFrom(a.U)
+		la.Gemm(1, b.D, la.NoTrans, a.V, la.NoTrans, 0, y)
 	default:
-		// Ua·(Vaᵀ·Vb)·Ubᵀ
-		w := ws.Mat(a.Rank(), b.Rank())
-		la.Gemm(1, a.V, la.Transpose, b.V, la.NoTrans, 0, w)
-		t := ws.Mat(a.U.Rows, b.Rank())
-		la.Gemm(1, a.U, la.NoTrans, w, la.NoTrans, 0, t)
-		la.Gemm(-1, t, la.NoTrans, b.U, la.Transpose, 1, cd)
+		// Ua·(Vaᵀ·Vb)·Ubᵀ, the core folded into the factor of the wider tile
+		c := w.Mat(a.Rank(), b.Rank())
+		la.Gemm(1, a.V, la.Transpose, b.V, la.NoTrans, 0, c)
+		if a.Rank() <= b.Rank() {
+			x.CopyFrom(a.U)
+			la.Gemm(1, b.U, la.NoTrans, c, la.Transpose, 0, y)
+		} else {
+			la.Gemm(1, a.U, la.NoTrans, c, la.NoTrans, 0, x)
+			y.CopyFrom(b.U)
+		}
 	}
 }
 
-// GemmLL computes C ← recompress(C − A·Bᵀ, tol) where A, B, C are TLR tiles
-// (the TLR Schur-complement update of the Cholesky trailing submatrix:
-// C_ij −= A_ik·A_jkᵀ). Any operand may be a dense (DE) tile; a compressed C
-// updated by two dense operands promotes to dense, since the product carries
-// no low-rank structure to exploit. maxRank (> 0) bounds the rank growth of
-// a compressed result via AddLowRank's DE fallback.
+// GemmLL computes C ← recompress(C − A·Bᵀ, tol) where A, B, C are TLR tiles:
+// HiCMA's right-looking Schur-complement update of one trailing tile,
+// C_ij −= A_ik·A_jkᵀ. The executed sweep does not call it (it subtracts a
+// tile's whole update before compressing, gen.go); it is the kernel the
+// simulator's FlopsGEMMComp prices and that bench/ times. Any operand may be
+// a dense (DE) tile; a compressed C updated by two dense operands promotes
+// to dense, since the product carries no low-rank structure to exploit.
+// maxRank (> 0) bounds the rank growth of a compressed result via
+// AddLowRank's DE fallback.
 //
 // The product of two low-rank tiles is itself low-rank:
 // (Ua·Vaᵀ)(Ub·Vbᵀ)ᵀ = Ua·(Vaᵀ·Vb)·Ubᵀ, with rank min(ka, kb).

@@ -5,8 +5,10 @@
 //
 // A TLR matrix stores dense diagonal tiles and each off-diagonal tile (i, j)
 // as a product U·Vᵀ with per-tile rank k chosen so the compression error is
-// below a user-defined accuracy threshold. All TLR arithmetic preserves that
-// threshold by recompressing every low-rank update (algebra.go).
+// below a user-defined accuracy threshold. The Cholesky factorization keeps
+// that threshold by compressing each factor tile once, after subtracting its
+// Schur update exactly (gen.go); the low-rank addition with recompression
+// (algebra.go) keeps it for HODLR's updates.
 package tlr
 
 import (
@@ -20,15 +22,14 @@ import (
 )
 
 // cntRecompress counts recompressions — every low-rank update of a
-// compressed tile, structured or general, and ACA's trim: the TLR update
-// path's dominant overhead, proportional to the GEMM traffic of the
-// factorization rather than the tile count.
+// compressed tile, structured or general, and ACA's trim. The TLR Cholesky
+// runs none: it compresses each tile once.
 var cntRecompress = obs.GetCounter("tlr.recompress.calls")
 
 // workPool holds the scratch arenas of the compression and recompression
 // kernels. A kernel takes one for the length of its call, draws every
 // temporary (stacked factors, QR and SVD work, cores) from it and returns it
-// reset, so the several hundred recompressions of a factorization reuse a few
+// reset, so the many compressions and updates of a factorization reuse a few
 // arenas — one per worker in flight — and only the factors of the resulting
 // tile are allocated.
 var workPool = sync.Pool{New: func() any { return new(la.Work) }}
@@ -94,15 +95,21 @@ func (c *CompTile) Bytes() int64 {
 
 // Dense reconstructs the tile as a dense matrix (a copy in every case).
 func (c *CompTile) Dense() *la.Mat {
-	if c.IsDense() {
-		return c.D.Clone()
-	}
 	out := la.NewMat(c.Rows(), c.Cols())
-	if c.Rank() == 0 {
-		return out // exact zero tile
-	}
-	la.Gemm(1, c.U, la.NoTrans, c.V, la.Transpose, 0, out)
+	c.denseInto(out)
 	return out
+}
+
+// denseInto writes the tile's entries over d, which has its shape.
+func (c *CompTile) denseInto(d *la.Mat) {
+	switch {
+	case c.IsDense():
+		d.CopyFrom(c.D)
+	case c.Rank() == 0:
+		d.Zero() // exact zero tile
+	default:
+		la.Gemm(1, c.U, la.NoTrans, c.V, la.Transpose, 0, d)
+	}
 }
 
 // Clone deep-copies the tile.
@@ -209,7 +216,14 @@ func frobRank(s []float64, tol float64) int {
 	if total == 0 {
 		return 0
 	}
-	budget := tol * tol * total
+	return tailRank(s, tol*tol*total)
+}
+
+// tailRank returns the smallest k ≥ 1 (0 for an empty spectrum) whose tail
+// Σ_{i≥k} s_i² stays within budget. The tail is accumulated from the
+// smallest singular values upward, so a budget near ε times the mass is not
+// drowned in the rounding of two large sums.
+func tailRank(s []float64, budget float64) int {
 	var tail float64
 	k := len(s)
 	for k > 1 {
@@ -308,9 +322,9 @@ func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 	}
 	m, n := a.Rows, a.Cols
 	maxK := min(m, n)
-	// Work to a tighter internal target so sketch slack plus truncation
-	// stays within the caller's tol.
-	tol *= 0.25
+	// The range is grown to a tighter target than tol, so that the
+	// residual it leaves is a small part of the error budget.
+	sketchTol := tol / 4
 	ws := getWork()
 	defer putWork(ws)
 
@@ -337,6 +351,7 @@ func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 	// per round.
 	qbuf := ws.Mat(m, maxK)
 	q := qbuf.View(0, 0, m, 0)
+	var resEst float64
 	for guess := 8; ; guess *= 2 {
 		nw := min(guess+sketchMargin, maxK) - q.Cols
 		om = ws.Mat(n, nw)
@@ -365,12 +380,12 @@ func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 		q = qbuf.View(0, 0, m, q.Cols+nw)
 		projectOut(ws, res, qn)
 
-		var resEst float64
+		resEst = 0
 		for _, x := range res.Data {
 			resEst += x * x
 		}
 		resEst /= probes
-		if resEst <= 0.25*tol*tol*aF2 || q.Cols >= maxK {
+		if resEst <= 0.25*sketchTol*sketchTol*aF2 || q.Cols >= maxK {
 			break
 		}
 	}
@@ -379,7 +394,12 @@ func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
 	b := ws.Mat(q.Cols, n)
 	la.Gemm(1, q, la.Transpose, a, la.NoTrans, 0, b)
 	ub, s, v := la.SVDThin(ws, b, tol)
-	k := frobRankAbsolute(s, tol, aF2)
+	// ‖A − Q·B_k‖_F² = ‖A − QQᵀA‖_F² + ‖B − B_k‖_F²: B's tail may spend
+	// what of tol²·‖A‖_F² the accepted residual estimate leaves.
+	k := 0
+	if aF2 > 0 {
+		k = tailRank(s, tol*tol*aF2-resEst)
+	}
 	// U = Q · Ub_k
 	u := ws.Mat(m, k)
 	la.Gemm(1, q, la.NoTrans, ub.View(0, 0, ub.Rows, k), la.NoTrans, 0, u)
@@ -397,41 +417,14 @@ func projectOut(ws *la.Work, y, q *la.Mat) {
 	la.Gemm(-1, q, la.NoTrans, c, la.NoTrans, 1, y)
 }
 
-// frobRankAbsolute picks the truncation rank measuring the tail against the
-// full Frobenius mass aF2 of the original matrix (the sketch may not carry
-// all of it). The tail is accumulated from the smallest singular values
-// upward — computing it as aF2 minus a prefix would drown tails near
-// ε·aF2 in the rounding noise of the two large sums and truncate on noise.
-func frobRankAbsolute(s []float64, tol, aF2 float64) int {
-	if aF2 == 0 {
-		return 0
-	}
-	budget := tol * tol * aF2
-	var total float64
-	for _, v := range s {
-		total += v * v
-	}
-	// mass the sketch did not capture; clamp the rounding-negative case
-	tail := aF2 - total
-	if tail < 0 {
-		tail = 0
-	}
-	k := len(s)
-	for k > 1 {
-		sv := s[k-1]
-		if tail+sv*sv > budget {
-			break
-		}
-		tail += sv * sv
-		k--
-	}
-	return k
-}
-
-// ACACompressor implements Adaptive Cross Approximation with partial
-// pivoting: it builds the approximation one rank-1 cross at a time without
-// ever forming a full SVD, stopping when the estimated residual drops below
-// tol. A final QR+SVD recompression trims overshoot.
+// ACACompressor implements Adaptive Cross Approximation: it builds the
+// approximation one rank-1 cross at a time without forming a full SVD,
+// stopping when the estimated residual drops below tol, and a final QR+SVD
+// recompression trims the overshoot. It is not partially pivoted: each step
+// scans the whole residual of a dense clone of the tile for its largest
+// entry and updates all of it, so k steps cost O(k·nb²), the order of an
+// SVD. A partially pivoted ACA that reads entries on demand is ROADMAP
+// item 3.
 type ACACompressor struct{}
 
 // Name implements Compressor.
@@ -458,7 +451,7 @@ func (ACACompressor) Compress(a *la.Mat, tol float64) *CompTile {
 	}
 	var approxF2 float64
 	for k := 0; k < maxK; k++ {
-		// partial pivoting: largest absolute entry of the residual
+		// full pivoting: largest absolute entry of the whole residual
 		bi, bj, best := 0, 0, 0.0
 		for i := 0; i < m; i++ {
 			row := res.Row(i)

@@ -1,9 +1,11 @@
-// Covariance generation + compression as runtime tasks: the HiCMA analogue
-// of the ExaGeoStat "dcmg" codelets. Each diagonal tile gets one generation
-// task and each off-diagonal tile one fused generate+compress task, all
-// writing the tile's data handle. Inserted ahead of the POTRF/TRSM/SYRK/GEMM
-// sweep they form one DAG, so compression of tile (i, j) overlaps
-// factorization of earlier panels exactly as HiCMA's StarPU tasks do.
+// Covariance generation, compression and the TLR Cholesky as one task graph:
+// the ExaGeoStat "dcmg" codelets fused with a left-looking sweep that
+// compresses each tile once. A diagonal tile is generated by its own task; an
+// off-diagonal tile is generated into pooled scratch by the task that
+// factors it, which subtracts its Schur update exactly, compresses the
+// result and solves it against the diagonal factor. Compression of tile
+// (i, j) thereby overlaps the factorization of other tiles, as HiCMA's StarPU
+// tasks do, and no compressed tile is ever updated.
 package tlr
 
 import (
@@ -49,7 +51,7 @@ type GenSpec struct {
 	// so concurrent tasks reach identical verdicts.
 	ForceMiss func(mt, i, j int) bool
 
-	// scratch pools the NB×NB dense buffers the generate+compress tasks
+	// scratch pools the NB×NB dense buffers the off-diagonal tasks
 	// materialize tiles into before compression, so repeated graph
 	// executions allocate no per-tile scratch.
 	scratch sync.Pool
@@ -83,12 +85,12 @@ func (s *GenSpec) DiagBlock(d *la.Mat, lo int) {
 }
 
 // OffBlock generates the block of Σ(θ) between the row and column points and
-// compresses it to tol. It is the one generator behind every deployment —
-// shared-memory TLR, the rank shards and HODLR — so a tile is a function of
-// (geometry, θ, (i, j)) alone: (i, j) seed a stochastic compressor's
-// per-tile stream and, with mt, are what ForceMiss is asked about. A block
-// of at most nb×nb is generated into pooled scratch. A tile whose rank
-// exceeds maxRank > 0, or that ForceMiss picks, is stored densely (DE).
+// compresses it to tol. It is the generator behind assembly — FromKernel
+// and HODLR — so a tile is a function of (geometry, θ, (i, j)) alone: (i, j)
+// seed a stochastic compressor's per-tile stream and, with mt, are what
+// ForceMiss is asked about. A block of at most nb×nb is generated into pooled
+// scratch. A tile whose rank exceeds maxRank > 0, or that ForceMiss picks,
+// is stored densely (DE).
 func (s *GenSpec) OffBlock(rows, cols []geom.Point, nb, mt, i, j int, tol float64, maxRank int) *CompTile {
 	var buf *la.Mat
 	if len(rows) <= nb && len(cols) <= nb {
@@ -99,6 +101,14 @@ func (s *GenSpec) OffBlock(rows, cols []geom.Point, nb, mt, i, j int, tol float6
 	}
 	dense := buf.View(0, 0, len(rows), len(cols))
 	s.K.Block(dense, rows, cols, s.Metric)
+	return s.compress(dense, mt, i, j, tol, maxRank)
+}
+
+// compress compresses the dense block of tile (i, j) of an mt×mt tiling —
+// generated, or with its Schur update subtracted — with the tile's
+// compressor instance, falling back to an exact dense (DE) copy of the block
+// when the rank exceeds maxRank > 0 or ForceMiss picks the tile.
+func (s *GenSpec) compress(dense *la.Mat, mt, i, j int, tol float64, maxRank int) *CompTile {
 	t := forTile(s.Comp, i, j).Compress(dense, tol)
 	cntCompress.Inc()
 	histCompRank.Observe(int64(t.Rank()))
@@ -136,58 +146,174 @@ func (m *Matrix) GenOff(spec *GenSpec, i, j int) *CompTile {
 	return t
 }
 
-// AddGenTasks inserts the per-tile generation tasks of m, each writing its
-// tile handle: plain dense generation for diagonal tiles, fused
-// generate+compress for off-diagonal tiles. Tiles in low column blocks get
-// higher priority (the factorization consumes left panels first). Tasks
-// allocate diagonal tiles lazily and replace compressed tiles wholesale, so
-// re-executing the graph on a reused shell rebuilds contents and ranks while
-// keeping the shell and handle layout; each off-diagonal task refreshes its
-// handle's byte count with the new rank's footprint.
-func AddGenTasks(g *runtime.Graph, m *Matrix, spec *GenSpec, dh []*runtime.Handle, oh [][]*runtime.Handle, bind bool) {
-	mt := m.MT
-	for i := 0; i < mt; i++ {
-		i := i
-		var runD func()
-		if bind {
-			runD = func() { m.GenDiag(spec, i) }
-		}
-		g.AddTask(runtime.Task{
-			Name:     "dcmg",
-			Flops:    tile.FlopsDCMG(m.TileDim(i), m.TileDim(i)),
-			Priority: 4 * (mt - i),
-			Run:      runD,
-			Accesses: []runtime.Access{{Handle: dh[i], Mode: runtime.Write}},
-		})
-		for j := 0; j < i; j++ {
-			j := j
-			var run func()
-			if bind {
-				run = func() { oh[i][j].SetBytes(m.GenOff(spec, i, j).Bytes()) }
-			}
-			g.AddTask(runtime.Task{
-				Name:     "dcmg+comp",
-				Flops:    tile.FlopsDCMG(m.TileDim(i), m.TileDim(j)) + flopsCompress(m.TileDim(i), m.TileDim(j)),
-				Priority: 4 * (mt - j),
-				Run:      run,
-				Accesses: []runtime.Access{{Handle: oh[i][j], Mode: runtime.Write}},
-			})
-		}
+// factorDiag is the body of potrf(j): L_jj = chol(A_jj − Σ_{k<j} L_jk·L_jkᵀ),
+// in place of the diagonal tile, with the panel tiles pinned one at a time.
+func (m *Matrix) factorDiag(j int) {
+	m.pin(j, j, pinUpdate)
+	defer m.unpin(j, j)
+	for k := 0; k < j; k++ {
+		m.with(func() { SyrkLD(m.diag[j], m.off[j][k]) }, tileUse{j, k, pinRead})
+	}
+	if err := la.Potrf(m.diag[j]); err != nil {
+		panic(err)
 	}
 }
 
-// BuildGenCholeskyGraph builds the combined generate+compress +
-// factorization DAG: generation tasks write every tile, POTRF/TRSM/SYRK/GEMM
-// tasks consume them. The graph is re-executable: running it again
-// regenerates and recompresses the matrix from the (possibly updated) spec
-// and refactors it, which is what core's likelihood evaluator does once per
-// optimizer iteration.
-func BuildGenCholeskyGraph(m *Matrix, spec *GenSpec, bind bool) *runtime.Graph {
+// factorOff is the body of trsm(i, j), j < i:
+// L_ij = compress(A_ij − Σ_{k<j} L_ik·L_jkᵀ)·L_jj⁻ᵀ. A_ij is generated from
+// spec into pooled scratch when gen is set, and is the tile m stores
+// otherwise; the update is subtracted from it exactly, so the tile is
+// compressed once, by spec's compressor. The new tile replaces the old one
+// wholesale and is returned. At most three tiles are pinned at a time:
+// (i, k) and (j, k) for each k, then (j, j) and (i, j).
+func (m *Matrix) factorOff(spec *GenSpec, gen bool, i, j int) *CompTile {
+	buf := spec.getScratch(m.NB)
+	defer spec.scratch.Put(buf)
+	a := buf.View(0, 0, m.TileDim(i), m.TileDim(j))
+	if gen {
+		spec.K.Block(a, m.tilePts(spec, i), m.tilePts(spec, j), spec.Metric)
+	} else {
+		m.with(func() { m.off[i][j].denseInto(a) }, tileUse{i, j, pinRead})
+	}
+	m.subtractSchur(a, i, j)
+	t := spec.compress(a, m.MT, i, j, m.Tol, m.MaxRank)
+	m.with(func() {
+		TrsmLD(m.diag[j], t)
+		m.off[i][j] = t
+	}, tileUse{j, j, pinRead}, tileUse{i, j, pinOverwrite})
+	return t
+}
+
+// subtractSchur subtracts Σ_{k<j} L_ik·L_jkᵀ from the dense block a of tile
+// (i, j). Each term is written as a product X_k·Y_kᵀ of its narrowest inner
+// width (schurTerm), and the terms are laid side by side into one la.Gemm
+// of inner width up to NB, so a tile's whole update is a few products of
+// dense-tile shape instead of j thin ones. The two operands of a term are
+// pinned for as long as it takes to copy them out.
+func (m *Matrix) subtractSchur(a *la.Mat, i, j int) {
+	w := getWork()
+	defer putWork(w)
+	x, y := w.Mat(a.Rows, m.NB), w.Mat(a.Cols, m.NB)
+	width := 0
+	flush := func() {
+		if width > 0 {
+			la.Gemm(-1, x.View(0, 0, a.Rows, width), la.NoTrans, y.View(0, 0, a.Cols, width), la.Transpose, 1, a)
+			width = 0
+		}
+	}
+	for k := 0; k < j; k++ {
+		m.with(func() {
+			li, lj := m.off[i][k], m.off[j][k]
+			kw := termWidth(li, lj)
+			if width+kw > m.NB {
+				flush()
+			}
+			schurTerm(w, li, lj, x.View(0, width, a.Rows, kw), y.View(0, width, a.Cols, kw))
+			width += kw
+		}, tileUse{i, k, pinRead}, tileUse{j, k, pinRead})
+	}
+	flush()
+}
+
+// buildSweep builds the left-looking TLR Cholesky of m as one task graph.
+// Column by column it inserts, for each j:
+//
+//   - dcmg(j), when gen is set: generate diagonal tile j from spec;
+//   - potrf(j): subtract Σ_{k<j} L_jk·L_jkᵀ with SyrkLD and factor the tile;
+//   - trsm(i, j) for each i > j: factorOff — generate (or read) A_ij,
+//     subtract its update exactly, compress once, solve against L_jj.
+//
+// Each task is named after the kernel that finishes its tile, so the tile a
+// potrf or trsm task writes is final when it ends: it is read, never
+// updated, by the tasks after it, and a rank that owns it sends it once.
+// Earlier columns come first in priority, and within a column the diagonal
+// and then the rows nearest it, which feed the next column's potrf.
+//
+// Task closures read spec and m's tiles when they run, so the graph
+// re-executes after the kernel or nugget in spec changes, or on a matrix
+// whose stored tiles were replaced (gen unset). A structural graph (bind
+// unset) carries the flop counts, at the ranks m holds or a nominal NB/8.
+func buildSweep(m *Matrix, spec *GenSpec, gen, bind bool) *runtime.Graph {
 	g := runtime.NewGraph()
 	dh, oh := newTileHandles(g, m)
-	AddGenTasks(g, m, spec, dh, oh, bind)
-	addCholeskyTasks(g, m, dh, oh, bind)
+	mt := m.MT
+	rank := func(i, j int) int {
+		if m.off[i][j] != nil {
+			return m.off[i][j].Rank()
+		}
+		// structural graphs assume a nominal rank for costing; clamp to ≥ 1
+		// so no task degenerates to zero flops (NB < 8 would otherwise yield
+		// zero-cost tasks and corrupt simulated makespans)
+		return max(m.NB/8, 1)
+	}
+	body := func(run func()) func() {
+		if !bind {
+			return nil
+		}
+		return run
+	}
+	prio := func(j, step int) int { return (mt-j)*(mt+2) - step }
+	// Without a generator the sweep reads the stored tile it replaces.
+	source := runtime.ReadWrite
+	if gen {
+		source = runtime.Write
+	}
+	for j := 0; j < mt; j++ {
+		dj := m.TileDim(j)
+		if gen {
+			g.AddTask(runtime.Task{
+				Name:     "dcmg",
+				Flops:    tile.FlopsDCMG(dj, dj),
+				Priority: prio(j, 0),
+				Run:      body(func() { m.GenDiag(spec, j) }),
+				Accesses: []runtime.Access{{Handle: dh[j], Mode: runtime.Write}},
+			})
+		}
+		flops := tile.FlopsPOTRF(dj)
+		acc := []runtime.Access{{Handle: dh[j], Mode: runtime.ReadWrite}}
+		for k := 0; k < j; k++ {
+			flops += FlopsSYRKComp(dj, rank(j, k))
+			acc = append(acc, runtime.Access{Handle: oh[j][k], Mode: runtime.Read})
+		}
+		g.AddTask(runtime.Task{
+			Name:     "potrf",
+			Flops:    flops,
+			Priority: prio(j, 1),
+			Run:      body(func() { m.factorDiag(j) }),
+			Accesses: acc,
+		})
+		for i := j + 1; i < mt; i++ {
+			di := m.TileDim(i)
+			flops := flopsCompress(di, dj) + FlopsTRSMComp(dj, rank(i, j))
+			if gen {
+				flops += tile.FlopsDCMG(di, dj)
+			}
+			acc := []runtime.Access{{Handle: dh[j], Mode: runtime.Read}}
+			for k := 0; k < j; k++ {
+				flops += tile.FlopsGEMM(di, min(rank(i, k), rank(j, k)), dj)
+				acc = append(acc,
+					runtime.Access{Handle: oh[i][k], Mode: runtime.Read},
+					runtime.Access{Handle: oh[j][k], Mode: runtime.Read})
+			}
+			g.AddTask(runtime.Task{
+				Name:     "trsm",
+				Flops:    flops,
+				Priority: prio(j, 1+i-j),
+				Run:      body(func() { oh[i][j].SetBytes(m.factorOff(spec, gen, i, j).Bytes()) }),
+				Accesses: append(acc, runtime.Access{Handle: oh[i][j], Mode: source}),
+			})
+		}
+	}
 	return g
+}
+
+// BuildGenCholeskyGraph builds the fused generate+compress+factor DAG of
+// buildSweep. The graph is re-executable: running it again regenerates and
+// recompresses the matrix from the (possibly updated) spec and refactors it,
+// which is what core's likelihood evaluator does once per optimizer
+// iteration.
+func BuildGenCholeskyGraph(m *Matrix, spec *GenSpec, bind bool) *runtime.Graph {
+	return buildSweep(m, spec, true, bind)
 }
 
 // GenCholesky generates and compresses Σ(θ) into m and factors it in place

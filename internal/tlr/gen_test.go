@@ -65,18 +65,28 @@ func TestFromKernelWorkerInvariance(t *testing.T) {
 	}
 }
 
-// The fused generate+compress+factorize DAG must reproduce the separate
-// assemble-then-factor pipeline bitwise: per tile, both execute the same
-// kernel sequence in the same dependency order.
+// Cholesky of an assembled matrix runs the sweep GenCholesky runs, with the
+// stored tiles as its source instead of the generator. Assembled with every
+// off-diagonal tile stored exactly (DE), the source holds what the generator
+// produces, so the two pipelines must agree bitwise.
 func TestGenCholeskyMatchesSeparatePipeline(t *testing.T) {
 	const n, nb = 160, 32
 	k, pts := genTestSetup(t, n)
-	sep := FromKernel(k, pts, geom.Euclidean, n, nb, 1e-8, SVDCompressor{}, 1e-9, 4)
+	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: SVDCompressor{}}
+	sep := NewMatrix(n, nb, 1e-8)
+	sep.comp = SVDCompressor{}
+	for i := 0; i < sep.MT; i++ {
+		sep.GenDiag(spec, i)
+		for j := 0; j < i; j++ {
+			d := la.NewMat(sep.TileDim(i), sep.TileDim(j))
+			k.Block(d, sep.tilePts(spec, i), sep.tilePts(spec, j), geom.Euclidean)
+			sep.off[i][j] = NewDenseTile(d)
+		}
+	}
 	if err := Cholesky(sep, 4); err != nil {
 		t.Fatal(err)
 	}
 	fused := NewMatrix(n, nb, 1e-8)
-	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: SVDCompressor{}}
 	if err := GenCholesky(fused, spec, 4); err != nil {
 		t.Fatal(err)
 	}

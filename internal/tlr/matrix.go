@@ -21,13 +21,18 @@ type Matrix struct {
 	Tol float64
 
 	// MaxRank, when positive, caps compressed tile ranks: a tile that
-	// cannot meet Tol within MaxRank columns (at generation or after a
-	// trailing update) falls back to exact dense (DE) storage instead of
-	// erroring or growing without bound. Zero means uncapped.
+	// cannot meet Tol within MaxRank columns when it is compressed falls
+	// back to exact dense (DE) storage instead of erroring or growing
+	// without bound. Zero means uncapped.
 	MaxRank int
 
 	diag []*la.Mat
 	off  [][]*CompTile // off[i][j] valid for j < i
+
+	// comp is the compressor FromKernel or FromDense built the tiles with,
+	// and the one Cholesky compresses the factor tiles with; nil is
+	// SVDCompressor.
+	comp Compressor
 
 	// spill, when non-nil, is the out-of-core cache SpillCache.Bind
 	// installed: a tile may be evicted to disk, its slot left nil, between
@@ -113,19 +118,24 @@ func (m *Matrix) ClearTile(i, j int) {
 // FromKernel assembles and compresses the covariance matrix Σ(θ) for pts:
 // diagonal tiles stay dense; each off-diagonal tile is generated densely and
 // immediately compressed with comp (the HiCMA "generate + compress"
-// pipeline). A nugget is added to the diagonal. The per-tile
-// generate+compress tasks run on the task runtime with the given worker
-// count; the result is bitwise-independent of workers: a stochastic
-// compressor is a TileCompressor, re-seeded per tile.
+// pipeline). A nugget is added to the diagonal. The per-tile tasks are
+// independent and run on the task runtime with the given worker count; the
+// result is bitwise-independent of workers: a stochastic compressor is a
+// TileCompressor, re-seeded per tile.
 func FromKernel(k *cov.Kernel, pts []geom.Point, metric geom.Metric, n, nb int, tol float64, comp Compressor, nugget float64, workers int) *Matrix {
 	if len(pts) != n {
 		panic(fmt.Sprintf("tlr: %d points for n=%d", len(pts), n))
 	}
 	m := NewMatrix(n, nb, tol)
+	m.comp = comp
 	spec := &GenSpec{K: k, Pts: pts, Metric: metric, Nugget: nugget, Comp: comp}
 	g := runtime.NewGraph()
-	dh, oh := newTileHandles(g, m)
-	AddGenTasks(g, m, spec, dh, oh, true)
+	for i := 0; i < m.MT; i++ {
+		g.AddTask(runtime.Task{Name: "dcmg", Run: func() { m.GenDiag(spec, i) }})
+		for j := 0; j < i; j++ {
+			g.AddTask(runtime.Task{Name: "dcmg+comp", Run: func() { m.GenOff(spec, i, j) }})
+		}
+	}
 	if err := g.Execute(runtime.ExecOptions{Workers: workers}); err != nil {
 		// generation and compression cannot fail numerically; a panic here is
 		// a programming error
@@ -141,6 +151,7 @@ func FromDense(a *la.Mat, nb int, tol float64, comp Compressor) *Matrix {
 		panic("tlr: FromDense requires a square matrix")
 	}
 	m := NewMatrix(a.Rows, nb, tol)
+	m.comp = comp
 	for i := 0; i < m.MT; i++ {
 		di := m.TileDim(i)
 		m.diag[i] = a.View(i*nb, i*nb, di, di).Clone()
@@ -247,7 +258,10 @@ func FlopsSYRKComp(nb, k int) float64 {
 }
 
 // FlopsGEMMComp estimates the compressed GEMM C ← C − A·Bᵀ for operand ranks
-// ka, kb and target rank kc, as addLowRank's structured update runs it with
+// ka, kb and target rank kc. It is the simulator's price only: the executed
+// sweep subtracts each tile's update densely before compressing it
+// (buildSweep), and internal/cluster prices HiCMA's right-looking sweep, whose
+// trailing update runs as addLowRank's structured update does with
 // kx = min(ka, kb): the contraction Vaᵀ·Vb and its product with the wider U
 // (4·nb·ka·kb), the two Gram matrices that check C's bases (4·nb·kc²), the
 // projections against them — twice before the pivoted QRs of the two
@@ -260,14 +274,16 @@ func FlopsGEMMComp(nb, ka, kb, kc int) float64 {
 	return 4*n*a*b + 4*n*c*c + 20*n*c*x + 4*n*x*x + (c+x)*(c+x)*(c+x) + 4*n*(c+x)*c
 }
 
-// BuildCholeskyGraph inserts the TLR Cholesky DAG into a new graph. The DAG
-// has the same shape as the dense tiled one; only the per-task kernels (and
-// costs) differ. When bind is true the tasks mutate m in place.
+// BuildCholeskyGraph builds the TLR Cholesky of the tiles m stores: the
+// sweep GenCholesky runs, with each stored tile as its source instead of the
+// generator, compressed again with the compressor m was built with. When
+// bind is true the tasks mutate m in place.
 func BuildCholeskyGraph(m *Matrix, bind bool) *runtime.Graph {
-	g := runtime.NewGraph()
-	dh, oh := newTileHandles(g, m)
-	addCholeskyTasks(g, m, dh, oh, bind)
-	return g
+	comp := m.comp
+	if comp == nil {
+		comp = SVDCompressor{}
+	}
+	return buildSweep(m, &GenSpec{Comp: comp}, false, bind)
 }
 
 // TileOf returns the tile (i, j) behind one of the handles of m's task
@@ -277,8 +293,8 @@ func (m *Matrix) TileOf(h *runtime.Handle) (i, j int) { return int(h.Tag) / m.MT
 // newTileHandles registers one data handle per stored tile: dense diagonal
 // tiles and compressed off-diagonal tiles, tile (i, j) tagged i·MT + j for
 // TileOf. Compressed handles start with the current tile's footprint (zero
-// for an empty shell) and are refreshed by the generate+compress tasks via
-// SetBytes as ranks change.
+// for an empty shell) and are refreshed via SetBytes by the tasks that write
+// the tiles, as ranks change.
 func newTileHandles(g *runtime.Graph, m *Matrix) ([]*runtime.Handle, [][]*runtime.Handle) {
 	dh := make([]*runtime.Handle, m.MT)
 	oh := make([][]*runtime.Handle, m.MT)
@@ -297,73 +313,9 @@ func newTileHandles(g *runtime.Graph, m *Matrix) ([]*runtime.Handle, [][]*runtim
 	return dh, oh
 }
 
-// UpdateOff applies the trailing update C_ij ← C_ij − A·Bᵀ of the Cholesky
-// sweep to compressed tile (i, j), recompressing to m.Tol under m.MaxRank.
-// The update replaces the tile object.
-func (m *Matrix) UpdateOff(i, j int, a, b *CompTile) {
-	m.off[i][j] = GemmLL(m.off[i][j], a, b, m.Tol, m.MaxRank)
-}
-
-// addCholeskyTasks inserts the TLR sweep over the given tile handles (shared
-// by BuildCholeskyGraph and the fused generation+factorization graph in
-// gen.go): tile.AddCholeskySweep with HiCMA's kernels and costs in place of
-// Chameleon's. Task closures dereference m's tiles at run time, so the same
-// graph re-executes correctly after the generation tasks (or GEMM
-// recompressions) replace tile objects.
-func addCholeskyTasks(g *runtime.Graph, m *Matrix, dh []*runtime.Handle, oh [][]*runtime.Handle, bind bool) {
-	rank := func(i, j int) int {
-		if m.off[i][j] != nil {
-			return m.off[i][j].Rank()
-		}
-		// structural graphs assume a nominal rank for costing; clamp to ≥ 1
-		// so no task degenerates to zero flops (NB < 8 would otherwise yield
-		// zero-cost TRSM/SYRK/GEMM tasks and corrupt simulated makespans)
-		if nominal := m.NB / 8; nominal >= 1 {
-			return nominal
-		}
-		return 1
-	}
-	// body pins the tiles a kernel uses around it: its operands for
-	// reading, its target for update.
-	body := func(run func(), uses ...tileUse) func() {
-		if !bind {
-			return nil
-		}
-		return func() { m.with(run, uses...) }
-	}
-	handle := func(i, j int) *runtime.Handle {
-		if i == j {
-			return dh[i]
-		}
-		return oh[i][j]
-	}
-	read := func(i, j int) tileUse { return tileUse{i, j, pinRead} }
-	update := func(i, j int) tileUse { return tileUse{i, j, pinUpdate} }
-	tile.AddCholeskySweep(g, m.MT, handle, tile.SweepKernels{
-		Potrf: func(k int) (float64, func()) {
-			return tile.FlopsPOTRF(m.TileDim(k)), body(func() {
-				if err := la.Potrf(m.diag[k]); err != nil {
-					panic(err)
-				}
-			}, update(k, k))
-		},
-		Trsm: func(i, k int) (float64, func()) {
-			return FlopsTRSMComp(m.TileDim(k), rank(i, k)),
-				body(func() { TrsmLD(m.diag[k], m.off[i][k]) }, read(k, k), update(i, k))
-		},
-		Syrk: func(i, k int) (float64, func()) {
-			return FlopsSYRKComp(m.TileDim(i), rank(i, k)),
-				body(func() { SyrkLD(m.diag[i], m.off[i][k]) }, read(i, k), update(i, i))
-		},
-		Gemm: func(i, j, k int) (float64, func()) {
-			return FlopsGEMMComp(m.TileDim(i), rank(i, k), rank(j, k), rank(i, j)),
-				body(func() { m.UpdateOff(i, j, m.off[i][k], m.off[j][k]) }, read(i, k), read(j, k), update(i, j))
-		},
-	})
-}
-
 // Cholesky factors m in place: on return the diagonal tiles hold dense
-// Cholesky factors and the off-diagonal tiles the compressed L factors.
+// Cholesky factors and the off-diagonal tiles the compressed L factors. It
+// returns la.ErrNotPositiveDefinite (wrapped) if a pivot fails.
 func Cholesky(m *Matrix, workers int) error {
 	g := BuildCholeskyGraph(m, true)
 	return g.Execute(runtime.ExecOptions{Workers: workers})

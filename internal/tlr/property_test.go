@@ -247,7 +247,7 @@ func TestAddLowRankMatchesDenseSVD(t *testing.T) {
 			if e, ref := d.FrobNorm(), dense.FrobNorm(); e > tol*ref && len(s) > 0 {
 				t.Errorf("%s tol %g: error %g·‖C′‖_F", tc.name, tol, e/ref)
 			}
-			if gu, gv := BasisGaps(got); gu > gramSlack || gv > gramSlack {
+			if gu, gv := basisGaps(got); gu > gramSlack || gv > gramSlack {
 				t.Errorf("%s tol %g: result has UᵀU off-diagonal %g, ‖VᵀV − I‖ %g", tc.name, tol, gu, gv)
 			}
 		}
@@ -335,9 +335,11 @@ func BenchmarkAddLowRank(b *testing.B) {
 
 // BenchmarkBuildGenCholeskyGraph times construction of the fused
 // generation + Cholesky DAG at mt=32 for both shells — the part of a
-// session's set-up that goes through tile.AddCholeskySweep's callbacks.
+// session's set-up that builds the task graph: 6 512 tasks through
+// tile.AddCholeskySweep's callbacks for the tile shell, 560 for tlr's
+// left-looking sweep, whose off-diagonal tasks read whole tile rows.
 func BenchmarkBuildGenCholeskyGraph(b *testing.B) {
-	const n, nb = 128, 4 // mt = 32: 6 512 tasks
+	const n, nb = 128, 4 // mt = 32
 	var tasks int
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(tasks), "tasks")

@@ -373,7 +373,12 @@ func TestRankFloorPreventsZeroRank(t *testing.T) {
 	if k := frobRank([]float64{0, 0}, 1e-9); k != 0 {
 		t.Fatalf("frobRank of a zero spectrum = %d", k)
 	}
-	if k := frobRankAbsolute(nil, 1e-9, 0); k != 0 {
-		t.Fatalf("frobRankAbsolute of a zero tile = %d", k)
+	// rsvd's truncation ranks against an absolute budget that the residual
+	// estimate may leave negative: then every direction is kept.
+	if k := tailRank(nil, 1e-9); k != 0 {
+		t.Fatalf("tailRank of an empty spectrum = %d", k)
+	}
+	if k := tailRank([]float64{1, 1e-9}, -1e-30); k != 2 {
+		t.Fatalf("tailRank under a negative budget = %d, want 2", k)
 	}
 }
