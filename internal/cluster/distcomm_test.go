@@ -26,7 +26,7 @@ func measureCholeskyComm(t *testing.T, grid mpi.Grid, n, nb int, acc float64, de
 	world := mpi.NewWorld(size)
 	sent := make([]float64, size)
 	errs := world.Run(func(c *mpi.Comm) error {
-		d := mpi.NewDistTLR(grid, pts, geom.Euclidean, nb, acc, tlr.SVDCompressor{})
+		d := mpi.NewDistTLR(grid, pts, geom.Euclidean, nb, acc, tlr.CompressSVD)
 		if dense {
 			d.ForceMiss = func(mt, i, j int) bool { return true }
 		}

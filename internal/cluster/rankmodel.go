@@ -46,7 +46,6 @@ func CalibrateRankModel(acc float64, theta cov.Params, calN, nbCal int) *RankMod
 	pts = geom.Sorted(geom.Morton, pts)
 	k := cov.NewKernel(theta)
 	mt := calN / nbCal
-	comp := tlr.SVDCompressor{}
 
 	sums := make(map[int]float64)
 	counts := make(map[int]int)
@@ -55,7 +54,7 @@ func CalibrateRankModel(acc float64, theta cov.Params, calN, nbCal int) *RankMod
 		for j := 0; j < i; j++ {
 			k.Block(buf, pts[i*nbCal:(i+1)*nbCal], pts[j*nbCal:(j+1)*nbCal], geom.Euclidean)
 			d := i - j
-			sums[d] += float64(comp.Compress(buf, acc).Rank())
+			sums[d] += float64(tlr.CompressSVD(buf, acc, 0).Rank())
 			counts[d]++
 		}
 	}

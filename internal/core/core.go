@@ -138,7 +138,7 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration and returns a descriptive error instead
 // of coercing bad values. Zero fields mean "use the default" and are always
-// valid; negative or inconsistent fields are not.
+// valid; negative, non-finite or inconsistent fields are not.
 func (c Config) Validate() error {
 	if _, err := lookupMode(c.Mode, c.Ranks); err != nil {
 		return err
@@ -146,14 +146,14 @@ func (c Config) Validate() error {
 	if c.TileSize < 0 {
 		return fmt.Errorf("core: negative TileSize %d", c.TileSize)
 	}
-	if c.Accuracy < 0 {
-		return fmt.Errorf("core: negative Accuracy %g", c.Accuracy)
+	if !(c.Accuracy >= 0 && c.Accuracy <= math.MaxFloat64) {
+		return fmt.Errorf("core: Accuracy %g is not a finite non-negative number", c.Accuracy)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d", c.Workers)
 	}
-	if c.Nugget < 0 {
-		return fmt.Errorf("core: negative Nugget %g", c.Nugget)
+	if !(c.Nugget >= 0 && c.Nugget <= math.MaxFloat64) {
+		return fmt.Errorf("core: Nugget %g is not a finite non-negative number", c.Nugget)
 	}
 	if _, err := tlr.CompressorByName(c.CompressorName); err != nil {
 		return fmt.Errorf("core: %w", err)

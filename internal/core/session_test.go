@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,6 +48,12 @@ func TestConfigValidate(t *testing.T) {
 		{"negative accuracy", Config{Accuracy: -1e-9}, "Accuracy"},
 		{"negative workers", Config{Workers: -2}, "Workers"},
 		{"negative nugget", Config{Nugget: -1}, "Nugget"},
+		{"NaN accuracy", Config{Mode: TLR, Accuracy: math.NaN()}, "Accuracy"},
+		{"+Inf accuracy", Config{Mode: TLR, Accuracy: math.Inf(1)}, "Accuracy"},
+		{"-Inf accuracy", Config{Mode: TLR, Accuracy: math.Inf(-1)}, "Accuracy"},
+		{"NaN nugget", Config{Nugget: math.NaN()}, "Nugget"},
+		{"+Inf nugget", Config{Nugget: math.Inf(1)}, "Nugget"},
+		{"-Inf nugget", Config{Nugget: math.Inf(-1)}, "Nugget"},
 		{"bad compressor", Config{CompressorName: "zstd"}, "unknown compressor"},
 		{"negative ranks", Config{Ranks: -4}, "Ranks"},
 		{"dist dense", Config{Mode: FullBlock, Ranks: 4}, "requires Mode=TLR"},

@@ -47,7 +47,7 @@ func blockSolves(t *testing.T, n, nb int) ([]blockSolve, *la.Mat) {
 		return func(b *la.Mat) error { solve(b); return nil }
 	}
 	spec := func() *tlr.GenSpec {
-		return &tlr.GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: nugget, Comp: tlr.SVDCompressor{}}
+		return &tlr.GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: nugget, Comp: tlr.CompressSVD}
 	}
 
 	dense := denseFactor{l: ref}
@@ -96,7 +96,7 @@ func blockSolves(t *testing.T, n, nb int) ([]blockSolve, *la.Mat) {
 		return nil
 	}
 	if err := firstErr(world.Run(func(c *mpi.Comm) error {
-		sh := mpi.NewDistTLR(mpi.Grid{P: 2, Q: 2}, pts, geom.Euclidean, nb, 1e-10, tlr.SVDCompressor{})
+		sh := mpi.NewDistTLR(mpi.Grid{P: 2, Q: 2}, pts, geom.Euclidean, nb, 1e-10, tlr.CompressSVD)
 		shards[c.Rank()] = sh
 		return sh.GenCholesky(c, k, nugget)
 	})); err != nil {

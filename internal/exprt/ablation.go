@@ -83,7 +83,7 @@ func ablationOrdering(o Options) error {
 			if err != nil {
 				return err
 			}
-			m := tlr.FromKernel(k, geom.Sorted(ord, g.pts), geom.Euclidean, n, nb, 1e-7, tlr.SVDCompressor{}, 1e-9, o.Workers)
+			m := tlr.FromKernel(k, geom.Sorted(ord, g.pts), geom.Euclidean, n, nb, 1e-7, tlr.CompressSVD, 1e-9, o.Workers)
 			maxK, meanK := m.RankStats()
 			t0 := time.Now()
 			if err := tlr.Cholesky(m, o.Workers); err != nil {
@@ -137,7 +137,7 @@ func ablationCompressor(o Options) error {
 		t0 := time.Now()
 		for trial := 0; trial < 6; trial++ {
 			a := tileBetween(k, pts, nb, trial)
-			c := comp.Compress(a, 1e-7)
+			c := comp(a, 1e-7, 0)
 			ranks = append(ranks, float64(c.Rank()))
 			d := c.Dense()
 			d.Sub(a)
@@ -201,8 +201,8 @@ func ablationFormats(o Options) error {
 	fmt.Fprintf(o.Out, "\n[5] compression format: flat TLR vs recursive HODLR (n=%d, §II trade-off)\n", n)
 	tb := stats.NewTable("accuracy", "dense bytes", "tlr bytes", "hodlr bytes", "tlr max rank", "hodlr max rank")
 	for _, acc := range []float64{1e-3, 1e-6, 1e-9} {
-		tl := tlr.FromKernel(k, pts, geom.Euclidean, n, leaf, acc, tlr.SVDCompressor{}, 0, o.Workers)
-		hd := hodlr.Build(k, pts, geom.Euclidean, leaf, acc, tlr.SVDCompressor{}, 0)
+		tl := tlr.FromKernel(k, pts, geom.Euclidean, n, leaf, acc, tlr.CompressSVD, 0, o.Workers)
+		hd := hodlr.Build(k, pts, geom.Euclidean, leaf, acc, tlr.CompressSVD, 0)
 		tlMax, _ := tl.RankStats()
 		tb.AddRow(fmt.Sprintf("%.0e", acc),
 			fmt.Sprintf("%d", int64(n)*int64(n)*8),
@@ -263,7 +263,7 @@ func ablationDistributed(o Options) error {
 		var got float64
 		t0 := time.Now()
 		errs := mpi.RunWorld(grid.P*grid.Q, func(c *mpi.Comm) error {
-			m := mpi.NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-12, tlr.SVDCompressor{})
+			m := mpi.NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-12, tlr.CompressSVD)
 			if err := m.GenCholesky(c, k, 1e-10); err != nil {
 				return err
 			}

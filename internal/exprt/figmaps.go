@@ -22,7 +22,7 @@ func Fig1(o Options) error {
 	pts := geom.GeneratePerturbedGrid(n, r)
 	pts = geom.Sorted(geom.Morton, pts)
 	k := cov.NewKernel(maternRef())
-	m := tlr.FromKernel(k, pts, geom.Euclidean, n, nb, acc, tlr.SVDCompressor{}, 1e-9, o.Workers)
+	m := tlr.FromKernel(k, pts, geom.Euclidean, n, nb, acc, tlr.CompressSVD, 1e-9, o.Workers)
 
 	fmt.Fprintf(o.Out, "TLR representation of Σ(θ): n=%d, nb=%d, accuracy %.0e\n", n, nb, acc)
 	fmt.Fprintf(o.Out, "per-tile ranks (D = dense diagonal tile of %d):\n\n", nb)

@@ -28,7 +28,7 @@ func TestCholeskyLogDetMatchesDense(t *testing.T) {
 	for _, n := range []int{100, 256, 300} {
 		k, pts, dense := testSetup(t, n)
 		_, want := choleskyRef(t, dense, 1e-8)
-		m := Build(k, pts, geom.Euclidean, 32, 1e-11, tlr.SVDCompressor{}, 1e-8)
+		m := Build(k, pts, geom.Euclidean, 32, 1e-11, tlr.CompressSVD, 1e-8)
 		if err := m.Cholesky(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -50,7 +50,7 @@ func TestSolveMatchesDense(t *testing.T) {
 	n := 300
 	k, pts, dense := testSetup(t, n)
 	ref, _ := choleskyRef(t, dense, 1e-8)
-	m := Build(k, pts, geom.Euclidean, 32, 1e-11, tlr.SVDCompressor{}, 1e-8)
+	m := Build(k, pts, geom.Euclidean, 32, 1e-11, tlr.CompressSVD, 1e-8)
 	if err := m.Cholesky(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,19 +89,23 @@ func TestSolveMatchesDense(t *testing.T) {
 func TestGenCholeskyDeterministicAcrossWorkers(t *testing.T) {
 	n := 300
 	k, pts, _ := testSetup(t, n)
-	for _, comp := range []tlr.Compressor{tlr.SVDCompressor{}, tlr.RSVDCompressor{}} {
+	for _, name := range []string{"svd", "rsvd"} {
+		comp, err := tlr.CompressorByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		run := func(workers int) (*Matrix, float64) {
 			m := NewTree(n, 32, 1e-9)
 			spec := &tlr.GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: comp}
 			if err := GenCholesky(m, spec, workers); err != nil {
-				t.Fatalf("%s workers=%d: %v", comp.Name(), workers, err)
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
 			return m, m.LogDet()
 		}
 		m1, ld1 := run(1)
 		m8, ld8 := run(8)
 		if ld1 != ld8 {
-			t.Fatalf("%s: logdet drifts with workers: %.17g vs %.17g", comp.Name(), ld1, ld8)
+			t.Fatalf("%s: logdet drifts with workers: %.17g vs %.17g", name, ld1, ld8)
 		}
 		r := rng.New(13)
 		b := make([]float64, n)
@@ -112,7 +116,7 @@ func TestGenCholeskyDeterministicAcrossWorkers(t *testing.T) {
 		solveVec(m8, b8)
 		for i := range b1 {
 			if b1[i] != b8[i] {
-				t.Fatalf("%s: solve drifts with workers at %d: %.17g vs %.17g", comp.Name(), i, b1[i], b8[i])
+				t.Fatalf("%s: solve drifts with workers at %d: %.17g vs %.17g", name, i, b1[i], b8[i])
 			}
 		}
 	}
@@ -130,7 +134,7 @@ func TestGenGraphReuseAcrossTheta(t *testing.T) {
 		{Variance: 1, Range: 0.1, Smoothness: 0.5}, // revisit the first point
 	}
 	m := NewTree(n, 32, 1e-9)
-	spec := &tlr.GenSpec{Pts: pts, Metric: geom.Euclidean, Comp: tlr.RSVDCompressor{}}
+	spec := &tlr.GenSpec{Pts: pts, Metric: geom.Euclidean, Comp: tlr.CompressRSVD}
 	g := BuildGenCholeskyGraph(m, spec)
 	for _, th := range thetas {
 		spec.K = cov.NewKernel(th)
@@ -141,7 +145,7 @@ func TestGenGraphReuseAcrossTheta(t *testing.T) {
 		reused := m.LogDet()
 
 		fresh := NewTree(n, 32, 1e-9)
-		fspec := &tlr.GenSpec{K: spec.K, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: tlr.RSVDCompressor{}}
+		fspec := &tlr.GenSpec{K: spec.K, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: tlr.CompressRSVD}
 		if err := GenCholesky(fresh, fspec, 4); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +165,7 @@ func TestCholeskyBreakdownError(t *testing.T) {
 	// singular.
 	k := cov.NewKernel(cov.Params{Variance: 1, Range: 1e8, Smoothness: 0.5})
 
-	m := Build(k, pts, geom.Euclidean, 32, 1e-12, tlr.SVDCompressor{}, 0)
+	m := Build(k, pts, geom.Euclidean, 32, 1e-12, tlr.CompressSVD, 0)
 	err := m.Cholesky()
 	if err == nil {
 		t.Skip("near-singular Σ unexpectedly factored; cannot exercise breakdown")
@@ -171,7 +175,7 @@ func TestCholeskyBreakdownError(t *testing.T) {
 	}
 
 	mg := NewTree(n, 32, 1e-12)
-	spec := &tlr.GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Comp: tlr.SVDCompressor{}}
+	spec := &tlr.GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Comp: tlr.CompressSVD}
 	gerr := GenCholesky(mg, spec, 4)
 	if gerr == nil {
 		t.Fatal("graph factorization of near-singular Σ succeeded while sequential failed")
@@ -183,7 +187,7 @@ func TestCholeskyBreakdownError(t *testing.T) {
 
 func TestRankStatsReportsCompression(t *testing.T) {
 	k, pts, _ := testSetup(t, 256)
-	m := Build(k, pts, geom.Euclidean, 32, 1e-6, tlr.SVDCompressor{}, 1e-8)
+	m := Build(k, pts, geom.Euclidean, 32, 1e-6, tlr.CompressSVD, 1e-8)
 	if err := m.Cholesky(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,4 +195,31 @@ func TestRankStatsReportsCompression(t *testing.T) {
 	if max < 1 || max > 128 || mean <= 0 || mean > float64(max) {
 		t.Fatalf("implausible rank stats: max %d mean %g", max, mean)
 	}
+}
+
+// BenchmarkGenCholesky times one fused assembly + factorization of a HODLR
+// tree on two workers: n = 1 600, leaf 128, ν = 0.6, rsvd at 1e-7. The graph
+// and the tree are reused across iterations, as core's evaluator reuses them.
+func BenchmarkGenCholesky(b *testing.B) {
+	const n, leaf, tol = 1600, 128, 1e-7
+	pts := geom.GeneratePerturbedGrid(n, rng.New(1))
+	pts = geom.ApplyPerm(pts, geom.MortonOrder(pts))
+	comp, err := tlr.CompressorByName("rsvd")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := &tlr.GenSpec{
+		K:   cov.NewKernel(cov.Params{Variance: 1, Range: 0.08, Smoothness: 0.6}),
+		Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: comp,
+	}
+	m := NewTree(n, leaf, tol)
+	g := BuildGenCholeskyGraph(m, spec)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Execute(runtime.ExecOptions{Workers: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.Bytes())/(1<<20), "factor_MiB")
 }

@@ -46,10 +46,9 @@ func newTree(lo, hi, leaf int) *node {
 
 // genOff generates and compresses internal node n's off-diagonal block —
 // rows [mid, hi), columns [lo, mid) — with the generator TLR's tiles come
-// from. The (lo, hi) range is unique per node, giving a stochastic
-// compressor its own stream per block; blocks no larger than a leaf use the
-// spec's pooled scratch. HODLR has no rank cap and no tiling for ForceMiss
-// to address.
+// from. The (lo, hi) range is unique per node and keys the block's seed, as
+// (i, j) keys a tile's; blocks no larger than a leaf use the spec's pooled
+// scratch. HODLR has no rank cap and no tiling for ForceMiss to address.
 func (n *node) genOff(spec *tlr.GenSpec, leaf int, tol float64) {
 	mid := n.left.hi
 	n.off = spec.OffBlock(spec.Pts[mid:n.hi], spec.Pts[n.lo:mid], leaf, 0, n.lo, n.hi, tol, 0)
@@ -59,11 +58,6 @@ func (n *node) genOff(spec *tlr.GenSpec, leaf int, tol float64) {
 // nominalRank is the rank assumed for costing factorization tasks before
 // assembly has run (actual ranks are a run-time quantity).
 const nominalRank = 16
-
-// flopsCompressH estimates the cost of compressing an r×c block.
-func flopsCompressH(r, c int) float64 {
-	return 2 * float64(r) * float64(c) * float64(min(r, c))
-}
 
 // BuildGenCholeskyGraph builds the combined assembly + factorization DAG
 // over m's tree; its tasks mutate m in place. The graph is re-executable: each run regenerates every block from the (possibly
@@ -106,7 +100,7 @@ func BuildGenCholeskyGraph(m *Matrix, spec *tlr.GenSpec) *runtime.Graph {
 		rows, cols := n.hi-mid, mid-n.lo
 		g.AddTask(runtime.Task{
 			Name:     "hdcmg+comp",
-			Flops:    tile.FlopsDCMG(rows, cols) + flopsCompressH(rows, cols),
+			Flops:    tile.FlopsDCMG(rows, cols) + tlr.FlopsCompress(rows, cols),
 			Priority: 4 * (total - idx),
 			Run: func() {
 				n.genOff(spec, m.LeafSize, m.Tol)

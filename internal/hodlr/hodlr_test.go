@@ -25,7 +25,7 @@ func testSetup(t *testing.T, n int) (*cov.Kernel, []geom.Point, *la.Mat) {
 func TestBuildReconstruction(t *testing.T) {
 	for _, n := range []int{64, 100, 256} {
 		k, pts, dense := testSetup(t, n)
-		m := Build(k, pts, geom.Euclidean, 32, 1e-8, tlr.SVDCompressor{}, 0)
+		m := Build(k, pts, geom.Euclidean, 32, 1e-8, tlr.CompressSVD, 0)
 		rec := m.Dense()
 		diff := rec.Clone()
 		diff.Sub(dense)
@@ -39,7 +39,7 @@ func TestAccuracyControlsError(t *testing.T) {
 	k, pts, dense := testSetup(t, 200)
 	prev := math.Inf(1)
 	for _, tol := range []float64{1e-2, 1e-5, 1e-9} {
-		m := Build(k, pts, geom.Euclidean, 25, tol, tlr.SVDCompressor{}, 0)
+		m := Build(k, pts, geom.Euclidean, 25, tol, tlr.CompressSVD, 0)
 		diff := m.Dense()
 		diff.Sub(dense)
 		rel := diff.FrobNorm() / dense.FrobNorm()
@@ -55,7 +55,7 @@ func TestAccuracyControlsError(t *testing.T) {
 
 func TestTreeStructure(t *testing.T) {
 	k, pts, _ := testSetup(t, 256)
-	m := Build(k, pts, geom.Euclidean, 32, 1e-6, tlr.SVDCompressor{}, 0)
+	m := Build(k, pts, geom.Euclidean, 32, 1e-6, tlr.CompressSVD, 0)
 	// 256 → 128 → 64 → 32: 4 levels
 	if m.Levels() != 4 {
 		t.Fatalf("levels = %d, want 4", m.Levels())
@@ -67,7 +67,7 @@ func TestTreeStructure(t *testing.T) {
 
 func TestCompressionBeatsDense(t *testing.T) {
 	k, pts, _ := testSetup(t, 400)
-	m := Build(k, pts, geom.Euclidean, 50, 1e-5, tlr.SVDCompressor{}, 0)
+	m := Build(k, pts, geom.Euclidean, 50, 1e-5, tlr.CompressSVD, 0)
 	denseBytes := int64(400 * 400 * 8)
 	if m.Bytes() >= denseBytes {
 		t.Fatalf("no compression: %d vs %d", m.Bytes(), denseBytes)
@@ -76,7 +76,7 @@ func TestCompressionBeatsDense(t *testing.T) {
 
 func TestMatVecMatchesDense(t *testing.T) {
 	k, pts, dense := testSetup(t, 150)
-	m := Build(k, pts, geom.Euclidean, 20, 1e-10, tlr.SVDCompressor{}, 0)
+	m := Build(k, pts, geom.Euclidean, 20, 1e-10, tlr.CompressSVD, 0)
 	r := rng.New(6)
 	x := make([]float64, 150)
 	r.NormSlice(x)
@@ -93,7 +93,7 @@ func TestMatVecMatchesDense(t *testing.T) {
 
 func TestNuggetOnLeaves(t *testing.T) {
 	k, pts, dense := testSetup(t, 64)
-	m := Build(k, pts, geom.Euclidean, 16, 1e-10, tlr.SVDCompressor{}, 0.5)
+	m := Build(k, pts, geom.Euclidean, 16, 1e-10, tlr.CompressSVD, 0.5)
 	rec := m.Dense()
 	for i := 0; i < 64; i++ {
 		if math.Abs(rec.At(i, i)-(dense.At(i, i)+0.5)) > 1e-9 {
@@ -104,7 +104,7 @@ func TestNuggetOnLeaves(t *testing.T) {
 
 func TestMatVecDimsPanic(t *testing.T) {
 	k, pts, _ := testSetup(t, 64)
-	m := Build(k, pts, geom.Euclidean, 16, 1e-6, tlr.SVDCompressor{}, 0)
+	m := Build(k, pts, geom.Euclidean, 16, 1e-6, tlr.CompressSVD, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on dimension mismatch")
@@ -118,8 +118,8 @@ func TestMatVecDimsPanic(t *testing.T) {
 // remains competitive — both far below dense storage.
 func TestHODLRvsTLRStorage(t *testing.T) {
 	k, pts, _ := testSetup(t, 512)
-	h := Build(k, pts, geom.Euclidean, 64, 1e-6, tlr.SVDCompressor{}, 0)
-	tl := tlr.FromKernel(k, pts, geom.Euclidean, 512, 64, 1e-6, tlr.SVDCompressor{}, 0, 1)
+	h := Build(k, pts, geom.Euclidean, 64, 1e-6, tlr.CompressSVD, 0)
+	tl := tlr.FromKernel(k, pts, geom.Euclidean, 512, 64, 1e-6, tlr.CompressSVD, 0, 1)
 	denseBytes := int64(512 * 512 * 8)
 	if h.Bytes() >= denseBytes || tl.Bytes() >= denseBytes {
 		t.Fatalf("formats failed to compress: hodlr %d tlr %d dense %d", h.Bytes(), tl.Bytes(), denseBytes)

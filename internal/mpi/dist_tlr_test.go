@@ -53,7 +53,7 @@ func TestDistTLRCholeskyMatchesShared(t *testing.T) {
 		nugget = 1e-9
 	)
 	k, pts := distProblem(n)
-	comp := tlr.RSVDCompressor{}
+	comp := tlr.CompressRSVD
 	ref := sharedTLRFactor(t, k, pts, nb, tol, comp, nugget)
 
 	for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {1, 3}, {1, 5}} {
@@ -129,7 +129,7 @@ func TestDistTLRLogDetAndSolveMatchShared(t *testing.T) {
 		nugget = 1e-9
 	)
 	k, pts := distProblem(n)
-	comp := tlr.RSVDCompressor{}
+	comp := tlr.CompressRSVD
 	ref := sharedTLRFactor(t, k, pts, nb, tol, comp, nugget)
 	wantLogDet := ref.LogDet()
 	rhs := make([]float64, n)
@@ -194,7 +194,7 @@ func TestDistTLRForwardSolveMatMatchesShared(t *testing.T) {
 		tol = 1e-7
 	)
 	k, pts := distProblem(n)
-	comp := tlr.SVDCompressor{}
+	comp := tlr.CompressSVD
 	ref := sharedTLRFactor(t, k, pts, nb, tol, comp, 1e-9)
 	rhs := la.NewMat(n, 3)
 	for i := 0; i < n; i++ {
@@ -248,7 +248,7 @@ func TestDistTLRWorldReuse(t *testing.T) {
 		tol = 1e-7
 	)
 	_, pts := distProblem(n)
-	comp := tlr.RSVDCompressor{}
+	comp := tlr.CompressRSVD
 	thetas := []cov.Params{
 		{Variance: 1, Range: 0.1, Smoothness: 0.5},
 		{Variance: 1.7, Range: 0.23, Smoothness: 1.1},
@@ -339,13 +339,13 @@ func TestDistTLRNotSPDFailsEverywhere(t *testing.T) {
 	grid := Grid{P: 2, Q: 2}
 	w := NewWorld(4)
 	runNotSPD(t, w, grid.Owner(0, 0), func(c *Comm) error {
-		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.CompressSVD)
 		d.Inject = wreckPivots(d, func(int) bool { return true })
 		return d.GenCholesky(c, k, 1e-9)
 	})
 	// the same World must still work for a healthy factorization
 	errs := w.Run(func(c *Comm) error {
-		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.CompressSVD)
 		return d.GenCholesky(c, k, 1e-9)
 	})
 	for r, err := range errs {
@@ -365,7 +365,7 @@ func TestDistTLRLastPivotFailsAndWorldHeals(t *testing.T) {
 	k, pts := distProblem(n)
 	grid := Grid{P: 2, Q: 2}
 	newShard := func() *DistTLR {
-		return NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.RSVDCompressor{})
+		return NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.CompressRSVD)
 	}
 	factor := func(w *World, shards []*DistTLR) [][]float64 {
 		bits := make([][]float64, len(shards))
@@ -442,7 +442,7 @@ func TestRunWorldRankCounts(t *testing.T) {
 	for _, size := range []int{1, 2, 6} {
 		grid := SquarestGrid(size)
 		errs := RunWorld(size, func(c *Comm) error {
-			d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+			d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.CompressSVD)
 			if err := d.GenCholesky(c, k, 1e-9); err != nil {
 				return err
 			}
@@ -465,7 +465,7 @@ func TestCommStatsCountTraffic(t *testing.T) {
 	w := NewWorld(4)
 	grid := Grid{P: 2, Q: 2}
 	w.Run(func(c *Comm) error {
-		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+		d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-7, tlr.CompressSVD)
 		return d.GenCholesky(c, k, 1e-9)
 	})
 	var totalSent, totalRecv int64
@@ -480,7 +480,7 @@ func TestCommStatsCountTraffic(t *testing.T) {
 
 	w1 := NewWorld(1)
 	w1.Run(func(c *Comm) error {
-		d := NewDistTLR(Grid{P: 1, Q: 1}, pts, geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+		d := NewDistTLR(Grid{P: 1, Q: 1}, pts, geom.Euclidean, nb, 1e-7, tlr.CompressSVD)
 		if err := d.GenCholesky(c, k, 1e-9); err != nil {
 			return err
 		}
@@ -503,7 +503,7 @@ func TestPlacementFollowsCholeskyRule(t *testing.T) {
 	for _, grid := range []Grid{{1, 1}, {1, 2}, {2, 2}, {2, 3}, {3, 3}, {1, 6}} {
 		for _, mt := range []int{1, 2, 3, 5, 8, 15, 19} {
 			n := mt*nb - 1 // ragged last tile
-			d := NewDistTLR(grid, make([]geom.Point, n), geom.Euclidean, nb, 1e-7, tlr.SVDCompressor{})
+			d := NewDistTLR(grid, make([]geom.Point, n), geom.Euclidean, nb, 1e-7, tlr.CompressSVD)
 			want := map[[3]int]bool{}
 			add := func(i, j, to int) {
 				if to != grid.Owner(i, j) {

@@ -99,7 +99,7 @@ func TestElasticShrinkResumeTLRCholesky(t *testing.T) {
 		ranks  = 6
 	)
 	k, pts := distProblem(n)
-	comp := tlr.RSVDCompressor{}
+	comp := tlr.CompressRSVD
 	grid := Grid{P: 2, Q: 3}
 	rhs := make([]float64, n)
 	for i := range rhs {

@@ -126,7 +126,7 @@ func distProblem(n int) (*cov.Kernel, []geom.Point) {
 // tiled algorithm through the same schedule and wire format as the
 // compressed one.
 func denseShard(rank int, grid Grid, pts []geom.Point, nb int) *DistTLR {
-	d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-12, tlr.SVDCompressor{})
+	d := NewDistTLR(grid, pts, geom.Euclidean, nb, 1e-12, tlr.CompressSVD)
 	d.ForceMiss = func(mt, i, j int) bool { return true }
 	return d
 }

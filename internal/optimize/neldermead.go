@@ -1,8 +1,8 @@
 // Package optimize provides the derivative-free bound-constrained optimizer
 // that drives the maximum likelihood search — the substitute for the NLopt
 // (BOBYQA) layer of ExaGeoStat. The main entry point is NelderMead, a
-// downhill-simplex method with box-constraint projection, adaptive
-// parameters, and restarts of a search that stalls.
+// downhill-simplex method with box-constraint projection and adaptive
+// parameters.
 package optimize
 
 import (
@@ -36,10 +36,9 @@ type Options struct {
 	// InitStep is the initial simplex edge as a fraction of each
 	// coordinate's box width (default 0.1).
 	InitStep float64
-	// Restarts re-initializes the simplex around the incumbent when the
-	// search stalls — i.e. only after an attempt that ends WITHOUT meeting
-	// the TolX/TolF convergence criteria. An attempt that converges cleanly
-	// never burns a restart (default 1 restart; negative disables).
+	// Restarts has no effect: a descent stops short of the TolX/TolF
+	// criteria only when MaxEvals is spent, which leaves nothing to restart
+	// with. The field remains for callers that still set it.
 	Restarts int
 }
 
@@ -48,10 +47,8 @@ type Result struct {
 	X     []float64
 	F     float64
 	Evals int
-	// Converged reports whether the attempt that PRODUCED the returned
-	// minimum met the TolX/TolF criteria — not whether the last attempt
-	// happened to (a restart that runs out of budget after a clean earlier
-	// convergence does not un-converge the answer).
+	// Converged reports whether the descent that produced the returned
+	// minimum met the TolX/TolF criteria.
 	Converged bool
 }
 
@@ -70,11 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.InitStep <= 0 {
 		o.InitStep = 0.1
-	}
-	if o.Restarts < 0 {
-		o.Restarts = 0
-	} else if o.Restarts == 0 {
-		o.Restarts = 1
 	}
 	return o
 }
@@ -128,26 +120,15 @@ func NelderMead(p Problem, x0 []float64, opt Options) (Result, error) {
 
 	bestX := append([]float64(nil), start...)
 	bestF := eval(bestX)
+	// One descent: simplexRun returns unconverged only once MaxEvals is
+	// spent, so no budget is ever left to restart from the incumbent. A
+	// descent that only ties the start still stamps its convergence (same
+	// answer, now within tolerance).
+	x, f, conv := simplexRun(p, bestX, bestF, o, eval, &evals)
 	converged := false
-
-	for attempt := 0; attempt <= o.Restarts && evals < o.MaxEvals; attempt++ {
-		x, f, conv := simplexRun(p, bestX, bestF, o, eval, &evals)
-		// Converged tracks the attempt that produced the returned minimum:
-		// an attempt that only ties the incumbent still stamps its
-		// convergence (same answer, now within tolerance), but a worse
-		// restart never overwrites the flag of the minimum it did not find.
-		if f < bestF || (f == bestF && conv) {
-			bestF = f
-			copy(bestX, x)
-			converged = conv
-		}
-		if conv {
-			// Clean convergence: restarting from the incumbent would spend
-			// the remaining budget re-descending to the answer we already
-			// hold. Restarts exist for stalled attempts (see
-			// Options.Restarts), so stop here.
-			break
-		}
+	if f < bestF || (f == bestF && conv) {
+		bestF, converged = f, conv
+		copy(bestX, x)
 	}
 	return Result{X: bestX, F: bestF, Evals: evals, Converged: converged}, nil
 }

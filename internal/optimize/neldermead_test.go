@@ -199,27 +199,22 @@ func sphere2D() Problem {
 	}
 }
 
-// TestConvergedReflectsReturnedMinimum is the regression test for the
-// convergence-reporting bug: a run that converged at attempt 0 and then
-// exhausted MaxEvals inside a restart must still report Converged=true,
-// because the returned minimum came from the converged attempt. The pre-fix
-// code overwrote Converged with the last attempt's flag.
+// TestConvergedReflectsReturnedMinimum: a run whose budget outlasts a
+// converging descent reports Converged=true for the minimum that descent
+// found, and spends no evaluation after it.
 func TestConvergedReflectsReturnedMinimum(t *testing.T) {
 	p := sphere2D()
 	start := []float64{7, -4}
 
-	// Restarts: -1 disables restarts, so base.Evals is the cost of exactly
-	// one converging simplex descent on both pre- and post-fix code.
-	base, err := NelderMead(p, start, Options{Restarts: -1})
+	base, err := NelderMead(p, start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !base.Converged {
-		t.Fatal("single attempt must converge on a sphere")
+		t.Fatal("the descent must converge on a sphere")
 	}
 
-	// A budget that admits the converged attempt plus only a sliver of a
-	// restart: pre-fix the restart exhausts it and flips Converged to false.
+	// A budget that admits the converged descent plus a sliver more.
 	r, err := NelderMead(p, start, Options{MaxEvals: base.Evals + 2})
 	if err != nil {
 		t.Fatal(err)
@@ -227,38 +222,16 @@ func TestConvergedReflectsReturnedMinimum(t *testing.T) {
 	if !r.Converged {
 		t.Fatalf("converged answer reported Converged=false (evals %d)", r.Evals)
 	}
+	if r.Evals != base.Evals {
+		t.Fatalf("%d evaluations with room for %d, %d without", r.Evals, base.Evals+2, base.Evals)
+	}
 	if math.Abs(r.X[0]-1) > 1e-4 || math.Abs(r.X[1]-2) > 1e-4 {
 		t.Fatalf("minimum off: %v", r.X)
 	}
 }
 
-// TestCleanConvergenceSkipsRestart is the regression test for the burned
-// restart: a cleanly converged search must not spend additional evaluations
-// re-descending from the incumbent. Pre-fix, the default single restart ran
-// unconditionally after attempt 0 converged, roughly doubling Evals.
-func TestCleanConvergenceSkipsRestart(t *testing.T) {
-	p := sphere2D()
-	start := []float64{7, -4}
-
-	noRestart, err := NelderMead(p, start, Options{Restarts: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withRestart, err := NelderMead(p, start, Options{}) // default: 1 restart available
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !noRestart.Converged || !withRestart.Converged {
-		t.Fatal("both runs must converge")
-	}
-	if withRestart.Evals != noRestart.Evals {
-		t.Fatalf("clean convergence burned a restart: %d evals with restarts available, %d without",
-			withRestart.Evals, noRestart.Evals)
-	}
-}
-
-// TestExhaustedBudgetStaysUnconverged pins the other side: when no attempt
-// meets the tolerances, Converged must remain false.
+// TestExhaustedBudgetStaysUnconverged pins the other side: when the descent
+// does not meet the tolerances, Converged must remain false.
 func TestExhaustedBudgetStaysUnconverged(t *testing.T) {
 	p := sphere2D()
 	r, err := NelderMead(p, []float64{7, -4}, Options{MaxEvals: 8})

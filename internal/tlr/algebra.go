@@ -273,20 +273,6 @@ func weightedQR(w *la.Work, e *la.Mat, wt []float64, cut float64) (q, r *la.Mat)
 	return q, r
 }
 
-// gemmIntoDense applies C.D ← C.D − A·Bᵀ for a dense accumulator and any mix
-// of dense/compressed operands.
-func gemmIntoDense(cd *la.Mat, a, b *CompTile) {
-	kw := termWidth(a, b)
-	if kw == 0 {
-		return
-	}
-	ws := getWork()
-	defer putWork(ws)
-	x, y := ws.Mat(a.Rows(), kw), ws.Mat(b.Rows(), kw)
-	schurTerm(ws, a, b, x, y)
-	la.Gemm(-1, x, la.NoTrans, y, la.Transpose, 1, cd)
-}
-
 // termWidth is the inner width schurTerm writes A·Bᵀ at: the smaller rank of
 // two compressed tiles, the rank of the compressed one beside a dense one,
 // the shared dimension of two dense ones, and 0 when either has rank 0.
@@ -344,23 +330,17 @@ func schurTerm(w *la.Work, a, b *CompTile, x, y *la.Mat) {
 // maxRank (> 0) bounds the rank growth of a compressed result via
 // AddLowRank's DE fallback.
 //
-// The product of two low-rank tiles is itself low-rank:
-// (Ua·Vaᵀ)(Ub·Vbᵀ)ᵀ = Ua·(Vaᵀ·Vb)·Ubᵀ, with rank min(ka, kb).
+// A·Bᵀ is written as X·Yᵀ by schurTerm, the sweep's own Schur term, and
+// added to C by addLowRank.
 func GemmLL(c, a, b *CompTile, tol float64, maxRank int) *CompTile {
 	if a.Cols() != b.Cols() {
 		panic("tlr: GemmLL contraction dimension mismatch")
 	}
-	if !a.IsDense() && a.Rank() == 0 {
+	kw := termWidth(a, b)
+	if kw == 0 {
 		return c // a zero operand contributes nothing
 	}
-	if !b.IsDense() && b.Rank() == 0 {
-		return c
-	}
-	if c.IsDense() {
-		gemmIntoDense(c.D, a, b)
-		return c
-	}
-	if a.IsDense() && b.IsDense() {
+	if !c.IsDense() && a.IsDense() && b.IsDense() {
 		cd := c.Dense()
 		la.Gemm(-1, a.D, la.NoTrans, b.D, la.Transpose, 1, cd)
 		cntDenseTile.Inc()
@@ -368,35 +348,8 @@ func GemmLL(c, a, b *CompTile, tol float64, maxRank int) *CompTile {
 	}
 	ws := getWork()
 	defer putWork(ws)
-	var x, y *la.Mat
-	switch {
-	case a.IsDense():
-		// A·(Ub·Vbᵀ)ᵀ = (A·Vb)·Ubᵀ — rank kb update.
-		x = ws.Mat(a.D.Rows, b.Rank())
-		la.Gemm(1, a.D, la.NoTrans, b.V, la.NoTrans, 0, x)
-		y = b.U
-	case b.IsDense():
-		// (Ua·Vaᵀ)·Bᵀ = Ua·(B·Va)ᵀ — rank ka update.
-		x = a.U
-		y = ws.Mat(b.D.Rows, a.Rank())
-		la.Gemm(1, b.D, la.NoTrans, a.V, la.NoTrans, 0, y)
-	default:
-		ka, kb := a.Rank(), b.Rank()
-		// W = Vaᵀ·Vb  (ka×kb) — both share the contraction dimension.
-		w := ws.Mat(ka, kb)
-		la.Gemm(1, a.V, la.Transpose, b.V, la.NoTrans, 0, w)
-		if ka <= kb {
-			// X = Ua, Y = Ub·Wᵀ (rank ka)
-			x = a.U
-			y = ws.Mat(b.U.Rows, ka)
-			la.Gemm(1, b.U, la.NoTrans, w, la.Transpose, 0, y)
-		} else {
-			// X = Ua·W (rank kb), Y = Ub
-			x = ws.Mat(a.U.Rows, kb)
-			la.Gemm(1, a.U, la.NoTrans, w, la.NoTrans, 0, x)
-			y = b.U
-		}
-	}
+	x, y := ws.Mat(a.Rows(), kw), ws.Mat(b.Rows(), kw)
+	schurTerm(ws, a, b, x, y)
 	return addLowRank(ws, c, -1, x, y, tol, maxRank)
 }
 

@@ -9,6 +9,12 @@
 // that threshold by compressing each factor tile once, after subtracting its
 // Schur update exactly (gen.go); the low-rank addition with recompression
 // (algebra.go) keeps it for HODLR's updates.
+//
+// A tile is a pure function of the geometry, θ and its seed: every
+// compression goes through a Compressor, a function of the dense block, tol
+// and the tile's seed, and GenSpec.compress passes tileSeed(i, j), so a
+// randomized backend compresses tile (i, j) to the same bits whatever the
+// worker count or execution order.
 package tlr
 
 import (
@@ -178,31 +184,18 @@ func (c *CompTile) Decode(words []float64) error {
 	return nil
 }
 
-// Compressor turns a dense tile into a CompTile with error below tol.
-type Compressor interface {
-	// Compress returns a low-rank approximation with Frobenius-relative
-	// error ≈ tol: ‖A − UVᵀ‖_F ≤ tol·‖A‖_F.
-	Compress(a *la.Mat, tol float64) *CompTile
-	Name() string
-}
+// Compressor turns a dense tile into a CompTile with Frobenius-relative
+// error ≈ tol: ‖A − UVᵀ‖_F ≤ tol·‖A‖_F. seed names the tile (tileSeed): a
+// randomized backend draws from a stream of that seed alone, so a tile
+// compresses to the same bits at any worker count and in any execution
+// order; the deterministic backends ignore it.
+type Compressor func(a *la.Mat, tol float64, seed uint64) *CompTile
 
-// TileCompressor is implemented by stochastic backends that must be
-// deterministic under concurrent per-tile compression: ForTile returns an
-// instance whose random stream depends only on the tile coordinates (and the
-// backend's seed), never on execution order. Deterministic backends simply
-// don't implement it.
-type TileCompressor interface {
-	Compressor
-	ForTile(i, j int) Compressor
-}
-
-// forTile resolves the compressor instance for tile (i, j): per-tile seeded
-// for stochastic backends, comp itself otherwise.
-func forTile(comp Compressor, i, j int) Compressor {
-	if tc, ok := comp.(TileCompressor); ok {
-		return tc.ForTile(i, j)
-	}
-	return comp
+// tileSeed is the seed of tile (i, j) — or of HODLR's block (lo, hi): a
+// SplitMix64-style mix of the two coordinates that rng.New runs through
+// SplitMix64 again, so nearby tiles land on well-separated states.
+func tileSeed(i, j int) uint64 {
+	return uint64(i)*0x9e3779b97f4a7c15 + uint64(j)*0xbf58476d1ce4e5b9 + 0x2545f4914f6cdd1d
 }
 
 // frobRank returns the smallest k whose Frobenius tail is below tol·‖A‖_F,
@@ -254,33 +247,16 @@ func fromSVD(u *la.Mat, s []float64, v *la.Mat, k int) *CompTile {
 	return &CompTile{U: cu, V: cv}
 }
 
-// SVDCompressor compresses via a thin SVD of the whole tile — the accuracy
+// CompressSVD compresses via a thin SVD of the whole tile — the accuracy
 // reference among the backends.
-type SVDCompressor struct{}
-
-// Name implements Compressor.
-func (SVDCompressor) Name() string { return "svd" }
-
-// Compress implements Compressor.
-func (SVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
+func CompressSVD(a *la.Mat, tol float64, _ uint64) *CompTile {
 	w := getWork()
 	defer putWork(w)
 	u, s, v := la.SVDThin(w, a, tol)
 	return fromSVD(u, s, v, frobRank(s, tol))
 }
 
-// RSVDCompressor compresses via randomized range finding (Halko/Martinsson/
-// Tropp) with oversampling and one power iteration, then an exact SVD
-// of the small projected matrix. Much cheaper than full SVD when the
-// numerical rank is far below the tile size.
-type RSVDCompressor struct {
-	// gen is the Gaussian stream of the tile ForTile named; Compress
-	// advances it, so an instance from ForTile serves one compression.
-	gen *rng.Rand
-}
-
-// rsvdSeed seeds the per-tile generators ForTile hands out and the generator
-// Compress uses otherwise.
+// rsvdSeed is mixed into every tile seed of CompressRSVD's streams.
 const rsvdSeed = 0x5eed
 
 // The sketch is sketchMargin columns wider than the rank guess, and
@@ -291,22 +267,11 @@ const (
 	powerPasses  = 1
 )
 
-// Name implements Compressor.
-func (RSVDCompressor) Name() string { return "rsvd" }
-
-// ForTile implements TileCompressor: the returned instance draws its sketch
-// from a stream seeded by (rsvdSeed, i, j) only, so compressing tile (i, j) is
-// bitwise-reproducible at any worker count and in any execution order.
-func (r RSVDCompressor) ForTile(i, j int) Compressor {
-	// SplitMix64-style mixing of the tile coordinates into the seed; rng.New
-	// runs the result through SplitMix64 again, so nearby tiles land on
-	// well-separated states.
-	s := rsvdSeed ^ (uint64(i)*0x9e3779b97f4a7c15 + uint64(j)*0xbf58476d1ce4e5b9 + 0x2545f4914f6cdd1d)
-	r.gen = rng.New(s)
-	return r
-}
-
-// Compress implements Compressor.
+// CompressRSVD compresses via randomized range finding (Halko/Martinsson/
+// Tropp) with oversampling and one power iteration, then an exact SVD of the
+// small projected matrix. Much cheaper than full SVD when the numerical rank
+// is far below the tile size. The Gaussian sketch is drawn from
+// rng.New(rsvdSeed ^ seed).
 //
 // The sketch grows in place. When the residual estimate says the current
 // range Q misses too much, only the new columns are drawn, multiplied,
@@ -315,11 +280,8 @@ func (r RSVDCompressor) ForTile(i, j int) Compressor {
 // ‖A‖_F² and the probe vectors, whose residuals are updated by the new block
 // alone. The projected matrix QᵀA is factored once, after the range is
 // accepted.
-func (r RSVDCompressor) Compress(a *la.Mat, tol float64) *CompTile {
-	gen := r.gen
-	if gen == nil {
-		gen = rng.New(rsvdSeed)
-	}
+func CompressRSVD(a *la.Mat, tol float64, seed uint64) *CompTile {
+	gen := rng.New(rsvdSeed ^ seed)
 	m, n := a.Rows, a.Cols
 	maxK := min(m, n)
 	// The range is grown to a tighter target than tol, so that the
@@ -417,7 +379,7 @@ func projectOut(ws *la.Work, y, q *la.Mat) {
 	la.Gemm(-1, q, la.NoTrans, c, la.NoTrans, 1, y)
 }
 
-// ACACompressor implements Adaptive Cross Approximation: it builds the
+// CompressACA implements Adaptive Cross Approximation: it builds the
 // approximation one rank-1 cross at a time without forming a full SVD,
 // stopping when the estimated residual drops below tol, and a final QR+SVD
 // recompression trims the overshoot. It is not partially pivoted: each step
@@ -425,13 +387,7 @@ func projectOut(ws *la.Work, y, q *la.Mat) {
 // entry and updates all of it, so k steps cost O(k·nb²), the order of an
 // SVD. A partially pivoted ACA that reads entries on demand is ROADMAP
 // item 3.
-type ACACompressor struct{}
-
-// Name implements Compressor.
-func (ACACompressor) Name() string { return "aca" }
-
-// Compress implements Compressor.
-func (ACACompressor) Compress(a *la.Mat, tol float64) *CompTile {
+func CompressACA(a *la.Mat, tol float64, _ uint64) *CompTile {
 	m, n := a.Rows, a.Cols
 	maxK := min(m, n)
 	res := a.Clone() // residual; fine at tile sizes
@@ -544,15 +500,16 @@ func recompress(w *la.Work, u, v *la.Mat, tol float64) *CompTile {
 	return &CompTile{U: nu, V: nv}
 }
 
-// CompressorByName returns the named backend ("svd", "rsvd", "aca").
+// CompressorByName returns the named backend: "svd" (also ""), "rsvd" or
+// "aca".
 func CompressorByName(name string) (Compressor, error) {
 	switch name {
 	case "svd", "":
-		return SVDCompressor{}, nil
+		return CompressSVD, nil
 	case "rsvd":
-		return RSVDCompressor{}, nil
+		return CompressRSVD, nil
 	case "aca":
-		return ACACompressor{}, nil
+		return CompressACA, nil
 	}
 	return nil, fmt.Errorf("tlr: unknown compressor %q", name)
 }

@@ -49,7 +49,7 @@ func TestMaxRankForcesDenseFallback(t *testing.T) {
 	// MaxRank cap; AddLowRank must fall back to an exact dense tile.
 	x := covTile(t, 24, 24, 0.05)
 	y := covTile(t, 24, 24, 0.07)
-	c := SVDCompressor{}.Compress(covTile(t, 24, 24, 0.4), 1e-10)
+	c := CompressSVD(covTile(t, 24, 24, 0.4), 1e-10, 0)
 
 	before := obs.Default().Snapshot()
 	got := AddLowRank(c, -1, x, y, 1e-12, 2)
@@ -77,7 +77,7 @@ func TestGemmLLDenseOperandCombinations(t *testing.T) {
 		if dense {
 			return NewDenseTile(m.Clone())
 		}
-		return SVDCompressor{}.Compress(m, 1e-12)
+		return CompressSVD(m, 1e-12, 0)
 	}
 	for _, tc := range []struct{ cd, ad, bd bool }{
 		{true, true, true},
@@ -217,7 +217,7 @@ func TestForceMissGeneratesDenseTiles(t *testing.T) {
 	forced := map[[2]int]bool{{3, 1}: true, {5, 0}: true}
 	spec := &GenSpec{
 		K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9,
-		Comp:      SVDCompressor{},
+		Comp:      CompressSVD,
 		ForceMiss: func(mt, i, j int) bool { return forced[[2]int{i, j}] },
 	}
 	if err := GenCholesky(m, spec, 2); err != nil {

@@ -40,9 +40,8 @@ type GenSpec struct {
 	Pts    []geom.Point
 	Metric geom.Metric
 	Nugget float64
-	// Comp compresses the off-diagonal tiles. Stochastic backends
-	// implementing TileCompressor are re-seeded per tile, making the result
-	// bitwise-identical at any worker count.
+	// Comp compresses the off-diagonal tiles, each with its own tileSeed,
+	// so the result is bitwise-identical at any worker count.
 	Comp Compressor
 
 	// ForceMiss, when non-nil, forces tile (i, j) of the mt×mt tiling to
@@ -65,15 +64,11 @@ func (s *GenSpec) getScratch(nb int) *la.Mat {
 	return la.NewMat(nb, nb)
 }
 
-// flopsCompress estimates the cost of compressing a di×dj tile — the
+// FlopsCompress estimates the cost of compressing a di×dj tile — the
 // dominant O(di·dj·min) orthogonalization shared by every backend — for task
 // priorities and the simulated executors.
-func flopsCompress(di, dj int) float64 {
-	mn := di
-	if dj < mn {
-		mn = dj
-	}
-	return 2 * float64(di) * float64(dj) * float64(mn)
+func FlopsCompress(di, dj int) float64 {
+	return 2 * float64(di) * float64(dj) * float64(min(di, dj))
 }
 
 // DiagBlock fills d with the diagonal block of Σ(θ) over the d.Rows points
@@ -87,10 +82,10 @@ func (s *GenSpec) DiagBlock(d *la.Mat, lo int) {
 // OffBlock generates the block of Σ(θ) between the row and column points and
 // compresses it to tol. It is the generator behind assembly — FromKernel
 // and HODLR — so a tile is a function of (geometry, θ, (i, j)) alone: (i, j)
-// seed a stochastic compressor's per-tile stream and, with mt, are what
-// ForceMiss is asked about. A block of at most nb×nb is generated into pooled
-// scratch. A tile whose rank exceeds maxRank > 0, or that ForceMiss picks,
-// is stored densely (DE).
+// give the compressor its tileSeed and, with mt, are what ForceMiss is asked
+// about. A block of at most nb×nb is generated into pooled scratch. A tile
+// whose rank exceeds maxRank > 0, or that ForceMiss picks, is stored densely
+// (DE).
 func (s *GenSpec) OffBlock(rows, cols []geom.Point, nb, mt, i, j int, tol float64, maxRank int) *CompTile {
 	var buf *la.Mat
 	if len(rows) <= nb && len(cols) <= nb {
@@ -105,11 +100,11 @@ func (s *GenSpec) OffBlock(rows, cols []geom.Point, nb, mt, i, j int, tol float6
 }
 
 // compress compresses the dense block of tile (i, j) of an mt×mt tiling —
-// generated, or with its Schur update subtracted — with the tile's
-// compressor instance, falling back to an exact dense (DE) copy of the block
-// when the rank exceeds maxRank > 0 or ForceMiss picks the tile.
+// generated, or with its Schur update subtracted — under the tile's seed,
+// falling back to an exact dense (DE) copy of the block when the rank
+// exceeds maxRank > 0 or ForceMiss picks the tile.
 func (s *GenSpec) compress(dense *la.Mat, mt, i, j int, tol float64, maxRank int) *CompTile {
-	t := forTile(s.Comp, i, j).Compress(dense, tol)
+	t := s.Comp(dense, tol, tileSeed(i, j))
 	cntCompress.Inc()
 	histCompRank.Observe(int64(t.Rank()))
 	if (maxRank > 0 && t.Rank() > maxRank) || (s.ForceMiss != nil && s.ForceMiss(mt, i, j)) {
@@ -284,7 +279,7 @@ func buildSweep(m *Matrix, spec *GenSpec, gen, bind bool) *runtime.Graph {
 		})
 		for i := j + 1; i < mt; i++ {
 			di := m.TileDim(i)
-			flops := flopsCompress(di, dj) + FlopsTRSMComp(dj, rank(i, j))
+			flops := FlopsCompress(di, dj) + FlopsTRSMComp(dj, rank(i, j))
 			if gen {
 				flops += tile.FlopsDCMG(di, dj)
 			}

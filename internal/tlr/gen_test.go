@@ -37,7 +37,7 @@ func genTestSetup(t *testing.T, n int) (*cov.Kernel, []geom.Point) {
 
 // The determinism contract of the parallel assemble+compress pipeline: the
 // assembled TLR matrix is bitwise-identical at any worker count, for every
-// compression backend (stochastic ones re-seed per tile via TileCompressor).
+// compression backend (each tile is compressed with its own tileSeed).
 func TestFromKernelWorkerInvariance(t *testing.T) {
 	const n, nb = 240, 32
 	k, pts := genTestSetup(t, n)
@@ -72,9 +72,9 @@ func TestFromKernelWorkerInvariance(t *testing.T) {
 func TestGenCholeskyMatchesSeparatePipeline(t *testing.T) {
 	const n, nb = 160, 32
 	k, pts := genTestSetup(t, n)
-	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: SVDCompressor{}}
+	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: CompressSVD}
 	sep := NewMatrix(n, nb, 1e-8)
-	sep.comp = SVDCompressor{}
+	sep.comp = CompressSVD
 	for i := 0; i < sep.MT; i++ {
 		sep.GenDiag(spec, i)
 		for j := 0; j < i; j++ {
@@ -110,7 +110,7 @@ func TestGenCholeskyGraphReuseAcrossKernels(t *testing.T) {
 		{Variance: 1, Range: 0.1, Smoothness: 0.5}, // revisit the first θ
 	}
 	shell := NewMatrix(n, nb, 1e-8)
-	spec := &GenSpec{Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: SVDCompressor{}}
+	spec := &GenSpec{Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: CompressSVD}
 	g := BuildGenCholeskyGraph(shell, spec, true)
 	for _, th := range thetas {
 		spec.K = cov.NewKernel(th)
@@ -118,7 +118,7 @@ func TestGenCholeskyGraphReuseAcrossKernels(t *testing.T) {
 			t.Fatalf("θ=%v: %v", th, err)
 		}
 		fresh := NewMatrix(n, nb, 1e-8)
-		fspec := &GenSpec{K: spec.K, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: SVDCompressor{}}
+		fspec := &GenSpec{K: spec.K, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: CompressSVD}
 		if err := GenCholesky(fresh, fspec, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -128,20 +128,42 @@ func TestGenCholeskyGraphReuseAcrossKernels(t *testing.T) {
 	}
 }
 
-// RSVD per-tile generators depend only on (Seed, i, j): compressing the same
-// tile twice — or after compressing other tiles — is bitwise-reproducible.
-func TestRSVDForTileDeterminism(t *testing.T) {
-	a := covTile(t, 40, 36, 0.8)
-	other := covTile(t, 40, 36, 1.4)
-	r := RSVDCompressor{}
-	c1 := forTile(r, 3, 1).Compress(a, 1e-7)
-	forTile(r, 5, 2).Compress(other, 1e-7) // unrelated tile in between
-	c2 := forTile(r, 3, 1).Compress(a, 1e-7)
-	if c1.Rank() != c2.Rank() || !exactEqual(c1.U, c2.U) || !exactEqual(c1.V, c2.V) {
-		t.Fatal("per-tile RSVD stream is not deterministic")
+// Every entry point compresses a block with the tile's seed alone: a tile
+// from OffBlock at (i, j), the same tile assembled by FromKernel, and a HODLR
+// block — OffBlock keyed by its (lo, hi) range, as hodlr's genOff calls it —
+// each equal CompressRSVD(block, tol, tileSeed(·)) bit for bit, whatever was
+// compressed before. Distinct tiles draw distinct streams.
+func TestRSVDTileSeedDeterminism(t *testing.T) {
+	const n, nb, tol = 240, 32, 1e-7
+	k, pts := genTestSetup(t, n)
+	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Comp: CompressRSVD}
+	block := func(r0, r1, c0, c1 int) *la.Mat {
+		d := la.NewMat(r1-r0, c1-c0)
+		k.Block(d, pts[r0:r1], pts[c0:c1], geom.Euclidean)
+		return d
 	}
-	d := forTile(r, 1, 3).Compress(a, 1e-7)
-	if exactEqual(c1.U, d.U) {
+	same := func(what string, got, want *CompTile) {
+		t.Helper()
+		if got.IsDense() || got.Rank() != want.Rank() || !exactEqual(got.U, want.U) || !exactEqual(got.V, want.V) {
+			t.Fatalf("%s differs from CompressRSVD under its tile seed", what)
+		}
+	}
+
+	const i, j = 5, 2
+	a := block(i*nb, (i+1)*nb, j*nb, (j+1)*nb)
+	want := CompressRSVD(a, tol, tileSeed(i, j))
+	CompressRSVD(block(nb, 2*nb, 0, nb), tol, tileSeed(1, 0)) // unrelated tile in between
+	same("a second compression", CompressRSVD(a, tol, tileSeed(i, j)), want)
+	same("OffBlock", spec.OffBlock(pts[i*nb:(i+1)*nb], pts[j*nb:(j+1)*nb], nb, (n+nb-1)/nb, i, j, tol, 0), want)
+	same("FromKernel", FromKernel(k, pts, geom.Euclidean, n, nb, tol, CompressRSVD, 1e-9, 2).Off(i, j), want)
+
+	// HODLR node [lo, hi) with mid = (lo+hi)/2 stores rows [mid, hi) against
+	// columns [lo, mid), a block wider than the leaf.
+	const lo, mid, hi = 120, 180, 240
+	same("HODLR block", spec.OffBlock(pts[mid:hi], pts[lo:mid], nb, 0, lo, hi, tol, 0),
+		CompressRSVD(block(mid, hi, lo, mid), tol, tileSeed(lo, hi)))
+
+	if d := CompressRSVD(a, tol, tileSeed(j, i)); exactEqual(want.U, d.U) {
 		t.Fatal("distinct tiles unexpectedly share a random stream")
 	}
 }
@@ -154,11 +176,11 @@ func TestZeroTileRankZero(t *testing.T) {
 		name string
 		zero func(rows, cols int) *CompTile
 	}{
-		{"svd", func(r, c int) *CompTile { return SVDCompressor{}.Compress(la.NewMat(r, c), 1e-8) }},
-		{"rsvd", func(r, c int) *CompTile { return RSVDCompressor{}.Compress(la.NewMat(r, c), 1e-8) }},
-		{"aca", func(r, c int) *CompTile { return ACACompressor{}.Compress(la.NewMat(r, c), 1e-8) }},
+		{"svd", func(r, c int) *CompTile { return CompressSVD(la.NewMat(r, c), 1e-8, 0) }},
+		{"rsvd", func(r, c int) *CompTile { return CompressRSVD(la.NewMat(r, c), 1e-8, 0) }},
+		{"aca", func(r, c int) *CompTile { return CompressACA(la.NewMat(r, c), 1e-8, 0) }},
 		{"C − C", func(r, c int) *CompTile {
-			full := SVDCompressor{}.Compress(covTile(t, r, c, 0.6), 1e-8)
+			full := CompressSVD(covTile(t, r, c, 0.6), 1e-8, 0)
 			return AddLowRank(full, -1, full.U, full.V, 1e-8, 0)
 		}},
 	}
@@ -197,7 +219,7 @@ func checkZeroTile(t *testing.T, c, sq *CompTile) {
 	if sq.Rank() != 0 {
 		t.Fatal("TrsmLD changed a rank-0 tile")
 	}
-	full := SVDCompressor{}.Compress(covTile(t, 12, 12, 0.6), 1e-8)
+	full := CompressSVD(covTile(t, 12, 12, 0.6), 1e-8, 0)
 	if got := GemmLL(full, sq, full, 1e-8, 0); got != full {
 		t.Fatal("GemmLL with a rank-0 operand must return C unchanged")
 	}

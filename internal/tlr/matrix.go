@@ -29,9 +29,8 @@ type Matrix struct {
 	diag []*la.Mat
 	off  [][]*CompTile // off[i][j] valid for j < i
 
-	// comp is the compressor FromKernel or FromDense built the tiles with,
-	// and the one Cholesky compresses the factor tiles with; nil is
-	// SVDCompressor.
+	// comp is the compressor FromKernel built the tiles with, and the one
+	// Cholesky compresses the factor tiles with; nil is CompressSVD.
 	comp Compressor
 
 	// spill, when non-nil, is the out-of-core cache SpillCache.Bind
@@ -120,8 +119,8 @@ func (m *Matrix) ClearTile(i, j int) {
 // immediately compressed with comp (the HiCMA "generate + compress"
 // pipeline). A nugget is added to the diagonal. The per-tile tasks are
 // independent and run on the task runtime with the given worker count; the
-// result is bitwise-independent of workers: a stochastic compressor is a
-// TileCompressor, re-seeded per tile.
+// result is bitwise-independent of workers: each tile is compressed with its
+// own tileSeed.
 func FromKernel(k *cov.Kernel, pts []geom.Point, metric geom.Metric, n, nb int, tol float64, comp Compressor, nugget float64, workers int) *Matrix {
 	if len(pts) != n {
 		panic(fmt.Sprintf("tlr: %d points for n=%d", len(pts), n))
@@ -140,24 +139,6 @@ func FromKernel(k *cov.Kernel, pts []geom.Point, metric geom.Metric, n, nb int, 
 		// generation and compression cannot fail numerically; a panic here is
 		// a programming error
 		panic(err)
-	}
-	return m
-}
-
-// FromDense compresses an existing dense symmetric matrix into TLR format
-// (testing and small-problem interop).
-func FromDense(a *la.Mat, nb int, tol float64, comp Compressor) *Matrix {
-	if a.Rows != a.Cols {
-		panic("tlr: FromDense requires a square matrix")
-	}
-	m := NewMatrix(a.Rows, nb, tol)
-	m.comp = comp
-	for i := 0; i < m.MT; i++ {
-		di := m.TileDim(i)
-		m.diag[i] = a.View(i*nb, i*nb, di, di).Clone()
-		for j := 0; j < i; j++ {
-			m.off[i][j] = comp.Compress(a.View(i*nb, j*nb, di, m.TileDim(j)), tol)
-		}
 	}
 	return m
 }
@@ -281,7 +262,7 @@ func FlopsGEMMComp(nb, ka, kb, kc int) float64 {
 func BuildCholeskyGraph(m *Matrix, bind bool) *runtime.Graph {
 	comp := m.comp
 	if comp == nil {
-		comp = SVDCompressor{}
+		comp = CompressSVD
 	}
 	return buildSweep(m, &GenSpec{Comp: comp}, false, bind)
 }

@@ -31,7 +31,7 @@ func oocGraph(t *testing.T, n, nb int, budget int64) (*runtime.Graph, *Matrix, *
 	t.Helper()
 	k, pts := genTestSetup(t, n)
 	m := NewMatrix(n, nb, 1e-7)
-	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: SVDCompressor{}}
+	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: CompressSVD}
 	g := BuildGenCholeskyGraph(m, spec, true)
 	c, err := NewSpillCache(t.TempDir(), budget)
 	if err != nil {
@@ -60,7 +60,7 @@ func refFactor(t *testing.T, n, nb int) *Matrix {
 	t.Helper()
 	k, pts := genTestSetup(t, n)
 	m := NewMatrix(n, nb, 1e-7)
-	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: SVDCompressor{}}
+	spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: CompressSVD}
 	if err := GenCholesky(m, spec, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func codecTiles(t testing.TB) []struct {
 	tile *CompTile
 } {
 	ragged := covTile(t, 10, 16, 0.6) // last tile row of a ragged tiling
-	zero := SVDCompressor{}.Compress(la.NewMat(12, 12), 1e-7)
+	zero := CompressSVD(la.NewMat(12, 12), 1e-7, 0)
 	if zero.Rank() != 0 {
 		t.Fatalf("zero tile compressed to rank %d", zero.Rank())
 	}
@@ -205,9 +205,9 @@ func codecTiles(t testing.TB) []struct {
 		tile *CompTile
 	}{
 		{"rank 0", zero},
-		{"rank k", SVDCompressor{}.Compress(covTile(t, 16, 16, 0.6), 1e-7)},
+		{"rank k", CompressSVD(covTile(t, 16, 16, 0.6), 1e-7, 0)},
 		{"dense", NewDenseTile(covTile(t, 16, 16, 0.6))},
-		{"ragged", SVDCompressor{}.Compress(ragged, 1e-7)},
+		{"ragged", CompressSVD(ragged, 1e-7, 0)},
 		{"ragged dense", NewDenseTile(ragged)},
 	}
 }

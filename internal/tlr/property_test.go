@@ -29,7 +29,7 @@ func TestQuickCompressExactLowRank(t *testing.T) {
 		}
 		a := la.NewMat(m, n)
 		la.Gemm(1, x, la.NoTrans, y, la.Transpose, 0, a)
-		c := SVDCompressor{}.Compress(a, 1e-9)
+		c := CompressSVD(a, 1e-9, 0)
 		if c.Rank() > k {
 			return false
 		}
@@ -52,7 +52,7 @@ func TestQuickAddLowRankInverts(t *testing.T) {
 		for i := range base.Data {
 			base.Data[i] = r.Norm()
 		}
-		c0 := SVDCompressor{}.Compress(base, 1e-10)
+		c0 := CompressSVD(base, 1e-10, 0)
 		x := la.NewMat(n, 2)
 		y := la.NewMat(n, 2)
 		for i := range x.Data {
@@ -84,7 +84,7 @@ func TestQuickCompTileInvariants(t *testing.T) {
 			a.Data[i] = r.Norm()
 		}
 		tol := math.Pow(10, -1-float64(r.Intn(9)))
-		c := ACACompressor{}.Compress(a, tol)
+		c := CompressACA(a, tol, 0)
 		if c.Rank() < 1 || c.Rank() > min(m, n) {
 			return false
 		}

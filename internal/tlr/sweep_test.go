@@ -54,13 +54,13 @@ func TestRSVDTruncationBound(t *testing.T) {
 		aF := a.FrobNorm()
 		for _, tol := range []float64{1e-5, 1e-7, 1e-9} {
 			t.Run(fmt.Sprintf("nb%d/tol%g", nb, tol), func(t *testing.T) {
-				c := forTile(RSVDCompressor{}, 1, 0).Compress(a, tol)
+				c := CompressRSVD(a, tol, tileSeed(1, 0))
 				diff := c.Dense()
 				diff.Sub(a)
 				if e := diff.FrobNorm(); e > tol*aF {
 					t.Errorf("‖A − UVᵀ‖_F = %.3g > tol·‖A‖_F = %.3g", e, tol*aF)
 				}
-				want := SVDCompressor{}.Compress(a, tol).Rank()
+				want := CompressSVD(a, tol, 0).Rank()
 				if c.Rank() < want-1 || c.Rank() > want+1 {
 					t.Errorf("rank %d, svd's %d", c.Rank(), want)
 				}
@@ -81,7 +81,7 @@ func TestSweepOutOfCoreAndCompressOnce(t *testing.T) {
 	const n, nb = 620, 64 // a ragged last tile row
 	k, pts := genTestSetup(t, n)
 	spec := func() *GenSpec {
-		return &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-6, Comp: RSVDCompressor{}}
+		return &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-6, Comp: CompressRSVD}
 	}
 	ref := NewMatrix(n, nb, 1e-7)
 	before := obs.Default().Snapshot()
@@ -144,7 +144,7 @@ func BenchmarkGenCholesky(b *testing.B) {
 			pts = geom.ApplyPerm(pts, geom.MortonOrder(pts))
 			spec := &GenSpec{
 				K:   cov.NewKernel(cov.Params{Variance: 1, Range: 0.08, Smoothness: 0.6}),
-				Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: RSVDCompressor{},
+				Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: CompressRSVD,
 			}
 			m := NewMatrix(s.n, s.nb, 1e-7)
 			g := BuildGenCholeskyGraph(m, spec, true)
