@@ -34,7 +34,6 @@ func main() {
 		dataset = flag.String("dataset", "", "use a simulated real dataset instead: soil | wind")
 		points  = flag.Int("points", 256, "points per region for -dataset")
 		maxEval = flag.Int("maxevals", 150, "likelihood evaluation budget for the fit")
-		profile = flag.Bool("profiled", false, "use the concentrated (profiled) likelihood fit")
 
 		dataPath  = flag.String("data", "", "fit a CSV dataset (x,y,z rows) instead of generating")
 		metricStr = flag.String("metric", "euclidean", "distance metric for -data: euclidean | greatcircle | greatcircle-earth-100km | chordal")
@@ -58,7 +57,7 @@ func main() {
 			fatal(err)
 		}
 	case *dataPath != "":
-		if err := runCSV(*dataPath, *metricStr, *nPred, *seed, cfg, *maxEval, *profile, *saveModel); err != nil {
+		if err := runCSV(*dataPath, *metricStr, *nPred, *seed, cfg, *maxEval, *saveModel); err != nil {
 			fatal(err)
 		}
 	case *dataset != "":
@@ -70,7 +69,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := runSynthetic(*n, *nPred, theta, *seed, cfg, *maxEval, *exportCSV, *saveModel, *profile); err != nil {
+		if err := runSynthetic(*n, *nPred, theta, *seed, cfg, *maxEval, *exportCSV, *saveModel); err != nil {
 			fatal(err)
 		}
 	}
@@ -107,7 +106,7 @@ func parseTheta(s string) (exago.Theta, error) {
 	return exago.Theta{Variance: v[0], Range: v[1], Smoothness: v[2]}, nil
 }
 
-func runSynthetic(n, nPred int, theta exago.Theta, seed uint64, cfg exago.Config, maxEval int, exportCSV, saveModel string, profiled bool) error {
+func runSynthetic(n, nPred int, theta exago.Theta, seed uint64, cfg exago.Config, maxEval int, exportCSV, saveModel string) error {
 	fmt.Printf("generating %d locations + %d held out, θ = (%g, %g, %g), seed %d\n",
 		n, nPred, theta.Variance, theta.Range, theta.Smoothness, seed)
 	syn, err := exago.GenerateSynthetic(n+nPred, nPred, theta, seed)
@@ -122,7 +121,7 @@ func runSynthetic(n, nPred int, theta exago.Theta, seed uint64, cfg exago.Config
 	}
 
 	t0 := time.Now()
-	fit, err := doFit(syn.Train, cfg, exago.FitOptions{MaxEvals: maxEval}, profiled)
+	fit, err := exago.Fit(syn.Train, cfg, exago.FitOptions{MaxEvals: maxEval})
 	if err != nil {
 		return err
 	}
@@ -180,8 +179,8 @@ func runDataset(name string, points int, seed uint64, cfg exago.Config, maxEval 
 			return err
 		}
 		fit, err := exago.Fit(prob, cfg, exago.FitOptions{
-			Start:    exago.Theta{Variance: reg.Truth.Variance, Range: reg.Truth.Range, Smoothness: 0.8},
-			Upper:    exago.Theta{Variance: 100 * reg.Truth.Variance, Range: 50 * reg.Truth.Range, Smoothness: 3},
+			Start:    exago.Theta{Range: reg.Truth.Range, Smoothness: 0.8},
+			Upper:    exago.Theta{Range: 50 * reg.Truth.Range, Smoothness: 3},
 			MaxEvals: maxEval,
 		})
 		if err != nil {
@@ -192,12 +191,6 @@ func runDataset(name string, points int, seed uint64, cfg exago.Config, maxEval 
 			reg.Truth.Variance, reg.Truth.Range, reg.Truth.Smoothness)
 	}
 	return nil
-}
-
-// doFit runs the fit, concentrating the variance out when -profiled is set.
-func doFit(p *exago.Problem, cfg exago.Config, opts exago.FitOptions, profiled bool) (exago.FitResult, error) {
-	opts.Profiled = profiled
-	return exago.Fit(p, cfg, opts)
 }
 
 // saveFit writes a model document for a completed fit.
@@ -218,7 +211,7 @@ func saveFit(path string, p *exago.Problem, fit exago.FitResult, cfg exago.Confi
 
 // runCSV fits a dataset loaded from disk, optionally holding out nPred
 // random points for validation and saving the fitted model.
-func runCSV(path, metricName string, nPred int, seed uint64, cfg exago.Config, maxEval int, profiled bool, saveModel string) error {
+func runCSV(path, metricName string, nPred int, seed uint64, cfg exago.Config, maxEval int, saveModel string) error {
 	rec, err := exago.ReadCSVFile(path)
 	if err != nil {
 		return err
@@ -234,7 +227,7 @@ func runCSV(path, metricName string, nPred int, seed uint64, cfg exago.Config, m
 		return err
 	}
 	t0 := time.Now()
-	fit, err := doFit(prob, cfg, exago.FitOptions{MaxEvals: maxEval}, profiled)
+	fit, err := exago.Fit(prob, cfg, exago.FitOptions{MaxEvals: maxEval})
 	if err != nil {
 		return err
 	}

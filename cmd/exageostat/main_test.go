@@ -48,7 +48,7 @@ func TestRunSyntheticSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runSynthetic(64, 4, exago.Theta{Variance: 1, Range: 0.1, Smoothness: 0.5}, 1, cfg, 20, "", "", false); err != nil {
+	if err := runSynthetic(64, 4, exago.Theta{Variance: 1, Range: 0.1, Smoothness: 0.5}, 1, cfg, 20, "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,11 +63,11 @@ func TestCSVAndModelPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// generate + export + save model
-	if err := runSynthetic(100, 0, exago.Theta{Variance: 1, Range: 0.1, Smoothness: 0.5}, 2, cfg, 30, csvPath, modelPath, true); err != nil {
+	if err := runSynthetic(100, 0, exago.Theta{Variance: 1, Range: 0.1, Smoothness: 0.5}, 2, cfg, 30, csvPath, modelPath); err != nil {
 		t.Fatal(err)
 	}
 	// refit from CSV
-	if err := runCSV(csvPath, "euclidean", 10, 3, cfg, 30, false, ""); err != nil {
+	if err := runCSV(csvPath, "euclidean", 10, 3, cfg, 30, ""); err != nil {
 		t.Fatal(err)
 	}
 	// predict with the saved model

@@ -58,7 +58,7 @@ func TestEndToEndFitPredict(t *testing.T) {
 	start := client.Theta{Variance: 1, Range: 0.1, Smoothness: 0.5}
 	info, err := c.CreateModel(ctx, client.CreateModelRequest{
 		Name: "e2e", Points: pts, Z: syn.Train.Z,
-		Fit: &client.FitSpec{MaxEvals: 40, FixSmoothness: true, Start: &start, Profiled: true},
+		Fit: &client.FitSpec{MaxEvals: 40, FixSmoothness: true, Start: &start},
 	})
 	if err != nil {
 		t.Fatalf("create: %v", err)

@@ -27,9 +27,9 @@ func main() {
 			log.Fatal(err)
 		}
 		opts := exago.FitOptions{
-			Start:    exago.Theta{Variance: reg.Truth.Variance, Range: reg.Truth.Range, Smoothness: 0.8},
-			Upper:    exago.Theta{Variance: 100 * reg.Truth.Variance, Range: 50 * reg.Truth.Range, Smoothness: 3},
-			MaxEvals: 80,
+			Start:    exago.Theta{Range: reg.Truth.Range, Smoothness: 0.8},
+			Upper:    exago.Theta{Range: 50 * reg.Truth.Range, Smoothness: 3},
+			MaxEvals: 150,
 		}
 		tlrFit, err := exago.Fit(prob, exago.Config{Mode: exago.TLR, TileSize: 64, Accuracy: 1e-7, Workers: 4}, opts)
 		if err != nil {

@@ -27,9 +27,9 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := exago.FitOptions{
-		Start:    exago.Theta{Variance: reg.Truth.Variance, Range: reg.Truth.Range, Smoothness: 1.0},
-		Upper:    exago.Theta{Variance: 100 * reg.Truth.Variance, Range: 50 * reg.Truth.Range, Smoothness: 3},
-		MaxEvals: 80,
+		Start:    exago.Theta{Range: reg.Truth.Range, Smoothness: 1.0},
+		Upper:    exago.Theta{Range: 50 * reg.Truth.Range, Smoothness: 3},
+		MaxEvals: 150,
 	}
 
 	fmt.Printf("%-12s %-26s %-10s %-10s\n", "accuracy", "θ̂ (variance, range, ν)", "max rank", "storage")

@@ -77,12 +77,12 @@ func (s *Session) fitDigest(o FitOptions) uint64 {
 	} {
 		wf(t)
 	}
-	flags := uint64(0)
+	// Bit 2 was FitOptions.Profiled: every fit is concentrated now, so
+	// concentrated checkpoints written before keep resuming and 3-D ones
+	// are refused.
+	flags := uint64(2)
 	if o.FixSmoothness {
 		flags |= 1
-	}
-	if o.Profiled {
-		flags |= 2
 	}
 	w(flags)
 	return h.Sum64()

@@ -24,10 +24,6 @@ func TestFreeFunctionsCloseTheirSession(t *testing.T) {
 	}
 	for name, call := range map[string]func() error{
 		"LogLikelihood": func() error { _, err := LogLikelihood(p, th, cfg); return err },
-		"ProfiledLogLikelihood": func() error {
-			_, _, err := ProfiledLogLikelihood(p, th.Range, th.Smoothness, cfg)
-			return err
-		},
 		"Fit": func() error {
 			_, err := Fit(p, cfg, FitOptions{Start: th, FixSmoothness: true, MaxEvals: 3})
 			return err

@@ -61,7 +61,10 @@ type Config struct {
 	// Workers is the shared-memory runtime worker count (0 = default 1).
 	Workers int
 	// Nugget is added to the covariance diagonal for numerical stability
-	// (0 = default 1e-9·θ₁).
+	// (0 = default 1e-9·θ₁). Fit concentrates θ₁ out and factors
+	// θ̂₁·(R + τ²I) with R the correlation matrix: at the default, τ² =
+	// 1e-9 and that is exactly Σ(θ̂); an explicit Nugget is τ², applied on
+	// the correlation scale during the fit and as given everywhere else.
 	Nugget float64
 	// Ranks selects distributed-memory execution when > 1: the TLR matrix is
 	// sharded 2D block-cyclically over that many ranks, on the most square
@@ -388,8 +391,10 @@ func LogLikelihood(p *Problem, theta cov.Params, cfg Config) (LikResult, error) 
 
 // FitOptions controls the MLE search.
 type FitOptions struct {
-	// Start is the initial θ; zero fields are replaced by data-driven
-	// defaults (empirical variance, 0.1 range, 0.5 smoothness).
+	// Start is the initial θ; zero fields are replaced by defaults (0.1
+	// range, 0.5 smoothness). Fit concentrates θ₁ out, so only the range
+	// and smoothness of Start, Lower and Upper steer the search; their
+	// variance fields are read only into the checkpoint digest.
 	Start cov.Params
 	// Lower/Upper bound the search box; zero fields get broad defaults.
 	Lower, Upper cov.Params
@@ -400,10 +405,10 @@ type FitOptions struct {
 	// FixSmoothness pins θ₃ to Start.Smoothness instead of estimating it —
 	// common practice when the smoothness is known a priori.
 	FixSmoothness bool
-	// Profiled switches Fit to the concentrated likelihood: the variance θ₁
-	// is profiled out analytically (θ̂₁ = ZᵀR⁻¹Z/n) and the optimizer
-	// searches only (θ₂, θ₃) — typically far fewer likelihood evaluations
-	// for the same accuracy. Works uniformly across all modes.
+	// Profiled has no effect: every Fit concentrates θ₁ out. The field
+	// stays only because the benchmark module still sets it; the change
+	// that next edits that module (ROADMAP item 2) deletes it, along with
+	// tlr.Matrix.MaxRank, tlr.GemmLL and optimize.Options.Restarts.
 	Profiled bool
 	// Checkpoint, when non-empty, makes the fit restartable: the bit-exact
 	// (x, ℓ) evaluation log is written atomically to this path every
@@ -430,7 +435,7 @@ type FitResult struct {
 	Converged bool
 }
 
-func (o FitOptions) withDefaults(p *Problem) FitOptions {
+func (o FitOptions) withDefaults() FitOptions {
 	if o.MaxEvals <= 0 {
 		o.MaxEvals = 300
 	}
@@ -440,32 +445,17 @@ func (o FitOptions) withDefaults(p *Problem) FitOptions {
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 10
 	}
-	if o.Start.Variance <= 0 {
-		var s, s2 float64
-		for _, v := range p.Z {
-			s += v
-			s2 += v * v
-		}
-		n := float64(p.N())
-		o.Start.Variance = math.Max(s2/n-(s/n)*(s/n), 1e-3)
-	}
 	if o.Start.Range <= 0 {
 		o.Start.Range = 0.1
 	}
 	if o.Start.Smoothness <= 0 {
 		o.Start.Smoothness = 0.5
 	}
-	if o.Lower.Variance <= 0 {
-		o.Lower.Variance = 1e-3
-	}
 	if o.Lower.Range <= 0 {
 		o.Lower.Range = 1e-3
 	}
 	if o.Lower.Smoothness <= 0 {
 		o.Lower.Smoothness = 0.1
-	}
-	if o.Upper.Variance <= 0 {
-		o.Upper.Variance = 100 * o.Start.Variance
 	}
 	if o.Upper.Range <= 0 {
 		o.Upper.Range = 10
@@ -478,8 +468,6 @@ func (o FitOptions) withDefaults(p *Problem) FitOptions {
 
 // Fit estimates θ̂ by maximizing the log-likelihood with the derivative-free
 // optimizer — the convenience path wrapping Session.Fit on a fresh Session.
-// The search runs over log-transformed variance and range (their scales span
-// decades) and linear smoothness.
 func Fit(p *Problem, cfg Config, opts FitOptions) (FitResult, error) {
 	s, err := NewSession(p, cfg)
 	if err != nil {

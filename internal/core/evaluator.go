@@ -150,7 +150,7 @@ func (e *evaluator) LogLikelihood(theta cov.Params) (LikResult, error) {
 }
 
 // ProfiledLogLikelihood evaluates the concentrated likelihood ℓ_p(θ₂, θ₃)
-// (see the package-level ProfiledLogLikelihood) reusing cached buffers.
+// (see Session.ProfiledLogLikelihood) reusing cached buffers.
 func (e *evaluator) ProfiledLogLikelihood(rangeP, smoothness float64) (logL, varianceHat float64, err error) {
 	theta := cov.Params{Variance: 1, Range: rangeP, Smoothness: smoothness}
 	if err := theta.Validate(); err != nil {

@@ -352,15 +352,14 @@ func commBytes(s *Session) (sent int64) {
 	return sent
 }
 
-// free computes every quantity through the free functions, each on its own
-// throwaway session.
+// free computes every quantity that has a free function through it, each on
+// its own throwaway session; the profiled ℓ has only the session method.
 func (c oracleCase) free(t *testing.T, cfg Config) (res oracleResult) {
 	t.Helper()
-	var errs [4]error
+	var errs [3]error
 	res.lik, errs[0] = LogLikelihood(c.p, c.th, cfg)
-	res.prof, res.sig2, errs[1] = ProfiledLogLikelihood(c.p, c.th.Range, c.th.Smoothness, cfg)
-	res.pred, errs[2] = Predict(c.p, c.q, c.th, cfg)
-	res.pv, errs[3] = PredictWithVariance(c.p, c.q, c.th, cfg)
+	res.pred, errs[1] = Predict(c.p, c.q, c.th, cfg)
+	res.pv, errs[2] = PredictWithVariance(c.p, c.q, c.th, cfg)
 	if err := errors.Join(errs[:]...); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +477,7 @@ func (o *oracle) row(t *testing.T, row oracleRow) {
 
 			one := cfg
 			one.Workers = 1
-			o.bitwise(t, "free functions at 1 worker ≡ reused session at P", got, c.free(t, one))
+			o.bitwise(t, "free functions at 1 worker ≡ reused session at P", got, c.free(t, one), "profiled ℓ")
 			o.bitwise(t, "column blocks ≡ one n×m half-solve", got, oneShot, "ℓ", "profiled ℓ", "Predict")
 
 			eta := accuracyBound(acc, oracleN, row.nb, normF, invNorm)

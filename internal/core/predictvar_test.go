@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cov"
 	"repro/internal/geom"
+	"repro/internal/optimize"
 )
 
 func TestPredictVariancePositiveAndBounded(t *testing.T) {
@@ -126,7 +127,9 @@ func TestCoverageCheckLengthMismatch(t *testing.T) {
 func TestProfiledLikelihoodMatchesFull(t *testing.T) {
 	// ℓ_p(θ2, θ3) must equal ℓ(θ̂1, θ2, θ3) at the concentrated variance.
 	p := smallProblem(t, 144, 26)
-	ll, varHat, err := ProfiledLogLikelihood(p, 0.1, 0.5, Config{Mode: FullBlock})
+	s := NewSessionMust(t, p, Config{Mode: FullBlock})
+	defer s.Close()
+	ll, varHat, err := s.ProfiledLogLikelihood(0.1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,27 +152,61 @@ func TestProfiledLikelihoodMatchesFull(t *testing.T) {
 	}
 }
 
-func TestProfiledFitAgreesWithFullFit(t *testing.T) {
+// Fit's concentrated search reaches the MLE of ℓ(θ). The reference is a 3-D
+// Nelder–Mead over (log θ₁, log θ₂, θ₃) on Session.LogLikelihood — the search
+// Fit ran before it concentrated θ₁ out — and Fit's ℓ may be no lower than
+// the reference's. ℓ at the reported θ̂ must also be the reported LogL, which
+// makes the reported θ̂₁ the maximizer over the variance.
+func TestFitMatchesThreeParameterSearch(t *testing.T) {
 	syn, err := GenerateSynthetic(256, 0, theta(), 27)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Fit(syn.Train, Config{Mode: FullBlock}, FitOptions{MaxEvals: 150})
+	s := NewSessionMust(t, syn.Train, Config{Mode: FullBlock})
+	defer s.Close()
+	fit, err := s.Fit(FitOptions{MaxEvals: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := Fit(syn.Train, Config{Mode: FullBlock}, FitOptions{MaxEvals: 150, Profiled: true})
+	if !fit.Converged {
+		t.Errorf("fit did not converge in %d evaluations", fit.Evals)
+	}
+
+	var sum, sum2 float64
+	for _, z := range syn.Train.Z {
+		sum, sum2 = sum+z, sum2+z*z
+	}
+	n := float64(syn.Train.N())
+	v0 := sum2/n - (sum/n)*(sum/n) // the empirical variance, the 3-D search's start
+	obj := func(x []float64) float64 {
+		lik, err := s.LogLikelihood(cov.Params{Variance: math.Exp(x[0]), Range: math.Exp(x[1]), Smoothness: x[2]})
+		if err != nil {
+			return math.Inf(1)
+		}
+		return -lik.Value
+	}
+	ref, err := optimize.NelderMead(optimize.Problem{
+		Objective: obj,
+		Lower:     []float64{math.Log(1e-3), math.Log(1e-3), 0.1},
+		Upper:     []float64{math.Log(100 * v0), math.Log(10), 3},
+	}, []float64{math.Log(v0), math.Log(0.1), 0.5}, optimize.Options{MaxEvals: 400, TolX: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(prof.Theta.Variance-full.Theta.Variance) > 0.3*full.Theta.Variance {
-		t.Errorf("profiled variance %g vs full %g", prof.Theta.Variance, full.Theta.Variance)
+	if !ref.Converged {
+		t.Fatalf("3-D reference did not converge in %d evaluations", ref.Evals)
 	}
-	if math.Abs(prof.Theta.Range-full.Theta.Range) > 0.4*full.Theta.Range {
-		t.Errorf("profiled range %g vs full %g", prof.Theta.Range, full.Theta.Range)
+	t.Logf("fit ℓ %.10g in %d evaluations, 3-D reference ℓ %.10g in %d", fit.LogL, fit.Evals, -ref.F, ref.Evals)
+	if refL := -ref.F; fit.LogL < refL-1e-6*math.Abs(refL) {
+		t.Errorf("fit ℓ %.10g (%d evaluations) is below the 3-D reference's %.10g (%d evaluations)", fit.LogL, fit.Evals, refL, ref.Evals)
 	}
-	if prof.LogL < full.LogL-1.0 {
-		t.Errorf("profiled fit found a clearly worse optimum: %g vs %g", prof.LogL, full.LogL)
+
+	at, err := s.LogLikelihood(fit.Theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(at.Value-fit.LogL) > 1e-10*math.Abs(fit.LogL) {
+		t.Errorf("ℓ(θ̂) = %.17g, the fit reported %.17g", at.Value, fit.LogL)
 	}
 }
 
@@ -179,7 +216,7 @@ func TestProfiledFitFixedSmoothness(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof, err := Fit(syn.Train, Config{Mode: TLR, TileSize: 64, Accuracy: 1e-8},
-		FitOptions{MaxEvals: 60, FixSmoothness: true, Start: theta(), Profiled: true})
+		FitOptions{MaxEvals: 60, FixSmoothness: true, Start: theta()})
 	if err != nil {
 		t.Fatal(err)
 	}

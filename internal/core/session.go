@@ -180,55 +180,50 @@ func (s *Session) LogLikelihood(theta cov.Params) (LikResult, error) {
 	return s.ev.LogLikelihood(theta)
 }
 
-// ProfiledLogLikelihood evaluates the concentrated likelihood ℓ_p(θ₂, θ₃)
-// (see the package-level ProfiledLogLikelihood for the formulation).
+// ProfiledLogLikelihood evaluates the profile (concentrated) log-likelihood,
+// the variance θ₁ maximized out analytically. Writing Σ(θ) = θ₁·R(θ₂, θ₃)
+// with R the correlation matrix, the maximizing variance for fixed (θ₂, θ₃)
+// is
+//
+//	θ̂₁ = Zᵀ R⁻¹ Z / n,
+//
+// and the profile log-likelihood becomes
+//
+//	ℓ_p(θ₂, θ₃) = −n/2·(log 2π + 1 + log θ̂₁) − 1/2·log|R|.
+//
+// It returns ℓ_p and θ̂₁; Fit maximizes it.
 func (s *Session) ProfiledLogLikelihood(rangeP, smoothness float64) (logL, varianceHat float64, err error) {
 	defer s.exclusive()()
 	return s.ev.ProfiledLogLikelihood(rangeP, smoothness)
 }
 
-// Fit estimates θ̂ by maximizing the log-likelihood with the derivative-free
-// optimizer. The search runs over log-transformed variance and range (their
-// scales span decades) and linear smoothness. Every objective call reuses
-// the session's cached factorization state, and the whole search holds the
-// write lock. With FitOptions.Profiled set the variance is concentrated out
-// analytically and the optimizer searches only (θ₂, θ₃).
+// Fit estimates θ̂ by maximum likelihood with the derivative-free optimizer.
+// θ₁ is concentrated out (see ProfiledLogLikelihood), so the search runs over
+// (log θ₂, θ₃), or log θ₂ alone under FixSmoothness, and reaches the MLE of
+// ℓ(θ) in two dimensions instead of three — the concentrated-likelihood trick
+// ExaGeoStat's drivers use too. Every objective call reuses the session's
+// cached factorization state, and the whole search holds the write lock.
+//
+// The fit factors θ̂₁·(R + τ²I). The default nugget is τ² = 1e-9, and then
+// that matrix is exactly Σ(θ̂) with its default nugget 1e-9·θ̂₁, so
+// LogLikelihood(θ̂) is the reported LogL. An explicit Config.Nugget is τ²:
+// the fit applies it on the correlation scale, not to Σ.
 func (s *Session) Fit(opts FitOptions) (FitResult, error) {
 	defer s.exclusive()()
-	o := opts.withDefaults(s.p)
+	o := opts.withDefaults()
 
-	// The search vector is (log θ₁, log θ₂, θ₃), without θ₁ when it is
-	// profiled out and without θ₃ when it is pinned.
+	// The search vector is (log θ₂, θ₃), without θ₃ when it is pinned.
 	toX := func(t cov.Params) []float64 {
-		x := []float64{math.Log(t.Variance), math.Log(t.Range), t.Smoothness}
 		if o.FixSmoothness {
-			x = x[:2]
+			return []float64{math.Log(t.Range)}
 		}
-		if o.Profiled {
-			x = x[1:]
-		}
-		return x
+		return []float64{math.Log(t.Range), t.Smoothness}
 	}
-	// toTheta is toX's inverse; a profiled search leaves θ₁ at 1, the scale
-	// its correlation matrix is built at.
-	toTheta := func(x []float64) cov.Params {
-		t := cov.Params{Variance: 1, Smoothness: o.Start.Smoothness}
-		if !o.Profiled {
-			t.Variance, x = math.Exp(x[0]), x[1:]
-		}
-		t.Range = math.Exp(x[0])
+	// likelihood evaluates ℓ_p at θ(x) and fills in θ̂₁.
+	likelihood := func(x []float64) (cov.Params, float64, error) {
+		t := cov.Params{Range: math.Exp(x[0]), Smoothness: o.Start.Smoothness}
 		if !o.FixSmoothness {
 			t.Smoothness = x[1]
-		}
-		return t
-	}
-	// likelihood evaluates the likelihood being maximized at θ(x); the
-	// profiled one also supplies θ̂₁.
-	likelihood := func(x []float64) (cov.Params, float64, error) {
-		t := toTheta(x)
-		if !o.Profiled {
-			lik, err := s.ev.LogLikelihood(t)
-			return t, lik.Value, err
 		}
 		ll, varHat, err := s.ev.ProfiledLogLikelihood(t.Range, t.Smoothness)
 		t.Variance = varHat
@@ -265,14 +260,11 @@ func (s *Session) Fit(opts FitOptions) (FitResult, error) {
 	if math.IsInf(res.F, 1) {
 		return FitResult{}, fmt.Errorf("core: every likelihood evaluation failed: %w", lastErr)
 	}
-	out := FitResult{Theta: toTheta(res.X), LogL: -res.F, Evals: res.Evals, Converged: res.Converged}
-	if o.Profiled {
-		// The search never saw θ₁: one more evaluation, at the optimum,
-		// recovers θ̂₁.
-		if out.Theta, out.LogL, err = likelihood(res.X); err != nil {
-			return FitResult{}, err
-		}
-		out.Evals++
+	// The search never saw θ₁: one more evaluation, at the optimum, recovers
+	// θ̂₁.
+	out := FitResult{Evals: res.Evals + 1, Converged: res.Converged}
+	if out.Theta, out.LogL, err = likelihood(res.X); err != nil {
+		return FitResult{}, err
 	}
 	return out, nil
 }

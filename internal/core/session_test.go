@@ -174,9 +174,6 @@ func TestEntryPointsValidateConfig(t *testing.T) {
 	if _, err := PredictWithVariance(p, p.Points[:2], theta(), Config{Nugget: -1}); err == nil {
 		t.Error("PredictWithVariance accepted a negative Nugget")
 	}
-	if _, _, err := ProfiledLogLikelihood(p, 0.1, 0.5, Config{Workers: -1}); err == nil {
-		t.Error("ProfiledLogLikelihood accepted negative Workers")
-	}
 	if _, _, err := SolveRefined(p, theta(), Config{Ranks: 4}, make([]float64, p.N()), RefineOptions{}); err == nil {
 		t.Error("SolveRefined must reject distributed configs")
 	}

@@ -66,7 +66,7 @@ var Experiments = []Experiment{
 	{"table2", "Table II: Matérn estimates, wind-speed regions", Table2},
 	{"fig9", "Fig. 9: prediction MSE boxplots on real-data regions", Fig9},
 	{"ablation", "Ablations: ordering, compressor, tile size, scheduling", Ablations},
-	{"extensions", "Extensions: prediction variance, profiled likelihood, refinement", Extensions},
+	{"extensions", "Extensions: prediction variance, concentrated MLE fit, refinement", Extensions},
 }
 
 // ByName returns the named experiment.

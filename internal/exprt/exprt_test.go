@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestByName(t *testing.T) {
@@ -38,11 +40,11 @@ func TestExperimentsCoverEveryTableAndFigure(t *testing.T) {
 // run, each with the reason; `paperbench -exp <name>` is how they are run, and
 // `make verify` runs `ablation` and `extensions` that way.
 var slowExperiments = map[string]string{
-	"fig6":       "Monte-Carlo fits of three θ at four accuracies: 20 s at the small scale, minutes under -race",
-	"table1":     "eight region fits at four accuracies: 14 s at the small scale",
-	"table2":     "four region fits at four accuracies: 12 s at the small scale",
+	"fig6":       "Monte-Carlo fits of three θ at four accuracies: 10 s at the small scale, minutes under -race",
+	"table1":     "eight regions fitted at four TLR accuracies and full-tile: 7 s at the small scale",
+	"table2":     "four regions fitted at three TLR accuracies and full-tile: 6 s at the small scale",
 	"ablation":   "six sections of real factorizations and rank runs: 6 s at the small scale, a minute under -race",
-	"extensions": "two 150-evaluation fits: 2 s at the small scale, half a minute built and run under -race",
+	"extensions": "a fit, PCG solves and 5 variance predicts: 0.3 s at the small scale, 7 s under -race",
 }
 
 // TestFastExperimentsPrintTheirSeries runs every experiment that finishes in
@@ -88,6 +90,27 @@ func TestFastExperimentsPrintTheirSeries(t *testing.T) {
 			if !strings.Contains(buf.String(), want) {
 				t.Errorf("%s output missing %q:\n%s", name, want, buf.String())
 			}
+		}
+	}
+}
+
+// Fig. 6's small-scale fits converge within the budget fig6Size gives them:
+// one replicate per initial vector, fitted full-tile at nb = 64 from the
+// truth, as the figure fits it.
+func TestFig6SmallScaleFitsConverge(t *testing.T) {
+	n, _, evals := fig6Size(ScaleSmall)
+	cfg := core.Config{Mode: core.FullTile, TileSize: 64, Workers: 1}
+	for _, truth := range fig6Vectors {
+		probs, err := core.GenerateSyntheticReplicates(n, 1, truth, Options{}.withDefaults().Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fit, err := core.Fit(probs[0], cfg, core.FitOptions{Start: truth, MaxEvals: evals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fit.Converged {
+			t.Errorf("θ = %+v: the fit did not converge within %d evaluations (θ̂ = %+v)", truth, evals, fit.Theta)
 		}
 	}
 }

@@ -45,7 +45,10 @@ type ModelConfig struct {
 	Compressor string `json:"compressor,omitempty"`
 	// Workers is the shared-memory runtime worker count (0 = default 1).
 	Workers int `json:"workers,omitempty"`
-	// Nugget is the diagonal regularization (0 = default 1e-9·θ₁).
+	// Nugget is the diagonal regularization (0 = default 1e-9·θ₁). A fit
+	// at ingest concentrates θ₁ out and adds an explicit nugget to the
+	// correlation matrix, so during the fit it acts as θ̂₁·Nugget on Σ
+	// (core.Config.Nugget).
 	Nugget float64 `json:"nugget,omitempty"`
 	// Ordering overrides the spatial ordering ("morton", "hilbert",
 	// "kdblock", "none"; "" keeps the problem default).
@@ -55,16 +58,17 @@ type ModelConfig struct {
 }
 
 // FitSpec controls the maximum-likelihood fit run at ingest when no fixed
-// theta is supplied.
+// theta is supplied. The fit always concentrates θ₁ out (core.Session.Fit).
+// Bodies from older clients that still send "profiled" are accepted: the
+// request decoder ignores fields it does not know.
 type FitSpec struct {
 	// MaxEvals caps likelihood evaluations (0 = library default 300).
 	MaxEvals int `json:"max_evals,omitempty"`
 	// FixSmoothness pins θ₃ to the start value instead of estimating it.
 	FixSmoothness bool `json:"fix_smoothness,omitempty"`
-	// Start optionally seeds the search; zero fields get data-driven defaults.
+	// Start optionally seeds the search; zero fields get defaults, and its
+	// variance is not used.
 	Start *Theta `json:"start,omitempty"`
-	// Profiled selects the concentrated-likelihood fit (θ̂₁ in closed form).
-	Profiled bool `json:"profiled,omitempty"`
 }
 
 // CreateModelRequest ingests a dataset as a named model. Exactly one of two

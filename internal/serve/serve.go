@@ -460,7 +460,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) int {
 		if spec == nil {
 			spec = &FitSpec{}
 		}
-		opts := core.FitOptions{MaxEvals: spec.MaxEvals, FixSmoothness: spec.FixSmoothness, Profiled: spec.Profiled}
+		opts := core.FitOptions{MaxEvals: spec.MaxEvals, FixSmoothness: spec.FixSmoothness}
 		if spec.Start != nil {
 			opts.Start = toCovParams(*spec.Start)
 		}

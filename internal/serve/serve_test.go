@@ -393,7 +393,7 @@ func TestFitAtIngest(t *testing.T) {
 	pts, z := testDataset(t, 100, 14)
 	req := CreateModelRequest{
 		Name: "fitted", Points: pts, Z: z,
-		Fit: &FitSpec{MaxEvals: 40, FixSmoothness: true, Start: &testTheta, Profiled: true},
+		Fit: &FitSpec{MaxEvals: 40, FixSmoothness: true, Start: &testTheta},
 	}
 	var info ModelInfo
 	if code := do(t, s, "POST", "/v1/models", req, &info); code != http.StatusCreated {
@@ -410,6 +410,42 @@ func TestFitAtIngest(t *testing.T) {
 	}
 	if code := do(t, s, "POST", "/v1/models/fitted/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusOK {
 		t.Errorf("predict on fitted model: status %d", code)
+	}
+}
+
+// A body from a client that still sends the removed "profiled" fit field is
+// accepted: the request decoder ignores unknown fields, and every fit
+// concentrates θ₁ out anyway, so the model is the one fitted without it.
+func TestFitAtIngestAcceptsLegacyProfiledField(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fit is slow")
+	}
+	s := New(Config{})
+	defer s.Close()
+	pts, z := testDataset(t, 100, 14)
+	data, err := json.Marshal(map[string]any{"points": pts, "z": z})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := string(data[1 : len(data)-1])
+	body := func(name, fit string) string {
+		return `{"name":"` + name + `",` + fields + `,"fit":{` + fit + `"max_evals":40,"fix_smoothness":true,"start":{"variance":1,"range":0.1,"smoothness":0.5}}}`
+	}
+	var legacy, plain ModelInfo
+	if code := do(t, s, "POST", "/v1/models", body("legacy", `"profiled":true,`), &legacy); code != http.StatusCreated {
+		t.Fatalf("create with \"profiled\": status %d", code)
+	}
+	if !legacy.Fitted || legacy.FitEvals == 0 {
+		t.Fatalf("fit info missing: %+v", legacy)
+	}
+	if code := do(t, s, "POST", "/v1/models", body("plain", ""), &plain); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	if legacy.Theta != plain.Theta || legacy.LogLik != plain.LogLik || legacy.FitEvals != plain.FitEvals {
+		t.Errorf("fit with \"profiled\" %+v differs from the fit without it %+v", legacy, plain)
+	}
+	if code := do(t, s, "POST", "/v1/models/legacy/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusOK {
+		t.Errorf("predict on the model: status %d", code)
 	}
 }
 
