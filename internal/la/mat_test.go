@@ -733,25 +733,36 @@ func FuzzSVDThin(f *testing.F) {
 
 // Work hands out zeroed memory that stays valid until Reset, survives
 // running out of arena, and stops allocating once it has seen the demand.
+// TestWorkArena holds the arena to its contract: the slices of one round do
+// not overlap and keep what is written to them until Reset, including those
+// served from the heap while the arena is still growing; a warm arena hands
+// the same storage out again without clearing it (its callers clear what
+// they read before writing) and allocates nothing.
 func TestWorkArena(t *testing.T) {
 	w := new(Work)
 	for round := 0; round < 3; round++ {
 		a := w.Mat(7, 5)
 		b := w.Floats(100)
+		c := w.Ints(9)
 		for i := range a.Data {
-			if a.Data[i] != 0 {
-				t.Fatalf("round %d: arena matrix not zeroed", round)
-			}
-			a.Data[i] = 1
+			a.Data[i] = float64(round*1000 + i)
+		}
+		if round > 0 && b[99] != float64(2*(round-1)) {
+			t.Fatalf("round %d: warm arena did not hand back its storage as it was (b[99] = %v)", round, b[99])
 		}
 		for i := range b {
-			if b[i] != 0 {
-				t.Fatalf("round %d: arena slice not zeroed or aliases the matrix", round)
-			}
-			b[i] = 2
+			b[i] = float64(2 * round)
 		}
-		if a.Data[34] != 1 {
-			t.Fatalf("round %d: slices overlap", round)
+		for i := range c {
+			c[i] = round
+		}
+		for i, v := range a.Data {
+			if v != float64(round*1000+i) {
+				t.Fatalf("round %d: matrix overwritten at %d by a later slice", round, i)
+			}
+		}
+		if c[8] != round {
+			t.Fatalf("round %d: index slice overwritten", round)
 		}
 		w.Reset()
 	}

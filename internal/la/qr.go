@@ -52,6 +52,7 @@ func qrT(w *Work, wt *Mat) (q, r *Mat) {
 		for j := j0; j < j0+b; j++ {
 			col := wt.Row(j)[j:]
 			tau[j] = house(col)
+			clear(vt.Row(j)[j0:j]) // the panel reads row j from column j0
 			v := vt.Row(j)[j:]
 			v[0] = 1
 			copy(v[1:], col[1:])
@@ -82,6 +83,7 @@ func qrT(w *Work, wt *Mat) (q, r *Mat) {
 	// rows ≥ j0 of Q are zero left of column j0, so only the block from
 	// (j0, j0) on is touched.
 	q = w.Mat(m, k)
+	clear(q.Data)
 	for j := 0; j < k; j++ {
 		q.Data[j*k+j] = 1
 	}
@@ -105,6 +107,7 @@ func qrT(w *Work, wt *Mat) (q, r *Mat) {
 func leadingRowsOfR(w *Work, wt *Mat, k int, perm []int) *Mat {
 	n := wt.Rows
 	r := w.Mat(k, n)
+	clear(r.Data)
 	for c := 0; c < n; c++ {
 		to := c
 		if perm != nil {
@@ -157,11 +160,14 @@ func reflect(v []float64, tau float64, x []float64) {
 	axpy(-tau*dot(v, x), v, x)
 }
 
-// formT fills the b×b upper-triangular t with the compact-WY factor of the
-// reflectors in rows j0..j0+b of vt: T[i][i] = τᵢ and
+// formT overwrites the b×b t with the upper-triangular compact-WY factor of
+// the reflectors in rows j0..j0+b of vt: T[i][i] = τᵢ and
 // T[:i, i] = −τᵢ·T[:i, :i]·(V[:, :i]ᵀ·vᵢ).
 func formT(t, vt *Mat, j0 int, tau []float64) {
 	var z [qrBlock]float64
+	for i := range tau {
+		clear(t.Row(i))
+	}
 	for i, ti := range tau {
 		t.Row(i)[i] = ti
 		if ti == 0 {

@@ -71,6 +71,8 @@ func SVDThin(w *Work, a *Mat, tol float64) (u *Mat, s []float64, v *Mat) {
 	tauq, taup := w.Floats(n), w.Floats(n-1)
 	bidiagonalize(w, wt, d, e, tauq, taup)
 	ub, vb := w.Mat(n, n), w.Mat(n, n)
+	clear(ub.Data)
+	clear(vb.Data)
 	for i := 0; i < n; i++ {
 		ub.Data[i*n+i] = 1
 		vb.Data[i*n+i] = 1
@@ -120,6 +122,7 @@ func SVDThin(w *Work, a *Mat, tol float64) (u *Mat, s []float64, v *Mat) {
 	// Kept directions of B, as rows: left ones padded to X's (or R's) length.
 	s = w.Floats(r)
 	ut, vt := w.Mat(r, p), w.Mat(r, n)
+	clear(ut.Data)
 	for jj, j := range order[:r] {
 		s[jj] = d[j]
 		copy(ut.Row(jj), ub.Row(j))
@@ -130,6 +133,7 @@ func SVDThin(w *Work, a *Mat, tol float64) (u *Mat, s []float64, v *Mat) {
 		// column j, from row j+1 on); moved out to the rows of vp, they leave
 		// the left reflectors as the rows of wt.
 		vp := w.Mat(n-1, n-1)
+		clear(vp.Data)
 		for c := 1; c < n; c++ {
 			row := wt.Row(c)
 			for j := 0; j < c; j++ {
@@ -658,6 +662,7 @@ func QRPivotThin(w *Work, a *Mat, cut float64) (q, r *Mat) {
 		row[i] = 1
 	}
 	qt := w.Mat(k, m)
+	clear(qt.Data)
 	for j := 0; j < k; j++ {
 		qt.Data[j*m+j] = 1
 	}

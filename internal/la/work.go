@@ -2,9 +2,11 @@ package la
 
 // Work is a bump arena of float64 and index scratch for kernels that are
 // called hundreds of times per factorization with the same few shapes
-// (QRThin, SVDThin and their TLR callers). Every slice and matrix it hands
-// out is zeroed and stays valid until Reset; Reset makes the whole arena
-// reusable, so a steady stream of equal-sized calls allocates nothing.
+// (QRThin, SVDThin and their TLR callers). A slice or matrix it hands out
+// holds whatever the arena held before — a caller that reads an element
+// before writing it clears it first — and stays valid until Reset; Reset
+// makes the whole arena reusable, so a steady stream of equal-sized calls
+// allocates nothing and clears nothing it is about to overwrite.
 //
 // A nil *Work allocates from the heap, which is what callers without a
 // repeating call pattern pass. A Work must not be shared between goroutines.
@@ -28,7 +30,6 @@ func (a *arena[T]) take(n int) []T {
 	}
 	s := a.buf[a.used : a.used+n : a.used+n]
 	a.used += n
-	clear(s)
 	return s
 }
 
@@ -39,7 +40,7 @@ func (a *arena[T]) reset() {
 	a.used, a.need = 0, 0
 }
 
-// Floats returns a zeroed slice of length n.
+// Floats returns a slice of length n with unspecified contents.
 func (w *Work) Floats(n int) []float64 {
 	if w == nil {
 		return make([]float64, n)
@@ -47,7 +48,7 @@ func (w *Work) Floats(n int) []float64 {
 	return w.floats.take(n)
 }
 
-// Ints returns a zeroed index slice of length n.
+// Ints returns an index slice of length n with unspecified contents.
 func (w *Work) Ints(n int) []int {
 	if w == nil {
 		return make([]int, n)
@@ -55,7 +56,7 @@ func (w *Work) Ints(n int) []int {
 	return w.ints.take(n)
 }
 
-// Mat returns a zeroed r×c matrix backed by the arena.
+// Mat returns an r×c matrix backed by the arena, its contents unspecified.
 func (w *Work) Mat(r, c int) *Mat {
 	return &Mat{Rows: r, Cols: c, Stride: c, Data: w.Floats(r * c)}
 }

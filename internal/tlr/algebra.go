@@ -239,6 +239,7 @@ func splitOff(w *la.Work, b, x *la.Mat) (p, e *la.Mat) {
 // colNorms returns the Euclidean norms of the columns of a.
 func colNorms(w *la.Work, a *la.Mat) []float64 {
 	nrm := w.Floats(a.Cols)
+	clear(nrm)
 	for i := 0; i < a.Rows; i++ {
 		for j, v := range a.Row(i) {
 			nrm[j] += v * v

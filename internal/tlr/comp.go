@@ -309,10 +309,9 @@ func CompressRSVD(a *la.Mat, tol float64, seed uint64) *CompTile {
 
 	// Adaptive doubling of the sketch until the projected approximation
 	// captures the Frobenius mass to tol, or we hit full rank. q is the
-	// accepted part of the basis, a view of qbuf that widens by nw columns
-	// per round.
-	qbuf := ws.Mat(m, maxK)
-	q := qbuf.View(0, 0, m, 0)
+	// accepted part of the basis, copied each round into a matrix exactly
+	// nw columns wider.
+	q := ws.Mat(m, 0)
 	var resEst float64
 	for guess := 8; ; guess *= 2 {
 		nw := min(guess+sketchMargin, maxK) - q.Cols
@@ -338,8 +337,10 @@ func CompressRSVD(a *la.Mat, tol float64, seed uint64) *CompTile {
 			projectOut(ws, qn, q)
 			qn, _ = la.QRThin(ws, qn)
 		}
-		qbuf.View(0, q.Cols, m, nw).CopyFrom(qn)
-		q = qbuf.View(0, 0, m, q.Cols+nw)
+		wider := ws.Mat(m, q.Cols+nw)
+		wider.View(0, 0, m, q.Cols).CopyFrom(q)
+		wider.View(0, q.Cols, m, nw).CopyFrom(qn)
+		q = wider
 		projectOut(ws, res, qn)
 
 		resEst = 0
