@@ -27,7 +27,7 @@ func main() {
 		modeStr = flag.String("mode", "tlr", "computation mode: full-block | full-tile | tlr | hodlr")
 		acc     = flag.Float64("acc", 1e-7, "TLR accuracy threshold")
 		nb      = flag.Int("nb", 0, "tile size (0 = default)")
-		comp    = flag.String("compressor", "svd", "TLR compression backend: svd | rsvd | aca")
+		comp    = flag.String("compressor", "svd", "TLR compression backend: svd | rsvd")
 		workers = flag.Int("workers", runtime.NumCPU(), "runtime workers")
 		thetaS  = flag.String("theta", "1,0.1,0.5", "generating θ as variance,range,smoothness")
 		seed    = flag.Uint64("seed", 42, "random seed")

@@ -54,7 +54,7 @@ func CalibrateRankModel(acc float64, theta cov.Params, calN, nbCal int) *RankMod
 		for j := 0; j < i; j++ {
 			k.Block(buf, pts[i*nbCal:(i+1)*nbCal], pts[j*nbCal:(j+1)*nbCal], geom.Euclidean)
 			d := i - j
-			sums[d] += float64(tlr.CompressSVD(buf, acc, 0).Rank())
+			sums[d] += float64(tlr.CompressSVD(buf, acc, 0, 0).Rank())
 			counts[d]++
 		}
 	}

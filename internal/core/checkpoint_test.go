@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cov"
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 // fitTriple runs Fit on a fresh session so no cached state leaks between the
@@ -59,6 +60,28 @@ func TestFitCheckpointResume(t *testing.T) {
 	again := fitTriple(t, p, cfg, resumed)
 	if again != ref {
 		t.Fatalf("full replay %+v differs from %+v", again, ref)
+	}
+}
+
+// A fit factors once per evaluation of its search: θ̂₁ is kept from the
+// evaluation at the optimum. Only a fit whose optimum a checkpoint replayed
+// factors once more, to recover θ̂₁, and still reports the same result.
+func TestFitFactorsOncePerEvaluation(t *testing.T) {
+	p := smallProblem(t, 60, 9)
+	cfg := Config{Mode: FullBlock}
+	opts := FitOptions{MaxEvals: 12, FixSmoothness: true, Checkpoint: filepath.Join(t.TempDir(), "fit.ckpt")}
+	before := obs.Default().Snapshot()
+	ref := fitTriple(t, p, cfg, opts)
+	if runs := factorRuns(before); runs != int64(ref.Evals) {
+		t.Fatalf("%d factorizations for %d evaluations", runs, ref.Evals)
+	}
+	before = obs.Default().Snapshot()
+	again := fitTriple(t, p, cfg, opts) // replays the whole log
+	if runs := factorRuns(before); runs != 1 {
+		t.Fatalf("a fully replayed fit ran %d factorizations, want 1", runs)
+	}
+	if again != ref {
+		t.Fatalf("replayed fit %+v differs from %+v", again, ref)
 	}
 }
 

@@ -56,7 +56,7 @@ type Config struct {
 	// (0 = default 1e-9); ignored by the dense modes.
 	Accuracy float64
 	// CompressorName selects the low-rank compression backend ("svd"
-	// default, "rsvd", "aca") for TLR and HODLR.
+	// default, or "rsvd") for TLR and HODLR.
 	CompressorName string
 	// Workers is the shared-memory runtime worker count (0 = default 1).
 	Workers int
@@ -430,6 +430,11 @@ type FitOptions struct {
 type FitResult struct {
 	Theta cov.Params
 	LogL  float64
+	// Evals is the number of likelihood evaluations the search made, each
+	// one factorization unless a checkpoint replayed it. θ̂₁ comes from the
+	// evaluation at the optimum, so the fit factors once more only when
+	// that evaluation was replayed; Evals does not count that one, and a
+	// resumed fit reports what the uninterrupted one does.
 	Evals int
 	// Converged reports the optimizer's convergence flag.
 	Converged bool

@@ -115,7 +115,7 @@ func TestRecoveryOracle(t *testing.T) {
 		cfg  Config
 	}
 	rows := []row{{"full-tile", Config{Mode: FullTile}}}
-	for _, comp := range []string{"svd", "rsvd", "aca"} {
+	for _, comp := range []string{"svd", "rsvd"} {
 		rows = append(rows,
 			row{"hodlr/" + comp, Config{Mode: HODLR, CompressorName: comp}},
 			row{"tlr/" + comp, Config{Mode: TLR, CompressorName: comp}},

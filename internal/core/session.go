@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/chaos"
@@ -230,12 +231,23 @@ func (s *Session) Fit(opts FitOptions) (FitResult, error) {
 		return t, ll, err
 	}
 
-	var lastErr error
+	// The objective keeps θ(x), θ̂₁ included, at the best point it
+	// evaluates, so the result needs no evaluation of its own unless the
+	// optimum was replayed from a checkpoint, which logs ℓ alone.
+	var (
+		lastErr error
+		bestX   []float64
+		best    cov.Params
+		bestLL  float64
+	)
 	obj := func(x []float64) float64 {
-		_, ll, err := likelihood(x)
+		t, ll, err := likelihood(x)
 		if err != nil {
 			lastErr = err
 			return math.Inf(1)
+		}
+		if !math.IsNaN(ll) && (bestX == nil || ll > bestLL) {
+			bestX, best, bestLL = append(bestX[:0], x...), t, ll
 		}
 		return -ll
 	}
@@ -260,11 +272,13 @@ func (s *Session) Fit(opts FitOptions) (FitResult, error) {
 	if math.IsInf(res.F, 1) {
 		return FitResult{}, fmt.Errorf("core: every likelihood evaluation failed: %w", lastErr)
 	}
-	// The search never saw θ₁: one more evaluation, at the optimum, recovers
-	// θ̂₁.
-	out := FitResult{Evals: res.Evals + 1, Converged: res.Converged}
-	if out.Theta, out.LogL, err = likelihood(res.X); err != nil {
-		return FitResult{}, err
+	out := FitResult{Theta: best, LogL: bestLL, Evals: res.Evals, Converged: res.Converged}
+	if !slices.Equal(bestX, res.X) {
+		// The search never saw θ₁: one more evaluation, at the replayed
+		// optimum, recovers θ̂₁.
+		if out.Theta, out.LogL, err = likelihood(res.X); err != nil {
+			return FitResult{}, err
+		}
 	}
 	return out, nil
 }

@@ -23,7 +23,7 @@ import (
 //
 //  1. location ordering (none / Morton / Hilbert / KD-block) on uniform and
 //     clustered points: ranks, storage, factor time, messages;
-//  2. compression backend (SVD / RSVD / ACA);
+//  2. compression backend (SVD / RSVD);
 //  3. tile size on the distributed machine (the paper's nb=560 vs nb=1900
 //     discussion, §VIII-C);
 //  4. out-of-order task flow vs bulk-synchronous scheduling;
@@ -127,7 +127,7 @@ func ablationCompressor(o Options) error {
 
 	fmt.Fprintf(o.Out, "\n[2] compression backend (tile %dx%d pairs, acc=1e-7)\n", nb, nb)
 	tb := stats.NewTable("backend", "mean rank", "total time", "max rel err")
-	for _, name := range []string{"svd", "rsvd", "aca"} {
+	for _, name := range []string{"svd", "rsvd"} {
 		comp, err := tlr.CompressorByName(name)
 		if err != nil {
 			return err
@@ -137,7 +137,7 @@ func ablationCompressor(o Options) error {
 		t0 := time.Now()
 		for trial := 0; trial < 6; trial++ {
 			a := tileBetween(k, pts, nb, trial)
-			c := comp(a, 1e-7, 0)
+			c := comp(a, 1e-7, 0, 0)
 			ranks = append(ranks, float64(c.Rank()))
 			d := c.Dense()
 			d.Sub(a)

@@ -2,10 +2,11 @@ package la
 
 import "math"
 
-// Thin SVD for TLR compression: the near-square cores of recompression and
-// basis extension and the sketch-sized projections QᵀA of the randomized
-// compressor, 286 per evaluation at n = 1500, nb = 128 (mean shape 42×63,
-// largest 74×128, mean kept rank 38 at 1e-7).
+// Thin SVD for TLR compression: the sketch-sized projections QᵀA of the
+// randomized compressor, one per off-diagonal tile — 66 per evaluation at
+// n = 1500, nb = 128 (mean shape 45×128, widest about 100×128, mean kept
+// rank 28 at 1e-7) — and the near-square cores of HODLR's recompressions and
+// basis extensions.
 //
 // SVDThin is the Golub–Reinsch algorithm as LAPACK's dgesvd runs it, in three
 // steps on X, the tall orientation of the input (m ≥ n):

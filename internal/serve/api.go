@@ -41,7 +41,7 @@ type ModelConfig struct {
 	TileSize int `json:"tile_size,omitempty"`
 	// Accuracy is the TLR compression threshold (0 = default 1e-9).
 	Accuracy float64 `json:"accuracy,omitempty"`
-	// Compressor selects the TLR compression backend ("svd", "rsvd", "aca").
+	// Compressor selects the TLR compression backend ("svd", "rsvd").
 	Compressor string `json:"compressor,omitempty"`
 	// Workers is the shared-memory runtime worker count (0 = default 1).
 	Workers int `json:"workers,omitempty"`

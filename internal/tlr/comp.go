@@ -1,7 +1,8 @@
 // Package tlr implements the HiCMA substitute: Tile Low-Rank compressed
-// tiles, compression backends (truncated SVD, randomized SVD, ACA), low-rank
-// addition with recompression, and the TLR Cholesky factorization with its
-// triangular solves and log-determinant (paper §V).
+// tiles, two compression backends (truncated SVD, the accuracy reference,
+// and randomized SVD, the fast one), low-rank addition with recompression,
+// and the TLR Cholesky factorization with its triangular solves and
+// log-determinant (paper §V).
 //
 // A TLR matrix stores dense diagonal tiles and each off-diagonal tile (i, j)
 // as a product U·Vᵀ with per-tile rank k chosen so the compression error is
@@ -11,8 +12,9 @@
 // (algebra.go) keeps it for HODLR's updates.
 //
 // A tile is a pure function of the geometry, θ and its seed: every
-// compression goes through a Compressor, a function of the dense block, tol
-// and the tile's seed, and GenSpec.compress passes tileSeed(i, j), so a
+// compression goes through a Compressor, a function of the dense block, tol,
+// the tile's seed and a rank hint, and GenSpec.compress passes tileSeed(i, j)
+// and, in the factorization, the rank of the final tile (i, j−1), so a
 // randomized backend compresses tile (i, j) to the same bits whatever the
 // worker count or execution order.
 package tlr
@@ -28,8 +30,8 @@ import (
 )
 
 // cntRecompress counts recompressions — every low-rank update of a
-// compressed tile, structured or general, and ACA's trim. The TLR Cholesky
-// runs none: it compresses each tile once.
+// compressed tile, structured or general. The TLR Cholesky runs none: it
+// compresses each tile once.
 var cntRecompress = obs.GetCounter("tlr.recompress.calls")
 
 // workPool holds the scratch arenas of the compression and recompression
@@ -188,8 +190,11 @@ func (c *CompTile) Decode(words []float64) error {
 // error ≈ tol: ‖A − UVᵀ‖_F ≤ tol·‖A‖_F. seed names the tile (tileSeed): a
 // randomized backend draws from a stream of that seed alone, so a tile
 // compresses to the same bits at any worker count and in any execution
-// order; the deterministic backends ignore it.
-type Compressor func(a *la.Mat, tol float64, seed uint64) *CompTile
+// order. hint is a guess of the tile's rank, 0 for none; it sizes a
+// randomized backend's first sketch and is an input like seed, so a caller
+// passes one that is itself a pure function of the tile. CompressSVD ignores
+// both.
+type Compressor func(a *la.Mat, tol float64, seed uint64, hint int) *CompTile
 
 // tileSeed is the seed of tile (i, j) — or of HODLR's block (lo, hi): a
 // SplitMix64-style mix of the two coordinates that rng.New runs through
@@ -249,7 +254,7 @@ func fromSVD(u *la.Mat, s []float64, v *la.Mat, k int) *CompTile {
 
 // CompressSVD compresses via a thin SVD of the whole tile — the accuracy
 // reference among the backends.
-func CompressSVD(a *la.Mat, tol float64, _ uint64) *CompTile {
+func CompressSVD(a *la.Mat, tol float64, _ uint64, _ int) *CompTile {
 	w := getWork()
 	defer putWork(w)
 	u, s, v := la.SVDThin(w, a, tol)
@@ -259,28 +264,38 @@ func CompressSVD(a *la.Mat, tol float64, _ uint64) *CompTile {
 // rsvdSeed is mixed into every tile seed of CompressRSVD's streams.
 const rsvdSeed = 0x5eed
 
-// The sketch is sketchMargin columns wider than the rank guess, and
-// powerPasses power iterations stabilize the range estimate for slowly
-// decaying spectra.
+// cntRSVDRounds counts CompressRSVD's sketch rounds: one per tile whose
+// first sketch holds its range, more for each that falls short.
+var cntRSVDRounds = obs.GetCounter("tlr.rsvd.rounds")
+
+// The sketch is sketchMargin columns wider than the rank guess, and a guess
+// is never below minGuess columns.
 const (
 	sketchMargin = 10
-	powerPasses  = 1
+	minGuess     = 8
 )
 
 // CompressRSVD compresses via randomized range finding (Halko/Martinsson/
-// Tropp) with oversampling and one power iteration, then an exact SVD of the
-// small projected matrix. Much cheaper than full SVD when the numerical rank
-// is far below the tile size. The Gaussian sketch is drawn from
+// Tropp) with oversampling, then an exact SVD of the small projected matrix.
+// Much cheaper than full SVD when the numerical rank is far below the tile
+// size. The sketch Ω and the residual probes are Rademacher signs drawn from
 // rng.New(rsvdSeed ^ seed).
 //
-// The sketch grows in place. When the residual estimate says the current
-// range Q misses too much, only the new columns are drawn, multiplied,
-// power-iterated against the part of A that Q does not span, orthogonalized
-// and appended to Q; nothing of the earlier rounds is recomputed, nor are
-// ‖A‖_F² and the probe vectors, whose residuals are updated by the new block
-// alone. The projected matrix QᵀA is factored once, after the range is
-// accepted.
-func CompressRSVD(a *la.Mat, tol float64, seed uint64) *CompTile {
+// hint is a guess of the rank, 0 for none: the first sketch has
+// max(hint, 8) columns plus the margin, and a sketch that falls short grows
+// by half its guess (at least 8 columns). The factorization passes the rank
+// of the tile's left neighbour in its tile row, which under a space-filling
+// ordering is of the order of the tile's own, mostly somewhat below it. The
+// hint changes how many rounds a tile takes, and so its bits, never the
+// accuracy, which the probe test below certifies.
+//
+// Each round draws only the new columns, multiplies them by A, orthogonalizes
+// them against the accepted basis Q and appends them; nothing of the earlier
+// rounds is recomputed, nor are ‖A‖_F² and the probes, whose residuals lose
+// the new block alone. The projected matrix QᵀA is factored once, after the
+// range is accepted. There is no power iteration: the range is accepted on
+// the probe certificate, and a short sketch only costs another round.
+func CompressRSVD(a *la.Mat, tol float64, seed uint64, hint int) *CompTile {
 	gen := rng.New(rsvdSeed ^ seed)
 	m, n := a.Rows, a.Cols
 	maxK := min(m, n)
@@ -296,37 +311,30 @@ func CompressRSVD(a *la.Mat, tol float64, seed uint64) *CompTile {
 			aF2 += x * x
 		}
 	}
-	// Randomized residual estimate: for ω ~ N(0, I),
-	// E‖(A − QQᵀA)ω‖² = ‖A − QQᵀA‖_F². A direct difference in vector space
-	// resolves residuals far below the ε_machine floor that a
-	// Frobenius-mass comparison would hit. The columns of res start as A·ω_p
-	// and lose their component along every block appended to Q.
+	// Randomized residual estimate: for ω with i.i.d. zero-mean,
+	// unit-variance entries (signs here), E‖(A − QQᵀA)ω‖² = ‖A − QQᵀA‖_F².
+	// A direct difference in vector space resolves residuals far below the
+	// ε_machine floor that a Frobenius-mass comparison would hit. The columns
+	// of res start as A·ω_p and lose their component along every block
+	// appended to Q.
 	const probes = 6
 	om := ws.Mat(n, probes)
-	gen.NormSlice(om.Data)
+	signs(gen, om.Data)
 	res := ws.Mat(m, probes)
 	la.Gemm(1, a, la.NoTrans, om, la.NoTrans, 0, res)
 
-	// Adaptive doubling of the sketch until the projected approximation
-	// captures the Frobenius mass to tol, or we hit full rank. q is the
-	// accepted part of the basis, copied each round into a matrix exactly
-	// nw columns wider.
+	// Grow the sketch until the projected approximation captures the
+	// Frobenius mass to tol, or we hit full rank. q is the accepted part of
+	// the basis, copied each round into a matrix exactly nw columns wider.
 	q := ws.Mat(m, 0)
 	var resEst float64
-	for guess := 8; ; guess *= 2 {
+	for guess := max(hint, minGuess); ; guess += max(minGuess, guess/2) {
+		cntRSVDRounds.Inc()
 		nw := min(guess+sketchMargin, maxK) - q.Cols
 		om = ws.Mat(n, nw)
-		gen.NormSlice(om.Data)
+		signs(gen, om.Data)
 		y := ws.Mat(m, nw)
 		la.Gemm(1, a, la.NoTrans, om, la.NoTrans, 0, y)
-		for it := 0; it < powerPasses; it++ {
-			projectOut(ws, y, q)
-			qy, _ := la.QRThin(ws, y)
-			z := ws.Mat(n, nw)
-			la.Gemm(1, a, la.Transpose, qy, la.NoTrans, 0, z)
-			qz, _ := la.QRThin(ws, z)
-			la.Gemm(1, a, la.NoTrans, qz, la.NoTrans, 0, y)
-		}
 		projectOut(ws, y, q)
 		qn, _ := la.QRThin(ws, y)
 		if q.Cols > 0 {
@@ -369,6 +377,21 @@ func CompressRSVD(a *la.Mat, tol float64, seed uint64) *CompTile {
 	return fromSVD(u, s, v, k)
 }
 
+// signs fills x with independent Rademacher signs ±1, one bit of gen's
+// stream each, 64 to a draw.
+func signs(gen *rng.Rand, x []float64) {
+	const one = 0x3ff0000000000000 // the bits of 1.0; bit 63 is the sign
+	for len(x) > 0 {
+		bits := gen.Uint64()
+		c := x[:min(len(x), 64)]
+		for i := range c {
+			c[i] = math.Float64frombits(one | bits<<63)
+			bits >>= 1
+		}
+		x = x[len(c):]
+	}
+}
+
 // projectOut removes from the columns of y their component in the span of
 // q's orthonormal columns: y ← y − q·(qᵀ·y).
 func projectOut(ws *la.Work, y, q *la.Mat) {
@@ -378,96 +401,6 @@ func projectOut(ws *la.Work, y, q *la.Mat) {
 	c := ws.Mat(q.Cols, y.Cols)
 	la.Gemm(1, q, la.Transpose, y, la.NoTrans, 0, c)
 	la.Gemm(-1, q, la.NoTrans, c, la.NoTrans, 1, y)
-}
-
-// CompressACA implements Adaptive Cross Approximation: it builds the
-// approximation one rank-1 cross at a time without forming a full SVD,
-// stopping when the estimated residual drops below tol, and a final QR+SVD
-// recompression trims the overshoot. It is not partially pivoted: each step
-// scans the whole residual of a dense clone of the tile for its largest
-// entry and updates all of it, so k steps cost O(k·nb²), the order of an
-// SVD. A partially pivoted ACA that reads entries on demand is ROADMAP
-// item 3.
-func CompressACA(a *la.Mat, tol float64, _ uint64) *CompTile {
-	m, n := a.Rows, a.Cols
-	maxK := min(m, n)
-	res := a.Clone() // residual; fine at tile sizes
-	var us, vs []*la.Mat
-	var aF float64
-	for i := 0; i < m; i++ {
-		for _, v := range res.Row(i) {
-			aF += v * v
-		}
-	}
-	aF = math.Sqrt(aF)
-	if aF == 0 {
-		// Exact zero tile: rank 0, zero storage. Rank-1 zero factors would
-		// inflate Bytes()/RankStats(); all TLR arithmetic and Recompress
-		// treat rank 0 as a structural no-op.
-		return &CompTile{U: la.NewMat(m, 0), V: la.NewMat(n, 0)}
-	}
-	var approxF2 float64
-	for k := 0; k < maxK; k++ {
-		// full pivoting: largest absolute entry of the whole residual
-		bi, bj, best := 0, 0, 0.0
-		for i := 0; i < m; i++ {
-			row := res.Row(i)
-			for j, v := range row {
-				if av := math.Abs(v); av > best {
-					best, bi, bj = av, i, j
-				}
-			}
-		}
-		if best == 0 {
-			break
-		}
-		piv := res.At(bi, bj)
-		u := la.NewMat(m, 1)
-		v := la.NewMat(n, 1)
-		for j := 0; j < n; j++ {
-			v.Set(j, 0, res.At(bi, j))
-		}
-		inv := 1 / piv
-		for i := 0; i < m; i++ {
-			u.Set(i, 0, res.At(i, bj)*inv)
-		}
-		// residual update R -= u vᵀ
-		la.Gemm(-1, u, la.NoTrans, v, la.Transpose, 1, res)
-		us = append(us, u)
-		vs = append(vs, v)
-		un := u.FrobNorm()
-		vn := v.FrobNorm()
-		approxF2 += un * un * vn * vn
-		if un*vn <= tol*math.Sqrt(approxF2) {
-			break
-		}
-	}
-	k := len(us)
-	cu := la.NewMat(m, k)
-	cv := la.NewMat(n, k)
-	for c := 0; c < k; c++ {
-		for i := 0; i < m; i++ {
-			cu.Set(i, c, us[c].At(i, 0))
-		}
-		for j := 0; j < n; j++ {
-			cv.Set(j, c, vs[c].At(j, 0))
-		}
-	}
-	t := &CompTile{U: cu, V: cv}
-	// ACA overshoots rank; recompress to the target accuracy.
-	return Recompress(t, tol)
-}
-
-// Recompress re-orthogonalizes a CompTile and truncates it back to tol using
-// QR factors of U and V and an SVD of the small core. Dense tiles are exact
-// and pass through untouched.
-func Recompress(c *CompTile, tol float64) *CompTile {
-	if c.IsDense() || c.Rank() == 0 {
-		return c
-	}
-	w := getWork()
-	defer putWork(w)
-	return recompress(w, c.U, c.V, tol)
 }
 
 // recompress returns the tile U·Vᵀ truncated to tol (u and v have K ≥ 1
@@ -501,16 +434,13 @@ func recompress(w *la.Work, u, v *la.Mat, tol float64) *CompTile {
 	return &CompTile{U: nu, V: nv}
 }
 
-// CompressorByName returns the named backend: "svd" (also ""), "rsvd" or
-// "aca".
+// CompressorByName returns the named backend: "svd" (also "") or "rsvd".
 func CompressorByName(name string) (Compressor, error) {
 	switch name {
 	case "svd", "":
 		return CompressSVD, nil
 	case "rsvd":
 		return CompressRSVD, nil
-	case "aca":
-		return CompressACA, nil
 	}
 	return nil, fmt.Errorf("tlr: unknown compressor %q", name)
 }

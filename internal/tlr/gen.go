@@ -96,15 +96,15 @@ func (s *GenSpec) OffBlock(rows, cols []geom.Point, nb, mt, i, j int, tol float6
 	}
 	dense := buf.View(0, 0, len(rows), len(cols))
 	s.K.Block(dense, rows, cols, s.Metric)
-	return s.compress(dense, mt, i, j, tol, maxRank)
+	return s.compress(dense, mt, i, j, tol, maxRank, 0)
 }
 
 // compress compresses the dense block of tile (i, j) of an mt×mt tiling —
-// generated, or with its Schur update subtracted — under the tile's seed,
-// falling back to an exact dense (DE) copy of the block when the rank
-// exceeds maxRank > 0 or ForceMiss picks the tile.
-func (s *GenSpec) compress(dense *la.Mat, mt, i, j int, tol float64, maxRank int) *CompTile {
-	t := s.Comp(dense, tol, tileSeed(i, j))
+// generated, or with its Schur update subtracted — under the tile's seed and
+// the rank hint, falling back to an exact dense (DE) copy of the block when
+// the rank exceeds maxRank > 0 or ForceMiss picks the tile.
+func (s *GenSpec) compress(dense *la.Mat, mt, i, j int, tol float64, maxRank, hint int) *CompTile {
+	t := s.Comp(dense, tol, tileSeed(i, j), hint)
 	cntCompress.Inc()
 	histCompRank.Observe(int64(t.Rank()))
 	if (maxRank > 0 && t.Rank() > maxRank) || (s.ForceMiss != nil && s.ForceMiss(mt, i, j)) {
@@ -158,9 +158,10 @@ func (m *Matrix) factorDiag(j int) {
 // L_ij = compress(A_ij − Σ_{k<j} L_ik·L_jkᵀ)·L_jj⁻ᵀ. A_ij is generated from
 // spec into pooled scratch when gen is set, and is the tile m stores
 // otherwise; the update is subtracted from it exactly, so the tile is
-// compressed once, by spec's compressor. The new tile replaces the old one
-// wholesale and is returned. At most three tiles are pinned at a time:
-// (i, k) and (j, k) for each k, then (j, j) and (i, j).
+// compressed once, by spec's compressor, with the rank of L_{i,j−1} as its
+// hint. The new tile replaces the old one wholesale and is returned. At most
+// three tiles are pinned at a time: (i, k) and (j, k) for each k, then
+// (j, j) and (i, j).
 func (m *Matrix) factorOff(spec *GenSpec, gen bool, i, j int) *CompTile {
 	buf := spec.getScratch(m.NB)
 	defer spec.scratch.Put(buf)
@@ -170,8 +171,8 @@ func (m *Matrix) factorOff(spec *GenSpec, gen bool, i, j int) *CompTile {
 	} else {
 		m.with(func() { m.off[i][j].denseInto(a) }, tileUse{i, j, pinRead})
 	}
-	m.subtractSchur(a, i, j)
-	t := spec.compress(a, m.MT, i, j, m.Tol, m.MaxRank)
+	hint := m.subtractSchur(a, i, j)
+	t := spec.compress(a, m.MT, i, j, m.Tol, m.MaxRank, hint)
 	m.with(func() {
 		TrsmLD(m.diag[j], t)
 		m.off[i][j] = t
@@ -185,7 +186,11 @@ func (m *Matrix) factorOff(spec *GenSpec, gen bool, i, j int) *CompTile {
 // of inner width up to NB, so a tile's whole update is a few products of
 // dense-tile shape instead of j thin ones. The two operands of a term are
 // pinned for as long as it takes to copy them out.
-func (m *Matrix) subtractSchur(a *la.Mat, i, j int) {
+//
+// It returns the rank of L_{i,j−1}, the tile's left neighbour and the
+// compressor's hint: 0 for j = 0 and for a dense (DE) neighbour, whose
+// stored rank says nothing of the tile's.
+func (m *Matrix) subtractSchur(a *la.Mat, i, j int) (hint int) {
 	w := getWork()
 	defer putWork(w)
 	x, y := w.Mat(a.Rows, m.NB), w.Mat(a.Cols, m.NB)
@@ -205,9 +210,13 @@ func (m *Matrix) subtractSchur(a *la.Mat, i, j int) {
 			}
 			schurTerm(w, li, lj, x.View(0, width, a.Rows, kw), y.View(0, width, a.Cols, kw))
 			width += kw
+			if k == j-1 && !li.IsDense() {
+				hint = li.Rank()
+			}
 		}, tileUse{i, k, pinRead}, tileUse{j, k, pinRead})
 	}
 	flush()
+	return hint
 }
 
 // buildSweep builds the left-looking TLR Cholesky of m as one task graph.

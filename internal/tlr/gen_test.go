@@ -41,7 +41,7 @@ func genTestSetup(t *testing.T, n int) (*cov.Kernel, []geom.Point) {
 func TestFromKernelWorkerInvariance(t *testing.T) {
 	const n, nb = 240, 32
 	k, pts := genTestSetup(t, n)
-	for _, name := range []string{"svd", "rsvd", "aca"} {
+	for _, name := range []string{"svd", "rsvd"} {
 		comp, err := CompressorByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +131,7 @@ func TestGenCholeskyGraphReuseAcrossKernels(t *testing.T) {
 // Every entry point compresses a block with the tile's seed alone: a tile
 // from OffBlock at (i, j), the same tile assembled by FromKernel, and a HODLR
 // block — OffBlock keyed by its (lo, hi) range, as hodlr's genOff calls it —
-// each equal CompressRSVD(block, tol, tileSeed(·)) bit for bit, whatever was
+// each equal CompressRSVD(block, tol, tileSeed(·), 0) bit for bit, whatever was
 // compressed before. Distinct tiles draw distinct streams.
 func TestRSVDTileSeedDeterminism(t *testing.T) {
 	const n, nb, tol = 240, 32, 1e-7
@@ -151,9 +151,9 @@ func TestRSVDTileSeedDeterminism(t *testing.T) {
 
 	const i, j = 5, 2
 	a := block(i*nb, (i+1)*nb, j*nb, (j+1)*nb)
-	want := CompressRSVD(a, tol, tileSeed(i, j))
-	CompressRSVD(block(nb, 2*nb, 0, nb), tol, tileSeed(1, 0)) // unrelated tile in between
-	same("a second compression", CompressRSVD(a, tol, tileSeed(i, j)), want)
+	want := CompressRSVD(a, tol, tileSeed(i, j), 0)
+	CompressRSVD(block(nb, 2*nb, 0, nb), tol, tileSeed(1, 0), 0) // unrelated tile in between
+	same("a second compression", CompressRSVD(a, tol, tileSeed(i, j), 0), want)
 	same("OffBlock", spec.OffBlock(pts[i*nb:(i+1)*nb], pts[j*nb:(j+1)*nb], nb, (n+nb-1)/nb, i, j, tol, 0), want)
 	same("FromKernel", FromKernel(k, pts, geom.Euclidean, n, nb, tol, CompressRSVD, 1e-9, 2).Off(i, j), want)
 
@@ -161,26 +161,25 @@ func TestRSVDTileSeedDeterminism(t *testing.T) {
 	// columns [lo, mid), a block wider than the leaf.
 	const lo, mid, hi = 120, 180, 240
 	same("HODLR block", spec.OffBlock(pts[mid:hi], pts[lo:mid], nb, 0, lo, hi, tol, 0),
-		CompressRSVD(block(mid, hi, lo, mid), tol, tileSeed(lo, hi)))
+		CompressRSVD(block(mid, hi, lo, mid), tol, tileSeed(lo, hi), 0))
 
-	if d := CompressRSVD(a, tol, tileSeed(j, i)); exactEqual(want.U, d.U) {
+	if d := CompressRSVD(a, tol, tileSeed(j, i), 0); exactEqual(want.U, d.U) {
 		t.Fatal("distinct tiles unexpectedly share a random stream")
 	}
 }
 
 // A zero tile has rank 0 and zero storage however it arises — from any of
-// the three compressors, or from an update that cancels the tile exactly —
+// the two compressors, or from an update that cancels the tile exactly —
 // and every TLR kernel treats the rank-0 tile as a structural no-op.
 func TestZeroTileRankZero(t *testing.T) {
 	producers := []struct {
 		name string
 		zero func(rows, cols int) *CompTile
 	}{
-		{"svd", func(r, c int) *CompTile { return CompressSVD(la.NewMat(r, c), 1e-8, 0) }},
-		{"rsvd", func(r, c int) *CompTile { return CompressRSVD(la.NewMat(r, c), 1e-8, 0) }},
-		{"aca", func(r, c int) *CompTile { return CompressACA(la.NewMat(r, c), 1e-8, 0) }},
+		{"svd", func(r, c int) *CompTile { return CompressSVD(la.NewMat(r, c), 1e-8, 0, 0) }},
+		{"rsvd", func(r, c int) *CompTile { return CompressRSVD(la.NewMat(r, c), 1e-8, 0, 0) }},
 		{"C − C", func(r, c int) *CompTile {
-			full := CompressSVD(covTile(t, r, c, 0.6), 1e-8, 0)
+			full := CompressSVD(covTile(t, r, c, 0.6), 1e-8, 0, 0)
 			return AddLowRank(full, -1, full.U, full.V, 1e-8, 0)
 		}},
 	}
@@ -201,9 +200,6 @@ func checkZeroTile(t *testing.T, c, sq *CompTile) {
 	if c.Rows() != 16 || c.Cols() != 12 || c.Dense().FrobNorm() != 0 {
 		t.Fatal("rank-0 tile does not reconstruct to the 16×12 zero")
 	}
-	if rc := Recompress(c, 1e-8); rc.Rank() != 0 {
-		t.Fatal("Recompress inflated a rank-0 tile")
-	}
 
 	if sq.Rank() != 0 {
 		t.Fatalf("square zero tile rank %d, want 0", sq.Rank())
@@ -219,7 +215,7 @@ func checkZeroTile(t *testing.T, c, sq *CompTile) {
 	if sq.Rank() != 0 {
 		t.Fatal("TrsmLD changed a rank-0 tile")
 	}
-	full := CompressSVD(covTile(t, 12, 12, 0.6), 1e-8, 0)
+	full := CompressSVD(covTile(t, 12, 12, 0.6), 1e-8, 0, 0)
 	if got := GemmLL(full, sq, full, 1e-8, 0); got != full {
 		t.Fatal("GemmLL with a rank-0 operand must return C unchanged")
 	}

@@ -196,7 +196,7 @@ func codecTiles(t testing.TB) []struct {
 	tile *CompTile
 } {
 	ragged := covTile(t, 10, 16, 0.6) // last tile row of a ragged tiling
-	zero := CompressSVD(la.NewMat(12, 12), 1e-7, 0)
+	zero := CompressSVD(la.NewMat(12, 12), 1e-7, 0, 0)
 	if zero.Rank() != 0 {
 		t.Fatalf("zero tile compressed to rank %d", zero.Rank())
 	}
@@ -205,9 +205,9 @@ func codecTiles(t testing.TB) []struct {
 		tile *CompTile
 	}{
 		{"rank 0", zero},
-		{"rank k", CompressSVD(covTile(t, 16, 16, 0.6), 1e-7, 0)},
+		{"rank k", CompressSVD(covTile(t, 16, 16, 0.6), 1e-7, 0, 0)},
 		{"dense", NewDenseTile(covTile(t, 16, 16, 0.6))},
-		{"ragged", CompressSVD(ragged, 1e-7, 0)},
+		{"ragged", CompressSVD(ragged, 1e-7, 0, 0)},
 		{"ragged dense", NewDenseTile(ragged)},
 	}
 }

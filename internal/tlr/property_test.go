@@ -29,7 +29,7 @@ func TestQuickCompressExactLowRank(t *testing.T) {
 		}
 		a := la.NewMat(m, n)
 		la.Gemm(1, x, la.NoTrans, y, la.Transpose, 0, a)
-		c := CompressSVD(a, 1e-9, 0)
+		c := CompressSVD(a, 1e-9, 0, 0)
 		if c.Rank() > k {
 			return false
 		}
@@ -52,7 +52,7 @@ func TestQuickAddLowRankInverts(t *testing.T) {
 		for i := range base.Data {
 			base.Data[i] = r.Norm()
 		}
-		c0 := CompressSVD(base, 1e-10, 0)
+		c0 := CompressSVD(base, 1e-10, 0, 0)
 		x := la.NewMat(n, 2)
 		y := la.NewMat(n, 2)
 		for i := range x.Data {
@@ -84,7 +84,7 @@ func TestQuickCompTileInvariants(t *testing.T) {
 			a.Data[i] = r.Norm()
 		}
 		tol := math.Pow(10, -1-float64(r.Intn(9)))
-		c := CompressACA(a, tol, 0)
+		c := CompressRSVD(a, tol, uint64(seed), r.Intn(min(m, n)+2))
 		if c.Rank() < 1 || c.Rank() > min(m, n) {
 			return false
 		}
@@ -114,6 +114,14 @@ func gradedFactor(r *rng.Rand, m, k int, decades float64) *la.Mat {
 	return q
 }
 
+// recompressed is recompress of c's factors (rank ≥ 1) in a pooled arena,
+// as addLowRank's general branch runs it.
+func recompressed(c *CompTile, tol float64) *CompTile {
+	w := getWork()
+	defer putWork(w)
+	return recompress(w, c.U, c.V, tol)
+}
+
 // stack returns [a, b] column-wise.
 func stack(a, b *la.Mat) *la.Mat {
 	out := la.NewMat(a.Rows, a.Cols+b.Cols)
@@ -122,7 +130,7 @@ func stack(a, b *la.Mat) *la.Mat {
 	return out
 }
 
-// Recompress at the shapes TLR GEMM feeds it: the error stays within tol and
+// recompress at the shapes TLR GEMM feeds it: the error stays within tol and
 // the rank is exactly the rank an untruncated SVD of the dense product picks
 // at that tol — the preconditioned, truncated kernels move no rank.
 func TestRecompressMatchesDenseSVD(t *testing.T) {
@@ -149,7 +157,7 @@ func TestRecompressMatchesDenseSVD(t *testing.T) {
 		dense := c.Dense()
 		_, s, _ := la.SVDThin(nil, dense, 0)
 		for _, tol := range []float64{1e-5, 1e-7, 1e-9} {
-			got := Recompress(c, tol)
+			got := recompressed(c, tol)
 			if want := frobRank(s, tol); got.Rank() != want {
 				t.Errorf("%s tol %g: rank %d, dense SVD gives %d", tc.name, tol, got.Rank(), want)
 			}
@@ -284,7 +292,7 @@ func TestGenCholeskyWorkerBitwise(t *testing.T) {
 }
 
 // benchTiles returns the three tiles of a rank-28 TLR GEMM at nb = 128:
-// C ← C − A·Bᵀ stacks two 128×56 factors for Recompress.
+// C ← C − A·Bᵀ stacks two 128×56 factors for recompress.
 func benchTiles() (c, a, b *CompTile) {
 	r := rng.New(5)
 	tile := func() *CompTile {
@@ -299,7 +307,7 @@ func BenchmarkRecompress(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Recompress(st, 1e-7)
+		recompressed(st, 1e-7)
 	}
 }
 

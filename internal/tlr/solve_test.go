@@ -10,7 +10,7 @@ import (
 
 func TestMatMulMatchesDense(t *testing.T) {
 	a := covTile(t, 20, 16, 0.6)
-	c := CompressSVD(a, 1e-12, 0)
+	c := CompressSVD(a, 1e-12, 0, 0)
 	r := rng.New(41)
 	b := la.NewMat(16, 5)
 	for i := range b.Data {

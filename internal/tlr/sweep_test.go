@@ -3,6 +3,7 @@ package tlr
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/cov"
@@ -47,27 +48,90 @@ func basisGaps(c *CompTile) (u, v float64) {
 // the randomized compressor's truncation alone must keep each tile within
 // tol: its error is bounded by tol·‖A‖_F, its rank is within one of the
 // exact SVD's, and its factors carry the orthogonal bases a structured update
-// reads.
+// reads — whatever rank hint it is given: none (also what a tile in the first
+// column or beside a dense (DE) neighbour gets), 1, the exact rank, and the
+// full dimension.
 func TestRSVDTruncationBound(t *testing.T) {
 	for _, nb := range []int{64, 128, 160, 512} {
 		a := maternTile(nb)
 		aF := a.FrobNorm()
 		for _, tol := range []float64{1e-5, 1e-7, 1e-9} {
 			t.Run(fmt.Sprintf("nb%d/tol%g", nb, tol), func(t *testing.T) {
-				c := CompressRSVD(a, tol, tileSeed(1, 0))
-				diff := c.Dense()
-				diff.Sub(a)
-				if e := diff.FrobNorm(); e > tol*aF {
-					t.Errorf("‖A − UVᵀ‖_F = %.3g > tol·‖A‖_F = %.3g", e, tol*aF)
-				}
-				want := CompressSVD(a, tol, 0).Rank()
-				if c.Rank() < want-1 || c.Rank() > want+1 {
-					t.Errorf("rank %d, svd's %d", c.Rank(), want)
-				}
-				if u, v := basisGaps(c); u > gramSlack || v > gramSlack {
-					t.Errorf("basis gaps U %.3g, V %.3g > %g", u, v, gramSlack)
+				want := CompressSVD(a, tol, 0, 0).Rank()
+				for _, hint := range []int{0, 1, want, nb} {
+					c := CompressRSVD(a, tol, tileSeed(1, 0), hint)
+					diff := c.Dense()
+					diff.Sub(a)
+					if e := diff.FrobNorm(); e > tol*aF {
+						t.Errorf("hint %d: ‖A − UVᵀ‖_F = %.3g > tol·‖A‖_F = %.3g", hint, e, tol*aF)
+					}
+					if c.Rank() < want-1 || c.Rank() > want+1 {
+						t.Errorf("hint %d: rank %d, svd's %d", hint, c.Rank(), want)
+					}
+					if u, v := basisGaps(c); u > gramSlack || v > gramSlack {
+						t.Errorf("hint %d: basis gaps U %.3g, V %.3g > %g", hint, u, v, gramSlack)
+					}
 				}
 			})
+		}
+	}
+}
+
+// The rank hint of trsm(i, j) is the rank of the final L_{i,j−1}: 0 in the
+// first tile column and beside a dense (DE) neighbour, so the hint is a
+// function of tiles the task already reads and the factor stays bitwise the
+// same at one worker and at three, in core and out.
+func TestSweepRankHint(t *testing.T) {
+	const n, nb = 620, 64
+	k, pts := genTestSetup(t, n)
+	de := func(mt, i, j int) bool { return i == 5 && j == 1 }
+	var mu sync.Mutex
+	spec := func(hints map[uint64]int) *GenSpec {
+		comp := func(a *la.Mat, tol float64, seed uint64, hint int) *CompTile {
+			mu.Lock()
+			hints[seed] = hint
+			mu.Unlock()
+			return CompressRSVD(a, tol, seed, hint)
+		}
+		return &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-6, Comp: comp, ForceMiss: de}
+	}
+	hints := map[uint64]int{}
+	ref := NewMatrix(n, nb, 1e-7)
+	if err := GenCholesky(ref, spec(hints), 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < ref.MT; i++ {
+		for j := 0; j < i; j++ {
+			want := 0
+			if j > 0 && !de(ref.MT, i, j-1) {
+				want = ref.Off(i, j-1).Rank()
+			}
+			if got := hints[tileSeed(i, j)]; got != want {
+				t.Errorf("tile (%d,%d): hint %d, want %d", i, j, got, want)
+			}
+		}
+	}
+	if !ref.Off(5, 1).IsDense() {
+		t.Fatal("ForceMiss left tile (5,1) compressed")
+	}
+	want := ref.ToDense()
+	for _, workers := range []int{1, 3} {
+		for _, ooc := range []bool{false, true} {
+			m := NewMatrix(n, nb, 1e-7)
+			if ooc {
+				c, err := NewSpillCache(t.TempDir(), MinMemBudget(nb, workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				c.Bind(m)
+			}
+			if err := GenCholesky(m, spec(map[uint64]int{}), workers); err != nil {
+				t.Fatal(err)
+			}
+			if !exactEqual(m.ToDense(), want) {
+				t.Fatalf("%d workers, out of core %t: factor differs from one worker's in core", workers, ooc)
+			}
 		}
 	}
 }
@@ -133,7 +197,8 @@ func TestSweepOutOfCoreAndCompressOnce(t *testing.T) {
 }
 
 // BenchmarkGenCholesky times one fused generate+compress+factor execution on
-// two workers: at fit_tlr's shape in the benchmark (n = 1 500, nb = 128,
+// two workers, with the factor's size and the mean number of rsvd sketch
+// rounds per compressed tile: at fit_tlr's shape in the benchmark (n = 1 500, nb = 128,
 // ν = 0.6, rsvd at 1e-7) and at n = 6 400, nb = 512, where TLR beats the
 // dense tile Cholesky on the clock. The graph and the shell are reused
 // across iterations, as core's evaluator reuses them.
@@ -148,6 +213,7 @@ func BenchmarkGenCholesky(b *testing.B) {
 			}
 			m := NewMatrix(s.n, s.nb, 1e-7)
 			g := BuildGenCholeskyGraph(m, spec, true)
+			before := obs.Default().Snapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := g.Execute(runtime.ExecOptions{Workers: 2}); err != nil {
@@ -155,7 +221,9 @@ func BenchmarkGenCholesky(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			d := obs.Default().Snapshot().Sub(before).Counters
 			b.ReportMetric(float64(m.Bytes())/(1<<20), "factor_MiB")
+			b.ReportMetric(float64(d["tlr.rsvd.rounds"])/float64(d["tlr.compress.calls"]), "rounds/tile")
 		})
 	}
 }

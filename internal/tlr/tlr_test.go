@@ -46,7 +46,7 @@ func TestCompressorsMeetAccuracy(t *testing.T) {
 		// and the blocks appended last are mostly rounding noise.
 		{covTile(t, 128, 128, 0.21), []float64{1e-10}},
 	}
-	for _, name := range []string{"svd", "rsvd", "aca"} {
+	for _, name := range []string{"svd", "rsvd"} {
 		comp, err := CompressorByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +54,7 @@ func TestCompressorsMeetAccuracy(t *testing.T) {
 		for _, tc := range cases {
 			a := tc.a
 			for _, tol := range tc.tols {
-				c := comp(a, tol, 0)
+				c := comp(a, tol, 0, 0)
 				got := frobDiff(c.Dense(), a) / a.FrobNorm()
 				// allow a small safety factor over the nominal threshold
 				if got > 5*tol {
@@ -72,7 +72,7 @@ func TestCompressionRankGrowsWithAccuracy(t *testing.T) {
 	a := covTile(t, 64, 64, 0.5)
 	prev := 0
 	for _, tol := range []float64{1e-2, 1e-5, 1e-8, 1e-12} {
-		k := CompressSVD(a, tol, 0).Rank()
+		k := CompressSVD(a, tol, 0, 0).Rank()
 		if k < prev {
 			t.Fatalf("rank decreased with tighter accuracy: %d then %d", prev, k)
 		}
@@ -86,7 +86,7 @@ func TestCompressionRankGrowsWithAccuracy(t *testing.T) {
 func TestCompressSeparatedClustersLowRank(t *testing.T) {
 	// Far-apart clusters → strongly decaying covariance → tiny rank.
 	a := covTile(t, 64, 64, 5.0)
-	k := CompressSVD(a, 1e-7, 0).Rank()
+	k := CompressSVD(a, 1e-7, 0, 0).Rank()
 	if k > 8 {
 		t.Fatalf("well-separated tile rank %d, expected ≤ 8", k)
 	}
@@ -100,8 +100,8 @@ func TestCompressorByNameUnknown(t *testing.T) {
 
 func TestRecompressIdempotentAccuracy(t *testing.T) {
 	a := covTile(t, 40, 40, 0.6)
-	c := CompressSVD(a, 1e-8, 0)
-	r := Recompress(c, 1e-8)
+	c := CompressSVD(a, 1e-8, 0, 0)
+	r := recompressed(c, 1e-8)
 	if r.Rank() > c.Rank() {
 		t.Fatalf("recompression increased rank: %d -> %d", c.Rank(), r.Rank())
 	}
@@ -112,7 +112,7 @@ func TestRecompressIdempotentAccuracy(t *testing.T) {
 
 func TestAddLowRank(t *testing.T) {
 	a := covTile(t, 32, 32, 0.7)
-	c := CompressSVD(a, 1e-10, 0)
+	c := CompressSVD(a, 1e-10, 0, 0)
 	r := rng.New(3)
 	x := la.NewMat(32, 3)
 	y := la.NewMat(32, 3)
@@ -135,9 +135,9 @@ func TestGemmLL(t *testing.T) {
 	b := covTile(t, 30, 30, 0.9)
 	cD := covTile(t, 30, 30, 0.6)
 	tol := 1e-9
-	ca := CompressSVD(a, tol, 0)
-	cb := CompressSVD(b, tol, 0)
-	cc := CompressSVD(cD, tol, 0)
+	ca := CompressSVD(a, tol, 0, 0)
+	cb := CompressSVD(b, tol, 0, 0)
+	cc := CompressSVD(cD, tol, 0, 0)
 	got := GemmLL(cc, ca, cb, tol, 0)
 	want := cD.Clone()
 	la.Gemm(-1, a, la.NoTrans, b, la.Transpose, 1, want)
@@ -148,7 +148,7 @@ func TestGemmLL(t *testing.T) {
 
 func TestSyrkLD(t *testing.T) {
 	a := covTile(t, 24, 24, 0.5)
-	ca := CompressSVD(a, 1e-10, 0)
+	ca := CompressSVD(a, 1e-10, 0, 0)
 	c := covTile(t, 24, 24, 0.1) // arbitrary dense diag stand-in
 	want := c.Clone()
 	la.Gemm(-1, a, la.NoTrans, a, la.Transpose, 1, want)
@@ -161,7 +161,7 @@ func TestSyrkLD(t *testing.T) {
 func TestTrsmLD(t *testing.T) {
 	// dense reference: A L^{-T}
 	a := covTile(t, 20, 20, 0.5)
-	ca := CompressSVD(a, 1e-11, 0)
+	ca := CompressSVD(a, 1e-11, 0, 0)
 	r := rng.New(4)
 	l := la.NewMat(20, 20)
 	for i := 0; i < 20; i++ {
@@ -195,7 +195,7 @@ func denseSolveVec(l *la.Mat, b []float64) {
 // A matrix-vector product is the one-column MatMul, in both orientations.
 func TestMatVecAndTranspose(t *testing.T) {
 	a := covTile(t, 18, 14, 0.6)
-	c := CompressSVD(a, 1e-12, 0)
+	c := CompressSVD(a, 1e-12, 0, 0)
 	r := rng.New(5)
 	x := make([]float64, 14)
 	r.NormSlice(x)
