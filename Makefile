@@ -32,8 +32,10 @@ test:
 # graph-construction, fused TLR and HODLR generate+factor, covariance kernel,
 # cached-predict and distributed generate+factor benchmarks so they cannot rot, the two paperbench experiments the test suite
 # lists as too slow to run (`extensions`, `ablation`; about 6 s together, and
-# unrun they stayed broken for PRs), then the
-# benchmark module, which root `go test ./...` does not reach: its vet and
+# unrun they stayed broken for PRs), every example under examples/, output
+# discarded (about 6 s together; vet compiles them but nothing else runs
+# them, so an example that panics or exits non-zero would go unseen), then
+# the benchmark module, which root `go test ./...` does not reach: its vet and
 # unit tests, and its smoke run, which must end with correct:true. Searching
 # for new fuzz inputs is `make fuzz`, not part of verify.
 verify:
@@ -45,6 +47,7 @@ verify:
 	$(GO) test -race -count=3 -run 'OOC|Pin|Evict|Unpin|Footprint|DecodeError' ./internal/tlr/
 	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|GenCholesky|KernelBlock|SessionPredictCached|DistCholesky' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/hodlr/ ./internal/cov/ ./internal/core/ ./internal/mpi/
 	$(GO) run ./cmd/paperbench -exp extensions -scale small >/dev/null && $(GO) run ./cmd/paperbench -exp ablation -scale small >/dev/null
+	for e in ./examples/*/; do $(GO) run $$e >/dev/null || exit 1; done
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --smoke
 

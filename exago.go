@@ -15,7 +15,7 @@
 // (la), Matérn covariance with general-order Bessel functions (cov, bessel),
 // the task runtime (runtime), tile and TLR algorithms (tile, tlr), the
 // derivative-free optimizer (optimize), spatial geometry (geom), the machine
-// simulator for the paper's performance studies (cluster), simulated climate
+// model for the paper's performance studies (cluster), simulated climate
 // datasets (datasets), and the experiment harness (exprt).
 package exago
 
@@ -274,7 +274,7 @@ func WindSpeed(pointsPerRegion int, seed uint64) (*Dataset, error) {
 }
 
 // Machine, Profile, Workload and SimResult re-export the performance
-// simulator used for the paper-scale studies.
+// model used for the paper-scale studies.
 type (
 	Machine   = cluster.Machine
 	Profile   = cluster.Profile
@@ -306,10 +306,6 @@ func NewMachine(p Profile, nodes int) Machine { return cluster.NewMachine(p, nod
 func CalibrateRankModel(acc float64, theta Theta, calN, nbCal int) *RankModel {
 	return cluster.CalibrateRankModel(acc, theta, calN, nbCal)
 }
-
-// SimulateCholesky replays the factorization DAG on a simulated machine
-// (discrete events, coarsened tiling).
-func SimulateCholesky(m Machine, w Workload) SimResult { return cluster.SimulateCholesky(m, w) }
 
 // AnalyticCholesky models the factorization at true tile granularity with
 // roofline bounds (used for paper-scale figures).

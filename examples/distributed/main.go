@@ -1,7 +1,7 @@
-// Distributed-memory walkthrough: run the TLR and dense MLE iterations on
-// the simulated 256-node Cray XC40 (the Fig. 4(a) machine) and print the
-// schedule summary — time, flops, communication volume, per-node memory, and
-// the out-of-memory boundary the paper's missing points come from.
+// Distributed-memory walkthrough: price the TLR and dense MLE iterations on
+// the modeled 256-node Cray XC40 (the Fig. 4(a) machine) and print the
+// modeled time, the per-node memory, and the out-of-memory boundary the
+// paper's missing points come from.
 package main
 
 import (
@@ -33,12 +33,6 @@ func main() {
 	}
 	fmt.Println("\nthe dense variant exceeds the 128 GB node memory at 2M locations (the paper's")
 	fmt.Println("missing points); TLR compresses the factor ~20x and keeps fitting")
-
-	// A small DAG replayed through the discrete-event scheduler shows the
-	// task-level view the analytic model aggregates.
-	small := exago.SimulateCholesky(machine, exago.Workload{N: 100_000, NB: 2000, Variant: exago.DenseVariant})
-	fmt.Printf("\nDES view at n=100K (nb=%d): %d tasks, %.2e flops, %.1f GB communicated, %s simulated\n",
-		small.EffectiveNB, small.Tasks, small.TotalFlops, small.CommBytes/1e9, fmtres(small))
 }
 
 func fmtres(r exago.SimResult) string {

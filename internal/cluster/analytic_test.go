@@ -1,23 +1,29 @@
 package cluster
 
 import (
+	"math"
 	"testing"
+
+	"repro/internal/tile"
 )
 
-func TestAnalyticDenseMatchesDESOrder(t *testing.T) {
-	// At small tile counts (where the DES runs at true granularity) the
-	// analytic model and the DES should agree within a small factor for the
-	// compute-bound dense variant.
+// TestAnalyticCountsExecutedDenseGraph: the roofline's dense sweep is the
+// graph full-tile executes — as many tasks as tile.BuildCholeskyGraph
+// inserts and the same flops to rounding — at every tile count, ragged
+// shapes aside (N = mt·nb).
+func TestAnalyticCountsExecutedDenseGraph(t *testing.T) {
 	m := NewMachine(ShaheenNode, 4)
-	w := Workload{N: 60_000, NB: 1000, Variant: Dense} // mt = 60, under cap
-	des := SimulateCholesky(m, w)
-	ana := AnalyticCholesky(m, w)
-	if des.OOM || ana.OOM {
-		t.Fatal("unexpected OOM")
-	}
-	ratio := ana.Seconds / des.Seconds
-	if ratio < 0.3 || ratio > 3 {
-		t.Fatalf("analytic (%gs) and DES (%gs) disagree by %gx", ana.Seconds, des.Seconds, ratio)
+	for _, mt := range []int{1, 2, 3, 7, 20} {
+		for _, nb := range []int{64, 100, 560} {
+			r := AnalyticCholesky(m, Workload{N: mt * nb, NB: nb, Variant: Dense})
+			g, _ := tile.BuildCholeskyGraph(tile.NewSym(mt*nb, nb), false)
+			if r.Tasks != g.Len() {
+				t.Errorf("mt=%d nb=%d: roofline counts %d tasks, the executed graph has %d", mt, nb, r.Tasks, g.Len())
+			}
+			if want := g.TotalFlops(); math.Abs(r.TotalFlops-want) > 1e-12*want {
+				t.Errorf("mt=%d nb=%d: roofline flops %g, executed graph %g", mt, nb, r.TotalFlops, want)
+			}
+		}
 	}
 }
 

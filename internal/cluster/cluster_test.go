@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cov"
 	"repro/internal/mpi"
-	"repro/internal/runtime"
 )
 
 func testTheta() cov.Params { return cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.5} }
@@ -94,36 +93,11 @@ func TestRankModelTileSizeScaling(t *testing.T) {
 	}
 }
 
-func TestDenseSimFlopsMatchClosedForm(t *testing.T) {
-	m := NewMachine(ShaheenNode, 4)
-	w := Workload{N: 1 << 15, NB: 512, Variant: Dense}
-	r := SimulateCholesky(m, w)
-	want := float64(w.N) * float64(w.N) * float64(w.N) / 3
-	if math.Abs(r.TotalFlops-want)/want > 0.05 {
-		t.Fatalf("dense sim flops %g vs n^3/3 = %g", r.TotalFlops, want)
-	}
-	if r.OOM || r.Seconds <= 0 {
-		t.Fatalf("unexpected result: %+v", r)
-	}
-}
-
-func TestSimScalesWithNodes(t *testing.T) {
-	w := Workload{N: 100_000, NB: 560, Variant: Dense}
-	t4 := SimulateCholesky(NewMachine(ShaheenNode, 4), w).Seconds
-	t16 := SimulateCholesky(NewMachine(ShaheenNode, 16), w).Seconds
-	if t16 >= t4 {
-		t.Fatalf("no strong scaling: 4 nodes %gs, 16 nodes %gs", t4, t16)
-	}
-	if t16 < t4/8 {
-		t.Fatalf("unrealistically superlinear scaling: %g -> %g", t4, t16)
-	}
-}
-
 func TestTLRFasterThanDenseAtScale(t *testing.T) {
 	m := NewMachine(ShaheenNode, 16)
 	n := 250_000
-	dense := SimulateCholesky(m, Workload{N: n, NB: 560, Variant: Dense})
-	tlr := SimulateCholesky(m, Workload{N: n, NB: 1900, Variant: TLRVariant, Ranks: testModel})
+	dense := AnalyticCholesky(m, Workload{N: n, NB: 560, Variant: Dense})
+	tlr := AnalyticCholesky(m, Workload{N: n, NB: 1900, Variant: TLRVariant, Ranks: testModel})
 	if dense.OOM || tlr.OOM {
 		t.Fatalf("unexpected OOM: dense=%v tlr=%v", dense.OOM, tlr.OOM)
 	}
@@ -141,8 +115,8 @@ func TestLooserAccuracyIsFaster(t *testing.T) {
 	n := 250_000
 	loose := CalibrateRankModel(1e-5, testTheta(), 1024, 128)
 	tight := CalibrateRankModel(1e-9, testTheta(), 1024, 128)
-	tl := SimulateCholesky(m, Workload{N: n, NB: 1900, Variant: TLRVariant, Ranks: loose}).Seconds
-	tt := SimulateCholesky(m, Workload{N: n, NB: 1900, Variant: TLRVariant, Ranks: tight}).Seconds
+	tl := AnalyticCholesky(m, Workload{N: n, NB: 1900, Variant: TLRVariant, Ranks: loose}).Seconds
+	tt := AnalyticCholesky(m, Workload{N: n, NB: 1900, Variant: TLRVariant, Ranks: tight}).Seconds
 	if tl > tt {
 		t.Fatalf("looser accuracy slower: 1e-5 %gs vs 1e-9 %gs", tl, tt)
 	}
@@ -152,37 +126,14 @@ func TestDenseOOMAtScale(t *testing.T) {
 	// 2M locations on 256 Shaheen nodes: dense working set (2×) exceeds
 	// 128 GB/node — the missing full-tile points of Fig. 4.
 	m := NewMachine(ShaheenNode, 256)
-	r := SimulateCholesky(m, Workload{N: 2_000_000, NB: 560, Variant: Dense})
+	r := AnalyticCholesky(m, Workload{N: 2_000_000, NB: 560, Variant: Dense})
 	if !r.OOM {
 		t.Fatalf("expected OOM for dense 2M on 256 nodes (max node bytes %d)", r.MaxNodeBytes)
 	}
 	// TLR at the same size fits.
-	rt := SimulateCholesky(m, Workload{N: 2_000_000, NB: 1900, Variant: TLRVariant, Ranks: testModel})
+	rt := AnalyticCholesky(m, Workload{N: 2_000_000, NB: 1900, Variant: TLRVariant, Ranks: testModel})
 	if rt.OOM {
 		t.Fatalf("TLR should fit at 2M/256 nodes (max node bytes %d)", rt.MaxNodeBytes)
-	}
-}
-
-func TestCoarseningCap(t *testing.T) {
-	if desTileRows != 128 {
-		t.Fatalf("the DES coarsens to %d tile rows, want 128", desTileRows)
-	}
-	m := NewMachine(ShaheenNode, 256)
-	w := Workload{N: 2_000_000, NB: 560, Variant: Dense}
-	c := newCostTable(m, w, desTileRows)
-	if c.mt != desTileRows {
-		t.Fatalf("coarsening cap not applied: mt=%d", c.mt)
-	}
-	if c.nb*c.mt < w.N {
-		t.Fatalf("coarsened tiling does not cover the matrix: %d*%d < %d", c.nb, c.mt, w.N)
-	}
-	// Under the cap, and for the roofline model at any size, the tiling is
-	// the workload's own.
-	if c := newCostTable(m, Workload{N: 60_000, NB: 1000}, desTileRows); c.nb != 1000 || c.mt != 60 {
-		t.Fatalf("tiling under the cap changed: nb=%d mt=%d", c.nb, c.mt)
-	}
-	if c := newCostTable(m, w, 0); c.nb != 560 || c.mt != 3572 {
-		t.Fatalf("true-granularity tiling changed: nb=%d mt=%d", c.nb, c.mt)
 	}
 }
 
@@ -190,7 +141,7 @@ func TestSimulateBlockSlowerThanTile(t *testing.T) {
 	m := NewMachine(Haswell, 1)
 	n := 60_000
 	blk := SimulateBlockCholesky(m, n)
-	til := SimulateCholesky(m, Workload{N: n, NB: 560, Variant: Dense})
+	til := AnalyticCholesky(m, Workload{N: n, NB: 560, Variant: Dense})
 	if blk.Seconds <= til.Seconds {
 		t.Fatalf("full-block (%gs) should be slower than full-tile (%gs)", blk.Seconds, til.Seconds)
 	}
@@ -199,8 +150,8 @@ func TestSimulateBlockSlowerThanTile(t *testing.T) {
 func TestSimulatePredictionDominatedByCholesky(t *testing.T) {
 	m := NewMachine(ShaheenNode, 16)
 	w := Workload{N: 200_000, NB: 1900, Variant: TLRVariant, Ranks: testModel}
-	chol := SimulateCholesky(m, w)
-	pred := SimulatePrediction(m, w, 100)
+	chol := AnalyticCholesky(m, w)
+	pred := AnalyticPrediction(m, w, 100)
 	if pred.Seconds < chol.Seconds {
 		t.Fatal("prediction cannot be faster than its factorization")
 	}
@@ -211,8 +162,8 @@ func TestSimulatePredictionDominatedByCholesky(t *testing.T) {
 
 func TestCommBytesNonzeroMultiNode(t *testing.T) {
 	w := Workload{N: 100_000, NB: 1000, Variant: Dense}
-	single := SimulateCholesky(NewMachine(ShaheenNode, 1), w)
-	multi := SimulateCholesky(NewMachine(ShaheenNode, 16), w)
+	single := AnalyticCholesky(NewMachine(ShaheenNode, 1), w)
+	multi := AnalyticCholesky(NewMachine(ShaheenNode, 16), w)
 	if single.CommBytes != 0 {
 		t.Fatalf("single node should not communicate: %g", single.CommBytes)
 	}
@@ -227,12 +178,12 @@ func TestTLRWithoutRanksPanics(t *testing.T) {
 			t.Fatal("expected panic for TLR workload without rank model")
 		}
 	}()
-	SimulateCholesky(NewMachine(ShaheenNode, 4), Workload{N: 10000, NB: 500, Variant: TLRVariant})
+	AnalyticCholesky(NewMachine(ShaheenNode, 4), Workload{N: 10000, NB: 500, Variant: TLRVariant})
 }
 
-// TestZeroFieldsNameTheField: a forgotten field of the public simulator API
-// is refused where the cost table is built, by name, for the DES, the roofline
-// model, both prediction models and the communication model alike — not a
+// TestZeroFieldsNameTheField: a forgotten field of the public model API
+// is refused where the cost table is built, by name, for the roofline model,
+// its prediction model and the communication model alike — not a
 // divide by zero, a nil dereference or +Inf seconds.
 func TestZeroFieldsNameTheField(t *testing.T) {
 	ok := NewMachine(ShaheenNode, 4)
@@ -250,8 +201,6 @@ func TestZeroFieldsNameTheField(t *testing.T) {
 		{"no rank model", ok, Workload{N: 10_000, NB: 500, Variant: TLRVariant}, "Workload.Ranks"},
 	}
 	models := map[string]func(Machine, Workload){
-		"SimulateCholesky":   func(m Machine, w Workload) { SimulateCholesky(m, w) },
-		"SimulatePrediction": func(m Machine, w Workload) { SimulatePrediction(m, w, 100) },
 		"AnalyticCholesky":   func(m Machine, w Workload) { AnalyticCholesky(m, w) },
 		"AnalyticPrediction": func(m Machine, w Workload) { AnalyticPrediction(m, w, 100) },
 		"DistCholeskyComm": func(m Machine, w Workload) {
@@ -274,34 +223,5 @@ func TestZeroFieldsNameTheField(t *testing.T) {
 				t.Errorf("%s, %s: returned, want a panic naming %s", name, tc.name, tc.want)
 			}()
 		}
-	}
-}
-
-// TestScheduleCountsRemoteReads: on a hand-built DAG over two nodes CommBytes
-// is the summed size of the tiles read on a node that does not own them, and a
-// remote read delays its task by one latency plus bytes/bandwidth.
-func TestScheduleCountsRemoteReads(t *testing.T) {
-	m := NewMachine(Profile{Cores: 1, GFlopsPerCore: 1, MemBWGBs: 1e9, NetLatency: 0.5, NetBWGBs: 1e-6}, 2)
-	g := runtime.NewGraph()
-	a := g.NewHandle("a", 1000, 0) // Tag is the owning node
-	b := g.NewHandle("b", 3000, 1)
-	c := g.NewHandle("c", 500, 1)
-	g.AddTask(runtime.Task{Name: "wa", Flops: 1e9, Accesses: []runtime.Access{{Handle: a, Mode: runtime.Write}}})
-	g.AddTask(runtime.Task{Name: "wb", Flops: 2e9, Accesses: []runtime.Access{{Handle: b, Mode: runtime.Write}}})
-	// on node 1: reads a remotely (1000 bytes), b locally
-	g.AddTask(runtime.Task{Name: "c=a+b", Flops: 1e9, Accesses: []runtime.Access{
-		{Handle: a, Mode: runtime.Read}, {Handle: b, Mode: runtime.Read}, {Handle: c, Mode: runtime.ReadWrite}}})
-	// on node 0: reads b and c remotely (3500 bytes)
-	g.AddTask(runtime.Task{Name: "a+=b+c", Flops: 1e9, Accesses: []runtime.Access{
-		{Handle: b, Mode: runtime.Read}, {Handle: c, Mode: runtime.Read}, {Handle: a, Mode: runtime.ReadWrite}}})
-	makespan, comm := schedule(m, g, func(h *runtime.Handle) int { return int(h.Tag) })
-	if comm != 1000+3000+500 {
-		t.Fatalf("CommBytes %g, want 4500", comm)
-	}
-	// wa ends at 1, wb at 2; a reaches node 1 at 1+0.5+1 = 2.5, so c=a+b runs
-	// 2.5→3.5; c reaches node 0 at 3.5+0.5+0.5 = 4.5 (b at 2+0.5+3 = 5.5), so
-	// the last task runs 5.5→6.5.
-	if makespan != 6.5 {
-		t.Fatalf("makespan %g, want 6.5", makespan)
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"repro/internal/tlr"
 )
 
-// Variant selects the factorization whose DAG is simulated.
+// Variant selects the factorization whose DAG is modeled.
 type Variant int
 
-// Simulated computation variants.
+// Modeled computation variants.
 const (
 	Dense Variant = iota
 	TLRVariant
@@ -23,7 +23,7 @@ func (v Variant) String() string {
 	return "tlr"
 }
 
-// Workload describes one simulated MLE iteration (generation + Cholesky +
+// Workload describes one modeled MLE iteration (generation + Cholesky +
 // solve, the Fig. 3/4 unit of measurement).
 type Workload struct {
 	N  int
@@ -34,15 +34,11 @@ type Workload struct {
 	Ranks *RankModel
 }
 
-// desTileRows caps the tile grid the discrete-event simulator runs: a larger
-// problem is coarsened to this many tile rows (≈ 360 k tasks).
-const desTileRows = 128
-
-// costTable prices one workload on one machine at one tiling. Everything that depends on the
-// tile size, the storage format and the rank model — a tile's rank and bytes
-// by its distance d = i−j from the diagonal, the four kernels' flops, the
-// stored matrix and the compression work — is written here and nowhere else:
-// the DES's DAG, the roofline model, both prediction models and the
+// costTable prices one workload on one machine at its own tiling. Everything
+// that depends on the tile size, the storage format and the rank model — a
+// tile's rank and bytes by its distance d = i−j from the diagonal, the four
+// kernels' flops, the stored matrix and the compression work — is written
+// here and nowhere else: the roofline model, both prediction models and the
 // communication model read it.
 type costTable struct {
 	m      Machine
@@ -52,9 +48,8 @@ type costTable struct {
 }
 
 // newCostTable checks the (machine, workload) pair — once, here, for every
-// entry point of the package — and fixes the tiling: the workload's own, or
-// coarsened to maxRows tile rows when maxRows > 0 and the workload has more.
-func newCostTable(m Machine, w Workload, maxRows int) costTable {
+// entry point of the package — and fixes the workload's tiling.
+func newCostTable(m Machine, w Workload) costTable {
 	switch {
 	case w.N <= 0:
 		panic(fmt.Sprintf("cluster: Workload.N = %d, must be positive", w.N))
@@ -68,10 +63,6 @@ func newCostTable(m Machine, w Workload, maxRows int) costTable {
 		panic("cluster: TLR workload without a rank model (Workload.Ranks is nil)")
 	}
 	c := costTable{m: m, w: w, nb: w.NB, mt: (w.N + w.NB - 1) / w.NB}
-	if maxRows > 0 && c.mt > maxRows {
-		c.mt = maxRows
-		c.nb = (w.N + c.mt - 1) / c.mt
-	}
 	c.rank = make([]int, max(c.mt, 3)) // the critical-path step prices distances 1 and 2 at any mt
 	for d := range c.rank {
 		c.rank[d] = c.nb
@@ -91,9 +82,12 @@ func (c costTable) tileBytes(d int) float64 {
 	return float64(2*c.nb*c.rank[d]) * 8
 }
 
-// The four kernels of tile.AddCholeskySweep. A tile enters by its distance
-// from the diagonal; gemm updates the tile at distance s−t with the panel
-// tiles at s and t (s > t ≥ 1).
+// The four kernels of the right-looking tile sweep: the dense one
+// tile.BuildCholeskyGraph executes, and HiCMA's TLR one, whose updates
+// recompress the target tile (tlr executes a left-looking sweep instead; see
+// DESIGN.md "Machine model"). A tile enters by its distance from the
+// diagonal; gemm updates the tile at distance s−t with the panel tiles at s
+// and t (s > t ≥ 1).
 func (c costTable) potrf() float64 { return tile.FlopsPOTRF(c.nb) }
 
 func (c costTable) trsm(d int) float64 {
@@ -131,7 +125,7 @@ func (c costTable) storedBytes() float64 {
 // (distance + Bessel-K + scaling) on one core. Every likelihood iteration
 // regenerates the whole covariance matrix (θ changes between optimizer
 // steps), so generation is part of the measured iteration in both the paper
-// and this simulator. 3e-7 s ≈ 3.3 M evaluations/s/core, typical for a
+// and this model. 3e-7 s ≈ 3.3 M evaluations/s/core, typical for a
 // general-order Bessel path.
 const kernelEvalSeconds = 3e-7
 

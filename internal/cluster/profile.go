@@ -1,29 +1,24 @@
-// Package cluster simulates the execution of the tiled dense and TLR
-// Cholesky task DAGs on parallel machines: the shared-memory Intel servers
-// of paper Fig. 3 and the distributed-memory Cray XC40 Shaheen-2 of Figs. 4
+// Package cluster models the execution of the tiled dense and TLR Cholesky
+// factorizations on parallel machines: the shared-memory Intel servers of
+// paper Fig. 3 and the distributed-memory Cray XC40 Shaheen-2 of Figs. 4
 // and 5. It is the substitute for hardware this reproduction does not have.
 //
-// The simulator executes the genuine task DAG (same shape as the runtime
-// executes for real at laptop scale) under a machine model:
+// At paper scale the tile DAG has 10⁸–10⁹ tasks, so the figures are drawn by
+// AnalyticCholesky, a roofline model at the true tile size:
 //
-//   - per-node compute: a task occupies one core-slot for
-//     max(flops/rate, bytes/memory-bandwidth) seconds — the roofline that
+//   - compute: the sweep's flops at the machine's derated rate, against the
+//     bytes its tasks touch at the memory bandwidth — the roofline that
 //     makes low-arithmetic-intensity TLR kernels memory-bound, reproducing
 //     the paper's tile-size discussion (§VIII-C);
-//   - 2D block-cyclic tile ownership across nodes; a task runs on the node
-//     owning its output tile and pays latency + size/bandwidth for each
-//     remote input;
+//   - the panel chain at single-core speed, and the 2D block-cyclic
+//     broadcasts' volume and message count on the interconnect;
 //   - per-node memory accounting; configurations whose working set exceeds
 //     node memory report OOM — the "missing points" of Fig. 4.
 //
-// At paper scale the true tile grid would generate billions of tasks, so the
-// simulator coarsens the tile grid to at most desTileRows = 128 rows while
-// keeping total arithmetic faithful to the algorithm at the coarsened tile
-// size (a legitimate configuration of the same algorithm), and the figures
-// are drawn by AnalyticCholesky, the roofline model at the true tile size.
-// Both price a (machine, workload) pair through one costTable; ranks for TLR
-// costing come from a RankModel calibrated by really compressing Matérn
-// tiles.
+// Every model prices a (machine, workload) pair through one costTable; ranks
+// for TLR costing come from a RankModel calibrated by really compressing
+// Matérn tiles. Task-level simulation is runtime.Graph.Simulate of the graphs
+// tile and tlr execute, and DistCholeskyComm places tlr's executed sweep.
 package cluster
 
 import "repro/internal/mpi"
@@ -86,13 +81,8 @@ func NewMachine(p Profile, nodes int) Machine {
 	return Machine{Profile: p, Nodes: nodes, Grid: mpi.SquarestGrid(nodes)}
 }
 
-// slots is the number of execution slots the simulator gives a node: its
-// cores up to 8, each slot sped up so the node's aggregate throughput is
-// preserved.
-func (m Machine) slots() int { return min(m.Profile.Cores, 8) }
-
 // flopRate is the machine's aggregate effective rate (flops/s) and memBW its
-// aggregate memory bandwidth (bytes/s); one slot has its share of either.
+// aggregate memory bandwidth (bytes/s).
 func (m Machine) flopRate() float64 {
 	return m.Profile.GFlopsPerCore * 1e9 * float64(m.Profile.Cores*m.Nodes)
 }

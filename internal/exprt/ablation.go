@@ -286,6 +286,6 @@ func ablationDistributed(o Options) error {
 			fmtSecs(time.Since(t0).Seconds(), false))
 	}
 	fmt.Fprint(o.Out, tb.String())
-	fmt.Fprintln(o.Out, "every grid reproduces the dense log-determinant: the transfers the simulator prices are the ones that execute")
+	fmt.Fprintln(o.Out, "every grid reproduces the dense log-determinant: the transfers the comm model prices are the ones that execute")
 	return nil
 }

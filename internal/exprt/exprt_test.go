@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cov"
+	"repro/internal/datasets"
 )
 
 func TestByName(t *testing.T) {
@@ -117,9 +119,9 @@ func TestFig6SmallScaleFitsConverge(t *testing.T) {
 
 // TestSimulatedTablesGolden pins every table the machine model prints at the
 // small scale — Fig. 3 part B on the four testbeds (part A is wall-clock),
-// Fig. 4, Fig. 5 and ablation sections [3] and [4] — byte for byte to the
-// text captured at the parent of the PR that put the DES, the roofline model
-// and Simulate on one scheduler and one cost table.
+// Fig. 4, Fig. 5 and ablation sections [3] and [4], drawn by the roofline
+// model and runtime.Simulate — byte for byte to captured text, so a change
+// to either model moves a figure only on purpose, by re-recording the file.
 func TestSimulatedTablesGolden(t *testing.T) {
 	run := func(f func(Options) error) func(Options) {
 		return func(o Options) {
@@ -167,6 +169,41 @@ func TestFmtSecs(t *testing.T) {
 		if got != want {
 			t.Errorf("fmtSecs: got %q want %q", got, want)
 		}
+	}
+}
+
+// TestOnBoundaryMarksTheBox: Tables I–II mark an estimate that lies within
+// TolX of the box the optimizer searched, in its coordinates (log θ2, θ3) —
+// the soil-moisture R4 fit stops at smoothness 3.000, the upper bound — and
+// no interior estimate and no variance, which is concentrated out.
+func TestOnBoundaryMarksTheBox(t *testing.T) {
+	o := core.FitOptions{
+		Lower: cov.Params{Range: 1e-3, Smoothness: 0.1},
+		Upper: cov.Params{Range: 10, Smoothness: 3},
+		TolX:  1e-4,
+	}
+	for _, tc := range []struct {
+		theta cov.Params
+		want  [3]bool
+	}{
+		{cov.Params{Variance: 0.425, Range: 2.663, Smoothness: 3}, [3]bool{false, false, true}},
+		{cov.Params{Variance: 1, Range: 2.663, Smoothness: 3 - 5e-5}, [3]bool{false, false, true}},
+		{cov.Params{Variance: 1, Range: 2.663, Smoothness: 3 - 2e-4}, [3]bool{}},
+		{cov.Params{Variance: 1, Range: 2.663, Smoothness: 0.1}, [3]bool{false, false, true}},
+		{cov.Params{Variance: 1, Range: 10 * (1 - 5e-5), Smoothness: 0.5}, [3]bool{false, true, false}},
+		{cov.Params{Variance: 1, Range: 10 * (1 - 2e-4), Smoothness: 0.5}, [3]bool{}},
+		{cov.Params{Variance: 1, Range: 1e-3, Smoothness: 3}, [3]bool{false, true, true}},
+		{cov.Params{Variance: 1e-3, Range: 0.5, Smoothness: 0.8}, [3]bool{}},
+	} {
+		if got := onBoundary(tc.theta, o); got != tc.want {
+			t.Errorf("θ = %+v: onBoundary %v, want %v", tc.theta, got, tc.want)
+		}
+	}
+	// The box a region is fitted in is the one the rule reads.
+	reg := datasets.Region{Truth: cov.Params{Range: 0.2}}
+	o = regionFitOptions(reg)
+	if got := onBoundary(cov.Params{Range: 50 * 0.2, Smoothness: 0.5}, o); !got[1] {
+		t.Errorf("range at 50× the truth's not marked in a region's box %+v", o)
 	}
 }
 

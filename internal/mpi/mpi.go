@@ -6,9 +6,10 @@
 //
 // The distributed TLR Cholesky factorization in this package (dist_tlr.go;
 // with every tile forced dense it is the dense tiled algorithm) is the
-// real-execution counterpart of the cluster package's simulator: the same DAG
-// on the same 2D block-cyclic ownership, with the same transfers inferred by
-// runtime.Graph.Place, executed rather than modeled. Per-rank traffic counters
+// real-execution counterpart of the cluster package's communication model:
+// the same DAG (tlr.BuildGenCholeskyGraph) on the same 2D block-cyclic
+// ownership, with the same transfers inferred by runtime.Graph.Place,
+// executed rather than priced. Per-rank traffic counters
 // (CommStats) record the bytes each rank actually sends and receives so the
 // communication model can be validated against real message volumes
 // (internal/cluster's distcomm tests).

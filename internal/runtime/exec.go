@@ -217,7 +217,7 @@ func (h *taskHeap) Pop() any {
 // the simulated machine.
 type CostModel func(*Task) float64
 
-// SimOptions configures the discrete-event simulated executor.
+// SimOptions configures the simulated executor.
 type SimOptions struct {
 	Workers int
 	Cost    CostModel
@@ -246,7 +246,7 @@ func (g *Graph) Simulate(opt SimOptions) (float64, error) {
 		}
 		g, cost = g.withBarriers(cost)
 	}
-	return g.Schedule(1, max(opt.Workers, 1), cost, nil, nil, nil)
+	return g.schedule(max(opt.Workers, 1), cost, nil)
 }
 
 // withBarriers returns the bulk-synchronous form of g and its cost model: the
@@ -349,20 +349,13 @@ func (g *Graph) cycleError() error {
 	return fmt.Errorf("runtime: dependency cycle: %s", strings.Join(names, " → "))
 }
 
-// Schedule is the list scheduler every simulated run goes through: Simulate
-// on one pool of workers, the cluster package's machine simulator on one pool
-// per node. Ready tasks are taken by (ready time, priority, ID) and run for
-// cost(task) seconds on the earliest-free of their pool's slots. Two hooks add what shared memory does not need (nil there):
-// place names the pool a task runs on (nil: pool 0), and arrive returns when
-// its inputs have reached that pool, given the finish times, by task ID, of
-// everything scheduled so far — a task is ready at the later of that and its
-// last predecessor's finish. rec, when non-nil, receives every placement, on
-// lane pool·slots + slot; no simulator sets it, the tests read a schedule's
-// placements through it. It returns the makespan, or the cycleError of a
-// graph that cannot be scheduled to the end.
-func (g *Graph) Schedule(pools, slots int, cost CostModel, place func(*Task) int,
-	arrive func(t *Task, finish []float64) float64,
-	rec func(t *Task, lane int, start, finish float64)) (float64, error) {
+// schedule is the list scheduler behind Simulate: ready tasks are taken by
+// (ready time, priority, ID) and run for cost(task) seconds on the
+// earliest-free of slots workers, a task being ready when its last
+// predecessor finishes. rec, when non-nil, receives every placement; the
+// tests read a schedule through it. It returns the makespan, or the
+// cycleError of a graph that cannot be scheduled to the end.
+func (g *Graph) schedule(slots int, cost CostModel, rec func(t *Task, lane int, start, finish float64)) (float64, error) {
 	n := len(g.tasks)
 	finish := make([]float64, n)
 	indeg := make([]int, n)
@@ -372,9 +365,6 @@ func (g *Graph) Schedule(pools, slots int, cost CostModel, place func(*Task) int
 		for _, d := range t.deps {
 			at = max(at, finish[d])
 		}
-		if arrive != nil {
-			at = max(at, arrive(t, finish))
-		}
 		heap.Push(ready, simEntry{task: t, ready: at})
 	}
 	for i, t := range g.tasks {
@@ -383,7 +373,7 @@ func (g *Graph) Schedule(pools, slots int, cost CostModel, place func(*Task) int
 			push(t)
 		}
 	}
-	free := make([]float64, pools*slots)
+	free := make([]float64, slots)
 	var makespan float64
 	for scheduled := 0; scheduled < n; scheduled++ {
 		if ready.Len() == 0 {
@@ -391,12 +381,8 @@ func (g *Graph) Schedule(pools, slots int, cost CostModel, place func(*Task) int
 			return 0, g.cycleError()
 		}
 		e := heap.Pop(ready).(simEntry)
-		first := 0
-		if place != nil {
-			first = place(e.task) * slots
-		}
-		lane := first // earliest-free slot of the pool
-		for i := first + 1; i < first+slots; i++ {
+		lane := 0 // earliest-free slot
+		for i := 1; i < slots; i++ {
 			if free[i] < free[lane] {
 				lane = i
 			}

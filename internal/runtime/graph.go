@@ -1,7 +1,7 @@
 // Package runtime is the StarPU substitute: a sequential-task-flow runtime
 // with data-dependency inference, out-of-order parallel execution on a
-// worker pool, and a discrete-event simulated executor used for paper-scale
-// performance modeling.
+// worker pool, a list-scheduling simulator that prices the same graphs on a
+// simulated clock, and the owner-computes placement of a graph on nodes.
 //
 // Algorithms (tiled Cholesky, TLR Cholesky, solves) insert tasks in the order
 // the sequential algorithm would execute them, declaring how each task
@@ -30,9 +30,8 @@ const (
 )
 
 // Handle identifies a logical piece of data (typically one tile). Bytes is
-// the payload size used by the simulated executors for transfer costs; Tag
-// is an opaque caller-owned value (the cluster simulator stores tile
-// coordinates there to derive ownership).
+// the payload size; Tag is an opaque caller-owned value (tile and tlr store
+// the tile's index there, so an owner map can derive ownership).
 type Handle struct {
 	ID    int
 	Name  string
@@ -55,7 +54,7 @@ type Access struct {
 
 // Task is one node of the DAG. Run is the real-execution closure (may be nil
 // for simulation-only graphs). Flops is the arithmetic cost used by the
-// simulated executors and by the flop accounting the experiments report.
+// simulated executor and by the flop accounting the experiments report.
 type Task struct {
 	ID       int
 	Name     string

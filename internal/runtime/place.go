@@ -27,8 +27,8 @@ type Placement struct {
 // handle it reads that another node owns comes from the task that last wrote
 // it. A node receives a producer's output once, however many of its tasks
 // read it, so the transfers are exactly the messages a distributed run sends
-// — the ranks of internal/mpi send them, and the cluster simulator and its
-// communication model price them.
+// — the ranks of internal/mpi send them, and cluster's communication model
+// prices them.
 func (g *Graph) Place(owner func(*Handle) int) Placement {
 	p := Placement{Node: make([]int, len(g.tasks)), Inputs: make([][]int, len(g.tasks))}
 	lastWriter := make([]int, len(g.handles))

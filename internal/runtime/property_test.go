@@ -114,67 +114,50 @@ func TestQuickSimulateBounds(t *testing.T) {
 	}
 }
 
-// Property: the one list scheduler, on seeded random DAGs over several pool
-// and slot counts. Without an arrival hook the makespan lies between the
-// critical path and the serial total; two runs agree exactly; one pool with
-// nil hooks is Simulate; every placement is on a lane of the task's pool, no
-// lane runs two tasks at once, and no task starts before its predecessors
-// finish or before the arrival hook says its inputs are there.
+// Property: the list scheduler, on seeded random DAGs over several slot
+// counts. The makespan lies between the critical path and the serial total;
+// two runs agree exactly; it is Simulate's; every placement is on one of the
+// slots, no slot runs two tasks at once, and no task starts before its
+// predecessors finish.
 func TestQuickScheduleEngine(t *testing.T) {
 	cost := func(t *Task) float64 { return t.Flops }
 	f := func(seed int64) bool {
 		g := randomDAG(rng.New(uint64(seed) + 13))
 		serial, cp := g.TotalFlops(), g.CriticalPathFlops()
-		for _, pools := range []int{1, 2, 3} {
-			for _, slots := range []int{1, 2, 4} {
-				place := func(t *Task) int { return t.ID % pools }
-				mk, err := g.Schedule(pools, slots, cost, place, nil, nil)
-				if err != nil || mk > serial+1e-9 || mk < cp-1e-9 {
-					t.Logf("seed %d, %dx%d: makespan %g outside [%g, %g] (%v)", seed, pools, slots, mk, cp, serial, err)
-					return false
+		for _, slots := range []int{1, 2, 4} {
+			start := make([]float64, g.Len())
+			end := make([]float64, g.Len())
+			laneFree := make([]float64, slots)
+			ok := true
+			mk, err := g.schedule(slots, cost, func(t *Task, lane int, s, e float64) {
+				if lane < 0 || lane >= slots || s < laneFree[lane] || e != s+cost(t) {
+					ok = false
+					return
 				}
-				if again, _ := g.Schedule(pools, slots, cost, place, nil, nil); again != mk {
-					t.Logf("seed %d, %dx%d: two runs gave %g and %g", seed, pools, slots, mk, again)
-					return false
-				}
-				if sim, _ := g.Simulate(SimOptions{Workers: slots}); pools == 1 && sim != mk {
-					t.Logf("seed %d, 1x%d: Schedule %g, Simulate %g", seed, slots, mk, sim)
-					return false
-				}
-				// reading a predecessor's output from another pool takes 1.5
-				arrive := func(t *Task, finish []float64) float64 {
-					var at float64
-					for _, d := range t.Deps() {
-						if d%pools != t.ID%pools {
-							at = max(at, finish[d]+1.5)
-						}
-					}
-					return at
-				}
-				start := make([]float64, g.Len())
-				end := make([]float64, g.Len())
-				laneFree := make([]float64, pools*slots)
-				ok := true
-				_, err = g.Schedule(pools, slots, cost, place, arrive, func(t *Task, lane int, s, e float64) {
-					if lane/slots != place(t) || s < laneFree[lane] || e != s+cost(t) {
-						ok = false
-					}
-					laneFree[lane], start[t.ID], end[t.ID] = e, s, e
-				})
-				for _, tk := range g.Tasks() {
-					for _, d := range tk.Deps() {
-						if start[tk.ID] < end[d] {
-							ok = false
-						}
-					}
-					if start[tk.ID] < arrive(tk, end) {
+				laneFree[lane], start[t.ID], end[t.ID] = e, s, e
+			})
+			if err != nil || mk > serial+1e-9 || mk < cp-1e-9 {
+				t.Logf("seed %d, %d slots: makespan %g outside [%g, %g] (%v)", seed, slots, mk, cp, serial, err)
+				return false
+			}
+			if again, _ := g.schedule(slots, cost, nil); again != mk {
+				t.Logf("seed %d, %d slots: two runs gave %g and %g", seed, slots, mk, again)
+				return false
+			}
+			if sim, _ := g.Simulate(SimOptions{Workers: slots}); sim != mk {
+				t.Logf("seed %d, %d slots: schedule %g, Simulate %g", seed, slots, mk, sim)
+				return false
+			}
+			for _, tk := range g.Tasks() {
+				for _, d := range tk.Deps() {
+					if start[tk.ID] < end[d] {
 						ok = false
 					}
 				}
-				if err != nil || !ok {
-					t.Logf("seed %d, %dx%d: schedule with arrivals breaks an invariant (%v)", seed, pools, slots, err)
-					return false
-				}
+			}
+			if !ok {
+				t.Logf("seed %d, %d slots: the schedule breaks an invariant", seed, slots)
+				return false
 			}
 		}
 		return true

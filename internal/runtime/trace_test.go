@@ -209,7 +209,7 @@ func randomDAG(r *rng.Rand) *Graph {
 }
 
 // TestSimulateTraceHonoursBarrier: with Barrier, Simulate prices the list
-// schedule of withBarriers' graph — the same makespan Schedule reports for it,
+// schedule of withBarriers' graph — the same makespan schedule reports for it,
 // no less than the asynchronous one, one zero-length "barrier" task closing
 // each level, and no task of a level starting before the barrier of the one
 // before.
@@ -226,7 +226,7 @@ func TestSimulateTraceHonoursBarrier(t *testing.T) {
 	}
 	var placed []placement
 	b, cost := g.withBarriers(func(t *Task) float64 { return t.Flops })
-	mk, err := b.Schedule(1, 3, cost, nil, nil, func(t *Task, _ int, start, finish float64) {
+	mk, err := b.schedule(3, cost, func(t *Task, _ int, start, finish float64) {
 		placed = append(placed, placement{t.Name == "barrier", start, finish})
 	})
 	if err != nil {

@@ -27,7 +27,7 @@ func ColumnBlocks(n, nb int, b *la.Mat, solve func(bc *la.Mat) error) error {
 
 // SolveSweep solves op(L)·X = B in place against a Cholesky factor stored as
 // a lower-triangular grid of nb-edged tiles, B being n×r — a vector is r = 1.
-// It is the only place the substitution is spelled out, as AddCholeskySweep
+// It is the only place the substitution is spelled out, as addCholeskyTasks
 // is for the factorization: tile rows 0→MT−1 for L (ta NoTrans), MT−1→0 for
 // Lᵀ (Transpose), and in each row i the rows j already solved leave it in the
 // order they were solved, then the diagonal block is solved. update(i, j)

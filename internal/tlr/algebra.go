@@ -325,7 +325,7 @@ func schurTerm(w *la.Work, a, b *CompTile, x, y *la.Mat) {
 // HiCMA's right-looking Schur-complement update of one trailing tile,
 // C_ij −= A_ik·A_jkᵀ. The executed sweep does not call it (it subtracts a
 // tile's whole update before compressing, gen.go); it is the kernel the
-// simulator's FlopsGEMMComp prices and that bench/ times. Any operand may be
+// machine model's FlopsGEMMComp prices and that bench/ times. Any operand may be
 // a dense (DE) tile; a compressed C updated by two dense operands promotes
 // to dense, since the product carries no low-rank structure to exploit.
 // maxRank (> 0) bounds the rank growth of a compressed result via

@@ -239,8 +239,8 @@ func FlopsSYRKComp(nb, k int) float64 {
 }
 
 // FlopsGEMMComp estimates the compressed GEMM C ← C − A·Bᵀ for operand ranks
-// ka, kb and target rank kc. It is the simulator's price only: the executed
-// sweep subtracts each tile's update densely before compressing it
+// ka, kb and target rank kc. It is the machine model's price only: the
+// executed sweep subtracts each tile's update densely before compressing it
 // (buildSweep), and internal/cluster prices HiCMA's right-looking sweep, whose
 // trailing update runs as addLowRank's structured update does with
 // kx = min(ka, kb): the contraction Vaᵀ·Vb and its product with the wider U

@@ -343,8 +343,8 @@ func BenchmarkAddLowRank(b *testing.B) {
 
 // BenchmarkBuildGenCholeskyGraph times construction of the fused
 // generation + Cholesky DAG at mt=32 for both shells — the part of a
-// session's set-up that builds the task graph: 6 512 tasks through
-// tile.AddCholeskySweep's callbacks for the tile shell, 560 for tlr's
+// session's set-up that builds the task graph: 6 512 tasks in tile's
+// right-looking sweep for the tile shell, 560 for tlr's
 // left-looking sweep, whose off-diagonal tasks read whole tile rows.
 func BenchmarkBuildGenCholeskyGraph(b *testing.B) {
 	const n, nb = 128, 4 // mt = 32
