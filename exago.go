@@ -136,9 +136,10 @@ type ChaosStats = chaos.Stats
 type Synthetic = core.Synthetic
 
 // NewProblem bundles locations and measurements into a Problem, reordering
-// along the Morton curve (the default spatial ordering; effective TLR
-// compression needs some locality-preserving order). The applied permutation
-// is kept on Problem.Perm so results map back to caller order.
+// along the Morton curve (effective compression needs some
+// locality-preserving order; a TLR session reorders its own copy into KD
+// blocks at its TileSize unless Config.Ordering says otherwise). The applied
+// permutation is kept on Problem.Perm so results map back to caller order.
 func NewProblem(pts []Point, z []float64, metric Metric) (*Problem, error) {
 	return core.NewProblem(pts, z, metric)
 }
@@ -154,8 +155,8 @@ type Ordering = geom.Ordering
 var (
 	// OrderingNone keeps caller order (the control arm of ordering sweeps).
 	OrderingNone = geom.None
-	// OrderingMorton sorts along the Z-order curve (32 bits/axis) — the
-	// library default.
+	// OrderingMorton sorts along the Z-order curve (32 bits/axis) — what
+	// NewProblem applies.
 	OrderingMorton = geom.Morton
 	// OrderingHilbert sorts along the Hilbert curve: consecutive cells are
 	// always edge-adjacent, typically the lowest tile ranks on clustered

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/cov"
@@ -86,13 +87,18 @@ type Config struct {
 	// Ordering selects the spatial ordering of the problem's locations —
 	// the permutation applied before tiling, which controls off-diagonal
 	// tile ranks and with them TLR compression flops, memory, and the
-	// distributed run's wire bytes. "" (the zero value) keeps whatever
-	// ordering the Problem was built with (NewProblem defaults to Morton);
-	// "none" forces caller order, "morton" the Z-order curve, "hilbert" the
-	// Hilbert curve, and "kdblock" KD-tree recursive bisection into
-	// TileSize-aligned blocks. Sessions never mutate the caller's Problem: a
-	// differing Ordering reorders a session-private copy, and Problem.Perm
-	// maps results back to caller order.
+	// distributed run's wire bytes. "none" forces caller order, "morton" the
+	// Z-order curve, "hilbert" the Hilbert curve, and "kdblock" KD-tree
+	// recursive bisection into TileSize-aligned blocks. "" (the zero value)
+	// picks by mode: Mode == TLR (shared, out of core or on ranks) means
+	// "kdblock", so every tile is one compact KD cell and the off-diagonal
+	// ranks are lower than on Morton runs; every other mode keeps whatever
+	// ordering the Problem was built with (NewProblem defaults to Morton),
+	// since a dense factorization costs the same in any order and HODLR
+	// measured worse on KD cells. Sessions never mutate the caller's
+	// Problem: an ordering that would move a point reorders a
+	// session-private copy, and Problem.Perm maps results back to caller
+	// order.
 	Ordering string
 	// Chaos, when non-nil, injects the plan's deterministic faults into the
 	// session's executions — task panics/stragglers on any task graph, on
@@ -121,10 +127,10 @@ type Config struct {
 // DefaultConfig returns the library defaults spelled out: dense full-block
 // mode, 128-point tiles, 1e-9 TLR accuracy with the deterministic SVD
 // compressor, one worker, data-scaled nugget (1e-9·θ₁, encoded as Nugget=0),
-// Morton spatial ordering, shared-memory execution. A zero Config behaves
-// identically (its empty Ordering keeps the Problem's own ordering, which
-// NewProblem also defaults to Morton); this function exists so the defaults
-// are documented and greppable in one place.
+// the ordering picked by mode (Ordering "": KD blocks at TileSize for TLR,
+// the Problem's own order otherwise), shared-memory execution. A zero Config
+// behaves identically; this function exists so the defaults are documented
+// and greppable in one place.
 func DefaultConfig() Config {
 	return Config{
 		Mode:           FullBlock,
@@ -134,7 +140,7 @@ func DefaultConfig() Config {
 		Workers:        1,
 		Nugget:         0,
 		Ranks:          1,
-		Ordering:       geom.OrderMorton,
+		Ordering:       "", // by mode: see Config.Ordering
 		MaxRetries:     0,
 	}
 }
@@ -211,8 +217,9 @@ func (c Config) Validate() error {
 }
 
 // normalized fills the zero fields from DefaultConfig, the one place the
-// defaults are written (an empty Ordering stays: it keeps the Problem's own).
-// Negative fields are Validate's to refuse.
+// defaults are written, and resolves an empty Ordering by mode: "kdblock"
+// under TLR, and empty (the Problem's own order) otherwise. Negative fields
+// are Validate's to refuse.
 func (c Config) normalized() Config {
 	d := DefaultConfig()
 	if c.TileSize == 0 {
@@ -229,6 +236,9 @@ func (c Config) normalized() Config {
 	}
 	if c.Ranks == 0 {
 		c.Ranks = d.Ranks
+	}
+	if c.Ordering == "" && c.Mode == TLR {
+		c.Ordering = geom.OrderKDBlock
 	}
 	return c
 }
@@ -257,9 +267,10 @@ type Problem struct {
 }
 
 // NewProblem bundles and validates a dataset, reordering locations and
-// measurements along the Morton curve (the default ordering TLR compression
-// needs; it is harmless for the dense modes). The applied permutation is kept
-// on Problem.Perm; use NewProblemOrdered to choose a different scheme, or
+// measurements along the Morton curve (the order the dense modes and HODLR
+// run on; a TLR session reorders its own copy into KD blocks unless
+// Config.Ordering says otherwise). The applied permutation is kept on
+// Problem.Perm; use NewProblemOrdered to choose a different scheme, or
 // Config.Ordering to override per session.
 func NewProblem(pts []geom.Point, z []float64, metric geom.Metric) (*Problem, error) {
 	return NewProblemOrdered(pts, z, metric, geom.Morton)
@@ -340,16 +351,26 @@ func (p *Problem) RestorePoints(pts []geom.Point) []geom.Point {
 	return geom.ApplyPerm(pts, p.InversePerm())
 }
 
-// Reordered returns a copy of p under ord. The permutations compose: the
-// copy's Perm still maps straight back to the original caller order, however
-// many reorderings happened in between. The receiver is not modified.
+// Reordered returns p under ord: p itself when ord would move no point from
+// where p stores it, else a copy. The comparison is of permutations, not of
+// Ordering names, so a "kdblock" Problem cut at another tile size is
+// reordered. The permutations compose: the copy's Perm still maps straight
+// back to the original caller order, however many reorderings happened in
+// between. The receiver is not modified.
 func (p *Problem) Reordered(ord geom.Ordering) *Problem {
 	inv := p.InversePerm()
 	// Recover the caller-order dataset, then apply the new scheme to it so
 	// Perm addresses caller indices directly.
 	origPts := geom.ApplyPerm(p.Points, inv)
-	origZ := geom.ApplyPermFloat(p.Z, inv)
 	perm := ord.Permutation(origPts)
+	stored := p.Perm
+	if stored == nil {
+		stored = inv // the identity
+	}
+	if slices.Equal(perm, stored) {
+		return p
+	}
+	origZ := geom.ApplyPermFloat(p.Z, inv)
 	return &Problem{
 		Points:   geom.ApplyPerm(origPts, perm),
 		Z:        geom.ApplyPermFloat(origZ, perm),

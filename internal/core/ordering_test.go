@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cov"
 	"repro/internal/geom"
 	"repro/internal/rng"
+	"repro/internal/tlr"
 )
 
 // rawDataset builds a caller-order dataset (no ordering applied) with a
@@ -174,6 +176,117 @@ func TestSessionAppliesConfiguredOrdering(t *testing.T) {
 		}
 		if s2.Problem() != p {
 			t.Fatalf("Ordering %q must not copy an already-matching problem", ordering)
+		}
+	}
+}
+
+// TestTLRDefaultOrderingIsKDBlock: an empty Ordering means KD blocks at the
+// session's TileSize under TLR — shared, out of core and on ranks alike — and
+// the Problem's own order in every other mode or under an explicit name; on
+// a perturbed grid the KD cells leave the tiles at lower rank and in fewer
+// bytes than Morton runs do.
+func TestTLRDefaultOrderingIsKDBlock(t *testing.T) {
+	pts, z := rawDataset(t, 300, 31)
+	p, err := NewProblem(pts, z, geom.Euclidean) // morton
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nb = 40
+	want := geom.Sorted(geom.KDBlocks(nb), pts)
+	if slices.Equal(want, p.Points) {
+		t.Fatal("KD blocks and Morton agree on this set: the test shows nothing")
+	}
+	tlrCfg := Config{Mode: TLR, TileSize: nb, Accuracy: 1e-7}
+	for name, cfg := range map[string]Config{
+		"shared":      tlrCfg,
+		"out-of-core": {Mode: TLR, TileSize: nb, Accuracy: 1e-7, MemBudget: tlr.MinMemBudget(nb, 1)},
+		"ranks":       {Mode: TLR, TileSize: nb, Accuracy: 1e-7, Ranks: 2},
+	} {
+		s, err := NewSession(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := s.Problem()
+		if q.Ordering != geom.OrderKDBlock || s.Config().Ordering != geom.OrderKDBlock {
+			t.Fatalf("%s: session ordering %q (config %q), want %q", name, q.Ordering, s.Config().Ordering, geom.OrderKDBlock)
+		}
+		if !slices.Equal(q.Points, want) {
+			t.Fatalf("%s: session points are not the KD blocks at TileSize %d", name, nb)
+		}
+		for i := range q.Points {
+			if q.Points[i] != pts[q.Perm[i]] || q.Z[i] != z[q.Perm[i]] {
+				t.Fatalf("%s: Perm does not map stored index %d to its caller point", name, i)
+			}
+		}
+		s.Close()
+	}
+	for name, cfg := range map[string]Config{
+		"full-block":   {Mode: FullBlock},
+		"full-tile":    {Mode: FullTile, TileSize: nb},
+		"hodlr":        {Mode: HODLR, TileSize: nb, Accuracy: 1e-7},
+		"tlr (morton)": {Mode: TLR, TileSize: nb, Accuracy: 1e-7, Ordering: geom.OrderMorton},
+	} {
+		s, err := NewSession(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Problem() != p {
+			t.Fatalf("%s: session left the Problem's own order", name)
+		}
+		s.Close()
+	}
+
+	// The cost the default buys, at fit_tlr's tile size.
+	grid, err := GenerateSynthetic(1500, 0, theta(), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func(ordering string) LikResult {
+		lik, err := LogLikelihood(grid.Train, theta(), Config{Mode: TLR, TileSize: 128, Accuracy: 1e-7,
+			CompressorName: "rsvd", Workers: 2, Ordering: ordering})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lik
+	}
+	kd, morton := eval(""), eval(geom.OrderMorton)
+	if !(kd.MeanRank < morton.MeanRank && kd.Bytes < morton.Bytes) {
+		t.Fatalf("kdblock mean rank %.2f, %d B; morton %.2f, %d B: want both below", kd.MeanRank, kd.Bytes, morton.MeanRank, morton.Bytes)
+	}
+}
+
+// TestKDBlockProblemAtAnotherTileSizeIsReordered: a Problem cut into KD
+// blocks of one size carries the same Ordering name as one cut at another,
+// so the session compares permutations: at a different TileSize it
+// reorders, at the same one it keeps the Problem.
+func TestKDBlockProblemAtAnotherTileSizeIsReordered(t *testing.T) {
+	pts, z := rawDataset(t, 1536, 33)
+	p64, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.KDBlocks(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := geom.Sorted(geom.KDBlocks(128), pts)
+	if slices.Equal(want, p64.Points) {
+		t.Fatal("KD blocks at 64 and 128 agree on this set: the test shows nothing")
+	}
+	s, err := NewSession(p64, Config{Mode: TLR, TileSize: 128, Ordering: geom.OrderKDBlock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Problem() == p64 || !slices.Equal(s.Problem().Points, want) {
+		t.Fatal("a Problem in KD blocks of 64 was not reordered into KD blocks of 128")
+	}
+	p128, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.KDBlocks(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ordering := range []string{"", geom.OrderKDBlock} {
+		s, err := NewSession(p128, Config{Mode: TLR, TileSize: 128, Ordering: ordering})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Problem() != p128 {
+			t.Fatalf("Ordering %q: a Problem already in KD blocks of 128 was copied", ordering)
 		}
 	}
 }

@@ -99,10 +99,10 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	cfg = cfg.normalized()
-	if cfg.Ordering != "" && cfg.Ordering != p.Ordering {
-		// The configured ordering differs from the Problem's: evaluate on a
-		// session-private reordered copy. The caller's Problem is untouched,
-		// and the copy's Perm still maps back to caller order.
+	if cfg.Ordering != "" {
+		// Evaluate on a session-private reordered copy when the ordering
+		// moves a point. The caller's Problem is untouched, and the copy's
+		// Perm still maps back to caller order.
 		ord, err := geom.NewOrdering(cfg.Ordering, cfg.TileSize)
 		if err != nil {
 			return nil, err // unreachable after Validate; kept for safety
@@ -159,10 +159,10 @@ func (s *Session) ChaosStats() chaos.Stats {
 // Config returns the session's normalized configuration (defaults resolved).
 func (s *Session) Config() Config { return s.cfg }
 
-// Problem returns the dataset the session operates on. When Config.Ordering
-// differs from the ordering the Problem was built with, this is the
-// session-private reordered copy (its Perm maps back to caller order), not
-// the Problem passed to NewSession.
+// Problem returns the dataset the session operates on. When the session's
+// ordering (Config.Ordering, resolved by mode) would move a point of the
+// Problem passed to NewSession, this is the session-private reordered copy
+// (its Perm maps back to caller order), not that Problem.
 func (s *Session) Problem() *Problem { return s.p }
 
 // exclusive takes the write lock for a call that runs the evaluator and

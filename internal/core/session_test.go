@@ -116,14 +116,14 @@ func TestNewSessionOpensSpillFile(t *testing.T) {
 func TestConfigNormalized(t *testing.T) {
 	got := Config{}.normalized()
 	want := DefaultConfig().normalized()
-	// The one intentional difference: an empty Ordering means "keep the
-	// Problem's ordering" and survives normalization, while DefaultConfig
-	// spells out the library default ("morton") — behaviorally identical for
-	// NewProblem-built datasets, which are Morton-ordered already.
-	if got.Ordering != "" || want.Ordering != geom.OrderMorton {
+	// An empty Ordering resolves by mode: the Problem's own order (it stays
+	// empty) for the dense modes and HODLR, KD blocks for TLR.
+	if got.Ordering != "" || want.Ordering != "" {
 		t.Fatalf("ordering defaults: zero %q, DefaultConfig %q", got.Ordering, want.Ordering)
 	}
-	want.Ordering = got.Ordering
+	if o := (Config{Mode: TLR}).normalized().Ordering; o != geom.OrderKDBlock {
+		t.Fatalf("TLR ordering default %q, want %q", o, geom.OrderKDBlock)
+	}
 	if got != want {
 		t.Fatalf("zero Config normalizes to %+v, DefaultConfig to %+v", got, want)
 	}
@@ -140,11 +140,9 @@ func TestConfigNormalized(t *testing.T) {
 }
 
 // TestDefaultConfigMatchesZero: the zero Config normalizes to DefaultConfig
-// field by field — the defaults are written once, there — except Ordering,
-// which stays empty to keep the Problem's own.
+// field by field — the defaults are written once, there.
 func TestDefaultConfigMatchesZero(t *testing.T) {
 	want := DefaultConfig()
-	want.Ordering = ""
 	if got := (Config{}).normalized(); got != want {
 		t.Fatalf("zero Config normalizes to %+v, DefaultConfig is %+v", got, want)
 	}

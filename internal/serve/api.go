@@ -51,7 +51,8 @@ type ModelConfig struct {
 	// (core.Config.Nugget).
 	Nugget float64 `json:"nugget,omitempty"`
 	// Ordering overrides the spatial ordering ("morton", "hilbert",
-	// "kdblock", "none"; "" keeps the problem default).
+	// "kdblock", "none"). "" picks by mode (core.Config.Ordering): KD
+	// blocks at TileSize for tlr, the problem's Morton order otherwise.
 	Ordering string `json:"ordering,omitempty"`
 	// Ranks selects the simulated distributed backend when > 1 (TLR only).
 	Ranks int `json:"ranks,omitempty"`

@@ -200,13 +200,14 @@ func TestSweepOutOfCoreAndCompressOnce(t *testing.T) {
 // two workers, with the factor's size and the mean number of rsvd sketch
 // rounds per compressed tile: at fit_tlr's shape in the benchmark (n = 1 500, nb = 128,
 // ν = 0.6, rsvd at 1e-7) and at n = 6 400, nb = 512, where TLR beats the
-// dense tile Cholesky on the clock. The graph and the shell are reused
+// dense tile Cholesky on the clock. The points are in KD blocks at nb, the
+// order a TLR session runs on by default. The graph and the shell are reused
 // across iterations, as core's evaluator reuses them.
 func BenchmarkGenCholesky(b *testing.B) {
 	for _, s := range []struct{ n, nb int }{{1500, 128}, {6400, 512}} {
 		b.Run(fmt.Sprintf("n%d/nb%d", s.n, s.nb), func(b *testing.B) {
 			pts := geom.GeneratePerturbedGrid(s.n, rng.New(1))
-			pts = geom.ApplyPerm(pts, geom.MortonOrder(pts))
+			pts = geom.ApplyPerm(pts, geom.KDBlockOrder(pts, s.nb))
 			spec := &GenSpec{
 				K:   cov.NewKernel(cov.Params{Variance: 1, Range: 0.08, Smoothness: 0.6}),
 				Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: CompressRSVD,
