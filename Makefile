@@ -28,7 +28,8 @@ test:
 # cache's and out-of-core suites three more times under the race detector
 # (pins and evictions run inside concurrently executing task bodies; about
 # 40 s), one iteration of the dense-kernel (Trsm, Syrk, Potrf, the
-# skinny and one-column Gemms), vector-loop, recompression, low-rank update,
+# skinny, square — on every micro-kernel body the CPU has — and one-column
+# Gemms), vector-loop, recompression, low-rank update,
 # graph-construction, fused TLR and HODLR generate+factor, covariance kernel,
 # cached-predict and distributed generate+factor benchmarks so they cannot rot, the two paperbench experiments the test suite
 # lists as too slow to run (`extensions`, `ablation`; about 6 s together, and
@@ -45,7 +46,7 @@ verify:
 	test "$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -E ' repro/internal/chaos( |$$)' | cut -d' ' -f1 | xargs)" = "repro repro/internal/core"
 	$(GO) test -race -shuffle=on -count=1 -timeout 45m ./...
 	$(GO) test -race -count=3 -run 'OOC|Pin|Evict|Unpin|Footprint|DecodeError' ./internal/tlr/
-	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|GenCholesky|KernelBlock|SessionPredictCached|DistCholesky' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/hodlr/ ./internal/cov/ ./internal/core/ ./internal/mpi/
+	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmSquare|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|GenCholesky|KernelBlock|SessionPredictCached|DistCholesky' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/hodlr/ ./internal/cov/ ./internal/core/ ./internal/mpi/
 	$(GO) run ./cmd/paperbench -exp extensions -scale small >/dev/null && $(GO) run ./cmd/paperbench -exp ablation -scale small >/dev/null
 	for e in ./examples/*/; do $(GO) run $$e >/dev/null || exit 1; done
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -112,6 +112,25 @@ func BenchmarkGemmSkinny(b *testing.B) {
 	}
 }
 
+// A 128³ product, the tile Cholesky's update shape, in the four transpose
+// combinations and on every micro-kernel body the CPU has.
+func BenchmarkGemmSquare(b *testing.B) {
+	const n = 128
+	rng := rand.New(rand.NewSource(6))
+	x, y, c := randMat(rng, n, n), randMat(rng, n, n), randMat(rng, n, n)
+	for i := 0; i < 4; i++ {
+		ta, tb := Trans(i%2), Trans(i/2)
+		eachBody(func(body string) {
+			b.Run(fmt.Sprintf("%s%s/%s", [2]string{"N", "T"}[ta], [2]string{"N", "T"}[tb], body), func(b *testing.B) {
+				for range b.N {
+					Gemm(-1, x, ta, y, tb, 1, c)
+				}
+				reportGflops(b, 2*n*n*n)
+			})
+		})
+	}
+}
+
 // A tile times one column: the update of a vector forward solve.
 func BenchmarkGemmOneColumn(b *testing.B) {
 	const n = 128

@@ -2,16 +2,200 @@
 
 #include "textflag.h"
 
+// func microKernelZMM(kc int, a *float64, ars, aps int, b *float64, ldb int, acc *[64]float64)
+//
+// Computes the 8×8 register tile acc[r][c] = Σ_p a[r*ars+p*aps] * b[p*ldb+c]
+// using one ZMM accumulator per row, Z0..Z7; each element of op(A) is a
+// memory operand broadcast by its FMA (VFMADD231PD.BCST), and a row of op(B)
+// is one load. Strides are in elements, and ars or aps must be 1, as every
+// caller passes: an A read in place (aps = 1, rows ars apart) takes the
+// first loop, a transposed A or a packed panel (ars = 1) the second. Neither
+// loop addresses op(A) with an index register, which would split each FMA
+// into two micro-ops and cost a quarter of the kernel's rate.
+//
+// Per p-step: 1 vector load + 8 broadcast FMAs = 128 flops.
+TEXT ·microKernelZMM(SB), NOSPLIT, $0-56
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ ars+16(FP), R8
+	MOVQ aps+24(FP), R9
+	MOVQ b+32(FP), DI
+	MOVQ ldb+40(FP), R10
+
+	// Strides to bytes.
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+	CMPQ R9, $8
+	JNE  cols
+
+	// Rows of op(A) ars apart, elements adjacent: one pointer per row (SI,
+	// AX, BX, DX, R9, R12, R13, R8 for rows 0..7), four steps of p per
+	// iteration, the rows of op(B) at DI + {0, 1, 2, 3}·ldb (R11 = 3·ldb).
+	LEAQ (R10)(R10*2), R11
+	LEAQ (SI)(R8*1), AX
+	LEAQ (SI)(R8*2), BX
+	LEAQ (BX)(R8*1), DX
+	LEAQ (BX)(R8*2), R9
+	LEAQ (DX)(R8*2), R12
+	LEAQ (R9)(R8*2), R13
+	LEAQ (R12)(R8*2), R8
+
+	CMPQ CX, $4
+	JLT  rows1
+
+rows4:
+	VMOVUPD (DI), Z8
+	VMOVUPD (DI)(R10*1), Z9
+	VMOVUPD (DI)(R10*2), Z10
+	VMOVUPD (DI)(R11*1), Z11
+	VFMADD231PD.BCST (SI), Z8, Z0
+	VFMADD231PD.BCST (AX), Z8, Z1
+	VFMADD231PD.BCST (BX), Z8, Z2
+	VFMADD231PD.BCST (DX), Z8, Z3
+	VFMADD231PD.BCST (R9), Z8, Z4
+	VFMADD231PD.BCST (R12), Z8, Z5
+	VFMADD231PD.BCST (R13), Z8, Z6
+	VFMADD231PD.BCST (R8), Z8, Z7
+	VFMADD231PD.BCST 8(SI), Z9, Z0
+	VFMADD231PD.BCST 8(AX), Z9, Z1
+	VFMADD231PD.BCST 8(BX), Z9, Z2
+	VFMADD231PD.BCST 8(DX), Z9, Z3
+	VFMADD231PD.BCST 8(R9), Z9, Z4
+	VFMADD231PD.BCST 8(R12), Z9, Z5
+	VFMADD231PD.BCST 8(R13), Z9, Z6
+	VFMADD231PD.BCST 8(R8), Z9, Z7
+	VFMADD231PD.BCST 16(SI), Z10, Z0
+	VFMADD231PD.BCST 16(AX), Z10, Z1
+	VFMADD231PD.BCST 16(BX), Z10, Z2
+	VFMADD231PD.BCST 16(DX), Z10, Z3
+	VFMADD231PD.BCST 16(R9), Z10, Z4
+	VFMADD231PD.BCST 16(R12), Z10, Z5
+	VFMADD231PD.BCST 16(R13), Z10, Z6
+	VFMADD231PD.BCST 16(R8), Z10, Z7
+	VFMADD231PD.BCST 24(SI), Z11, Z0
+	VFMADD231PD.BCST 24(AX), Z11, Z1
+	VFMADD231PD.BCST 24(BX), Z11, Z2
+	VFMADD231PD.BCST 24(DX), Z11, Z3
+	VFMADD231PD.BCST 24(R9), Z11, Z4
+	VFMADD231PD.BCST 24(R12), Z11, Z5
+	VFMADD231PD.BCST 24(R13), Z11, Z6
+	VFMADD231PD.BCST 24(R8), Z11, Z7
+	ADDQ $32, SI
+	ADDQ $32, AX
+	ADDQ $32, BX
+	ADDQ $32, DX
+	ADDQ $32, R9
+	ADDQ $32, R12
+	ADDQ $32, R13
+	ADDQ $32, R8
+	LEAQ (DI)(R10*4), DI
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JGE  rows4
+
+rows1:
+	TESTQ CX, CX
+	JZ    store
+
+rows1loop:
+	VMOVUPD (DI), Z8
+	VFMADD231PD.BCST (SI), Z8, Z0
+	VFMADD231PD.BCST (AX), Z8, Z1
+	VFMADD231PD.BCST (BX), Z8, Z2
+	VFMADD231PD.BCST (DX), Z8, Z3
+	VFMADD231PD.BCST (R9), Z8, Z4
+	VFMADD231PD.BCST (R12), Z8, Z5
+	VFMADD231PD.BCST (R13), Z8, Z6
+	VFMADD231PD.BCST (R8), Z8, Z7
+	ADDQ $8, SI
+	ADDQ $8, AX
+	ADDQ $8, BX
+	ADDQ $8, DX
+	ADDQ $8, R9
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ $8, R8
+	ADDQ R10, DI
+	DECQ CX
+	JNZ  rows1loop
+	JMP  store
+
+	// Rows of op(A) adjacent (ars = 1), steps of p aps apart: the eight
+	// elements of a step at SI + 0..56.
+cols:
+	VMOVUPD          (DI), Z8
+	VFMADD231PD.BCST (SI), Z8, Z0
+	VFMADD231PD.BCST 8(SI), Z8, Z1
+	VFMADD231PD.BCST 16(SI), Z8, Z2
+	VFMADD231PD.BCST 24(SI), Z8, Z3
+	VFMADD231PD.BCST 32(SI), Z8, Z4
+	VFMADD231PD.BCST 40(SI), Z8, Z5
+	VFMADD231PD.BCST 48(SI), Z8, Z6
+	VFMADD231PD.BCST 56(SI), Z8, Z7
+	ADDQ             R9, SI
+	ADDQ             R10, DI
+	DECQ             CX
+	JNZ              cols
+
+store:
+	MOVQ    acc+48(FP), DX
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, 128(DX)
+	VMOVUPD Z3, 192(DX)
+	VMOVUPD Z4, 256(DX)
+	VMOVUPD Z5, 320(DX)
+	VMOVUPD Z6, 384(DX)
+	VMOVUPD Z7, 448(DX)
+	VZEROUPPER
+	RET
+
+// func addTileZMM(alpha float64, acc *[64]float64, c *float64, ldc, rows int)
+//
+// C[r][0:8] += alpha·acc[r][0:8] for the first rows ≥ 1 rows of a register
+// tile, C's rows ldc elements apart: one VMULPD, then one VADDPD per row — a
+// product, rounded, then a sum, as the Go loop rounds it.
+TEXT ·addTileZMM(SB), NOSPLIT, $0-40
+	VBROADCASTSD alpha+0(FP), Z0
+	MOVQ         acc+8(FP), SI
+	MOVQ         c+16(FP), DI
+	MOVQ         ldc+24(FP), CX
+	MOVQ         rows+32(FP), BX
+	SHLQ         $3, CX
+
+zrow:
+	VMULPD  (SI), Z0, Z1
+	VADDPD  (DI), Z1, Z1
+	VMOVUPD Z1, (DI)
+	ADDQ    $64, SI
+	ADDQ    CX, DI
+	DECQ    BX
+	JNZ     zrow
+
+	VZEROUPPER
+	RET
+
 // func microKernelFMA(kc int, a *float64, ars, aps int, b *float64, ldb int, acc *[32]float64)
 //
-// Computes the 4×8 register tile acc[r][c] = Σ_p a[r*ars+p*aps] * b[p*ldb+c]
+// Computes the 4×8 half tile acc[r][c] = Σ_p a[r*ars+p*aps] * b[p*ldb+c]
 // using eight YMM accumulators:
 //
 //	Y0..Y7 — acc rows 0..3, columns [0:4] and [4:8]
 //	Y8, Y9 — the two 4-wide vectors of row p of op(B)
 //	Y10    — broadcast of one element of op(A)
 //
-// Strides are in elements. A packed A panel is ars=1, aps=4 and a packed B
+// Strides are in elements. A packed A panel is ars=1, aps=8 and a packed B
 // panel ldb=8; a row-major A read in place is ars=lda, aps=1, its transpose
 // ars=1, aps=lda, and a B read in place is ldb=its stride.
 //
@@ -80,48 +264,28 @@ done:
 	VZEROUPPER
 	RET
 
-// func addTileAVX(alpha float64, acc *[32]float64, c *float64, ldc int)
+// func addTileAVX(alpha float64, acc *[64]float64, c *float64, ldc, rows int)
 //
-// C[r][0:8] += alpha·acc[r][0:8] for the four rows of a register tile, C's
-// rows ldc elements apart: a product, rounded, then a sum — VMULPD and
-// VADDPD, not a fused multiply-add — so the bits are those of the Go loop.
-TEXT ·addTileAVX(SB), NOSPLIT, $0-32
+// The YMM form of addTileZMM: two VMULPD, then two VADDPD per row.
+TEXT ·addTileAVX(SB), NOSPLIT, $0-40
 	VBROADCASTSD alpha+0(FP), Y0
 	MOVQ         acc+8(FP), SI
 	MOVQ         c+16(FP), DI
 	MOVQ         ldc+24(FP), CX
+	MOVQ         rows+32(FP), BX
 	SHLQ         $3, CX
 
+yrow:
 	VMULPD  (SI), Y0, Y1
 	VMULPD  32(SI), Y0, Y2
 	VADDPD  (DI), Y1, Y1
 	VADDPD  32(DI), Y2, Y2
 	VMOVUPD Y1, (DI)
 	VMOVUPD Y2, 32(DI)
+	ADDQ    $64, SI
 	ADDQ    CX, DI
-
-	VMULPD  64(SI), Y0, Y1
-	VMULPD  96(SI), Y0, Y2
-	VADDPD  (DI), Y1, Y1
-	VADDPD  32(DI), Y2, Y2
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	ADDQ    CX, DI
-
-	VMULPD  128(SI), Y0, Y1
-	VMULPD  160(SI), Y0, Y2
-	VADDPD  (DI), Y1, Y1
-	VADDPD  32(DI), Y2, Y2
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	ADDQ    CX, DI
-
-	VMULPD  192(SI), Y0, Y1
-	VMULPD  224(SI), Y0, Y2
-	VADDPD  (DI), Y1, Y1
-	VADDPD  32(DI), Y2, Y2
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
+	DECQ    BX
+	JNZ     yrow
 
 	VZEROUPPER
 	RET

@@ -8,16 +8,26 @@ package la
 const (
 	AVX2FMA      = false
 	useFMAKernel = false
+	useZMMKernel = false
 )
 
-// microKernelFMA is never called when useFMAKernel is false; this stub
-// satisfies the compiler on targets without the assembly implementation.
-func microKernelFMA(kc int, a *float64, ars, aps int, b *float64, ldb int, acc *[gemmMR * gemmNR]float64) {
+// The assembly micro-kernels are never called when useFMAKernel and
+// useZMMKernel are false; these stubs satisfy the compiler on targets
+// without them.
+func microKernelZMM(kc int, a *float64, ars, aps int, b *float64, ldb int, acc *[gemmMR * gemmNR]float64) {
+	panic("la: AVX-512 micro-kernel unavailable on this architecture")
+}
+
+func microKernelFMA(kc int, a *float64, ars, aps int, b *float64, ldb int, acc *[gemmMR / 2 * gemmNR]float64) {
 	panic("la: FMA micro-kernel unavailable on this architecture")
 }
 
 // The tile and vector bodies are unreachable for the same reason.
-func addTileAVX(alpha float64, acc *[gemmMR * gemmNR]float64, c *float64, ldc int) {
+func addTileZMM(alpha float64, acc *[gemmMR * gemmNR]float64, c *float64, ldc, rows int) {
+	panic("la: AVX-512 tile update unavailable on this architecture")
+}
+
+func addTileAVX(alpha float64, acc *[gemmMR * gemmNR]float64, c *float64, ldc, rows int) {
 	panic("la: AVX tile update unavailable on this architecture")
 }
 

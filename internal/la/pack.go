@@ -5,32 +5,38 @@ import "sync"
 // Register-tiled GEMM (the BLIS/GotoBLAS loop nest), one driver over one
 // micro-kernel.
 //
-// The micro-kernel computes a 4×8 tile of C from a kc-deep stretch of op(A)
+// The micro-kernel computes an 8×8 tile of C from a kc-deep stretch of op(A)
 // and op(B) read through strides: element (r, p) of op(A) at a[r·ars+p·aps],
-// row p of op(B) at b[p·ldb]. On amd64 with AVX2+FMA it runs as eight YMM
-// accumulators (microkernel_amd64.s, runtime CPUID-gated); elsewhere a scalar
-// 32-accumulator Go loop with the same signature is used.
+// row p of op(B) at b[p·ldb]. It has three bodies, chosen once by CPUID
+// (microkernel_amd64.go): on AVX-512F, eight ZMM accumulators, one per row,
+// each element of op(A) broadcast by its FMA; on AVX2+FMA, the tile as two
+// 4×8 halves in eight YMM accumulators each, the second skipped when a fringe
+// tile has four rows or fewer; elsewhere a scalar Go loop over the same two
+// halves. Every body gives each element of the tile one chain over p, in p
+// order, from zero — fused on both assembly bodies — so the assembly bodies
+// give the same bits as each other, and the tile's height changes no bit.
 //
 // gemmDirect hands the kernel op(A) and op(B) where they lie and packs only
 // what it cannot read in place (see there), blocked as
 //
 //	KC×NC slab of op(B) — reused by every MC block             (L3-sized)
 //	MC×KC block of op(A) — reused by every 8-column panel      (L2-sized)
-//	  4×8 tile of C      — register accumulators               (registers)
+//	  8×8 tile of C      — register accumulators               (registers)
 //
 // Scratch buffers are recycled through a sync.Pool so steady-state likelihood
 // iterations allocate nothing.
 const (
-	gemmMR = 4   // micro-kernel rows (register tile)
-	gemmNR = 8   // micro-kernel cols (register tile; two YMM vectors)
+	gemmMR = 8   // micro-kernel rows (register tile; one ZMM, or two YMM, per row)
+	gemmNR = 8   // micro-kernel cols (register tile)
 	gemmMC = 128 // A-block rows; gemmMC×gemmKC ≈ 256 KiB, L2-resident
 	gemmKC = 256 // shared panel depth
 	gemmNC = 512 // B-block cols; gemmKC×gemmNC ≈ 1 MiB, L3-resident
 )
 
-// FMAKernelEnabled reports whether the AVX2+FMA assembly micro-kernel is in
-// use on this machine (false on non-amd64 or when the CPU/OS lacks AVX2+FMA
-// support). Benchmark reports record it so numbers are comparable.
+// FMAKernelEnabled reports whether an assembly micro-kernel, AVX-512F or
+// AVX2+FMA, is in use on this machine (false on non-amd64 or when the CPU or
+// OS lacks AVX2+FMA support): whether products are fused, and so whether
+// results have the FMA bits that tests pin.
 func FMAKernelEnabled() bool { return useFMAKernel }
 
 type gemmBufs struct {
@@ -60,14 +66,15 @@ const (
 // cannot read in place:
 //
 //   - op(A) is read where it lies, transposed or not (ars, aps are its row
-//     and column strides); only its last m mod 4 rows are packed, zero-padded
-//     to a panel of four.
+//     and column strides); only its last m mod 8 rows are packed, zero-padded
+//     to a panel of eight.
 //   - op(B) is read where it lies when B is not transposed (a row of eight
 //     contiguous elements per p); only its last n mod 8 columns are packed,
 //     zero-padded to a panel of eight. A transposed B is packed whole.
 //
 // An element of C receives alpha times one fused chain over each KC-deep
-// slab of k in turn, and partial tiles are zero-padded, so what one element
+// slab of k in turn (each chain from zero, in p order, whatever the body),
+// and partial tiles are zero-padded, so what one element
 // gets depends on its row of op(A) and its column of op(B) alone — not on the
 // shape of C or where in it the element sits. Gemm's shape independence and
 // Trsm's slice independence rest on that. Packing op(A) would not pay: a
@@ -119,9 +126,9 @@ func gemmDirect(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, c *Mat, p par
 							continue // the tile lies wholly in the other triangle
 						}
 						if i0 < mFull {
-							microKernel(kc, a.Data[i0*ars+pc*aps:], ars, aps, bp, ldb, &acc)
+							microKernel(kc, a.Data[i0*ars+pc*aps:], ars, aps, bp, ldb, rows, &acc)
 						} else {
-							microKernel(kc, bufs.a, 1, gemmMR, bp, ldb, &acc)
+							microKernel(kc, bufs.a, 1, gemmMR, bp, ldb, rows, &acc)
 						}
 						addTile(alpha, &acc, c, i0, j0, rows, cols, p)
 					}
@@ -198,9 +205,13 @@ func packB(buf []float64, b *Mat, tb Trans, pc, jc, kc, nc int) {
 // each row on p's side of it.
 func addTile(alpha float64, acc *[gemmMR * gemmNR]float64, c *Mat, i0, j0, rows, cols int, p part) {
 	whole := p == wholeC || p == lowerC && j0+cols <= i0+1 || p == upperC && i0+rows <= j0+1
-	if useFMAKernel && whole && rows == gemmMR && cols == gemmNR {
-		_ = c.Row(i0 + gemmMR - 1)[j0+gemmNR-1]
-		addTileAVX(alpha, acc, &c.Data[i0*c.Stride+j0], c.Stride)
+	if useFMAKernel && whole && cols == gemmNR {
+		_ = c.Row(i0 + rows - 1)[j0+gemmNR-1]
+		if useZMMKernel {
+			addTileZMM(alpha, acc, &c.Data[i0*c.Stride+j0], c.Stride, rows)
+		} else {
+			addTileAVX(alpha, acc, &c.Data[i0*c.Stride+j0], c.Stride, rows)
+		}
 		return
 	}
 	for r := 0; r < rows; r++ {
@@ -222,23 +233,38 @@ func addTile(alpha float64, acc *[gemmMR * gemmNR]float64, c *Mat, i0, j0, rows,
 	}
 }
 
-// microKernel computes the 4×8 register tile
+// microKernel computes the 8×8 register tile
 // acc[r][c] = Σ_{p<kc} a[r·ars+p·aps]·b[p·ldb+c] — one chain per element, in
-// p order, fused where the CPU has FMA. a and b must reach the last element
-// the formula names; the slices are checked here, so a fringe bug panics
-// before the assembly reads past them.
-func microKernel(kc int, a []float64, ars, aps int, b []float64, ldb int, acc *[gemmMR * gemmNR]float64) {
-	if useFMAKernel && kc > 0 {
+// p order, fused where the CPU has FMA — of which the caller reads the first
+// rows. a and b must reach the last element the formula names; the slices
+// are checked here, so a fringe bug panics before the assembly reads past
+// them. The AVX-512 body takes the strides gemmDirect passes (ars or aps is
+// 1); any others go to the AVX2 body, which gives the same bits.
+func microKernel(kc int, a []float64, ars, aps int, b []float64, ldb, rows int, acc *[gemmMR * gemmNR]float64) {
+	const half = gemmMR / 2
+	lo, hi := (*[half * gemmNR]float64)(acc[:half*gemmNR]), (*[half * gemmNR]float64)(acc[half*gemmNR:])
+	switch {
+	case useZMMKernel && kc > 0 && (ars == 1 || aps == 1):
 		_, _ = a[(gemmMR-1)*ars+(kc-1)*aps], b[(kc-1)*ldb+gemmNR-1]
-		microKernelFMA(kc, &a[0], ars, aps, &b[0], ldb, acc)
-		return
+		microKernelZMM(kc, &a[0], ars, aps, &b[0], ldb, acc)
+	case useFMAKernel && kc > 0:
+		_, _ = a[(gemmMR-1)*ars+(kc-1)*aps], b[(kc-1)*ldb+gemmNR-1]
+		microKernelFMA(kc, &a[0], ars, aps, &b[0], ldb, lo)
+		if rows > half {
+			microKernelFMA(kc, &a[half*ars], ars, aps, &b[0], ldb, hi)
+		}
+	default:
+		microKernelGeneric(kc, a, ars, aps, b, ldb, lo)
+		if rows > half {
+			microKernelGeneric(kc, a[half*ars:], ars, aps, b, ldb, hi)
+		}
 	}
-	microKernelGeneric(kc, a, ars, aps, b, ldb, acc)
 }
 
-// microKernelGeneric is the portable scalar body of microKernel. The 4×8
-// tile is processed as two 4×4 halves to limit register pressure.
-func microKernelGeneric(kc int, a []float64, ars, aps int, b []float64, ldb int, acc *[gemmMR * gemmNR]float64) {
+// microKernelGeneric is the portable scalar body of one 4×8 half of
+// microKernel's tile, processed as two 4×4 quarters to limit register
+// pressure.
+func microKernelGeneric(kc int, a []float64, ars, aps int, b []float64, ldb int, acc *[gemmMR / 2 * gemmNR]float64) {
 	var (
 		c00, c01, c02, c03 float64
 		c10, c11, c12, c13 float64

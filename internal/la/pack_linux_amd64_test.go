@@ -53,15 +53,17 @@ func guarded(t *testing.T, rng *rand.Rand, r, c, s int, atEnd bool) (m *Mat, fre
 // result, which drops those rows and columns, and invisible to every other
 // test. Here A, B and C (and a Syrk's operand and triangle, a Trsm's triangle
 // and right-hand side) end, or
-// begin, at a PROT_NONE page: such a read faults. The results must also be
-// those of compact copies, bit for bit.
+// begin, at a PROT_NONE page: such a read faults. Every body runs it, since
+// each reads op(A) in its own steps (eight rows per broadcast FMA, or two
+// halves of four), at heights on, below and past one and two whole tiles.
+// The results must also be those of compact copies, bit for bit.
 func TestGemmReadsNothingOutsideItsOperands(t *testing.T) {
 	bothBodies(t, testGemmReadsNothingOutsideItsOperands)
 }
 
 func testGemmReadsNothingOutsideItsOperands(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, m := range []int{1, 3, 4, 5, 9} {
+	for _, m := range []int{1, 3, 4, 5, 8, 9, 17} {
 		for _, n := range []int{2, 7, 8, 9, 17} {
 			for _, k := range []int{1, 6, 257} {
 				for i := 0; i < 4; i++ {

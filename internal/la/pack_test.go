@@ -111,8 +111,9 @@ func chainGemm(alpha float64, a *Mat, ta Trans, b *Mat, tb Trans, c *Mat, p part
 	}
 }
 
-// gemmDirect keeps its contract bit for bit (chainGemm): every shape from one
-// element up to m, n = 140 and k = 560 (two KC slabs and a part), n past NC,
+// gemmDirect keeps its contract bit for bit (chainGemm): every m mod 8 with
+// no, one and two whole register tiles against every n up to 17, shapes up
+// to m, n = 140 and k = 560 (two KC slabs and a part), n past NC,
 // the four transpose combinations, the whole of C or one triangle of it (the
 // other left as it was), operands as strided views (nothing outside C's view
 // written), alpha 0, ±1 and arbitrary.
@@ -121,13 +122,13 @@ func TestGemmDirectMatchesChain(t *testing.T) { bothBodies(t, testGemmDirectMatc
 func testGemmDirectMatchesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var shapes [][3]int
-	for m := 1; m <= 9; m++ {
+	for m := 1; m <= 17; m++ {
 		for n := 1; n <= 17; n++ {
 			shapes = append(shapes, [3]int{m, n, 1 + (m*n)%7})
 		}
 	}
 	for _, k := range []int{0, 1, 255, 256, 257, 511, 512, 513, 560} {
-		shapes = append(shapes, [3]int{5, 11, k}, [3]int{8, 16, k})
+		shapes = append(shapes, [3]int{5, 11, k}, [3]int{8, 16, k}, [3]int{16, 16, k}, [3]int{17, 9, k})
 	}
 	for _, n := range []int{511, 512, 513, 523} {
 		shapes = append(shapes, [3]int{3, n, 9}, [3]int{6, n, 260})

@@ -11,18 +11,71 @@ import (
 // scalarBodies runs f with the Go loops of dot, axpy and rotate (and Gemm's
 // portable micro-kernel) in place of the assembly.
 func scalarBodies(f func()) {
-	defer func(on bool) { useFMAKernel = on }(useFMAKernel)
-	useFMAKernel = false
+	defer func(fma, zmm bool) { useFMAKernel, useZMMKernel = fma, zmm }(useFMAKernel, useZMMKernel)
+	useFMAKernel, useZMMKernel = false, false
 	f()
 }
 
-// bothBodies runs f once on the assembly bodies, where the CPU has them, and
-// once on the Go loops that every other machine runs.
+// avx2Body runs f on the AVX2 bodies with the AVX-512 ones switched off.
+func avx2Body(f func()) {
+	defer func(zmm bool) { useZMMKernel = zmm }(useZMMKernel)
+	useZMMKernel = false
+	f()
+}
+
+// eachBody calls f on every body of the micro-kernel the CPU has, with that
+// body selected and named: "avx512", "avx2", "go".
+func eachBody(f func(name string)) {
+	if useZMMKernel {
+		f("avx512")
+	}
+	if useFMAKernel {
+		avx2Body(func() { f("avx2") })
+	}
+	scalarBodies(func() { f("go") })
+}
+
+// bothBodies runs f on every body of the micro-kernel the CPU has: "asm" on
+// the one CPUID selects, then, where that is the AVX-512 one, "avx2" on the
+// AVX2 body that every AVX2 machine without AVX-512 runs, and "go" on the Go
+// loops that every other machine runs.
 func bothBodies(t *testing.T, f func(t *testing.T)) {
 	if useFMAKernel {
 		t.Run("asm", f)
 	}
+	if useZMMKernel {
+		avx2Body(func() { t.Run("avx2", f) })
+	}
 	scalarBodies(func() { t.Run("go", f) })
+}
+
+// The AVX-512 and AVX2 bodies give the same bits through the whole level-3
+// stack: a 128³ product with B transposed, a Syrk, and a two-worker Cholesky
+// of order 300, whose updates end in fringe tiles of 300 mod 8 = 4 rows.
+func TestZMMAndAVX2BodiesAgree(t *testing.T) {
+	if !useZMMKernel {
+		t.Skip("no AVX-512F on this CPU")
+	}
+	rng := rand.New(rand.NewSource(45))
+	const n = 128
+	a, b, c0 := randMat(rng, n, n), randMat(rng, n, n), randMat(rng, n, n)
+	spd := randSPD(rng, 300)
+	run := func() (gemm, syrk, chol *Mat) {
+		gemm, syrk, chol = c0.Clone(), c0.Clone(), spd.Clone()
+		Gemm(-0.75, a, NoTrans, b, Transpose, 1, gemm)
+		Syrk(Lower, -1, a, NoTrans, 1, syrk)
+		if err := PotrfParallel(chol, 2); err != nil {
+			t.Fatal(err)
+		}
+		return gemm, syrk, chol
+	}
+	gemm, syrk, chol := run()
+	avx2Body(func() {
+		g2, s2, c2 := run()
+		sameBits(t, "gemm NT 128³", g2, gemm)
+		sameBits(t, "syrk 128³", s2, syrk)
+		sameBits(t, "potrf 300 w2", c2, chol)
+	})
 }
 
 // The assembly bodies of dot, axpy and rotate against the Go loops, for every
