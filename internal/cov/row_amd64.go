@@ -13,3 +13,10 @@ import "repro/internal/geom"
 //
 //go:noescape
 func rowAVX(form uint64, variance, rng, px, py float64, tab *corrTable, dst *float64, pts *geom.Point, j, n int) int
+
+// rowZMM is the AVX-512F body: rowAVX on groups of eight, with the same
+// arguments and the same bits, returning the index of the first group of
+// eight it did not write.
+//
+//go:noescape
+func rowZMM(form uint64, variance, rng, px, py float64, tab *corrTable, dst *float64, pts *geom.Point, j, n int) int

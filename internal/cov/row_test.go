@@ -65,18 +65,44 @@ func checkFill(t testing.TB, k *Kernel, dist []float64) {
 	}
 }
 
-// TestKernelRowBitwise: the row kernel is the Go loops bit for bit — every
-// Matérn form, the Euclidean metric (distances computed inside the kernel) and the
-// great-circle one (distances from geom), rows of every length to 9 and
-// around 128, ranges from 2⁻⁸ to 2, and distances at every edge of the
-// straight-line path: zero, subnormal, either side of the table's first cell
-// and of its cut-off, e^{−s} near and past underflow, +Inf and NaN, in
-// every lane of a group.
-func TestKernelRowBitwise(t *testing.T) {
-	if !la.AVX2FMA {
-		t.Log("no AVX2+FMA: the row kernel is the Go loops themselves")
+// eachRowBody calls f on every body of the row kernel the CPU has, with that
+// body selected and named: "avx512" (rowZMM), "avx2" (rowAVX, which every
+// AVX2 CPU without AVX-512F runs) and "go" (the Go loops alone, which every
+// other CPU runs). On a CPU with AVX-512F the first is the one CPUID picks.
+func eachRowBody(f func(name string)) {
+	defer func(zmm, avx bool) { useZMMRow, useAVXRow = zmm, avx }(useZMMRow, useAVXRow)
+	if useZMMRow {
+		f("avx512")
 	}
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129}
+	useZMMRow = false
+	if useAVXRow {
+		f("avx2")
+	}
+	useAVXRow = false
+	f("go")
+}
+
+// TestKernelRowBitwise: every row-kernel body is the Go loops bit for bit —
+// every Matérn form, the Euclidean metric (distances computed inside the
+// kernel) and the great-circle one (distances from geom), rows of every
+// length to 17 and around 128 and 256 (every lane of one and of two groups
+// of eight, and every tail), ranges from 2⁻⁸ to 2, and distances at every
+// edge of the straight-line path: zero, subnormal, either side of the
+// table's first cell and of its cut-off, e^{−s} near and past underflow,
+// +Inf and NaN, and non-finite coordinates, in each of the sixteen lanes of
+// a pair of groups.
+func TestKernelRowBitwise(t *testing.T) {
+	eachRowBody(func(body string) {
+		t.Run(body, testKernelRowBitwise)
+	})
+}
+
+func testKernelRowBitwise(t *testing.T) {
+	var lengths []int
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 127, 128, 129, 255, 256, 257)
 	ranges := []float64{0x1p-8, 0x1p-5, 0.17, 0x1p-1, 1, 2}
 	r := rng.New(34)
 	for _, rg := range ranges {
@@ -102,8 +128,8 @@ func TestKernelRowBitwise(t *testing.T) {
 			}
 			for _, e := range edges {
 				d := e * rg
-				for pos := 0; pos < 9; pos++ {
-					dist := make([]float64, 13)
+				for pos := 0; pos < 16; pos++ {
+					dist := make([]float64, 19)
 					for j := range dist {
 						dist[j] = rg * (0.05 + 0.3*float64(j))
 					}
@@ -121,9 +147,9 @@ func TestKernelRowBitwise(t *testing.T) {
 			}
 			checkFill(t, k, edges)
 			// non-finite coordinates, in any lane
-			for pos := 0; pos < 8; pos++ {
+			for pos := 0; pos < 16; pos++ {
 				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-					pts := testPoints(geom.Euclidean, 8, 3)
+					pts := testPoints(geom.Euclidean, 16, 3)
 					pts[pos].Y = bad
 					checkRow(t, k, geom.Euclidean, geom.Point{X: 0.5, Y: 0.5}, pts)
 				}
@@ -132,9 +158,41 @@ func TestKernelRowBitwise(t *testing.T) {
 	}
 }
 
-// FuzzKernelRowBitwise: for any valid (ν, θ₂, θ₁) and distance scale r, the
-// row kernel agrees with the Go loops bit for bit on a row of nine distances
-// around r, both from distances and from points.
+// TestRowBodiesAgree: rowZMM and rowAVX give the same bits on whole blocks —
+// a 128×1 500 Block per form, the shape of a cached prediction's
+// cross-covariance, and a 300-point SymBlock, whose rows have every length
+// below 300 and so every tail.
+func TestRowBodiesAgree(t *testing.T) {
+	if !useZMMRow {
+		t.Skip("no AVX-512F on this CPU")
+	}
+	pts := geom.GeneratePerturbedGrid(1628, rng.New(47))
+	rows, cols, sym := pts[:128], pts[128:], pts[:300]
+	blocks := func(k *Kernel) (block, symBlock *la.Mat) {
+		block, symBlock = la.NewMat(len(rows), len(cols)), la.NewMat(len(sym), len(sym))
+		k.Block(block, rows, cols, geom.Euclidean)
+		k.SymBlock(symBlock, sym, geom.Euclidean)
+		return block, symBlock
+	}
+	defer func() { useZMMRow = true }()
+	for _, k := range rowKernels(1.3, 0.1) {
+		useZMMRow = true
+		block, symBlock := blocks(k)
+		useZMMRow = false
+		block2, symBlock2 := blocks(k)
+		if i, ok := sameRow(block.Data, block2.Data); !ok {
+			t.Fatalf("ν=%g Block entry %d: avx512 %v, avx2 %v", k.P.Smoothness, i, block.Data[i], block2.Data[i])
+		}
+		if i, ok := sameRow(symBlock.Data, symBlock2.Data); !ok {
+			t.Fatalf("ν=%g SymBlock entry %d: avx512 %v, avx2 %v", k.P.Smoothness, i, symBlock.Data[i], symBlock2.Data[i])
+		}
+	}
+}
+
+// FuzzKernelRowBitwise: for any valid (ν, θ₂, θ₁) and distance scale r, every
+// row-kernel body agrees with the Go loops bit for bit on a row of seventeen
+// distances around r (a pair of groups of eight and one more), both from
+// distances and from points.
 func FuzzKernelRowBitwise(f *testing.F) {
 	for _, nu := range []float64{0.5, 1.5, 2.5, 0.6, 2.2} {
 		for _, r := range []float64{0, 1e-7, 0.03, 0.3, 5, 700, 1e300} {
@@ -148,14 +206,17 @@ func FuzzKernelRowBitwise(f *testing.F) {
 		if p.Validate() != nil || nu > 8 || nu < 1e-3 || math.IsNaN(r) {
 			t.Skip()
 		}
-		dist := []float64{r, r / 2, 2 * r, math.Nextafter(r, math.Inf(1)), 3 * r, 0, r / 7, r * 1.0001, math.Abs(r)}
+		dist := []float64{r, r / 2, 2 * r, math.Nextafter(r, math.Inf(1)), 3 * r, 0, r / 7, r * 1.0001, math.Abs(r),
+			r / 3, r * 1.5, math.Nextafter(r, 0), r / 11, 5 * r, r * 0.9999, r / 64, 4 * r}
 		pts := make([]geom.Point, len(dist))
 		for j, d := range dist {
 			pts[j] = geom.Point{X: 0.5 + d, Y: 0.5 - d/3}
 		}
 		k := NewKernel(p)
-		checkFill(t, k, dist)
-		checkRow(t, k, geom.Euclidean, geom.Point{X: 0.5, Y: 0.5}, pts)
+		eachRowBody(func(string) {
+			checkFill(t, k, dist)
+			checkRow(t, k, geom.Euclidean, geom.Point{X: 0.5, Y: 0.5}, pts)
+		})
 	})
 }
 
@@ -172,11 +233,10 @@ var benchForms = []struct {
 	{"nu2.5", 2.5},
 }
 
-// BenchmarkKernelBlock generates one 128×128 off-diagonal tile per form,
-// through Block (the row kernel: "vector", which is the Go loops on a CPU
-// without AVX2 and FMA) and through the Go loops alone ("scalar"); through
-// the exact Bessel routine entry by entry (the oracle the table replaced);
-// and times the table's build.
+// BenchmarkKernelBlock generates one 128×128 off-diagonal tile per form
+// through Block on every row-kernel body the CPU has (<form>/avx512,
+// <form>/avx2, <form>/go); through the exact Bessel routine entry by entry
+// (the oracle the table replaced); and times the table's build.
 func BenchmarkKernelBlock(b *testing.B) {
 	const nb = 128
 	pts := geom.GeneratePerturbedGrid(2*nb, rng.New(1))
@@ -188,21 +248,13 @@ func BenchmarkKernelBlock(b *testing.B) {
 	}
 	for _, bc := range benchForms {
 		k := NewKernel(Params{Variance: 1, Range: 0.1, Smoothness: bc.nu})
-		b.Run(bc.name+"/vector", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k.Block(dst, rows, cols, geom.Euclidean)
-			}
-			perEntry(b)
-		})
-		b.Run(bc.name+"/scalar", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for r, pr := range rows {
-					row := dst.Row(r)
-					geom.Distances(row, geom.Euclidean, pr, cols)
-					k.apply(row)
+		eachRowBody(func(body string) {
+			b.Run(bc.name+"/"+body, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.Block(dst, rows, cols, geom.Euclidean)
 				}
-			}
-			perEntry(b)
+				perEntry(b)
+			})
 		})
 	}
 	b.Run("exact-nu0.6", func(b *testing.B) {

@@ -98,7 +98,8 @@ func simSweep(o Options, m cluster.Machine, sizes []int, accs []float64,
 //
 // Part A times the real Go implementation at laptop sizes, each cell the
 // median of three evaluations on one session (TLR cells run on the KD-block
-// order a TLR session picks by default); part B prices the same iteration at
+// order a TLR session picks by default, with the randomized compressor the
+// benchmark's TLR workloads use); part B prices the same iteration at
 // the paper's problem sizes on the paper's four Intel testbed profiles with
 // cluster's roofline model (AnalyticCholesky, true tile granularity).
 func Fig3(o Options) error {
@@ -152,7 +153,7 @@ func Fig3(o Options) error {
 		}
 		row = append(row, fmtSecs(tb1, false), fmtSecs(tb2, false))
 		for _, acc := range tlrAccs {
-			tt, err := timeOf(core.Config{Mode: core.TLR, TileSize: 128, Accuracy: acc, Workers: o.Workers})
+			tt, err := timeOf(core.Config{Mode: core.TLR, TileSize: 128, Accuracy: acc, CompressorName: "rsvd", Workers: o.Workers})
 			if err != nil {
 				return err
 			}

@@ -77,10 +77,11 @@ var AVX2FMA = func() bool {
 	return b&avx2Bit != 0
 }()
 
-// avx512F reports whether the CPU has AVX-512F (CPUID leaf 7, EBX bit 16) and
+// AVX512F reports whether the CPU has AVX-512F (CPUID leaf 7, EBX bit 16) and
 // the OS saves the opmask and the full ZMM registers as well as XMM and YMM
-// state (XCR0 bits 1, 2, 5, 6 and 7).
-var avx512F = func() bool {
+// state (XCR0 bits 1, 2, 5, 6 and 7): the gate of la's ZMM bodies and of
+// cov's eight-lane row kernel. It implies AVX2FMA.
+var AVX512F = func() bool {
 	if !AVX2FMA {
 		return false
 	}
@@ -98,5 +99,5 @@ var avx512F = func() bool {
 // both to run the Go loops.
 var (
 	useFMAKernel = AVX2FMA
-	useZMMKernel = avx512F
+	useZMMKernel = AVX512F
 )

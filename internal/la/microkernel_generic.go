@@ -2,11 +2,12 @@
 
 package la
 
-// Non-amd64 targets have no assembly bodies (AVX2FMA, the gate other
-// packages read, is false) and always use the portable scalar micro-kernel
-// and vector loops.
+// Non-amd64 targets have no assembly bodies (AVX2FMA and AVX512F, the gates
+// other packages read, are false) and always use the portable scalar
+// micro-kernel and vector loops.
 const (
 	AVX2FMA      = false
+	AVX512F      = false
 	useFMAKernel = false
 	useZMMKernel = false
 )
