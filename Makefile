@@ -20,10 +20,10 @@ test:
 # goroutines and mailboxes, the session lock, lock-free instruments, the task
 # graphs, the pooled recompression workspaces, the equivalence and recovery
 # oracles, the out-of-core and serving suites and the fuzz targets' seed
-# corpora are all in that one pass; internal/la is the long pole, about 270 s
+# corpora are all in that one pass; internal/la is the long pole, about 265 s
 # inside this pass on two cores (its kernel tests run once per micro-kernel
-# body the CPU has), with internal/core about 90 s beside it — the whole
-# target takes about 7 minutes; the
+# body the CPU has), with internal/core about 105 s beside it — the whole
+# target took 6 min 54 s on a 2-vCPU AVX-512 host; the
 # process-wide instrument registry is the state a shuffled order could leak,
 # and every test reads it as a difference of snapshots), then the tile spill
 # cache's and out-of-core suites three more times under the race detector

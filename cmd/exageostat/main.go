@@ -27,7 +27,6 @@ func main() {
 		modeStr = flag.String("mode", "tlr", "computation mode: full-block | full-tile | tlr | hodlr")
 		acc     = flag.Float64("acc", 1e-7, "TLR accuracy threshold")
 		nb      = flag.Int("nb", 0, "tile size (0 = default)")
-		comp    = flag.String("compressor", "svd", "TLR compression backend: svd | rsvd")
 		workers = flag.Int("workers", runtime.NumCPU(), "runtime workers")
 		thetaS  = flag.String("theta", "1,0.1,0.5", "generating θ as variance,range,smoothness")
 		seed    = flag.Uint64("seed", 42, "random seed")
@@ -43,7 +42,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg, err := parseMode(*modeStr, *acc, *nb, *comp, *workers)
+	cfg, err := parseMode(*modeStr, *acc, *nb, *workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -80,8 +79,8 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func parseMode(mode string, acc float64, nb int, comp string, workers int) (exago.Config, error) {
-	cfg := exago.Config{TileSize: nb, Accuracy: acc, CompressorName: comp, Workers: workers}
+func parseMode(mode string, acc float64, nb int, workers int) (exago.Config, error) {
+	cfg := exago.Config{TileSize: nb, Accuracy: acc, Workers: workers}
 	m, err := exago.ModeByName(mode)
 	if err != nil {
 		return cfg, err

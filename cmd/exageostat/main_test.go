@@ -33,18 +33,18 @@ func TestParseMode(t *testing.T) {
 		"full-tile":  exago.FullTile,
 		"tlr":        exago.TLR,
 	} {
-		cfg, err := parseMode(name, 1e-7, 64, "svd", 2)
+		cfg, err := parseMode(name, 1e-7, 64, 2)
 		if err != nil || cfg.Mode != mode {
 			t.Fatalf("parseMode(%q) = %+v, %v", name, cfg, err)
 		}
 	}
-	if _, err := parseMode("hierarchical", 1e-7, 64, "svd", 2); err == nil {
+	if _, err := parseMode("hierarchical", 1e-7, 64, 2); err == nil {
 		t.Fatal("unknown mode should fail")
 	}
 }
 
 func TestRunSyntheticSmoke(t *testing.T) {
-	cfg, err := parseMode("full-block", 0, 0, "svd", 1)
+	cfg, err := parseMode("full-block", 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCSVAndModelPipeline(t *testing.T) {
 	csvPath := filepath.Join(dir, "d.csv")
 	modelPath := filepath.Join(dir, "m.json")
 
-	cfg, err := parseMode("full-block", 0, 0, "svd", 1)
+	cfg, err := parseMode("full-block", 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,8 @@ const (
 	// FullTile uses tile algorithms over the task runtime (the Chameleon
 	// path) at machine precision.
 	FullTile = core.FullTile
-	// TLR compresses off-diagonal tiles to Config.Accuracy (the HiCMA path).
+	// TLR compresses off-diagonal tiles to Config.Accuracy with the
+	// randomized SVD, the one compressor (the HiCMA path).
 	TLR = core.TLR
 	// HODLR factors a hierarchically off-diagonal low-rank matrix with a
 	// recursive Cholesky — the tree-structured alternative to TLR's flat
@@ -78,6 +79,8 @@ func ModeByName(name string) (Mode, error) { return core.ModeByName(name) }
 func ModeNames() []string                  { return core.ModeNames() }
 
 // Config tunes a computation mode; see core.Config for field semantics.
+// The accuracy is the one knob of compression: there is no compressor to
+// choose, and Validate refuses a CompressorName other than "" or "rsvd".
 // Setting Config.Ranks > 1 (Mode must be TLR) selects distributed-memory
 // execution: the covariance matrix is sharded 2D block-cyclically over the
 // most square process grid and factored with the distributed TLR Cholesky. All entry

@@ -2,6 +2,7 @@ package exago_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	exago "repro"
@@ -59,8 +60,10 @@ func TestPublicAPISession(t *testing.T) {
 	}
 	th := exago.Theta{Variance: 1, Range: 0.1, Smoothness: 0.5}
 
-	if _, err := exago.LogLikelihood(syn.Train, th, exago.Config{CompressorName: "bogus"}); err == nil {
-		t.Fatal("unknown compressor must be rejected, not coerced")
+	for _, name := range []string{"bogus", "svd"} {
+		if _, err := exago.LogLikelihood(syn.Train, th, exago.Config{CompressorName: name}); err == nil || !strings.Contains(err.Error(), "rsvd is the one compressor") {
+			t.Fatalf("compressor %q: error %v, want it refused as rsvd is the one compressor", name, err)
+		}
 	}
 	if _, err := exago.NewSession(syn.Train, exago.Config{Mode: exago.FullBlock, Ranks: 4}); err == nil {
 		t.Fatal("distributed ranks require TLR mode")

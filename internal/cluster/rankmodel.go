@@ -17,9 +17,10 @@ import (
 // roughly d tile-diameters apart) and the tile size.
 //
 // The model is calibrated empirically: real Matérn tiles are generated at a
-// calibration tile size and compressed with the SVD backend, the measured
-// mean rank is tabulated per index distance, and other tile sizes scale the
-// table logarithmically — the growth H-matrix theory predicts for 2D kernel
+// calibration tile size and compressed with tlr.CompressSVD, the accuracy
+// reference (sessions run tlr.CompressRSVD), the measured mean rank is
+// tabulated per index distance, and other tile sizes scale the table
+// logarithmically — the growth H-matrix theory predicts for 2D kernel
 // interactions.
 type RankModel struct {
 	Accuracy float64

@@ -76,7 +76,7 @@ func TestChaosRankKillSurfacesAndHeals(t *testing.T) {
 // unfaulted value.
 func TestChaosCompressMissDegradesGracefully(t *testing.T) {
 	p := smallProblem(t, 96, 11)
-	base := Config{Mode: TLR, TileSize: 16, Accuracy: 1e-7, CompressorName: "svd"}
+	base := Config{Mode: TLR, TileSize: 16, Accuracy: 1e-7}
 	ws, err := NewSession(p, base)
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,10 @@ func (s *Session) fitDigest(o FitOptions) uint64 {
 	w(uint64(c.Mode))
 	w(uint64(c.TileSize))
 	wf(c.Accuracy)
-	ws(c.CompressorName)
+	// Was Config.CompressorName: every session compresses with rsvd, so
+	// hashing that name in its slot keeps checkpoints of rsvd fits
+	// resumable and refuses those of svd fits, whose bits differ.
+	ws("rsvd")
 	wf(c.Nugget)
 	// Was Config.NuggetEscalation: hashing the constant in its slot keeps
 	// checkpoints written before the field was removed resumable.

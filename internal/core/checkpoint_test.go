@@ -143,7 +143,9 @@ func goldenProblem(t *testing.T) *Problem {
 // re-recorded (from 0xf200d7fc577f053c) when a TLR session with an empty
 // Config.Ordering began to evaluate on KD-block cells at its TileSize: the
 // digest hashes the session's points, and a log of a Morton-ordered TLR fit
-// holds likelihoods of different bits, which must not be replayed.
+// holds likelihoods of different bits, which must not be replayed. The
+// fit below names the rsvd compressor, whose name the digest now hashes as a
+// constant, so the value held when the compressor choice was deleted.
 func TestFitDigestGolden(t *testing.T) {
 	s, err := NewSession(goldenProblem(t), Config{Mode: TLR, TileSize: 16, Accuracy: 1e-8, CompressorName: "rsvd", Nugget: 1e-6})
 	if err != nil {
@@ -160,6 +162,29 @@ func TestFitDigestGolden(t *testing.T) {
 		o.Profiled = profiled
 		if got := s.fitDigest(o); got != want {
 			t.Errorf("Profiled=%v: fitDigest = %016x, want %016x: checkpoints written before this change no longer resume", profiled, got, want)
+		}
+	}
+}
+
+// Every session compresses with rsvd, so naming it changes nothing the fit
+// computes and must not change the digest either: a checkpoint written with
+// CompressorName "rsvd" resumes with the field empty, and the other way
+// round.
+func TestFitDigestIgnoresCompressorName(t *testing.T) {
+	o := FitOptions{Start: cov.Params{Variance: 1, Range: 0.1, Smoothness: 0.5}}
+	for _, cfg := range []Config{{}, {Mode: TLR, TileSize: 16, Accuracy: 1e-8}} {
+		named := cfg
+		named.CompressorName = "rsvd"
+		digest := func(c Config) uint64 {
+			s, err := NewSession(goldenProblem(t), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			return s.fitDigest(o)
+		}
+		if a, b := digest(cfg), digest(named); a != b {
+			t.Errorf("mode %v: fitDigest %016x with CompressorName empty, %016x with \"rsvd\"", cfg.Mode, a, b)
 		}
 	}
 }

@@ -45,9 +45,9 @@ const (
 
 // Config selects and tunes a computation mode. The zero value is valid and
 // means "dense full-block, library defaults"; DefaultConfig documents every
-// default in one place. Invalid settings (negative sizes, unknown
-// compressor, Ranks > 1 outside TLR) are rejected by Validate, which every
-// public entry point calls — they are never silently coerced.
+// default in one place. Invalid settings (negative sizes, a compressor
+// other than rsvd, Ranks > 1 outside TLR) are rejected by Validate, which
+// every public entry point calls — they are never silently coerced.
 type Config struct {
 	Mode Mode
 	// TileSize is the tile edge nb for FullTile and TLR, and the dense leaf
@@ -56,8 +56,12 @@ type Config struct {
 	// Accuracy is the low-rank compression threshold for TLR and HODLR
 	// (0 = default 1e-9); ignored by the dense modes.
 	Accuracy float64
-	// CompressorName selects the low-rank compression backend ("svd"
-	// default, or "rsvd") for TLR and HODLR.
+	// CompressorName selects nothing: TLR and HODLR always compress with
+	// the randomized SVD (tlr.CompressRSVD). Validate accepts "" and
+	// "rsvd" and refuses anything else, "svd" included. The field stays
+	// only because the benchmark module still sets it; the change that
+	// next edits that module (ROADMAP item 1) deletes it, along with
+	// tlr.CompressorByName.
 	CompressorName string
 	// Workers is the shared-memory runtime worker count (0 = default 1).
 	Workers int
@@ -125,23 +129,23 @@ type Config struct {
 }
 
 // DefaultConfig returns the library defaults spelled out: dense full-block
-// mode, 128-point tiles, 1e-9 TLR accuracy with the deterministic SVD
-// compressor, one worker, data-scaled nugget (1e-9·θ₁, encoded as Nugget=0),
-// the ordering picked by mode (Ordering "": KD blocks at TileSize for TLR,
-// the Problem's own order otherwise), shared-memory execution. A zero Config
-// behaves identically; this function exists so the defaults are documented
-// and greppable in one place.
+// mode, 128-point tiles, 1e-9 TLR accuracy (every compressed tile goes
+// through the randomized SVD, the one compressor), one worker, data-scaled
+// nugget (1e-9·θ₁, encoded as Nugget=0), the ordering picked by mode
+// (Ordering "": KD blocks at TileSize for TLR, the Problem's own order
+// otherwise), shared-memory execution. A zero Config behaves identically;
+// this function exists so the defaults are documented and greppable in one
+// place.
 func DefaultConfig() Config {
 	return Config{
-		Mode:           FullBlock,
-		TileSize:       128,
-		Accuracy:       1e-9,
-		CompressorName: "svd",
-		Workers:        1,
-		Nugget:         0,
-		Ranks:          1,
-		Ordering:       "", // by mode: see Config.Ordering
-		MaxRetries:     0,
+		Mode:       FullBlock,
+		TileSize:   128,
+		Accuracy:   1e-9,
+		Workers:    1,
+		Nugget:     0,
+		Ranks:      1,
+		Ordering:   "", // by mode: see Config.Ordering
+		MaxRetries: 0,
 	}
 }
 
@@ -164,8 +168,8 @@ func (c Config) Validate() error {
 	if !(c.Nugget >= 0 && c.Nugget <= math.MaxFloat64) {
 		return fmt.Errorf("core: Nugget %g is not a finite non-negative number", c.Nugget)
 	}
-	if _, err := tlr.CompressorByName(c.CompressorName); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if c.CompressorName != "" && c.CompressorName != "rsvd" {
+		return fmt.Errorf("core: CompressorName %q: rsvd is the one compressor (leave the field empty)", c.CompressorName)
 	}
 	if c.Ordering != "" {
 		if _, err := geom.NewOrdering(c.Ordering, c.TileSize); err != nil {
@@ -230,9 +234,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Workers == 0 {
 		c.Workers = d.Workers
-	}
-	if c.CompressorName == "" {
-		c.CompressorName = d.CompressorName
 	}
 	if c.Ranks == 0 {
 		c.Ranks = d.Ranks
@@ -428,7 +429,7 @@ type FitOptions struct {
 	FixSmoothness bool
 	// Profiled has no effect: every Fit concentrates θ₁ out. The field
 	// stays only because the benchmark module still sets it; the change
-	// that next edits that module (ROADMAP item 2) deletes it, along with
+	// that next edits that module (ROADMAP item 1) deletes it, along with
 	// tlr.Matrix.MaxRank, tlr.GemmLL and optimize.Options.Restarts.
 	Profiled bool
 	// Checkpoint, when non-empty, makes the fit restartable: the bit-exact

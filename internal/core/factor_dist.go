@@ -76,14 +76,10 @@ func (d *distState) replayable(err error) bool {
 // rank that died; either way the World's poison fails every rank still
 // waiting on it, so the run fails.
 func (d *distState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (Factor, error) {
-	comp, err := tlr.CompressorByName(e.cfg.CompressorName)
-	if err != nil {
-		return nil, err
-	}
-	err = d.run(func(c *mpi.Comm) error {
+	err := d.run(func(c *mpi.Comm) error {
 		sh := d.shards[c.Rank()]
 		if sh == nil {
-			sh = mpi.NewDistTLR(mpi.SquarestGrid(c.Size()), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, comp)
+			sh = mpi.NewDistTLR(mpi.SquarestGrid(c.Size()), e.p.Points, e.p.Metric, e.cfg.TileSize, e.cfg.Accuracy, tlr.CompressRSVD)
 			if d.inj != nil {
 				sh.ForceMiss = d.inj.CompressMiss
 				sh.Inject = d.inj.ForRank(c.Rank())

@@ -30,12 +30,8 @@ type hodlrState struct {
 
 func (st *hodlrState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (Factor, error) {
 	if st.hg == nil {
-		comp, err := tlr.CompressorByName(e.cfg.CompressorName)
-		if err != nil {
-			return nil, err
-		}
 		st.hm = hodlr.NewTree(e.p.N(), e.cfg.TileSize, e.cfg.Accuracy)
-		st.hspec = &tlr.GenSpec{Pts: e.p.Points, Metric: e.p.Metric, Comp: comp}
+		st.hspec = &tlr.GenSpec{Pts: e.p.Points, Metric: e.p.Metric, Comp: tlr.CompressRSVD}
 		st.hg = hodlr.BuildGenCholeskyGraph(st.hm, st.hspec)
 		cntCacheHODLRMiss.Inc()
 	} else {

@@ -46,12 +46,8 @@ func newTLRState(e *evaluator) (factorizer, error) {
 
 func (st *tlrState) factorizeOnce(e *evaluator, k *cov.Kernel, nugget float64) (Factor, error) {
 	if st.tg == nil {
-		comp, err := tlr.CompressorByName(e.cfg.CompressorName)
-		if err != nil {
-			return nil, err
-		}
 		st.tm = tlr.NewMatrix(e.p.N(), e.cfg.TileSize, e.cfg.Accuracy)
-		st.tspec = &tlr.GenSpec{Pts: e.p.Points, Metric: e.p.Metric, Comp: comp}
+		st.tspec = &tlr.GenSpec{Pts: e.p.Points, Metric: e.p.Metric, Comp: tlr.CompressRSVD}
 		if e.inj != nil {
 			st.tspec.ForceMiss = e.inj.CompressMiss
 		}

@@ -70,13 +70,15 @@ func (r oracleRand) queries(m int) []geom.Point { return geom.GeneratePerturbedG
 
 // oracleRow is one input of the oracle: a seed and one value of each axis.
 type oracleRow struct {
-	seed                               uint64
-	geometry, nu, ordering, compressor string
-	nb                                 int
+	seed                   uint64
+	geometry, nu, ordering string
+	nb                     int
 }
 
+// String names the row, seed first. The name ends in rsvd, the compressor
+// every compressed way to factor runs.
 func (r oracleRow) String() string {
-	return fmt.Sprintf("seed%d-%s-nu_%s-nb%d-%s-%s", r.seed, r.geometry, r.nu, r.nb, r.ordering, r.compressor)
+	return fmt.Sprintf("seed%d-%s-nu_%s-nb%d-%s-rsvd", r.seed, r.geometry, r.nu, r.nb, r.ordering)
 }
 
 // oracleRows draws the rows from oracleSeed. Every axis is dealt out in a
@@ -88,18 +90,18 @@ func oracleRows() []oracleRow {
 	nus := []string{"half", "general"}
 	nbs := []int{48, 40} // 48 divides oracleN, 40 leaves a ragged last tile
 	orderings := geom.OrderingNames()
-	// svd, the reference, is dealt twice in three rows.
-	compressors := []string{"svd", "rsvd", "svd"}
-	g, nu, nb, ord, comp := src.Perm(len(geometries)), src.Perm(len(nus)), src.Perm(len(nbs)), src.Perm(len(orderings)), src.Perm(len(compressors))
+	g, nu, nb, ord := src.Perm(len(geometries)), src.Perm(len(nus)), src.Perm(len(nbs)), src.Perm(len(orderings))
+	// The rows also dealt out a compressor (svd or rsvd) until rsvd became
+	// the one a Config reaches; its draw stays so every row keeps its seed.
+	src.Perm(3)
 	rows := make([]oracleRow, len(orderings))
 	for i := range rows {
 		rows[i] = oracleRow{
-			seed:       uint64(src.Intn(1 << 20)),
-			geometry:   geometries[g[i%len(g)]],
-			nu:         nus[nu[(i/len(g))%len(nu)]],
-			nb:         nbs[nb[(i+i/len(g))%len(nb)]],
-			ordering:   orderings[ord[i]],
-			compressor: compressors[comp[i%len(comp)]],
+			seed:     uint64(src.Intn(1 << 20)),
+			geometry: geometries[g[i%len(g)]],
+			nu:       nus[nu[(i/len(g))%len(nu)]],
+			nb:       nbs[nb[(i+i/len(g))%len(nb)]],
+			ordering: orderings[ord[i]],
 		}
 	}
 	return rows
@@ -111,17 +113,16 @@ type deployment struct {
 	cfg  Config
 }
 
-// oracleDeployments are the seven ways to factor, for one compressor and
-// memory budget.
-func oracleDeployments(comp string, budget int64) []deployment {
+// oracleDeployments are the seven ways to factor, for one memory budget.
+func oracleDeployments(budget int64) []deployment {
 	return []deployment{
 		{"full-block", Config{Mode: FullBlock}},
 		{"full-tile", Config{Mode: FullTile}},
-		{"tlr", Config{Mode: TLR, CompressorName: comp}},
-		{"tlr+membudget", Config{Mode: TLR, CompressorName: comp, MemBudget: budget}},
-		{"hodlr", Config{Mode: HODLR, CompressorName: comp}},
-		{"ranks4", Config{Mode: TLR, CompressorName: comp, Ranks: 4}},
-		{"ranks6", Config{Mode: TLR, CompressorName: comp, Ranks: 6}},
+		{"tlr", Config{Mode: TLR}},
+		{"tlr+membudget", Config{Mode: TLR, MemBudget: budget}},
+		{"hodlr", Config{Mode: HODLR}},
+		{"ranks4", Config{Mode: TLR, Ranks: 4}},
+		{"ranks6", Config{Mode: TLR, Ranks: 6}},
 	}
 }
 
@@ -401,7 +402,7 @@ func unchunked(t *testing.T, s *Session, q []geom.Point, th cov.Params) Predicti
 
 // TestEquivalenceOracle holds every way to factor to one another and to the
 // exact answer, on rows drawn from one seeded source (oracleRows): geometry ×
-// ν × nb × ordering × compressor, each row run on full-block, full-tile, TLR,
+// ν × nb × ordering, each row run on full-block, full-tile, TLR,
 // TLR under a memory budget, HODLR, and TLR on 4 and 6 ranks, for ℓ with its
 // terms, storage and ranks, the profiled ℓ, Predict, and PredictWithVariance
 // on a batch wider than nb.
@@ -444,7 +445,7 @@ func (o *oracle) row(t *testing.T, row oracleRow) {
 
 	budget := tlr.MinMemBudget(row.nb, oracleWorkers)
 	results := map[string]oracleResult{}
-	for _, d := range oracleDeployments(row.compressor, budget) {
+	for _, d := range oracleDeployments(budget) {
 		t.Run(d.name, func(t *testing.T) {
 			cfg := d.cfg
 			cfg.TileSize, cfg.Ordering, cfg.Workers = row.nb, row.ordering, oracleWorkers
@@ -518,7 +519,7 @@ func (o *oracle) fit(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := r.queries(5)
-	base := Config{Mode: TLR, TileSize: 24, Accuracy: 1e-7, CompressorName: "rsvd", Workers: oracleWorkers}
+	base := Config{Mode: TLR, TileSize: 24, Accuracy: 1e-7, Workers: oracleWorkers}
 	opts := FitOptions{FixSmoothness: true, Start: th, MaxEvals: 10}
 	// bits renders a fit and the prediction at its θ̂ exactly: %x of a float
 	// is its bits
@@ -585,7 +586,7 @@ func (o *oracle) nonSPD(t *testing.T) {
 	p := singularProblem(t)
 	bad, good := theta(), theta()
 	bad.Variance = 1e4
-	for _, d := range oracleDeployments("svd", tlr.MinMemBudget(16, 1)) {
+	for _, d := range oracleDeployments(tlr.MinMemBudget(16, 1)) {
 		t.Run(d.name, func(t *testing.T) {
 			cfg := d.cfg
 			cfg.TileSize, cfg.Nugget, cfg.Accuracy = 16, 1e-17, 1e-12

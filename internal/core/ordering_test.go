@@ -243,7 +243,7 @@ func TestTLRDefaultOrderingIsKDBlock(t *testing.T) {
 	}
 	eval := func(ordering string) LikResult {
 		lik, err := LogLikelihood(grid.Train, theta(), Config{Mode: TLR, TileSize: 128, Accuracy: 1e-7,
-			CompressorName: "rsvd", Workers: 2, Ordering: ordering})
+			Workers: 2, Ordering: ordering})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,8 +327,7 @@ func TestOrderingLowersClusteredRanks(t *testing.T) {
 func TestOrderingComposesWithChaos(t *testing.T) {
 	p := smallProblem(t, 120, 26)
 	newPts := []geom.Point{{X: 0.41, Y: 0.43}, {X: 0.13, Y: 0.77}}
-	base := Config{Mode: TLR, TileSize: 24, Accuracy: 1e-7, CompressorName: "rsvd",
-		Workers: 4, Ordering: geom.OrderHilbert}
+	base := Config{Mode: TLR, TileSize: 24, Accuracy: 1e-7, Workers: 4, Ordering: geom.OrderHilbert}
 
 	_, wantFit, wantPred := fitAndPredict(t, p, base, newPts)
 

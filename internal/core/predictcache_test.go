@@ -202,7 +202,7 @@ func TestSessionConcurrentPredicts(t *testing.T) {
 	}
 	th := theta()
 	other := cov.Params{Variance: 2, Range: 0.05, Smoothness: 0.5}
-	tlrCfg := Config{Mode: TLR, TileSize: 64, Accuracy: 1e-6, CompressorName: "rsvd"}
+	tlrCfg := Config{Mode: TLR, TileSize: 64, Accuracy: 1e-6}
 	ooc, dist := tlrCfg, tlrCfg
 	ooc.MemBudget, ooc.SpillDir = tlr.MinMemBudget(64, 1), t.TempDir()
 	dist.Ranks = 4
@@ -215,7 +215,7 @@ func TestSessionConcurrentPredicts(t *testing.T) {
 		{"full-tile", Config{Mode: FullTile, TileSize: 64, Workers: 2}, true},
 		{"tlr", tlrCfg, true},
 		{"tlr-membudget", ooc, true},
-		{"hodlr", Config{Mode: HODLR, TileSize: 64, Accuracy: 1e-6, CompressorName: "rsvd"}, true},
+		{"hodlr", Config{Mode: HODLR, TileSize: 64, Accuracy: 1e-6}, true},
 		{"tlr-ranks4", dist, false},
 	}
 	const goroutines, rounds = 16, 2

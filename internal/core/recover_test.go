@@ -114,13 +114,12 @@ func TestRecoveryOracle(t *testing.T) {
 		name string
 		cfg  Config
 	}
-	rows := []row{{"full-tile", Config{Mode: FullTile}}}
-	for _, comp := range []string{"svd", "rsvd"} {
-		rows = append(rows,
-			row{"hodlr/" + comp, Config{Mode: HODLR, CompressorName: comp}},
-			row{"tlr/" + comp, Config{Mode: TLR, CompressorName: comp}},
-			row{"tlr+membudget/" + comp, Config{Mode: TLR, CompressorName: comp, MemBudget: tlr.MinMemBudget(nb, 2)}},
-		)
+	// The compressed rows are named after rsvd, the compressor they run.
+	rows := []row{
+		{"full-tile", Config{Mode: FullTile}},
+		{"hodlr/rsvd", Config{Mode: HODLR}},
+		{"tlr/rsvd", Config{Mode: TLR}},
+		{"tlr+membudget/rsvd", Config{Mode: TLR, MemBudget: tlr.MinMemBudget(nb, 2)}},
 	}
 	plan := chaos.FaultPlan{Seed: 77, TaskPanics: 3, TaskDelays: 2, TaskDelay: 50 * time.Microsecond}
 
@@ -204,10 +203,10 @@ func TestRecoveryOracle(t *testing.T) {
 		}
 	}
 
-	// Ranks: one death per kill site, on a geometry and compressor the elastic
-	// tests do not use.
+	// Ranks: one death per kill site, on a geometry the elastic tests do not
+	// use.
 	p := oracleProblem(t, "clustered", n, 37)
-	clean := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7, CompressorName: "rsvd", Ranks: 6}
+	clean := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-7, Ranks: 6}
 	newPts := []geom.Point{{X: 0.41, Y: 0.43}, {X: 0.13, Y: 0.77}}
 	cs, err := NewSession(p, clean)
 	if err != nil {

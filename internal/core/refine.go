@@ -40,12 +40,8 @@ func SolveRefined(p *Problem, theta cov.Params, cfg Config, b []float64, opts Re
 	k := cov.NewKernel(theta)
 	nug := cfg.nugget(theta.Variance)
 
-	comp, err := tlr.CompressorByName(cfg.CompressorName)
-	if err != nil {
-		return nil, tlr.RefineResult{}, err
-	}
 	pre := tlr.NewMatrix(p.N(), cfg.TileSize, cfg.Accuracy)
-	spec := &tlr.GenSpec{K: k, Pts: p.Points, Metric: p.Metric, Nugget: nug, Comp: comp}
+	spec := &tlr.GenSpec{K: k, Pts: p.Points, Metric: p.Metric, Nugget: nug, Comp: tlr.CompressRSVD}
 	if err := tlr.GenCholesky(pre, spec, cfg.Workers); err != nil {
 		return nil, tlr.RefineResult{}, fmt.Errorf("core: preconditioner factorization: %w", err)
 	}

@@ -54,7 +54,11 @@ func TestConfigValidate(t *testing.T) {
 		{"NaN nugget", Config{Nugget: math.NaN()}, "Nugget"},
 		{"+Inf nugget", Config{Nugget: math.Inf(1)}, "Nugget"},
 		{"-Inf nugget", Config{Nugget: math.Inf(-1)}, "Nugget"},
-		{"bad compressor", Config{CompressorName: "zstd"}, "unknown compressor"},
+		{"bad compressor", Config{CompressorName: "zstd"}, "rsvd is the one compressor"},
+		// the exact SVD is refused, not coerced: no session runs it
+		{"svd compressor", Config{Mode: TLR, CompressorName: "svd"}, "rsvd is the one compressor"},
+		{"svd on hodlr", Config{Mode: HODLR, CompressorName: "svd"}, "rsvd is the one compressor"},
+		{"rsvd on hodlr", Config{Mode: HODLR, CompressorName: "rsvd"}, ""},
 		{"negative ranks", Config{Ranks: -4}, "Ranks"},
 		{"dist dense", Config{Mode: FullBlock, Ranks: 4}, "requires Mode=TLR"},
 		{"dist full tile", Config{Mode: FullTile, Ranks: 4}, "requires Mode=TLR"},
@@ -128,7 +132,7 @@ func TestConfigNormalized(t *testing.T) {
 		t.Fatalf("zero Config normalizes to %+v, DefaultConfig to %+v", got, want)
 	}
 	if got.TileSize != 128 || got.Accuracy != 1e-9 || got.Workers != 1 ||
-		got.CompressorName != "svd" || got.Ranks != 1 {
+		got.CompressorName != "" || got.Ranks != 1 {
 		t.Fatalf("unexpected defaults: %+v", got)
 	}
 	// Ranks are laid out on the most square grid, P ≤ Q.
@@ -140,7 +144,8 @@ func TestConfigNormalized(t *testing.T) {
 }
 
 // TestDefaultConfigMatchesZero: the zero Config normalizes to DefaultConfig
-// field by field — the defaults are written once, there.
+// field by field — the defaults are written once, there. No default names a
+// compressor: there is one, and CompressorName stays empty.
 func TestDefaultConfigMatchesZero(t *testing.T) {
 	want := DefaultConfig()
 	if got := (Config{}).normalized(); got != want {

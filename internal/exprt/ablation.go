@@ -23,7 +23,8 @@ import (
 //
 //  1. location ordering (none / Morton / Hilbert / KD-block) on uniform and
 //     clustered points: ranks, storage, factor time, messages;
-//  2. compression backend (SVD / RSVD);
+//  2. compression backend (the SVD reference against RSVD, the one sessions
+//     run);
 //  3. tile size on the distributed machine (the paper's nb=560 vs nb=1900
 //     discussion, §VIII-C);
 //  4. out-of-order task flow vs bulk-synchronous scheduling;
@@ -83,7 +84,7 @@ func ablationOrdering(o Options) error {
 			if err != nil {
 				return err
 			}
-			m := tlr.FromKernel(k, geom.Sorted(ord, g.pts), geom.Euclidean, n, nb, 1e-7, tlr.CompressSVD, 1e-9, o.Workers)
+			m := tlr.FromKernel(k, geom.Sorted(ord, g.pts), geom.Euclidean, n, nb, 1e-7, tlr.CompressRSVD, 1e-9, o.Workers)
 			maxK, meanK := m.RankStats()
 			t0 := time.Now()
 			if err := tlr.Cholesky(m, o.Workers); err != nil {
@@ -92,7 +93,7 @@ func ablationOrdering(o Options) error {
 			chol := time.Since(t0).Seconds()
 
 			s, err := core.NewSession(p, core.Config{Mode: core.TLR, TileSize: nb, Accuracy: 1e-7,
-				CompressorName: "svd", Workers: o.Workers, Ordering: name, Ranks: 4})
+				Workers: o.Workers, Ordering: name, Ranks: 4})
 			if err != nil {
 				return err
 			}
@@ -125,19 +126,18 @@ func ablationCompressor(o Options) error {
 	pts := geom.GeneratePerturbedGrid(nb*nb, r)
 	pts = geom.Sorted(geom.Morton, pts)
 
-	fmt.Fprintf(o.Out, "\n[2] compression backend (tile %dx%d pairs, acc=1e-7)\n", nb, nb)
+	fmt.Fprintf(o.Out, "\n[2] compression backend (tile %dx%d pairs, acc=1e-7): tlr.CompressSVD is the accuracy reference, tlr.CompressRSVD what every session runs\n", nb, nb)
 	tb := stats.NewTable("backend", "mean rank", "total time", "max rel err")
-	for _, name := range []string{"svd", "rsvd"} {
-		comp, err := tlr.CompressorByName(name)
-		if err != nil {
-			return err
-		}
+	for _, b := range []struct {
+		name string
+		comp tlr.Compressor
+	}{{"svd", tlr.CompressSVD}, {"rsvd", tlr.CompressRSVD}} {
 		var ranks []float64
 		var worst float64
 		t0 := time.Now()
 		for trial := 0; trial < 6; trial++ {
 			a := tileBetween(k, pts, nb, trial)
-			c := comp(a, 1e-7, 0, 0)
+			c := b.comp(a, 1e-7, 0, 0)
 			ranks = append(ranks, float64(c.Rank()))
 			d := c.Dense()
 			d.Sub(a)
@@ -147,7 +147,7 @@ func ablationCompressor(o Options) error {
 		}
 		el := time.Since(t0).Seconds()
 		mean, _ := stats.MeanStd(ranks)
-		tb.AddRow(name, fmt.Sprintf("%.1f", mean), fmtSecs(el, false), fmt.Sprintf("%.2e", worst))
+		tb.AddRow(b.name, fmt.Sprintf("%.1f", mean), fmtSecs(el, false), fmt.Sprintf("%.2e", worst))
 	}
 	fmt.Fprint(o.Out, tb.String())
 	return nil
@@ -198,7 +198,7 @@ func ablationFormats(o Options) error {
 	r := rng.New(o.Seed + 2)
 	pts := geom.GeneratePerturbedGrid(n, r)
 	pts = geom.Sorted(geom.Morton, pts)
-	fmt.Fprintf(o.Out, "\n[5] compression format: flat TLR vs recursive HODLR (n=%d, §II trade-off)\n", n)
+	fmt.Fprintf(o.Out, "\n[5] compression format: flat TLR vs recursive HODLR (n=%d, §II trade-off; storage compressed by tlr.CompressSVD, the accuracy reference)\n", n)
 	tb := stats.NewTable("accuracy", "dense bytes", "tlr bytes", "hodlr bytes", "tlr max rank", "hodlr max rank")
 	for _, acc := range []float64{1e-3, 1e-6, 1e-9} {
 		tl := tlr.FromKernel(k, pts, geom.Euclidean, n, leaf, acc, tlr.CompressSVD, 0, o.Workers)
@@ -221,22 +221,20 @@ func ablationFormats(o Options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(o.Out, "one core.LogLikelihood per format (n=%d, nb=leaf=%d, %d workers)\n", n, leaf, o.Workers)
-	tb = stats.NewTable("compressor", "accuracy", "tlr time", "tlr MiB", "hodlr time", "hodlr MiB")
-	for _, comp := range []string{"svd", "rsvd"} {
-		for _, acc := range []float64{1e-5, 1e-7, 1e-9} {
-			row := []string{comp, fmt.Sprintf("%.0e", acc)}
-			for _, mode := range []core.Mode{core.TLR, core.HODLR} {
-				t0 := time.Now()
-				lik, err := core.LogLikelihood(syn.Train, maternRef(), core.Config{
-					Mode: mode, TileSize: leaf, Accuracy: acc, CompressorName: comp, Workers: o.Workers})
-				if err != nil {
-					return err
-				}
-				row = append(row, fmtSecs(time.Since(t0).Seconds(), false), fmt.Sprintf("%.2f", float64(lik.Bytes)/(1<<20)))
+	fmt.Fprintf(o.Out, "one core.LogLikelihood per format (n=%d, nb=leaf=%d, %d workers, rsvd)\n", n, leaf, o.Workers)
+	tb = stats.NewTable("accuracy", "tlr time", "tlr MiB", "hodlr time", "hodlr MiB")
+	for _, acc := range []float64{1e-5, 1e-7, 1e-9} {
+		row := []string{fmt.Sprintf("%.0e", acc)}
+		for _, mode := range []core.Mode{core.TLR, core.HODLR} {
+			t0 := time.Now()
+			lik, err := core.LogLikelihood(syn.Train, maternRef(), core.Config{
+				Mode: mode, TileSize: leaf, Accuracy: acc, Workers: o.Workers})
+			if err != nil {
+				return err
 			}
-			tb.AddRow(row...)
+			row = append(row, fmtSecs(time.Since(t0).Seconds(), false), fmt.Sprintf("%.2f", float64(lik.Bytes)/(1<<20)))
 		}
+		tb.AddRow(row...)
 	}
 	fmt.Fprint(o.Out, tb.String())
 	return nil
@@ -248,7 +246,7 @@ func ablationDistributed(o Options) error {
 	r := rng.New(o.Seed + 3)
 	pts := geom.GeneratePerturbedGrid(n, r)
 	pts = geom.Sorted(geom.Morton, pts)
-	fmt.Fprintf(o.Out, "\n[6] really-distributed (message passing, no shared matrix) TLR Cholesky at 1e-12, n=%d nb=%d\n", n, nb)
+	fmt.Fprintf(o.Out, "\n[6] really-distributed (message passing, no shared matrix) TLR Cholesky at 1e-12 with tlr.CompressSVD, the accuracy reference, n=%d nb=%d\n", n, nb)
 
 	ref := la.NewMat(n, n)
 	k.Matrix(ref, pts, geom.Euclidean)

@@ -89,11 +89,7 @@ func TestSolveMatchesDense(t *testing.T) {
 func TestGenCholeskyDeterministicAcrossWorkers(t *testing.T) {
 	n := 300
 	k, pts, _ := testSetup(t, n)
-	for _, name := range []string{"svd", "rsvd"} {
-		comp, err := tlr.CompressorByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, comp := range map[string]tlr.Compressor{"svd": tlr.CompressSVD, "rsvd": tlr.CompressRSVD} {
 		run := func(workers int) (*Matrix, float64) {
 			m := NewTree(n, 32, 1e-9)
 			spec := &tlr.GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-8, Comp: comp}
@@ -204,13 +200,9 @@ func BenchmarkGenCholesky(b *testing.B) {
 	const n, leaf, tol = 1600, 128, 1e-7
 	pts := geom.GeneratePerturbedGrid(n, rng.New(1))
 	pts = geom.ApplyPerm(pts, geom.MortonOrder(pts))
-	comp, err := tlr.CompressorByName("rsvd")
-	if err != nil {
-		b.Fatal(err)
-	}
 	spec := &tlr.GenSpec{
 		K:   cov.NewKernel(cov.Params{Variance: 1, Range: 0.08, Smoothness: 0.6}),
-		Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: comp,
+		Pts: pts, Metric: geom.Euclidean, Nugget: 1e-9, Comp: tlr.CompressRSVD,
 	}
 	m := NewTree(n, leaf, tol)
 	g := BuildGenCholeskyGraph(m, spec)

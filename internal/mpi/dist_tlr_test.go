@@ -555,17 +555,13 @@ func TestPlacementFollowsCholeskyRule(t *testing.T) {
 func BenchmarkDistCholesky(b *testing.B) {
 	const n, nb = 2400, 160
 	k, pts := distProblem(n)
-	comp, err := tlr.CompressorByName("rsvd")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, ranks := range []int{2, 4} {
 		b.Run(fmt.Sprintf("ranks%d", ranks), func(b *testing.B) {
 			w, shards := NewWorld(ranks), make([]*DistTLR, ranks)
 			factor := func() {
 				for r, err := range w.Run(func(c *Comm) error {
 					if shards[c.Rank()] == nil {
-						shards[c.Rank()] = NewDistTLR(SquarestGrid(ranks), pts, geom.Euclidean, nb, 1e-7, comp)
+						shards[c.Rank()] = NewDistTLR(SquarestGrid(ranks), pts, geom.Euclidean, nb, 1e-7, tlr.CompressRSVD)
 					}
 					return shards[c.Rank()].GenCholesky(c, k, 1e-9)
 				}) {

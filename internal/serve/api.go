@@ -32,8 +32,11 @@ type Theta struct {
 
 // ModelConfig tunes the computation backend for one model. The zero value
 // means dense full-block with library defaults; names mirror core.Config.
+// There is no compressor to choose: tlr and hodlr compress with the
+// randomized SVD. Bodies from older clients that still send "compressor"
+// are accepted: the request decoder ignores fields it does not know.
 type ModelConfig struct {
-	// Mode is "full-block" (default), "full-tile", or "tlr".
+	// Mode is "full-block" (default), "full-tile", "tlr" or "hodlr".
 	Mode string `json:"mode,omitempty"`
 	// TileSize is the tile edge nb (0 = default 128). It is also the column
 	// chunk width of the prediction-variance path, so it bounds per-request
@@ -41,8 +44,6 @@ type ModelConfig struct {
 	TileSize int `json:"tile_size,omitempty"`
 	// Accuracy is the TLR compression threshold (0 = default 1e-9).
 	Accuracy float64 `json:"accuracy,omitempty"`
-	// Compressor selects the TLR compression backend ("svd", "rsvd").
-	Compressor string `json:"compressor,omitempty"`
 	// Workers is the shared-memory runtime worker count (0 = default 1).
 	Workers int `json:"workers,omitempty"`
 	// Nugget is the diagonal regularization (0 = default 1e-9·θ₁). A fit

@@ -321,14 +321,13 @@ func toCoreConfig(mc ModelConfig) (core.Config, error) {
 		return core.Config{}, fmt.Errorf("tile_size above %d, or workers or ranks above %d", maxTileSize, maxParallel)
 	}
 	cfg := core.Config{
-		Mode:           mode,
-		TileSize:       mc.TileSize,
-		Accuracy:       mc.Accuracy,
-		CompressorName: mc.Compressor,
-		Workers:        mc.Workers,
-		Nugget:         mc.Nugget,
-		Ordering:       mc.Ordering,
-		Ranks:          mc.Ranks,
+		Mode:     mode,
+		TileSize: mc.TileSize,
+		Accuracy: mc.Accuracy,
+		Workers:  mc.Workers,
+		Nugget:   mc.Nugget,
+		Ordering: mc.Ordering,
+		Ranks:    mc.Ranks,
 	}
 	if err := cfg.Validate(); err != nil {
 		return core.Config{}, err

@@ -449,6 +449,46 @@ func TestFitAtIngestAcceptsLegacyProfiledField(t *testing.T) {
 	}
 }
 
+// A body from a client that still names a compressor parses, and the model
+// compresses with rsvd, the one compressor: "svd" and "rsvd" alike fit what
+// a body without the field fits.
+func TestFitAtIngestAcceptsLegacyCompressorField(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fit is slow")
+	}
+	s := New(Config{})
+	defer s.Close()
+	pts, z := testDataset(t, 100, 15)
+	data, err := json.Marshal(map[string]any{"points": pts, "z": z})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := string(data[1 : len(data)-1])
+	body := func(name, compressor string) string {
+		return `{"name":"` + name + `",` + fields + `,"config":{"mode":"tlr","tile_size":32,"accuracy":1e-7` + compressor + `},` +
+			`"fit":{"max_evals":40,"fix_smoothness":true,"start":{"variance":1,"range":0.1,"smoothness":0.5}}}`
+	}
+	var plain ModelInfo
+	if code := do(t, s, "POST", "/v1/models", body("plain", ""), &plain); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	if !plain.Fitted || plain.FitEvals == 0 {
+		t.Fatalf("fit info missing: %+v", plain)
+	}
+	for _, comp := range []string{"svd", "rsvd"} {
+		var legacy ModelInfo
+		if code := do(t, s, "POST", "/v1/models", body(comp, `,"compressor":"`+comp+`"`), &legacy); code != http.StatusCreated {
+			t.Fatalf("create with \"compressor\":%q: status %d", comp, code)
+		}
+		if legacy.Theta != plain.Theta || legacy.LogLik != plain.LogLik || legacy.FitEvals != plain.FitEvals {
+			t.Errorf("fit with \"compressor\":%q %+v differs from the fit without it %+v", comp, legacy, plain)
+		}
+		if code := do(t, s, "POST", "/v1/models/"+comp+"/predict", PredictRequest{Points: []Point{{X: 0.5, Y: 0.5}}}, nil); code != http.StatusOK {
+			t.Errorf("predict on the %s model: status %d", comp, code)
+		}
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()

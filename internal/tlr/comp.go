@@ -1,8 +1,8 @@
 // Package tlr implements the HiCMA substitute: Tile Low-Rank compressed
-// tiles, two compression backends (truncated SVD, the accuracy reference,
-// and randomized SVD, the fast one), low-rank addition with recompression,
-// and the TLR Cholesky factorization with its triangular solves and
-// log-determinant (paper §V).
+// tiles, two compression backends (randomized SVD, the one every session
+// runs, and truncated SVD, the accuracy reference), low-rank addition with
+// recompression, and the TLR Cholesky factorization with its triangular
+// solves and log-determinant (paper §V).
 //
 // A TLR matrix stores dense diagonal tiles and each off-diagonal tile (i, j)
 // as a product U·Vᵀ with per-tile rank k chosen so the compression error is
@@ -253,7 +253,8 @@ func fromSVD(u *la.Mat, s []float64, v *la.Mat, k int) *CompTile {
 }
 
 // CompressSVD compresses via a thin SVD of the whole tile — the accuracy
-// reference among the backends.
+// reference among the backends. No session runs it; tests, Fig. 1's rank
+// map, the rank model's calibration and the compressor ablation do.
 func CompressSVD(a *la.Mat, tol float64, _ uint64, _ int) *CompTile {
 	w := getWork()
 	defer putWork(w)
@@ -435,6 +436,9 @@ func recompress(w *la.Work, u, v *la.Mat, tol float64) *CompTile {
 }
 
 // CompressorByName returns the named backend: "svd" (also "") or "rsvd".
+// Its one caller is the benchmark module's layer probes; no session picks a
+// compressor (every one runs CompressRSVD), and the change that next edits
+// that module deletes it.
 func CompressorByName(name string) (Compressor, error) {
 	switch name {
 	case "svd", "":

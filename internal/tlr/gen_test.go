@@ -41,11 +41,7 @@ func genTestSetup(t *testing.T, n int) (*cov.Kernel, []geom.Point) {
 func TestFromKernelWorkerInvariance(t *testing.T) {
 	const n, nb = 240, 32
 	k, pts := genTestSetup(t, n)
-	for _, name := range []string{"svd", "rsvd"} {
-		comp, err := CompressorByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, comp := range map[string]Compressor{"svd": CompressSVD, "rsvd": CompressRSVD} {
 		m1 := FromKernel(k, pts, geom.Euclidean, n, nb, 1e-7, comp, 1e-9, 1)
 		m4 := FromKernel(k, pts, geom.Euclidean, n, nb, 1e-7, comp, 1e-9, 4)
 		for i := 0; i < m1.MT; i++ {

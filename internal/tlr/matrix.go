@@ -30,7 +30,7 @@ type Matrix struct {
 	off  [][]*CompTile // off[i][j] valid for j < i
 
 	// comp is the compressor FromKernel built the tiles with, and the one
-	// Cholesky compresses the factor tiles with; nil is CompressSVD.
+	// Cholesky compresses the factor tiles with; nil is CompressRSVD.
 	comp Compressor
 
 	// spill, when non-nil, is the out-of-core cache SpillCache.Bind
@@ -262,7 +262,7 @@ func FlopsGEMMComp(nb, ka, kb, kc int) float64 {
 func BuildCholeskyGraph(m *Matrix, bind bool) *runtime.Graph {
 	comp := m.comp
 	if comp == nil {
-		comp = CompressSVD
+		comp = CompressRSVD
 	}
 	return buildSweep(m, &GenSpec{Comp: comp}, false, bind)
 }

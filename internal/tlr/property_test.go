@@ -268,10 +268,9 @@ func TestAddLowRankMatchesDenseSVD(t *testing.T) {
 func TestGenCholeskyWorkerBitwise(t *testing.T) {
 	const n, nb = 450, 64
 	k, pts := genTestSetup(t, n)
-	comp, _ := CompressorByName("rsvd")
 	factor := func(workers int) *Matrix {
 		m := NewMatrix(n, nb, 1e-7)
-		spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-6, Comp: comp}
+		spec := &GenSpec{K: k, Pts: pts, Metric: geom.Euclidean, Nugget: 1e-6, Comp: CompressRSVD}
 		if err := GenCholesky(m, spec, workers); err != nil {
 			t.Fatal(err)
 		}

@@ -46,11 +46,7 @@ func TestCompressorsMeetAccuracy(t *testing.T) {
 		// and the blocks appended last are mostly rounding noise.
 		{covTile(t, 128, 128, 0.21), []float64{1e-10}},
 	}
-	for _, name := range []string{"svd", "rsvd"} {
-		comp, err := CompressorByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, comp := range map[string]Compressor{"svd": CompressSVD, "rsvd": CompressRSVD} {
 		for _, tc := range cases {
 			a := tc.a
 			for _, tol := range tc.tols {
