@@ -15,15 +15,21 @@ test:
 # assembly to the Go loops, which stay unfused only while the compiler does
 # not contract x*y+z on amd64 — this pins that it still does not), that only core
 # and the root alias import internal/chaos (runtime, mpi and tlr take plain
-# nil-by-default func fields and core adapts the injector onto them), every package
+# nil-by-default func fields and core adapts the injector onto them), that no
+# code outside bench/ and the tests calls a shim kept only for the benchmark
+# module (tile.ForwardSolve/BackwardSolve, tlr.Matrix's ForwardSolve/
+# BackwardSolve, tlr.CompressorByName, tlr.GemmLL, core.Problem's
+# RestoreOrder/RestorePoints — a grep for the names called, definitions and
+# comments aside, so deleting them once bench/ lets go stays a pure deletion;
+# about 0.1 s), every package
 # once, uncached, under the race detector and in a shuffled order (the rank
 # goroutines and mailboxes, the session lock, lock-free instruments, the task
 # graphs, the pooled recompression workspaces, the equivalence and recovery
 # oracles, the out-of-core and serving suites and the fuzz targets' seed
-# corpora are all in that one pass; internal/la is the long pole, about 265 s
+# corpora are all in that one pass; internal/la is the long pole, about 233 s
 # inside this pass on two cores (its kernel tests run once per micro-kernel
-# body the CPU has), with internal/core about 105 s beside it — the whole
-# target took 6 min 54 s on a 2-vCPU AVX-512 host; the
+# body the CPU has), with internal/core about 85 s beside it — the whole
+# target took 5 min 55 s on a 2-vCPU AVX-512 host; the
 # process-wide instrument registry is the state a shuffled order could leak,
 # and every test reads it as a difference of snapshots), then the tile spill
 # cache's and out-of-core suites three more times under the race detector
@@ -45,6 +51,7 @@ verify:
 	$(GO) vet ./... && GOARCH=arm64 $(GO) vet ./internal/la/ ./internal/tlr/ ./internal/cov/
 	GOAMD64=v3 $(GO) test -count=1 -run Bitwise ./internal/cov/
 	test "$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -E ' repro/internal/chaos( |$$)' | cut -d' ' -f1 | xargs)" = "repro repro/internal/core"
+	test -z "$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '\b(ForwardSolve|BackwardSolve|CompressorByName|GemmLL|RestoreOrder|RestorePoints)\(' . | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(func |//)')"
 	$(GO) test -race -shuffle=on -count=1 -timeout 45m ./...
 	$(GO) test -race -count=3 -run 'OOC|Pin|Evict|Unpin|Footprint|DecodeError' ./internal/tlr/
 	$(GO) test -run '^$$' -bench 'Trsm|Syrk|Potrf|GemmSkinny|GemmSquare|GemmOneColumn|Dot|Rotate|QRThin|SVDThin|Recompress|GemmLL|AddLowRank|GenCholesky|KernelBlock|SessionPredictCached|DistCholesky' -benchtime 1x ./internal/la/ ./internal/tlr/ ./internal/hodlr/ ./internal/cov/ ./internal/core/ ./internal/mpi/

@@ -27,7 +27,6 @@ import (
 	"repro/internal/dataio"
 	"repro/internal/datasets"
 	"repro/internal/geom"
-	"repro/internal/tlr"
 )
 
 // Theta is the Matérn parameter vector (variance θ₁, spatial range θ₂,
@@ -138,47 +137,12 @@ type ChaosStats = chaos.Stats
 // Synthetic is a generated dataset with held-out validation points.
 type Synthetic = core.Synthetic
 
-// NewProblem bundles locations and measurements into a Problem, reordering
-// along the Morton curve (effective compression needs some
-// locality-preserving order; a TLR session reorders its own copy into KD
-// blocks at its TileSize unless Config.Ordering says otherwise). The applied
-// permutation is kept on Problem.Perm so results map back to caller order.
+// NewProblem bundles locations and measurements into a Problem. It keeps
+// caller order: a session sorts its own copy (KD blocks at TileSize for TLR,
+// Morton otherwise, unless Config.Ordering names another scheme), and every
+// vector a session takes or returns is in caller order.
 func NewProblem(pts []Point, z []float64, metric Metric) (*Problem, error) {
 	return core.NewProblem(pts, z, metric)
-}
-
-// Ordering is a spatial ordering scheme: a deterministic permutation of the
-// locations that controls off-diagonal covariance tile ranks — and with them
-// TLR compression flops, memory, and distributed wire bytes. Select one per
-// dataset with NewProblemOrdered or per session with Config.Ordering
-// ("none", "morton", "hilbert", "kdblock").
-type Ordering = geom.Ordering
-
-// The built-in orderings.
-var (
-	// OrderingNone keeps caller order (the control arm of ordering sweeps).
-	OrderingNone = geom.None
-	// OrderingMorton sorts along the Z-order curve (32 bits/axis) — what
-	// NewProblem applies.
-	OrderingMorton = geom.Morton
-	// OrderingHilbert sorts along the Hilbert curve: consecutive cells are
-	// always edge-adjacent, typically the lowest tile ranks on clustered
-	// data.
-	OrderingHilbert = geom.Hilbert
-)
-
-// KDBlockOrdering returns the KD-tree recursive-bisection ordering with
-// tile-aligned blocks of tileSize points (<= 0 means the default 128).
-func KDBlockOrdering(tileSize int) Ordering { return geom.KDBlocks(tileSize) }
-
-// OrderingByName resolves an ordering scheme by its Config.Ordering name.
-func OrderingByName(name string, tileSize int) (Ordering, error) {
-	return geom.NewOrdering(name, tileSize)
-}
-
-// NewProblemOrdered bundles a dataset under an explicit spatial ordering.
-func NewProblemOrdered(pts []Point, z []float64, metric Metric, ord Ordering) (*Problem, error) {
-	return core.NewProblemOrdered(pts, z, metric, ord)
 }
 
 // LogLikelihood evaluates the Gaussian log-likelihood ℓ(θ) (paper eq. 1).
@@ -221,12 +185,13 @@ func CoverageCheck(pr Prediction, truth []float64) (float64, error) {
 // RefineOptions and RefineResult re-export the iterative-refinement types.
 type (
 	RefineOptions = core.RefineOptions
-	RefineResult  = tlr.RefineResult
+	RefineResult  = core.RefineResult
 )
 
-// SolveRefined solves Σ(θ)·x = b to near machine precision using a loose TLR
-// factorization as a PCG preconditioner with matrix-free exact operator
-// applications — recovering full accuracy from cheap compression.
+// SolveRefined solves Σ(θ)·x = b to near machine precision: the
+// factorization cfg selects (a loose TLR one is cheap) preconditions PCG,
+// and Σ(θ) is applied matrix-free and exactly — recovering full accuracy
+// from cheap compression. Convenience wrapper over Session.SolveRefined.
 func SolveRefined(p *Problem, theta Theta, cfg Config, b []float64, opts RefineOptions) ([]float64, RefineResult, error) {
 	return core.SolveRefined(p, theta, cfg, b, opts)
 }

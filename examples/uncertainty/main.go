@@ -56,7 +56,7 @@ func main() {
 	// 3. iterative refinement from a loose factorization
 	b := make([]float64, syn.Train.N())
 	rng.New(5).NormSlice(b)
-	x, res, err := exago.SolveRefined(syn.Train, truth, exago.Config{TileSize: 64, Accuracy: 1e-2}, b,
+	x, res, err := exago.SolveRefined(syn.Train, truth, exago.Config{Mode: exago.TLR, TileSize: 64, Accuracy: 1e-2}, b,
 		exago.RefineOptions{Tol: 1e-11})
 	if err != nil {
 		log.Fatal(err)

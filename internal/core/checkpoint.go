@@ -37,8 +37,9 @@ var (
 // trajectory: the session's dataset (post-ordering, so the bytes the evaluator
 // actually sees), the result-affecting config knobs, and the fit options.
 // MaxEvals is excluded (truncation point, not trajectory); MemBudget,
-// SpillDir and Workers are excluded because out-of-core execution and worker
-// count are bitwise-invariant (the OOC test suite holds that line).
+// SpillDir, Workers and Ranks are excluded because out-of-core execution,
+// worker count and rank count are bitwise-invariant (the OOC test suite and
+// the equivalence oracle hold that line).
 func (s *Session) fitDigest(o FitOptions) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -70,7 +71,10 @@ func (s *Session) fitDigest(o FitOptions) uint64 {
 	// Was Config.NuggetEscalation: hashing the constant in its slot keeps
 	// checkpoints written before the field was removed resumable.
 	wf(nuggetEscalation)
-	w(uint64(c.Ranks))
+	// Config.Ranks's slot holds 1, the shared-memory value, whatever the
+	// rank count: ℓ on ranks is bitwise the shared one, so a checkpoint
+	// resumes on any rank count.
+	w(1)
 
 	for _, t := range []float64{
 		o.Start.Variance, o.Start.Range, o.Start.Smoothness,

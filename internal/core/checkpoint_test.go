@@ -63,6 +63,29 @@ func TestFitCheckpointResume(t *testing.T) {
 	}
 }
 
+// A fit on ranks evaluates ℓ bitwise as shared memory does, so a checkpoint
+// written on four ranks resumes on one and ends where the uninterrupted
+// shared-memory fit does.
+func TestFitCheckpointResumesAcrossRanks(t *testing.T) {
+	p := smallProblem(t, 80, 5)
+	shared := Config{Mode: TLR, TileSize: 32, Accuracy: 1e-8}
+	base := FitOptions{MaxEvals: 30, FixSmoothness: true}
+	ref := fitTriple(t, p, shared, base)
+
+	trunc := base
+	trunc.Checkpoint = filepath.Join(t.TempDir(), "fit.ckpt")
+	trunc.MaxEvals = 12
+	onRanks := shared
+	onRanks.Ranks = 4
+	fitTriple(t, p, onRanks, trunc)
+
+	resumed := trunc
+	resumed.MaxEvals = base.MaxEvals
+	if got := fitTriple(t, p, shared, resumed); got != ref {
+		t.Fatalf("fit resumed on shared memory from a 4-rank checkpoint %+v, uninterrupted %+v", got, ref)
+	}
+}
+
 // A fit factors once per evaluation of its search: θ̂₁ is kept from the
 // evaluation at the optimum. Only a fit whose optimum a checkpoint replayed
 // factors once more, to recover θ̂₁, and still reports the same result.
@@ -124,7 +147,7 @@ func goldenProblem(t *testing.T) *Problem {
 		pts[i] = geom.Point{X: float64(i%7) / 7, Y: float64(i%5) / 5}
 		z[i] = float64(i%11) - 5
 	}
-	p, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.None)
+	p, err := NewProblem(pts, z, geom.Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,21 +88,20 @@ type Config struct {
 	// non-positive-definite pivot is a property of θ, not of the execution,
 	// and is never replayed: the nugget grows tenfold, up to three times.
 	MaxRetries int
-	// Ordering selects the spatial ordering of the problem's locations —
+	// Ordering selects the spatial ordering of the session's locations —
 	// the permutation applied before tiling, which controls off-diagonal
 	// tile ranks and with them TLR compression flops, memory, and the
-	// distributed run's wire bytes. "none" forces caller order, "morton" the
-	// Z-order curve, "hilbert" the Hilbert curve, and "kdblock" KD-tree
-	// recursive bisection into TileSize-aligned blocks. "" (the zero value)
-	// picks by mode: Mode == TLR (shared, out of core or on ranks) means
-	// "kdblock", so every tile is one compact KD cell and the off-diagonal
-	// ranks are lower than on Morton runs; every other mode keeps whatever
-	// ordering the Problem was built with (NewProblem defaults to Morton),
-	// since a dense factorization costs the same in any order and HODLR
-	// measured worse on KD cells. Sessions never mutate the caller's
-	// Problem: an ordering that would move a point reorders a
-	// session-private copy, and Problem.Perm maps results back to caller
-	// order.
+	// distributed run's wire bytes. "none" keeps the Problem's order,
+	// "morton" the Z-order curve, "hilbert" the Hilbert curve, and "kdblock"
+	// KD-tree recursive bisection into TileSize-aligned blocks. "" (the zero
+	// value) picks by mode: Mode == TLR (shared, out of core or on ranks)
+	// means "kdblock", so every tile is one compact KD cell and the
+	// off-diagonal ranks are lower than on Morton runs; every other mode
+	// means "morton", since a dense factorization costs the same in any
+	// locality-preserving order and HODLR measured worse on KD cells.
+	// NewSession is the one place an ordering is applied: the session sorts
+	// a private copy of the Problem (none when the permutation is the
+	// identity) and keeps the permutation to itself.
 	Ordering string
 	// Chaos, when non-nil, injects the plan's deterministic faults into the
 	// session's executions — task panics/stragglers on any task graph, on
@@ -132,8 +131,8 @@ type Config struct {
 // mode, 128-point tiles, 1e-9 TLR accuracy (every compressed tile goes
 // through the randomized SVD, the one compressor), one worker, data-scaled
 // nugget (1e-9·θ₁, encoded as Nugget=0), the ordering picked by mode
-// (Ordering "": KD blocks at TileSize for TLR, the Problem's own order
-// otherwise), shared-memory execution. A zero Config behaves identically;
+// (Ordering "": KD blocks at TileSize for TLR, Morton otherwise),
+// shared-memory execution. A zero Config behaves identically;
 // this function exists so the defaults are documented and greppable in one
 // place.
 func DefaultConfig() Config {
@@ -222,8 +221,7 @@ func (c Config) Validate() error {
 
 // normalized fills the zero fields from DefaultConfig, the one place the
 // defaults are written, and resolves an empty Ordering by mode: "kdblock"
-// under TLR, and empty (the Problem's own order) otherwise. Negative fields
-// are Validate's to refuse.
+// under TLR, "morton" otherwise. Negative fields are Validate's to refuse.
 func (c Config) normalized() Config {
 	d := DefaultConfig()
 	if c.TileSize == 0 {
@@ -238,8 +236,11 @@ func (c Config) normalized() Config {
 	if c.Ranks == 0 {
 		c.Ranks = d.Ranks
 	}
-	if c.Ordering == "" && c.Mode == TLR {
-		c.Ordering = geom.OrderKDBlock
+	if c.Ordering == "" {
+		c.Ordering = geom.OrderMorton
+		if c.Mode == TLR {
+			c.Ordering = geom.OrderKDBlock
+		}
 	}
 	return c
 }
@@ -252,35 +253,17 @@ func (c Config) nugget(variance float64) float64 {
 }
 
 // Problem is a spatial dataset: locations, one measurement per location, and
-// the distance metric the covariance operates under. Points and Z are stored
-// in the spatial ordering applied at construction; Perm records how to get
-// back to the caller's order, so nothing the caller handed in is ever lost.
+// the distance metric the covariance operates under, in the caller's order.
+// The order a computation runs in is the session's (Config.Ordering).
 type Problem struct {
 	Points []geom.Point
 	Z      []float64
 	Metric geom.Metric
-	// Perm maps stored order to caller order: Points[i] is the caller's
-	// pts[Perm[i]]. A nil Perm means identity (hand-constructed Problems).
-	Perm []int
-	// Ordering names the scheme that produced Perm ("morton", "hilbert",
-	// ...); empty for hand-constructed Problems.
-	Ordering string
 }
 
-// NewProblem bundles and validates a dataset, reordering locations and
-// measurements along the Morton curve (the order the dense modes and HODLR
-// run on; a TLR session reorders its own copy into KD blocks unless
-// Config.Ordering says otherwise). The applied permutation is kept on
-// Problem.Perm; use NewProblemOrdered to choose a different scheme, or
-// Config.Ordering to override per session.
+// NewProblem validates a dataset and bundles a copy of it, in the caller's
+// order.
 func NewProblem(pts []geom.Point, z []float64, metric geom.Metric) (*Problem, error) {
-	return NewProblemOrdered(pts, z, metric, geom.Morton)
-}
-
-// NewProblemOrdered bundles and validates a dataset under an explicit spatial
-// ordering (geom.None, geom.Morton, geom.Hilbert, geom.KDBlocks(nb), or any
-// custom geom.Ordering). The permutation is recorded on Problem.Perm.
-func NewProblemOrdered(pts []geom.Point, z []float64, metric geom.Metric, ord geom.Ordering) (*Problem, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
@@ -295,17 +278,7 @@ func NewProblemOrdered(pts []geom.Point, z []float64, metric geom.Metric, ord ge
 			return nil, fmt.Errorf("core: measurement %d is %g, not a finite number", i, v)
 		}
 	}
-	if ord == nil {
-		ord = geom.None
-	}
-	perm := ord.Permutation(pts)
-	return &Problem{
-		Points:   geom.ApplyPerm(pts, perm),
-		Z:        geom.ApplyPermFloat(z, perm),
-		Metric:   metric,
-		Perm:     perm,
-		Ordering: ord.Name(),
-	}, nil
+	return &Problem{Points: slices.Clone(pts), Z: slices.Clone(z), Metric: metric}, nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -325,61 +298,14 @@ func finitePoints(what string, pts []geom.Point) error {
 // N returns the number of observations.
 func (p *Problem) N() int { return len(p.Points) }
 
-// InversePerm returns the permutation mapping caller order to stored order
-// (the inverse of Problem.Perm; identity when Perm is nil).
-func (p *Problem) InversePerm() []int {
-	if p.Perm == nil {
-		return geom.IdentityPerm(p.N())
-	}
-	return geom.InversePerm(p.Perm)
-}
+// RestoreOrder returns a copy of v: a Problem keeps the caller's order, so
+// there is nothing to restore. It stays only because the benchmark module
+// calls it; the change that next edits that module (ROADMAP item 1) deletes
+// it and RestorePoints.
+func (p *Problem) RestoreOrder(v []float64) []float64 { return slices.Clone(v) }
 
-// RestoreOrder maps a per-observation vector aligned with the stored order
-// (p.Z, residuals, kriging weights) back to the caller's original order:
-// out[Perm[i]] = v[i].
-func (p *Problem) RestoreOrder(v []float64) []float64 {
-	if len(v) != p.N() {
-		panic(fmt.Sprintf("core: RestoreOrder length %d, problem has %d observations", len(v), p.N()))
-	}
-	return geom.ApplyPermFloat(v, p.InversePerm())
-}
-
-// RestorePoints is RestoreOrder for location slices.
-func (p *Problem) RestorePoints(pts []geom.Point) []geom.Point {
-	if len(pts) != p.N() {
-		panic(fmt.Sprintf("core: RestorePoints length %d, problem has %d observations", len(pts), p.N()))
-	}
-	return geom.ApplyPerm(pts, p.InversePerm())
-}
-
-// Reordered returns p under ord: p itself when ord would move no point from
-// where p stores it, else a copy. The comparison is of permutations, not of
-// Ordering names, so a "kdblock" Problem cut at another tile size is
-// reordered. The permutations compose: the copy's Perm still maps straight
-// back to the original caller order, however many reorderings happened in
-// between. The receiver is not modified.
-func (p *Problem) Reordered(ord geom.Ordering) *Problem {
-	inv := p.InversePerm()
-	// Recover the caller-order dataset, then apply the new scheme to it so
-	// Perm addresses caller indices directly.
-	origPts := geom.ApplyPerm(p.Points, inv)
-	perm := ord.Permutation(origPts)
-	stored := p.Perm
-	if stored == nil {
-		stored = inv // the identity
-	}
-	if slices.Equal(perm, stored) {
-		return p
-	}
-	origZ := geom.ApplyPermFloat(p.Z, inv)
-	return &Problem{
-		Points:   geom.ApplyPerm(origPts, perm),
-		Z:        geom.ApplyPermFloat(origZ, perm),
-		Metric:   p.Metric,
-		Perm:     perm,
-		Ordering: ord.Name(),
-	}
-}
+// RestorePoints returns a copy of pts; see RestoreOrder.
+func (p *Problem) RestorePoints(pts []geom.Point) []geom.Point { return slices.Clone(pts) }
 
 // LikResult carries one likelihood evaluation with its diagnostics.
 type LikResult struct {

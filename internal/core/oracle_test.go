@@ -434,7 +434,7 @@ func (o *oracle) row(t *testing.T, row oracleRow) {
 	r := oracleRand{rng.New(row.seed)}
 	th := r.theta(row.nu)
 	pts := r.points(row.geometry, oracleN)
-	p, err := NewProblemOrdered(pts, r.field(t, pts, th), geom.Euclidean, geom.None)
+	p, err := NewProblem(pts, r.field(t, pts, th), geom.Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -28,103 +27,22 @@ func rawDataset(t *testing.T, n int, seed uint64) ([]geom.Point, []float64) {
 	return pts, z
 }
 
-// TestProblemKeepsPermutation: NewProblem records the Morton permutation and
-// the restore helpers invert it exactly.
-func TestProblemKeepsPermutation(t *testing.T) {
+// TestNewProblemKeepsCallerOrder: a Problem holds the caller's data in the
+// caller's order, and a copy of it.
+func TestNewProblemKeepsCallerOrder(t *testing.T) {
 	pts, z := rawDataset(t, 144, 21)
 	p, err := NewProblem(pts, z, geom.Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Ordering != geom.OrderMorton {
-		t.Fatalf("NewProblem ordering %q, want %q", p.Ordering, geom.OrderMorton)
-	}
-	if len(p.Perm) != len(pts) {
-		t.Fatalf("perm length %d, want %d", len(p.Perm), len(pts))
-	}
-	for i := range p.Points {
-		if p.Points[i] != pts[p.Perm[i]] || p.Z[i] != z[p.Perm[i]] {
-			t.Fatalf("Perm does not map stored index %d to its caller point", i)
-		}
-	}
-	gotZ := p.RestoreOrder(p.Z)
-	gotPts := p.RestorePoints(p.Points)
-	for i := range pts {
-		if gotZ[i] != z[i] || gotPts[i] != pts[i] {
-			t.Fatalf("restore helpers did not recover caller order at %d", i)
-		}
-	}
-	inv := p.InversePerm()
-	for i := range p.Perm {
-		if inv[p.Perm[i]] != i {
-			t.Fatalf("InversePerm wrong at %d", i)
-		}
-	}
-}
-
-// TestNewProblemOrderedSchemes: each scheme is recorded, each is a valid
-// bijection over the data, and "none" preserves caller order exactly.
-func TestNewProblemOrderedSchemes(t *testing.T) {
-	pts, z := rawDataset(t, 100, 22)
-	for _, ord := range []geom.Ordering{geom.None, geom.Morton, geom.Hilbert, geom.KDBlocks(25)} {
-		p, err := NewProblemOrdered(pts, z, geom.Euclidean, ord)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Ordering != ord.Name() {
-			t.Fatalf("ordering %q recorded as %q", ord.Name(), p.Ordering)
-		}
-		var sum float64
-		for _, v := range p.Z {
-			sum += v
-		}
-		var want float64
-		for _, v := range z {
-			want += v
-		}
-		if math.Abs(sum-want) > 1e-9 {
-			t.Fatalf("%s: Z not a permutation of the input", ord.Name())
-		}
-	}
-	p, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.None)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range pts {
 		if p.Points[i] != pts[i] || p.Z[i] != z[i] {
-			t.Fatal("none ordering must preserve caller order")
+			t.Fatalf("NewProblem moved observation %d", i)
 		}
 	}
-}
-
-// TestReorderedComposes: reordering a problem twice still maps straight back
-// to the original caller order, and leaves the receiver untouched.
-func TestReorderedComposes(t *testing.T) {
-	pts, z := rawDataset(t, 81, 23)
-	p, err := NewProblem(pts, z, geom.Euclidean) // morton
-	if err != nil {
-		t.Fatal(err)
-	}
-	beforePts := append([]geom.Point(nil), p.Points...)
-	q := p.Reordered(geom.Hilbert).Reordered(geom.KDBlocks(27))
-	for i := range p.Points {
-		if p.Points[i] != beforePts[i] {
-			t.Fatal("Reordered mutated its receiver")
-		}
-	}
-	if q.Ordering != geom.OrderKDBlock {
-		t.Fatalf("ordering after two reorders %q", q.Ordering)
-	}
-	for i := range q.Points {
-		if q.Points[i] != pts[q.Perm[i]] || q.Z[i] != z[q.Perm[i]] {
-			t.Fatalf("composed Perm broken at %d", i)
-		}
-	}
-	gotZ := q.RestoreOrder(q.Z)
-	for i := range z {
-		if gotZ[i] != z[i] {
-			t.Fatalf("restore after composition wrong at %d", i)
-		}
+	pts[0].X, z[0] = -1, 99
+	if p.Points[0].X == -1 || p.Z[0] == 99 {
+		t.Fatal("NewProblem aliases the caller's slices")
 	}
 }
 
@@ -143,100 +61,79 @@ func TestConfigOrderingValidation(t *testing.T) {
 	}
 }
 
-// TestSessionAppliesConfiguredOrdering: a Session with a different Ordering
-// evaluates on a reordered private copy and leaves the caller's Problem
-// untouched.
+// TestSessionAppliesConfiguredOrdering: a session runs on the caller's points sorted by
+// its ordering — an empty Ordering is KD blocks at TileSize under TLR
+// (shared, out of core and on ranks) and Morton in every other mode; an
+// explicit name is honoured — on a private copy, leaving the caller's
+// Problem untouched. A permutation that moves no point copies nothing.
 func TestSessionAppliesConfiguredOrdering(t *testing.T) {
-	pts, z := rawDataset(t, 100, 24)
-	p, err := NewProblem(pts, z, geom.Euclidean) // morton
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]geom.Point(nil), p.Points...)
-	s, err := NewSession(p, Config{Mode: TLR, TileSize: 25, Accuracy: 1e-9, Ordering: geom.OrderHilbert})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Problem().Ordering; got != geom.OrderHilbert {
-		t.Fatalf("session problem ordering %q, want hilbert", got)
-	}
-	if s.Problem() == p {
-		t.Fatal("session must not evaluate the caller's Problem under a different ordering")
-	}
-	for i := range before {
-		if p.Points[i] != before[i] {
-			t.Fatal("NewSession mutated the caller's Problem")
-		}
-	}
-	// Matching ordering (or empty) keeps the exact caller Problem.
-	for _, ordering := range []string{"", geom.OrderMorton} {
-		s2, err := NewSession(p, Config{Ordering: ordering})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s2.Problem() != p {
-			t.Fatalf("Ordering %q must not copy an already-matching problem", ordering)
-		}
-	}
-}
-
-// TestTLRDefaultOrderingIsKDBlock: an empty Ordering means KD blocks at the
-// session's TileSize under TLR — shared, out of core and on ranks alike — and
-// the Problem's own order in every other mode or under an explicit name; on
-// a perturbed grid the KD cells leave the tiles at lower rank and in fewer
-// bytes than Morton runs do.
-func TestTLRDefaultOrderingIsKDBlock(t *testing.T) {
 	pts, z := rawDataset(t, 300, 31)
-	p, err := NewProblem(pts, z, geom.Euclidean) // morton
+	p, err := NewProblem(pts, z, geom.Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const nb = 40
-	want := geom.Sorted(geom.KDBlocks(nb), pts)
-	if slices.Equal(want, p.Points) {
+	if slices.Equal(geom.Sorted(geom.KDBlocks(nb), pts), geom.Sorted(geom.Morton, pts)) {
 		t.Fatal("KD blocks and Morton agree on this set: the test shows nothing")
 	}
-	tlrCfg := Config{Mode: TLR, TileSize: nb, Accuracy: 1e-7}
-	for name, cfg := range map[string]Config{
-		"shared":      tlrCfg,
-		"out-of-core": {Mode: TLR, TileSize: nb, Accuracy: 1e-7, MemBudget: tlr.MinMemBudget(nb, 1)},
-		"ranks":       {Mode: TLR, TileSize: nb, Accuracy: 1e-7, Ranks: 2},
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want geom.Ordering
+	}{
+		{"full-block", Config{Mode: FullBlock}, geom.Morton},
+		{"full-tile", Config{Mode: FullTile, TileSize: nb}, geom.Morton},
+		{"tlr", Config{Mode: TLR, TileSize: nb, Accuracy: 1e-7}, geom.KDBlocks(nb)},
+		{"tlr+membudget", Config{Mode: TLR, TileSize: nb, Accuracy: 1e-7, MemBudget: tlr.MinMemBudget(nb, 1)}, geom.KDBlocks(nb)},
+		{"ranks4", Config{Mode: TLR, TileSize: nb, Accuracy: 1e-7, Ranks: 4}, geom.KDBlocks(nb)},
+		{"hodlr", Config{Mode: HODLR, TileSize: nb, Accuracy: 1e-7}, geom.Morton},
+		{"tlr/none", Config{Mode: TLR, TileSize: nb, Accuracy: 1e-7, Ordering: geom.OrderNone}, geom.None},
+		{"full-block/none", Config{Mode: FullBlock, Ordering: geom.OrderNone}, geom.None},
+		{"tlr/hilbert", Config{Mode: TLR, TileSize: nb, Accuracy: 1e-7, Ordering: geom.OrderHilbert}, geom.Hilbert},
+		{"hodlr/hilbert", Config{Mode: HODLR, TileSize: nb, Accuracy: 1e-7, Ordering: geom.OrderHilbert}, geom.Hilbert},
+		{"tlr/morton", Config{Mode: TLR, TileSize: nb, Accuracy: 1e-7, Ordering: geom.OrderMorton}, geom.Morton},
 	} {
-		s, err := NewSession(p, cfg)
+		s, err := NewSession(p, c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := s.Config().Ordering; got != c.want.Name() {
+			t.Errorf("%s: Config().Ordering %q, want %q", c.name, got, c.want.Name())
+		}
+		perm := c.want.Permutation(pts)
 		q := s.Problem()
-		if q.Ordering != geom.OrderKDBlock || s.Config().Ordering != geom.OrderKDBlock {
-			t.Fatalf("%s: session ordering %q (config %q), want %q", name, q.Ordering, s.Config().Ordering, geom.OrderKDBlock)
+		if !slices.Equal(q.Points, geom.ApplyPerm(pts, perm)) || !slices.Equal(q.Z, geom.ApplyPermFloat(z, perm)) {
+			t.Errorf("%s: session data is not the caller's sorted by %s", c.name, c.want.Name())
 		}
-		if !slices.Equal(q.Points, want) {
-			t.Fatalf("%s: session points are not the KD blocks at TileSize %d", name, nb)
-		}
-		for i := range q.Points {
-			if q.Points[i] != pts[q.Perm[i]] || q.Z[i] != z[q.Perm[i]] {
-				t.Fatalf("%s: Perm does not map stored index %d to its caller point", name, i)
-			}
+		if (q == p) != (c.want == geom.None) {
+			t.Errorf("%s: session shares the caller's Problem: %v", c.name, q == p)
 		}
 		s.Close()
 	}
-	for name, cfg := range map[string]Config{
-		"full-block":   {Mode: FullBlock},
-		"full-tile":    {Mode: FullTile, TileSize: nb},
-		"hodlr":        {Mode: HODLR, TileSize: nb, Accuracy: 1e-7},
-		"tlr (morton)": {Mode: TLR, TileSize: nb, Accuracy: 1e-7, Ordering: geom.OrderMorton},
-	} {
-		s, err := NewSession(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Problem() != p {
-			t.Fatalf("%s: session left the Problem's own order", name)
-		}
-		s.Close()
+	if !slices.Equal(p.Points, pts) || !slices.Equal(p.Z, z) {
+		t.Fatal("NewSession modified the caller's Problem")
 	}
 
-	// The cost the default buys, at fit_tlr's tile size.
+	// A Problem already in the session's order is used as it is.
+	morton := geom.Morton.Permutation(pts)
+	sorted, err := NewProblem(geom.ApplyPerm(pts, morton), geom.ApplyPermFloat(z, morton), geom.Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(sorted, Config{Mode: FullTile, TileSize: nb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Problem() != sorted {
+		t.Fatal("a Morton-sorted Problem was copied by a Morton session")
+	}
+}
+
+// TestTLRDefaultOrderingIsKDBlock: what the TLR default buys — on a
+// perturbed grid at fit_tlr's tile size the KD cells leave the tiles at lower
+// rank and in fewer bytes than Morton runs do.
+func TestTLRDefaultOrderingIsKDBlock(t *testing.T) {
 	grid, err := GenerateSynthetic(1500, 0, theta(), 32)
 	if err != nil {
 		t.Fatal(err)
@@ -255,42 +152,6 @@ func TestTLRDefaultOrderingIsKDBlock(t *testing.T) {
 	}
 }
 
-// TestKDBlockProblemAtAnotherTileSizeIsReordered: a Problem cut into KD
-// blocks of one size carries the same Ordering name as one cut at another,
-// so the session compares permutations: at a different TileSize it
-// reorders, at the same one it keeps the Problem.
-func TestKDBlockProblemAtAnotherTileSizeIsReordered(t *testing.T) {
-	pts, z := rawDataset(t, 1536, 33)
-	p64, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.KDBlocks(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := geom.Sorted(geom.KDBlocks(128), pts)
-	if slices.Equal(want, p64.Points) {
-		t.Fatal("KD blocks at 64 and 128 agree on this set: the test shows nothing")
-	}
-	s, err := NewSession(p64, Config{Mode: TLR, TileSize: 128, Ordering: geom.OrderKDBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Problem() == p64 || !slices.Equal(s.Problem().Points, want) {
-		t.Fatal("a Problem in KD blocks of 64 was not reordered into KD blocks of 128")
-	}
-	p128, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.KDBlocks(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ordering := range []string{"", geom.OrderKDBlock} {
-		s, err := NewSession(p128, Config{Mode: TLR, TileSize: 128, Ordering: ordering})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Problem() != p128 {
-			t.Fatalf("Ordering %q: a Problem already in KD blocks of 128 was copied", ordering)
-		}
-	}
-}
-
 // TestOrderingLowersClusteredRanks: what an ordering changes is the cost —
 // on clustered points, whose raw order interleaves the clusters, a
 // locality-aware ordering leaves the TLR tiles at lower rank than the raw
@@ -302,7 +163,7 @@ func TestOrderingLowersClusteredRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProblemOrdered(pts, z, geom.Euclidean, geom.None)
+	p, err := NewProblem(pts, z, geom.Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}

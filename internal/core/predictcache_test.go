@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -312,6 +313,40 @@ func TestSessionConcurrentPredicts(t *testing.T) {
 				t.Errorf("%d factorizations over %d serial rounds, want %d a round", wantRuns, rounds, perRound)
 			}
 		})
+	}
+}
+
+// A warm one-point Predict takes its 1×n cross-covariance row from the
+// session's pool: nothing it allocates grows with n.
+func TestWarmPredictAllocatesNoRow(t *testing.T) {
+	const n, runs = 1500, 100
+	syn, err := GenerateSynthetic(n+1, 1, theta(), 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(syn.Train, Config{Mode: FullTile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	q := syn.TestPoints
+	if _, err := s.Predict(q, theta()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := s.Predict(q, theta()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	goruntime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call besides the runs. A pool may drop
+	// a row now and then (under the race detector a quarter of them, on
+	// purpose), so the bound is half a row per call on average: a Predict
+	// that allocated its row would show a whole one every call.
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perCall >= 8*n/2 {
+		t.Fatalf("a warm one-point Predict allocates %d B in %.0f allocations; a row of n = %d is %d B", perCall, allocs, n, 8*n)
 	}
 }
 

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cov"
+	"repro/internal/geom"
 	"repro/internal/la"
-	"repro/internal/tlr"
 )
 
 // RefineOptions tunes the iterative-refinement solver.
@@ -14,42 +16,139 @@ type RefineOptions struct {
 	Tol float64
 }
 
-// SolveRefined solves Σ(θ)·x = b to near machine precision by combining a
-// loose TLR factorization (cfg.Accuracy, used as a preconditioner) with
-// matrix-free exact operator applications assembled from the kernel — the
-// accuracy-refinement extension the paper's conclusion points toward. It
-// returns the solution and the iteration statistics.
-func SolveRefined(p *Problem, theta cov.Params, cfg Config, b []float64, opts RefineOptions) ([]float64, tlr.RefineResult, error) {
+// RefineResult reports a preconditioned iterative solve.
+type RefineResult struct {
+	Iterations int
+	// RelResidual is ‖b − Σ·x‖/‖b‖ at exit.
+	RelResidual float64
+	Converged   bool
+}
+
+// refineMaxIter caps the PCG iterations of a refined solve.
+const refineMaxIter = 50
+
+// errNoConvergence is returned when PCG exhausts its iteration budget or
+// loses positive definiteness.
+var errNoConvergence = errors.New("core: iterative refinement did not converge")
+
+// SolveRefined solves Σ(θ)·x = b to near machine precision on a fresh
+// Session: see Session.SolveRefined.
+func SolveRefined(p *Problem, theta cov.Params, cfg Config, b []float64, opts RefineOptions) ([]float64, RefineResult, error) {
+	s, err := NewSession(p, cfg)
+	if err != nil {
+		return nil, RefineResult{}, err
+	}
+	defer s.Close()
+	return s.SolveRefined(theta, b, opts)
+}
+
+// SolveRefined solves Σ(θ)·x = b to near machine precision by
+// preconditioned conjugate gradients: the session's factorization of Σ(θ)
+// (a loose TLR or HODLR one is cheap; a dense one makes the first iterate
+// the answer) preconditions, and Σ(θ) itself is applied matrix-free from the
+// kernel — the accuracy-refinement extension the paper's conclusion points
+// toward. b and x are in the order of the Problem the session was built on.
+// The factorization runs under the session's recovery rule and is the
+// cached one when a predict at θ left it; it returns the solution and the
+// iteration statistics, and the last iterate with an error when PCG did not
+// converge.
+func (s *Session) SolveRefined(theta cov.Params, b []float64, opts RefineOptions) ([]float64, RefineResult, error) {
 	if err := theta.Validate(); err != nil {
-		return nil, tlr.RefineResult{}, err
+		return nil, RefineResult{}, err
 	}
-	if len(b) != p.N() {
-		return nil, tlr.RefineResult{}, fmt.Errorf("core: rhs length %d for n=%d", len(b), p.N())
+	n := s.p.N()
+	if len(b) != n {
+		return nil, RefineResult{}, fmt.Errorf("core: rhs length %d for n=%d", len(b), n)
 	}
-	cfg.Mode = TLR
-	if err := cfg.Validate(); err != nil {
-		return nil, tlr.RefineResult{}, err
-	}
-	cfg = cfg.normalized()
-	if cfg.Ranks > 1 {
-		return nil, tlr.RefineResult{}, fmt.Errorf("core: SolveRefined is shared-memory only (Ranks=%d)", cfg.Ranks)
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-10
+	tol := opts.Tol
+	if tol <= 0 {
+		tol = 1e-10
 	}
 	k := cov.NewKernel(theta)
-	nug := cfg.nugget(theta.Variance)
-
-	pre := tlr.NewMatrix(p.N(), cfg.TileSize, cfg.Accuracy)
-	spec := &tlr.GenSpec{K: k, Pts: p.Points, Metric: p.Metric, Nugget: nug, Comp: tlr.CompressRSVD}
-	if err := tlr.GenCholesky(pre, spec, cfg.Workers); err != nil {
-		return nil, tlr.RefineResult{}, fmt.Errorf("core: preconditioner factorization: %w", err)
+	nugget := s.cfg.nugget(theta.Variance)
+	matvec := exactMatVec(s.p, k, nugget, s.cfg.TileSize)
+	bs := b
+	if s.perm != nil {
+		bs = geom.ApplyPermFloat(b, s.perm)
 	}
 
-	matvec := exactMatVec(p, k, nug, cfg.TileSize)
-	x, res, err := tlr.RefineSolve(pre, matvec, b, opts.Tol)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var (
+		xs  []float64
+		res RefineResult
+	)
+	err := s.withFactor(k, theta, nugget, func(f Factor) (err error) {
+		xs, res, err = pcg(f, matvec, bs, tol)
+		return err
+	})
 	if err != nil {
-		return x, res, fmt.Errorf("core: refined solve: %w", err)
+		return nil, res, fmt.Errorf("core: refined solve: %w", err)
+	}
+	x := xs
+	if s.perm != nil {
+		x = geom.ApplyPermFloat(xs, geom.InversePerm(s.perm))
+	}
+	if !res.Converged {
+		return x, res, errNoConvergence
+	}
+	return x, res, nil
+}
+
+// pcg solves A·x = b to relative residual tol by conjugate gradients
+// preconditioned with f's Solve, matvec applying A exactly (y += A·x). The
+// error is the factor's; running out of iterations, or losing positive
+// definiteness in finite precision, returns the current iterate with
+// Converged false.
+func pcg(f Factor, matvec func(x, y []float64), b []float64, tol float64) ([]float64, RefineResult, error) {
+	n := len(b)
+	var res RefineResult
+	x := make([]float64, n)
+	bNorm := la.Nrm2(b)
+	if bNorm == 0 {
+		res.Converged = true
+		return x, res, nil
+	}
+	r := append([]float64(nil), b...) // r = b − A·0
+	z := make([]float64, n)
+	pv := make([]float64, n)
+	ap := make([]float64, n)
+	precondition := func() error { // z = M⁻¹·r
+		copy(z, r)
+		return f.Solve(la.NewMatFrom(n, 1, z))
+	}
+
+	if err := precondition(); err != nil {
+		return nil, res, err
+	}
+	copy(pv, z)
+	rz := la.Dot(r, z)
+	for it := 0; it < refineMaxIter; it++ {
+		clear(ap)
+		matvec(pv, ap)
+		pap := la.Dot(pv, ap)
+		if pap <= 0 || math.IsNaN(pap) {
+			res.RelResidual = la.Nrm2(r) / bNorm
+			return x, res, nil
+		}
+		alpha := rz / pap
+		la.Axpy(alpha, pv, x)
+		la.Axpy(-alpha, ap, r)
+		res.Iterations = it + 1
+		res.RelResidual = la.Nrm2(r) / bNorm
+		if res.RelResidual <= tol {
+			res.Converged = true
+			return x, res, nil
+		}
+		if err := precondition(); err != nil {
+			return nil, res, err
+		}
+		rzNew := la.Dot(r, z)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range pv {
+			pv[i] = z[i] + beta*pv[i]
+		}
 	}
 	return x, res, nil
 }

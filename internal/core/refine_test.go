@@ -2,32 +2,40 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cov"
+	"repro/internal/geom"
 	"repro/internal/la"
 	"repro/internal/rng"
+	"repro/internal/tlr"
 )
 
 // denseSolveRef computes the reference solution with a full-accuracy dense
-// factorization.
+// factorization, in the Problem's order.
 func denseSolveRef(t *testing.T, p *Problem, b []float64) []float64 {
 	t.Helper()
 	x := append([]float64(nil), b...)
-	if err := factorize(t, p, theta(), Config{Mode: FullBlock}).Solve(la.NewMatFrom(len(x), 1, x)); err != nil {
+	if err := factorize(t, p, theta(), Config{Mode: FullBlock, Ordering: geom.OrderNone}).Solve(la.NewMatFrom(len(x), 1, x)); err != nil {
 		t.Fatal(err)
 	}
 	return x
 }
 
+// A loose TLR preconditioner refined to 1e-10 gives the dense solution, in
+// the caller's order although the session runs on KD blocks.
 func TestSolveRefinedReachesTightTolerance(t *testing.T) {
-	p := smallProblem(t, 225, 61)
+	pts, z := rawDataset(t, 225, 61)
+	p, err := NewProblem(pts, z, geom.Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(62)
 	b := make([]float64, p.N())
 	r.NormSlice(b)
 
-	// Loose 1e-3 preconditioner, refined to 1e-10.
-	x, res, err := SolveRefined(p, theta(), Config{TileSize: 64, Accuracy: 1e-3}, b, RefineOptions{Tol: 1e-10})
+	x, res, err := SolveRefined(p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-3}, b, RefineOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("refinement failed after %d iters (relres %g): %v", res.Iterations, res.RelResidual, err)
 	}
@@ -53,9 +61,9 @@ func TestSolveRefinedBeatsUnrefinedAccuracy(t *testing.T) {
 	r.NormSlice(b)
 	want := denseSolveRef(t, p, b)
 
-	// plain loose TLR solve
+	// plain loose TLR solve, in the Problem's order
 	plain := append([]float64(nil), b...)
-	if err := factorize(t, p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-2}).Solve(la.NewMatFrom(len(plain), 1, plain)); err != nil {
+	if err := factorize(t, p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-2, Ordering: geom.OrderNone}).Solve(la.NewMatFrom(len(plain), 1, plain)); err != nil {
 		t.Fatal(err)
 	}
 	var plainErr float64
@@ -63,7 +71,7 @@ func TestSolveRefinedBeatsUnrefinedAccuracy(t *testing.T) {
 		plainErr = math.Max(plainErr, math.Abs(plain[i]-want[i]))
 	}
 
-	refined, res, err := SolveRefined(p, theta(), Config{TileSize: 64, Accuracy: 1e-2}, b, RefineOptions{Tol: 1e-11})
+	refined, res, err := SolveRefined(p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-2}, b, RefineOptions{Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +89,11 @@ func TestSolveRefinedTighterPreconditionerFewerIterations(t *testing.T) {
 	r := rng.New(66)
 	b := make([]float64, p.N())
 	r.NormSlice(b)
-	_, loose, err := SolveRefined(p, theta(), Config{TileSize: 64, Accuracy: 1e-1}, b, RefineOptions{Tol: 1e-9})
+	_, loose, err := SolveRefined(p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-1}, b, RefineOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tight, err := SolveRefined(p, theta(), Config{TileSize: 64, Accuracy: 1e-6}, b, RefineOptions{Tol: 1e-9})
+	_, tight, err := SolveRefined(p, theta(), Config{Mode: TLR, TileSize: 64, Accuracy: 1e-6}, b, RefineOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +111,84 @@ func TestSolveRefinedValidation(t *testing.T) {
 	bad.Variance = -1
 	if _, _, err := SolveRefined(p, bad, Config{}, make([]float64, p.N()), RefineOptions{}); err == nil {
 		t.Fatal("invalid theta must error")
+	}
+}
+
+// refineCase is a Problem in caller order and a right-hand side for it.
+func refineCase(t *testing.T, n int, seed uint64) (*Problem, []float64) {
+	t.Helper()
+	pts, z := rawDataset(t, n, seed)
+	p, err := NewProblem(pts, z, geom.Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, n)
+	rng.New(seed + 1).NormSlice(b)
+	return p, b
+}
+
+// SolveRefined factors through the session, so it runs on ranks: four ranks
+// factor bitwise as shared memory does, and the refined solution agrees.
+func TestSolveRefinedOnRanks(t *testing.T) {
+	p, b := refineCase(t, 200, 71)
+	cfg := Config{Mode: TLR, TileSize: 40, Accuracy: 1e-3}
+	want, wantRes, err := SolveRefined(p, theta(), cfg, b, RefineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Ranks = 4
+	got, gotRes, err := SolveRefined(p, theta(), cfg, b, RefineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRes.Iterations != wantRes.Iterations {
+		t.Errorf("ranks took %d iterations, shared memory %d", gotRes.Iterations, wantRes.Iterations)
+	}
+	for i := range want {
+		if d := math.Abs(got[i] - want[i]); d > 1e-12*math.Max(1, math.Abs(want[i])) {
+			t.Fatalf("x[%d]: ranks %g, shared %g", i, got[i], want[i])
+		}
+	}
+}
+
+// Out of core, the preconditioner is bitwise the in-core one, and so is the
+// refined solution.
+func TestSolveRefinedOutOfCoreBitwise(t *testing.T) {
+	p, b := refineCase(t, 200, 73)
+	cfg := Config{Mode: TLR, TileSize: 40, Accuracy: 1e-3}
+	want, wantRes, err := SolveRefined(p, theta(), cfg, b, RefineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MemBudget = tlr.MinMemBudget(40, 1)
+	got, gotRes, err := SolveRefined(p, theta(), cfg, b, RefineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRes != wantRes || !slices.Equal(got, want) {
+		t.Fatalf("out of core: %+v, in core %+v; solutions equal: %v", gotRes, wantRes, slices.Equal(got, want))
+	}
+}
+
+// The preconditioner is whatever Config.Mode factors: a dense one is exact
+// (Accuracy, which a TLR preconditioner this loose would need many
+// iterations at, does not apply to it), so PCG stops after its first step.
+func TestSolveRefinedHonoursMode(t *testing.T) {
+	p, b := refineCase(t, 200, 75)
+	for _, mode := range []Mode{FullBlock, FullTile} {
+		x, res, err := SolveRefined(p, theta(), Config{Mode: mode, TileSize: 40, Accuracy: 1e-2}, b, RefineOptions{})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !res.Converged || res.Iterations > 2 {
+			t.Fatalf("%v preconditioner: %+v, want convergence in at most 2 iterations", mode, res)
+		}
+		want := denseSolveRef(t, p, b)
+		for i := range x {
+			if d := math.Abs(x[i] - want[i]); d > 1e-6 {
+				t.Fatalf("%v: x[%d] off the dense solution by %g", mode, i, d)
+			}
+		}
 	}
 }
 

@@ -46,8 +46,17 @@ var (
 // vectors are private copies and survive; the next variance predict at that
 // key factors again.
 type Session struct {
-	p   *Problem
-	cfg Config // validated and normalized
+	p   *Problem // in session order: Config.Ordering applied
+	cfg Config   // validated and normalized
+
+	// perm is the session's ordering: p.Points[i] is Points[perm[i]] of the
+	// Problem passed to NewSession; nil when that is the identity and p is
+	// that Problem.
+	perm []int
+
+	// rows holds Predict's 1×n cross-covariance rows, one per concurrent
+	// caller, so a warm predict allocates none.
+	rows sync.Pool
 
 	// ev computes every likelihood and factorization; Session adds the lock
 	// and the (θ, nugget)-keyed predict cache on top.
@@ -89,8 +98,10 @@ func (c *predictCache) at(theta cov.Params, nugget float64) bool {
 }
 
 // NewSession validates cfg, normalizes its zero fields to the documented
-// defaults, and builds the evaluator the configuration selects. The returned
-// Session is ready for repeated Fit/LogLikelihood/Predict calls.
+// defaults, orders the locations (Config.Ordering) and builds the evaluator
+// the configuration selects. The returned Session is ready for repeated
+// Fit/LogLikelihood/Predict calls. p is never modified: an ordering that
+// moves a point sorts a session-private copy.
 func NewSession(p *Problem, cfg Config) (*Session, error) {
 	if p == nil || p.N() == 0 {
 		return nil, fmt.Errorf("core: nil or empty problem")
@@ -99,15 +110,15 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	cfg = cfg.normalized()
-	if cfg.Ordering != "" {
-		// Evaluate on a session-private reordered copy when the ordering
-		// moves a point. The caller's Problem is untouched, and the copy's
-		// Perm still maps back to caller order.
-		ord, err := geom.NewOrdering(cfg.Ordering, cfg.TileSize)
-		if err != nil {
-			return nil, err // unreachable after Validate; kept for safety
-		}
-		p = p.Reordered(ord)
+	ord, err := geom.NewOrdering(cfg.Ordering, cfg.TileSize)
+	if err != nil {
+		return nil, err // unreachable after Validate; kept for safety
+	}
+	perm := ord.Permutation(p.Points)
+	if isIdentity(perm) {
+		perm = nil
+	} else {
+		p = &Problem{Points: geom.ApplyPerm(p.Points, perm), Z: geom.ApplyPermFloat(p.Z, perm), Metric: p.Metric}
 	}
 	row, err := lookupMode(cfg.Mode, cfg.Ranks)
 	if err != nil {
@@ -120,7 +131,19 @@ func NewSession(p *Problem, cfg Config) (*Session, error) {
 	if ev.fac, err = row.new(ev); err != nil {
 		return nil, err
 	}
-	return &Session{p: p, cfg: cfg, ev: ev, keepFactor: row.keep}, nil
+	s := &Session{p: p, cfg: cfg, perm: perm, ev: ev, keepFactor: row.keep}
+	n := p.N()
+	s.rows.New = func() any { return la.NewMat(1, n) }
+	return s, nil
+}
+
+func isIdentity(perm []int) bool {
+	for i, v := range perm {
+		if i != v {
+			return false
+		}
+	}
+	return true
 }
 
 // Close releases resources the session holds outside the Go heap — today
@@ -159,10 +182,10 @@ func (s *Session) ChaosStats() chaos.Stats {
 // Config returns the session's normalized configuration (defaults resolved).
 func (s *Session) Config() Config { return s.cfg }
 
-// Problem returns the dataset the session operates on. When the session's
-// ordering (Config.Ordering, resolved by mode) would move a point of the
-// Problem passed to NewSession, this is the session-private reordered copy
-// (its Perm maps back to caller order), not that Problem.
+// Problem returns the dataset the session operates on, in the session's
+// order: the Problem passed to NewSession when the session's ordering
+// (Config.Ordering, resolved by mode) moves no point of it, else the
+// session-private sorted copy.
 func (s *Session) Problem() *Problem { return s.p }
 
 // exclusive takes the write lock for a call that runs the evaluator and
@@ -308,9 +331,9 @@ func (s *Session) Predict(newPts []geom.Point, theta cov.Params) ([]float64, err
 	defer unlock()
 
 	// Ẑ1 = Σ12 · y, assembled one row at a time to bound memory.
-	n := p.N()
 	out := make([]float64, len(newPts))
-	cross := la.NewMat(1, n)
+	cross := s.rows.Get().(*la.Mat)
+	defer s.rows.Put(cross)
 	for i := range newPts {
 		k.Block(cross, newPts[i:i+1], p.Points, p.Metric)
 		out[i] = la.Dot(cross.Row(0), y)

@@ -120,9 +120,9 @@ func TestNewSessionOpensSpillFile(t *testing.T) {
 func TestConfigNormalized(t *testing.T) {
 	got := Config{}.normalized()
 	want := DefaultConfig().normalized()
-	// An empty Ordering resolves by mode: the Problem's own order (it stays
-	// empty) for the dense modes and HODLR, KD blocks for TLR.
-	if got.Ordering != "" || want.Ordering != "" {
+	// An empty Ordering resolves by mode: Morton for the dense modes and
+	// HODLR, KD blocks for TLR.
+	if got.Ordering != geom.OrderMorton || want.Ordering != geom.OrderMorton {
 		t.Fatalf("ordering defaults: zero %q, DefaultConfig %q", got.Ordering, want.Ordering)
 	}
 	if o := (Config{Mode: TLR}).normalized().Ordering; o != geom.OrderKDBlock {
@@ -144,10 +144,16 @@ func TestConfigNormalized(t *testing.T) {
 }
 
 // TestDefaultConfigMatchesZero: the zero Config normalizes to DefaultConfig
-// field by field — the defaults are written once, there. No default names a
-// compressor: there is one, and CompressorName stays empty.
+// field by field — the defaults are written once, there — but for the
+// ordering, which DefaultConfig leaves to the mode and normalizing resolves.
+// No default names a compressor: there is one, and CompressorName stays
+// empty.
 func TestDefaultConfigMatchesZero(t *testing.T) {
 	want := DefaultConfig()
+	if want.Ordering != "" {
+		t.Fatalf("DefaultConfig names ordering %q; it is the mode's to pick", want.Ordering)
+	}
+	want.Ordering = geom.OrderMorton
 	if got := (Config{}).normalized(); got != want {
 		t.Fatalf("zero Config normalizes to %+v, DefaultConfig is %+v", got, want)
 	}
@@ -178,7 +184,7 @@ func TestEntryPointsValidateConfig(t *testing.T) {
 		t.Error("PredictWithVariance accepted a negative Nugget")
 	}
 	if _, _, err := SolveRefined(p, theta(), Config{Ranks: 4}, make([]float64, p.N()), RefineOptions{}); err == nil {
-		t.Error("SolveRefined must reject distributed configs")
+		t.Error("SolveRefined accepted Ranks outside TLR")
 	}
 	if _, err := NewSession(nil, Config{}); err == nil {
 		t.Error("NewSession accepted a nil problem")

@@ -57,7 +57,10 @@ func GenerateSynthetic(n, nTest int, theta cov.Params, seed uint64) (*Synthetic,
 			trainZ = append(trainZ, z[i])
 		}
 	}
-	prob, err := NewProblem(trainPts, trainZ, geom.Euclidean)
+	// The training set leaves Morton-sorted, the order every session but a
+	// TLR one runs in, so those sessions find the identity and copy nothing.
+	sorted := geom.Morton.Permutation(trainPts)
+	prob, err := NewProblem(geom.ApplyPerm(trainPts, sorted), geom.ApplyPermFloat(trainZ, sorted), geom.Euclidean)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +69,8 @@ func GenerateSynthetic(n, nTest int, theta cov.Params, seed uint64) (*Synthetic,
 
 // GenerateSyntheticReplicates draws nrep measurement vectors over one shared
 // location set (the paper's Monte-Carlo design: "one location matrix and 100
-// different measurement vectors"), returning one Problem per replicate.
+// different measurement vectors"), returning one Problem per replicate, each
+// Morton-sorted like GenerateSynthetic's training set.
 func GenerateSyntheticReplicates(n, nrep int, theta cov.Params, seed uint64) ([]*Problem, error) {
 	if err := theta.Validate(); err != nil {
 		return nil, err
@@ -78,10 +82,12 @@ func GenerateSyntheticReplicates(n, nrep int, theta cov.Params, seed uint64) ([]
 	if err != nil {
 		return nil, err
 	}
+	sorted := geom.Morton.Permutation(pts)
+	pts = geom.ApplyPerm(pts, sorted)
 	out := make([]*Problem, nrep)
 	for rep := 0; rep < nrep; rep++ {
 		z := cov.SampleFromFactor(l, r.Split(uint64(rep)+10))
-		p, err := NewProblem(pts, z, geom.Euclidean)
+		p, err := NewProblem(pts, geom.ApplyPermFloat(z, sorted), geom.Euclidean)
 		if err != nil {
 			return nil, err
 		}

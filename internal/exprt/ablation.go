@@ -74,7 +74,7 @@ func ablationOrdering(o Options) error {
 		if err != nil {
 			return err
 		}
-		p, err := core.NewProblemOrdered(g.pts, z, geom.Euclidean, geom.None)
+		p, err := core.NewProblem(g.pts, z, geom.Euclidean)
 		if err != nil {
 			return err
 		}

@@ -70,7 +70,7 @@ func Extensions(o Options) error {
 	rng.New(o.Seed + 7).NormSlice(b)
 	rt := stats.NewTable("preconditioner acc", "pcg iterations", "final rel residual")
 	for _, acc := range []float64{1e-1, 1e-2, 1e-4, 1e-6} {
-		_, res, err := core.SolveRefined(syn.Train, truth, core.Config{TileSize: 64, Accuracy: acc, Workers: o.Workers},
+		_, res, err := core.SolveRefined(syn.Train, truth, core.Config{Mode: core.TLR, TileSize: 64, Accuracy: acc, Workers: o.Workers},
 			b, core.RefineOptions{Tol: 1e-11})
 		switch {
 		case errors.Is(err, la.ErrNotPositiveDefinite):

@@ -52,8 +52,9 @@ type ModelConfig struct {
 	// (core.Config.Nugget).
 	Nugget float64 `json:"nugget,omitempty"`
 	// Ordering overrides the spatial ordering ("morton", "hilbert",
-	// "kdblock", "none"). "" picks by mode (core.Config.Ordering): KD
-	// blocks at TileSize for tlr, the problem's Morton order otherwise.
+	// "kdblock", "none"; "none" keeps the order the points were sent in).
+	// "" picks by mode (core.Config.Ordering): KD blocks at TileSize for
+	// tlr, Morton otherwise. The model's session sorts its own copy.
 	Ordering string `json:"ordering,omitempty"`
 	// Ranks selects the simulated distributed backend when > 1 (TLR only).
 	Ranks int `json:"ranks,omitempty"`
